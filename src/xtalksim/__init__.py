@@ -10,14 +10,15 @@ the modulation amplitude.
 
 from xtalksim.operators import TimeGrid, propagate
 from xtalksim.model import (
+    PAIR,
+    STAR,
     CrosstalkOnly,
     DynamicalDecoupling,
     FrequencyModulation,
     Idle,
-    PairTopology,
     ParallelXX,
-    StarTopology,
     SystemParams,
+    Topology,
     XGate,
     assemble_hamiltonian,
     target_unitary,

@@ -8,7 +8,9 @@ identical configs produce byte-identical files.
 
 Exit codes: 0 success, 1 invalid config or usage, 2 failed verification
 check, 3 amplitude scan found no minimum in range (the scan is still
-written).
+written).  Configs are validated up front by building what the run builds,
+so an error raised later is an internal error and is not reported as an
+invalid config.
 """
 
 from __future__ import annotations
@@ -27,23 +29,24 @@ from xtalksim.experiments import (
     PRESETS,
     Row,
     SchemeRun,
-    SegmentedBaseline,
     _scored_infidelity,
+    _sequence_counts,
     cached_scan,
     gate_fidelity,
     run_preset,
     run_sequence,
     run_single_gate,
+    scheme_label,
 )
 from xtalksim.magnus import dd_second_order_closed_forms, epsilon_dd2_numeric, epsilon_fm2_idle
 from xtalksim.model import (
+    PAIR,
+    STAR,
     CrosstalkOnly,
     DynamicalDecoupling,
     FrequencyModulation,
     Idle,
-    PairTopology,
     ParallelXX,
-    StarTopology,
     SystemParams,
     XGate,
     angular_to_cyclic_mhz,
@@ -116,9 +119,30 @@ def _get(cfg: dict, key: str, default, kinds, what: str):
 
 def _positive(cfg: dict, key: str, default: float) -> float:
     value = _get(cfg, key, default, (int, float), "a number")
+    if not 0 < value < math.inf:
+        raise ConfigError(f"key {key!r} must be positive and finite, got {value}")
+    return float(value)
+
+
+def _positive_int(cfg: dict, key: str, default: int) -> int:
+    """A positive integer; integer-valued floats such as 4.0 are accepted."""
+    value = _get(cfg, key, default, (int, float), "an integer")
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
     if value <= 0:
         raise ConfigError(f"key {key!r} must be positive, got {value}")
-    return float(value)
+    return int(value)
+
+
+def _gate_time(cfg: dict, params: SystemParams) -> float:
+    raw = cfg.get("gate_time", "matched")
+    if raw == "matched":
+        return params.matched_time()
+    if isinstance(raw, (int, float)) and not isinstance(raw, bool):
+        if not 0 < raw < math.inf:
+            raise ConfigError(f"key 'gate_time' must be positive and finite, got {raw}")
+        return float(raw)
+    raise ConfigError(f"key 'gate_time' must be a number or \"matched\", got {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +175,9 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
 
     topo_name = _get(cfg, "topology", "pair", str, "a string")
     if topo_name == "pair":
-        topology = PairTopology()
+        topology = PAIR
     elif topo_name == "star":
-        topology = StarTopology()
+        topology = STAR
     else:
         raise ConfigError(f"unknown topology {topo_name!r}; choose pair or star")
 
@@ -162,32 +186,23 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
     if isinstance(j_raw, list):
         if not j_raw:
             raise ConfigError("key 'j_mhz' is an empty grid")
-        if not all(isinstance(j, (int, float)) and not isinstance(j, bool) and j > 0 for j in j_raw):
+        if not all(isinstance(j, (int, float)) and not isinstance(j, bool) and 0 < j < math.inf for j in j_raw):
             raise ConfigError(f"key 'j_mhz' grid must hold positive numbers, got {j_raw}")
         j_grid: Optional[List[float]] = [float(j) for j in j_raw]
         j_scalar = float(j_raw[0])
     elif isinstance(j_raw, (int, float)) and not isinstance(j_raw, bool):
-        if j_raw < 0:
-            raise ConfigError(f"key 'j_mhz' must be >= 0, got {j_raw}")
+        if not 0 <= j_raw < math.inf:
+            raise ConfigError(f"key 'j_mhz' must be finite and >= 0, got {j_raw}")
         j_grid = None
         j_scalar = float(j_raw)
     else:
         raise ConfigError(f"key 'j_mhz' must be a number or list, got {j_raw!r}")
 
     params = SystemParams.from_mhz(delta_mhz, j_scalar)
-
-    gate_time_raw = cfg.get("gate_time", "matched")
-    if gate_time_raw == "matched":
-        gate_time = params.matched_time()
-    elif isinstance(gate_time_raw, (int, float)) and not isinstance(gate_time_raw, bool):
-        gate_time = float(gate_time_raw)
-        if gate_time <= 0:
-            raise ConfigError(f"key 'gate_time' must be positive, got {gate_time}")
-    else:
-        raise ConfigError(f"key 'gate_time' must be a number or \"matched\", got {gate_time_raw!r}")
+    gate_time = _gate_time(cfg, params)
 
     gate_name = _get(cfg, "gate", "idle", str, "a string")
-    target = int(_positive(cfg, "target", 1))
+    target = _positive_int(cfg, "target", 1)
     if gate_name == "idle":
         gate = Idle(gate_time)
     elif gate_name == "x":
@@ -211,7 +226,7 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
         run = SchemeRun("CD", CrosstalkOnly())
         header.append("scheme = cd")
     elif scheme_name == "fm":
-        cycles = int(_positive(cfg, "cycles", 4))
+        cycles = _positive_int(cfg, "cycles", 4)
         gamma_raw = cfg.get("gamma_mhz", "optimize")
         scan = None
         if gamma_raw == "optimize":
@@ -231,8 +246,8 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
             gamma = scan.gamma_opt
             header.append(f"functional = {functional}")
         elif isinstance(gamma_raw, (int, float)) and not isinstance(gamma_raw, bool):
-            if gamma_raw < 0:
-                raise ConfigError(f"key 'gamma_mhz' must be >= 0, got {gamma_raw}")
+            if not 0 <= gamma_raw < math.inf:
+                raise ConfigError(f"key 'gamma_mhz' must be finite and >= 0, got {gamma_raw}")
             gamma = cyclic_mhz_to_angular(float(gamma_raw))
         else:
             raise ConfigError(
@@ -250,13 +265,12 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
             f"single_site = {str(single_site).lower()}, corner_average = {str(corner).lower()})"
         )
     elif scheme_name in ("dd", "dd-baseline"):
-        segments = int(_positive(cfg, "segments", 4))
+        segments = _positive_int(cfg, "segments", 4)
         width = _positive(cfg, "width_ns", gate_time / (4.0 * segments))
-        decoupling = DynamicalDecoupling(segments=segments, width=width)
-        if scheme_name == "dd":
-            run = SchemeRun(f"DD-Z{segments}", decoupling)
-        else:
-            run = SchemeRun("CD", SegmentedBaseline(decoupling))
+        decoupling = DynamicalDecoupling(
+            segments=segments, width=width, pulses=scheme_name == "dd"
+        )
+        run = SchemeRun(scheme_label(decoupling), decoupling)
         header.append(
             f"scheme = {scheme_name} (segments = {segments}, width_ns = {_fmt(width)})"
         )
@@ -265,9 +279,12 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
             f"unknown scheme {scheme_name!r}; choose cd, fm, dd or dd-baseline"
         )
 
-    repetitions = int(_positive(cfg, "repetitions", 1))
+    repetitions = _positive_int(cfg, "repetitions", 1)
     if j_grid is not None and repetitions > 1:
         raise ConfigError("choose a J grid or repeated gates, not both")
+    # Build once what the run builds, so that model validation fails here.
+    assemble_hamiltonian(params, topology, run.scheme, gate, repetitions=repetitions)
+    _sequence_counts(gate, repetitions)
 
     step = step_override if step_override is not None else _positive(cfg, "step_ns", DEFAULT_STEP)
     if j_grid is not None:
@@ -301,9 +318,11 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
 
     cfg = _load_config(args.config)
-    params, topology, run, gate, j_grid, repetitions, step, cfg_header = _resolve_simulation(
-        cfg, args.step
-    )
+    try:
+        resolved = _resolve_simulation(cfg, args.step)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    params, topology, run, gate, j_grid, repetitions, step, cfg_header = resolved
     header = ["xtalksim simulate"] + cfg_header
     if j_grid is not None:
         from xtalksim.experiments import sweep_j
@@ -349,29 +368,19 @@ def cmd_optimize_gamma(args) -> int:
         raise ConfigError(
             f"unknown functional {functional!r}; choose from {', '.join(FUNCTIONALS)}"
         )
-    cycles = int(_positive(cfg, "cycles", 4))
+    cycles = _positive_int(cfg, "cycles", 4)
     delta_mhz = _positive(cfg, "delta_mhz", 50.0)
     j_mhz = _positive(cfg, "j_mhz", 5.0)
     params = SystemParams.from_mhz(delta_mhz, j_mhz)
-    gate_time_raw = cfg.get("gate_time", "matched")
-    if gate_time_raw == "matched":
-        gate_time = params.matched_time()
-    elif isinstance(gate_time_raw, (int, float)) and not isinstance(gate_time_raw, bool):
-        gate_time = float(gate_time_raw)
-        if gate_time <= 0:
-            raise ConfigError(f"key 'gate_time' must be positive, got {gate_time}")
-    else:
-        raise ConfigError(f"key 'gate_time' must be a number or \"matched\", got {gate_time_raw!r}")
+    gate_time = _gate_time(cfg, params)
     grid_step = _positive(cfg, "grid_step_mhz", DEFAULT_GRID_STEP_MHZ)
     grid_max = _positive(cfg, "grid_max_mhz", DEFAULT_GRID_MAX_MHZ)
+    try:
+        grid = default_gamma_grid(grid_step, grid_max)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
-    scan = scan_gamma(
-        functional,
-        params,
-        cycles,
-        gate_time,
-        grid=default_gamma_grid(grid_step, grid_max),
-    )
+    scan = scan_gamma(functional, params, cycles, gate_time, grid=grid)
     label = f"FM-N{cycles}"
     header = [
         "xtalksim optimize-gamma",
@@ -414,7 +423,7 @@ def cmd_optimize_gamma(args) -> int:
 
 def _verify_checks(step: float) -> List[Tuple[str, bool, str]]:
     params = SystemParams.from_mhz(50.0, 5.0)
-    topology = PairTopology()
+    topology = PAIR
     t_m = params.matched_time()
     decoupling = DynamicalDecoupling(segments=4, width=t_m / 16.0)
     checks: List[Tuple[str, bool, str]] = []
@@ -572,11 +581,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "step", None) is not None and not 0 < args.step < math.inf:
+            raise ConfigError(f"--step must be positive and finite, got {args.step}")
         return args.fn(args)
     except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

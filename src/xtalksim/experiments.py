@@ -17,37 +17,31 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from xtalksim.model import (
+    PAIR,
+    STAR,
+    AssembledHamiltonian,
+    ControlScheme,
     CrosstalkOnly,
     DynamicalDecoupling,
     FrequencyModulation,
     GateSpec,
     Idle,
-    PairTopology,
     ParallelXX,
-    StarTopology,
     SystemParams,
     Topology,
     XGate,
     angular_to_cyclic_mhz,
-    assemble_dd_baseline,
     assemble_hamiltonian,
     static_frame_reference,
     target_unitary,
 )
 from xtalksim.operators import TimeGrid, propagate
 from xtalksim.optimize import GammaScan, corner_averaged_fidelity, scan_gamma
-from xtalksim.pulses import (
-    FmZModulation,
-    ModulatedQuadratureDrive,
-    NascentDeltaTrain,
-    SegmentedDrive,
-    SineEnvelopeDrive,
-)
 
 # Integrator step (ns) used by every shipped experiment; fine enough to
 # resolve infidelities near 1e-9 above integration noise.
@@ -58,21 +52,6 @@ DEFAULT_J_GRID_MHZ = tuple(float(j) for j in range(1, 11))
 
 DEFAULT_DELTA_MHZ = 50.0
 DEFAULT_J_MHZ = 5.0
-
-
-@dataclass(frozen=True)
-class SegmentedBaseline:
-    """Pulse-free reference of a decoupling run.
-
-    Same segmented drive bursts (at zero width), no Z-pulse train; for an
-    idle gate this coincides with bare crosstalk.  Used as the comparison
-    series in decoupling experiments so that drive placement matches.
-    """
-
-    decoupling: DynamicalDecoupling
-
-
-SchemeLike = Union[CrosstalkOnly, FrequencyModulation, DynamicalDecoupling, SegmentedBaseline]
 
 
 @dataclass(frozen=True)
@@ -125,41 +104,23 @@ def improvement_orders(reference_infidelity: float, infidelity: float) -> float:
     return math.log10(reference_infidelity / infidelity)
 
 
-def scheme_label(scheme: SchemeLike) -> str:
-    if isinstance(scheme, CrosstalkOnly) or isinstance(scheme, SegmentedBaseline):
+def scheme_label(scheme: ControlScheme) -> str:
+    if isinstance(scheme, CrosstalkOnly):
         return "CD"
     if isinstance(scheme, FrequencyModulation):
         return f"FM-N{scheme.cycles}"
     if isinstance(scheme, DynamicalDecoupling):
-        return f"DD-Z{scheme.segments}"
+        return f"DD-Z{scheme.segments}" if scheme.pulses else "CD"
     raise TypeError(f"unsupported scheme {scheme!r}")
-
-
-def _assemble(
-    params: SystemParams,
-    topology: Topology,
-    scheme: SchemeLike,
-    gate: GateSpec,
-    repetitions: int,
-    fm_frame: str,
-):
-    if isinstance(scheme, SegmentedBaseline):
-        return assemble_dd_baseline(
-            params, topology, scheme.decoupling, gate, repetitions=repetitions
-        )
-    return assemble_hamiltonian(
-        params, topology, scheme, gate, repetitions=repetitions, fm_frame=fm_frame
-    )
 
 
 def run_single_gate(
     params: SystemParams,
     topology: Topology,
-    scheme: SchemeLike,
+    scheme: ControlScheme,
     gate: GateSpec,
     *,
     step: float = DEFAULT_STEP,
-    fm_frame: str = "modulated",
 ) -> float:
     """Infidelity of one gate under the given control scheme.
 
@@ -167,7 +128,7 @@ def run_single_gate(
     width so the trailing pulse completes) and compares against the ideal
     target.  Roundoff below zero is clamped.
     """
-    h = _assemble(params, topology, scheme, gate, 1, fm_frame)
+    h = assemble_hamiltonian(params, topology, scheme, gate)
     grid = TimeGrid.with_max_step(0.0, h.t_end, step)
     u = propagate(h, grid)
     fidelity = gate_fidelity(u, target_unitary(gate, topology))
@@ -194,12 +155,11 @@ def _sequence_counts(gate: GateSpec, repetitions: int) -> np.ndarray:
 def run_sequence(
     params: SystemParams,
     topology: Topology,
-    scheme: SchemeLike,
+    scheme: ControlScheme,
     gate: GateSpec,
     repetitions: int,
     *,
     step: float = DEFAULT_STEP,
-    fm_frame: str = "modulated",
     label: str = "",
 ) -> FidelitySeries:
     """Infidelity of k consecutive gates versus the k-fold target.
@@ -210,7 +170,7 @@ def run_sequence(
     window is propagated separately and composed in order.
     """
     counts = _sequence_counts(gate, repetitions)
-    h = _assemble(params, topology, scheme, gate, repetitions, fm_frame)
+    h = assemble_hamiltonian(params, topology, scheme, gate, repetitions=repetitions)
     t_gate, tail = h.gate_time, h.tail
 
     unitaries = _windowed_propagators(h, repetitions, step)
@@ -278,9 +238,8 @@ class SchemeRun:
     """
 
     label: str
-    scheme: SchemeLike
+    scheme: ControlScheme
     corner_scan: Optional[GammaScan] = None
-    fm_frame: str = "modulated"
 
 
 def _scored_infidelity(
@@ -291,9 +250,7 @@ def _scored_infidelity(
     step: float,
 ) -> float:
     if run.corner_scan is None:
-        return run_single_gate(
-            params, topology, run.scheme, gate, step=step, fm_frame=run.fm_frame
-        )
+        return run_single_gate(params, topology, run.scheme, gate, step=step)
     fidelity = corner_averaged_fidelity(
         lambda gamma: 1.0
         - run_single_gate(
@@ -302,7 +259,6 @@ def _scored_infidelity(
             dataclasses.replace(run.scheme, gamma=gamma),
             gate,
             step=step,
-            fm_frame=run.fm_frame,
         ),
         run.corner_scan,
     )
@@ -325,7 +281,6 @@ def _scored_sequence(
             gate,
             repetitions,
             step=step,
-            fm_frame=run.fm_frame,
             label=run.label,
         )
 
@@ -337,7 +292,6 @@ def _scored_sequence(
             gate,
             repetitions,
             step=step,
-            fm_frame=run.fm_frame,
         )
         return 1.0 - series.infidelities
 
@@ -414,7 +368,7 @@ def non_matched_study(
         raise ValueError(
             f"gate time {t_gate} ns is matched; this study needs an unmatched duration"
         )
-    topology = PairTopology()
+    topology = PAIR
     gate = XGate(t_gate, target=1)
     scans = {n: cached_scan("fm1", params, n, t_gate) for n in cycles}
     runs = [SchemeRun("CD", CrosstalkOnly())]
@@ -469,15 +423,11 @@ def _series_rows(series_name: str, series: Iterable[FidelitySeries]) -> List[Row
     return rows
 
 
-def _waveform_rows(
-    channels: Sequence[Tuple[str, Callable[[np.ndarray], np.ndarray]]],
-    t_end: float,
-    points: int = 801,
-) -> List[Row]:
-    """Sample control channels over one gate window, in cyclic MHz."""
-    t = np.linspace(0.0, t_end, points)
+def _waveform_rows(h: AssembledHamiltonian, points: int = 801) -> List[Row]:
+    """Sample the named control channels of ``h`` over [0, t_end], in cyclic MHz."""
+    t = np.linspace(0.0, h.t_end, points)
     rows: List[Row] = []
-    for name, channel in channels:
+    for name, channel in h.controls().items():
         values = angular_to_cyclic_mhz(np.asarray(channel(t), dtype=float))
         rows.extend(("waveform", name, float(a), float(v)) for a, v in zip(t, values))
     return rows
@@ -530,58 +480,14 @@ def _fm_runs(
 
 def _dd_runs(decoupling: DynamicalDecoupling) -> List[SchemeRun]:
     return [
-        SchemeRun("CD", SegmentedBaseline(decoupling)),
+        SchemeRun("CD", dataclasses.replace(decoupling, pulses=False)),
         SchemeRun(f"DD-Z{decoupling.segments}", decoupling),
     ]
 
 
-def _fm_channels(
-    gate_time: float, scheme: FrequencyModulation, gate: GateSpec
-) -> List[Tuple[str, Callable]]:
-    modulation = scheme.modulation(gate_time)
-    channels: List[Tuple[str, Callable]] = []
-    targets = []
-    if isinstance(gate, XGate):
-        targets = [gate.target]
-    elif isinstance(gate, ParallelXX):
-        targets = [1, 2]
-    for q in targets:
-        envelope = SineEnvelopeDrive.x_gate(gate_time)
-        if scheme.single_site and q == 2:
-            quad = ModulatedQuadratureDrive(envelope=envelope, modulation=modulation)
-            channels.append((f"X{q}-drive", lambda t, d=quad: d.sample_xy(t)[0]))
-            channels.append((f"Y{q}-drive", lambda t, d=quad: d.sample_xy(t)[1]))
-        else:
-            channels.append((f"X{q}-drive", envelope.sample))
-    channels.append(("Z2-modulation", modulation.sample))
-    return channels
-
-
-def _dd_channels(
-    gate_time: float, decoupling: DynamicalDecoupling, gate: GateSpec
-) -> List[Tuple[str, Callable]]:
-    tau = decoupling.interval(gate_time)
-    train = NascentDeltaTrain(
-        segments=decoupling.segments, interval=tau, width=decoupling.width
-    )
-    channels: List[Tuple[str, Callable]] = []
-    targets = []
-    if isinstance(gate, XGate):
-        targets = [gate.target]
-    elif isinstance(gate, ParallelXX):
-        targets = [1, 2]
-    for q in targets:
-        drive = SegmentedDrive.sqrt_x_bursts(
-            segments=decoupling.segments, interval=tau, width=decoupling.width
-        )
-        channels.append((f"X{q}-drive", drive.sample))
-    channels.append(("Z2-pulses", lambda t: (np.pi / 2.0) * train.sample(t)))
-    return channels
-
-
 def _preset_fig2(step: float, map_fn: Callable) -> List[Row]:
     params = _default_params()
-    topology = PairTopology()
+    topology = PAIR
     gate_times = np.arange(2.0, 60.0 + 0.25, 0.5)
 
     def cell(t: float) -> float:
@@ -595,7 +501,7 @@ def _preset_fig3b(step: float, map_fn: Callable) -> List[Row]:
     params = _default_params()
     t_m = params.matched_time()
     runs = _fm_runs(params, t_m, "fm2-idle", corner=True)
-    series = sweep_j(params, PairTopology(), runs, Idle(t_m), step=step, map_fn=map_fn)
+    series = sweep_j(params, PAIR, runs, Idle(t_m), step=step, map_fn=map_fn)
     return _series_rows("vs_J", series)
 
 
@@ -605,7 +511,7 @@ def _preset_fig3c(step: float, map_fn: Callable) -> List[Row]:
     runs = _fm_runs(params, t_m, "fm2-idle", corner=True)
     series = list(
         map_fn(
-            lambda run: _scored_sequence(params, PairTopology(), run, Idle(t_m), 20, step),
+            lambda run: _scored_sequence(params, PAIR, run, Idle(t_m), 20, step),
             runs,
         )
     )
@@ -617,14 +523,15 @@ def _preset_fig4a(step: float, map_fn: Callable) -> List[Row]:
     t_m = params.matched_time()
     scan = cached_scan("fm2-x", params, 4, t_m)
     scheme = FrequencyModulation(cycles=4, gamma=scan.gamma_opt)
-    return _waveform_rows(_fm_channels(t_m, scheme, XGate(t_m, target=1)), t_m)
+    h = assemble_hamiltonian(params, PAIR, scheme, XGate(t_m, target=1), fm_frame="operation")
+    return _waveform_rows(h)
 
 
 def _preset_fig4b(step: float, map_fn: Callable) -> List[Row]:
     params = _default_params()
     t_m = params.matched_time()
     runs = _fm_runs(params, t_m, "fm2-x")
-    series = sweep_j(params, PairTopology(), runs, XGate(t_m, target=1), step=step, map_fn=map_fn)
+    series = sweep_j(params, PAIR, runs, XGate(t_m, target=1), step=step, map_fn=map_fn)
     return _series_rows("vs_J", series)
 
 
@@ -635,7 +542,7 @@ def _preset_fig4c(step: float, map_fn: Callable) -> List[Row]:
     series = list(
         map_fn(
             lambda run: _scored_sequence(
-                params, PairTopology(), run, XGate(t_m, target=1), 21, step
+                params, PAIR, run, XGate(t_m, target=1), 21, step
             ),
             runs,
         )
@@ -655,9 +562,7 @@ def _dd_preset(
     decoupling = DynamicalDecoupling(segments=4, width=t_m / 16.0)
     gate = gate_factory(t_m)
     runs = _dd_runs(decoupling)
-    rows = _waveform_rows(
-        _dd_channels(t_m, decoupling, gate), t_m + decoupling.width / 2.0
-    )
+    rows = _waveform_rows(assemble_hamiltonian(params, topology, decoupling, gate))
     rows += _series_rows(
         "vs_J", sweep_j(params, topology, runs, gate, step=step, map_fn=map_fn)
     )
@@ -672,11 +577,11 @@ def _dd_preset(
 
 
 def _preset_fig5(step: float, map_fn: Callable) -> List[Row]:
-    return _dd_preset(PairTopology(), Idle, 20, step, map_fn)
+    return _dd_preset(PAIR, Idle, 20, step, map_fn)
 
 
 def _preset_fig6(step: float, map_fn: Callable) -> List[Row]:
-    return _dd_preset(PairTopology(), lambda t: XGate(t, target=1), 21, step, map_fn)
+    return _dd_preset(PAIR, lambda t: XGate(t, target=1), 21, step, map_fn)
 
 
 def _fm_preset(
@@ -699,7 +604,9 @@ def _fm_preset(
     waveform_scheme = FrequencyModulation(
         cycles=waveform_cycles, gamma=scan.gamma_opt, single_site=single_site
     )
-    rows = _waveform_rows(_fm_channels(t_m, waveform_scheme, gate), t_m)
+    rows = _waveform_rows(
+        assemble_hamiltonian(params, topology, waveform_scheme, gate, fm_frame="operation")
+    )
     rows += _series_rows(
         "vs_J", sweep_j(params, topology, runs, gate, step=step, map_fn=map_fn)
     )
@@ -714,12 +621,12 @@ def _fm_preset(
 
 
 def _preset_fig8(step: float, map_fn: Callable) -> List[Row]:
-    return _fm_preset(StarTopology(), Idle, "fm2-idle", 20, step, map_fn, corner=True)
+    return _fm_preset(STAR, Idle, "fm2-idle", 20, step, map_fn, corner=True)
 
 
 def _preset_fig9(step: float, map_fn: Callable) -> List[Row]:
     return _fm_preset(
-        StarTopology(),
+        STAR,
         lambda t: XGate(t, target=2),
         "fm2-x",
         21,
@@ -730,11 +637,11 @@ def _preset_fig9(step: float, map_fn: Callable) -> List[Row]:
 
 
 def _preset_fig10(step: float, map_fn: Callable) -> List[Row]:
-    return _dd_preset(StarTopology(), Idle, 20, step, map_fn)
+    return _dd_preset(STAR, Idle, 20, step, map_fn)
 
 
 def _preset_fig11(step: float, map_fn: Callable) -> List[Row]:
-    return _dd_preset(StarTopology(), lambda t: XGate(t, target=2), 21, step, map_fn)
+    return _dd_preset(STAR, lambda t: XGate(t, target=2), 21, step, map_fn)
 
 
 def _functional_scan_preset(functional: str) -> Callable:
@@ -751,7 +658,7 @@ def _functional_scan_preset(functional: str) -> Callable:
 
 def _preset_fig14(step: float, map_fn: Callable) -> List[Row]:
     return _fm_preset(
-        PairTopology(),
+        PAIR,
         lambda t: XGate(t, target=2),
         "fm2-x",
         21,
@@ -762,7 +669,7 @@ def _preset_fig14(step: float, map_fn: Callable) -> List[Row]:
 
 
 def _preset_fig15(step: float, map_fn: Callable) -> List[Row]:
-    return _fm_preset(PairTopology(), ParallelXX, "fm2-x", 21, step, map_fn)
+    return _fm_preset(PAIR, ParallelXX, "fm2-x", 21, step, map_fn)
 
 
 def _preset_fig16(step: float, map_fn: Callable) -> List[Row]:
@@ -778,11 +685,11 @@ def _preset_fig16(step: float, map_fn: Callable) -> List[Row]:
 
 
 def _preset_fig17(step: float, map_fn: Callable) -> List[Row]:
-    return _dd_preset(PairTopology(), lambda t: XGate(t, target=2), 21, step, map_fn)
+    return _dd_preset(PAIR, lambda t: XGate(t, target=2), 21, step, map_fn)
 
 
 def _preset_fig18(step: float, map_fn: Callable) -> List[Row]:
-    return _dd_preset(PairTopology(), ParallelXX, 21, step, map_fn)
+    return _dd_preset(PAIR, ParallelXX, 21, step, map_fn)
 
 
 @dataclass(frozen=True)

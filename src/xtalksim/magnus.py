@@ -23,7 +23,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
-from xtalksim.model import FrequencyModulation, SystemParams
+from xtalksim.model import FrequencyModulation, SystemParams, coupling_phase
+from xtalksim.pulses import SineEnvelopeDrive
 
 __all__ = [
     "QuadratureConfig",
@@ -106,21 +107,13 @@ def ordered_double_integral(outer, inner, t_end: float, config: QuadratureConfig
     return (weights * f_outer * running).sum()
 
 
-def _coupling_phase(params: SystemParams, fm: FrequencyModulation | None, t_end: float):
-    """phi(t) = Delta t + 2 alpha(t) as a vectorized callable."""
-    if fm is None or fm.gamma == 0.0:
-        return lambda t: params.delta * t
-    modulation = fm.modulation(t_end)
-    return lambda t: params.delta * t + 2.0 * modulation.phase(t)
-
-
 def epsilon_fm1(params: SystemParams, fm: FrequencyModulation, t_end: float) -> float:
     """First-order residual coupling under frequency modulation.
 
     2 |(J/T) integral_0^T e^{i phi(t)} dt| with phi = Delta t + 2 alpha(t),
     by adaptive quadrature of the two real components.
     """
-    phi = _coupling_phase(params, fm, t_end)
+    phi = coupling_phase(params, fm.modulation(t_end))
     re, _ = quad(lambda t: math.cos(phi(t)), 0.0, t_end, limit=400, epsabs=1e-12, epsrel=1e-10)
     im, _ = quad(lambda t: math.sin(phi(t)), 0.0, t_end, limit=400, epsabs=1e-12, epsrel=1e-10)
     return 2.0 * abs(params.j / t_end) * math.hypot(re, im)
@@ -133,16 +126,11 @@ def epsilon_fm2_idle(
     config: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> float:
     """Second-order idle error: (J^2/T) |double integral of sin(phi1 - phi2)|."""
-    phi = _coupling_phase(params, fm, t_end)
+    phi = coupling_phase(params, fm.modulation(t_end))
     val = ordered_double_integral(
         lambda t: np.exp(1j * phi(t)), lambda t: np.exp(-1j * phi(t)), t_end, config
     )
     return (params.j**2 / t_end) * abs(val.imag)
-
-
-def _x_envelope(t_end: float):
-    amp = math.pi**2 / (4.0 * t_end)
-    return lambda t: amp * np.sin(np.pi * t / t_end)
 
 
 def epsilon_fm2_x(
@@ -156,8 +144,8 @@ def epsilon_fm2_x(
     Adds to the idle term the drive-coupling cross term
     2 |(iJ/2T) double integral of (Omega(t1) e^{i phi(t2)} - Omega(t2) e^{i phi(t1)})|.
     """
-    phi = _coupling_phase(params, fm, t_end)
-    omega = _x_envelope(t_end)
+    phi = coupling_phase(params, fm.modulation(t_end))
+    omega = SineEnvelopeDrive.x_gate(t_end).sample
     g = lambda t: np.exp(1j * phi(t))
     cross = ordered_double_integral(omega, g, t_end, config) - ordered_double_integral(
         g, omega, t_end, config

@@ -14,21 +14,25 @@ summed over coupled pairs.  Control schemes modify this picture:
   becomes ``Delta t + 2 alpha(t)`` with ``alpha`` the accumulated modulation
   phase; both frames are implemented and agree on whole-gate propagators.
 * ``DynamicalDecoupling`` adds a train of narrow pi Z pulses on the shared
-  qubit, with X drives squeezed into the odd inter-pulse segments.
+  qubit, with X drives squeezed into the odd inter-pulse segments; with
+  ``pulses=False`` it is the pulse-free reference of the same drive layout.
 
 Time-dependent Hamiltonians are represented as sums of real coefficient
 functions times constant Hermitian matrices, which keeps samples exactly
 Hermitian and lets the propagator evaluate whole time batches at once.
 
+Every control term carries a channel name (``X1-drive``, ``Z2-modulation``,
+...), so plotted waveforms are sampled from the simulated Hamiltonian itself.
+
 Qubits are labeled 1..n; qubit 2 is the shared (modulated/pulsed) qubit in
-both layouts.
+both shipped layouts, ``PAIR`` and ``STAR``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -51,8 +55,9 @@ from xtalksim.pulses import (
 )
 
 __all__ = [
-    "PairTopology",
-    "StarTopology",
+    "Topology",
+    "PAIR",
+    "STAR",
     "SystemParams",
     "CrosstalkOnly",
     "FrequencyModulation",
@@ -62,10 +67,9 @@ __all__ = [
     "ParallelXX",
     "AssembledHamiltonian",
     "assemble_hamiltonian",
-    "assemble_dd_baseline",
+    "coupling_phase",
     "target_unitary",
     "xy_interaction_operation_frame",
-    "xy_interaction_modulated_frame",
     "static_frame_reference",
     "cyclic_mhz_to_angular",
     "angular_to_cyclic_mhz",
@@ -85,52 +89,28 @@ def angular_to_cyclic_mhz(omega: float) -> float:
 
 
 @dataclass(frozen=True)
-class PairTopology:
-    """Two coupled qubits; qubit 2 carries any modulation or pulse train."""
+class Topology:
+    """Qubits 1..``n_qubits`` with exchange couplings on ``edges``.
 
-    @property
-    def n_qubits(self) -> int:
-        return 2
-
-    @property
-    def center(self) -> int:
-        return 2
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return ((1, 2),)
-
-    @property
-    def dim(self) -> int:
-        return 4
-
-
-@dataclass(frozen=True)
-class StarTopology:
-    """Central qubit 2 coupled to four neighbors (qubits 1, 3, 4, 5).
-
-    All neighbors sit at the same detuning from the center, so one
-    modulation waveform on the center addresses every coupling at once.
+    ``center`` is the shared qubit that carries any modulation or pulse
+    train.  Every neighbor sits at the same detuning from the center, so one
+    waveform on the center addresses every coupling at once.
     """
 
-    @property
-    def n_qubits(self) -> int:
-        return 5
-
-    @property
-    def center(self) -> int:
-        return 2
-
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        return ((1, 2), (3, 2), (4, 2), (5, 2))
+    n_qubits: int
+    center: int
+    edges: tuple[tuple[int, int], ...]
 
     @property
     def dim(self) -> int:
-        return 32
+        return 2**self.n_qubits
 
 
-Topology = Union[PairTopology, StarTopology]
+#: Two coupled qubits.
+PAIR = Topology(n_qubits=2, center=2, edges=((1, 2),))
+
+#: Central qubit 2 coupled to four neighbors (qubits 1, 3, 4, 5).
+STAR = Topology(n_qubits=5, center=2, edges=((1, 2), (3, 2), (4, 2), (5, 2)))
 
 
 @dataclass(frozen=True)
@@ -210,11 +190,14 @@ class DynamicalDecoupling:
 
     ``segments`` pulses of width ``width`` sit at the ends of equal segments
     of the gate window; the pulse count must be even and at least 4 for the
-    leading-order crosstalk cancellation to hold.
+    leading-order crosstalk cancellation to hold.  With ``pulses=False`` the
+    run is the pulse-free reference: the same segmented drive at zero width,
+    no Z train, and ``width`` unused.
     """
 
     segments: int = 4
     width: float = 1.25
+    pulses: bool = True
 
     def __post_init__(self):
         if self.segments < 4 or self.segments % 2:
@@ -274,15 +257,17 @@ GateSpec = Union[Idle, XGate, ParallelXX]
 class AssembledHamiltonian:
     """Hamiltonian of a gate (or run of identical gates) as term sums.
 
-    ``terms`` pairs a vectorized real coefficient function of global time
-    with a constant Hermitian matrix.  ``tail`` extends the evaluation
-    window past the last gate boundary (the trailing half pulse of a
-    decoupling train); ``periodic`` marks that the propagator over
-    ``[tail + k T, tail + (k+1) T]`` is the same for every k, which repeated
-    runs exploit.
+    ``terms`` holds ``(channel, coefficient, matrix)`` triples: a vectorized
+    real coefficient function of global time times a constant Hermitian
+    matrix.  Control terms name their channel (``"X1-drive"``,
+    ``"Z2-pulses"``, ...); the exchange terms have the empty name.  ``tail``
+    extends the evaluation window past the last gate boundary (the trailing
+    half pulse of a decoupling train); ``periodic`` marks that the
+    propagator over ``[tail + k T, tail + (k+1) T]`` is the same for every
+    k, which repeated runs exploit.
     """
 
-    terms: tuple[tuple[Callable[[np.ndarray], np.ndarray], np.ndarray], ...]
+    terms: tuple[tuple[str, Callable[[np.ndarray], np.ndarray], np.ndarray], ...]
     dim: int
     gate_time: float
     repetitions: int = 1
@@ -293,28 +278,23 @@ class AssembledHamiltonian:
     def t_end(self) -> float:
         return self.repetitions * self.gate_time + self.tail
 
-    def checkpoints(self) -> np.ndarray:
-        """Evaluation time after each whole gate."""
-        return np.arange(1, self.repetitions + 1) * self.gate_time + self.tail
+    def controls(self) -> dict[str, Callable[[np.ndarray], np.ndarray]]:
+        """Control waveforms (rad/ns) keyed by channel name."""
+        return {name: coeff for name, coeff, _ in self.terms if name}
 
     def __call__(self, t):
         tt = np.asarray(t, dtype=float)
         scalar = tt.ndim == 0
         tt = np.atleast_1d(tt)
         out = np.zeros((tt.size, self.dim, self.dim), dtype=complex)
-        for coeff, mat in self.terms:
+        for _, coeff, mat in self.terms:
             c = np.asarray(coeff(tt), dtype=float)
             out += c[:, None, None] * mat
         return out[0] if scalar else out
 
 
-def _exchange_terms(params: SystemParams, topology: Topology, phase: Callable):
-    """XY coupling as two Hermitian terms with cos/sin coefficients.
-
-    ``phase`` maps a time array to the coupling phase phi(t); the coupling
-    J(e^{i phi} sigma_q^+ sigma_c^- + h.c.) splits into
-    cos(phi) * J(A + A^T) + sin(phi) * iJ(A - A^T) with A real.
-    """
+def _flip_flop(topology: Topology) -> np.ndarray:
+    """Sum over edges (q, c) of sigma_q^+ sigma_c^-, a real matrix."""
     n = topology.n_qubits
     a_sum = np.zeros((topology.dim, topology.dim), dtype=complex)
     for q, c in topology.edges:
@@ -322,28 +302,40 @@ def _exchange_terms(params: SystemParams, topology: Topology, phase: Callable):
         factors[q - 1] = SIGMA_PLUS
         factors[c - 1] = SIGMA_MINUS
         a_sum += kron(*factors)
+    return a_sum
+
+
+def coupling_phase(params: SystemParams, modulation: Optional[FmZModulation] = None):
+    """Coupling phase phi(t) = Delta t + 2 alpha(t) as a vectorized callable.
+
+    ``alpha`` is the accumulated phase of ``modulation``; without one the
+    phase is the bare Delta t of the operation frame.
+    """
+    if modulation is None:
+        return lambda t: params.delta * t
+    return lambda t: params.delta * t + 2.0 * modulation.phase(t)
+
+
+def _exchange_terms(params: SystemParams, topology: Topology, phase: Callable):
+    """XY coupling as two unnamed Hermitian terms with cos/sin coefficients.
+
+    ``phase`` maps a time array to the coupling phase phi(t); the coupling
+    J(e^{i phi} sigma_q^+ sigma_c^- + h.c.) splits into
+    cos(phi) * J(A + A^T) + sin(phi) * iJ(A - A^T) with A real.
+    """
+    a_sum = _flip_flop(topology)
     sym = params.j * (a_sum + a_sum.conj().T)
     asym = 1j * params.j * (a_sum - a_sum.conj().T)
-    return (
-        (lambda t: np.cos(phase(t)), sym),
-        (lambda t: np.sin(phase(t)), asym),
-    )
+    return [
+        ("", lambda t: np.cos(phase(t)), sym),
+        ("", lambda t: np.sin(phase(t)), asym),
+    ]
 
 
 def xy_interaction_operation_frame(params: SystemParams, topology: Topology, t):
     """Instantaneous XY coupling in the operation frame."""
-    terms = _exchange_terms(params, topology, lambda tt: params.delta * tt)
-    h = AssembledHamiltonian(terms=terms, dim=topology.dim, gate_time=math.inf)
-    return h(t)
-
-def xy_interaction_modulated_frame(
-    params: SystemParams, topology: Topology, modulation: FmZModulation, t
-):
-    """Instantaneous XY coupling in the modulated frame of ``modulation``."""
-    terms = _exchange_terms(
-        params, topology, lambda tt: params.delta * tt + 2.0 * modulation.phase(tt)
-    )
-    h = AssembledHamiltonian(terms=terms, dim=topology.dim, gate_time=math.inf)
+    terms = _exchange_terms(params, topology, coupling_phase(params))
+    h = AssembledHamiltonian(terms=tuple(terms), dim=topology.dim, gate_time=math.inf)
     return h(t)
 
 
@@ -357,7 +349,7 @@ def _x_target_labels(gate: GateSpec, topology: Topology) -> tuple[int, ...]:
             )
         return (gate.target,)
     if isinstance(gate, ParallelXX):
-        if not isinstance(topology, PairTopology):
+        if topology.n_qubits != 2:
             raise ValueError("parallel XX is only defined on the two-qubit layout")
         return (1, 2)
     raise TypeError(f"unsupported gate: {gate!r}")
@@ -381,6 +373,9 @@ def assemble_hamiltonian(
 ) -> AssembledHamiltonian:
     """Full time-dependent Hamiltonian of ``repetitions`` consecutive gates.
 
+    Control terms are named ``X{q}-drive`` and ``Y{q}-drive`` for drives on
+    qubit q, and ``Z{c}-modulation`` or ``Z{c}-pulses`` for the center c.
+
     Parameters
     ----------
     fm_frame:
@@ -400,18 +395,17 @@ def assemble_hamiltonian(
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     t_gate = gate.duration
     targets = _x_target_labels(gate, topology)
-    center = topology.center
+    n, center = topology.n_qubits, topology.center
 
-    terms: list[tuple[Callable, np.ndarray]] = []
+    phase = coupling_phase(params)
+    x_drive = _periodic_envelope(SineEnvelopeDrive.x_gate(t_gate), t_gate, repetitions)
+    # Operation-frame modulation turns the center's X drive into a quadrature pair.
+    center_xy = None
+    z_terms: list[tuple[str, Callable]] = []
     tail = 0.0
 
     if isinstance(scheme, CrosstalkOnly):
-        terms.extend(_exchange_terms(params, topology, lambda tt: params.delta * tt))
-        for q in targets:
-            env = SineEnvelopeDrive.x_gate(t_gate)
-            terms.append(
-                (_periodic_envelope(env, t_gate, repetitions), embed(SIGMA_X, q, topology.n_qubits))
-            )
+        pass
 
     elif isinstance(scheme, FrequencyModulation):
         modulation = scheme.modulation(t_gate)
@@ -425,68 +419,30 @@ def assemble_hamiltonian(
                 f"(modulated qubit is {center})"
             )
         if fm_frame == "modulated":
-            phase = lambda tt: params.delta * tt + 2.0 * modulation.phase(tt)
-            terms.extend(_exchange_terms(params, topology, phase))
-            for q in targets:
-                env = SineEnvelopeDrive.x_gate(t_gate)
-                terms.append(
-                    (
-                        _periodic_envelope(env, t_gate, repetitions),
-                        embed(SIGMA_X, q, topology.n_qubits),
-                    )
-                )
+            phase = coupling_phase(params, modulation)
         elif fm_frame == "operation":
-            terms.extend(_exchange_terms(params, topology, lambda tt: params.delta * tt))
-            terms.append((modulation.sample, embed(SIGMA_Z, center, topology.n_qubits)))
-            for q in targets:
-                env = SineEnvelopeDrive.x_gate(t_gate)
-                if q == center:
-                    wrap = _periodic_envelope(env, t_gate, repetitions)
-                    two_alpha = lambda tt: 2.0 * modulation.phase(tt)
-                    terms.append(
-                        (
-                            lambda tt, w=wrap, p=two_alpha: w(tt) * np.cos(p(tt)),
-                            embed(SIGMA_X, q, topology.n_qubits),
-                        )
-                    )
-                    terms.append(
-                        (
-                            lambda tt, w=wrap, p=two_alpha: w(tt) * np.sin(p(tt)),
-                            embed(SIGMA_Y, q, topology.n_qubits),
-                        )
-                    )
-                else:
-                    terms.append(
-                        (
-                            _periodic_envelope(env, t_gate, repetitions),
-                            embed(SIGMA_X, q, topology.n_qubits),
-                        )
-                    )
+            z_terms.append((f"Z{center}-modulation", modulation.sample))
+            two_alpha = lambda tt: 2.0 * modulation.phase(tt)
+            center_xy = (
+                lambda tt: x_drive(tt) * np.cos(two_alpha(tt)),
+                lambda tt: x_drive(tt) * np.sin(two_alpha(tt)),
+            )
         else:
             raise ValueError(f"unknown fm_frame {fm_frame!r}")
 
     elif isinstance(scheme, DynamicalDecoupling):
         tau = scheme.interval(t_gate)
-        if scheme.width >= tau:
+        width = scheme.width if scheme.pulses else 0.0
+        if width >= tau:
             raise ValueError(
-                f"pulse width {scheme.width} ns must be below the segment length {tau} ns"
+                f"pulse width {width} ns must be below the segment length {tau} ns"
             )
-        train = NascentDeltaTrain(
-            segments=repetitions * scheme.segments, interval=tau, width=scheme.width
-        )
-        terms.extend(_exchange_terms(params, topology, lambda tt: params.delta * tt))
-        terms.append(
-            (
-                lambda tt: (np.pi / 2.0) * train.sample(tt),
-                embed(SIGMA_Z, center, topology.n_qubits),
-            )
-        )
-        for q in targets:
-            drive = SegmentedDrive.sqrt_x_bursts(
-                segments=repetitions * scheme.segments, interval=tau, width=scheme.width
-            )
-            terms.append((drive.sample, embed(SIGMA_X, q, topology.n_qubits)))
-        tail = scheme.width / 2.0
+        segments = repetitions * scheme.segments
+        if scheme.pulses:
+            train = NascentDeltaTrain(segments=segments, interval=tau, width=width)
+            z_terms.append((f"Z{center}-pulses", lambda tt: (np.pi / 2.0) * train.sample(tt)))
+            tail = width / 2.0
+        x_drive = SegmentedDrive.sqrt_x_bursts(segments=segments, interval=tau, width=width).sample
 
     else:
         raise TypeError(
@@ -494,43 +450,21 @@ def assemble_hamiltonian(
             "with modulation) are not constructible"
         )
 
+    terms = _exchange_terms(params, topology, phase)
+    terms += [(name, coeff, embed(SIGMA_Z, center, n)) for name, coeff in z_terms]
+    for q in targets:
+        if q == center and center_xy is not None:
+            terms.append((f"X{q}-drive", center_xy[0], embed(SIGMA_X, q, n)))
+            terms.append((f"Y{q}-drive", center_xy[1], embed(SIGMA_Y, q, n)))
+        else:
+            terms.append((f"X{q}-drive", x_drive, embed(SIGMA_X, q, n)))
+
     return AssembledHamiltonian(
         terms=tuple(terms),
         dim=topology.dim,
         gate_time=t_gate,
         repetitions=repetitions,
         tail=tail,
-        periodic=params.is_matched(t_gate),
-    )
-
-
-def assemble_dd_baseline(
-    params: SystemParams,
-    topology: Topology,
-    scheme: DynamicalDecoupling,
-    gate: GateSpec,
-    *,
-    repetitions: int = 1,
-) -> AssembledHamiltonian:
-    """Pulse-free reference of a decoupling run: same segmented X drive with
-    zero pulse width, no Z train.  For an Idle gate this is identical to the
-    bare-crosstalk assembly."""
-    t_gate = gate.duration
-    targets = _x_target_labels(gate, topology)
-    tau = scheme.interval(t_gate)
-    terms: list[tuple[Callable, np.ndarray]] = []
-    terms.extend(_exchange_terms(params, topology, lambda tt: params.delta * tt))
-    for q in targets:
-        drive = SegmentedDrive.sqrt_x_bursts(
-            segments=repetitions * scheme.segments, interval=tau, width=0.0
-        )
-        terms.append((drive.sample, embed(SIGMA_X, q, topology.n_qubits)))
-    return AssembledHamiltonian(
-        terms=tuple(terms),
-        dim=topology.dim,
-        gate_time=t_gate,
-        repetitions=repetitions,
-        tail=0.0,
         periodic=params.is_matched(t_gate),
     )
 
@@ -562,13 +496,8 @@ def static_frame_reference(params: SystemParams, topology: Topology, t: float) -
     for q in range(1, n + 1):
         omega = 0.0 if q == topology.center else params.delta
         h0 += -(omega / 2.0) * embed(SIGMA_Z, q, n)
-    h_xy = np.zeros_like(h0)
-    for q, c in topology.edges:
-        factors = [IDENTITY] * n
-        factors[q - 1] = SIGMA_PLUS
-        factors[c - 1] = SIGMA_MINUS
-        a = kron(*factors)
-        h_xy += params.j * (a + a.conj().T)
+    a_sum = _flip_flop(topology)
+    h_xy = params.j * (a_sum + a_sum.conj().T)
     u_lab = expm_hamiltonian(h0 + h_xy, t)
     # Undo the bare rotation: U_frame = exp(+i H0 t) U_lab.
     return expm_hamiltonian(h0, -t) @ u_lab

@@ -170,85 +170,45 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
 
 
 def _sample_hamiltonian(h_of_t, times: np.ndarray) -> np.ndarray:
-    """Evaluate ``h_of_t`` on an array of times, tolerating scalar-only callables."""
-    try:
-        out = np.asarray(h_of_t(times), dtype=complex)
-        if out.ndim == 3 and out.shape[0] == times.size:
-            return out
-    except Exception:
-        pass
-    rows = [np.asarray(h_of_t(float(t)), dtype=complex) for t in times]
-    return np.stack(rows, axis=0)
+    """Evaluate ``h_of_t`` on a 1-D time array; it must return ``(n, d, d)``."""
+    h = np.asarray(h_of_t(times), dtype=complex)
+    if h.ndim != 3 or h.shape[0] != times.size or h.shape[1] != h.shape[2]:
+        raise ValueError(
+            f"h_of_t must map {times.size} times to a ({times.size}, d, d) stack, "
+            f"got shape {h.shape}"
+        )
+    return h
 
 
-def propagate(
-    h_of_t,
-    grid: TimeGrid,
-    *,
-    checkpoints: np.ndarray | None = None,
-    chunk: int = 2048,
-) -> np.ndarray | tuple[np.ndarray, list[np.ndarray]]:
+def propagate(h_of_t, grid: TimeGrid, *, chunk: int = 2048) -> np.ndarray:
     """Time-ordered propagator of ``h_of_t`` over ``grid``.
 
     Parameters
     ----------
     h_of_t:
-        Callable returning the Hamiltonian (rad/ns) at a time (ns).  May
-        accept an array of times and return a stacked ``(n, d, d)`` batch;
-        scalar-only callables are looped over.
+        Vectorized Hamiltonian (rad/ns): takes a 1-D array of n times (ns)
+        and returns the stacked ``(n, d, d)`` samples.
     grid:
         Step grid.  Each step applies ``exp(-i H(t_mid) dt)`` exactly.
-    checkpoints:
-        Optional increasing times at which intermediate propagators are
-        recorded.  Each must coincide with a step boundary.
-
-    Returns
-    -------
-    The full-window propagator, or ``(propagator, snapshots)`` when
-    checkpoints are given.
 
     Raises
     ------
     ValueError
-        If a sampled Hamiltonian is non-Hermitian (the offending time is
-        named), not square, or of inconsistent dimension.
+        If ``h_of_t`` returns any other shape (the shape is named), if a
+        sampled Hamiltonian is non-Hermitian (the offending time is named),
+        or if its dimension changes between chunks.
     """
     mids = grid.midpoints()
     dt = grid.step
-
-    checkpoint_steps: list[int] = []
-    if checkpoints is not None:
-        bounds = grid.boundaries()
-        for t in np.atleast_1d(checkpoints):
-            idx = int(round((t - grid.t_start) / dt))
-            if idx < 0 or idx > grid.n_steps or abs(bounds[idx] - t) > 1e-9 * max(1.0, abs(t)):
-                raise ValueError(f"checkpoint t={t} does not lie on a step boundary")
-            checkpoint_steps.append(idx)
-        if checkpoint_steps != sorted(checkpoint_steps):
-            raise ValueError("checkpoints must be increasing")
-
-    # Probe the first sample to learn the dimension before the main sweep.
-    probe = _sample_hamiltonian(h_of_t, mids[:1])
-    if probe.shape[-1] != probe.shape[-2]:
-        raise ValueError(f"Hamiltonian samples are not square: shape {probe.shape}")
-    dim = probe.shape[-1]
-    u = np.eye(dim, dtype=complex)
-
-    snapshots: list[np.ndarray] = []
-    pending = list(checkpoint_steps)
-    while pending and pending[0] == 0:
-        snapshots.append(u.copy())
-        pending.pop(0)
-
-    start = 0
-    while start < grid.n_steps:
-        stop = min(start + chunk, grid.n_steps)
-        if pending and start < pending[0] < stop:
-            stop = pending[0]
-        h = _sample_hamiltonian(h_of_t, mids[start:stop])
-        if h.shape[-1] != h.shape[-2] or h.shape[-1] != dim:
+    u = None
+    for start in range(0, grid.n_steps, chunk):
+        h = _sample_hamiltonian(h_of_t, mids[start : start + chunk])
+        if u is None:
+            u = np.eye(h.shape[-1], dtype=complex)
+        elif h.shape[-1] != u.shape[-1]:
             raise ValueError(
-                f"Hamiltonian dimension changed from {dim} to {h.shape[-1]} at t={mids[start]}"
+                f"Hamiltonian dimension changed from {u.shape[-1]} to {h.shape[-1]} "
+                f"at t={mids[start]}"
             )
         scale = max(float(np.abs(h).max()), 1.0)
         defects = np.abs(h - h.conj().swapaxes(-1, -2)).reshape(h.shape[0], -1).max(axis=1)
@@ -259,11 +219,4 @@ def propagate(
                 f"(defect {defects[worst]:.3e})"
             )
         u = ordered_product(expm_hamiltonian(h, dt)) @ u
-        start = stop
-        while pending and pending[0] == start:
-            snapshots.append(u.copy())
-            pending.pop(0)
-
-    if checkpoints is not None:
-        return u, snapshots
     return u

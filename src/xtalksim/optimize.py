@@ -43,8 +43,10 @@ def default_gamma_grid(
     """Uniform amplitude grid in rad/ns covering [0, max_mhz] cyclic MHz."""
     if step_mhz <= 0.0:
         raise ValueError(f"grid step must be positive, got {step_mhz}")
-    if max_mhz < step_mhz:
-        raise ValueError(f"grid must span at least one step, got max {max_mhz}")
+    if max_mhz < 2.0 * step_mhz:
+        raise ValueError(
+            f"grid must span at least two steps (3 points), got step {step_mhz}, max {max_mhz}"
+        )
     n = int(math.floor(max_mhz / step_mhz + 1e-9))
     return cyclic_mhz_to_angular(step_mhz) * np.arange(n + 1, dtype=float)
 

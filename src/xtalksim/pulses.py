@@ -18,7 +18,6 @@ __all__ = [
     "FmZModulation",
     "NascentDeltaTrain",
     "SegmentedDrive",
-    "ModulatedQuadratureDrive",
 ]
 
 
@@ -200,29 +199,3 @@ class SegmentedDrive:
     def area(self) -> float:
         n_active = (self.segments + 1) // 2
         return n_active * self.burst_area
-
-
-@dataclass(frozen=True)
-class ModulatedQuadratureDrive:
-    """Single-site drive expressed in the unmodulated (operation) frame.
-
-    A drive that is a plain ``envelope * sigma_x`` in the modulated frame of
-    ``modulation`` appears in the operation frame with both quadratures:
-    ``envelope * (cos(2 alpha) sigma_x + sin(2 alpha) sigma_y)``.
-    """
-
-    envelope: SineEnvelopeDrive
-    modulation: FmZModulation
-
-    def sample_xy(self, t):
-        """Pair of quadrature amplitudes ``(x, y)`` at time(s) ``t``."""
-        omega = self.envelope.sample(t)
-        two_alpha = 2.0 * np.asarray(self.modulation.phase(t))
-        x = omega * np.cos(two_alpha)
-        y = omega * np.sin(two_alpha)
-        if np.ndim(t) == 0:
-            return float(x), float(y)
-        return x, y
-
-    def area(self) -> float:
-        return self.envelope.area()

@@ -6,6 +6,7 @@ misses its stated tolerance.  Heavy intermediates are cached at module
 scope so the full file runs in a few minutes.
 """
 
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -14,7 +15,6 @@ import pytest
 
 from xtalksim.experiments import (
     SchemeRun,
-    SegmentedBaseline,
     _scored_infidelity,
     _scored_sequence,
     cached_scan,
@@ -35,10 +35,10 @@ from xtalksim.model import (
     CrosstalkOnly,
     DynamicalDecoupling,
     FrequencyModulation,
+    PAIR,
+    STAR,
     Idle,
-    PairTopology,
     ParallelXX,
-    StarTopology,
     SystemParams,
     XGate,
     assemble_hamiltonian,
@@ -47,8 +47,6 @@ from xtalksim.model import (
 from xtalksim.operators import TimeGrid, propagate, unitarity_defect
 
 PARAMS = SystemParams.from_mhz(50.0, 5.0)
-PAIR = PairTopology()
-STAR = StarTopology()
 T_M = PARAMS.matched_time()
 DD = DynamicalDecoupling(segments=4, width=T_M / 16.0)  # w = tau/4
 STEP = 0.002
@@ -86,7 +84,7 @@ def scheme_run(kind, cycles=0, corner=False, single_site=False):
     if kind == "dd":
         return SchemeRun("DD-Z4", DD)
     if kind == "dd-base":
-        return SchemeRun("CD", SegmentedBaseline(DD))
+        return SchemeRun("CD", dataclasses.replace(DD, pulses=False))
     functional = "fm2-idle" if kind == "fm-idle" else "fm2-x"
     scan = cached_scan(functional, PARAMS, cycles, T_M)
     assert scan.found

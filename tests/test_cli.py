@@ -81,11 +81,26 @@ class TestSimulate:
             {"j_mhz": [1.0, 2.0], "repetitions": 3},
             {"unexpected_key": 1},
             {"gate_time": -5.0},
+            {"repetitions": 2.7},
+            {"repetitions": True},
+            {"scheme": "fm", "cycles": 4.5, "gamma_mhz": 100.0},
+            {"scheme": "dd", "segments": 4.2},
+            {"gate": "x", "target": 1.5},
+            {"j_mhz": float("nan")},
         ]
         for payload in cases:
             cfg = write_config(tmp_path, payload)
             assert main(["simulate", "--config", cfg]) == EXIT_VALIDATION, payload
             assert capsys.readouterr().err.startswith("error:")
+
+    def test_internal_error_is_not_invalid_config(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr("xtalksim.cli._scored_infidelity", broken)
+        cfg = write_config(tmp_path, {"scheme": "cd", "gate": "idle"})
+        with pytest.raises(ValueError, match="internal failure"):
+            main(["simulate", "--config", cfg, "--step", "0.05"])
 
     def test_malformed_json_names_location(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -120,6 +135,12 @@ class TestOptimizeGamma:
     def test_rejects_unknown_functional(self, tmp_path):
         cfg = write_config(tmp_path, {"functional": "dd2"})
         assert main(["optimize-gamma", "--config", cfg]) == EXIT_VALIDATION
+
+    def test_rejects_non_integer_cycles(self, tmp_path, capsys):
+        for cycles in (4.5, True):
+            cfg = write_config(tmp_path, {"functional": "fm2-idle", "cycles": cycles})
+            assert main(["optimize-gamma", "--config", cfg]) == EXIT_VALIDATION, cycles
+            assert "'cycles'" in capsys.readouterr().err
 
 
 class TestVerify:

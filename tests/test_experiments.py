@@ -4,7 +4,6 @@ import pytest
 from xtalksim.experiments import (
     FidelitySeries,
     PRESETS,
-    SegmentedBaseline,
     cd_idle_reference_infidelity,
     gate_fidelity,
     improvement_orders,
@@ -19,18 +18,19 @@ from xtalksim.model import (
     CrosstalkOnly,
     DynamicalDecoupling,
     FrequencyModulation,
+    PAIR,
+    STAR,
     Idle,
-    PairTopology,
-    StarTopology,
     SystemParams,
     XGate,
+    angular_to_cyclic_mhz,
     assemble_hamiltonian,
     target_unitary,
 )
 from xtalksim.operators import SIGMA_X, TimeGrid, embed, propagate
+from xtalksim.pulses import SineEnvelopeDrive
 
 PARAMS = SystemParams.from_mhz(50.0, 5.0)
-PAIR = PairTopology()
 T_M = PARAMS.matched_time()
 
 
@@ -92,16 +92,15 @@ class TestSingleGate:
         assert propagated == pytest.approx(exact, abs=1e-8)
 
     def test_star_idle_matches_static_oracle(self):
-        star = StarTopology()
-        propagated = run_single_gate(PARAMS, star, CrosstalkOnly(), Idle(T_M), step=0.002)
-        exact = cd_idle_reference_infidelity(PARAMS, star, T_M)
+        propagated = run_single_gate(PARAMS, STAR, CrosstalkOnly(), Idle(T_M), step=0.002)
+        exact = cd_idle_reference_infidelity(PARAMS, STAR, T_M)
         assert propagated == pytest.approx(exact, abs=1e-8)
 
     def test_scheme_labels(self):
         assert scheme_label(CrosstalkOnly()) == "CD"
         assert scheme_label(FrequencyModulation(cycles=6, gamma=1.0)) == "FM-N6"
         assert scheme_label(DynamicalDecoupling(4, 1.25)) == "DD-Z4"
-        assert scheme_label(SegmentedBaseline(DynamicalDecoupling(4, 1.25))) == "CD"
+        assert scheme_label(DynamicalDecoupling(4, 1.25, pulses=False)) == "CD"
 
 
 class TestSequences:
@@ -200,6 +199,20 @@ class TestPresets:
         assert series == {"vs_gate_time"}
         assert all(r[1] == "CD" for r in rows)
         assert len(rows) == 117
+
+    def test_fig15_waveform_is_the_simulated_drive(self):
+        # Qubit 2 is the modulated qubit: its operation-frame drive is the
+        # quadrature pair envelope * (cos 2 alpha, sin 2 alpha).
+        rows = run_preset("fig15", step=0.2)
+        wave = {}
+        for series, scheme, t, v in rows:
+            if series == "waveform":
+                wave.setdefault(scheme, []).append((t, v))
+        t, x2 = np.array(wave["X2-drive"]).T
+        _, y2 = np.array(wave["Y2-drive"]).T
+        envelope = angular_to_cyclic_mhz(SineEnvelopeDrive.x_gate(T_M).sample(t))
+        assert np.allclose(x2**2 + y2**2, envelope**2, rtol=1e-12, atol=1e-9)
+        assert np.abs(y2).max() > 0.1 * envelope.max()
 
     def test_waveform_preset_shape(self):
         rows = run_preset("fig4a", step=0.2)

@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from xtalksim.model import (
+    PAIR,
+    STAR,
     CrosstalkOnly,
     DynamicalDecoupling,
     FrequencyModulation,
     Idle,
-    PairTopology,
     ParallelXX,
-    StarTopology,
     SystemParams,
     XGate,
     angular_to_cyclic_mhz,
-    assemble_dd_baseline,
     assemble_hamiltonian,
     cyclic_mhz_to_angular,
     static_frame_reference,
@@ -32,8 +31,6 @@ from xtalksim.operators import (
 )
 
 PARAMS = SystemParams.from_mhz(50.0, 5.0)
-PAIR = PairTopology()
-STAR = StarTopology()
 
 
 def window_propagator(h, step=0.002):
@@ -131,7 +128,9 @@ class TestAssembly:
 
     def test_segmented_baseline_idle_is_bare_crosstalk(self):
         dd = DynamicalDecoupling(segments=4, width=1.25)
-        base = assemble_dd_baseline(PARAMS, PAIR, dd, Idle(20.0))
+        base = assemble_hamiltonian(
+            PARAMS, PAIR, dataclasses.replace(dd, pulses=False), Idle(20.0)
+        )
         cd = assemble_hamiltonian(PARAMS, PAIR, CrosstalkOnly(), Idle(20.0))
         t = np.linspace(0.0, 20.0, 101)
         assert np.abs(base(t) - cd(t)).max() < 1e-14

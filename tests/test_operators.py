@@ -119,19 +119,21 @@ class TestPropagate:
     def test_constant_hamiltonian(self):
         rng = np.random.default_rng(5)
         h = random_hermitian(rng, 4)
-        u = propagate(lambda t: h, TimeGrid(0.0, 2.0, 50))
+        u = propagate(lambda t: np.broadcast_to(h, (t.size, 4, 4)), TimeGrid(0.0, 2.0, 50))
         assert np.allclose(u, scipy.linalg.expm(-2j * h), atol=1e-12)
 
-    def test_scalar_only_callable(self):
-        # Callables that choke on array input fall back to per-time sampling.
-        def h_of_t(t):
-            if np.ndim(t) > 0:
-                raise TypeError("scalar times only")
-            return np.sin(t) * SIGMA_X
-
-        u_scalar = propagate(h_of_t, TimeGrid(0.0, 1.0, 200))
-        u_vec = propagate(lambda t: np.multiply.outer(np.sin(t), SIGMA_X), TimeGrid(0.0, 1.0, 200))
-        assert np.allclose(u_scalar, u_vec, atol=1e-14)
+    @pytest.mark.parametrize(
+        "h_of_t",
+        [
+            lambda t: SIGMA_Z,
+            lambda t: np.broadcast_to(SIGMA_Z, (t.size + 1, 2, 2)),
+            lambda t: np.zeros((t.size, 2, 3)),
+        ],
+        ids=["unbatched", "wrong-count", "not-square"],
+    )
+    def test_wrong_shape_callable_rejected(self, h_of_t):
+        with pytest.raises(ValueError, match=r"got shape \("):
+            propagate(h_of_t, TimeGrid(0.0, 1.0, 10))
 
     def test_commuting_drive_is_exact_phase(self):
         # H(t) = f(t) sigma_z integrates to the exact area phase at any step.
@@ -140,27 +142,6 @@ class TestPropagate:
         )
         area = np.sin(np.pi)
         assert np.allclose(u, scipy.linalg.expm(-1j * area * SIGMA_Z), atol=1e-6)
-
-    def test_checkpoints_are_partial_products(self):
-        rng = np.random.default_rng(6)
-        h1, h2 = random_hermitian(rng, 2), random_hermitian(rng, 2)
-
-        def h_of_t(t):
-            tt = np.atleast_1d(np.asarray(t, dtype=float))
-            out = np.where((tt < 1.0)[:, None, None], h1, h2)
-            return out if np.ndim(t) else out[0]
-
-        u_full, snaps = propagate(
-            h_of_t, TimeGrid(0.0, 2.0, 100), checkpoints=np.array([1.0, 2.0])
-        )
-        assert len(snaps) == 2
-        assert np.allclose(snaps[0], scipy.linalg.expm(-1j * h1), atol=1e-12)
-        assert np.allclose(snaps[1], u_full, atol=1e-14)
-        assert np.allclose(u_full, scipy.linalg.expm(-1j * h2) @ scipy.linalg.expm(-1j * h1), atol=1e-12)
-
-    def test_checkpoint_off_boundary_rejected(self):
-        with pytest.raises(ValueError, match="boundary"):
-            propagate(lambda t: SIGMA_Z, TimeGrid(0.0, 1.0, 10), checkpoints=np.array([0.55]))
 
     def test_non_hermitian_sample_names_time(self):
         def h_of_t(t):

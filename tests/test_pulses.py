@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from xtalksim.model import PAIR, FrequencyModulation, SystemParams, XGate, assemble_hamiltonian
 from xtalksim.operators import SIGMA_Z, TimeGrid, propagate
 from xtalksim.pulses import (
     FmZModulation,
-    ModulatedQuadratureDrive,
     NascentDeltaTrain,
     SegmentedDrive,
     SineEnvelopeDrive,
@@ -123,22 +123,27 @@ class TestSegmentedDrive:
 
 
 class TestModulatedQuadrature:
-    def test_magnitude_equals_envelope(self):
-        drive = ModulatedQuadratureDrive(
-            envelope=SineEnvelopeDrive.x_gate(20.0),
-            modulation=FmZModulation(gamma=1.26, cycles=4, duration=20.0),
+    """The single-site drive in the operation frame: envelope * (cos 2 alpha, sin 2 alpha)."""
+
+    def channels(self, gamma):
+        h = assemble_hamiltonian(
+            SystemParams.from_mhz(50.0, 5.0),
+            PAIR,
+            FrequencyModulation(cycles=4, gamma=gamma, single_site=True),
+            XGate(20.0, target=2),
+            fm_frame="operation",
         )
+        return h.controls()
+
+    def test_magnitude_equals_envelope(self):
+        c = self.channels(1.26)
         t = np.linspace(0.0, 20.0, 101)
-        x, y = drive.sample_xy(t)
-        assert np.allclose(np.hypot(x, y), drive.envelope.sample(t), atol=1e-12)
+        envelope = SineEnvelopeDrive.x_gate(20.0).sample(t)
+        assert np.allclose(np.hypot(c["X2-drive"](t), c["Y2-drive"](t)), envelope, atol=1e-12)
 
     def test_reduces_to_plain_drive_at_zero_amplitude(self):
-        drive = ModulatedQuadratureDrive(
-            envelope=SineEnvelopeDrive.x_gate(20.0),
-            modulation=FmZModulation(gamma=0.0, cycles=4, duration=20.0),
-        )
+        c = self.channels(0.0)
         t = np.linspace(0.0, 20.0, 101)
-        x, y = drive.sample_xy(t)
-        assert np.allclose(x, drive.envelope.sample(t))
-        assert np.allclose(y, 0.0)
-        assert drive.area() == pytest.approx(np.pi / 2.0, rel=1e-12)
+        assert np.allclose(c["X2-drive"](t), SineEnvelopeDrive.x_gate(20.0).sample(t))
+        assert np.allclose(c["Y2-drive"](t), 0.0)
+        assert quad_area(c["X2-drive"], 0.0, 20.0) == pytest.approx(np.pi / 2.0, rel=1e-10)
