@@ -8,9 +8,10 @@ identical configs produce byte-identical files.
 
 Exit codes: 0 success, 1 invalid config or usage, 2 failed verification
 check, 3 amplitude scan found no minimum in range (the scan is still
-written).  Configs are validated up front by building what the run builds,
-so an error raised later is an internal error and is not reported as an
-invalid config.
+written), 4 internal error.  Configs are validated up front by building what
+the run builds, so an error raised later is an internal error: ``main`` lets
+it propagate, and the console entry point ``entry`` prints its traceback and
+exits 4.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import json
 import math
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -67,6 +69,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_CHECK_FAILURE = 2
 EXIT_NO_MINIMUM = 3
+EXIT_INTERNAL = 4
 
 
 class ConfigError(Exception):
@@ -421,6 +424,10 @@ def cmd_optimize_gamma(args) -> int:
 # verify
 
 
+# Step (ns) of the dense star propagations in the star-reduction check.
+STAR_REDUCTION_STEP = 0.02
+
+
 def _verify_checks(step: float) -> List[Tuple[str, bool, str]]:
     params = SystemParams.from_mhz(50.0, 5.0)
     topology = PAIR
@@ -432,13 +439,13 @@ def _verify_checks(step: float) -> List[Tuple[str, bool, str]]:
     worst = 0.0
     for scheme in (CrosstalkOnly(), decoupling):
         h = assemble_hamiltonian(params, topology, scheme, Idle(t_m))
-        u = propagate(h, TimeGrid.with_max_step(0.0, h.t_end, step))
+        u = h.blocks().propagate(TimeGrid.with_max_step(0.0, h.t_end, step))
         worst = max(worst, unitarity_defect(u))
     checks.append(("unitarity", worst <= 1e-10, f"max defect {worst:.3e} (bound 1e-10)"))
 
     # Integrated bare-crosstalk idle against static diagonalization.
     h = assemble_hamiltonian(params, topology, CrosstalkOnly(), Idle(t_m))
-    u = propagate(h, TimeGrid.with_max_step(0.0, t_m, step))
+    u = h.blocks().propagate(TimeGrid.with_max_step(0.0, t_m, step))
     residual = float(np.abs(u - static_frame_reference(params, topology, t_m)).max())
     checks.append(
         ("idle-oracle", residual <= 1e-8, f"max |U - U_exact| {residual:.3e} (bound 1e-8)")
@@ -487,6 +494,28 @@ def _verify_checks(step: float) -> List[Tuple[str, bool, str]]:
         )
     )
 
+    # Star blocks against the dense 32-dimensional propagator at a coarse
+    # step, and the block-propagated star idle against the static oracle.
+    center_x = assemble_hamiltonian(params, STAR, decoupling, XGate(t_m, target=2))
+    fm_idle = assemble_hamiltonian(
+        params, STAR, FrequencyModulation(cycles=8, gamma=scan.gamma_opt), Idle(t_m)
+    )
+    worst = 0.0
+    for h in (center_x, fm_idle):
+        grid = TimeGrid.with_max_step(0.0, h.t_end, STAR_REDUCTION_STEP)
+        worst = max(worst, float(np.abs(h.blocks().propagate(grid) - propagate(h, grid)).max()))
+    h = assemble_hamiltonian(params, STAR, CrosstalkOnly(), Idle(t_m))
+    u = h.blocks().propagate(TimeGrid.with_max_step(0.0, t_m, step))
+    residual = float(np.abs(u - static_frame_reference(params, STAR, t_m)).max())
+    checks.append(
+        (
+            "star-reduction",
+            worst <= 1e-10 and residual <= 1e-8,
+            f"blocks {center_x.blocks().layout}; max |U_blocks - U_dense| {worst:.3e} "
+            f"(bound 1e-10); idle max |U - U_exact| {residual:.3e} (bound 1e-8)",
+        )
+    )
+
     # Global-phase invariance of the fidelity metric.
     rng = np.random.default_rng(7)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -529,7 +558,7 @@ def cmd_list_presets(args) -> int:
 
 
 def _make_map(threads: Optional[int]) -> Callable:
-    if threads is None or threads <= 1:
+    if threads is None or threads == 1:
         return map
 
     def threaded_map(fn, iterable):
@@ -583,11 +612,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if getattr(args, "step", None) is not None and not 0 < args.step < math.inf:
             raise ConfigError(f"--step must be positive and finite, got {args.step}")
+        if getattr(args, "threads", None) is not None and args.threads < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         return args.fn(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 
 
+def entry(argv: Optional[Sequence[str]] = None) -> int:
+    """Console entry point: ``main``, with an internal error printed as a
+    traceback and reported as exit code 4."""
+    try:
+        return main(argv)
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

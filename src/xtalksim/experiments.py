@@ -1,8 +1,9 @@
 """Gate-level simulations: fidelities, repeated-gate series, sweeps, presets.
 
 Everything here reduces to assembling a time-dependent Hamiltonian,
-propagating it exactly, and comparing the result against the ideal gate with
-a trace-overlap fidelity.  Repeated gates at a matched duration reuse the
+propagating it exactly, block by block (``AssembledHamiltonian.blocks``),
+and comparing the result against the ideal gate with a trace-overlap
+fidelity.  Repeated gates at a matched duration reuse the
 single-period propagator, so a 20-gate series costs at most two
 propagations.  The preset registry at the bottom packages the shipped
 experiments as flat (series, scheme, abscissa, value) rows for the CLI.
@@ -40,7 +41,7 @@ from xtalksim.model import (
     static_frame_reference,
     target_unitary,
 )
-from xtalksim.operators import TimeGrid, propagate
+from xtalksim.operators import TimeGrid
 from xtalksim.optimize import GammaScan, corner_averaged_fidelity, scan_gamma
 
 # Integrator step (ns) used by every shipped experiment; fine enough to
@@ -129,8 +130,7 @@ def run_single_gate(
     target.  Roundoff below zero is clamped.
     """
     h = assemble_hamiltonian(params, topology, scheme, gate)
-    grid = TimeGrid.with_max_step(0.0, h.t_end, step)
-    u = propagate(h, grid)
+    u = h.blocks().propagate(TimeGrid.with_max_step(0.0, h.t_end, step))
     fidelity = gate_fidelity(u, target_unitary(gate, topology))
     return max(0.0, 1.0 - fidelity)
 
@@ -198,7 +198,8 @@ def _windowed_propagators(h, repetitions: int, step: float):
     Periodic assemblies reuse the steady window for k >= 2.
     """
     t_gate, tail = h.gate_time, h.tail
-    u_first = propagate(h, TimeGrid.with_max_step(0.0, t_gate + tail, step))
+    blocks = h.blocks()
+    u_first = blocks.propagate(TimeGrid.with_max_step(0.0, t_gate + tail, step))
     yield u_first
     if repetitions == 1:
         return
@@ -206,7 +207,7 @@ def _windowed_propagators(h, repetitions: int, step: float):
         u_period = (
             u_first
             if tail == 0.0
-            else propagate(h, TimeGrid.with_max_step(tail, t_gate + tail, step))
+            else blocks.propagate(TimeGrid.with_max_step(tail, t_gate + tail, step))
         )
         for _ in range(2, repetitions + 1):
             yield u_period
@@ -215,7 +216,7 @@ def _windowed_propagators(h, repetitions: int, step: float):
             grid = TimeGrid.with_max_step(
                 (k - 1) * t_gate + tail, k * t_gate + tail, step
             )
-            yield propagate(h, grid)
+            yield blocks.propagate(grid)
 
 
 def cd_idle_reference_infidelity(params: SystemParams, topology: Topology, t: float) -> float:

@@ -24,12 +24,23 @@ Hermitian and lets the propagator evaluate whole time batches at once.
 Every control term carries a channel name (``X1-drive``, ``Z2-modulation``,
 ...), so plotted waveforms are sampled from the simulated Hamiltonian itself.
 
+Assemblies propagate block by block (``AssembledHamiltonian.blocks``).  The
+blocks come from the term matrices alone: when every term commutes with the
+exchange of any two neighbors of the center (idle and center-driven gates on
+the star), the neighbors' collective-spin (Dicke) basis splits the 32
+dimensions into irreps of total spin 2, 1 and 0 with multiplicities 1, 3 and
+2, and identical copies are propagated once; the connected components of
+the terms' sparsity pattern then split off conserved excitation numbers.
+A driven neighbor leaves one full block.  The rebuilt propagator matches
+the dense one to roundoff.
+
 Qubits are labeled 1..n; qubit 2 is the shared (modulated/pulsed) qubit in
 both shipped layouts, ``PAIR`` and ``STAR``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -43,9 +54,11 @@ from xtalksim.operators import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    TimeGrid,
     embed,
     expm_hamiltonian,
     kron,
+    propagate,
 )
 from xtalksim.pulses import (
     FmZModulation,
@@ -66,6 +79,7 @@ __all__ = [
     "XGate",
     "ParallelXX",
     "AssembledHamiltonian",
+    "SymmetryBlocks",
     "assemble_hamiltonian",
     "coupling_phase",
     "target_unitary",
@@ -264,7 +278,9 @@ class AssembledHamiltonian:
     extends the evaluation window past the last gate boundary (the trailing
     half pulse of a decoupling train); ``periodic`` marks that the
     propagator over ``[tail + k T, tail + (k+1) T]`` is the same for every
-    k, which repeated runs exploit.
+    k, which repeated runs exploit.  ``topology`` names the layout the
+    matrices act on; :meth:`blocks` uses it to look for interchangeable
+    neighbors.
     """
 
     terms: tuple[tuple[str, Callable[[np.ndarray], np.ndarray], np.ndarray], ...]
@@ -273,6 +289,7 @@ class AssembledHamiltonian:
     repetitions: int = 1
     tail: float = 0.0
     periodic: bool = False
+    topology: Optional[Topology] = None
 
     @property
     def t_end(self) -> float:
@@ -281,6 +298,44 @@ class AssembledHamiltonian:
     def controls(self) -> dict[str, Callable[[np.ndarray], np.ndarray]]:
         """Control waveforms (rad/ns) keyed by channel name."""
         return {name: coeff for name, coeff, _ in self.terms if name}
+
+    def blocks(self) -> "SymmetryBlocks":
+        """Block-diagonal form of this Hamiltonian, derived from its term matrices.
+
+        When every term commutes with each transposition of two neighbors of
+        ``topology.center``, the basis is the neighbors' collective-spin
+        (Dicke) basis times the center's states; otherwise it is the
+        computational basis.  The blocks are the connected components of the
+        union sparsity pattern of the term matrices in that basis, and blocks
+        with identical matrices are propagated once.
+        """
+        mats = np.reshape([mat for _, _, mat in self.terms], (-1, self.dim, self.dim))
+        basis = None
+        if _neighbors_interchangeable(self.topology, mats):
+            basis = _dicke_basis(self.topology)
+        adapted = mats if basis is None else basis.T @ mats @ basis
+        # Entries below this are roundoff of the basis change.
+        tol = 1e-12 * np.abs(mats).max(axis=(1, 2), initial=0.0)[:, None, None]
+        present = np.abs(adapted) > tol
+        distinct: list[tuple[np.ndarray, list[np.ndarray]]] = []
+        for idx in _components(present.any(axis=0)):
+            stack = adapted[:, idx[:, None], idx]
+            for rep, copies in distinct:
+                if rep.shape == stack.shape and (np.abs(rep - stack) <= tol).all():
+                    copies.append(idx)
+                    break
+            else:
+                distinct.append((stack, [idx]))
+        blocks = []
+        for stack, copies in distinct:
+            terms = tuple(
+                (name, coeff, block)
+                for (name, coeff, _), block, term_tol in zip(self.terms, stack, tol)
+                if (np.abs(block) > term_tol).any()
+            )
+            sub = dataclasses.replace(self, terms=terms, dim=len(copies[0]), topology=None)
+            blocks.append((sub, tuple(copies)))
+        return SymmetryBlocks(dim=self.dim, basis=basis, blocks=tuple(blocks))
 
     def __call__(self, t):
         tt = np.asarray(t, dtype=float)
@@ -291,6 +346,97 @@ class AssembledHamiltonian:
             c = np.asarray(coeff(tt), dtype=float)
             out += c[:, None, None] * mat
         return out[0] if scalar else out
+
+
+@dataclass(frozen=True)
+class SymmetryBlocks:
+    """An assembly split into independent blocks: ``U = W (+)_b U_b W^T``.
+
+    ``basis`` is the real orthogonal ``W`` (None for the computational
+    basis).  Each entry of ``blocks`` pairs a block Hamiltonian with the
+    index sets, in ``W``'s columns, of every copy that shares its matrices.
+    """
+
+    dim: int
+    basis: Optional[np.ndarray]
+    blocks: tuple[tuple[AssembledHamiltonian, tuple[np.ndarray, ...]], ...]
+
+    @property
+    def layout(self) -> str:
+        """Distinct blocks as ``{dimension}x{copies}``, e.g. ``10x1 6x3 2x2``."""
+        return " ".join(f"{h.dim}x{len(copies)}" for h, copies in self.blocks)
+
+    def propagate(self, grid: TimeGrid) -> np.ndarray:
+        """Full-space propagator over ``grid``, each distinct block propagated once."""
+        u = np.zeros((self.dim, self.dim), dtype=complex)
+        for h, copies in self.blocks:
+            u_block = propagate(h, grid)
+            for idx in copies:
+                u[np.ix_(idx, idx)] = u_block
+        return u if self.basis is None else self.basis @ u @ self.basis.T
+
+
+def _neighbors(topology: Topology) -> list[int]:
+    return [q for q in range(1, topology.n_qubits + 1) if q != topology.center]
+
+
+def _neighbors_interchangeable(topology: Optional[Topology], mats: np.ndarray) -> bool:
+    """True when every matrix commutes with each swap of two neighbors."""
+    neighbors = [] if topology is None else _neighbors(topology)
+    if len(neighbors) < 2:
+        return False
+    labels = np.arange(topology.dim).reshape((2,) * topology.n_qubits)
+    tol = 1e-12 * np.abs(mats).max(initial=0.0)
+    for i, p in enumerate(neighbors):
+        for q in neighbors[i + 1 :]:
+            perm = labels.swapaxes(p - 1, q - 1).reshape(-1)
+            if np.abs(mats[:, perm[:, None], perm] - mats).max(initial=0.0) > tol:
+                return False
+    return True
+
+
+def _dicke_basis(topology: Topology) -> np.ndarray:
+    """Neighbors' collective-spin basis times the center's states.
+
+    Columns run over irreps (total spin m/2 down to 0 or 1/2 for m
+    neighbors), then copies, then weight, then the center's state.  Each
+    copy is laddered with the collective raising operator from an
+    orthonormal lowest-weight state, so the copies of one irrep carry
+    identical matrices of any neighbor-permutation-invariant operator.
+    """
+    neighbors = _neighbors(topology)
+    m = len(neighbors)
+    raising = sum(embed(SIGMA_PLUS, q, m) for q in range(1, m + 1)).real
+    excitations = np.array([bin(i).count("1") for i in range(2**m)])
+    columns = []
+    for k in range(m // 2 + 1):
+        here = np.flatnonzero(excitations == k)
+        lowering = raising.T[np.ix_(np.flatnonzero(excitations == k - 1), here)]
+        gram, vecs = np.linalg.eigh(lowering.T @ lowering)
+        for lowest in vecs[:, gram < 0.5].T:
+            v = np.zeros(2**m)
+            v[here] = lowest
+            columns.append(v)
+            for _ in range(m - 2 * k):
+                v = raising @ v
+                v = v / np.linalg.norm(v)
+                columns.append(v)
+    dicke = np.kron(np.column_stack(columns), np.eye(2))
+    # Rows are ordered (neighbors..., center); put the qubits in label order.
+    order = np.argsort(neighbors + [topology.center])
+    n = topology.n_qubits
+    return dicke.reshape((2,) * n + (topology.dim,)).transpose(*order, n).reshape(
+        topology.dim, topology.dim
+    )
+
+
+def _components(pattern: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of a square boolean pattern."""
+    reach = (pattern | pattern.T | np.eye(len(pattern), dtype=bool)).astype(float)
+    # After k squarings, reach covers every path of up to 2**k edges.
+    for _ in range(max(len(pattern) - 1, 1).bit_length()):
+        reach = (reach @ reach > 0).astype(float)
+    return sorted((np.flatnonzero(row) for row in np.unique(reach, axis=0)), key=lambda i: i[0])
 
 
 def _flip_flop(topology: Topology) -> np.ndarray:
@@ -466,6 +612,7 @@ def assemble_hamiltonian(
         repetitions=repetitions,
         tail=tail,
         periodic=params.is_matched(t_gate),
+        topology=topology,
     )
 
 

@@ -3,8 +3,14 @@
 Everything downstream works in angular units (rad/ns) on dense complex
 matrices.  Propagation uses a fixed-step exponential midpoint rule: each
 step applies exp(-i H(t_mid) dt), computed exactly through the Hermitian
-eigendecomposition of the sampled Hamiltonian, so every step is unitary to
-machine precision regardless of step size.
+eigendecomposition of the sampled Hamiltonian (in closed form for two-level
+blocks), so every step is unitary to machine precision regardless of step
+size.
+
+``propagate`` is dense: it works on whatever dimension ``h_of_t`` returns.
+Production runs call it once per symmetry-adapted block of an assembled
+Hamiltonian (see ``AssembledHamiltonian.blocks`` in ``model``); called on
+the full assembly it is the reference those blocks are tested against.
 """
 
 from __future__ import annotations
@@ -142,9 +148,28 @@ def expm_hamiltonian(h: np.ndarray, dt: float) -> np.ndarray:
     """Exact ``exp(-i h dt)`` of a Hermitian ``h`` via eigendecomposition.
 
     Accepts a single ``(d, d)`` matrix or a stacked ``(..., d, d)`` batch;
-    the exponential is applied matrix by matrix.
+    the exponential is applied matrix by matrix.  Like ``eigh``, it reads
+    the lower triangle and the real diagonal.
+
+    Two-level matrices use the closed form
+    ``e^{-i a dt} (cos(r dt) - i sin(r dt) n.sigma)``: LAPACK returns the
+    eigenvectors of an exchange-only block ``[[0, b], [b*, 0]]`` slightly
+    short of unit norm, which shrinks a 10^4-step product by about 1e-12.
     """
     h = np.asarray(h, dtype=complex)
+    if h.shape[-1] == 2:
+        mean = 0.5 * (h[..., 0, 0] + h[..., 1, 1]).real
+        z = 0.5 * (h[..., 0, 0] - h[..., 1, 1]).real
+        off = h[..., 1, 0]
+        r = np.sqrt(z**2 + np.abs(off) ** 2)
+        cos = np.cos(r * dt)
+        sin_over_r = dt * np.sinc(r * dt / np.pi)
+        u = np.empty(h.shape, dtype=complex)
+        u[..., 0, 0] = cos - 1j * sin_over_r * z
+        u[..., 1, 1] = cos + 1j * sin_over_r * z
+        u[..., 0, 1] = -1j * sin_over_r * off.conj()
+        u[..., 1, 0] = -1j * sin_over_r * off
+        return np.exp(-1j * dt * mean)[..., None, None] * u
     w, v = np.linalg.eigh(h)
     phase = np.exp(-1j * dt * w)
     return np.matmul(v * phase[..., None, :], v.conj().swapaxes(-1, -2))

@@ -4,9 +4,11 @@ import pytest
 
 from xtalksim.cli import (
     EXIT_CHECK_FAILURE,
+    EXIT_INTERNAL,
     EXIT_NO_MINIMUM,
     EXIT_OK,
     EXIT_VALIDATION,
+    entry,
     main,
 )
 from xtalksim.experiments import PRESETS
@@ -57,6 +59,12 @@ class TestSimulate:
         assert main(base + ["--threads", "4", "--out", par]) == EXIT_OK
         assert open(seq, "rb").read() == open(par, "rb").read()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_rejects_thread_count_below_one(self, threads, capsys):
+        argv = ["simulate", "--preset", "fig2", "--step", "0.2", "--threads", threads]
+        assert main(argv) == EXIT_VALIDATION
+        assert "--threads" in capsys.readouterr().err
+
     def test_config_single_point(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scheme": "cd", "gate": "idle"})
         assert main(["simulate", "--config", cfg, "--step", "0.05"]) == EXIT_OK
@@ -101,6 +109,18 @@ class TestSimulate:
         cfg = write_config(tmp_path, {"scheme": "cd", "gate": "idle"})
         with pytest.raises(ValueError, match="internal failure"):
             main(["simulate", "--config", cfg, "--step", "0.05"])
+
+    def test_entry_point_reports_internal_error(self, tmp_path, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr("xtalksim.cli._scored_infidelity", broken)
+        cfg = write_config(tmp_path, {"scheme": "cd", "gate": "idle"})
+        assert entry(["simulate", "--config", cfg, "--step", "0.05"]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "ValueError: internal failure" in err
+        assert not err.startswith("error:")
 
     def test_malformed_json_names_location(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -153,10 +173,12 @@ class TestVerify:
             "idle-oracle",
             "closed-forms",
             "step-halving",
+            "star-reduction",
             "phase-invariance",
             "zero-coupling",
         ):
             assert f"PASS {name}:" in out
+        assert "PASS star-reduction: blocks 10x1 6x3 2x2;" in out
 
     def test_coarse_step_fails_convergence(self, capsys):
         assert main(["verify", "--step", "0.5"]) == EXIT_CHECK_FAILURE

@@ -94,6 +94,23 @@ class TestExpm:
         for k in range(5):
             assert np.allclose(batch[k], expm_hamiltonian(hs[k], 0.1), atol=1e-13)
 
+    def test_two_level_closed_form_matches_scipy(self):
+        rng = np.random.default_rng(6)
+        hs = np.stack([random_hermitian(rng, 2) for _ in range(5)] + [2.5 * np.eye(2)])
+        batch = expm_hamiltonian(hs, 0.37)
+        for h, u in zip(hs, batch):
+            assert np.allclose(u, scipy.linalg.expm(-0.37j * h), atol=1e-14)
+
+    def test_two_level_product_keeps_unit_norm(self):
+        # Exchange-only blocks [[0, b], [b*, 0]]: eigenvectors a hair short of
+        # unit norm would shrink this 10^4-step product by about 1.6e-12.
+        t = np.linspace(0.0, 20.0, 10000)
+        h = np.zeros((t.size, 2, 2), dtype=complex)
+        h[:, 1, 0] = 0.0628 * np.exp(0.314j * t)
+        h[:, 0, 1] = h[:, 1, 0].conj()
+        s = np.linalg.svd(ordered_product(expm_hamiltonian(h, 0.002)), compute_uv=False)
+        assert np.abs(1.0 - s).max() < 1e-12
+
     def test_exactly_unitary(self):
         rng = np.random.default_rng(4)
         u = expm_hamiltonian(random_hermitian(rng, 8), 15.0)
