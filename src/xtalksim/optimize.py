@@ -75,15 +75,11 @@ class GammaScan:
     @property
     def gamma_opt(self) -> Optional[float]:
         """Selected amplitude in rad/ns, or None."""
-        if self.minimum_index is None:
-            return None
-        return float(self.grid[self.minimum_index])
+        return None if self.minimum_index is None else float(self.grid[self.minimum_index])
 
     @property
     def gamma_opt_mhz(self) -> Optional[float]:
-        if self.minimum_index is None:
-            return None
-        return angular_to_cyclic_mhz(float(self.grid[self.minimum_index]))
+        return None if self.minimum_index is None else angular_to_cyclic_mhz(self.gamma_opt)
 
 
 def first_local_minimum(values, rel_tol: float = PLATEAU_RTOL) -> Optional[int]:
@@ -138,50 +134,33 @@ def scan_gamma(
     grid:
         Amplitudes in rad/ns; defaults to :func:`default_gamma_grid`.
 
-    Returns the full scan record; the selection is a deterministic
-    post-pass, so evaluations may run in any order.
+    Named functionals evaluate the whole grid in one call; a callable is
+    called once per amplitude.  The selection is a deterministic post-pass.
     """
-    if isinstance(functional, str):
-        if params is None or cycles is None or gate_time is None:
-            raise ValueError(
-                f"named functional {functional!r} needs params, cycles and gate_time"
-            )
-        fn = _named_functional(functional, params, cycles, gate_time)
-        if not label:
-            label = f"{functional} N={cycles}"
-    else:
-        fn = functional
     g = default_gamma_grid() if grid is None else np.asarray(grid, dtype=float)
     if g.size < 3:
         raise ValueError(f"grid needs at least 3 points, got {g.size}")
     steps = np.diff(g)
     if np.any(steps <= 0) or np.ptp(steps) > 1e-9 * steps[0]:
         raise ValueError("grid must be uniform and increasing")
-    values = np.array([fn(float(gamma)) for gamma in g], dtype=float)
+    if isinstance(functional, str):
+        if params is None or cycles is None or gate_time is None:
+            raise ValueError(f"named functional {functional!r} needs params, cycles and gate_time")
+        named = {"fm1": epsilon_fm1, "fm2-idle": epsilon_fm2_idle, "fm2-x": epsilon_fm2_x}
+        if functional not in named:
+            raise ValueError(f"unknown functional {functional!r}; choose from {FUNCTIONALS}")
+        modulations = [FrequencyModulation(cycles=cycles, gamma=a) for a in g.tolist()]
+        values = named[functional](params, modulations, gate_time)
+        label = label or f"{functional} N={cycles}"
+    else:
+        values = [functional(a) for a in g.tolist()]
+    values = np.asarray(values, dtype=float)
     return GammaScan(
         grid=g,
         values=values,
         minimum_index=first_local_minimum(values),
         label=label,
     )
-
-
-def _named_functional(
-    name: str, params: SystemParams, cycles: int, gate_time: float
-) -> Callable[[float], float]:
-    if name == "fm1":
-        return lambda gamma: epsilon_fm1(
-            params, FrequencyModulation(cycles=cycles, gamma=gamma), gate_time
-        )
-    if name == "fm2-idle":
-        return lambda gamma: epsilon_fm2_idle(
-            params, FrequencyModulation(cycles=cycles, gamma=gamma), gate_time
-        )
-    if name == "fm2-x":
-        return lambda gamma: epsilon_fm2_x(
-            params, FrequencyModulation(cycles=cycles, gamma=gamma), gate_time
-        )
-    raise ValueError(f"unknown functional {name!r}; choose from {FUNCTIONALS}")
 
 
 def corner_averaged_fidelity(simulate: Callable[[float], object], scan: GammaScan):

@@ -1,0 +1,71 @@
+"""Independent per-amplitude forms of the FM error functionals.
+
+The library sums first order as a Bessel series and evaluates the
+second-order functionals on a 512-node triangle rule built once per scan.
+These references take neither shortcut: first order is adaptive
+quadrature of the phase integral, and second order is a 2,048-node
+composite Gauss-Legendre triangle rule rebuilt and resampled for every
+amplitude.  They are slow and meant for comparison only.
+"""
+
+import math
+
+import numpy as np
+from numpy.polynomial.legendre import leggauss
+from scipy.integrate import quad
+
+from xtalksim.model import coupling_phase
+from xtalksim.pulses import SineEnvelopeDrive
+
+NODES_PER_AXIS = 2048
+PANEL_ORDER = 16
+
+
+def ordered_double_integral(outer, inner, t_end, nodes_per_axis=NODES_PER_AXIS):
+    """Integral of outer(t1) inner(t2) over 0 <= t2 <= t1 <= t_end."""
+    x, w = leggauss(PANEL_ORDER)
+    edges = np.linspace(0.0, t_end, nodes_per_axis // PANEL_ORDER + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    nodes = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * x[None, :]
+    weights = half * w[None, :]
+
+    f_inner = np.asarray(inner(nodes.ravel())).reshape(nodes.shape)
+    panel_totals = (weights * f_inner).sum(axis=1)
+    prefix = np.concatenate([[0.0], np.cumsum(panel_totals)[:-1]])
+
+    # Partial integral of `inner` from each panel edge to each node, by a
+    # scaled rule of the same order inside [a_p, node].
+    sub_half = 0.5 * (nodes - edges[:-1][:, None])
+    sub_nodes = (edges[:-1][:, None] + sub_half)[..., None] + sub_half[..., None] * x
+    sub_weights = sub_half[..., None] * w
+    f_sub = np.asarray(inner(sub_nodes.ravel())).reshape(sub_nodes.shape)
+    running = prefix[:, None] + (sub_weights * f_sub).sum(axis=-1)
+
+    f_outer = np.asarray(outer(nodes.ravel())).reshape(nodes.shape)
+    return (weights * f_outer * running).sum()
+
+
+def fm1(params, fm, t_end):
+    """2 |(J/T) integral_0^T e^{i phi(t)} dt| by adaptive quadrature."""
+    phi = coupling_phase(params, fm.modulation(t_end))
+    re, _ = quad(lambda t: math.cos(phi(t)), 0.0, t_end, limit=400, epsabs=1e-12, epsrel=1e-10)
+    im, _ = quad(lambda t: math.sin(phi(t)), 0.0, t_end, limit=400, epsabs=1e-12, epsrel=1e-10)
+    return 2.0 * abs(params.j / t_end) * math.hypot(re, im)
+
+
+def fm2_idle(params, fm, t_end):
+    """(J^2/T) |double integral of sin(phi1 - phi2)|."""
+    phi = coupling_phase(params, fm.modulation(t_end))
+    val = ordered_double_integral(
+        lambda t: np.exp(1j * phi(t)), lambda t: np.exp(-1j * phi(t)), t_end
+    )
+    return (params.j**2 / t_end) * abs(val.imag)
+
+
+def fm2_x(params, fm, t_end):
+    """Idle term plus the X-drive cross term of a driven gate."""
+    phi = coupling_phase(params, fm.modulation(t_end))
+    omega = SineEnvelopeDrive.x_gate(t_end).sample
+    g = lambda t: np.exp(1j * phi(t))
+    cross = ordered_double_integral(omega, g, t_end) - ordered_double_integral(g, omega, t_end)
+    return (abs(params.j) / t_end) * abs(cross) + fm2_idle(params, fm, t_end)

@@ -1,9 +1,12 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
+from xtalksim import magnus
 from xtalksim.magnus import (
+    DEFAULT_QUADRATURE,
     QuadratureConfig,
     dd_second_order_closed_forms,
     epsilon_dd1,
@@ -15,10 +18,16 @@ from xtalksim.magnus import (
     ordered_double_integral,
 )
 from xtalksim.model import FrequencyModulation, SystemParams
+from xtalksim.optimize import default_gamma_grid
 
 PARAMS = SystemParams.from_mhz(50.0, 5.0)
 T_M = PARAMS.matched_time()
 FM0 = FrequencyModulation(cycles=4, gamma=0.0)
+
+
+def grid_modulations(cycles):
+    """One modulation per point of the default amplitude grid."""
+    return [FrequencyModulation(cycles=cycles, gamma=g) for g in default_gamma_grid().tolist()]
 
 
 class TestOrderedDoubleIntegral:
@@ -108,6 +117,84 @@ class TestQuadratureConvergence:
         coarse = epsilon_fm2_x(PARAMS, fm, T_M, QuadratureConfig(1024, 16))
         fine = epsilon_fm2_x(PARAMS, fm, T_M, QuadratureConfig(2048, 16))
         assert coarse == pytest.approx(fine, rel=1e-9)
+
+    @pytest.mark.parametrize("cycles", [4, 6, 8])
+    @pytest.mark.parametrize("functional", [epsilon_fm2_idle, epsilon_fm2_x])
+    def test_default_rule_matches_doubled_over_grid(self, functional, cycles):
+        assert DEFAULT_QUADRATURE.nodes_per_axis == 512
+        fms = grid_modulations(cycles)
+        default = functional(PARAMS, fms, T_M)
+        doubled = functional(PARAMS, fms, T_M, DEFAULT_QUADRATURE.doubled())
+        np.testing.assert_allclose(default, doubled, rtol=1e-12, atol=0.0)
+
+
+class TestAgainstOracles:
+    """Whole default grid against adaptive quadrature and the 2,048-node rule."""
+
+    @pytest.mark.parametrize("cycles", [4, 6, 8])
+    def test_fm1_unmatched(self, cycles):
+        fms = grid_modulations(cycles)
+        want = [oracles.fm1(PARAMS, fm, 30.0) for fm in fms]
+        np.testing.assert_allclose(epsilon_fm1(PARAMS, fms, 30.0), want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("cycles", [4, 6, 8])
+    def test_fm1_matched(self, cycles):
+        fms = grid_modulations(cycles)
+        want = np.array([oracles.fm1(PARAMS, fm, T_M) for fm in fms])
+        assert np.abs(epsilon_fm1(PARAMS, fms, T_M) - want).max() <= 1e-12 * PARAMS.j
+
+    @pytest.mark.parametrize("cycles", [4, 6, 8])
+    @pytest.mark.parametrize(
+        "functional, oracle",
+        [(epsilon_fm2_idle, oracles.fm2_idle), (epsilon_fm2_x, oracles.fm2_x)],
+    )
+    def test_second_order_matched(self, functional, oracle, cycles):
+        fms = grid_modulations(cycles)
+        want = [oracle(PARAMS, fm, T_M) for fm in fms]
+        np.testing.assert_allclose(functional(PARAMS, fms, T_M), want, rtol=1e-12, atol=0.0)
+
+
+class TestFirstOrderSeries:
+    @pytest.mark.parametrize("cycles, t_end", [(1, 20.0), (2, 40.0)])
+    @pytest.mark.parametrize("gamma, expect", [(0.3, 0.036499), (1.7, 0.0091991)])
+    def test_resonant_order(self, cycles, t_end, gamma, expect):
+        # Delta + n w = 0 at n = -1: that order integrates to T instead of 0/0.
+        fm = FrequencyModulation(cycles=cycles, gamma=gamma)
+        got = epsilon_fm1(PARAMS, fm, t_end)
+        assert got == pytest.approx(oracles.fm1(PARAMS, fm, t_end), rel=1e-12)
+        assert got == pytest.approx(expect, rel=1e-4)
+
+    @pytest.mark.parametrize("cycles, t_end", [(4, 30.0), (8, 30.0), (4, T_M), (1, 97.0)])
+    def test_truncation_converged(self, monkeypatch, cycles, t_end):
+        fms = grid_modulations(cycles)
+        kept = epsilon_fm1(PARAMS, fms, t_end)
+        limit = magnus._bessel_order_limit
+        monkeypatch.setattr(magnus, "_bessel_order_limit", lambda c: limit(c) + 20)
+        more = epsilon_fm1(PARAMS, fms, t_end)
+        assert np.all(np.abs(more - kept) <= 1e-15 * np.abs(more))
+
+
+class TestGridForms:
+    @pytest.mark.parametrize(
+        "functional, t_end",
+        [
+            (epsilon_fm1, 30.0),
+            (epsilon_fm2_idle, T_M),
+            (epsilon_fm2_x, T_M),
+            (epsilon_fm2_parallel_xx, T_M),
+        ],
+    )
+    def test_sequence_matches_single_calls(self, functional, t_end):
+        fms = grid_modulations(4)[::37]
+        values = functional(PARAMS, fms, t_end)
+        singles = [functional(PARAMS, fm, t_end) for fm in fms]
+        assert all(isinstance(v, float) for v in singles)
+        np.testing.assert_allclose(values, singles, rtol=1e-15, atol=0.0)
+
+    def test_mixed_cycle_counts_rejected(self):
+        fms = [FrequencyModulation(cycles=4, gamma=0.1), FrequencyModulation(cycles=6, gamma=0.1)]
+        with pytest.raises(ValueError, match="cycle count"):
+            epsilon_fm2_idle(PARAMS, fms, T_M)
 
 
 class TestCompositeFunctionals:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,17 @@ class TestScanGamma:
             grid=default_gamma_grid(step_mhz=STEP / 2.0),
         )
         assert abs(fine.gamma_opt - coarse.gamma_opt) <= coarse.grid_step + 1e-12
+
+    @pytest.mark.parametrize("functional, t_gate", [("fm1", 30.0), ("fm2-idle", T_M), ("fm2-x", T_M)])
+    def test_named_scan_memory_does_not_grow_with_grid(self, functional, t_gate):
+        scan_gamma(functional, PARAMS, 8, t_gate)  # imports and one-time setup
+        tracemalloc.start()
+        try:
+            scan_gamma(functional, PARAMS, 8, t_gate)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5e6, f"{functional} scan peaked at {peak / 1e6:.2f} MB"
 
     def test_callable_functional(self):
         grid = cyclic_mhz_to_angular(1.0) * np.arange(50)
