@@ -5,21 +5,19 @@ coefficients in a Magnus expansion of the frame-transformed crosstalk
 Hamiltonian, in rad/ns: first order is a single oscillatory integral,
 second order an integral over the ordered triangle 0 <= t2 <= t1 <= T.
 
-The FM functionals take one modulation, or a sequence sharing a cycle count
-(an amplitude scan) and then return one value each.  First order is a
-Bessel series from the Jacobi-Anger expansion (Abramowitz & Stegun 9.1.41),
-summed order by order over all amplitudes at once.  Second order uses
-:class:`TriangleRule`, a composite Gauss-Legendre rule: the kernels factor
-into u(t1) v(t2), so the inner integral is a running integral of v on the
-same nodes.  A scan builds the rule and samples the amplitude-free parts of
-the integrands once, then takes one amplitude at a time, so its memory does
-not grow with the grid.  The doubled rule is the convergence check: at the
-default 512 nodes per axis the two agree to about 1e-13 relative.
+The FM functionals take one modulation or an amplitude scan (modulations
+sharing a cycle count).  First order is a Jacobi-Anger Bessel series
+(Abramowitz & Stegun 9.1.41) summed over all amplitudes at once.  Second
+order builds one :class:`TriangleRule` and samples the amplitude-free parts
+of the integrands once per call, then takes one amplitude at a time, so
+memory does not grow with the grid.  At the default 512 nodes per axis the
+doubled rule, the convergence check, agrees to about 1e-13 relative.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,14 +76,15 @@ class QuadratureConfig:
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
+Modulations = FrequencyModulation | Sequence[FrequencyModulation]
 
 
 class TriangleRule:
     """Composite Gauss-Legendre rule on 0 <= t2 <= t1 <= t_end.
 
-    ``points`` are the panel nodes followed by, per node, the sub-nodes of
-    the same-order rule on [panel start, node].  :meth:`integrate` takes
-    both factors of outer(t1) inner(t2) sampled at ``points``.
+    Both factors of a kernel outer(t1) inner(t2) are sampled at ``points``:
+    the panel nodes, then per node the sub-nodes of the same-order rule on
+    [panel start, node], which give inner's running integral to that node.
     """
 
     def __init__(self, t_end: float, config: QuadratureConfig = DEFAULT_QUADRATURE):
@@ -117,7 +116,7 @@ def ordered_double_integral(outer, inner, t_end: float, config: QuadratureConfig
     return rule.integrate(np.asarray(outer(rule.points)), np.asarray(inner(rule.points)))
 
 
-def _amplitudes(fm):
+def _amplitudes(fm: Modulations):
     """(cycle count, amplitude array, whether ``fm`` is one modulation)."""
     if isinstance(fm, FrequencyModulation):
         return fm.cycles, np.array([fm.gamma]), True
@@ -128,20 +127,18 @@ def _amplitudes(fm):
 
 
 def _bessel_order_limit(c: float) -> int:
-    """Largest |n| kept: J_n(c) turns over at n = c in a layer of width
-    ~c^(1/3), then falls faster than geometrically below double rounding."""
+    """Largest |n| kept; J_n(c) falls below double rounding past c + O(c^(1/3))."""
     return math.ceil(c + 10.0 * c ** (1.0 / 3.0) + 25.0)
 
 
-def epsilon_fm1(params: SystemParams, fm, t_end: float):
+def epsilon_fm1(params: SystemParams, fm: Modulations, t_end: float) -> float | np.ndarray:
     """First-order residual coupling under frequency modulation.
 
-    2 |(J/T) integral_0^T e^{i phi(t)} dt| with phi = Delta t + c (1 - cos(w t)),
-    c = gamma T / (pi N) and w = 2 pi N / T.  Jacobi-Anger expands e^{i phi} in
-    orders (-i)^n J_n(c) e^{i (Delta + n w) t}.  Since w T = 2 pi N, splitting
-    Delta T / 2 pi = k + f at the nearest integer k, order n integrates to
-    T sin(pi f) / (pi (k + n N + f)) up to a phase shared by all orders, and
-    to exactly T at resonance (Delta + n w = 0).
+    2 |(J/T) integral_0^T e^{i phi} dt| with phi = Delta t + c (1 - cos(w t)),
+    c = gamma T / (pi N), w = 2 pi N / T.  Jacobi-Anger order n, (-i)^n J_n(c)
+    e^{i (Delta + n w) t}, integrates to T sin(pi f) / (pi (k + n N + f)) up to
+    a common phase, Delta T / 2 pi = k + f with k the nearest integer; exactly T
+    at resonance (Delta + n w = 0).
     """
     cycles, gammas, single = _amplitudes(fm)
     c = gammas * t_end / (math.pi * cycles)
@@ -152,13 +149,12 @@ def epsilon_fm1(params: SystemParams, fm, t_end: float):
     for n in range(-limit, limit + 1):
         m = k + n * cycles
         weight = 1.0 if m == 0 and f == 0.0 else math.sin(math.pi * f) / (math.pi * (m + f))
-        if weight:
-            total += ((1.0, -1j, -1.0, 1j)[n % 4] * weight) * jv(n, c)
+        total += ((1.0, -1j, -1.0, 1j)[n % 4] * weight) * jv(n, c)
     values = 2.0 * abs(params.j) * np.abs(total)
     return float(values[0]) if single else values
 
 
-def _fm2(params: SystemParams, fm, t_end: float, config: QuadratureConfig, drives: int):
+def _fm2(params: SystemParams, fm: Modulations, t_end: float, config, drives: int):
     """Idle term plus ``drives`` equal drive-coupling cross terms, per amplitude."""
     cycles, gammas, single = _amplitudes(fm)
     rule = TriangleRule(t_end, config)
@@ -175,12 +171,16 @@ def _fm2(params: SystemParams, fm, t_end: float, config: QuadratureConfig, drive
     return float(values[0]) if single else values
 
 
-def epsilon_fm2_idle(params: SystemParams, fm, t_end: float, config=DEFAULT_QUADRATURE):
+def epsilon_fm2_idle(
+    params: SystemParams, fm: Modulations, t_end: float, config=DEFAULT_QUADRATURE
+) -> float | np.ndarray:
     """Second-order idle error: (J^2/T) |double integral of sin(phi1 - phi2)|."""
     return _fm2(params, fm, t_end, config, drives=0)
 
 
-def epsilon_fm2_x(params: SystemParams, fm, t_end: float, config=DEFAULT_QUADRATURE):
+def epsilon_fm2_x(
+    params: SystemParams, fm: Modulations, t_end: float, config=DEFAULT_QUADRATURE
+) -> float | np.ndarray:
     """Second-order error of a driven X gate under modulation.
 
     Adds to the idle term the drive-coupling cross term
@@ -189,7 +189,9 @@ def epsilon_fm2_x(params: SystemParams, fm, t_end: float, config=DEFAULT_QUADRAT
     return _fm2(params, fm, t_end, config, drives=1)
 
 
-def epsilon_fm2_parallel_xx(params: SystemParams, fm, t_end: float, config=DEFAULT_QUADRATURE):
+def epsilon_fm2_parallel_xx(
+    params: SystemParams, fm: Modulations, t_end: float, config=DEFAULT_QUADRATURE
+) -> float | np.ndarray:
     """Second-order error of simultaneous X gates on both qubits.
 
     The two drive cross terms are equal by symmetry and the idle term is

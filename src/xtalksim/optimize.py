@@ -153,8 +153,7 @@ def scan_gamma(
         values = named[functional](params, modulations, gate_time)
         label = label or f"{functional} N={cycles}"
     else:
-        values = [functional(a) for a in g.tolist()]
-    values = np.asarray(values, dtype=float)
+        values = np.array([functional(a) for a in g.tolist()], dtype=float)
     return GammaScan(
         grid=g,
         values=values,
