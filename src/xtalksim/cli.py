@@ -439,13 +439,13 @@ def _verify_checks(step: float) -> List[Tuple[str, bool, str]]:
     worst = 0.0
     for scheme in (CrosstalkOnly(), decoupling):
         h = assemble_hamiltonian(params, topology, scheme, Idle(t_m))
-        u = h.blocks().propagate(TimeGrid.with_max_step(0.0, h.t_end, step))
+        u = h.blocks().propagate(TimeGrid.with_max_step(0.0, h.t_end, step, h.breakpoints))
         worst = max(worst, unitarity_defect(u))
     checks.append(("unitarity", worst <= 1e-10, f"max defect {worst:.3e} (bound 1e-10)"))
 
     # Integrated bare-crosstalk idle against static diagonalization.
     h = assemble_hamiltonian(params, topology, CrosstalkOnly(), Idle(t_m))
-    u = h.blocks().propagate(TimeGrid.with_max_step(0.0, t_m, step))
+    u = h.blocks().propagate(TimeGrid.with_max_step(0.0, t_m, step, h.breakpoints))
     residual = float(np.abs(u - static_frame_reference(params, topology, t_m)).max())
     checks.append(
         ("idle-oracle", residual <= 1e-8, f"max |U - U_exact| {residual:.3e} (bound 1e-8)")
@@ -470,15 +470,16 @@ def _verify_checks(step: float) -> List[Tuple[str, bool, str]]:
         )
     )
 
-    # Reported infidelities must be converged in the integrator step.
+    # Reported infidelities must be converged in the integrator step, the
+    # ~1e-11 FM idle dip at the selected amplitude included.
     scan = cached_scan("fm2-idle", params, 8, t_m)
-    fm_run = SchemeRun(
-        "FM-N8", FrequencyModulation(cycles=8, gamma=scan.gamma_opt), corner_scan=scan
-    )
+    fm_dip = FrequencyModulation(cycles=8, gamma=scan.gamma_opt)
+    fm_run = SchemeRun("FM-N8", fm_dip, corner_scan=scan)
     worst_rel = 0.0
     detail_parts = []
     for name, evaluate in (
         ("fm-idle", lambda s: _scored_infidelity(params, topology, fm_run, Idle(t_m), s)),
+        ("fm-idle-dip", lambda s: run_single_gate(params, topology, fm_dip, Idle(t_m), step=s)),
         ("dd-idle", lambda s: run_single_gate(params, topology, decoupling, Idle(t_m), step=s)),
     ):
         coarse = evaluate(step)
@@ -497,15 +498,13 @@ def _verify_checks(step: float) -> List[Tuple[str, bool, str]]:
     # Star blocks against the dense 32-dimensional propagator at a coarse
     # step, and the block-propagated star idle against the static oracle.
     center_x = assemble_hamiltonian(params, STAR, decoupling, XGate(t_m, target=2))
-    fm_idle = assemble_hamiltonian(
-        params, STAR, FrequencyModulation(cycles=8, gamma=scan.gamma_opt), Idle(t_m)
-    )
+    fm_idle = assemble_hamiltonian(params, STAR, fm_dip, Idle(t_m))
     worst = 0.0
     for h in (center_x, fm_idle):
-        grid = TimeGrid.with_max_step(0.0, h.t_end, STAR_REDUCTION_STEP)
+        grid = TimeGrid.with_max_step(0.0, h.t_end, STAR_REDUCTION_STEP, h.breakpoints)
         worst = max(worst, float(np.abs(h.blocks().propagate(grid) - propagate(h, grid)).max()))
     h = assemble_hamiltonian(params, STAR, CrosstalkOnly(), Idle(t_m))
-    u = h.blocks().propagate(TimeGrid.with_max_step(0.0, t_m, step))
+    u = h.blocks().propagate(TimeGrid.with_max_step(0.0, t_m, step, h.breakpoints))
     residual = float(np.abs(u - static_frame_reference(params, STAR, t_m)).max())
     checks.append(
         (
@@ -579,7 +578,10 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH", help="JSON configuration file")
     common.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
     common.add_argument(
-        "--step", type=float, metavar="NS", help="integrator step in ns (default 0.002)"
+        "--step",
+        type=float,
+        metavar="NS",
+        help=f"longest integrator step in ns (default {_fmt(DEFAULT_STEP)})",
     )
     common.add_argument(
         "--threads", type=int, metavar="N", help="worker threads for independent cells"

@@ -24,6 +24,12 @@ Hermitian and lets the propagator evaluate whole time batches at once.
 Every control term carries a channel name (``X1-drive``, ``Z2-modulation``,
 ...), so plotted waveforms are sampled from the simulated Hamiltonian itself.
 
+Each assembly also lists its breakpoints: the kinks its waveforms declare
+(pulse edges, burst edges, and the drive and modulation window edges of
+every repeated gate).  The coefficients are smooth between them, so step
+grids that put a boundary on each breakpoint keep the propagator's
+fourth-order Magnus steps at full order.
+
 Assemblies propagate block by block (``AssembledHamiltonian.blocks``).  The
 blocks come from the term matrices alone: when every term commutes with the
 exchange of any two neighbors of the center (idle and center-driven gates on
@@ -280,7 +286,9 @@ class AssembledHamiltonian:
     propagator over ``[tail + k T, tail + (k+1) T]`` is the same for every
     k, which repeated runs exploit.  ``topology`` names the layout the
     matrices act on; :meth:`blocks` uses it to look for interchangeable
-    neighbors.
+    neighbors.  ``breakpoints`` are the sorted kinks of the control
+    waveforms; grids for this assembly are built with
+    ``TimeGrid.with_max_step(..., breakpoints)``.
     """
 
     terms: tuple[tuple[str, Callable[[np.ndarray], np.ndarray], np.ndarray], ...]
@@ -290,6 +298,7 @@ class AssembledHamiltonian:
     tail: float = 0.0
     periodic: bool = False
     topology: Optional[Topology] = None
+    breakpoints: tuple[float, ...] = ()
 
     @property
     def t_end(self) -> float:
@@ -502,10 +511,14 @@ def _x_target_labels(gate: GateSpec, topology: Topology) -> tuple[int, ...]:
 
 
 def _periodic_envelope(env, gate_time: float, repetitions: int):
-    """Wrap a single-window envelope so it repeats each gate."""
+    """Wrap a single-window envelope so it repeats each gate.
+
+    Returns the sample function and the kinks of every repetition.
+    """
+    kinks = [k * gate_time + t for k in range(repetitions) for t in env.kinks()]
     if repetitions == 1:
-        return env.sample
-    return lambda t: env.sample(np.mod(t, gate_time))
+        return env.sample, kinks
+    return (lambda t: env.sample(np.mod(t, gate_time))), kinks
 
 
 def assemble_hamiltonian(
@@ -544,10 +557,11 @@ def assemble_hamiltonian(
     n, center = topology.n_qubits, topology.center
 
     phase = coupling_phase(params)
-    x_drive = _periodic_envelope(SineEnvelopeDrive.x_gate(t_gate), t_gate, repetitions)
+    x_drive, x_kinks = _periodic_envelope(SineEnvelopeDrive.x_gate(t_gate), t_gate, repetitions)
     # Operation-frame modulation turns the center's X drive into a quadrature pair.
     center_xy = None
     z_terms: list[tuple[str, Callable]] = []
+    kinks: list[float] = []
     tail = 0.0
 
     if isinstance(scheme, CrosstalkOnly):
@@ -564,6 +578,7 @@ def assemble_hamiltonian(
                 f"{kind} modulation cannot drive qubit {gate.target} "
                 f"(modulated qubit is {center})"
             )
+        kinks += modulation.kinks()
         if fm_frame == "modulated":
             phase = coupling_phase(params, modulation)
         elif fm_frame == "operation":
@@ -587,8 +602,10 @@ def assemble_hamiltonian(
         if scheme.pulses:
             train = NascentDeltaTrain(segments=segments, interval=tau, width=width)
             z_terms.append((f"Z{center}-pulses", lambda tt: (np.pi / 2.0) * train.sample(tt)))
+            kinks += train.kinks()
             tail = width / 2.0
-        x_drive = SegmentedDrive.sqrt_x_bursts(segments=segments, interval=tau, width=width).sample
+        bursts = SegmentedDrive.sqrt_x_bursts(segments=segments, interval=tau, width=width)
+        x_drive, x_kinks = bursts.sample, bursts.kinks()
 
     else:
         raise TypeError(
@@ -604,6 +621,8 @@ def assemble_hamiltonian(
             terms.append((f"Y{q}-drive", center_xy[1], embed(SIGMA_Y, q, n)))
         else:
             terms.append((f"X{q}-drive", x_drive, embed(SIGMA_X, q, n)))
+    if targets:
+        kinks += x_kinks
 
     return AssembledHamiltonian(
         terms=tuple(terms),
@@ -613,6 +632,7 @@ def assemble_hamiltonian(
         tail=tail,
         periodic=params.is_matched(t_gate),
         topology=topology,
+        breakpoints=tuple(sorted(set(kinks))),
     )
 
 

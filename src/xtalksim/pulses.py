@@ -3,7 +3,9 @@
 All waveforms are value types: frozen dataclasses with a vectorized
 ``sample`` method returning the control amplitude in rad/ns at a time in ns.
 Samples outside a waveform's support are zero, so assemblies can evaluate
-them on any grid without bounds bookkeeping.
+them on any grid without bounds bookkeeping.  ``kinks`` lists the times
+where a waveform is not smooth (its value or a derivative jumps); between
+them it is analytic, which the propagator's step grids rely on.
 """
 
 from __future__ import annotations
@@ -51,6 +53,10 @@ class SineEnvelopeDrive:
         val = np.where(inside, self.amplitude * np.sin(np.pi * tt / self.duration), 0.0)
         return float(val) if scalar else val
 
+    def kinks(self) -> tuple[float, ...]:
+        """The edges of the support, where the slope jumps."""
+        return (0.0, self.duration)
+
     def area(self) -> float:
         """Integral over the full support: 2 * amplitude * duration / pi."""
         return 2.0 * self.amplitude * self.duration / math.pi
@@ -91,6 +97,10 @@ class FmZModulation:
         coeff = self.gamma * self.duration / (np.pi * self.cycles)
         val = coeff * np.sin(np.pi * self.cycles * tt / self.duration) ** 2
         return float(val) if scalar else val
+
+    def kinks(self) -> tuple[float, ...]:
+        """The window edges; the waveform and its phase are smooth everywhere."""
+        return (0.0, self.duration)
 
     def area(self) -> float:
         """Whole-window integral; zero because the window holds full cycles."""
@@ -133,6 +143,14 @@ class NascentDeltaTrain:
         inside = np.abs(u) <= 0.5 * self.width
         val = np.where(inside, (np.pi / (2.0 * self.width)) * np.cos(np.pi * u / self.width), 0.0)
         return float(val) if scalar else val
+
+    def kinks(self) -> tuple[float, ...]:
+        """Both edges of every pulse, ``s * interval -+ width / 2``."""
+        return tuple(
+            s * self.interval + side * 0.5 * self.width
+            for s in range(1, self.segments + 1)
+            for side in (-1.0, 1.0)
+        )
 
     def area(self) -> float:
         return float(self.segments)
@@ -195,6 +213,15 @@ class SegmentedDrive:
         )
         val = np.where(inside, self.amplitude * np.cos(np.pi * (tt - center) / gap), 0.0)
         return float(val) if scalar else val
+
+    def kinks(self) -> tuple[float, ...]:
+        """Both edges of every burst, clear of the pulse windows by ``width / 2``."""
+        half = 0.5 * self.width
+        return tuple(
+            edge
+            for s in range(1, self.segments + 1, 2)
+            for edge in ((s - 1) * self.interval + half, s * self.interval - half)
+        )
 
     def area(self) -> float:
         n_active = (self.segments + 1) // 2

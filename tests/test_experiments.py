@@ -3,6 +3,7 @@ import pytest
 
 from xtalksim.experiments import (
     FidelitySeries,
+    cached_scan,
     PRESETS,
     cd_idle_reference_infidelity,
     gate_fidelity,
@@ -101,6 +102,33 @@ class TestSingleGate:
         assert scheme_label(FrequencyModulation(cycles=6, gamma=1.0)) == "FM-N6"
         assert scheme_label(DynamicalDecoupling(4, 1.25)) == "DD-Z4"
         assert scheme_label(DynamicalDecoupling(4, 1.25, pulses=False)) == "CD"
+
+
+class TestStepConvergence:
+    @pytest.mark.parametrize("topology", [PAIR, STAR], ids=["pair", "star"])
+    @pytest.mark.parametrize("cycles", [4, 8])
+    def test_fm_idle_dip_converged(self, topology, cycles):
+        # The ~1e-11 dip at the selected amplitude, a single point without
+        # corner averaging, must not drift as the step shrinks 8x.
+        gamma = cached_scan("fm2-idle", PARAMS, cycles, T_M).gamma_opt
+        scheme = FrequencyModulation(cycles=cycles, gamma=gamma)
+        coarse, fine = (
+            run_single_gate(PARAMS, topology, scheme, Idle(T_M), step=s) for s in (0.002, 0.00025)
+        )
+        assert abs(coarse - fine) <= 1e-3 * fine
+
+    def test_grid_follows_waveform_kinks(self):
+        # At 0.02 ns the production grid must sit on the pulse and burst
+        # edges: a uniform grid of the same step lands far from the
+        # converged value.
+        dd = DynamicalDecoupling(segments=4, width=T_M / 16.0)
+        gate = XGate(T_M, target=1)
+        ref = run_single_gate(PARAMS, PAIR, dd, gate, step=0.02 / 16)
+        aligned = run_single_gate(PARAMS, PAIR, dd, gate, step=0.02)
+        h = assemble_hamiltonian(PARAMS, PAIR, dd, gate)
+        u = h.blocks().propagate(TimeGrid.with_max_step(0.0, h.t_end, 0.02))
+        unaligned = 1.0 - gate_fidelity(u, target_unitary(gate, PAIR))
+        assert 100.0 * abs(aligned - ref) <= abs(unaligned - ref)
 
 
 class TestSequences:

@@ -166,6 +166,56 @@ class TestAssembly:
         assert dd.t_end == pytest.approx(20.625)
 
 
+def expected_kinks(scheme, gate, repetitions):
+    """Slope jumps of the assembled drives, from the waveform geometry."""
+    t_gate = gate.duration
+    if isinstance(scheme, DynamicalDecoupling):
+        tau = t_gate / scheme.segments
+        w = scheme.width if scheme.pulses else 0.0
+        segments = range(1, repetitions * scheme.segments + 1)
+        pulses = [s * tau + side * w / 2 for s in segments for side in (-1, 1)]
+        bursts = [e for s in segments if s % 2 for e in ((s - 1) * tau + w / 2, s * tau - w / 2)]
+        return (pulses if scheme.pulses else []) + ([] if isinstance(gate, Idle) else bursts)
+    return [] if isinstance(gate, Idle) else [k * t_gate for k in range(repetitions + 1)]
+
+
+class TestBreakpoints:
+    DD = DynamicalDecoupling(segments=4, width=1.25)
+
+    @pytest.mark.parametrize(
+        "topology, scheme, gate, repetitions",
+        [
+            (PAIR, CrosstalkOnly(), Idle(20.0), 1),
+            (PAIR, DD, Idle(20.0), 1),
+            (PAIR, DD, XGate(20.0), 1),
+            (PAIR, dataclasses.replace(DD, pulses=False), XGate(20.0), 1),
+            (PAIR, DD, ParallelXX(20.0), 3),
+            (PAIR, DD, Idle(30.0), 2),
+            (STAR, DD, XGate(20.0, target=2), 2),
+            (PAIR, FrequencyModulation(cycles=4, gamma=2.0), XGate(20.0), 3),
+            (PAIR, FrequencyModulation(cycles=4, gamma=2.0), Idle(30.0), 2),
+        ],
+        ids=[
+            "cd-idle", "dd-idle", "dd-x", "baseline-x", "dd-parallel-x3", "dd-idle-unmatched-x2",
+            "star-dd-center-x2", "fm-x3", "fm-idle-unmatched-x2",
+        ],
+    )
+    def test_kinks_on_step_boundaries(self, topology, scheme, gate, repetitions):
+        h = assemble_hamiltonian(PARAMS, topology, scheme, gate, repetitions=repetitions)
+        kinks = expected_kinks(scheme, gate, repetitions)
+        t_gate, tail = gate.duration, h.tail
+        windows = [(0.0, t_gate + tail)] + [
+            ((k - 1) * t_gate + tail, k * t_gate + tail) for k in range(2, repetitions + 1)
+        ]
+        for t_start, t_end in windows:
+            grid = TimeGrid.with_max_step(t_start, t_end, 0.02, h.breakpoints)
+            edges = grid.boundaries()
+            assert np.diff(edges).max() <= 0.02 * (1.0 + 1e-9)
+            for kink in kinks:
+                if t_start < kink < t_end:
+                    assert np.abs(edges - kink).min() <= 1e-12, (t_start, t_end, kink)
+
+
 class TestFrameEquivalence:
     @pytest.mark.parametrize(
         "scheme, gate",

@@ -2,6 +2,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from xtalksim.model import (
+    PAIR,
+    DynamicalDecoupling,
+    FrequencyModulation,
+    Idle,
+    SystemParams,
+    XGate,
+    assemble_hamiltonian,
+)
 from xtalksim.operators import (
     SIGMA_X,
     SIGMA_Y,
@@ -15,6 +24,10 @@ from xtalksim.operators import (
     propagate,
     unitarity_defect,
 )
+
+PARAMS = SystemParams.from_mhz(50.0, 5.0)
+T_M = PARAMS.matched_time()
+DD = DynamicalDecoupling(segments=4, width=T_M / 16.0)
 
 
 def random_hermitian(rng, d):
@@ -37,12 +50,31 @@ class TestTimeGrid:
         g = TimeGrid.with_max_step(0.625, 20.625, 0.01)
         assert g.boundaries()[0] == pytest.approx(0.625)
         assert g.boundaries()[-1] == pytest.approx(20.625)
-        assert g.midpoints().shape == (g.n_steps,)
+        assert np.diff(g.boundaries()) == pytest.approx(np.full(g.n_steps, g.step), rel=1e-9)
 
     def test_halved_doubles_steps(self):
         g = TimeGrid(0.0, 2.0, 7)
         assert g.halved().n_steps == 14
         assert g.halved().t_end == g.t_end
+
+    def test_breakpoints_are_step_boundaries(self):
+        g = TimeGrid.with_max_step(0.0, 2.0, 0.3, [0.25, 1.0, 1.0 + 1e-12, 5.0, -1.0, 2.0])
+        # Out-of-window, end and near-duplicate breakpoints are dropped.
+        assert [t for t, _ in g.breakpoints] == [0.25, 1.0]
+        assert g.n_steps == 1 + 3 + 4
+        edges = g.boundaries()
+        assert edges[[0, 1, 4, 8]] == pytest.approx([0.0, 0.25, 1.0, 2.0], abs=1e-15)
+        assert np.diff(edges).max() <= 0.3
+        assert g.step == pytest.approx(0.25)
+        halved = g.halved()
+        assert halved.n_steps == 16
+        assert halved.boundaries()[::2] == pytest.approx(edges, abs=1e-15)
+
+    def test_rejects_unordered_breakpoints(self):
+        with pytest.raises(ValueError, match="breakpoints"):
+            TimeGrid(0.0, 1.0, 10, ((0.6, 3), (0.4, 6)))
+        with pytest.raises(ValueError, match="breakpoints"):
+            TimeGrid(0.0, 1.0, 10, ((0.5, 10),))
 
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
@@ -170,16 +202,36 @@ class TestPropagate:
         with pytest.raises(ValueError, match="[Hh]ermit"):
             propagate(h_of_t, TimeGrid(0.0, 1.0, 10))
 
-    def test_step_halving_second_order(self):
-        # Midpoint-rule error must fall ~4x per halving.
-        def h_of_t(t):
-            return np.multiply.outer(np.sin(3.0 * np.asarray(t)), SIGMA_X) + np.multiply.outer(
-                np.cos(2.0 * np.asarray(t)), SIGMA_Z
-            )
+    @pytest.mark.parametrize("case", ["smooth", "pair-dd-x-aligned"])
+    def test_step_halving_fourth_order(self, case):
+        # The two-point Gauss Magnus error must fall ~16x per halving, on a
+        # smooth H and on a kinked drive whose kinks sit on step boundaries.
+        if case == "smooth":
 
-        ref = propagate(h_of_t, TimeGrid(0.0, 2.0, 40960))
+            def h_of_t(t):
+                return np.multiply.outer(np.sin(3.0 * np.asarray(t)), SIGMA_X) + np.multiply.outer(
+                    np.cos(2.0 * np.asarray(t)), SIGMA_Z
+                )
+
+            grid, ref = TimeGrid(0.0, 2.0, 160), TimeGrid(0.0, 2.0, 40960)
+        else:
+            h_of_t = assemble_hamiltonian(PARAMS, PAIR, DD, XGate(T_M, target=1))
+            grid = TimeGrid.with_max_step(0.0, h_of_t.t_end, 0.08, h_of_t.breakpoints)
+            ref = grid.halved().halved().halved().halved().halved()
+        u_ref = propagate(h_of_t, ref)
         err = []
-        for n in (160, 320, 640):
-            err.append(np.abs(propagate(h_of_t, TimeGrid(0.0, 2.0, n)) - ref).max())
-        assert err[0] / err[1] == pytest.approx(4.0, rel=0.1)
-        assert err[1] / err[2] == pytest.approx(4.0, rel=0.1)
+        for g in (grid, grid.halved(), grid.halved().halved()):
+            err.append(np.abs(propagate(h_of_t, g) - u_ref).max())
+        assert err[0] / err[1] == pytest.approx(16.0, rel=0.1)
+        assert err[1] / err[2] == pytest.approx(16.0, rel=0.1)
+
+    def test_long_run_stays_unitary(self):
+        # 80k steps of eigendecompositions lose about 3e-12 of norm without
+        # the per-chunk Newton-Schulz step.
+        h = assemble_hamiltonian(
+            PARAMS, PAIR, FrequencyModulation(cycles=8, gamma=2.0), Idle(T_M)
+        )
+        grid = TimeGrid.with_max_step(0.0, T_M, T_M / 80000, h.breakpoints)
+        assert grid.n_steps == 80000
+        for u in (propagate(h, grid), h.blocks().propagate(grid)):
+            assert 1.0 - np.linalg.svd(u, compute_uv=False).min() <= 1e-13

@@ -147,3 +147,36 @@ class TestModulatedQuadrature:
         assert np.allclose(c["X2-drive"](t), SineEnvelopeDrive.x_gate(20.0).sample(t))
         assert np.allclose(c["Y2-drive"](t), 0.0)
         assert quad_area(c["X2-drive"], 0.0, 20.0) == pytest.approx(np.pi / 2.0, rel=1e-10)
+
+
+class TestKinks:
+    """``kinks()`` lists exactly the points where a waveform's slope jumps."""
+
+    KINKED = {
+        "envelope": SineEnvelopeDrive.x_gate(20.0),
+        "train": NascentDeltaTrain(segments=4, interval=5.0, width=1.25),
+        "bursts": SegmentedDrive.sqrt_x_bursts(segments=4, interval=5.0, width=1.25),
+        "bursts-zero-width": SegmentedDrive.sqrt_x_bursts(segments=4, interval=5.0, width=0.0),
+    }
+
+    def test_declared_values(self):
+        assert SineEnvelopeDrive.x_gate(20.0).kinks() == (0.0, 20.0)
+        assert FmZModulation(gamma=2.0, cycles=4, duration=20.0).kinks() == (0.0, 20.0)
+        assert self.KINKED["train"].kinks() == pytest.approx(
+            [4.375, 5.625, 9.375, 10.625, 14.375, 15.625, 19.375, 20.625]
+        )
+        assert self.KINKED["bursts"].kinks() == pytest.approx([0.625, 4.375, 10.625, 14.375])
+        assert self.KINKED["bursts-zero-width"].kinks() == pytest.approx([0.0, 5.0, 10.0, 15.0])
+
+    @pytest.mark.parametrize("name", sorted(KINKED))
+    def test_slope_jumps_only_at_kinks(self, name):
+        # On a binary grid holding every kink, a second difference is about
+        # |slope jump| * dt at a kink and |f''| * dt^2 elsewhere.
+        waveform = self.KINKED[name]
+        dt = 2.0**-10
+        t = np.arange(-1024, 22 * 1024) * dt
+        f = waveform.sample(t)
+        second = np.abs(f[2:] - 2.0 * f[1:-1] + f[:-2])
+        at_kink = np.isin(t[1:-1], waveform.kinks())
+        assert at_kink.sum() == len(waveform.kinks())
+        assert second[~at_kink].max() < 0.01 * second[at_kink].min()
