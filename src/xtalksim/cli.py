@@ -31,14 +31,13 @@ from xtalksim.experiments import (
     PRESETS,
     Row,
     SchemeRun,
-    _scored_infidelity,
     _sequence_counts,
     cached_scan,
     gate_fidelity,
     run_preset,
-    run_sequence,
     run_single_gate,
-    scheme_label,
+    score_run,
+    sweep_j,
 )
 from xtalksim.magnus import dd_second_order_closed_forms, epsilon_dd2_numeric, epsilon_fm2_idle
 from xtalksim.model import (
@@ -226,7 +225,7 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
     ]
 
     if scheme_name == "cd":
-        run = SchemeRun("CD", CrosstalkOnly())
+        run = SchemeRun(CrosstalkOnly())
         header.append("scheme = cd")
     elif scheme_name == "fm":
         cycles = _positive_int(cfg, "cycles", 4)
@@ -259,7 +258,6 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
         if corner and scan is None:
             raise ConfigError("corner_average requires gamma_mhz = \"optimize\"")
         run = SchemeRun(
-            f"FM-N{cycles}",
             FrequencyModulation(cycles=cycles, gamma=gamma, single_site=single_site),
             corner_scan=scan if corner else None,
         )
@@ -273,7 +271,7 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
         decoupling = DynamicalDecoupling(
             segments=segments, width=width, pulses=scheme_name == "dd"
         )
-        run = SchemeRun(scheme_label(decoupling), decoupling)
+        run = SchemeRun(decoupling)
         header.append(
             f"scheme = {scheme_name} (segments = {segments}, width_ns = {_fmt(width)})"
         )
@@ -328,20 +326,17 @@ def cmd_simulate(args) -> int:
     params, topology, run, gate, j_grid, repetitions, step, cfg_header = resolved
     header = ["xtalksim simulate"] + cfg_header
     if j_grid is not None:
-        from xtalksim.experiments import sweep_j
-
+        name = "vs_J"
         series = sweep_j(params, topology, [run], gate, j_grid, step=step, map_fn=map_fn)[0]
-        rows = [("vs_J", series.scheme, float(a), float(v))
-                for a, v in zip(series.abscissa, series.infidelities)]
-    elif repetitions > 1:
-        from xtalksim.experiments import _scored_sequence
-
-        series = _scored_sequence(params, topology, run, gate, repetitions, step)
-        rows = [("vs_time", series.scheme, float(a), float(v))
-                for a, v in zip(series.abscissa, series.infidelities)]
     else:
-        value = _scored_infidelity(params, topology, run, gate, step)
-        rows = [("single", run.label, gate.duration, value)]
+        name = "vs_time" if repetitions > 1 else "single"
+        series = score_run(params, topology, run, gate, repetitions, step=step)
+    # A single gate is reported at its duration, without the trailing half pulse.
+    abscissa = [gate.duration] if name == "single" else series.abscissa
+    rows = [
+        (name, series.scheme, float(a), float(v))
+        for a, v in zip(abscissa, series.infidelities)
+    ]
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     _write_csv(args.out, header, rows)
     return EXIT_OK
@@ -474,16 +469,17 @@ def _verify_checks(step: float) -> List[Tuple[str, bool, str]]:
     # ~1e-11 FM idle dip at the selected amplitude included.
     scan = cached_scan("fm2-idle", params, 8, t_m)
     fm_dip = FrequencyModulation(cycles=8, gamma=scan.gamma_opt)
-    fm_run = SchemeRun("FM-N8", fm_dip, corner_scan=scan)
     worst_rel = 0.0
     detail_parts = []
-    for name, evaluate in (
-        ("fm-idle", lambda s: _scored_infidelity(params, topology, fm_run, Idle(t_m), s)),
-        ("fm-idle-dip", lambda s: run_single_gate(params, topology, fm_dip, Idle(t_m), step=s)),
-        ("dd-idle", lambda s: run_single_gate(params, topology, decoupling, Idle(t_m), step=s)),
+    for name, run in (
+        ("fm-idle", SchemeRun(fm_dip, corner_scan=scan)),
+        ("fm-idle-dip", SchemeRun(fm_dip)),
+        ("dd-idle", SchemeRun(decoupling)),
     ):
-        coarse = evaluate(step)
-        fine = evaluate(step / 2.0)
+        coarse, fine = (
+            score_run(params, topology, run, Idle(t_m), 1, step=s).infidelities[0]
+            for s in (step, step / 2.0)
+        )
         rel = abs(coarse - fine) / max(abs(fine), 1e-300)
         worst_rel = max(worst_rel, rel)
         detail_parts.append(f"{name} {rel:.3e}")

@@ -124,16 +124,8 @@ def run_single_gate(
     *,
     step: float = DEFAULT_STEP,
 ) -> float:
-    """Infidelity of one gate under the given control scheme.
-
-    Propagates over [0, T] (decoupling runs extend to T plus half a pulse
-    width so the trailing pulse completes) and compares against the ideal
-    target.  Roundoff below zero is clamped.
-    """
-    h = assemble_hamiltonian(params, topology, scheme, gate)
-    u = h.blocks().propagate(TimeGrid.with_max_step(0.0, h.t_end, step, h.breakpoints))
-    fidelity = gate_fidelity(u, target_unitary(gate, topology))
-    return max(0.0, 1.0 - fidelity)
+    """Infidelity of one gate under the given control scheme: a one-gate sequence."""
+    return float(run_sequence(params, topology, scheme, gate, 1, step=step).infidelities[0])
 
 
 def _sequence_counts(gate: GateSpec, repetitions: int) -> np.ndarray:
@@ -161,14 +153,14 @@ def run_sequence(
     repetitions: int,
     *,
     step: float = DEFAULT_STEP,
-    label: str = "",
 ) -> FidelitySeries:
     """Infidelity of k consecutive gates versus the k-fold target.
 
-    Scored after each whole gate, at k T plus any trailing half pulse.  At a
-    matched duration the assembled Hamiltonian is periodic, so the run needs
-    only the first-window and steady-window propagators; otherwise each gate
-    window is propagated separately and composed in order.
+    Scored after each whole gate, at k T plus any trailing half pulse
+    (decoupling runs extend half a pulse width so the last pulse completes).
+    At a matched duration the assembled Hamiltonian is periodic, so the run
+    needs only the first-window and steady-window propagators; otherwise
+    each gate window is propagated separately and composed in order.
     """
     counts = _sequence_counts(gate, repetitions)
     h = assemble_hamiltonian(params, topology, scheme, gate, repetitions=repetitions)
@@ -186,7 +178,7 @@ def run_sequence(
             infidelities[slot] = 1.0 - fidelity
             slot += 1
     return FidelitySeries(
-        scheme=label or scheme_label(scheme),
+        scheme=scheme_label(scheme),
         abscissa=counts * t_gate + tail,
         infidelities=infidelities,
         counts=counts,
@@ -229,69 +221,37 @@ def cd_idle_reference_infidelity(params: SystemParams, topology: Topology, t: fl
 
 @dataclass(frozen=True)
 class SchemeRun:
-    """A labeled scheme plus how to score it.
+    """A scheme plus how to score it.
 
     When ``corner_scan`` is set the fidelity is averaged over the two grid
     points flanking the scan optimum (idle-gate modulation reporting);
     otherwise the scheme is simulated as given.
     """
 
-    label: str
     scheme: ControlScheme
     corner_scan: Optional[GammaScan] = None
 
-
-def _scored_infidelity(
-    params: SystemParams,
-    topology: Topology,
-    run: SchemeRun,
-    gate: GateSpec,
-    step: float,
-) -> float:
-    if run.corner_scan is None:
-        return run_single_gate(params, topology, run.scheme, gate, step=step)
-    fidelity = corner_averaged_fidelity(
-        lambda gamma: 1.0
-        - run_single_gate(
-            params,
-            topology,
-            dataclasses.replace(run.scheme, gamma=gamma),
-            gate,
-            step=step,
-        ),
-        run.corner_scan,
-    )
-    return max(0.0, 1.0 - fidelity)
+    @property
+    def label(self) -> str:
+        return scheme_label(self.scheme)
 
 
-def _scored_sequence(
+def score_run(
     params: SystemParams,
     topology: Topology,
     run: SchemeRun,
     gate: GateSpec,
     repetitions: int,
-    step: float,
+    *,
+    step: float = DEFAULT_STEP,
 ) -> FidelitySeries:
+    """Infidelity of k consecutive gates under ``run``, corner-averaged if it has a scan."""
     if run.corner_scan is None:
-        return run_sequence(
-            params,
-            topology,
-            run.scheme,
-            gate,
-            repetitions,
-            step=step,
-            label=run.label,
-        )
+        return run_sequence(params, topology, run.scheme, gate, repetitions, step=step)
 
     def fidelities(gamma: float) -> np.ndarray:
-        series = run_sequence(
-            params,
-            topology,
-            dataclasses.replace(run.scheme, gamma=gamma),
-            gate,
-            repetitions,
-            step=step,
-        )
+        scheme = dataclasses.replace(run.scheme, gamma=gamma)
+        series = run_sequence(params, topology, scheme, gate, repetitions, step=step)
         return 1.0 - series.infidelities
 
     averaged = corner_averaged_fidelity(fidelities, run.corner_scan)
@@ -329,7 +289,7 @@ def sweep_j(
     def evaluate(cell) -> float:
         run, j_mhz = cell
         p = dataclasses.replace(params, j=2.0 * math.pi * 1e-3 * j_mhz)
-        return _scored_infidelity(p, topology, run, gate, step)
+        return score_run(p, topology, run, gate, 1, step=step).infidelities[0]
 
     flat = list(map_fn(evaluate, cells))
     series = []
@@ -343,46 +303,6 @@ def sweep_j(
             )
         )
     return series
-
-
-def non_matched_study(
-    params: SystemParams,
-    t_gate: float,
-    cycles: Sequence[int] = (4, 6, 8),
-    *,
-    j_values_mhz: Optional[Sequence[float]] = None,
-    sequence_length: int = 15,
-    step: float = DEFAULT_STEP,
-    map_fn: Callable = map,
-) -> Dict[str, object]:
-    """Modulation at a gate time where first-order averaging fails.
-
-    Away from matched durations the leading-order coupling does not cancel
-    on its own, so the amplitude is chosen to minimize the first-order
-    residual instead.  Runs an X gate on qubit 1: amplitude scans per cycle
-    count, a single-gate J sweep, and odd-count sequences up to
-    ``sequence_length`` gates at the given J.
-    """
-    if params.is_matched(t_gate):
-        raise ValueError(
-            f"gate time {t_gate} ns is matched; this study needs an unmatched duration"
-        )
-    topology = PAIR
-    gate = XGate(t_gate, target=1)
-    scans = {n: cached_scan("fm1", params, n, t_gate) for n in cycles}
-    runs = [SchemeRun("CD", CrosstalkOnly())]
-    for n in cycles:
-        if not scans[n].found:
-            raise ValueError(f"no amplitude minimum in range for N={n}")
-        runs.append(
-            SchemeRun(f"FM-N{n}", FrequencyModulation(cycles=n, gamma=scans[n].gamma_opt))
-        )
-    single = sweep_j(params, topology, runs, gate, j_values_mhz, step=step, map_fn=map_fn)
-    sequences = [
-        _scored_sequence(params, topology, run, gate, sequence_length, step)
-        for run in runs
-    ]
-    return {"scans": scans, "single": single, "sequences": sequences}
 
 
 # ---------------------------------------------------------------------------
@@ -462,14 +382,13 @@ def _fm_runs(
     corner: bool = False,
     single_site: bool = False,
 ) -> List[SchemeRun]:
-    runs = [SchemeRun("CD", CrosstalkOnly())]
+    runs = [SchemeRun(CrosstalkOnly())]
     for n in cycles:
         scan = cached_scan(functional, params, n, gate_time)
         if not scan.found:
             raise ValueError(f"no amplitude minimum in range for N={n}")
         runs.append(
             SchemeRun(
-                f"FM-N{n}",
                 FrequencyModulation(cycles=n, gamma=scan.gamma_opt, single_site=single_site),
                 corner_scan=scan if corner else None,
             )
@@ -478,10 +397,23 @@ def _fm_runs(
 
 
 def _dd_runs(decoupling: DynamicalDecoupling) -> List[SchemeRun]:
-    return [
-        SchemeRun("CD", dataclasses.replace(decoupling, pulses=False)),
-        SchemeRun(f"DD-Z{decoupling.segments}", decoupling),
-    ]
+    return [SchemeRun(dataclasses.replace(decoupling, pulses=False)), SchemeRun(decoupling)]
+
+
+def _sequence_rows(
+    params: SystemParams,
+    topology: Topology,
+    runs: Sequence[SchemeRun],
+    gate: GateSpec,
+    repetitions: int,
+    step: float,
+    map_fn: Callable,
+) -> List[Row]:
+    """One ``repetitions``-gate series per run, as ``vs_time`` rows."""
+    series = map_fn(
+        lambda run: score_run(params, topology, run, gate, repetitions, step=step), runs
+    )
+    return _series_rows("vs_time", series)
 
 
 def _preset_fig2(step: float, map_fn: Callable) -> List[Row]:
@@ -508,13 +440,7 @@ def _preset_fig3c(step: float, map_fn: Callable) -> List[Row]:
     params = _default_params()
     t_m = params.matched_time()
     runs = _fm_runs(params, t_m, "fm2-idle", corner=True)
-    series = list(
-        map_fn(
-            lambda run: _scored_sequence(params, PAIR, run, Idle(t_m), 20, step),
-            runs,
-        )
-    )
-    return _series_rows("vs_time", series)
+    return _sequence_rows(params, PAIR, runs, Idle(t_m), 20, step, map_fn)
 
 
 def _preset_fig4a(step: float, map_fn: Callable) -> List[Row]:
@@ -538,15 +464,7 @@ def _preset_fig4c(step: float, map_fn: Callable) -> List[Row]:
     params = _default_params()
     t_m = params.matched_time()
     runs = _fm_runs(params, t_m, "fm2-x")
-    series = list(
-        map_fn(
-            lambda run: _scored_sequence(
-                params, PAIR, run, XGate(t_m, target=1), 21, step
-            ),
-            runs,
-        )
-    )
-    return _series_rows("vs_time", series)
+    return _sequence_rows(params, PAIR, runs, XGate(t_m, target=1), 21, step, map_fn)
 
 
 def _dd_preset(
@@ -565,13 +483,7 @@ def _dd_preset(
     rows += _series_rows(
         "vs_J", sweep_j(params, topology, runs, gate, step=step, map_fn=map_fn)
     )
-    series = list(
-        map_fn(
-            lambda run: _scored_sequence(params, topology, run, gate, repetitions, step),
-            runs,
-        )
-    )
-    rows += _series_rows("vs_time", series)
+    rows += _sequence_rows(params, topology, runs, gate, repetitions, step, map_fn)
     return rows
 
 
@@ -609,13 +521,7 @@ def _fm_preset(
     rows += _series_rows(
         "vs_J", sweep_j(params, topology, runs, gate, step=step, map_fn=map_fn)
     )
-    series = list(
-        map_fn(
-            lambda run: _scored_sequence(params, topology, run, gate, repetitions, step),
-            runs,
-        )
-    )
-    rows += _series_rows("vs_time", series)
+    rows += _sequence_rows(params, topology, runs, gate, repetitions, step, map_fn)
     return rows
 
 
@@ -643,14 +549,17 @@ def _preset_fig11(step: float, map_fn: Callable) -> List[Row]:
     return _dd_preset(STAR, lambda t: XGate(t, target=2), 21, step, map_fn)
 
 
+def _scan_table(functional: str, params: SystemParams, gate_time: float) -> List[Row]:
+    rows: List[Row] = []
+    for n in (4, 6, 8):
+        rows += _scan_rows(f"FM-N{n}", cached_scan(functional, params, n, gate_time))
+    return rows
+
+
 def _functional_scan_preset(functional: str) -> Callable:
     def build(step: float, map_fn: Callable) -> List[Row]:
         params = _default_params()
-        t_m = params.matched_time()
-        rows: List[Row] = []
-        for n in (4, 6, 8):
-            rows += _scan_rows(f"FM-N{n}", cached_scan(functional, params, n, t_m))
-        return rows
+        return _scan_table(functional, params, params.matched_time())
 
     return build
 
@@ -673,13 +582,14 @@ def _preset_fig15(step: float, map_fn: Callable) -> List[Row]:
 
 def _preset_fig16(step: float, map_fn: Callable) -> List[Row]:
     params = _default_params()
+    # Unmatched, so first-order averaging fails on its own: the amplitude
+    # minimizes the first-order residual instead.
     t_gate = 3.0 * params.t_delta
-    study = non_matched_study(params, t_gate, step=step, map_fn=map_fn)
-    rows: List[Row] = []
-    for n, scan in study["scans"].items():
-        rows += _scan_rows(f"FM-N{n}", scan)
-    rows += _series_rows("vs_J", study["single"])
-    rows += _series_rows("vs_time", study["sequences"])
+    gate = XGate(t_gate, target=1)
+    runs = _fm_runs(params, t_gate, "fm1")
+    rows = _scan_table("fm1", params, t_gate)
+    rows += _series_rows("vs_J", sweep_j(params, PAIR, runs, gate, step=step, map_fn=map_fn))
+    rows += _sequence_rows(params, PAIR, runs, gate, 15, step, map_fn)
     return rows
 
 

@@ -62,7 +62,6 @@ class GammaScan:
     grid: np.ndarray
     values: np.ndarray
     minimum_index: Optional[int]
-    label: str = ""
 
     @property
     def grid_step(self) -> float:
@@ -120,7 +119,6 @@ def scan_gamma(
     gate_time: Optional[float] = None,
     *,
     grid: Optional[np.ndarray] = None,
-    label: str = "",
 ) -> GammaScan:
     """Evaluate a residual-coupling functional over an amplitude grid.
 
@@ -151,15 +149,9 @@ def scan_gamma(
             raise ValueError(f"unknown functional {functional!r}; choose from {FUNCTIONALS}")
         modulations = [FrequencyModulation(cycles=cycles, gamma=a) for a in g.tolist()]
         values = named[functional](params, modulations, gate_time)
-        label = label or f"{functional} N={cycles}"
     else:
         values = np.array([functional(a) for a in g.tolist()], dtype=float)
-    return GammaScan(
-        grid=g,
-        values=values,
-        minimum_index=first_local_minimum(values),
-        label=label,
-    )
+    return GammaScan(grid=g, values=values, minimum_index=first_local_minimum(values))
 
 
 def corner_averaged_fidelity(simulate: Callable[[float], object], scan: GammaScan):

@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 
 from xtalksim.experiments import (
+    DEFAULT_STEP,
     SchemeRun,
-    _scored_infidelity,
-    _scored_sequence,
     cached_scan,
     cd_idle_reference_infidelity,
     gate_fidelity,
@@ -24,6 +23,7 @@ from xtalksim.experiments import (
     run_preset,
     run_single_gate,
     run_sequence,
+    score_run,
 )
 from xtalksim.magnus import (
     epsilon_dd1,
@@ -49,7 +49,7 @@ from xtalksim.operators import TimeGrid, propagate, unitarity_defect
 PARAMS = SystemParams.from_mhz(50.0, 5.0)
 T_M = PARAMS.matched_time()
 DD = DynamicalDecoupling(segments=4, width=T_M / 16.0)  # w = tau/4
-STEP = 0.002
+STEP = DEFAULT_STEP
 GRID_STEP_MHZ = 1.59
 
 
@@ -78,18 +78,17 @@ def topo_by_key(key):
 
 @lru_cache(maxsize=None)
 def scheme_run(kind, cycles=0, corner=False, single_site=False):
-    """Build a labeled scheme; FM amplitudes come from the matching scan."""
+    """Build a scheme run; FM amplitudes come from the matching scan."""
     if kind == "cd":
-        return SchemeRun("CD", CrosstalkOnly())
+        return SchemeRun(CrosstalkOnly())
     if kind == "dd":
-        return SchemeRun("DD-Z4", DD)
+        return SchemeRun(DD)
     if kind == "dd-base":
-        return SchemeRun("CD", dataclasses.replace(DD, pulses=False))
+        return SchemeRun(dataclasses.replace(DD, pulses=False))
     functional = "fm2-idle" if kind == "fm-idle" else "fm2-x"
     scan = cached_scan(functional, PARAMS, cycles, T_M)
     assert scan.found
     return SchemeRun(
-        f"FM-N{cycles}",
         FrequencyModulation(cycles=cycles, gamma=scan.gamma_opt, single_site=single_site),
         corner_scan=scan if corner else None,
     )
@@ -98,14 +97,15 @@ def scheme_run(kind, cycles=0, corner=False, single_site=False):
 @lru_cache(maxsize=None)
 def single(topo_key, run_key, gate_key, step=STEP):
     run = scheme_run(*run_key) if isinstance(run_key, tuple) else scheme_run(run_key)
-    return _scored_infidelity(PARAMS, topo_by_key(topo_key), run, gate_by_key(gate_key), step)
+    series = score_run(PARAMS, topo_by_key(topo_key), run, gate_by_key(gate_key), 1, step=step)
+    return float(series.infidelities[0])
 
 
 @lru_cache(maxsize=None)
 def sequence_last(topo_key, run_key, gate_key, repetitions, step=STEP):
     run = scheme_run(*run_key) if isinstance(run_key, tuple) else scheme_run(run_key)
-    series = _scored_sequence(
-        PARAMS, topo_by_key(topo_key), run, gate_by_key(gate_key), repetitions, step
+    series = score_run(
+        PARAMS, topo_by_key(topo_key), run, gate_by_key(gate_key), repetitions, step=step
     )
     return float(series.infidelities[-1])
 

@@ -105,7 +105,7 @@ class TestSimulate:
         def broken(*args, **kwargs):
             raise ValueError("internal failure")
 
-        monkeypatch.setattr("xtalksim.cli._scored_infidelity", broken)
+        monkeypatch.setattr("xtalksim.cli.score_run", broken)
         cfg = write_config(tmp_path, {"scheme": "cd", "gate": "idle"})
         with pytest.raises(ValueError, match="internal failure"):
             main(["simulate", "--config", cfg, "--step", "0.05"])
@@ -114,7 +114,7 @@ class TestSimulate:
         def broken(*args, **kwargs):
             raise ValueError("internal failure")
 
-        monkeypatch.setattr("xtalksim.cli._scored_infidelity", broken)
+        monkeypatch.setattr("xtalksim.cli.score_run", broken)
         cfg = write_config(tmp_path, {"scheme": "cd", "gate": "idle"})
         assert entry(["simulate", "--config", cfg, "--step", "0.05"]) == EXIT_INTERNAL
         err = capsys.readouterr().err

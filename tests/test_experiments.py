@@ -12,6 +12,7 @@ from xtalksim.experiments import (
     run_sequence,
     run_single_gate,
     scheme_label,
+    score_run,
     sweep_j,
     SchemeRun,
 )
@@ -179,9 +180,33 @@ class TestSequences:
             run_sequence(PARAMS, PAIR, CrosstalkOnly(), XGate(T_M), 4, step=0.05)
 
 
+class TestScoreRun:
+    def test_corner_average_is_mean_of_flanking_sequences(self):
+        scan = cached_scan("fm2-idle", PARAMS, 8, T_M)
+        run = SchemeRun(FrequencyModulation(cycles=8, gamma=scan.gamma_opt), corner_scan=scan)
+        assert run.label == "FM-N8"
+        flank_gammas = (scan.gamma_opt - scan.grid_step, scan.gamma_opt + scan.grid_step)
+        for repetitions in (1, 20):
+            scored = score_run(PARAMS, PAIR, run, Idle(T_M), repetitions)
+            lower, upper = (
+                run_sequence(
+                    PARAMS, PAIR, FrequencyModulation(cycles=8, gamma=g), Idle(T_M), repetitions
+                )
+                for g in flank_gammas
+            )
+            assert scored.scheme == "FM-N8"
+            assert scored.counts.tolist() == lower.counts.tolist()
+            np.testing.assert_allclose(
+                scored.infidelities,
+                0.5 * (lower.infidelities + upper.infidelities),
+                rtol=0.0,
+                atol=1e-15,
+            )
+
+
 class TestSweepJ:
     def runs(self):
-        return [SchemeRun("CD", CrosstalkOnly())]
+        return [SchemeRun(CrosstalkOnly())]
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
