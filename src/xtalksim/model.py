@@ -40,13 +40,17 @@ the terms' sparsity pattern then split off conserved excitation numbers.
 A driven neighbor leaves one full block.  The rebuilt propagator matches
 the dense one to roundoff.
 
+Blocks propagate in term space (``TermBlock``): each chunk of steps samples
+the assembly's real coefficient functions once, and every distinct block
+builds its Magnus generators from them, its term matrices and their
+precomputed commutators, without forming dense samples.
+
 Qubits are labeled 1..n; qubit 2 is the shared (modulated/pulsed) qubit in
 both shipped layouts, ``PAIR`` and ``STAR``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -54,6 +58,8 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from xtalksim.operators import (
+    CHUNK,
+    HERMITICITY_TOL,
     IDENTITY,
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -61,10 +67,12 @@ from xtalksim.operators import (
     SIGMA_Y,
     SIGMA_Z,
     TimeGrid,
+    advance,
+    check_hermitian,
     embed,
     expm_hamiltonian,
+    gauss_nodes,
     kron,
-    propagate,
 )
 from xtalksim.pulses import (
     FmZModulation,
@@ -85,6 +93,7 @@ __all__ = [
     "XGate",
     "ParallelXX",
     "AssembledHamiltonian",
+    "TermBlock",
     "SymmetryBlocks",
     "assemble_hamiltonian",
     "coupling_phase",
@@ -323,8 +332,9 @@ class AssembledHamiltonian:
         if _neighbors_interchangeable(self.topology, mats):
             basis = _dicke_basis(self.topology)
         adapted = mats if basis is None else basis.T @ mats @ basis
+        scales = np.abs(mats).max(axis=(1, 2), initial=0.0)
         # Entries below this are roundoff of the basis change.
-        tol = 1e-12 * np.abs(mats).max(axis=(1, 2), initial=0.0)[:, None, None]
+        tol = 1e-12 * scales[:, None, None]
         present = np.abs(adapted) > tol
         distinct: list[tuple[np.ndarray, list[np.ndarray]]] = []
         for idx in _components(present.any(axis=0)):
@@ -338,23 +348,102 @@ class AssembledHamiltonian:
         blocks = []
         for stack, copies in distinct:
             terms = tuple(
-                (name, coeff, block)
-                for (name, coeff, _), block, term_tol in zip(self.terms, stack, tol)
+                k for k, (block, term_tol) in enumerate(zip(stack, tol))
                 if (np.abs(block) > term_tol).any()
             )
-            sub = dataclasses.replace(self, terms=terms, dim=len(copies[0]), topology=None)
-            blocks.append((sub, tuple(copies)))
-        return SymmetryBlocks(dim=self.dim, basis=basis, blocks=tuple(blocks))
+            blocks.append((TermBlock.from_terms(terms, stack[list(terms)]), tuple(copies)))
+        defects = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(1, 2), initial=0.0)
+        return SymmetryBlocks(
+            hamiltonian=self,
+            basis=basis,
+            blocks=tuple(blocks),
+            hermitian_terms=bool((defects <= HERMITICITY_TOL * scales).all()),
+        )
+
+    def coefficients(self, t: np.ndarray) -> np.ndarray:
+        """Real coefficient of every term at the 1-D times ``t``, shape ``(n, K)``.
+
+        Raises
+        ------
+        ValueError
+            If a coefficient has a nonzero imaginary part (the channel and
+            the first such time are named): a complex coefficient times a
+            Hermitian matrix is not Hermitian.
+        """
+        out = np.empty((t.size, len(self.terms)))
+        for k, (name, coeff, _) in enumerate(self.terms):
+            c = np.broadcast_to(coeff(t), t.shape)
+            if np.iscomplexobj(c):
+                bad = np.flatnonzero(c.imag)
+                if bad.size:
+                    raise ValueError(
+                        f"complex coefficient {c[bad[0]]} on channel {name or 'exchange'} "
+                        f"at t={t[bad[0]]:.9g} ns"
+                    )
+                c = c.real
+            out[:, k] = c
+        return out
+
+    def combine(self, coefficients: np.ndarray) -> np.ndarray:
+        """Dense samples ``sum_k c_k M_k`` from ``(n, K)`` term coefficients."""
+        out = np.zeros((coefficients.shape[0], self.dim, self.dim), dtype=complex)
+        for c, (_, _, mat) in zip(coefficients.T, self.terms):
+            out += c[:, None, None] * mat
+        return out
 
     def __call__(self, t):
         tt = np.asarray(t, dtype=float)
         scalar = tt.ndim == 0
-        tt = np.atleast_1d(tt)
-        out = np.zeros((tt.size, self.dim, self.dim), dtype=complex)
-        for _, coeff, mat in self.terms:
-            c = np.asarray(coeff(tt), dtype=float)
-            out += c[:, None, None] * mat
+        out = self.combine(self.coefficients(np.atleast_1d(tt)))
         return out[0] if scalar else out
+
+
+@dataclass(frozen=True)
+class TermBlock:
+    """One distinct block in term space: H_b(t) = sum_k c_k(t) M_k.
+
+    ``terms`` indexes the assembly's terms that act on the block.
+    ``matrices`` stacks their block matrices M_k and then the Hermitian
+    commutators -i [M_k, M_l] for the index pairs ``pairs`` (k < l), flattened
+    to ``(K + K (K - 1) / 2, d * d)``.
+    """
+
+    terms: tuple[int, ...]
+    dim: int
+    matrices: np.ndarray
+    pairs: tuple[np.ndarray, np.ndarray]
+
+    @classmethod
+    def from_terms(cls, terms: tuple[int, ...], mats: np.ndarray) -> "TermBlock":
+        """Block of the assembly terms ``terms`` with block matrices ``mats``."""
+        d = mats.shape[-1]
+        first, second = np.triu_indices(len(terms), 1)
+        # -i [M_k, M_l] = -i (C - C^dag) with C = M_k M_l: exactly Hermitian.
+        c = mats[first] @ mats[second]
+        commutators = -1j * (c - c.conj().swapaxes(-1, -2))
+        stack = np.concatenate([mats.astype(complex), commutators]).reshape(-1, d * d)
+        return cls(terms=terms, dim=d, matrices=stack, pairs=(first, second))
+
+    def generators(self, c1: np.ndarray, c2: np.ndarray, widths: np.ndarray) -> np.ndarray:
+        """h H_eff of each Magnus step, shape ``(n, d, d)``.
+
+        ``c1`` and ``c2`` are the assembly's ``(n, K)`` coefficients at the
+        early and late Gauss nodes of steps of width ``widths``.  Since
+        [H_2, H_1] = sum_{k<l} (c2_k c1_l - c2_l c1_k) [M_k, M_l],
+
+            h H_eff = sum_k h (c1_k + c2_k) / 2 M_k
+                      + sum_{k<l} (sqrt(3) h^2 / 12) (c2_k c1_l - c2_l c1_k) (-i [M_k, M_l]).
+        """
+        a, b = c1[:, self.terms], c2[:, self.terms]
+        first, second = self.pairs
+        h = widths[:, None]
+        cross = b[:, first] * a[:, second] - b[:, second] * a[:, first]
+        weights = np.concatenate(
+            [0.5 * h * (a + b), (math.sqrt(3.0) / 12.0) * h**2 * cross], axis=1
+        )
+        # One real contraction over the interleaved real and imaginary parts.
+        out = weights @ self.matrices.view(float)
+        return out.view(complex).reshape(-1, self.dim, self.dim)
 
 
 @dataclass(frozen=True)
@@ -362,24 +451,53 @@ class SymmetryBlocks:
     """An assembly split into independent blocks: ``U = W (+)_b U_b W^T``.
 
     ``basis`` is the real orthogonal ``W`` (None for the computational
-    basis).  Each entry of ``blocks`` pairs a block Hamiltonian with the
-    index sets, in ``W``'s columns, of every copy that shares its matrices.
+    basis).  Each entry of ``blocks`` pairs a distinct block with the index
+    sets, in ``W``'s columns, of every copy that shares its matrices.
+    ``hermitian_terms`` is False when some term matrix of ``hamiltonian`` is
+    not Hermitian to ``HERMITICITY_TOL``; propagation then checks every
+    sample.
     """
 
-    dim: int
+    hamiltonian: AssembledHamiltonian
     basis: Optional[np.ndarray]
-    blocks: tuple[tuple[AssembledHamiltonian, tuple[np.ndarray, ...]], ...]
+    blocks: tuple[tuple[TermBlock, tuple[np.ndarray, ...]], ...]
+    hermitian_terms: bool
+
+    @property
+    def dim(self) -> int:
+        return self.hamiltonian.dim
 
     @property
     def layout(self) -> str:
         """Distinct blocks as ``{dimension}x{copies}``, e.g. ``10x1 6x3 2x2``."""
-        return " ".join(f"{h.dim}x{len(copies)}" for h, copies in self.blocks)
+        return " ".join(f"{b.dim}x{len(copies)}" for b, copies in self.blocks)
 
     def propagate(self, grid: TimeGrid) -> np.ndarray:
-        """Full-space propagator over ``grid``, each distinct block propagated once."""
+        """Full-space propagator over ``grid``, each distinct block propagated once.
+
+        Each chunk samples the assembly's coefficients once, at both Gauss
+        node sets, and builds every block's Magnus generators from them
+        (:meth:`TermBlock.generators`); blocks without terms stay the
+        identity.  The steps match ``operators.propagate`` on the dense
+        assembly to roundoff.
+
+        Raises
+        ------
+        ValueError
+            For a complex coefficient or a non-Hermitian sample, naming the
+            time.
+        """
+        units = [np.eye(b.dim, dtype=complex) for b, _ in self.blocks]
+        for widths, times in gauss_nodes(grid, CHUNK):
+            coefficients = self.hamiltonian.coefficients(times)
+            if not self.hermitian_terms:
+                check_hermitian(self.hamiltonian.combine(coefficients), times)
+            c1, c2 = coefficients[: widths.size], coefficients[widths.size :]
+            for i, (block, _) in enumerate(self.blocks):
+                if block.terms:
+                    units[i] = advance(units[i], block.generators(c1, c2, widths))
         u = np.zeros((self.dim, self.dim), dtype=complex)
-        for h, copies in self.blocks:
-            u_block = propagate(h, grid)
+        for (_, copies), u_block in zip(self.blocks, units):
             for idx in copies:
                 u[np.ix_(idx, idx)] = u_block
         return u if self.basis is None else self.basis @ u @ self.basis.T

@@ -10,10 +10,13 @@ size.  Step grids are uniform between breakpoints, which callers put on
 the kinks of the drive waveforms; the rule keeps its fourth order only on
 such aligned grids.
 
-``propagate`` is dense: it works on whatever dimension ``h_of_t`` returns.
-Production runs call it once per symmetry-adapted block of an assembled
-Hamiltonian (see ``AssembledHamiltonian.blocks`` in ``model``); called on
-the full assembly it is the reference those blocks are tested against.
+``propagate`` is dense: it samples whatever ``(n, d, d)`` stack ``h_of_t``
+returns and builds each step's generator from the samples.  Production runs
+do not call it: ``SymmetryBlocks.propagate`` in ``model`` builds the same
+steps in term space, from sampled coefficients and precomputed term
+commutators, block by block.  Both end every chunk in :func:`advance`
+(exponential, ordered product, Newton-Schulz step), and ``propagate`` on the
+full assembly is the oracle the blocks are tested and verified against.
 """
 
 from __future__ import annotations
@@ -37,6 +40,9 @@ __all__ = [
     "unitarity_defect",
     "expm_hamiltonian",
     "ordered_product",
+    "check_hermitian",
+    "gauss_nodes",
+    "advance",
     "propagate",
 ]
 
@@ -56,6 +62,10 @@ UNITARITY_TOL = 1e-10
 
 #: Relative tolerance for Hermiticity of sampled Hamiltonians.
 HERMITICITY_TOL = 1e-12
+
+#: Magnus steps per chunk: sampled together, then multiplied out and
+#: re-unitarized once.
+CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -249,8 +259,51 @@ def _sample_hamiltonian(h_of_t, times: np.ndarray) -> np.ndarray:
     return h
 
 
-def propagate(h_of_t, grid: TimeGrid, *, chunk: int = 2048) -> np.ndarray:
-    """Time-ordered propagator of ``h_of_t`` over ``grid``.
+def check_hermitian(h: np.ndarray, times: np.ndarray) -> None:
+    """Raise ValueError naming the worst sample of ``h`` (``(n, d, d)`` at
+    ``times``) whose Hermiticity defect exceeds ``HERMITICITY_TOL`` relative
+    to the batch's largest entry (at least 1)."""
+    scale = max(float(np.abs(h).max()), 1.0)
+    defects = np.abs(h - h.conj().swapaxes(-1, -2)).reshape(h.shape[0], -1).max(axis=1)
+    worst = int(np.argmax(defects))
+    if defects[worst] > HERMITICITY_TOL * scale:
+        raise ValueError(
+            f"non-Hermitian Hamiltonian sample at t={times[worst]:.9g} ns "
+            f"(defect {defects[worst]:.3e})"
+        )
+
+
+def gauss_nodes(grid: TimeGrid, chunk: int):
+    """Yield ``(widths, times)`` for each chunk of at most ``chunk`` steps.
+
+    ``times`` holds the early Gauss node t_n + h (1/2 - sqrt(3)/6) of every
+    step of the chunk, then the late node t_n + h (1/2 + sqrt(3)/6).
+    """
+    edges = grid.boundaries()
+    starts, widths = edges[:-1], np.diff(edges)
+    offset = math.sqrt(3.0) / 6.0
+    for start in range(0, grid.n_steps, chunk):
+        h_step = widths[start : start + chunk]
+        t_step = starts[start : start + chunk]
+        yield h_step, np.concatenate(
+            [t_step + (0.5 - offset) * h_step, t_step + (0.5 + offset) * h_step]
+        )
+
+
+def advance(u: np.ndarray, generators: np.ndarray) -> np.ndarray:
+    """``u`` carried through the steps ``exp(-i G_n)`` of one chunk.
+
+    ``generators`` is the ``(n, d, d)`` stack of Hermitian G_n = h H_eff in
+    time order.  The running product then takes one Newton-Schulz step,
+    U <- U (3 - U^dag U) / 2, which removes the norm the eigendecompositions
+    lose and leaves an exactly unitary U unchanged.
+    """
+    u = ordered_product(expm_hamiltonian(generators, 1.0)) @ u
+    return u @ (1.5 * np.eye(u.shape[-1]) - 0.5 * (u.conj().T @ u))
+
+
+def propagate(h_of_t, grid: TimeGrid, *, chunk: int = CHUNK) -> np.ndarray:
+    """Time-ordered propagator of ``h_of_t`` over ``grid``, from dense samples.
 
     Each step of width h from t_n is the fourth-order Magnus step at the two
     Gauss nodes t_n + h (1/2 -+ sqrt(3)/6):
@@ -260,9 +313,8 @@ def propagate(h_of_t, grid: TimeGrid, *, chunk: int = 2048) -> np.ndarray:
     which is unitary by construction.  Its error is fourth order in h where
     ``h_of_t`` is smooth within each step, so grids should put step
     boundaries on the Hamiltonian's kinks (``TimeGrid.with_max_step`` with
-    breakpoints).  After each chunk the running product takes one
-    Newton-Schulz step, U <- U (3 - U^dag U) / 2, which removes the norm the
-    eigendecompositions lose and leaves an exactly unitary U unchanged.
+    breakpoints).  Each chunk ends with the Newton-Schulz step of
+    :func:`advance`.
 
     Parameters
     ----------
@@ -280,16 +332,8 @@ def propagate(h_of_t, grid: TimeGrid, *, chunk: int = 2048) -> np.ndarray:
         sampled Hamiltonian is non-Hermitian (the offending time is named),
         or if its dimension changes between chunks.
     """
-    edges = grid.boundaries()
-    starts, widths = edges[:-1], np.diff(edges)
-    offset = math.sqrt(3.0) / 6.0
     u = None
-    for start in range(0, grid.n_steps, chunk):
-        h_step = widths[start : start + chunk]
-        t_step = starts[start : start + chunk]
-        times = np.concatenate(
-            [t_step + (0.5 - offset) * h_step, t_step + (0.5 + offset) * h_step]
-        )
+    for h_step, times in gauss_nodes(grid, chunk):
         h = _sample_hamiltonian(h_of_t, times)
         if u is None:
             u = np.eye(h.shape[-1], dtype=complex)
@@ -298,21 +342,12 @@ def propagate(h_of_t, grid: TimeGrid, *, chunk: int = 2048) -> np.ndarray:
                 f"Hamiltonian dimension changed from {u.shape[-1]} to {h.shape[-1]} "
                 f"at t={times[0]}"
             )
-        scale = max(float(np.abs(h).max()), 1.0)
-        defects = np.abs(h - h.conj().swapaxes(-1, -2)).reshape(h.shape[0], -1).max(axis=1)
-        worst = int(np.argmax(defects))
-        if defects[worst] > HERMITICITY_TOL * scale:
-            raise ValueError(
-                f"non-Hermitian Hamiltonian sample at t={times[worst]:.9g} ns "
-                f"(defect {defects[worst]:.3e})"
-            )
+        check_hermitian(h, times)
         h1, h2 = h[: h_step.size], h[h_step.size :]
         width = h_step[:, None, None]
         # [H_2, H_1] = C - C^dag with C = H_2 H_1, so -i [H_2, H_1] is Hermitian.
         c = h2 @ h1
         commutator = c - c.conj().swapaxes(-1, -2)
         h_eff = 0.5 * (h1 + h2) - (1j * math.sqrt(3.0) / 12.0) * width * commutator
-        # exp(-i h H_eff) for each step width h.
-        u = ordered_product(expm_hamiltonian(width * h_eff, 1.0)) @ u
-        u = u @ (1.5 * np.eye(u.shape[-1]) - 0.5 * (u.conj().T @ u))
+        u = advance(u, width * h_eff)
     return u

@@ -1,5 +1,7 @@
 """Block-reduced propagation against the dense propagator it replaces."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from xtalksim.model import (
     XGate,
     assemble_hamiltonian,
 )
-from xtalksim.operators import SIGMA_Z, TimeGrid, embed, propagate, unitarity_defect
+from xtalksim.operators import CHUNK, SIGMA_Z, TimeGrid, embed, propagate, unitarity_defect
 
 PARAMS = SystemParams.from_mhz(50.0, 5.0)
 T_M = PARAMS.matched_time()
@@ -93,6 +95,72 @@ class TestReducedMatchesDense:
             left, _, right = np.linalg.svd(u)
             infidelities.append(1.0 - abs(np.trace(left @ right)) / u.shape[0])
         assert abs(infidelities[0] - infidelities[1]) <= 1e-14
+
+
+class TestTermSpace:
+    """Term-space Magnus steps against the sample-based dense oracle."""
+
+    CASES = [
+        pytest.param(
+            STAR, fm(single_site=True), XGate(T_M, target=2), "operation", id="star-fm-op-x"
+        ),
+        pytest.param(PAIR, fm(), ParallelXX(T_M), "operation", id="pair-fm-op-parallel-xx"),
+        pytest.param(STAR, BASELINE, XGate(T_M, target=2), "modulated", id="star-baseline-x"),
+        pytest.param(PAIR, BASELINE, XGate(T_M, target=1), "modulated", id="pair-baseline-x"),
+        pytest.param(STAR, CrosstalkOnly(), Idle(T_M), "modulated", id="star-cd-idle"),
+        pytest.param(PAIR, CrosstalkOnly(), Idle(T_M), "modulated", id="pair-cd-idle"),
+        pytest.param(STAR, DD, Idle(T_M), "modulated", id="star-dd-idle"),
+    ]
+
+    @pytest.mark.parametrize("repetitions", [1, 3], ids=["one-chunk", "two-chunks"])
+    @pytest.mark.parametrize("topology, scheme, gate, frame", CASES)
+    def test_matches_dense_oracle(self, topology, scheme, gate, frame, repetitions):
+        h = assemble_hamiltonian(
+            PARAMS, topology, scheme, gate, repetitions=repetitions, fm_frame=frame
+        )
+        grid = TimeGrid.with_max_step(0.0, h.t_end, STEP, h.breakpoints)
+        # Three gates take over CHUNK steps, so the first chunk ends mid-gate.
+        assert (grid.n_steps > CHUNK) == (repetitions > 1)
+        assert np.abs(h.blocks().propagate(grid) - propagate(h, grid)).max() <= 1e-13
+
+    def test_operation_frame_fm_uses_every_commutator(self):
+        h = assemble_hamiltonian(
+            PARAMS, STAR, fm(single_site=True), XGate(T_M, target=2), fm_frame="operation"
+        )
+        largest, _ = h.blocks().blocks[0]
+        assert largest.terms == (0, 1, 2, 3, 4)
+        assert largest.matrices.shape == (5 + 10, largest.dim**2)
+
+    @pytest.mark.parametrize("topology", [PAIR, STAR], ids=["pair", "star"])
+    def test_idle_keeps_termless_blocks(self, topology):
+        # The unoccupied and fully excited states couple to nothing.
+        blocks = assemble_hamiltonian(PARAMS, topology, CrosstalkOnly(), Idle(T_M)).blocks()
+        empty = [b for b, _ in blocks.blocks if not b.terms]
+        assert [b.dim for b in empty] == [1]
+
+
+class TestComplexCoefficients:
+    @pytest.fixture
+    def complex_drive(self):
+        h = assemble_hamiltonian(PARAMS, PAIR, CrosstalkOnly(), XGate(T_M, target=1))
+        terms = tuple(
+            (name, (lambda t: (1.0 + 0.5j) * np.ones_like(t)) if name == "X1-drive" else c, m)
+            for name, c, m in h.terms
+        )
+        return dataclasses.replace(h, terms=terms)
+
+    def test_dense_sampling_rejects(self, complex_drive):
+        with pytest.raises(ValueError, match=r"on channel X1-drive at t=0\.3 ns"):
+            complex_drive(np.array([0.3, 0.4]))
+        grid = TimeGrid.with_max_step(0.0, complex_drive.t_end, STEP)
+        with pytest.raises(ValueError, match=r"on channel X1-drive at t=0\.00422649"):
+            propagate(complex_drive, grid)
+
+    def test_block_sampling_rejects(self, complex_drive):
+        grid = TimeGrid.with_max_step(0.0, complex_drive.t_end, STEP)
+        # The first sample is the early Gauss node of the first 0.02 ns step.
+        with pytest.raises(ValueError, match=r"on channel X1-drive at t=0\.00422649"):
+            complex_drive.blocks().propagate(grid)
 
 
 class TestLayout:

@@ -140,10 +140,19 @@ class TestSequences:
         return max(0.0, 1.0 - gate_fidelity(u, ideal))
 
     def test_single_repetition_equals_single_gate(self):
-        series = run_sequence(PARAMS, PAIR, CrosstalkOnly(), Idle(T_M), 1, step=0.01)
-        single = run_single_gate(PARAMS, PAIR, CrosstalkOnly(), Idle(T_M), step=0.01)
-        assert series.counts.tolist() == [1]
-        assert series.infidelities[0] == pytest.approx(single, abs=1e-14)
+        # A one-gate sequence (block propagation) against one uninterrupted
+        # dense propagation of the same gate on the same aligned grid.
+        for topology, scheme, gate in (
+            (PAIR, CrosstalkOnly(), Idle(T_M)),
+            (PAIR, DynamicalDecoupling(segments=4, width=1.25), XGate(T_M, target=1)),
+            (STAR, FrequencyModulation(cycles=8, gamma=2.0, single_site=True), XGate(T_M, 2)),
+        ):
+            series = run_sequence(PARAMS, topology, scheme, gate, 1, step=0.02)
+            h = assemble_hamiltonian(PARAMS, topology, scheme, gate)
+            u = propagate(h, TimeGrid.with_max_step(0.0, h.t_end, 0.02, h.breakpoints))
+            dense = 1.0 - gate_fidelity(u, target_unitary(gate, topology))
+            assert series.counts.tolist() == [1]
+            assert series.infidelities[0] == pytest.approx(dense, abs=1e-12)
 
     def test_matched_window_reuse_agrees_with_direct(self):
         # The periodic fast path must match one uninterrupted propagation.
