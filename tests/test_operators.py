@@ -12,9 +12,11 @@ from xtalksim.model import (
     assemble_hamiltonian,
 )
 from xtalksim.operators import (
+    EXPM_BATCH_ENTRIES,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    THETA_8,
     TimeGrid,
     embed,
     expm_hamiltonian,
@@ -33,6 +35,11 @@ DD = DynamicalDecoupling(segments=4, width=T_M / 16.0)
 def random_hermitian(rng, d):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (a + a.conj().T) / 2.0
+
+
+def with_norm(h, dt, norm):
+    """``h`` rescaled so that ``dt * ||h||_1`` equals ``norm``."""
+    return h * (norm / (dt * np.abs(h).sum(axis=-2).max()))
 
 
 class TestTimeGrid:
@@ -91,6 +98,31 @@ class TestAlgebra:
         a, b, c = (rng.normal(size=(2, 2)) for _ in range(3))
         assert np.allclose(kron(a, b, c), np.kron(np.kron(a, b), c))
 
+    @pytest.mark.parametrize(
+        "shapes",
+        [[(2, 2), (3, 3)], [(2, 3), (4, 1)], [(1, 1), (3, 2)], [(3, 2), (1, 1)], [(1, 1)],
+         [(2, 2), (1, 3), (2, 1), (2, 2)]],
+        ids=["square", "non-square", "1x1-first", "1x1-last", "single", "four-factors"],
+    )
+    def test_kron_equals_numpy_kron(self, shapes):
+        rng = np.random.default_rng(len(shapes))
+        factors = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
+        expect = factors[0]
+        for f in factors[1:]:
+            expect = np.kron(expect, f)
+        out = kron(*factors)
+        assert out.dtype == complex
+        np.testing.assert_array_equal(out, expect)
+
+    @pytest.mark.parametrize("bad", [np.ones(2), np.ones((2, 2, 2)), 1.0])
+    def test_kron_rejects_non_matrix_factor(self, bad):
+        with pytest.raises(ValueError, match="2-D"):
+            kron(SIGMA_X, bad)
+        with pytest.raises(ValueError, match="2-D"):
+            kron(bad)
+        with pytest.raises(ValueError):
+            kron()
+
     def test_embed_places_single_qubit(self):
         assert np.allclose(embed(SIGMA_Z, 1, 2), np.kron(SIGMA_Z, np.eye(2)))
         assert np.allclose(embed(SIGMA_Z, 2, 2), np.kron(np.eye(2), SIGMA_Z))
@@ -147,6 +179,60 @@ class TestExpm:
         rng = np.random.default_rng(4)
         u = expm_hamiltonian(random_hermitian(rng, 8), 15.0)
         assert unitarity_defect(u) < 1e-13
+
+    @pytest.mark.parametrize("d", [1, 3, 4, 6, 10, 32])
+    @pytest.mark.parametrize("norm", [0.0, 1e-3, THETA_8, 0.5, 15.0, 1000.0])
+    def test_matches_scipy_across_norms(self, d, norm):
+        # norm is dt ||h||_1: 0.5, 15 and 1000 take 3, 8 and 14 squarings.
+        dt = 0.37
+        h = with_norm(random_hermitian(np.random.default_rng(d), d), dt, norm)
+        u = expm_hamiltonian(h, dt)
+        assert np.abs(u - scipy.linalg.expm(-1j * dt * h)).max() <= 1e-12
+        assert unitarity_defect(u) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 1036])
+    @pytest.mark.parametrize("d", [4, 10])
+    def test_batch_equals_per_matrix(self, d, n):
+        # 4x4 sub-batches hold 256 matrices and 10x10 ones 40.  Norms up to
+        # 4 give each matrix its own number of squarings (0 to 6).
+        assert EXPM_BATCH_ENTRIES // 16 == 256
+        rng = np.random.default_rng(n)
+        hs = np.stack([with_norm(random_hermitian(rng, d), 1.0, 1.0) for _ in range(n)])
+        hs *= rng.uniform(0.0, 4.0, size=(n, 1, 1))
+        batch = expm_hamiltonian(hs, 1.0)
+        for h, u in zip(hs, batch):
+            np.testing.assert_array_equal(u, expm_hamiltonian(h, 1.0))
+        assert np.abs(batch[-1] - scipy.linalg.expm(-1j * hs[-1])).max() <= 1e-13
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_zero_generator_is_identity(self, d):
+        u = expm_hamiltonian(np.zeros((3, d, d)), 0.5)
+        np.testing.assert_array_equal(u, np.broadcast_to(np.eye(d), (3, d, d)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_reads_lower_triangle_and_real_diagonal(self, d):
+        rng = np.random.default_rng(7)
+        h = with_norm(random_hermitian(rng, d), 1.0, 0.8)
+        noise = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        garbled = h + np.triu(noise, 1) + 1j * np.diag(noise.real.diagonal())
+        np.testing.assert_array_equal(expm_hamiltonian(garbled, 1.0), expm_hamiltonian(h, 1.0))
+        assert np.abs(expm_hamiltonian(garbled, 1.0) - scipy.linalg.expm(-1j * h)).max() <= 1e-13
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, d, bad):
+        h = np.stack([random_hermitian(np.random.default_rng(8), d)] * 3)
+        entry = h.copy()
+        entry[1, d - 1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            expm_hamiltonian(entry, 0.1)
+        with pytest.raises(ValueError, match="non-finite"):
+            expm_hamiltonian(h, bad)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 4)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            expm_hamiltonian(np.zeros(shape), 0.1)
 
 
 class TestOrderedProduct:
