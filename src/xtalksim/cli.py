@@ -6,12 +6,12 @@ checks), and ``list-presets``.  All frequencies in config files are cyclic
 MHz, converted once at load; CSV rows carry full 17-digit precision so
 identical configs produce byte-identical files.
 
-Exit codes: 0 success, 1 invalid config or usage, 2 failed verification
-check, 3 amplitude scan found no minimum in range (the scan is still
-written), 4 internal error.  Configs are validated up front by building what
-the run builds, so an error raised later is an internal error: ``main`` lets
-it propagate, and the console entry point ``entry`` prints its traceback and
-exits 4.
+Exit codes: 0 success, 1 invalid config or usage (argument errors too), 2
+failed verification check, 3 amplitude scan found no minimum in range (the
+scan is still written), 4 internal error.  Configs are validated up front by
+building what the run builds, so an error raised later is an internal error:
+``main`` lets it propagate, and the console entry point ``entry`` prints its
+traceback and exits 4.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 import sys
 import traceback
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from xtalksim.experiments import (
     PRESETS,
     Row,
     SchemeRun,
+    _scan_rows,
     _sequence_counts,
     cached_scan,
     gate_fidelity,
@@ -390,20 +391,11 @@ def cmd_optimize_gamma(args) -> int:
         f"grid_step_mhz = {_fmt(grid_step)}",
         f"grid_max_mhz = {_fmt(grid_max)}",
     ]
-    rows: List[Row] = [
-        ("scan", label, angular_to_cyclic_mhz(float(g)), angular_to_cyclic_mhz(float(v)))
-        for g, v in zip(scan.grid, scan.values)
-    ]
+    rows = _scan_rows(label, scan)
     if scan.found:
         header.append(f"gamma_opt_mhz = {_fmt(scan.gamma_opt_mhz)}")
-        rows.append(
-            (
-                "summary",
-                label,
-                scan.gamma_opt_mhz,
-                angular_to_cyclic_mhz(float(scan.values[scan.minimum_index])),
-            )
-        )
+        # The selected point's row is the command's summary.
+        rows[-1] = ("summary",) + rows[-1][1:]
     else:
         header.append("gamma_opt_mhz = none (no minimum in range)")
     _write_csv(args.out, header, rows)
@@ -447,8 +439,7 @@ def _verify_checks(step: float) -> List[Tuple[str, bool, str]]:
     )
 
     # Triangle quadrature against the idle closed forms and their ratio.
-    fm0 = FrequencyModulation(cycles=4, gamma=0.0)
-    eps_cd = epsilon_fm2_idle(params, fm0, t_m)
+    eps_cd = float(epsilon_fm2_idle(params, 4, np.zeros(1), t_m)[0])
     forms = dd_second_order_closed_forms(params)
     eps_dd = epsilon_dd2_numeric(params, 4, t_m)
     rel_cd = abs(eps_cd - forms.crosstalk_only) / forms.crosstalk_only
@@ -541,10 +532,8 @@ def cmd_verify(args) -> int:
 
 def cmd_list_presets(args) -> int:
     width = max(len(name) for name in PRESETS)
-    def order(name: str):
-        digits = "".join(c for c in name if c.isdigit())
-        return (int(digits), name)
-    for name in sorted(PRESETS, key=order):
+    # PRESETS is registered in figure order.
+    for name in PRESETS:
         print(f"{name:<{width}}  {PRESETS[name].description}")
     return EXIT_OK
 
@@ -563,40 +552,43 @@ def _make_map(threads: Optional[int]) -> Callable:
     return threaded_map
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that reports usage errors as ``ConfigError`` (exit code 1)."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xtalksim",
         description="Exchange-crosstalk suppression experiments: simulate, optimize, verify.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON configuration file")
-    common.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
-    common.add_argument(
-        "--step",
-        type=float,
-        metavar="NS",
-        help=f"longest integrator step in ns (default {_fmt(DEFAULT_STEP)})",
-    )
-    common.add_argument(
-        "--threads", type=int, metavar="N", help="worker threads for independent cells"
-    )
-
-    p_sim = sub.add_parser("simulate", parents=[common], help="run a preset or configured experiment")
-    p_sim.add_argument("--preset", metavar="NAME", help="named experiment (see list-presets)")
+    p_sim = sub.add_parser("simulate", help="run a preset or configured experiment")
     p_sim.set_defaults(fn=cmd_simulate)
-
-    p_opt = sub.add_parser(
-        "optimize-gamma", parents=[common], help="scan the modulation amplitude"
-    )
+    p_sim.add_argument("--preset", metavar="NAME", help="named experiment (see list-presets)")
+    p_opt = sub.add_parser("optimize-gamma", help="scan the modulation amplitude")
     p_opt.set_defaults(fn=cmd_optimize_gamma)
-
-    p_ver = sub.add_parser("verify", parents=[common], help="run oracle and convergence checks")
+    p_ver = sub.add_parser("verify", help="run oracle and convergence checks")
     p_ver.set_defaults(fn=cmd_verify)
-
     p_list = sub.add_parser("list-presets", help="enumerate shipped experiment presets")
     p_list.set_defaults(fn=cmd_list_presets)
+
+    # Each subcommand accepts only the flags it reads.
+    for p in (p_sim, p_opt):
+        p.add_argument("--config", metavar="PATH", help="JSON configuration file")
+        p.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
+    for p in (p_sim, p_ver):
+        p.add_argument(
+            "--step",
+            type=float,
+            metavar="NS",
+            help=f"longest integrator step in ns (default {_fmt(DEFAULT_STEP)})",
+        )
+    p_sim.add_argument(
+        "--threads", type=int, metavar="N", help="worker threads for independent cells"
+    )
     return parser
 
 
@@ -605,9 +597,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         argv = sys.argv[1:]
     # Flag spelling tolerated alongside the subcommand.
     argv = ["list-presets" if a == "--list-presets" else a for a in argv]
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if getattr(args, "step", None) is not None and not 0 < args.step < math.inf:
             raise ConfigError(f"--step must be positive and finite, got {args.step}")
         if getattr(args, "threads", None) is not None and args.threads < 1:

@@ -16,8 +16,8 @@ waveform samples, scan abscissae).
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,6 +38,7 @@ from xtalksim.model import (
     XGate,
     angular_to_cyclic_mhz,
     assemble_hamiltonian,
+    cyclic_mhz_to_angular,
     static_frame_reference,
     target_unitary,
 )
@@ -52,8 +53,20 @@ DEFAULT_STEP = 0.02
 # J grid (cyclic MHz) for coupling-strength sweeps.
 DEFAULT_J_GRID_MHZ = tuple(float(j) for j in range(1, 11))
 
-DEFAULT_DELTA_MHZ = 50.0
-DEFAULT_J_MHZ = 5.0
+# System of every preset (Delta/2pi = 50 MHz, J/2pi = 5 MHz) and its matched
+# gate time; fig16 alone runs an unmatched 30 ns gate.
+PRESET_PARAMS = SystemParams.from_mhz(50.0, 5.0)
+T_M = PRESET_PARAMS.matched_time()
+
+# Gate factories for the presets: gate time in ns -> X gate on qubit 1 or 2.
+_X1 = partial(XGate, target=1)
+_X2 = partial(XGate, target=2)
+
+# Modulation cycle counts that every FM preset compares.
+FM_CYCLES = (4, 6, 8)
+
+# Samples per control channel in a preset's waveform rows.
+WAVEFORM_POINTS = 801
 
 
 @dataclass(frozen=True)
@@ -95,15 +108,6 @@ def gate_fidelity(u_gate: np.ndarray, u_ideal: np.ndarray) -> float:
         raise ValueError(f"dimension mismatch: {u_gate.shape} vs {u_ideal.shape}")
     denom = abs(np.trace(u_ideal.conj().T @ u_ideal))
     return float(abs(np.trace(u_gate.conj().T @ u_ideal)) / denom)
-
-
-def improvement_orders(reference_infidelity: float, infidelity: float) -> float:
-    """log10 of the infidelity reduction relative to a reference scheme."""
-    if reference_infidelity <= 0.0:
-        return 0.0
-    if infidelity <= 0.0:
-        return math.inf
-    return math.log10(reference_infidelity / infidelity)
 
 
 def scheme_label(scheme: ControlScheme) -> str:
@@ -288,7 +292,7 @@ def sweep_j(
 
     def evaluate(cell) -> float:
         run, j_mhz = cell
-        p = dataclasses.replace(params, j=2.0 * math.pi * 1e-3 * j_mhz)
+        p = dataclasses.replace(params, j=cyclic_mhz_to_angular(j_mhz))
         return score_run(p, topology, run, gate, 1, step=step).infidelities[0]
 
     flat = list(map_fn(evaluate, cells))
@@ -342,9 +346,9 @@ def _series_rows(series_name: str, series: Iterable[FidelitySeries]) -> List[Row
     return rows
 
 
-def _waveform_rows(h: AssembledHamiltonian, points: int = 801) -> List[Row]:
+def _waveform_rows(h: AssembledHamiltonian) -> List[Row]:
     """Sample the named control channels of ``h`` over [0, t_end], in cyclic MHz."""
-    t = np.linspace(0.0, h.t_end, points)
+    t = np.linspace(0.0, h.t_end, WAVEFORM_POINTS)
     rows: List[Row] = []
     for name, channel in h.controls().items():
         values = angular_to_cyclic_mhz(np.asarray(channel(t), dtype=float))
@@ -352,9 +356,10 @@ def _waveform_rows(h: AssembledHamiltonian, points: int = 801) -> List[Row]:
     return rows
 
 
-def _scan_rows(label: str, scan: GammaScan, series_name: str = "scan") -> List[Row]:
+def _scan_rows(label: str, scan: GammaScan) -> List[Row]:
+    """The scan as ``scan`` rows in cyclic MHz, then the selected point, if any."""
     rows = [
-        (series_name, label, angular_to_cyclic_mhz(float(g)), angular_to_cyclic_mhz(float(v)))
+        ("scan", label, angular_to_cyclic_mhz(float(g)), angular_to_cyclic_mhz(float(v)))
         for g, v in zip(scan.grid, scan.values)
     ]
     if scan.found:
@@ -369,21 +374,16 @@ def _scan_rows(label: str, scan: GammaScan, series_name: str = "scan") -> List[R
     return rows
 
 
-def _default_params() -> SystemParams:
-    return SystemParams.from_mhz(DEFAULT_DELTA_MHZ, DEFAULT_J_MHZ)
-
-
 def _fm_runs(
     params: SystemParams,
     gate_time: float,
     functional: str,
-    cycles: Sequence[int] = (4, 6, 8),
     *,
     corner: bool = False,
     single_site: bool = False,
 ) -> List[SchemeRun]:
     runs = [SchemeRun(CrosstalkOnly())]
-    for n in cycles:
+    for n in FM_CYCLES:
         scan = cached_scan(functional, params, n, gate_time)
         if not scan.found:
             raise ValueError(f"no amplitude minimum in range for N={n}")
@@ -394,10 +394,6 @@ def _fm_runs(
             )
         )
     return runs
-
-
-def _dd_runs(decoupling: DynamicalDecoupling) -> List[SchemeRun]:
-    return [SchemeRun(dataclasses.replace(decoupling, pulses=False)), SchemeRun(decoupling)]
 
 
 def _sequence_rows(
@@ -417,54 +413,42 @@ def _sequence_rows(
 
 
 def _preset_fig2(step: float, map_fn: Callable) -> List[Row]:
-    params = _default_params()
-    topology = PAIR
     gate_times = np.arange(2.0, 60.0 + 0.25, 0.5)
 
     def cell(t: float) -> float:
-        return run_single_gate(params, topology, CrosstalkOnly(), Idle(float(t)), step=step)
+        return run_single_gate(PRESET_PARAMS, PAIR, CrosstalkOnly(), Idle(float(t)), step=step)
 
     values = list(map_fn(cell, gate_times))
     return [("vs_gate_time", "CD", float(t), float(v)) for t, v in zip(gate_times, values)]
 
 
 def _preset_fig3b(step: float, map_fn: Callable) -> List[Row]:
-    params = _default_params()
-    t_m = params.matched_time()
-    runs = _fm_runs(params, t_m, "fm2-idle", corner=True)
-    series = sweep_j(params, PAIR, runs, Idle(t_m), step=step, map_fn=map_fn)
+    runs = _fm_runs(PRESET_PARAMS, T_M, "fm2-idle", corner=True)
+    series = sweep_j(PRESET_PARAMS, PAIR, runs, Idle(T_M), step=step, map_fn=map_fn)
     return _series_rows("vs_J", series)
 
 
 def _preset_fig3c(step: float, map_fn: Callable) -> List[Row]:
-    params = _default_params()
-    t_m = params.matched_time()
-    runs = _fm_runs(params, t_m, "fm2-idle", corner=True)
-    return _sequence_rows(params, PAIR, runs, Idle(t_m), 20, step, map_fn)
+    runs = _fm_runs(PRESET_PARAMS, T_M, "fm2-idle", corner=True)
+    return _sequence_rows(PRESET_PARAMS, PAIR, runs, Idle(T_M), 20, step, map_fn)
 
 
 def _preset_fig4a(step: float, map_fn: Callable) -> List[Row]:
-    params = _default_params()
-    t_m = params.matched_time()
-    scan = cached_scan("fm2-x", params, 4, t_m)
+    scan = cached_scan("fm2-x", PRESET_PARAMS, 4, T_M)
     scheme = FrequencyModulation(cycles=4, gamma=scan.gamma_opt)
-    h = assemble_hamiltonian(params, PAIR, scheme, XGate(t_m, target=1), fm_frame="operation")
+    h = assemble_hamiltonian(PRESET_PARAMS, PAIR, scheme, _X1(T_M), fm_frame="operation")
     return _waveform_rows(h)
 
 
 def _preset_fig4b(step: float, map_fn: Callable) -> List[Row]:
-    params = _default_params()
-    t_m = params.matched_time()
-    runs = _fm_runs(params, t_m, "fm2-x")
-    series = sweep_j(params, PAIR, runs, XGate(t_m, target=1), step=step, map_fn=map_fn)
+    runs = _fm_runs(PRESET_PARAMS, T_M, "fm2-x")
+    series = sweep_j(PRESET_PARAMS, PAIR, runs, _X1(T_M), step=step, map_fn=map_fn)
     return _series_rows("vs_J", series)
 
 
 def _preset_fig4c(step: float, map_fn: Callable) -> List[Row]:
-    params = _default_params()
-    t_m = params.matched_time()
-    runs = _fm_runs(params, t_m, "fm2-x")
-    return _sequence_rows(params, PAIR, runs, XGate(t_m, target=1), 21, step, map_fn)
+    runs = _fm_runs(PRESET_PARAMS, T_M, "fm2-x")
+    return _sequence_rows(PRESET_PARAMS, PAIR, runs, _X1(T_M), 21, step, map_fn)
 
 
 def _dd_preset(
@@ -474,25 +458,15 @@ def _dd_preset(
     step: float,
     map_fn: Callable,
 ) -> List[Row]:
-    params = _default_params()
-    t_m = params.matched_time()
-    decoupling = DynamicalDecoupling(segments=4, width=t_m / 16.0)
-    gate = gate_factory(t_m)
-    runs = _dd_runs(decoupling)
-    rows = _waveform_rows(assemble_hamiltonian(params, topology, decoupling, gate))
+    decoupling = DynamicalDecoupling(segments=4, width=T_M / 16.0)
+    gate = gate_factory(T_M)
+    runs = [SchemeRun(dataclasses.replace(decoupling, pulses=False)), SchemeRun(decoupling)]
+    rows = _waveform_rows(assemble_hamiltonian(PRESET_PARAMS, topology, decoupling, gate))
     rows += _series_rows(
-        "vs_J", sweep_j(params, topology, runs, gate, step=step, map_fn=map_fn)
+        "vs_J", sweep_j(PRESET_PARAMS, topology, runs, gate, step=step, map_fn=map_fn)
     )
-    rows += _sequence_rows(params, topology, runs, gate, repetitions, step, map_fn)
+    rows += _sequence_rows(PRESET_PARAMS, topology, runs, gate, repetitions, step, map_fn)
     return rows
-
-
-def _preset_fig5(step: float, map_fn: Callable) -> List[Row]:
-    return _dd_preset(PAIR, Idle, 20, step, map_fn)
-
-
-def _preset_fig6(step: float, map_fn: Callable) -> List[Row]:
-    return _dd_preset(PAIR, lambda t: XGate(t, target=1), 21, step, map_fn)
 
 
 def _fm_preset(
@@ -505,100 +479,43 @@ def _fm_preset(
     *,
     corner: bool = False,
     single_site: bool = False,
-    waveform_cycles: int = 4,
 ) -> List[Row]:
-    params = _default_params()
-    t_m = params.matched_time()
-    gate = gate_factory(t_m)
-    runs = _fm_runs(params, t_m, functional, corner=corner, single_site=single_site)
-    scan = cached_scan(functional, params, waveform_cycles, t_m)
-    waveform_scheme = FrequencyModulation(
-        cycles=waveform_cycles, gamma=scan.gamma_opt, single_site=single_site
-    )
+    gate = gate_factory(T_M)
+    runs = _fm_runs(PRESET_PARAMS, T_M, functional, corner=corner, single_site=single_site)
+    # The waveform rows show the N = 4 run; runs[0] is the unmitigated reference.
     rows = _waveform_rows(
-        assemble_hamiltonian(params, topology, waveform_scheme, gate, fm_frame="operation")
+        assemble_hamiltonian(PRESET_PARAMS, topology, runs[1].scheme, gate, fm_frame="operation")
     )
     rows += _series_rows(
-        "vs_J", sweep_j(params, topology, runs, gate, step=step, map_fn=map_fn)
+        "vs_J", sweep_j(PRESET_PARAMS, topology, runs, gate, step=step, map_fn=map_fn)
     )
-    rows += _sequence_rows(params, topology, runs, gate, repetitions, step, map_fn)
+    rows += _sequence_rows(PRESET_PARAMS, topology, runs, gate, repetitions, step, map_fn)
     return rows
-
-
-def _preset_fig8(step: float, map_fn: Callable) -> List[Row]:
-    return _fm_preset(STAR, Idle, "fm2-idle", 20, step, map_fn, corner=True)
-
-
-def _preset_fig9(step: float, map_fn: Callable) -> List[Row]:
-    return _fm_preset(
-        STAR,
-        lambda t: XGate(t, target=2),
-        "fm2-x",
-        21,
-        step,
-        map_fn,
-        single_site=True,
-    )
-
-
-def _preset_fig10(step: float, map_fn: Callable) -> List[Row]:
-    return _dd_preset(STAR, Idle, 20, step, map_fn)
-
-
-def _preset_fig11(step: float, map_fn: Callable) -> List[Row]:
-    return _dd_preset(STAR, lambda t: XGate(t, target=2), 21, step, map_fn)
 
 
 def _scan_table(functional: str, params: SystemParams, gate_time: float) -> List[Row]:
     rows: List[Row] = []
-    for n in (4, 6, 8):
+    for n in FM_CYCLES:
         rows += _scan_rows(f"FM-N{n}", cached_scan(functional, params, n, gate_time))
     return rows
 
 
-def _functional_scan_preset(functional: str) -> Callable:
-    def build(step: float, map_fn: Callable) -> List[Row]:
-        params = _default_params()
-        return _scan_table(functional, params, params.matched_time())
-
-    return build
-
-
-def _preset_fig14(step: float, map_fn: Callable) -> List[Row]:
-    return _fm_preset(
-        PAIR,
-        lambda t: XGate(t, target=2),
-        "fm2-x",
-        21,
-        step,
-        map_fn,
-        single_site=True,
-    )
-
-
-def _preset_fig15(step: float, map_fn: Callable) -> List[Row]:
-    return _fm_preset(PAIR, ParallelXX, "fm2-x", 21, step, map_fn)
+def _scan_preset(functional: str, step: float, map_fn: Callable) -> List[Row]:
+    return _scan_table(functional, PRESET_PARAMS, T_M)
 
 
 def _preset_fig16(step: float, map_fn: Callable) -> List[Row]:
-    params = _default_params()
     # Unmatched, so first-order averaging fails on its own: the amplitude
     # minimizes the first-order residual instead.
-    t_gate = 3.0 * params.t_delta
-    gate = XGate(t_gate, target=1)
-    runs = _fm_runs(params, t_gate, "fm1")
-    rows = _scan_table("fm1", params, t_gate)
-    rows += _series_rows("vs_J", sweep_j(params, PAIR, runs, gate, step=step, map_fn=map_fn))
-    rows += _sequence_rows(params, PAIR, runs, gate, 15, step, map_fn)
+    t_gate = 3.0 * PRESET_PARAMS.t_delta
+    gate = _X1(t_gate)
+    runs = _fm_runs(PRESET_PARAMS, t_gate, "fm1")
+    rows = _scan_table("fm1", PRESET_PARAMS, t_gate)
+    rows += _series_rows(
+        "vs_J", sweep_j(PRESET_PARAMS, PAIR, runs, gate, step=step, map_fn=map_fn)
+    )
+    rows += _sequence_rows(PRESET_PARAMS, PAIR, runs, gate, 15, step, map_fn)
     return rows
-
-
-def _preset_fig17(step: float, map_fn: Callable) -> List[Row]:
-    return _dd_preset(PAIR, lambda t: XGate(t, target=2), 21, step, map_fn)
-
-
-def _preset_fig18(step: float, map_fn: Callable) -> List[Row]:
-    return _dd_preset(PAIR, ParallelXX, 21, step, map_fn)
 
 
 @dataclass(frozen=True)
@@ -617,19 +534,19 @@ PRESETS: Dict[str, Preset] = {
         Preset("fig4a", "X-gate drive and modulation waveforms, N=4", _preset_fig4a),
         Preset("fig4b", "X-gate infidelity vs J under modulation", _preset_fig4b),
         Preset("fig4c", "21 consecutive X gates under modulation", _preset_fig4c),
-        Preset("fig5", "idle gate under a 4-pulse decoupling train: waveform, J sweep, 20-gate run", _preset_fig5),
-        Preset("fig6", "X gate inside a 4-pulse decoupling train: waveform, J sweep, 21-gate run", _preset_fig6),
-        Preset("fig8", "five-qubit idle under modulation: waveform, J sweep, 20-gate run", _preset_fig8),
-        Preset("fig9", "five-qubit center X gate under single-site modulation", _preset_fig9),
-        Preset("fig10", "five-qubit idle under the decoupling train", _preset_fig10),
-        Preset("fig11", "five-qubit center X gate inside the decoupling train", _preset_fig11),
-        Preset("fig12", "idle second-order residual vs modulation amplitude", _functional_scan_preset("fm2-idle")),
-        Preset("fig13", "X-gate second-order residual vs modulation amplitude", _functional_scan_preset("fm2-x")),
-        Preset("fig14", "single-site modulated X gate on the shared qubit (pair layout)", _preset_fig14),
-        Preset("fig15", "parallel X gates on both qubits under modulation", _preset_fig15),
+        Preset("fig5", "idle gate under a 4-pulse decoupling train: waveform, J sweep, 20-gate run", partial(_dd_preset, PAIR, Idle, 20)),
+        Preset("fig6", "X gate inside a 4-pulse decoupling train: waveform, J sweep, 21-gate run", partial(_dd_preset, PAIR, _X1, 21)),
+        Preset("fig8", "five-qubit idle under modulation: waveform, J sweep, 20-gate run", partial(_fm_preset, STAR, Idle, "fm2-idle", 20, corner=True)),
+        Preset("fig9", "five-qubit center X gate under single-site modulation", partial(_fm_preset, STAR, _X2, "fm2-x", 21, single_site=True)),
+        Preset("fig10", "five-qubit idle under the decoupling train", partial(_dd_preset, STAR, Idle, 20)),
+        Preset("fig11", "five-qubit center X gate inside the decoupling train", partial(_dd_preset, STAR, _X2, 21)),
+        Preset("fig12", "idle second-order residual vs modulation amplitude", partial(_scan_preset, "fm2-idle")),
+        Preset("fig13", "X-gate second-order residual vs modulation amplitude", partial(_scan_preset, "fm2-x")),
+        Preset("fig14", "single-site modulated X gate on the shared qubit (pair layout)", partial(_fm_preset, PAIR, _X2, "fm2-x", 21, single_site=True)),
+        Preset("fig15", "parallel X gates on both qubits under modulation", partial(_fm_preset, PAIR, ParallelXX, "fm2-x", 21)),
         Preset("fig16", "unmatched 30 ns gate time: first-order scans, J sweep, 15-gate run", _preset_fig16),
-        Preset("fig17", "single-site decoupled X gate on the shared qubit (pair layout)", _preset_fig17),
-        Preset("fig18", "parallel X gates inside the decoupling train", _preset_fig18),
+        Preset("fig17", "single-site decoupled X gate on the shared qubit (pair layout)", partial(_dd_preset, PAIR, _X2, 21)),
+        Preset("fig18", "parallel X gates inside the decoupling train", partial(_dd_preset, PAIR, ParallelXX, 21)),
     ]
 }
 

@@ -5,30 +5,30 @@ coefficients in a Magnus expansion of the frame-transformed crosstalk
 Hamiltonian, in rad/ns: first order is a single oscillatory integral,
 second order an integral over the ordered triangle 0 <= t2 <= t1 <= T.
 
-The FM functionals take one modulation or an amplitude scan (modulations
-sharing a cycle count).  First order is a Jacobi-Anger Bessel series
+The FM functionals share one signature, ``(params, cycles, gammas, t_end)``:
+a cycle count, a 1-D array of amplitudes in rad/ns, and the gate time; they
+return one value per amplitude.  First order is a Jacobi-Anger Bessel series
 (Abramowitz & Stegun 9.1.41) summed over all amplitudes at once.  Second
-order builds one :class:`TriangleRule` and samples the amplitude-free parts
-of the integrands once per call, then takes one amplitude at a time, so
-memory does not grow with the grid.  At the default 512 nodes per axis the
-doubled rule, the convergence check, agrees to about 1e-13 relative.
+order builds one :class:`TriangleRule` of ``PANELS`` panels and samples the
+amplitude-free parts of the integrands once per call, then takes one
+amplitude at a time, so memory does not grow with the grid.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import jv
 
-from xtalksim.model import FrequencyModulation, SystemParams
+from xtalksim.model import SystemParams
 from xtalksim.pulses import FmZModulation, SineEnvelopeDrive
 
 __all__ = [
-    "QuadratureConfig",
+    "PANELS",
+    "PANEL_ORDER",
     "SecondOrderForms",
     "TriangleRule",
     "epsilon_fm1",
@@ -42,41 +42,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Composite Gauss-Legendre layout for the triangle integrals.
-
-    ``nodes_per_axis`` total nodes split into panels of ``panel_order``
-    points each; ``doubled()`` supports convergence checks.
-    """
-
-    nodes_per_axis: int = 512
-    panel_order: int = 16
-
-    def __post_init__(self):
-        if self.panel_order < 2:
-            raise ValueError(f"panel order must be >= 2, got {self.panel_order}")
-        if self.nodes_per_axis < self.panel_order or self.nodes_per_axis % self.panel_order:
-            raise ValueError(
-                f"nodes_per_axis must be a positive multiple of panel_order, "
-                f"got {self.nodes_per_axis} / {self.panel_order}"
-            )
-
-    @property
-    def panels(self) -> int:
-        return self.nodes_per_axis // self.panel_order
-
-    def doubled(self) -> "QuadratureConfig":
-        return QuadratureConfig(2 * self.nodes_per_axis, self.panel_order)
-
-    def with_panels_multiple_of(self, k: int) -> "QuadratureConfig":
-        """Smallest config >= this one whose panel count is a multiple of k."""
-        panels = math.ceil(self.panels / k) * k
-        return QuadratureConfig(panels * self.panel_order, self.panel_order)
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
-Modulations = FrequencyModulation | Sequence[FrequencyModulation]
+#: Gauss-Legendre panels per axis of the triangle rule, and points per panel:
+#: 512 nodes per axis, whose doubled rule agrees to about 1e-13 relative.
+PANELS = 32
+PANEL_ORDER = 16
 
 
 class TriangleRule:
@@ -87,9 +56,9 @@ class TriangleRule:
     [panel start, node], which give inner's running integral to that node.
     """
 
-    def __init__(self, t_end: float, config: QuadratureConfig = DEFAULT_QUADRATURE):
-        x, self._w = leggauss(config.panel_order)
-        edges = np.linspace(0.0, t_end, config.panels + 1)
+    def __init__(self, t_end: float, panels: int = PANELS):
+        x, self._w = leggauss(PANEL_ORDER)
+        edges = np.linspace(0.0, t_end, panels + 1)
         self._half = 0.5 * (edges[1:] - edges[:-1])
         nodes = 0.5 * (edges[1:] + edges[:-1])[:, None] + self._half[:, None] * x
         sub_half = 0.5 * (nodes - edges[:-1, None])
@@ -106,24 +75,14 @@ class TriangleRule:
         return (self._weights * outer[:n] * (np.repeat(prefix, m) + partial)).sum()
 
 
-def ordered_double_integral(outer, inner, t_end: float, config: QuadratureConfig = DEFAULT_QUADRATURE):
+def ordered_double_integral(outer, inner, t_end: float):
     """Integral of ``outer(t1) * inner(t2)`` over ``0 <= t2 <= t1 <= t_end``.
 
     ``outer`` and ``inner`` must accept a time array and return values of
     matching shape (real or complex).
     """
-    rule = TriangleRule(t_end, config)
+    rule = TriangleRule(t_end)
     return rule.integrate(np.asarray(outer(rule.points)), np.asarray(inner(rule.points)))
-
-
-def _amplitudes(fm: Modulations):
-    """(cycle count, amplitude array, whether ``fm`` is one modulation)."""
-    if isinstance(fm, FrequencyModulation):
-        return fm.cycles, np.array([fm.gamma]), True
-    cycles = {m.cycles for m in fm}
-    if len(cycles) != 1:
-        raise ValueError(f"modulations must share one cycle count, got {sorted(cycles)}")
-    return cycles.pop(), np.array([m.gamma for m in fm], dtype=float), False
 
 
 def _bessel_order_limit(c: float) -> int:
@@ -131,8 +90,8 @@ def _bessel_order_limit(c: float) -> int:
     return math.ceil(c + 10.0 * c ** (1.0 / 3.0) + 25.0)
 
 
-def epsilon_fm1(params: SystemParams, fm: Modulations, t_end: float) -> float | np.ndarray:
-    """First-order residual coupling under frequency modulation.
+def epsilon_fm1(params: SystemParams, cycles: int, gammas: np.ndarray, t_end: float) -> np.ndarray:
+    """First-order residual coupling under frequency modulation, per amplitude.
 
     2 |(J/T) integral_0^T e^{i phi} dt| with phi = Delta t + c (1 - cos(w t)),
     c = gamma T / (pi N), w = 2 pi N / T.  Jacobi-Anger order n, (-i)^n J_n(c)
@@ -140,7 +99,6 @@ def epsilon_fm1(params: SystemParams, fm: Modulations, t_end: float) -> float | 
     a common phase, Delta T / 2 pi = k + f with k the nearest integer; exactly T
     at resonance (Delta + n w = 0).
     """
-    cycles, gammas, single = _amplitudes(fm)
     c = gammas * t_end / (math.pi * cycles)
     k = round(params.delta * t_end / (2.0 * math.pi))
     f = params.delta * t_end / (2.0 * math.pi) - k
@@ -150,14 +108,12 @@ def epsilon_fm1(params: SystemParams, fm: Modulations, t_end: float) -> float | 
         m = k + n * cycles
         weight = 1.0 if m == 0 and f == 0.0 else math.sin(math.pi * f) / (math.pi * (m + f))
         total += ((1.0, -1j, -1.0, 1j)[n % 4] * weight) * jv(n, c)
-    values = 2.0 * abs(params.j) * np.abs(total)
-    return float(values[0]) if single else values
+    return 2.0 * abs(params.j) * np.abs(total)
 
 
-def _fm2(params: SystemParams, fm: Modulations, t_end: float, config, drives: int):
+def _fm2(params: SystemParams, cycles: int, gammas: np.ndarray, t_end: float, drives: int):
     """Idle term plus ``drives`` equal drive-coupling cross terms, per amplitude."""
-    cycles, gammas, single = _amplitudes(fm)
-    rule = TriangleRule(t_end, config)
+    rule = TriangleRule(t_end)
     bare = params.delta * rule.points
     shape = 2.0 * FmZModulation(gamma=1.0, cycles=cycles, duration=t_end).phase(rule.points)
     omega = SineEnvelopeDrive.x_gate(t_end).sample(rule.points)
@@ -168,36 +124,36 @@ def _fm2(params: SystemParams, fm: Modulations, t_end: float, config, drives: in
         if drives:
             cross = rule.integrate(omega, g) - rule.integrate(g, omega)
             values[i] += drives * (abs(params.j) / t_end) * abs(cross)
-    return float(values[0]) if single else values
+    return values
 
 
 def epsilon_fm2_idle(
-    params: SystemParams, fm: Modulations, t_end: float, config=DEFAULT_QUADRATURE
-) -> float | np.ndarray:
+    params: SystemParams, cycles: int, gammas: np.ndarray, t_end: float
+) -> np.ndarray:
     """Second-order idle error: (J^2/T) |double integral of sin(phi1 - phi2)|."""
-    return _fm2(params, fm, t_end, config, drives=0)
+    return _fm2(params, cycles, gammas, t_end, drives=0)
 
 
 def epsilon_fm2_x(
-    params: SystemParams, fm: Modulations, t_end: float, config=DEFAULT_QUADRATURE
-) -> float | np.ndarray:
+    params: SystemParams, cycles: int, gammas: np.ndarray, t_end: float
+) -> np.ndarray:
     """Second-order error of a driven X gate under modulation.
 
     Adds to the idle term the drive-coupling cross term
     2 |(iJ/2T) double integral of (Omega(t1) e^{i phi(t2)} - Omega(t2) e^{i phi(t1)})|.
     """
-    return _fm2(params, fm, t_end, config, drives=1)
+    return _fm2(params, cycles, gammas, t_end, drives=1)
 
 
 def epsilon_fm2_parallel_xx(
-    params: SystemParams, fm: Modulations, t_end: float, config=DEFAULT_QUADRATURE
-) -> float | np.ndarray:
+    params: SystemParams, cycles: int, gammas: np.ndarray, t_end: float
+) -> np.ndarray:
     """Second-order error of simultaneous X gates on both qubits.
 
     The two drive cross terms are equal by symmetry and the idle term is
     shared: eps_xx = 2 eps_x - eps_idle.
     """
-    return _fm2(params, fm, t_end, config, drives=2)
+    return _fm2(params, cycles, gammas, t_end, drives=2)
 
 
 def epsilon_dd1(params: SystemParams, segments: int, t_end: float) -> float:
@@ -217,24 +173,18 @@ def epsilon_dd1(params: SystemParams, segments: int, t_end: float) -> float:
     return 2.0 * abs(params.j / t_end) * abs(total)
 
 
-def epsilon_dd2_numeric(
-    params: SystemParams,
-    segments: int,
-    t_end: float,
-    config: QuadratureConfig = DEFAULT_QUADRATURE,
-) -> float:
+def epsilon_dd2_numeric(params: SystemParams, segments: int, t_end: float) -> float:
     """Second-order idle error under an ideal Z-pulse train, by quadrature.
 
     (J^2/T) |double integral of f(t1) f(t2) sin(Delta (t1 - t2))| with f the
-    per-segment sign flip.  Panels are aligned to segment boundaries so the
-    discontinuous sign never crosses a panel.
+    per-segment sign flip.  The panel count is rounded up to a multiple of
+    ``segments``, so the discontinuous sign never crosses a panel.
     """
     tau = t_end / segments
     sign = lambda t: (-1.0) ** np.minimum(np.floor(t / tau), segments - 1)
-    g = lambda t: sign(t) * np.exp(1j * params.delta * t)
-    cfg = config.with_panels_multiple_of(segments)
-    val = ordered_double_integral(g, lambda t: g(t).conj(), t_end, cfg)
-    return (params.j**2 / t_end) * abs(val.imag)
+    rule = TriangleRule(t_end, math.ceil(PANELS / segments) * segments)
+    g = sign(rule.points) * np.exp(1j * params.delta * rule.points)
+    return (params.j**2 / t_end) * abs(rule.integrate(g, g.conj()).imag)
 
 
 @dataclass(frozen=True)

@@ -30,20 +30,30 @@ every repeated gate).  The coefficients are smooth between them, so step
 grids that put a boundary on each breakpoint keep the propagator's
 fourth-order Magnus steps at full order.
 
-Assemblies propagate block by block (``AssembledHamiltonian.blocks``).  The
-blocks come from the term matrices alone: when every term commutes with the
-exchange of any two neighbors of the center (idle and center-driven gates on
-the star), the neighbors' collective-spin (Dicke) basis splits the 32
-dimensions into irreps of total spin 2, 1 and 0 with multiplicities 1, 3 and
-2, and identical copies are propagated once; the connected components of
-the terms' sparsity pattern then split off conserved excitation numbers.
-A driven neighbor leaves one full block.  The rebuilt propagator matches
-the dense one to roundoff.
+Assemblies propagate block by block (``AssembledHamiltonian.blocks``), with
+blocks derived from the term matrices alone.  When every term commutes with
+the exchange of any two neighbors of the center (idle and center-driven
+gates on the star), the basis is the neighbors' collective-spin (Dicke)
+basis times the center's states, which splits the 32 dimensions into irreps
+of total spin 2, 1 and 0 with multiplicities 1, 3 and 2; otherwise it is the
+computational basis.  The blocks are the connected components of the terms'
+union sparsity pattern in that basis, which also splits off conserved
+excitation numbers, and copies with identical matrices are propagated once.
+A driven neighbor leaves one full block.  The rebuilt propagator matches the
+dense one to roundoff.
 
-Blocks propagate in term space (``TermBlock``): each chunk of steps samples
-the assembly's real coefficient functions once, and every distinct block
-builds its Magnus generators from them, its term matrices and their
-precomputed commutators, without forming dense samples.
+Blocks propagate in term space (``TermBlock``).  Each chunk of steps
+samples the assembly's real coefficient functions once, at both Gauss nodes
+of every step, and every distinct block builds its Magnus generators from
+them, its term matrices M_k and their precomputed commutators, without
+forming dense samples.  Since [H_2, H_1] = sum_{k<l} (c2_k c1_l - c2_l c1_k)
+[M_k, M_l], the generator of ``operators`` is
+
+    h H_eff = sum_k h (c1_k + c2_k) / 2 M_k
+              + sum_{k<l} (sqrt(3) h^2 / 12) (c2_k c1_l - c2_l c1_k) (-i [M_k, M_l]),
+
+one real contraction per block, and the steps match ``operators.propagate``
+on the dense assembly to roundoff.
 
 Qubits are labeled 1..n; qubit 2 is the shared (modulated/pulsed) qubit in
 both shipped layouts, ``PAIR`` and ``STAR``.
@@ -98,7 +108,6 @@ __all__ = [
     "assemble_hamiltonian",
     "coupling_phase",
     "target_unitary",
-    "xy_interaction_operation_frame",
     "static_frame_reference",
     "cyclic_mhz_to_angular",
     "angular_to_cyclic_mhz",
@@ -174,9 +183,9 @@ class SystemParams:
             raise ValueError(f"matched-time index must be >= 1, got {m}")
         return 2.0 * m * math.pi / abs(self.delta)
 
-    def is_matched(self, t: float, rel_tol: float = 1e-9) -> bool:
+    def is_matched(self, t: float) -> bool:
         ratio = t / self.matched_time()
-        return abs(ratio - round(ratio)) <= rel_tol * max(1.0, abs(ratio)) and round(ratio) >= 1
+        return abs(ratio - round(ratio)) <= 1e-9 * max(1.0, abs(ratio)) and round(ratio) >= 1
 
 
 @dataclass(frozen=True)
@@ -235,9 +244,6 @@ class DynamicalDecoupling:
             )
         if self.width <= 0.0:
             raise ValueError(f"pulse width must be positive, got {self.width}")
-
-    def interval(self, gate_time: float) -> float:
-        return gate_time / self.segments
 
 
 ControlScheme = Union[CrosstalkOnly, FrequencyModulation, DynamicalDecoupling]
@@ -318,15 +324,8 @@ class AssembledHamiltonian:
         return {name: coeff for name, coeff, _ in self.terms if name}
 
     def blocks(self) -> "SymmetryBlocks":
-        """Block-diagonal form of this Hamiltonian, derived from its term matrices.
-
-        When every term commutes with each transposition of two neighbors of
-        ``topology.center``, the basis is the neighbors' collective-spin
-        (Dicke) basis times the center's states; otherwise it is the
-        computational basis.  The blocks are the connected components of the
-        union sparsity pattern of the term matrices in that basis, and blocks
-        with identical matrices are propagated once.
-        """
+        """Block-diagonal form of this Hamiltonian, derived from its term
+        matrices as the module docstring describes."""
         mats = np.reshape([mat for _, _, mat in self.terms], (-1, self.dim, self.dim))
         basis = None
         if _neighbors_interchangeable(self.topology, mats):
@@ -425,14 +424,10 @@ class TermBlock:
         return cls(terms=terms, dim=d, matrices=stack, pairs=(first, second))
 
     def generators(self, c1: np.ndarray, c2: np.ndarray, widths: np.ndarray) -> np.ndarray:
-        """h H_eff of each Magnus step, shape ``(n, d, d)``.
+        """h H_eff of each Magnus step (module docstring), shape ``(n, d, d)``.
 
         ``c1`` and ``c2`` are the assembly's ``(n, K)`` coefficients at the
-        early and late Gauss nodes of steps of width ``widths``.  Since
-        [H_2, H_1] = sum_{k<l} (c2_k c1_l - c2_l c1_k) [M_k, M_l],
-
-            h H_eff = sum_k h (c1_k + c2_k) / 2 M_k
-                      + sum_{k<l} (sqrt(3) h^2 / 12) (c2_k c1_l - c2_l c1_k) (-i [M_k, M_l]).
+        early and late Gauss nodes of steps of width ``widths``.
         """
         a, b = c1[:, self.terms], c2[:, self.terms]
         first, second = self.pairs
@@ -464,10 +459,6 @@ class SymmetryBlocks:
     hermitian_terms: bool
 
     @property
-    def dim(self) -> int:
-        return self.hamiltonian.dim
-
-    @property
     def layout(self) -> str:
         """Distinct blocks as ``{dimension}x{copies}``, e.g. ``10x1 6x3 2x2``."""
         return " ".join(f"{b.dim}x{len(copies)}" for b, copies in self.blocks)
@@ -475,11 +466,8 @@ class SymmetryBlocks:
     def propagate(self, grid: TimeGrid) -> np.ndarray:
         """Full-space propagator over ``grid``, each distinct block propagated once.
 
-        Each chunk samples the assembly's coefficients once, at both Gauss
-        node sets, and builds every block's Magnus generators from them
-        (:meth:`TermBlock.generators`); blocks without terms stay the
-        identity.  The steps match ``operators.propagate`` on the dense
-        assembly to roundoff.
+        Steps are built in term space (module docstring); blocks without
+        terms stay the identity.
 
         Raises
         ------
@@ -496,7 +484,7 @@ class SymmetryBlocks:
             for i, (block, _) in enumerate(self.blocks):
                 if block.terms:
                     units[i] = advance(units[i], block.generators(c1, c2, widths))
-        u = np.zeros((self.dim, self.dim), dtype=complex)
+        u = np.zeros((self.hamiltonian.dim,) * 2, dtype=complex)
         for (_, copies), u_block in zip(self.blocks, units):
             for idx in copies:
                 u[np.ix_(idx, idx)] = u_block
@@ -605,13 +593,6 @@ def _exchange_terms(params: SystemParams, topology: Topology, phase: Callable):
     ]
 
 
-def xy_interaction_operation_frame(params: SystemParams, topology: Topology, t):
-    """Instantaneous XY coupling in the operation frame."""
-    terms = _exchange_terms(params, topology, coupling_phase(params))
-    h = AssembledHamiltonian(terms=tuple(terms), dim=topology.dim, gate_time=math.inf)
-    return h(t)
-
-
 def _x_target_labels(gate: GateSpec, topology: Topology) -> tuple[int, ...]:
     if isinstance(gate, Idle):
         return ()
@@ -710,7 +691,7 @@ def assemble_hamiltonian(
             raise ValueError(f"unknown fm_frame {fm_frame!r}")
 
     elif isinstance(scheme, DynamicalDecoupling):
-        tau = scheme.interval(t_gate)
+        tau = t_gate / scheme.segments
         width = scheme.width if scheme.pulses else 0.0
         if width >= tau:
             raise ValueError(
@@ -784,5 +765,5 @@ def static_frame_reference(params: SystemParams, topology: Topology, t: float) -
     a_sum = _flip_flop(topology)
     h_xy = params.j * (a_sum + a_sum.conj().T)
     u_lab = expm_hamiltonian(h0 + h_xy, t)
-    # Undo the bare rotation: U_frame = exp(+i H0 t) U_lab.
-    return expm_hamiltonian(h0, -t) @ u_lab
+    # Undo the bare rotation: U_frame = exp(+i H0 t) U_lab, with H0 diagonal.
+    return np.exp(1j * t * np.diagonal(h0))[:, None] * u_lab

@@ -1,23 +1,31 @@
 """Few-qubit operator algebra and exact time-ordered propagation.
 
 Everything downstream works in angular units (rad/ns) on dense complex
-matrices.  Propagation takes fourth-order Magnus steps: each step samples
-the Hamiltonian at its two Gauss nodes and applies exp(-i h H_eff), with
-H_eff the nodes' mean plus their commutator correction.  The exponential
-is a degree-8 Taylor polynomial, scaled and squared where the generator's
-norm needs it (in closed form for one- and two-level blocks), exact to double
-rounding, so every step is unitary to machine precision regardless of step
-size.  Step grids are uniform between breakpoints, which callers put on
-the kinks of the drive waveforms; the rule keeps its fourth order only on
-such aligned grids.
+matrices.  This docstring is the one account of the propagator.
 
-``propagate`` is dense: it samples whatever ``(n, d, d)`` stack ``h_of_t``
-returns and builds each step's generator from the samples.  Production runs
-do not call it: ``SymmetryBlocks.propagate`` in ``model`` builds the same
-steps in term space, from sampled coefficients and precomputed term
-commutators, block by block.  Both end every chunk in :func:`advance`
-(exponential, ordered product, Newton-Schulz step), and ``propagate`` on the
-full assembly is the oracle the blocks are tested and verified against.
+A step of width h from t_n samples the Hamiltonian at the Gauss nodes
+t_n + h (1/2 -+ sqrt(3)/6) and applies exp(-i h H_eff), the fourth-order
+Magnus step, with the Hermitian
+
+    H_eff = (H_1 + H_2) / 2 - i (sqrt(3) h / 12) [H_2, H_1].
+
+It keeps its order where the Hamiltonian is smooth within each step, so
+grids put step boundaries on the waveform kinks (``TimeGrid.with_max_step``).
+
+Exponentials of one and two levels use closed forms.  Larger exponents
+X = -i h H_eff are scaled by the least 2^-s that brings their 1-norm below
+``THETA_8``, where the degree-8 Taylor polynomial (Paterson-Stockmeyer form,
+four products) is exact to double rounding, and the polynomial is squared s
+times; at the default step s = 0.  Steps are taken ``CHUNK`` at a time:
+:func:`advance` exponentiates a chunk in one call, multiplies it out and
+takes one Newton-Schulz step U <- U (3 - U^dag U) / 2, which removes the
+norm that rounding loses and leaves a unitary U unchanged; a squared
+exponential takes one too.  So propagators are unitary to machine precision
+at any step size.
+
+``propagate`` samples the dense ``(n, d, d)`` Hamiltonian.  Production runs
+build the same steps in term space, block by block (``SymmetryBlocks`` in
+``model``), and ``propagate`` on the full assembly is their oracle.
 """
 
 from __future__ import annotations
@@ -37,7 +45,6 @@ __all__ = [
     "TimeGrid",
     "kron",
     "embed",
-    "hermiticity_defect",
     "unitarity_defect",
     "expm_hamiltonian",
     "ordered_product",
@@ -57,9 +64,6 @@ IDENTITY = np.eye(2, dtype=complex)
 # raising operator is |1><0|.
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-
-#: Unitarity defect allowed for any propagator this module returns.
-UNITARITY_TOL = 1e-10
 
 #: Relative tolerance for Hermiticity of sampled Hamiltonians.
 HERMITICITY_TOL = 1e-12
@@ -170,15 +174,6 @@ class TimeGrid:
         times, indices = self._anchors()
         return np.interp(np.arange(self.n_steps + 1), indices, times)
 
-    def halved(self) -> "TimeGrid":
-        """Same window and breakpoints with every step halved (for convergence checks)."""
-        return TimeGrid(
-            self.t_start,
-            self.t_end,
-            2 * self.n_steps,
-            tuple((t, 2 * k) for t, k in self.breakpoints),
-        )
-
 
 def kron(*factors: np.ndarray) -> np.ndarray:
     """Complex Kronecker product of one or more 2-D matrices, first factor leftmost.
@@ -212,12 +207,6 @@ def embed(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
     return kron(*factors)
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation of ``m`` from its conjugate transpose."""
-    m = np.asarray(m)
-    return float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
-
-
 def unitarity_defect(u: np.ndarray) -> float:
     """Largest entrywise deviation of ``u^dag u`` from the identity."""
     u = np.asarray(u)
@@ -229,20 +218,9 @@ def unitarity_defect(u: np.ndarray) -> float:
 def expm_hamiltonian(h: np.ndarray, dt: float) -> np.ndarray:
     """``exp(-i h dt)`` of a Hermitian ``h``, exact to double rounding.
 
-    Accepts a single ``(d, d)`` matrix or a stacked ``(..., d, d)`` batch;
-    the exponential is applied matrix by matrix.  Like ``eigh``, it reads
-    the lower triangle and the real diagonal.
-
-    One- and two-level matrices use the closed forms ``e^{-i h dt}`` and
-    ``e^{-i a dt} (cos(r dt) - i sin(r dt) n.sigma)``.  Larger ones are
-    taken in sub-batches of ``EXPM_BATCH_ENTRIES`` entries.  Each exponent
-    X = -i h dt is scaled by the least 2^-s that brings its 1-norm below
-    ``THETA_8``; there the degree-8 Taylor polynomial of exp, evaluated in
-    Paterson-Stockmeyer form with four matrix products, is exact to double
-    rounding.  The polynomial is then squared s times.  Magnus generators at
-    the default step have s = 0.  A matrix that was squared, whose rounding
-    error the squarings double each time, ends with the Newton-Schulz step
-    of :func:`advance`, so its unitarity defect stays at roundoff.
+    Accepts a ``(d, d)`` matrix or a ``(..., d, d)`` stack; the method is in
+    the module docstring.  Like ``eigh``, it reads the lower triangle and the
+    real diagonal.
 
     Raises
     ------
@@ -385,37 +363,18 @@ def advance(u: np.ndarray, generators: np.ndarray) -> np.ndarray:
     """``u`` carried through the steps ``exp(-i G_n)`` of one chunk.
 
     ``generators`` is the ``(n, d, d)`` stack of Hermitian G_n = h H_eff in
-    time order; each is exponentiated by :func:`expm_hamiltonian`, in one
-    call per chunk.  The running product then takes one Newton-Schulz step,
-    U <- U (3 - U^dag U) / 2, which removes the norm that rounding in the
-    exponentials and the product loses (about 1e-16 per step) and leaves an
-    exactly unitary U unchanged.
+    time order.  They are exponentiated in one call, multiplied out and
+    re-unitarized by one Newton-Schulz step (see the module docstring).
     """
     return _newton_schulz(ordered_product(expm_hamiltonian(generators, 1.0)) @ u)
 
 
-def propagate(h_of_t, grid: TimeGrid, *, chunk: int = CHUNK) -> np.ndarray:
+def propagate(h_of_t, grid: TimeGrid) -> np.ndarray:
     """Time-ordered propagator of ``h_of_t`` over ``grid``, from dense samples.
 
-    Each step of width h from t_n is the fourth-order Magnus step at the two
-    Gauss nodes t_n + h (1/2 -+ sqrt(3)/6):
-
-        exp(-i h H_eff),  H_eff = (H_1 + H_2) / 2 - i (sqrt(3) h / 12) [H_2, H_1],
-
-    which is unitary by construction.  Its error is fourth order in h where
-    ``h_of_t`` is smooth within each step, so grids should put step
-    boundaries on the Hamiltonian's kinks (``TimeGrid.with_max_step`` with
-    breakpoints).  Each chunk ends with the Newton-Schulz step of
-    :func:`advance`.
-
-    Parameters
-    ----------
-    h_of_t:
-        Vectorized Hamiltonian (rad/ns): takes a 1-D array of n times (ns)
-        and returns the stacked ``(n, d, d)`` samples.  It is called once per
-        chunk, on both node sets of the chunk's steps together.
-    grid:
-        Step grid.
+    Takes the Magnus steps of the module docstring.  ``h_of_t`` is the
+    vectorized Hamiltonian (rad/ns): it maps a 1-D array of n times (ns),
+    both node sets of a chunk's steps, to the stacked ``(n, d, d)`` samples.
 
     Raises
     ------
@@ -425,7 +384,7 @@ def propagate(h_of_t, grid: TimeGrid, *, chunk: int = CHUNK) -> np.ndarray:
         or if its dimension changes between chunks.
     """
     u = None
-    for h_step, times in gauss_nodes(grid, chunk):
+    for h_step, times in gauss_nodes(grid, CHUNK):
         h = _sample_hamiltonian(h_of_t, times)
         if u is None:
             u = np.eye(h.shape[-1], dtype=complex)

@@ -14,17 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
 from xtalksim.magnus import epsilon_fm1, epsilon_fm2_idle, epsilon_fm2_x
-from xtalksim.model import (
-    FrequencyModulation,
-    SystemParams,
-    angular_to_cyclic_mhz,
-    cyclic_mhz_to_angular,
-)
+from xtalksim.model import SystemParams, angular_to_cyclic_mhz, cyclic_mhz_to_angular
 
 # Default scan grid: 1.59 MHz resolution from zero up to 600 MHz (cyclic).
 DEFAULT_GRID_STEP_MHZ = 1.59
@@ -81,12 +76,12 @@ class GammaScan:
         return None if self.minimum_index is None else angular_to_cyclic_mhz(self.gamma_opt)
 
 
-def first_local_minimum(values, rel_tol: float = PLATEAU_RTOL) -> Optional[int]:
+def first_local_minimum(values) -> Optional[int]:
     """Index of the first interior strict local minimum of a sampled curve.
 
     A point qualifies when it is strictly below its left neighbor and
     strictly below the first following value that differs from it by more
-    than ``rel_tol`` (relative).  A plateau of equal values bounded by
+    than ``PLATEAU_RTOL`` (relative).  A plateau of equal values bounded by
     larger ones on both sides therefore resolves to its leftmost point.
     Returns None when the curve has no interior minimum (monotone, or still
     falling at the right edge).
@@ -95,7 +90,7 @@ def first_local_minimum(values, rel_tol: float = PLATEAU_RTOL) -> Optional[int]:
     n = v.size
 
     def same(a: float, b: float) -> bool:
-        return abs(a - b) <= rel_tol * max(abs(a), abs(b))
+        return abs(a - b) <= PLATEAU_RTOL * max(abs(a), abs(b))
 
     i = 1
     while i < n - 1:
@@ -113,27 +108,25 @@ def first_local_minimum(values, rel_tol: float = PLATEAU_RTOL) -> Optional[int]:
 
 
 def scan_gamma(
-    functional: Union[str, Callable[[float], float]],
-    params: Optional[SystemParams] = None,
-    cycles: Optional[int] = None,
-    gate_time: Optional[float] = None,
+    functional: str,
+    params: SystemParams,
+    cycles: int,
+    gate_time: float,
     *,
     grid: Optional[np.ndarray] = None,
 ) -> GammaScan:
-    """Evaluate a residual-coupling functional over an amplitude grid.
+    """Evaluate a named residual-coupling functional over an amplitude grid.
 
     Parameters
     ----------
     functional:
-        Either a callable gamma -> value (rad/ns in, arbitrary units out),
-        or one of the named functionals: "fm1" (first order), "fm2-idle",
-        "fm2-x" (second order, idle and driven).  Named functionals require
-        ``params``, ``cycles`` and ``gate_time``.
+        One of ``FUNCTIONALS``: "fm1" (first order), "fm2-idle" or "fm2-x"
+        (second order, idle and driven).
     grid:
         Amplitudes in rad/ns; defaults to :func:`default_gamma_grid`.
 
-    Named functionals evaluate the whole grid in one call; a callable is
-    called once per amplitude.  The selection is a deterministic post-pass.
+    The functional evaluates the whole grid in one call; the selection is a
+    deterministic post-pass.
     """
     g = default_gamma_grid() if grid is None else np.asarray(grid, dtype=float)
     if g.size < 3:
@@ -141,16 +134,13 @@ def scan_gamma(
     steps = np.diff(g)
     if np.any(steps <= 0) or np.ptp(steps) > 1e-9 * steps[0]:
         raise ValueError("grid must be uniform and increasing")
-    if isinstance(functional, str):
-        if params is None or cycles is None or gate_time is None:
-            raise ValueError(f"named functional {functional!r} needs params, cycles and gate_time")
-        named = {"fm1": epsilon_fm1, "fm2-idle": epsilon_fm2_idle, "fm2-x": epsilon_fm2_x}
-        if functional not in named:
-            raise ValueError(f"unknown functional {functional!r}; choose from {FUNCTIONALS}")
-        modulations = [FrequencyModulation(cycles=cycles, gamma=a) for a in g.tolist()]
-        values = named[functional](params, modulations, gate_time)
-    else:
-        values = np.array([functional(a) for a in g.tolist()], dtype=float)
+    if int(cycles) != cycles or cycles < 1:
+        raise ValueError(f"cycle count must be a positive integer, got {cycles}")
+    # Looked up per call, so that wrappers installed on the module names apply.
+    named = {"fm1": epsilon_fm1, "fm2-idle": epsilon_fm2_idle, "fm2-x": epsilon_fm2_x}
+    if functional not in named:
+        raise ValueError(f"unknown functional {functional!r}; choose from {FUNCTIONALS}")
+    values = named[functional](params, cycles, g, gate_time)
     return GammaScan(grid=g, values=values, minimum_index=first_local_minimum(values))
 
 

@@ -57,10 +57,6 @@ class SineEnvelopeDrive:
         """The edges of the support, where the slope jumps."""
         return (0.0, self.duration)
 
-    def area(self) -> float:
-        """Integral over the full support: 2 * amplitude * duration / pi."""
-        return 2.0 * self.amplitude * self.duration / math.pi
-
 
 @dataclass(frozen=True)
 class FmZModulation:
@@ -102,10 +98,6 @@ class FmZModulation:
         """The window edges; the waveform and its phase are smooth everywhere."""
         return (0.0, self.duration)
 
-    def area(self) -> float:
-        """Whole-window integral; zero because the window holds full cycles."""
-        return float(self.phase(self.duration))
-
 
 @dataclass(frozen=True)
 class NascentDeltaTrain:
@@ -130,11 +122,6 @@ class NascentDeltaTrain:
                 f"interval={self.interval}"
             )
 
-    @property
-    def pulse_area(self) -> float:
-        """Area of a single pulse (exactly 1 by construction)."""
-        return 1.0
-
     def sample(self, t):
         tt, scalar = _as_times(t)
         # Pulses do not overlap (w < interval), so only the nearest center matters.
@@ -151,9 +138,6 @@ class NascentDeltaTrain:
             for s in range(1, self.segments + 1)
             for side in (-1.0, 1.0)
         )
-
-    def area(self) -> float:
-        return float(self.segments)
 
 
 @dataclass(frozen=True)
@@ -195,11 +179,6 @@ class SegmentedDrive:
             width=width,
         )
 
-    @property
-    def burst_area(self) -> float:
-        """Area of one burst: 2 * amplitude * (interval - width) / pi."""
-        return 2.0 * self.amplitude * (self.interval - self.width) / math.pi
-
     def sample(self, t):
         tt, scalar = _as_times(t)
         s = np.floor(tt / self.interval).astype(int) + 1
@@ -222,7 +201,3 @@ class SegmentedDrive:
             for s in range(1, self.segments + 1, 2)
             for edge in ((s - 1) * self.interval + half, s * self.interval - half)
         )
-
-    def area(self) -> float:
-        n_active = (self.segments + 1) // 2
-        return n_active * self.burst_area

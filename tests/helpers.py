@@ -1,0 +1,38 @@
+"""Small test-side helpers for quantities the package does not export."""
+
+import math
+
+import numpy as np
+
+from xtalksim.model import CrosstalkOnly, Idle, assemble_hamiltonian
+from xtalksim.operators import TimeGrid
+
+
+def improvement_orders(reference_infidelity: float, infidelity: float) -> float:
+    """log10 of the infidelity reduction relative to a reference scheme."""
+    if reference_infidelity <= 0.0:
+        return 0.0
+    if infidelity <= 0.0:
+        return math.inf
+    return math.log10(reference_infidelity / infidelity)
+
+
+def hermiticity_defect(m) -> float:
+    """Largest entrywise deviation of ``m`` from its conjugate transpose."""
+    m = np.asarray(m)
+    return float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
+
+
+def coupling(params, topology, t):
+    """The bare XY coupling in the operation frame: a crosstalk-only idle assembly."""
+    return assemble_hamiltonian(params, topology, CrosstalkOnly(), Idle(1.0))(t)
+
+
+def refined(grid: TimeGrid, factor: int) -> TimeGrid:
+    """Same window and breakpoints with every step split into ``factor``."""
+    return TimeGrid(
+        grid.t_start,
+        grid.t_end,
+        factor * grid.n_steps,
+        tuple((t, factor * k) for t, k in grid.breakpoints),
+    )

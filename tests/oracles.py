@@ -3,9 +3,10 @@
 The library sums first order as a Bessel series and evaluates the
 second-order functionals on a 512-node triangle rule built once per scan.
 These references take neither shortcut: first order is adaptive
-quadrature of the phase integral, and second order is a 2,048-node
-composite Gauss-Legendre triangle rule rebuilt and resampled for every
-amplitude.  They are slow and meant for comparison only.
+quadrature of the phase integral, and second order is a composite
+Gauss-Legendre triangle rule (2,048 nodes per axis unless given) rebuilt
+and resampled for every amplitude.  They are slow and meant for comparison
+only.
 """
 
 import math
@@ -53,19 +54,21 @@ def fm1(params, fm, t_end):
     return 2.0 * abs(params.j / t_end) * math.hypot(re, im)
 
 
-def fm2_idle(params, fm, t_end):
+def fm2_idle(params, fm, t_end, nodes_per_axis=NODES_PER_AXIS):
     """(J^2/T) |double integral of sin(phi1 - phi2)|."""
     phi = coupling_phase(params, fm.modulation(t_end))
     val = ordered_double_integral(
-        lambda t: np.exp(1j * phi(t)), lambda t: np.exp(-1j * phi(t)), t_end
+        lambda t: np.exp(1j * phi(t)), lambda t: np.exp(-1j * phi(t)), t_end, nodes_per_axis
     )
     return (params.j**2 / t_end) * abs(val.imag)
 
 
-def fm2_x(params, fm, t_end):
+def fm2_x(params, fm, t_end, nodes_per_axis=NODES_PER_AXIS):
     """Idle term plus the X-drive cross term of a driven gate."""
     phi = coupling_phase(params, fm.modulation(t_end))
     omega = SineEnvelopeDrive.x_gate(t_end).sample
     g = lambda t: np.exp(1j * phi(t))
-    cross = ordered_double_integral(omega, g, t_end) - ordered_double_integral(g, omega, t_end)
-    return (abs(params.j) / t_end) * abs(cross) + fm2_idle(params, fm, t_end)
+    cross = ordered_double_integral(omega, g, t_end, nodes_per_axis) - ordered_double_integral(
+        g, omega, t_end, nodes_per_axis
+    )
+    return (abs(params.j) / t_end) * abs(cross) + fm2_idle(params, fm, t_end, nodes_per_axis)

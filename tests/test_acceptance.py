@@ -12,6 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from helpers import improvement_orders
 
 from xtalksim.experiments import (
     DEFAULT_STEP,
@@ -19,7 +20,6 @@ from xtalksim.experiments import (
     cached_scan,
     cd_idle_reference_infidelity,
     gate_fidelity,
-    improvement_orders,
     run_preset,
     run_single_gate,
     run_sequence,
@@ -301,9 +301,8 @@ class TestCriterion5FiveQubit:
 class TestCriterion6ClosedFormOracles:
     def test_triangle_quadrature_against_closed_forms(self):
         results = []
-        fm0 = FrequencyModulation(cycles=4, gamma=0.0)
         expect_cd = 2.0 * abs(PARAMS.j**2 / (2.0 * PARAMS.delta))
-        got_cd = epsilon_fm2_idle(PARAMS, fm0, T_M)
+        got_cd = float(epsilon_fm2_idle(PARAMS, 4, np.zeros(1), T_M)[0])
         rel = abs(got_cd - expect_cd) / expect_cd
         check(
             results,
@@ -343,8 +342,7 @@ class TestCriterion7ExactnessProperties:
                 val <= 1e-14 * PARAMS.j,
                 f"{val:.2e} rad/ns (allowed 1e-14 J)",
             )
-        fm0 = FrequencyModulation(cycles=4, gamma=0.0)
-        val = epsilon_fm1(PARAMS, fm0, T_M)
+        val = float(epsilon_fm1(PARAMS, 4, np.zeros(1), T_M)[0])
         check(
             results,
             "criterion-7 matched-time first order",

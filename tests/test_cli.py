@@ -32,6 +32,40 @@ class TestListPresets:
         assert "fig2" in capsys.readouterr().out
 
 
+class TestUsage:
+    def test_unknown_flag_is_invalid_usage(self, capsys):
+        assert entry(["simulate", "--bogus"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_missing_subcommand_is_invalid_usage(self):
+        assert entry([]) == EXIT_VALIDATION
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            entry(["simulate", "--help"])
+        assert exit_info.value.code == 0
+        assert "--preset" in capsys.readouterr().out
+
+    def test_verify_rejects_output_flag(self, tmp_path, capsys):
+        path = str(tmp_path / "x.csv")
+        assert main(["verify", "--out", path]) == EXIT_VALIDATION
+        assert "--out" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_each_subcommand_accepts_only_its_flags(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {})
+        ignored = [
+            ["optimize-gamma", "--config", cfg, "--step", "0.1"],
+            ["optimize-gamma", "--config", cfg, "--threads", "2"],
+            ["verify", "--config", cfg],
+            ["verify", "--threads", "3"],
+            ["list-presets", "--out", str(tmp_path / "y.csv")],
+        ]
+        for argv in ignored:
+            assert main(argv) == EXIT_VALIDATION, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         assert main(["simulate"]) == EXIT_VALIDATION

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from helpers import improvement_orders
 
 from xtalksim.experiments import (
     FidelitySeries,
@@ -7,7 +8,6 @@ from xtalksim.experiments import (
     PRESETS,
     cd_idle_reference_infidelity,
     gate_fidelity,
-    improvement_orders,
     run_preset,
     run_sequence,
     run_single_gate,

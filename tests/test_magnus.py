@@ -6,8 +6,8 @@ import pytest
 
 from xtalksim import magnus
 from xtalksim.magnus import (
-    DEFAULT_QUADRATURE,
-    QuadratureConfig,
+    PANEL_ORDER,
+    PANELS,
     dd_second_order_closed_forms,
     epsilon_dd1,
     epsilon_dd2_numeric,
@@ -22,12 +22,17 @@ from xtalksim.optimize import default_gamma_grid
 
 PARAMS = SystemParams.from_mhz(50.0, 5.0)
 T_M = PARAMS.matched_time()
-FM0 = FrequencyModulation(cycles=4, gamma=0.0)
+GRID = default_gamma_grid()
+
+
+def at(functional, cycles, gamma, t_end):
+    """A functional's value at one amplitude."""
+    return float(functional(PARAMS, cycles, np.array([gamma]), t_end)[0])
 
 
 def grid_modulations(cycles):
-    """One modulation per point of the default amplitude grid."""
-    return [FrequencyModulation(cycles=cycles, gamma=g) for g in default_gamma_grid().tolist()]
+    """One modulation per point of the default amplitude grid, for the oracles."""
+    return [FrequencyModulation(cycles=cycles, gamma=g) for g in GRID.tolist()]
 
 
 class TestOrderedDoubleIntegral:
@@ -39,26 +44,31 @@ class TestOrderedDoubleIntegral:
     def test_polynomial_kernel(self):
         # outer t, inner t^2 over the triangle: T^5 * (1/4 - 1/5) ... worked
         # out directly as integral_0^T t dt integral_0^t s^2 ds = T^5/15.
-        val = ordered_double_integral(lambda t: t, lambda t: t**2, 1.5, QuadratureConfig(256, 16))
+        val = ordered_double_integral(lambda t: t, lambda t: t**2, 1.5)
         assert val == pytest.approx(1.5**5 / 15.0, rel=1e-12)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(100, 16)
-        with pytest.raises(ValueError):
-            QuadratureConfig(16, 1)
-        assert QuadratureConfig(2048, 16).doubled().nodes_per_axis == 4096
-        assert QuadratureConfig(2048, 16).with_panels_multiple_of(3).panels % 3 == 0
+    def test_dd_panels_align_to_segments(self):
+        # The default panel count is no multiple of these segment counts, so
+        # the sign flips fall inside panels unless the count is rounded up.
+        # The reference rule has 132 panels, a multiple of both.
+        for segments in (6, 12):
+            assert PANELS % segments
+            tau = T_M / segments
+            sign = lambda t: (-1.0) ** np.minimum(np.floor(t / tau), segments - 1)
+            g = lambda t: sign(t) * np.exp(1j * PARAMS.delta * t)
+            val = oracles.ordered_double_integral(g, lambda t: g(t).conj(), T_M, 132 * 16)
+            want = (PARAMS.j**2 / T_M) * abs(val.imag)
+            assert epsilon_dd2_numeric(PARAMS, segments, T_M) == pytest.approx(want, rel=1e-9)
 
 
 class TestFirstOrder:
     def test_fm1_vanishes_at_matched_time(self):
-        assert epsilon_fm1(PARAMS, FM0, T_M) <= 1e-12 * PARAMS.j
+        assert at(epsilon_fm1, 4, 0.0, T_M) <= 1e-12 * PARAMS.j
 
     def test_fm1_half_period_value(self):
         # Over half a detuning period the phase integral is 2/Delta, so the
         # residual is exactly 4J/pi = 0.04 rad/ns at these parameters.
-        val = epsilon_fm1(PARAMS, FM0, PARAMS.t_delta)
+        val = at(epsilon_fm1, 4, 0.0, PARAMS.t_delta)
         assert val == pytest.approx(4.0 * PARAMS.j / math.pi, rel=1e-9)
         assert val == pytest.approx(0.04, rel=1e-9)
 
@@ -81,7 +91,7 @@ class TestSecondOrderClosedForms:
     def test_idle_kernel_matches_closed_form(self):
         # Unmodulated second-order idle error in closed form: 2 |J^2/(2 Delta)|.
         expect = 2.0 * abs(PARAMS.j**2 / (2.0 * PARAMS.delta))
-        val = epsilon_fm2_idle(PARAMS, FM0, T_M)
+        val = at(epsilon_fm2_idle, 4, 0.0, T_M)
         assert val == pytest.approx(expect, rel=1e-6)
         assert val == pytest.approx(3.141592653590e-03, rel=1e-9)
 
@@ -94,7 +104,7 @@ class TestSecondOrderClosedForms:
     def test_second_order_suppression_ratio(self):
         forms = dd_second_order_closed_forms(PARAMS)
         assert forms.ratio == pytest.approx(abs((math.pi - 4.0) / math.pi), rel=1e-12)
-        measured = epsilon_dd2_numeric(PARAMS, 4, T_M) / epsilon_fm2_idle(PARAMS, FM0, T_M)
+        measured = epsilon_dd2_numeric(PARAMS, 4, T_M) / at(epsilon_fm2_idle, 4, 0.0, T_M)
         assert measured == pytest.approx(abs((math.pi - 4.0) / math.pi), rel=1e-6)
 
     def test_driven_forms_share_the_drive_term(self):
@@ -106,26 +116,30 @@ class TestSecondOrderClosedForms:
 
 
 class TestQuadratureConvergence:
+    """The 512-node rule against the 1,024- and 2,048-node reference rules."""
+
     def test_node_doubling_is_stable(self):
         fm = FrequencyModulation(cycles=8, gamma=2.777)
-        coarse = epsilon_fm2_idle(PARAMS, fm, T_M, QuadratureConfig(1024, 16))
-        fine = epsilon_fm2_idle(PARAMS, fm, T_M, QuadratureConfig(2048, 16))
+        coarse = oracles.fm2_idle(PARAMS, fm, T_M, nodes_per_axis=1024)
+        fine = oracles.fm2_idle(PARAMS, fm, T_M)
         assert coarse == pytest.approx(fine, rel=1e-9)
+        assert at(epsilon_fm2_idle, 8, 2.777, T_M) == pytest.approx(fine, rel=1e-9)
 
     def test_x_functional_doubling_is_stable(self):
         fm = FrequencyModulation(cycles=4, gamma=1.5)
-        coarse = epsilon_fm2_x(PARAMS, fm, T_M, QuadratureConfig(1024, 16))
-        fine = epsilon_fm2_x(PARAMS, fm, T_M, QuadratureConfig(2048, 16))
+        coarse = oracles.fm2_x(PARAMS, fm, T_M, nodes_per_axis=1024)
+        fine = oracles.fm2_x(PARAMS, fm, T_M)
         assert coarse == pytest.approx(fine, rel=1e-9)
+        assert at(epsilon_fm2_x, 4, 1.5, T_M) == pytest.approx(fine, rel=1e-9)
 
     @pytest.mark.parametrize("cycles", [4, 6, 8])
     @pytest.mark.parametrize("functional", [epsilon_fm2_idle, epsilon_fm2_x])
     def test_default_rule_matches_doubled_over_grid(self, functional, cycles):
-        assert DEFAULT_QUADRATURE.nodes_per_axis == 512
-        fms = grid_modulations(cycles)
-        default = functional(PARAMS, fms, T_M)
-        doubled = functional(PARAMS, fms, T_M, DEFAULT_QUADRATURE.doubled())
-        np.testing.assert_allclose(default, doubled, rtol=1e-12, atol=0.0)
+        assert PANELS * PANEL_ORDER == 512
+        oracle = {epsilon_fm2_idle: oracles.fm2_idle, epsilon_fm2_x: oracles.fm2_x}[functional]
+        doubled = [oracle(PARAMS, fm, T_M, 1024) for fm in grid_modulations(cycles)]
+        values = functional(PARAMS, cycles, GRID, T_M)
+        np.testing.assert_allclose(values, doubled, rtol=1e-12, atol=0.0)
 
 
 class TestAgainstOracles:
@@ -133,15 +147,14 @@ class TestAgainstOracles:
 
     @pytest.mark.parametrize("cycles", [4, 6, 8])
     def test_fm1_unmatched(self, cycles):
-        fms = grid_modulations(cycles)
-        want = [oracles.fm1(PARAMS, fm, 30.0) for fm in fms]
-        np.testing.assert_allclose(epsilon_fm1(PARAMS, fms, 30.0), want, rtol=1e-12, atol=0.0)
+        want = [oracles.fm1(PARAMS, fm, 30.0) for fm in grid_modulations(cycles)]
+        values = epsilon_fm1(PARAMS, cycles, GRID, 30.0)
+        np.testing.assert_allclose(values, want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("cycles", [4, 6, 8])
     def test_fm1_matched(self, cycles):
-        fms = grid_modulations(cycles)
-        want = np.array([oracles.fm1(PARAMS, fm, T_M) for fm in fms])
-        assert np.abs(epsilon_fm1(PARAMS, fms, T_M) - want).max() <= 1e-12 * PARAMS.j
+        want = np.array([oracles.fm1(PARAMS, fm, T_M) for fm in grid_modulations(cycles)])
+        assert np.abs(epsilon_fm1(PARAMS, cycles, GRID, T_M) - want).max() <= 1e-12 * PARAMS.j
 
     @pytest.mark.parametrize("cycles", [4, 6, 8])
     @pytest.mark.parametrize(
@@ -149,9 +162,9 @@ class TestAgainstOracles:
         [(epsilon_fm2_idle, oracles.fm2_idle), (epsilon_fm2_x, oracles.fm2_x)],
     )
     def test_second_order_matched(self, functional, oracle, cycles):
-        fms = grid_modulations(cycles)
-        want = [oracle(PARAMS, fm, T_M) for fm in fms]
-        np.testing.assert_allclose(functional(PARAMS, fms, T_M), want, rtol=1e-12, atol=0.0)
+        want = [oracle(PARAMS, fm, T_M) for fm in grid_modulations(cycles)]
+        values = functional(PARAMS, cycles, GRID, T_M)
+        np.testing.assert_allclose(values, want, rtol=1e-12, atol=0.0)
 
 
 class TestFirstOrderSeries:
@@ -160,17 +173,16 @@ class TestFirstOrderSeries:
     def test_resonant_order(self, cycles, t_end, gamma, expect):
         # Delta + n w = 0 at n = -1: that order integrates to T instead of 0/0.
         fm = FrequencyModulation(cycles=cycles, gamma=gamma)
-        got = epsilon_fm1(PARAMS, fm, t_end)
+        got = at(epsilon_fm1, cycles, gamma, t_end)
         assert got == pytest.approx(oracles.fm1(PARAMS, fm, t_end), rel=1e-12)
         assert got == pytest.approx(expect, rel=1e-4)
 
     @pytest.mark.parametrize("cycles, t_end", [(4, 30.0), (8, 30.0), (4, T_M), (1, 97.0)])
     def test_truncation_converged(self, monkeypatch, cycles, t_end):
-        fms = grid_modulations(cycles)
-        kept = epsilon_fm1(PARAMS, fms, t_end)
+        kept = epsilon_fm1(PARAMS, cycles, GRID, t_end)
         limit = magnus._bessel_order_limit
         monkeypatch.setattr(magnus, "_bessel_order_limit", lambda c: limit(c) + 20)
-        more = epsilon_fm1(PARAMS, fms, t_end)
+        more = epsilon_fm1(PARAMS, cycles, GRID, t_end)
         assert np.all(np.abs(more - kept) <= 1e-15 * np.abs(more))
 
 
@@ -185,26 +197,18 @@ class TestGridForms:
         ],
     )
     def test_sequence_matches_single_calls(self, functional, t_end):
-        fms = grid_modulations(4)[::37]
-        values = functional(PARAMS, fms, t_end)
-        singles = [functional(PARAMS, fm, t_end) for fm in fms]
-        assert all(isinstance(v, float) for v in singles)
+        gammas = GRID[::37]
+        values = functional(PARAMS, 4, gammas, t_end)
+        singles = [at(functional, 4, g, t_end) for g in gammas]
         np.testing.assert_allclose(values, singles, rtol=1e-15, atol=0.0)
-
-    def test_mixed_cycle_counts_rejected(self):
-        fms = [FrequencyModulation(cycles=4, gamma=0.1), FrequencyModulation(cycles=6, gamma=0.1)]
-        with pytest.raises(ValueError, match="cycle count"):
-            epsilon_fm2_idle(PARAMS, fms, T_M)
 
 
 class TestCompositeFunctionals:
     def test_parallel_combines_x_and_idle(self):
-        fm = FrequencyModulation(cycles=4, gamma=1.26)
-        eps_x = epsilon_fm2_x(PARAMS, fm, T_M)
-        eps_idle = epsilon_fm2_idle(PARAMS, fm, T_M)
-        eps_xx = epsilon_fm2_parallel_xx(PARAMS, fm, T_M)
+        eps_x = at(epsilon_fm2_x, 4, 1.26, T_M)
+        eps_idle = at(epsilon_fm2_idle, 4, 1.26, T_M)
+        eps_xx = at(epsilon_fm2_parallel_xx, 4, 1.26, T_M)
         assert eps_xx == pytest.approx(2.0 * eps_x - eps_idle, rel=1e-12)
 
     def test_x_functional_dominates_idle(self):
-        fm = FrequencyModulation(cycles=4, gamma=1.26)
-        assert epsilon_fm2_x(PARAMS, fm, T_M) >= epsilon_fm2_idle(PARAMS, fm, T_M)
+        assert at(epsilon_fm2_x, 4, 1.26, T_M) >= at(epsilon_fm2_idle, 4, 1.26, T_M)

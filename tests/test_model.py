@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from helpers import coupling, hermiticity_defect
 
 from xtalksim.model import (
     PAIR,
@@ -18,7 +19,6 @@ from xtalksim.model import (
     cyclic_mhz_to_angular,
     static_frame_reference,
     target_unitary,
-    xy_interaction_operation_frame,
 )
 from xtalksim.operators import (
     SIGMA_X,
@@ -26,7 +26,6 @@ from xtalksim.operators import (
     TimeGrid,
     embed,
     expm_hamiltonian,
-    hermiticity_defect,
     propagate,
 )
 
@@ -62,16 +61,16 @@ class TestExchangeInteraction:
     def test_detuning_period_flips_sign(self):
         # The coupling phase advances by pi over t_delta and by 2 pi over
         # the matched time, so H(t_delta) = -H(0) and H(t_m) = H(0).
-        h0 = xy_interaction_operation_frame(PARAMS, PAIR, 0.0)
+        h0 = coupling(PARAMS, PAIR, 0.0)
         assert np.allclose(
-            xy_interaction_operation_frame(PARAMS, PAIR, PARAMS.t_delta), -h0, atol=1e-12
+            coupling(PARAMS, PAIR, PARAMS.t_delta), -h0, atol=1e-12
         )
         assert np.allclose(
-            xy_interaction_operation_frame(PARAMS, PAIR, PARAMS.matched_time()), h0, atol=1e-12
+            coupling(PARAMS, PAIR, PARAMS.matched_time()), h0, atol=1e-12
         )
 
     def test_flip_flop_structure(self):
-        h0 = xy_interaction_operation_frame(PARAMS, PAIR, 0.0)
+        h0 = coupling(PARAMS, PAIR, 0.0)
         # Excitation-conserving: |00> and |11> are untouched, the single
         # excitation pair is coupled at strength J.
         evals = np.sort(np.linalg.eigvalsh(h0))
@@ -81,7 +80,7 @@ class TestExchangeInteraction:
     def test_star_couples_center_to_each_spoke(self):
         from xtalksim.operators import SIGMA_MINUS, SIGMA_PLUS
 
-        h0 = xy_interaction_operation_frame(PARAMS, STAR, 0.0)
+        h0 = coupling(PARAMS, STAR, 0.0)
         assert h0.shape == (32, 32)
         assert hermiticity_defect(h0) < 1e-14
         expect = np.zeros((32, 32), dtype=complex)
@@ -249,7 +248,7 @@ class TestFrameEquivalence:
         expect = np.eye(4, dtype=complex)
         for s in range(1, 5):
             u_free = propagate(
-                lambda t: xy_interaction_operation_frame(weak, PAIR, t),
+                lambda t: coupling(weak, PAIR, t),
                 TimeGrid.with_max_step((s - 1) * tau, s * tau, 0.0005),
             )
             expect = z2 @ u_free @ expect

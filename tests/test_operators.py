@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from helpers import hermiticity_defect, refined
 
 from xtalksim.model import (
     PAIR,
@@ -20,7 +21,6 @@ from xtalksim.operators import (
     TimeGrid,
     embed,
     expm_hamiltonian,
-    hermiticity_defect,
     kron,
     ordered_product,
     propagate,
@@ -61,8 +61,9 @@ class TestTimeGrid:
 
     def test_halved_doubles_steps(self):
         g = TimeGrid(0.0, 2.0, 7)
-        assert g.halved().n_steps == 14
-        assert g.halved().t_end == g.t_end
+        assert refined(g, 2).n_steps == 14
+        assert refined(g, 2).t_end == g.t_end
+        assert refined(g, 2).boundaries()[::2] == pytest.approx(g.boundaries(), abs=1e-15)
 
     def test_breakpoints_are_step_boundaries(self):
         g = TimeGrid.with_max_step(0.0, 2.0, 0.3, [0.25, 1.0, 1.0 + 1e-12, 5.0, -1.0, 2.0])
@@ -73,7 +74,7 @@ class TestTimeGrid:
         assert edges[[0, 1, 4, 8]] == pytest.approx([0.0, 0.25, 1.0, 2.0], abs=1e-15)
         assert np.diff(edges).max() <= 0.3
         assert g.step == pytest.approx(0.25)
-        halved = g.halved()
+        halved = refined(g, 2)
         assert halved.n_steps == 16
         assert halved.boundaries()[::2] == pytest.approx(edges, abs=1e-15)
 
@@ -303,10 +304,10 @@ class TestPropagate:
         else:
             h_of_t = assemble_hamiltonian(PARAMS, PAIR, DD, XGate(T_M, target=1))
             grid = TimeGrid.with_max_step(0.0, h_of_t.t_end, 0.08, h_of_t.breakpoints)
-            ref = grid.halved().halved().halved().halved().halved()
+            ref = refined(grid, 32)
         u_ref = propagate(h_of_t, ref)
         err = []
-        for g in (grid, grid.halved(), grid.halved().halved()):
+        for g in (grid, refined(grid, 2), refined(grid, 4)):
             err.append(np.abs(propagate(h_of_t, g) - u_ref).max())
         assert err[0] / err[1] == pytest.approx(16.0, rel=0.1)
         assert err[1] / err[2] == pytest.approx(16.0, rel=0.1)

@@ -7,6 +7,7 @@ from xtalksim.model import SystemParams, angular_to_cyclic_mhz, cyclic_mhz_to_an
 from xtalksim.optimize import (
     DEFAULT_GRID_MAX_MHZ,
     DEFAULT_GRID_STEP_MHZ,
+    GammaScan,
     corner_averaged_fidelity,
     default_gamma_grid,
     first_local_minimum,
@@ -16,6 +17,13 @@ from xtalksim.optimize import (
 PARAMS = SystemParams.from_mhz(50.0, 5.0)
 T_M = PARAMS.matched_time()
 STEP = DEFAULT_GRID_STEP_MHZ
+MHZ_GRID = cyclic_mhz_to_angular(1.0) * np.arange(30)
+
+
+def handmade_scan(values, grid=MHZ_GRID):
+    """A scan record of given values, selected as ``scan_gamma`` selects."""
+    values = np.asarray(values, dtype=float)
+    return GammaScan(grid=grid, values=values, minimum_index=first_local_minimum(values))
 
 
 class TestFirstLocalMinimum:
@@ -106,11 +114,6 @@ class TestScanGamma:
             tracemalloc.stop()
         assert peak <= 1.5e6, f"{functional} scan peaked at {peak / 1e6:.2f} MB"
 
-    def test_callable_functional(self):
-        grid = cyclic_mhz_to_angular(1.0) * np.arange(50)
-        scan = scan_gamma(lambda g: (g - grid[17]) ** 2 + 0.5, grid=grid)
-        assert scan.minimum_index == 17
-
     def test_no_minimum_in_short_range(self):
         scan = scan_gamma(
             "fm2-idle", PARAMS, 4, T_M, grid=default_gamma_grid(max_mhz=100.0)
@@ -120,18 +123,23 @@ class TestScanGamma:
         assert scan.gamma_opt_mhz is None
 
     def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            scan_gamma(lambda g: g, grid=np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            scan_gamma(lambda g: g, grid=np.array([0.0, 1.0, 1.5]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least 3"):
+            scan_gamma("fm1", PARAMS, 4, 30.0, grid=np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="uniform"):
+            scan_gamma("fm1", PARAMS, 4, 30.0, grid=np.array([0.0, 1.0, 1.5]))
+        with pytest.raises(ValueError, match="unknown functional"):
             scan_gamma("nope", PARAMS, 4, T_M)
+
+    def test_rejects_bad_cycle_count(self):
+        for functional in ("fm1", "fm2-idle", "fm2-x"):
+            for cycles in (0, -4, 2.5):
+                with pytest.raises(ValueError, match="cycle count"):
+                    scan_gamma(functional, PARAMS, cycles, 30.0)
 
 
 class TestCornerAveraging:
     def quadratic_scan(self):
-        grid = cyclic_mhz_to_angular(1.0) * np.arange(30)
-        return scan_gamma(lambda g: (g - grid[10]) ** 2 + 0.25, grid=grid)
+        return handmade_scan((MHZ_GRID - MHZ_GRID[10]) ** 2 + 0.25)
 
     def test_averages_the_two_neighbors(self):
         scan = self.quadratic_scan()
@@ -148,16 +156,13 @@ class TestCornerAveraging:
         assert np.allclose(avg, [scan.gamma_opt, 2.0 * scan.gamma_opt])
 
     def test_rejects_scan_without_minimum(self):
-        grid = cyclic_mhz_to_angular(1.0) * np.arange(30)
-        scan = scan_gamma(lambda g: -g, grid=grid)
+        scan = handmade_scan(-MHZ_GRID)
         with pytest.raises(ValueError):
             corner_averaged_fidelity(lambda g: 1.0, scan)
 
     def test_zero_lower_corner_is_allowed(self):
         # A minimum right next to zero amplitude averages over {0, 2 dg}.
-        grid = cyclic_mhz_to_angular(1.0) * np.arange(30)
-        values = np.concatenate([[0.5, 0.4], np.linspace(0.45, 2.0, 28)])
-        scan = scan_gamma(lambda g: float(values[np.argmin(np.abs(grid - g))]), grid=grid)
+        scan = handmade_scan(np.concatenate([[0.5, 0.4], np.linspace(0.45, 2.0, 28)]))
         assert scan.minimum_index == 1
         avg = corner_averaged_fidelity(lambda g: g, scan)
         assert avg == pytest.approx(scan.gamma_opt, rel=1e-12)
@@ -165,9 +170,6 @@ class TestCornerAveraging:
     def test_rejects_negative_lower_corner(self):
         # Only reachable with a handcrafted record; grid scans never select
         # an edge point.
-        from xtalksim.optimize import GammaScan
-
-        grid = cyclic_mhz_to_angular(1.0) * np.arange(5)
-        scan = GammaScan(grid=grid, values=np.ones(5), minimum_index=0)
+        scan = GammaScan(grid=MHZ_GRID[:5], values=np.ones(5), minimum_index=0)
         with pytest.raises(ValueError, match="below zero"):
             corner_averaged_fidelity(lambda g: 1.0, scan)
