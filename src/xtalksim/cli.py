@@ -21,8 +21,7 @@ import json
 import math
 import sys
 import traceback
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,24 +151,26 @@ def _gate_time(cfg: dict, params: SystemParams) -> float:
 # simulate
 
 
-SIMULATE_KEYS = {
+# Keys that every scheme reads (``target`` only for gate x), then the keys
+# that only one scheme reads; a config may set only its own scheme's.
+COMMON_KEYS = {
     "topology",
     "delta_mhz",
     "j_mhz",
     "scheme",
-    "cycles",
-    "gamma_mhz",
-    "functional",
-    "single_site",
-    "segments",
-    "width_ns",
     "gate",
     "target",
     "gate_time",
     "repetitions",
-    "corner_average",
     "step_ns",
 }
+SCHEME_KEYS = {
+    "cd": set(),
+    "fm": {"cycles", "gamma_mhz", "functional", "single_site", "corner_average"},
+    "dd": {"segments", "width_ns"},
+    "dd-baseline": {"segments", "width_ns"},
+}
+SIMULATE_KEYS = COMMON_KEYS.union(*SCHEME_KEYS.values())
 
 
 def _resolve_simulation(cfg: dict, step_override: Optional[float]):
@@ -205,19 +206,25 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
     gate_time = _gate_time(cfg, params)
 
     gate_name = _get(cfg, "gate", "idle", str, "a string")
-    target = _positive_int(cfg, "target", 1)
     if gate_name == "idle":
         gate = Idle(gate_time)
     elif gate_name == "x":
-        gate = XGate(gate_time, target=target)
+        gate = XGate(gate_time, target=_positive_int(cfg, "target", 1))
     elif gate_name == "parallel-xx":
         gate = ParallelXX(gate_time)
     else:
         raise ConfigError(f"unknown gate {gate_name!r}; choose idle, x or parallel-xx")
+    if "target" in cfg and gate_name != "x":
+        raise ConfigError(f"key 'target' applies only to gate x, not {gate_name}")
 
     scheme_name = _get(cfg, "scheme", "cd", str, "a string")
-    single_site = _get(cfg, "single_site", False, bool, "a boolean")
-    corner = _get(cfg, "corner_average", False, bool, "a boolean")
+    if scheme_name not in SCHEME_KEYS:
+        raise ConfigError(
+            f"unknown scheme {scheme_name!r}; choose cd, fm, dd or dd-baseline"
+        )
+    unread = set(cfg) - COMMON_KEYS - SCHEME_KEYS[scheme_name]
+    if unread:
+        raise ConfigError(f"scheme {scheme_name} does not read key(s) {', '.join(sorted(unread))}")
     header: List[str] = [
         f"topology = {topo_name}",
         f"delta_mhz = {_fmt(delta_mhz)}",
@@ -229,6 +236,8 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
         run = SchemeRun(CrosstalkOnly())
         header.append("scheme = cd")
     elif scheme_name == "fm":
+        single_site = _get(cfg, "single_site", False, bool, "a boolean")
+        corner = _get(cfg, "corner_average", False, bool, "a boolean")
         cycles = _positive_int(cfg, "cycles", 4)
         gamma_raw = cfg.get("gamma_mhz", "optimize")
         scan = None
@@ -249,6 +258,8 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
             gamma = scan.gamma_opt
             header.append(f"functional = {functional}")
         elif isinstance(gamma_raw, (int, float)) and not isinstance(gamma_raw, bool):
+            if "functional" in cfg:
+                raise ConfigError("key 'functional' requires gamma_mhz = \"optimize\"")
             if not 0 <= gamma_raw < math.inf:
                 raise ConfigError(f"key 'gamma_mhz' must be finite and >= 0, got {gamma_raw}")
             gamma = cyclic_mhz_to_angular(float(gamma_raw))
@@ -266,7 +277,7 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
             f"scheme = fm (cycles = {cycles}, gamma_mhz = {_fmt(angular_to_cyclic_mhz(gamma))}, "
             f"single_site = {str(single_site).lower()}, corner_average = {str(corner).lower()})"
         )
-    elif scheme_name in ("dd", "dd-baseline"):
+    else:
         segments = _positive_int(cfg, "segments", 4)
         width = _positive(cfg, "width_ns", gate_time / (4.0 * segments))
         decoupling = DynamicalDecoupling(
@@ -275,10 +286,6 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
         run = SchemeRun(decoupling)
         header.append(
             f"scheme = {scheme_name} (segments = {segments}, width_ns = {_fmt(width)})"
-        )
-    else:
-        raise ConfigError(
-            f"unknown scheme {scheme_name!r}; choose cd, fm, dd or dd-baseline"
         )
 
     repetitions = _positive_int(cfg, "repetitions", 1)
@@ -302,14 +309,13 @@ def cmd_simulate(args) -> int:
     if (args.preset is None) == (args.config is None):
         raise ConfigError("simulate needs exactly one of --preset or --config")
 
-    map_fn = _make_map(args.threads)
     if args.preset is not None:
         if args.preset not in PRESETS:
             raise ConfigError(
                 f"unknown preset {args.preset!r}; see list-presets for the catalog"
             )
         step = args.step if args.step is not None else DEFAULT_STEP
-        rows = run_preset(args.preset, step=step, map_fn=map_fn)
+        rows = run_preset(args.preset, step=step)
         header = [
             "xtalksim simulate",
             f"preset = {args.preset}",
@@ -328,7 +334,7 @@ def cmd_simulate(args) -> int:
     header = ["xtalksim simulate"] + cfg_header
     if j_grid is not None:
         name = "vs_J"
-        series = sweep_j(params, topology, [run], gate, j_grid, step=step, map_fn=map_fn)[0]
+        series = sweep_j(params, topology, [run], gate, j_grid, step=step)[0]
     else:
         name = "vs_time" if repetitions > 1 else "single"
         series = score_run(params, topology, run, gate, repetitions, step=step)
@@ -541,17 +547,6 @@ def cmd_list_presets(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _make_map(threads: Optional[int]) -> Callable:
-    if threads is None or threads == 1:
-        return map
-
-    def threaded_map(fn, iterable):
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, iterable))
-
-    return threaded_map
-
-
 class _Parser(argparse.ArgumentParser):
     """Argument parser that reports usage errors as ``ConfigError`` (exit code 1)."""
 
@@ -586,9 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="NS",
             help=f"longest integrator step in ns (default {_fmt(DEFAULT_STEP)})",
         )
-    p_sim.add_argument(
-        "--threads", type=int, metavar="N", help="worker threads for independent cells"
-    )
     return parser
 
 
@@ -601,8 +593,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         if getattr(args, "step", None) is not None and not 0 < args.step < math.inf:
             raise ConfigError(f"--step must be positive and finite, got {args.step}")
-        if getattr(args, "threads", None) is not None and args.threads < 1:
-            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         return args.fn(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -276,34 +276,29 @@ def sweep_j(
     j_values_mhz: Optional[Sequence[float]] = None,
     *,
     step: float = DEFAULT_STEP,
-    map_fn: Callable = map,
 ) -> List[FidelitySeries]:
-    """One infidelity series per scheme over a coupling-strength grid.
+    """One single-gate infidelity series per run over a coupling-strength grid.
 
-    Cells are independent (scheme, J) tasks; ``map_fn`` may evaluate them
-    concurrently, and the output ordering does not depend on it.
+    Each (run, J) point is scored by ``score_run`` with the coupling set to J;
+    the series follow the order of ``runs`` and their abscissa is the grid in
+    cyclic MHz, in the order given.
     """
     j_grid = DEFAULT_J_GRID_MHZ if j_values_mhz is None else tuple(j_values_mhz)
     if len(j_grid) == 0:
         raise ValueError("empty J grid")
     if any(j <= 0 for j in j_grid):
         raise ValueError(f"coupling strengths must be positive, got {j_grid}")
-    cells = [(run, j_mhz) for run in runs for j_mhz in j_grid]
-
-    def evaluate(cell) -> float:
-        run, j_mhz = cell
-        p = dataclasses.replace(params, j=cyclic_mhz_to_angular(j_mhz))
-        return score_run(p, topology, run, gate, 1, step=step).infidelities[0]
-
-    flat = list(map_fn(evaluate, cells))
     series = []
-    for i, run in enumerate(runs):
-        block = flat[i * len(j_grid) : (i + 1) * len(j_grid)]
+    for run in runs:
+        values = []
+        for j_mhz in j_grid:
+            p = dataclasses.replace(params, j=cyclic_mhz_to_angular(j_mhz))
+            values.append(score_run(p, topology, run, gate, 1, step=step).infidelities[0])
         series.append(
             FidelitySeries(
                 scheme=run.label,
                 abscissa=np.asarray(j_grid, dtype=float),
-                infidelities=np.asarray(block, dtype=float),
+                infidelities=np.asarray(values, dtype=float),
             )
         )
     return series
@@ -403,52 +398,47 @@ def _sequence_rows(
     gate: GateSpec,
     repetitions: int,
     step: float,
-    map_fn: Callable,
 ) -> List[Row]:
     """One ``repetitions``-gate series per run, as ``vs_time`` rows."""
-    series = map_fn(
-        lambda run: score_run(params, topology, run, gate, repetitions, step=step), runs
-    )
+    series = [score_run(params, topology, run, gate, repetitions, step=step) for run in runs]
     return _series_rows("vs_time", series)
 
 
-def _preset_fig2(step: float, map_fn: Callable) -> List[Row]:
-    gate_times = np.arange(2.0, 60.0 + 0.25, 0.5)
-
-    def cell(t: float) -> float:
-        return run_single_gate(PRESET_PARAMS, PAIR, CrosstalkOnly(), Idle(float(t)), step=step)
-
-    values = list(map_fn(cell, gate_times))
-    return [("vs_gate_time", "CD", float(t), float(v)) for t, v in zip(gate_times, values)]
+def _preset_fig2(step: float) -> List[Row]:
+    rows: List[Row] = []
+    for t in np.arange(2.0, 60.0 + 0.25, 0.5):
+        value = run_single_gate(PRESET_PARAMS, PAIR, CrosstalkOnly(), Idle(float(t)), step=step)
+        rows.append(("vs_gate_time", "CD", float(t), value))
+    return rows
 
 
-def _preset_fig3b(step: float, map_fn: Callable) -> List[Row]:
+def _preset_fig3b(step: float) -> List[Row]:
     runs = _fm_runs(PRESET_PARAMS, T_M, "fm2-idle", corner=True)
-    series = sweep_j(PRESET_PARAMS, PAIR, runs, Idle(T_M), step=step, map_fn=map_fn)
+    series = sweep_j(PRESET_PARAMS, PAIR, runs, Idle(T_M), step=step)
     return _series_rows("vs_J", series)
 
 
-def _preset_fig3c(step: float, map_fn: Callable) -> List[Row]:
+def _preset_fig3c(step: float) -> List[Row]:
     runs = _fm_runs(PRESET_PARAMS, T_M, "fm2-idle", corner=True)
-    return _sequence_rows(PRESET_PARAMS, PAIR, runs, Idle(T_M), 20, step, map_fn)
+    return _sequence_rows(PRESET_PARAMS, PAIR, runs, Idle(T_M), 20, step)
 
 
-def _preset_fig4a(step: float, map_fn: Callable) -> List[Row]:
+def _preset_fig4a(step: float) -> List[Row]:
     scan = cached_scan("fm2-x", PRESET_PARAMS, 4, T_M)
     scheme = FrequencyModulation(cycles=4, gamma=scan.gamma_opt)
     h = assemble_hamiltonian(PRESET_PARAMS, PAIR, scheme, _X1(T_M), fm_frame="operation")
     return _waveform_rows(h)
 
 
-def _preset_fig4b(step: float, map_fn: Callable) -> List[Row]:
+def _preset_fig4b(step: float) -> List[Row]:
     runs = _fm_runs(PRESET_PARAMS, T_M, "fm2-x")
-    series = sweep_j(PRESET_PARAMS, PAIR, runs, _X1(T_M), step=step, map_fn=map_fn)
+    series = sweep_j(PRESET_PARAMS, PAIR, runs, _X1(T_M), step=step)
     return _series_rows("vs_J", series)
 
 
-def _preset_fig4c(step: float, map_fn: Callable) -> List[Row]:
+def _preset_fig4c(step: float) -> List[Row]:
     runs = _fm_runs(PRESET_PARAMS, T_M, "fm2-x")
-    return _sequence_rows(PRESET_PARAMS, PAIR, runs, _X1(T_M), 21, step, map_fn)
+    return _sequence_rows(PRESET_PARAMS, PAIR, runs, _X1(T_M), 21, step)
 
 
 def _dd_preset(
@@ -456,16 +446,13 @@ def _dd_preset(
     gate_factory: Callable[[float], GateSpec],
     repetitions: int,
     step: float,
-    map_fn: Callable,
 ) -> List[Row]:
     decoupling = DynamicalDecoupling(segments=4, width=T_M / 16.0)
     gate = gate_factory(T_M)
     runs = [SchemeRun(dataclasses.replace(decoupling, pulses=False)), SchemeRun(decoupling)]
     rows = _waveform_rows(assemble_hamiltonian(PRESET_PARAMS, topology, decoupling, gate))
-    rows += _series_rows(
-        "vs_J", sweep_j(PRESET_PARAMS, topology, runs, gate, step=step, map_fn=map_fn)
-    )
-    rows += _sequence_rows(PRESET_PARAMS, topology, runs, gate, repetitions, step, map_fn)
+    rows += _series_rows("vs_J", sweep_j(PRESET_PARAMS, topology, runs, gate, step=step))
+    rows += _sequence_rows(PRESET_PARAMS, topology, runs, gate, repetitions, step)
     return rows
 
 
@@ -475,7 +462,6 @@ def _fm_preset(
     functional: str,
     repetitions: int,
     step: float,
-    map_fn: Callable,
     *,
     corner: bool = False,
     single_site: bool = False,
@@ -486,10 +472,8 @@ def _fm_preset(
     rows = _waveform_rows(
         assemble_hamiltonian(PRESET_PARAMS, topology, runs[1].scheme, gate, fm_frame="operation")
     )
-    rows += _series_rows(
-        "vs_J", sweep_j(PRESET_PARAMS, topology, runs, gate, step=step, map_fn=map_fn)
-    )
-    rows += _sequence_rows(PRESET_PARAMS, topology, runs, gate, repetitions, step, map_fn)
+    rows += _series_rows("vs_J", sweep_j(PRESET_PARAMS, topology, runs, gate, step=step))
+    rows += _sequence_rows(PRESET_PARAMS, topology, runs, gate, repetitions, step)
     return rows
 
 
@@ -500,21 +484,19 @@ def _scan_table(functional: str, params: SystemParams, gate_time: float) -> List
     return rows
 
 
-def _scan_preset(functional: str, step: float, map_fn: Callable) -> List[Row]:
+def _scan_preset(functional: str, step: float) -> List[Row]:
     return _scan_table(functional, PRESET_PARAMS, T_M)
 
 
-def _preset_fig16(step: float, map_fn: Callable) -> List[Row]:
+def _preset_fig16(step: float) -> List[Row]:
     # Unmatched, so first-order averaging fails on its own: the amplitude
     # minimizes the first-order residual instead.
     t_gate = 3.0 * PRESET_PARAMS.t_delta
     gate = _X1(t_gate)
     runs = _fm_runs(PRESET_PARAMS, t_gate, "fm1")
     rows = _scan_table("fm1", PRESET_PARAMS, t_gate)
-    rows += _series_rows(
-        "vs_J", sweep_j(PRESET_PARAMS, PAIR, runs, gate, step=step, map_fn=map_fn)
-    )
-    rows += _sequence_rows(PRESET_PARAMS, PAIR, runs, gate, 15, step, map_fn)
+    rows += _series_rows("vs_J", sweep_j(PRESET_PARAMS, PAIR, runs, gate, step=step))
+    rows += _sequence_rows(PRESET_PARAMS, PAIR, runs, gate, 15, step)
     return rows
 
 
@@ -522,7 +504,7 @@ def _preset_fig16(step: float, map_fn: Callable) -> List[Row]:
 class Preset:
     name: str
     description: str
-    build: Callable[[float, Callable], List[Row]]
+    build: Callable[[float], List[Row]]
 
 
 PRESETS: Dict[str, Preset] = {
@@ -551,12 +533,10 @@ PRESETS: Dict[str, Preset] = {
 }
 
 
-def run_preset(
-    name: str, *, step: float = DEFAULT_STEP, map_fn: Callable = map
-) -> List[Row]:
+def run_preset(name: str, *, step: float = DEFAULT_STEP) -> List[Row]:
     """Build a preset's rows, sorted canonically by (series, scheme, abscissa)."""
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
-    rows = PRESETS[name].build(step, map_fn)
+    rows = PRESETS[name].build(step)
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
     return rows

@@ -1,11 +1,12 @@
 """Drive and modulation waveforms.
 
 All waveforms are value types: frozen dataclasses with a vectorized
-``sample`` method returning the control amplitude in rad/ns at a time in ns.
-Samples outside a waveform's support are zero, so assemblies can evaluate
-them on any grid without bounds bookkeeping.  ``kinks`` lists the times
-where a waveform is not smooth (its value or a derivative jumps); between
-them it is analytic, which the propagator's step grids rely on.
+``sample`` method returning the control amplitudes in rad/ns, as an array
+shaped like the times (ns) it is given.  Samples outside a waveform's
+support are zero, so assemblies can evaluate them on any grid without
+bounds bookkeeping.  ``kinks`` lists the times where a waveform is not
+smooth (its value or a derivative jumps); between them it is analytic,
+which the propagator's step grids rely on.
 """
 
 from __future__ import annotations
@@ -21,11 +22,6 @@ __all__ = [
     "NascentDeltaTrain",
     "SegmentedDrive",
 ]
-
-
-def _as_times(t):
-    arr = np.asarray(t, dtype=float)
-    return arr, arr.ndim == 0
 
 
 @dataclass(frozen=True)
@@ -48,10 +44,9 @@ class SineEnvelopeDrive:
         return cls(amplitude=math.pi**2 / (4.0 * duration), duration=duration)
 
     def sample(self, t):
-        tt, scalar = _as_times(t)
+        tt = np.asarray(t, dtype=float)
         inside = (tt >= 0.0) & (tt <= self.duration)
-        val = np.where(inside, self.amplitude * np.sin(np.pi * tt / self.duration), 0.0)
-        return float(val) if scalar else val
+        return np.where(inside, self.amplitude * np.sin(np.pi * tt / self.duration), 0.0)
 
     def kinks(self) -> tuple[float, ...]:
         """The edges of the support, where the slope jumps."""
@@ -83,16 +78,14 @@ class FmZModulation:
             raise ValueError(f"modulation duration must be positive, got {self.duration}")
 
     def sample(self, t):
-        tt, scalar = _as_times(t)
-        val = self.gamma * np.sin(2.0 * np.pi * self.cycles * tt / self.duration)
-        return float(val) if scalar else val
+        tt = np.asarray(t, dtype=float)
+        return self.gamma * np.sin(2.0 * np.pi * self.cycles * tt / self.duration)
 
     def phase(self, t):
         """Accumulated phase ``alpha(t)``, the running integral of the waveform."""
-        tt, scalar = _as_times(t)
+        tt = np.asarray(t, dtype=float)
         coeff = self.gamma * self.duration / (np.pi * self.cycles)
-        val = coeff * np.sin(np.pi * self.cycles * tt / self.duration) ** 2
-        return float(val) if scalar else val
+        return coeff * np.sin(np.pi * self.cycles * tt / self.duration) ** 2
 
     def kinks(self) -> tuple[float, ...]:
         """The window edges; the waveform and its phase are smooth everywhere."""
@@ -123,13 +116,12 @@ class NascentDeltaTrain:
             )
 
     def sample(self, t):
-        tt, scalar = _as_times(t)
+        tt = np.asarray(t, dtype=float)
         # Pulses do not overlap (w < interval), so only the nearest center matters.
         s = np.clip(np.round(tt / self.interval), 1, self.segments)
         u = tt - s * self.interval
         inside = np.abs(u) <= 0.5 * self.width
-        val = np.where(inside, (np.pi / (2.0 * self.width)) * np.cos(np.pi * u / self.width), 0.0)
-        return float(val) if scalar else val
+        return np.where(inside, (np.pi / (2.0 * self.width)) * np.cos(np.pi * u / self.width), 0.0)
 
     def kinks(self) -> tuple[float, ...]:
         """Both edges of every pulse, ``s * interval -+ width / 2``."""
@@ -180,7 +172,7 @@ class SegmentedDrive:
         )
 
     def sample(self, t):
-        tt, scalar = _as_times(t)
+        tt = np.asarray(t, dtype=float)
         s = np.floor(tt / self.interval).astype(int) + 1
         gap = self.interval - self.width
         center = (s - 0.5) * self.interval
@@ -190,8 +182,7 @@ class SegmentedDrive:
             & (s <= self.segments)
             & (np.abs(tt - center) <= 0.5 * gap)
         )
-        val = np.where(inside, self.amplitude * np.cos(np.pi * (tt - center) / gap), 0.0)
-        return float(val) if scalar else val
+        return np.where(inside, self.amplitude * np.cos(np.pi * (tt - center) / gap), 0.0)
 
     def kinks(self) -> tuple[float, ...]:
         """Both edges of every burst, clear of the pulse windows by ``width / 2``."""

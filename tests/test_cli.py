@@ -60,6 +60,7 @@ class TestUsage:
             ["verify", "--config", cfg],
             ["verify", "--threads", "3"],
             ["list-presets", "--out", str(tmp_path / "y.csv")],
+            ["simulate", "--preset", "fig2", "--step", "0.2", "--threads", "2"],
         ]
         for argv in ignored:
             assert main(argv) == EXIT_VALIDATION, argv
@@ -85,19 +86,6 @@ class TestSimulate:
         text = a.decode("utf-8")
         assert text.startswith("# xtalksim simulate")
         assert "series,scheme,abscissa,value" in text
-
-    def test_threads_do_not_change_output(self, tmp_path):
-        seq, par = str(tmp_path / "seq.csv"), str(tmp_path / "par.csv")
-        base = ["simulate", "--preset", "fig2", "--step", "0.2"]
-        assert main(base + ["--out", seq]) == EXIT_OK
-        assert main(base + ["--threads", "4", "--out", par]) == EXIT_OK
-        assert open(seq, "rb").read() == open(par, "rb").read()
-
-    @pytest.mark.parametrize("threads", ["0", "-3"])
-    def test_rejects_thread_count_below_one(self, threads, capsys):
-        argv = ["simulate", "--preset", "fig2", "--step", "0.2", "--threads", threads]
-        assert main(argv) == EXIT_VALIDATION
-        assert "--threads" in capsys.readouterr().err
 
     def test_config_single_point(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scheme": "cd", "gate": "idle"})
@@ -134,6 +122,39 @@ class TestSimulate:
             cfg = write_config(tmp_path, payload)
             assert main(["simulate", "--config", cfg]) == EXIT_VALIDATION, payload
             assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "payload, keys",
+        [
+            ({"scheme": "dd", "corner_average": True}, ["corner_average"]),
+            ({"scheme": "cd", "single_site": True, "cycles": 6}, ["cycles", "single_site"]),
+            ({"scheme": "dd-baseline", "gamma_mhz": 100.0}, ["gamma_mhz"]),
+            ({"scheme": "cd", "functional": "fm1"}, ["functional"]),
+            ({"scheme": "fm", "gamma_mhz": 100, "functional": "fm1"}, ["functional"]),
+            ({"scheme": "fm", "gamma_mhz": 100, "segments": 8}, ["segments"]),
+            ({"scheme": "cd", "width_ns": 1.0}, ["width_ns"]),
+            ({"scheme": "cd", "gate": "idle", "target": 1}, ["target"]),
+            ({"scheme": "dd", "gate": "parallel-xx", "target": 2}, ["target"]),
+        ],
+        ids=[
+            "dd-corner_average",
+            "cd-single_site-cycles",
+            "dd-baseline-gamma_mhz",
+            "cd-functional",
+            "fm-explicit-gamma-functional",
+            "fm-segments",
+            "cd-width_ns",
+            "idle-target",
+            "parallel-xx-target",
+        ],
+    )
+    def test_rejects_keys_the_run_does_not_read(self, tmp_path, capsys, payload, keys):
+        cfg = write_config(tmp_path, payload)
+        assert main(["simulate", "--config", cfg]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        for key in keys:
+            assert key in err
 
     def test_internal_error_is_not_invalid_config(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

@@ -223,19 +223,6 @@ class TestSweepJ:
         with pytest.raises(ValueError):
             sweep_j(PARAMS, PAIR, self.runs(), Idle(T_M), [5.0, -1.0], step=0.05)
 
-    def test_threaded_map_matches_sequential(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        j_grid = [2.0, 5.0, 8.0]
-        seq = sweep_j(PARAMS, PAIR, self.runs(), Idle(T_M), j_grid, step=0.05)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            par = sweep_j(
-                PARAMS, PAIR, self.runs(), Idle(T_M), j_grid, step=0.05,
-                map_fn=lambda f, it: list(pool.map(f, it)),
-            )
-        assert seq[0].abscissa.tolist() == par[0].abscissa.tolist()
-        assert seq[0].infidelities.tolist() == par[0].infidelities.tolist()
-
     def test_infidelity_grows_with_coupling(self):
         series = sweep_j(PARAMS, PAIR, self.runs(), Idle(T_M), [1.0, 5.0, 10.0], step=0.05)[0]
         assert np.all(np.diff(series.infidelities) > 0.0)
