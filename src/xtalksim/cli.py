@@ -250,6 +250,7 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
                 raise ConfigError(
                     f"unknown functional {functional!r}; choose from {', '.join(FUNCTIONALS)}"
                 )
+            # The scan's own errors are internal: they propagate to exit 4.
             scan = cached_scan(functional, params, cycles, gate_time)
             if not scan.found:
                 raise ConfigError(
@@ -280,9 +281,12 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
     else:
         segments = _positive_int(cfg, "segments", 4)
         width = _positive(cfg, "width_ns", gate_time / (4.0 * segments))
-        decoupling = DynamicalDecoupling(
-            segments=segments, width=width, pulses=scheme_name == "dd"
-        )
+        try:
+            decoupling = DynamicalDecoupling(
+                segments=segments, width=width, pulses=scheme_name == "dd"
+            )
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         run = SchemeRun(decoupling)
         header.append(
             f"scheme = {scheme_name} (segments = {segments}, width_ns = {_fmt(width)})"
@@ -292,8 +296,11 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
     if j_grid is not None and repetitions > 1:
         raise ConfigError("choose a J grid or repeated gates, not both")
     # Build once what the run builds, so that model validation fails here.
-    assemble_hamiltonian(params, topology, run.scheme, gate, repetitions=repetitions)
-    _sequence_counts(gate, repetitions)
+    try:
+        assemble_hamiltonian(params, topology, run.scheme, gate, repetitions=repetitions)
+        _sequence_counts(gate, repetitions)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
     step = step_override if step_override is not None else _positive(cfg, "step_ns", DEFAULT_STEP)
     if j_grid is not None:
@@ -326,10 +333,7 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
 
     cfg = _load_config(args.config)
-    try:
-        resolved = _resolve_simulation(cfg, args.step)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    resolved = _resolve_simulation(cfg, args.step)
     params, topology, run, gate, j_grid, repetitions, step, cfg_header = resolved
     header = ["xtalksim simulate"] + cfg_header
     if j_grid is not None:

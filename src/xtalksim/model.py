@@ -53,7 +53,10 @@ forming dense samples.  Since [H_2, H_1] = sum_{k<l} (c2_k c1_l - c2_l c1_k)
               + sum_{k<l} (sqrt(3) h^2 / 12) (c2_k c1_l - c2_l c1_k) (-i [M_k, M_l]),
 
 one real contraction per block, and the steps match ``operators.propagate``
-on the dense assembly to roundoff.
+on the dense assembly to roundoff.  The distinct blocks of one dimension
+propagate as one stack: per chunk, ``operators.advance`` exponentiates their
+``(n, B, d, d)`` generators (time index first) in one call and multiplies them
+out in one product tree, with 1x1 and 2x2 steps multiplied elementwise.
 
 Qubits are labeled 1..n; qubit 2 is the shared (modulated/pulsed) qubit in
 both shipped layouts, ``PAIR`` and ``STAR``.
@@ -466,7 +469,8 @@ class SymmetryBlocks:
     def propagate(self, grid: TimeGrid) -> np.ndarray:
         """Full-space propagator over ``grid``, each distinct block propagated once.
 
-        Steps are built in term space (module docstring); blocks without
+        Steps are built in term space, and the distinct blocks of one
+        dimension advance as one stack (module docstring); blocks without
         terms stay the identity.
 
         Raises
@@ -475,19 +479,26 @@ class SymmetryBlocks:
             For a complex coefficient or a non-Hermitian sample, naming the
             time.
         """
-        units = [np.eye(b.dim, dtype=complex) for b, _ in self.blocks]
+        stacks: dict[int, list[int]] = {}
+        for i, (block, _) in enumerate(self.blocks):
+            if block.terms:
+                stacks.setdefault(block.dim, []).append(i)
+        units = {i: np.eye(b.dim, dtype=complex) for i, (b, _) in enumerate(self.blocks)}
         for widths, times in gauss_nodes(grid, CHUNK):
             coefficients = self.hamiltonian.coefficients(times)
             if not self.hermitian_terms:
                 check_hermitian(self.hamiltonian.combine(coefficients), times)
             c1, c2 = coefficients[: widths.size], coefficients[widths.size :]
-            for i, (block, _) in enumerate(self.blocks):
-                if block.terms:
-                    units[i] = advance(units[i], block.generators(c1, c2, widths))
+            for members in stacks.values():
+                generators = np.stack(
+                    [self.blocks[i][0].generators(c1, c2, widths) for i in members], axis=1
+                )
+                stack = np.stack([units[i] for i in members])
+                units.update(zip(members, advance(stack, generators)))
         u = np.zeros((self.hamiltonian.dim,) * 2, dtype=complex)
-        for (_, copies), u_block in zip(self.blocks, units):
-            for idx in copies:
-                u[np.ix_(idx, idx)] = u_block
+        for (_, copies), unit in zip(self.blocks, units.values()):
+            rows = np.array(copies)
+            u[rows[:, :, None], rows[:, None, :]] = unit
         return u if self.basis is None else self.basis @ u @ self.basis.T
 
 
@@ -496,17 +507,17 @@ def _neighbors(topology: Topology) -> list[int]:
 
 
 def _neighbors_interchangeable(topology: Optional[Topology], mats: np.ndarray) -> bool:
-    """True when every matrix commutes with each swap of two neighbors."""
+    """True when every matrix commutes with each swap of two adjacent
+    neighbors; these swaps generate every permutation of the neighbors."""
     neighbors = [] if topology is None else _neighbors(topology)
     if len(neighbors) < 2:
         return False
     labels = np.arange(topology.dim).reshape((2,) * topology.n_qubits)
     tol = 1e-12 * np.abs(mats).max(initial=0.0)
-    for i, p in enumerate(neighbors):
-        for q in neighbors[i + 1 :]:
-            perm = labels.swapaxes(p - 1, q - 1).reshape(-1)
-            if np.abs(mats[:, perm[:, None], perm] - mats).max(initial=0.0) > tol:
-                return False
+    for p, q in zip(neighbors, neighbors[1:]):
+        perm = labels.swapaxes(p - 1, q - 1).reshape(-1)
+        if np.abs(mats[:, perm[:, None], perm] - mats).max(initial=0.0) > tol:
+            return False
     return True
 
 
@@ -521,8 +532,11 @@ def _dicke_basis(topology: Topology) -> np.ndarray:
     """
     neighbors = _neighbors(topology)
     m = len(neighbors)
-    raising = sum(embed(SIGMA_PLUS, q, m) for q in range(1, m + 1)).real
-    excitations = np.array([bin(i).count("1") for i in range(2**m)])
+    states = np.arange(2**m)
+    excitations = sum((states >> bit) & 1 for bit in range(m))
+    flips = states[:, None] ^ states
+    # <i|raising|j> = 1 where i and j differ in one bit, set in i (so i > j).
+    raising = (((flips & (flips - 1)) == 0) & (states[:, None] > states)).astype(float)
     columns = []
     for k in range(m // 2 + 1):
         here = np.flatnonzero(excitations == k)
@@ -546,12 +560,13 @@ def _dicke_basis(topology: Topology) -> np.ndarray:
 
 
 def _components(pattern: np.ndarray) -> list[np.ndarray]:
-    """Index sets of the connected components of a square boolean pattern."""
+    """Index sets of a square boolean pattern's connected components, by least index."""
     reach = (pattern | pattern.T | np.eye(len(pattern), dtype=bool)).astype(float)
     # After k squarings, reach covers every path of up to 2**k edges.
     for _ in range(max(len(pattern) - 1, 1).bit_length()):
         reach = (reach @ reach > 0).astype(float)
-    return sorted((np.flatnonzero(row) for row in np.unique(reach, axis=0)), key=lambda i: i[0])
+    first = reach.argmax(axis=1)  # the least index of each index's component
+    return [np.flatnonzero(first == f) for f in np.unique(first)]
 
 
 def _flip_flop(topology: Topology) -> np.ndarray:
@@ -736,16 +751,15 @@ def assemble_hamiltonian(
 
 
 def target_unitary(gate: GateSpec, topology: Topology, repetitions: int = 1) -> np.ndarray:
-    """Ideal propagator of ``repetitions`` consecutive gates."""
+    """Ideal propagator of ``repetitions`` consecutive gates, exact: k X gates,
+    each exp(-i pi/2 X) = -i X, apply (-i)^k X^k to their target."""
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     targets = _x_target_labels(gate, topology)
-    single = np.eye(topology.dim, dtype=complex)
-    for q in targets:
-        single = single @ expm_hamiltonian(
-            embed(SIGMA_X, q, topology.n_qubits), math.pi / 2.0
-        )
-    return np.linalg.matrix_power(single, repetitions)
+    x = SIGMA_X if repetitions % 2 else IDENTITY
+    factors = [x if q in targets else IDENTITY for q in range(1, topology.n_qubits + 1)]
+    phase = (1.0, -1j, -1.0, 1j)[repetitions * len(targets) % 4]
+    return phase * kron(*factors)
 
 
 def static_frame_reference(params: SystemParams, topology: Topology, t: float) -> np.ndarray:

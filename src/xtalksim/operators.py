@@ -24,8 +24,8 @@ exponential takes one too.  So propagators are unitary to machine precision
 at any step size.
 
 ``propagate`` samples the dense ``(n, d, d)`` Hamiltonian.  Production runs
-build the same steps in term space, block by block (``SymmetryBlocks`` in
-``model``), and ``propagate`` on the full assembly is their oracle.
+build the same steps in term space, in stacks of blocks (``model`` docstring);
+``propagate`` on the full assembly is their oracle.
 """
 
 from __future__ import annotations
@@ -301,20 +301,30 @@ def _newton_schulz(u: np.ndarray) -> np.ndarray:
 def ordered_product(mats: np.ndarray) -> np.ndarray:
     """Time-ordered product ``mats[-1] @ ... @ mats[1] @ mats[0]``.
 
-    ``mats`` is a stack ``(n, d, d)`` with index increasing in time.  The
-    product is taken pairwise (a balanced tree), which keeps the Python-level
-    loop at O(log n) batched matmuls.
+    ``mats`` is ``(n, ..., d, d)``, index n increasing in time, and the
+    result ``(..., d, d)``: one product per stack entry.  It is taken pairwise
+    (a balanced tree), which keeps the Python-level loop at O(log n) batched
+    products; 1x1 and 2x2 ones are elementwise, free of matmul's per-matrix cost.
     """
     m = np.asarray(mats)
-    if m.ndim != 3:
-        raise ValueError(f"expected a stack of matrices, got shape {m.shape}")
+    if m.ndim < 3 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
+    entrywise = m.shape[-1] <= 2
+    if entrywise:
+        m = np.moveaxis(m, (-2, -1), (1, 2))
+    multiply = _entrywise_matmul if entrywise else np.matmul
     while m.shape[0] > 1:
         k = m.shape[0] // 2
-        combined = np.matmul(m[1 : 2 * k : 2], m[0 : 2 * k : 2])
+        combined = multiply(m[1 : 2 * k : 2], m[0 : 2 * k : 2])
         if m.shape[0] % 2:
             combined = np.concatenate([combined, m[-1:]])
         m = combined
-    return m[0]
+    return np.moveaxis(m[0], (0, 1), (-2, -1)) if entrywise else m[0]
+
+
+def _entrywise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for ``(k, d, d, ...)`` stacks, as d elementwise products."""
+    return sum(a[:, :, j, None] * b[:, None, j] for j in range(a.shape[1]))
 
 
 def _sample_hamiltonian(h_of_t, times: np.ndarray) -> np.ndarray:
@@ -362,8 +372,9 @@ def gauss_nodes(grid: TimeGrid, chunk: int):
 def advance(u: np.ndarray, generators: np.ndarray) -> np.ndarray:
     """``u`` carried through the steps ``exp(-i G_n)`` of one chunk.
 
-    ``generators`` is the ``(n, d, d)`` stack of Hermitian G_n = h H_eff in
-    time order.  They are exponentiated in one call, multiplied out and
+    ``generators`` is the ``(n, ..., d, d)`` array of Hermitian G_n = h H_eff,
+    time index first, and ``u`` the matching ``(..., d, d)`` propagators.
+    The steps are exponentiated in one call, multiplied out and
     re-unitarized by one Newton-Schulz step (see the module docstring).
     """
     return _newton_schulz(ordered_product(expm_hamiltonian(generators, 1.0)) @ u)

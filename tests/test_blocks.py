@@ -19,6 +19,7 @@ from xtalksim.model import (
     XGate,
     assemble_hamiltonian,
 )
+from xtalksim import operators
 from xtalksim.operators import CHUNK, SIGMA_Z, TimeGrid, embed, propagate, unitarity_defect
 
 PARAMS = SystemParams.from_mhz(50.0, 5.0)
@@ -137,6 +138,35 @@ class TestTermSpace:
         blocks = assemble_hamiltonian(PARAMS, topology, CrosstalkOnly(), Idle(T_M)).blocks()
         empty = [b for b, _ in blocks.blocks if not b.terms]
         assert [b.dim for b in empty] == [1]
+
+
+class TestStacks:
+    @pytest.mark.parametrize(
+        "scheme, layout, calls",
+        [
+            (CrosstalkOnly(), "1x12 2x2 2x2 2x6", 1),
+            (DD, "1x6 2x2 2x2 1x6 2x6", 2),
+        ],
+        ids=["cd", "dd"],
+    )
+    def test_one_exponential_per_dimension(self, monkeypatch, scheme, layout, calls):
+        # Distinct blocks of one dimension advance as one stack: a one-chunk
+        # star idle exponentiates once per dimension that carries terms.
+        counted = []
+
+        def counting(h, dt):
+            counted.append(h.shape)
+            return original(h, dt)
+
+        original = operators.expm_hamiltonian
+        monkeypatch.setattr(operators, "expm_hamiltonian", counting)
+        h = assemble_hamiltonian(PARAMS, STAR, scheme, Idle(T_M))
+        blocks = h.blocks()
+        assert blocks.layout == layout
+        grid = TimeGrid.with_max_step(0.0, h.t_end, STEP, h.breakpoints)
+        assert grid.n_steps <= CHUNK
+        blocks.propagate(grid)
+        assert len(counted) == calls
 
 
 class TestComplexCoefficients:

@@ -117,6 +117,10 @@ class TestSimulate:
             {"scheme": "dd", "segments": 4.2},
             {"gate": "x", "target": 1.5},
             {"j_mhz": float("nan")},
+            {"scheme": "dd", "width_ns": 5.0},
+            {"scheme": "dd", "segments": 6.0, "width_ns": 4.0},
+            {"scheme": "dd", "segments": 5},
+            {"scheme": "fm", "gamma_mhz": 100.0, "gate": "x", "target": 2},
         ]
         for payload in cases:
             cfg = write_config(tmp_path, payload)
@@ -175,6 +179,24 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "Traceback" in err
         assert "ValueError: internal failure" in err
+        assert not err.startswith("error:")
+
+    def test_internal_scan_error_exits_internal(self, tmp_path, monkeypatch, capsys):
+        # The amplitude scan runs while the config is resolved; its own
+        # failures are internal errors, not invalid configs.
+        def broken(*args, **kwargs):
+            raise ValueError("internal numerical failure")
+
+        monkeypatch.setattr("xtalksim.optimize.epsilon_fm2_idle", broken)
+        monkeypatch.setattr("xtalksim.experiments._SCAN_CACHE", {})
+        cfg = write_config(
+            tmp_path,
+            {"topology": "pair", "scheme": "fm", "cycles": 4, "gamma_mhz": "optimize", "gate": "idle"},
+        )
+        assert entry(["simulate", "--config", cfg]) == EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "ValueError: internal numerical failure" in err
         assert not err.startswith("error:")
 
     def test_malformed_json_names_location(self, tmp_path, capsys):

@@ -26,6 +26,7 @@ from xtalksim.operators import (
     TimeGrid,
     embed,
     expm_hamiltonian,
+    kron,
     propagate,
 )
 
@@ -278,6 +279,23 @@ class TestReferences:
         # Repetitions compose the single-gate target.
         assert np.allclose(
             target_unitary(XGate(20.0), PAIR, repetitions=3), np.linalg.matrix_power(x1, 3)
+        )
+
+    def test_target_unitaries_are_exact(self):
+        # exp(-i pi/2 X) = -i X, so every ideal gate has entries 0, +-1, +-i.
+        x, eye = SIGMA_X, np.eye(2)
+        np.testing.assert_array_equal(
+            target_unitary(XGate(20.0, target=1), PAIR), -1j * kron(x, eye)
+        )
+        np.testing.assert_array_equal(target_unitary(ParallelXX(20.0), PAIR), -kron(x, x))
+        np.testing.assert_array_equal(
+            target_unitary(XGate(20.0), PAIR, repetitions=3), 1j * kron(x, eye)
+        )
+        np.testing.assert_array_equal(
+            target_unitary(XGate(20.0, target=2), STAR), -1j * kron(eye, x, eye, eye, eye)
+        )
+        np.testing.assert_array_equal(
+            target_unitary(Idle(20.0), STAR, repetitions=4), np.eye(32)
         )
 
     def test_driven_gate_hits_target(self):

@@ -239,16 +239,25 @@ class TestExpm:
 class TestOrderedProduct:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33])
     def test_matches_sequential(self, n):
+        # Plain (n, d, d) stacks, and (n, B, d, d) ones whose B products are
+        # independent; d <= 2 takes the entrywise path, d = 3 matmul.
         rng = np.random.default_rng(n)
-        mats = rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3))
-        expect = np.eye(3, dtype=complex)
-        for m in mats:
-            expect = m @ expect
-        assert np.allclose(ordered_product(mats), expect, atol=1e-12)
+        for shape in [(3,), (1, 1), (3, 1), (1, 2), (3, 2), (1, 3), (3, 3)]:
+            *stack, d = shape
+            mats = rng.normal(size=(n, *stack, d, d)) + 1j * rng.normal(size=(n, *stack, d, d))
+            product = ordered_product(mats)
+            assert product.shape == (*stack, d, d)
+            for b in np.ndindex(*stack):
+                expect = np.eye(d, dtype=complex)
+                for m in mats[(slice(None), *b)]:
+                    expect = m @ expect
+                assert np.allclose(product[b], expect, atol=1e-12), shape
 
     def test_rejects_flat_input(self):
         with pytest.raises(ValueError):
             ordered_product(np.eye(3))
+        with pytest.raises(ValueError, match="square"):
+            ordered_product(np.zeros((4, 2, 3)))
 
 
 class TestPropagate:
