@@ -87,16 +87,21 @@ def _write_csv(out: Optional[str], header: Sequence[str], rows: Sequence[Row]) -
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ConfigError(f"cannot write {out}: {e.strerror}")
 
 
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}")
+    except OSError as e:
+        raise ConfigError(f"cannot read config {path}: {e.strerror}")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {e.start})")
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}:{e.lineno}:{e.colno}: {e.msg}")
     if not isinstance(cfg, dict):

@@ -163,36 +163,38 @@ def run_sequence(
     Scored after each whole gate, at k T plus any trailing half pulse
     (decoupling runs extend half a pulse width so the last pulse completes).
     At a matched duration the assembled Hamiltonian is periodic, so the run
-    needs only the first-window and steady-window propagators; otherwise
-    each gate window is propagated separately and composed in order.
+    needs only the steady-window propagator and, with a tail, the head before
+    it; otherwise each gate window is propagated separately and composed.
     """
     counts = _sequence_counts(gate, repetitions)
     h = assemble_hamiltonian(params, topology, scheme, gate, repetitions=repetitions)
-    t_gate, tail = h.gate_time, h.tail
-
-    unitaries = _windowed_propagators(h, repetitions, step)
-    wanted = set(int(k) for k in counts)
-    infidelities = np.empty(counts.size, dtype=float)
-    u = None
-    slot = 0
-    for k, u_window in enumerate(unitaries, start=1):
-        u = u_window if u is None else u_window @ u
-        if k in wanted:
-            fidelity = gate_fidelity(u, target_unitary(gate, topology, repetitions=k))
-            infidelities[slot] = 1.0 - fidelity
-            slot += 1
     return FidelitySeries(
         scheme=scheme_label(scheme),
-        abscissa=counts * t_gate + tail,
-        infidelities=infidelities,
+        abscissa=counts * h.gate_time + h.tail,
+        infidelities=_infidelities(h, gate, step)[0],
         counts=counts,
     )
 
 
-def _windowed_propagators(h, repetitions: int, step: float):
+def _infidelities(h: AssembledHamiltonian, gate: GateSpec, step: float) -> np.ndarray:
+    """Infidelity after each scored gate count of ``h``, one row per coupling
+    of its stack: shape ``(C, counts)``."""
+    wanted = set(_sequence_counts(gate, h.repetitions).tolist())
+    columns = []
+    u = None
+    for k, u_window in enumerate(_windowed_propagators(h, step), start=1):
+        u = u_window if u is None else u_window @ u
+        if k in wanted:
+            ideal = target_unitary(gate, h.topology, repetitions=k)
+            columns.append([1.0 - gate_fidelity(v, ideal) for v in u])
+    return np.array(columns).T
+
+
+def _windowed_propagators(h: AssembledHamiltonian, step: float):
     """Per-gate propagators U(kT+tail <- (k-1)T+tail), first window from 0.
 
-    Periodic assemblies reuse the steady window for k >= 2.
+    Periodic runs reuse the steady window for k >= 2; with a tail, the first
+    window is the steady one after the head [0, tail].
     """
     t_gate, tail = h.gate_time, h.tail
     blocks = h.blocks()
@@ -200,17 +202,15 @@ def _windowed_propagators(h, repetitions: int, step: float):
     def window(t_start: float, t_end: float) -> np.ndarray:
         return blocks.propagate(TimeGrid.with_max_step(t_start, t_end, step, h.breakpoints))
 
-    u_first = window(0.0, t_gate + tail)
-    yield u_first
-    if repetitions == 1:
-        return
-    if h.periodic:
-        u_period = u_first if tail == 0.0 else window(tail, t_gate + tail)
-        for _ in range(2, repetitions + 1):
+    if h.periodic and h.repetitions > 1:
+        u_period = window(tail, t_gate + tail)
+        yield u_period if tail == 0.0 else u_period @ window(0.0, tail)
+        for _ in range(2, h.repetitions + 1):
             yield u_period
-    else:
-        for k in range(2, repetitions + 1):
-            yield window((k - 1) * t_gate + tail, k * t_gate + tail)
+        return
+    yield window(0.0, t_gate + tail)
+    for k in range(2, h.repetitions + 1):
+        yield window((k - 1) * t_gate + tail, k * t_gate + tail)
 
 
 def cd_idle_reference_infidelity(params: SystemParams, topology: Topology, t: float) -> float:
@@ -252,20 +252,29 @@ def score_run(
     """Infidelity of k consecutive gates under ``run``, corner-averaged if it has a scan."""
     if run.corner_scan is None:
         return run_sequence(params, topology, run.scheme, gate, repetitions, step=step)
+    counts = _sequence_counts(gate, repetitions)
+    infidelities = _run_infidelities(params, topology, run, gate, repetitions, step, (params.j,))
+    return FidelitySeries(run.label, counts * gate.duration, infidelities[0], counts)
+
+
+def _run_infidelities(
+    params: SystemParams, topology: Topology, run: SchemeRun, gate: GateSpec,
+    repetitions: int, step: float, couplings: Tuple[float, ...],
+) -> np.ndarray:
+    """``_infidelities`` of ``run`` at each coupling (rad/ns) of ``couplings``,
+    corner-averaged if the run has a scan."""
+
+    def infidelities(scheme: ControlScheme) -> np.ndarray:
+        h = assemble_hamiltonian(params, topology, scheme, gate, repetitions=repetitions)
+        return _infidelities(dataclasses.replace(h, couplings=couplings), gate, step)
+
+    if run.corner_scan is None:
+        return infidelities(run.scheme)
 
     def fidelities(gamma: float) -> np.ndarray:
-        scheme = dataclasses.replace(run.scheme, gamma=gamma)
-        series = run_sequence(params, topology, scheme, gate, repetitions, step=step)
-        return 1.0 - series.infidelities
+        return 1.0 - infidelities(dataclasses.replace(run.scheme, gamma=gamma))
 
-    averaged = corner_averaged_fidelity(fidelities, run.corner_scan)
-    counts = _sequence_counts(gate, repetitions)
-    return FidelitySeries(
-        scheme=run.label,
-        abscissa=counts * gate.duration,
-        infidelities=1.0 - averaged,
-        counts=counts,
-    )
+    return 1.0 - corner_averaged_fidelity(fidelities, run.corner_scan)
 
 
 def sweep_j(
@@ -279,8 +288,9 @@ def sweep_j(
 ) -> List[FidelitySeries]:
     """One single-gate infidelity series per run over a coupling-strength grid.
 
-    Each (run, J) point is scored by ``score_run`` with the coupling set to J;
-    the series follow the order of ``runs`` and their abscissa is the grid in
+    Each run scores the whole grid as one coupling stack (``model``
+    docstring), corner-averaged as by ``score_run`` if it has a scan.  The
+    series follow the order of ``runs`` and their abscissa is the grid in
     cyclic MHz, in the order given.
     """
     j_grid = DEFAULT_J_GRID_MHZ if j_values_mhz is None else tuple(j_values_mhz)
@@ -288,20 +298,15 @@ def sweep_j(
         raise ValueError("empty J grid")
     if any(j <= 0 for j in j_grid):
         raise ValueError(f"coupling strengths must be positive, got {j_grid}")
-    series = []
-    for run in runs:
-        values = []
-        for j_mhz in j_grid:
-            p = dataclasses.replace(params, j=cyclic_mhz_to_angular(j_mhz))
-            values.append(score_run(p, topology, run, gate, 1, step=step).infidelities[0])
-        series.append(
-            FidelitySeries(
-                scheme=run.label,
-                abscissa=np.asarray(j_grid, dtype=float),
-                infidelities=np.asarray(values, dtype=float),
-            )
+    couplings = tuple(cyclic_mhz_to_angular(j) for j in j_grid)
+    return [
+        FidelitySeries(
+            scheme=run.label,
+            abscissa=np.asarray(j_grid, dtype=float),
+            infidelities=_run_infidelities(params, topology, run, gate, 1, step, couplings)[:, 0],
         )
-    return series
+        for run in runs
+    ]
 
 
 # ---------------------------------------------------------------------------

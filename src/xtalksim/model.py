@@ -21,6 +21,14 @@ Time-dependent Hamiltonians are represented as sums of real coefficient
 functions times constant Hermitian matrices, which keeps samples exactly
 Hermitian and lets the propagator evaluate whole time batches at once.
 
+The coupling strength J is a coefficient, not part of a matrix: the exchange
+terms carry the unit-coupling matrices A + A^T and i (A - A^T), and each
+assembly carries a 1-D stack of couplings (rad/ns) that scales their
+coefficients, ``(params.j,)`` from ``assemble_hamiltonian`` or a whole J grid
+in a sweep.  Term matrices, blocks and commutators are then the same for
+every J, so one block analysis and one propagation score the whole stack; at
+J = 0 the exchange blocks keep their matrices and get zero coefficients.
+
 Every control term carries a channel name (``X1-drive``, ``Z2-modulation``,
 ...), so plotted waveforms are sampled from the simulated Hamiltonian itself.
 
@@ -54,9 +62,10 @@ forming dense samples.  Since [H_2, H_1] = sum_{k<l} (c2_k c1_l - c2_l c1_k)
 
 one real contraction per block, and the steps match ``operators.propagate``
 on the dense assembly to roundoff.  The distinct blocks of one dimension
-propagate as one stack: per chunk, ``operators.advance`` exponentiates their
-``(n, B, d, d)`` generators (time index first) in one call and multiplies them
-out in one product tree, with 1x1 and 2x2 steps multiplied elementwise.
+propagate as one stack: per chunk of at most ``CHUNK / C`` steps for C
+couplings, ``operators.advance`` exponentiates their ``(n, C, B, d, d)``
+generators (time index first) in one call and multiplies them out in one
+product tree, with 1x1 and 2x2 steps multiplied elementwise.
 
 Qubits are labeled 1..n; qubit 2 is the shared (modulated/pulsed) qubit in
 both shipped layouts, ``PAIR`` and ``STAR``.
@@ -298,7 +307,8 @@ class AssembledHamiltonian:
     ``terms`` holds ``(channel, coefficient, matrix)`` triples: a vectorized
     real coefficient function of global time times a constant Hermitian
     matrix.  Control terms name their channel (``"X1-drive"``,
-    ``"Z2-pulses"``, ...); the exchange terms have the empty name.  ``tail``
+    ``"Z2-pulses"``, ...); the exchange terms have the empty name, and each
+    entry of ``couplings`` (rad/ns) scales their coefficients.  ``tail``
     extends the evaluation window past the last gate boundary (the trailing
     half pulse of a decoupling train); ``periodic`` marks that the
     propagator over ``[tail + k T, tail + (k+1) T]`` is the same for every
@@ -317,6 +327,7 @@ class AssembledHamiltonian:
     periodic: bool = False
     topology: Optional[Topology] = None
     breakpoints: tuple[float, ...] = ()
+    couplings: tuple[float, ...] = (1.0,)
 
     @property
     def t_end(self) -> float:
@@ -363,7 +374,7 @@ class AssembledHamiltonian:
         )
 
     def coefficients(self, t: np.ndarray) -> np.ndarray:
-        """Real coefficient of every term at the 1-D times ``t``, shape ``(n, K)``.
+        """Real coefficients of every term at the 1-D times ``t``, shape ``(n, C, K)``.
 
         Raises
         ------
@@ -384,19 +395,22 @@ class AssembledHamiltonian:
                     )
                 c = c.real
             out[:, k] = c
-        return out
+        exchange = np.array([not name for name, _, _ in self.terms])
+        return out[:, None] * np.where(exchange, np.array(self.couplings)[:, None], 1.0)
 
     def combine(self, coefficients: np.ndarray) -> np.ndarray:
-        """Dense samples ``sum_k c_k M_k`` from ``(n, K)`` term coefficients."""
-        out = np.zeros((coefficients.shape[0], self.dim, self.dim), dtype=complex)
-        for c, (_, _, mat) in zip(coefficients.T, self.terms):
-            out += c[:, None, None] * mat
+        """Dense samples ``sum_k c_k M_k`` from ``(..., K)`` term coefficients."""
+        out = np.zeros(coefficients.shape[:-1] + (self.dim, self.dim), dtype=complex)
+        for c, (_, _, mat) in zip(np.moveaxis(coefficients, -1, 0), self.terms):
+            out += c[..., None, None] * mat
         return out
 
     def __call__(self, t):
+        if len(self.couplings) != 1:
+            raise ValueError(f"dense samples need one coupling, got {len(self.couplings)}")
         tt = np.asarray(t, dtype=float)
         scalar = tt.ndim == 0
-        out = self.combine(self.coefficients(np.atleast_1d(tt)))
+        out = self.combine(self.coefficients(np.atleast_1d(tt))[:, 0])
         return out[0] if scalar else out
 
 
@@ -427,21 +441,21 @@ class TermBlock:
         return cls(terms=terms, dim=d, matrices=stack, pairs=(first, second))
 
     def generators(self, c1: np.ndarray, c2: np.ndarray, widths: np.ndarray) -> np.ndarray:
-        """h H_eff of each Magnus step (module docstring), shape ``(n, d, d)``.
+        """h H_eff of each Magnus step (module docstring), shape ``(n, C, d, d)``.
 
-        ``c1`` and ``c2`` are the assembly's ``(n, K)`` coefficients at the
-        early and late Gauss nodes of steps of width ``widths``.
+        ``c1`` and ``c2`` are the assembly's ``(n, C, K)`` coefficients at
+        the early and late Gauss nodes of steps of width ``widths``.
         """
-        a, b = c1[:, self.terms], c2[:, self.terms]
+        a, b = c1[..., self.terms], c2[..., self.terms]
         first, second = self.pairs
-        h = widths[:, None]
-        cross = b[:, first] * a[:, second] - b[:, second] * a[:, first]
+        h = widths[:, None, None]
+        cross = b[..., first] * a[..., second] - b[..., second] * a[..., first]
         weights = np.concatenate(
-            [0.5 * h * (a + b), (math.sqrt(3.0) / 12.0) * h**2 * cross], axis=1
+            [0.5 * h * (a + b), (math.sqrt(3.0) / 12.0) * h**2 * cross], axis=-1
         )
         # One real contraction over the interleaved real and imaginary parts.
-        out = weights @ self.matrices.view(float)
-        return out.view(complex).reshape(-1, self.dim, self.dim)
+        out = weights.reshape(-1, weights.shape[-1]) @ self.matrices.view(float)
+        return out.view(complex).reshape(c1.shape[:2] + (self.dim, self.dim))
 
 
 @dataclass(frozen=True)
@@ -467,7 +481,8 @@ class SymmetryBlocks:
         return " ".join(f"{b.dim}x{len(copies)}" for b, copies in self.blocks)
 
     def propagate(self, grid: TimeGrid) -> np.ndarray:
-        """Full-space propagator over ``grid``, each distinct block propagated once.
+        """Full-space propagators over ``grid``, ``(C, dim, dim)`` for the C
+        couplings of the assembly, each distinct block propagated once.
 
         Steps are built in term space, and the distinct blocks of one
         dimension advance as one stack (module docstring); blocks without
@@ -483,22 +498,24 @@ class SymmetryBlocks:
         for i, (block, _) in enumerate(self.blocks):
             if block.terms:
                 stacks.setdefault(block.dim, []).append(i)
+        n_couplings = len(self.hamiltonian.couplings)
+        # (d, d) identities until a block's first chunk gives it (C, d, d).
         units = {i: np.eye(b.dim, dtype=complex) for i, (b, _) in enumerate(self.blocks)}
-        for widths, times in gauss_nodes(grid, CHUNK):
+        for widths, times in gauss_nodes(grid, max(CHUNK // n_couplings, 1)):
             coefficients = self.hamiltonian.coefficients(times)
             if not self.hermitian_terms:
                 check_hermitian(self.hamiltonian.combine(coefficients), times)
             c1, c2 = coefficients[: widths.size], coefficients[widths.size :]
             for members in stacks.values():
                 generators = np.stack(
-                    [self.blocks[i][0].generators(c1, c2, widths) for i in members], axis=1
+                    [self.blocks[i][0].generators(c1, c2, widths) for i in members], axis=2
                 )
-                stack = np.stack([units[i] for i in members])
-                units.update(zip(members, advance(stack, generators)))
-        u = np.zeros((self.hamiltonian.dim,) * 2, dtype=complex)
+                stack = np.stack([units[i] for i in members], axis=-3)
+                units.update(zip(members, advance(stack, generators).swapaxes(0, 1)))
+        u = np.zeros((n_couplings,) + (self.hamiltonian.dim,) * 2, dtype=complex)
         for (_, copies), unit in zip(self.blocks, units.values()):
             rows = np.array(copies)
-            u[rows[:, :, None], rows[:, None, :]] = unit
+            u[:, rows[:, :, None], rows[:, None, :]] = unit[..., None, :, :]
         return u if self.basis is None else self.basis @ u @ self.basis.T
 
 
@@ -592,20 +609,16 @@ def coupling_phase(params: SystemParams, modulation: Optional[FmZModulation] = N
     return lambda t: params.delta * t + 2.0 * modulation.phase(t)
 
 
-def _exchange_terms(params: SystemParams, topology: Topology, phase: Callable):
-    """XY coupling as two unnamed Hermitian terms with cos/sin coefficients.
+def _exchange_terms(topology: Topology, phase: Callable):
+    """Unit-strength XY coupling: two unnamed Hermitian terms, cos/sin coefficients.
 
     ``phase`` maps a time array to the coupling phase phi(t); the coupling
     J(e^{i phi} sigma_q^+ sigma_c^- + h.c.) splits into
-    cos(phi) * J(A + A^T) + sin(phi) * iJ(A - A^T) with A real.
+    J cos(phi) (A + A^T) + J sin(phi) i(A - A^T) with A real.
     """
     a_sum = _flip_flop(topology)
-    sym = params.j * (a_sum + a_sum.conj().T)
-    asym = 1j * params.j * (a_sum - a_sum.conj().T)
-    return [
-        ("", lambda t: np.cos(phase(t)), sym),
-        ("", lambda t: np.sin(phase(t)), asym),
-    ]
+    sym, asym = a_sum + a_sum.T, 1j * (a_sum - a_sum.T)
+    return [("", lambda t: np.cos(phase(t)), sym), ("", lambda t: np.sin(phase(t)), asym)]
 
 
 def _x_target_labels(gate: GateSpec, topology: Topology) -> tuple[int, ...]:
@@ -727,7 +740,7 @@ def assemble_hamiltonian(
             "with modulation) are not constructible"
         )
 
-    terms = _exchange_terms(params, topology, phase)
+    terms = _exchange_terms(topology, phase)
     terms += [(name, coeff, embed(SIGMA_Z, center, n)) for name, coeff in z_terms]
     for q in targets:
         if q == center and center_xy is not None:
@@ -747,6 +760,7 @@ def assemble_hamiltonian(
         periodic=params.is_matched(t_gate),
         topology=topology,
         breakpoints=tuple(sorted(set(kinks))),
+        couplings=(params.j,),
     )
 
 

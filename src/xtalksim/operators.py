@@ -24,8 +24,9 @@ exponential takes one too.  So propagators are unitary to machine precision
 at any step size.
 
 ``propagate`` samples the dense ``(n, d, d)`` Hamiltonian.  Production runs
-build the same steps in term space, in stacks of blocks (``model`` docstring);
-``propagate`` on the full assembly is their oracle.
+build the same steps in term space, in stacks of blocks and couplings
+(``model`` docstring); ``propagate`` on a single-coupling assembly is their
+oracle.
 """
 
 from __future__ import annotations
@@ -339,9 +340,9 @@ def _sample_hamiltonian(h_of_t, times: np.ndarray) -> np.ndarray:
 
 
 def check_hermitian(h: np.ndarray, times: np.ndarray) -> None:
-    """Raise ValueError naming the worst sample of ``h`` (``(n, d, d)`` at
-    ``times``) whose Hermiticity defect exceeds ``HERMITICITY_TOL`` relative
-    to the batch's largest entry (at least 1)."""
+    """Raise ValueError naming the worst sample of ``h`` (``(n, ..., d, d)``
+    at ``times``) whose Hermiticity defect exceeds ``HERMITICITY_TOL``
+    relative to the batch's largest entry (at least 1)."""
     scale = max(float(np.abs(h).max()), 1.0)
     defects = np.abs(h - h.conj().swapaxes(-1, -2)).reshape(h.shape[0], -1).max(axis=1)
     worst = int(np.argmax(defects))

@@ -38,7 +38,8 @@ def fm(single_site=False):
 def reduced_and_dense(topology, scheme, gate, step=STEP):
     h = assemble_hamiltonian(PARAMS, topology, scheme, gate)
     grid = TimeGrid.with_max_step(0.0, h.t_end, step)
-    return h.blocks().propagate(grid), propagate(h, grid)
+    # The assembly carries one coupling; take its propagator.
+    return h.blocks().propagate(grid)[0], propagate(h, grid)
 
 
 SCHEMES = {"CD": CrosstalkOnly(), "FM": fm(), "DD": DD, "baseline": BASELINE}

@@ -209,6 +209,26 @@ class TestSimulate:
     def test_missing_config_file(self, capsys):
         assert main(["simulate", "--config", "/nonexistent/x.json"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("command", ["simulate", "optimize-gamma"])
+    def test_config_directory_names_path(self, tmp_path, capsys, command):
+        assert entry([command, "--config", str(tmp_path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(tmp_path) in err
+
+    def test_config_not_utf8_names_path(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"scheme": "cd", "note": "\u00e9"}'.encode("latin-1"))
+        assert entry(["simulate", "--config", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err
+
+    def test_unwritable_output_names_path(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x.csv")
+        cfg = write_config(tmp_path, {"step_ns": 0.5})
+        assert entry(["simulate", "--config", cfg, "--out", out]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and out in err
+
 
 class TestOptimizeGamma:
     def test_idle_summary(self, tmp_path, capsys):

@@ -1,8 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from helpers import improvement_orders
 
+from xtalksim import model
 from xtalksim.experiments import (
+    DEFAULT_STEP,
     FidelitySeries,
     cached_scan,
     PRESETS,
@@ -17,23 +21,41 @@ from xtalksim.experiments import (
     SchemeRun,
 )
 from xtalksim.model import (
+    AssembledHamiltonian,
     CrosstalkOnly,
     DynamicalDecoupling,
     FrequencyModulation,
     PAIR,
     STAR,
     Idle,
+    ParallelXX,
+    SymmetryBlocks,
     SystemParams,
     XGate,
     angular_to_cyclic_mhz,
     assemble_hamiltonian,
+    cyclic_mhz_to_angular,
     target_unitary,
 )
-from xtalksim.operators import SIGMA_X, TimeGrid, embed, propagate
+from xtalksim.operators import CHUNK, SIGMA_X, TimeGrid, embed, propagate
 from xtalksim.pulses import SineEnvelopeDrive
 
 PARAMS = SystemParams.from_mhz(50.0, 5.0)
 T_M = PARAMS.matched_time()
+DD = DynamicalDecoupling(segments=4, width=T_M / 16.0)
+
+
+def count_calls(monkeypatch, owner, name, record=lambda *args: None):
+    """Count calls of ``owner.name``, passing each call's arguments to ``record``."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(record(*args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
 
 
 class TestGateFidelity:
@@ -127,15 +149,16 @@ class TestStepConvergence:
         ref = run_single_gate(PARAMS, PAIR, dd, gate, step=0.02 / 16)
         aligned = run_single_gate(PARAMS, PAIR, dd, gate, step=0.02)
         h = assemble_hamiltonian(PARAMS, PAIR, dd, gate)
-        u = h.blocks().propagate(TimeGrid.with_max_step(0.0, h.t_end, 0.02))
+        u = h.blocks().propagate(TimeGrid.with_max_step(0.0, h.t_end, 0.02))[0]
         unaligned = 1.0 - gate_fidelity(u, target_unitary(gate, PAIR))
         assert 100.0 * abs(aligned - ref) <= abs(unaligned - ref)
 
 
 class TestSequences:
-    def brute_force_infidelity(self, scheme, gate, repetitions, step):
+    def brute_force_infidelity(self, scheme, gate, repetitions, step, aligned=False):
         h = assemble_hamiltonian(PARAMS, PAIR, scheme, gate, repetitions=repetitions)
-        u = propagate(h, TimeGrid.with_max_step(0.0, h.t_end, step))
+        breakpoints = h.breakpoints if aligned else ()
+        u = propagate(h, TimeGrid.with_max_step(0.0, h.t_end, step, breakpoints))
         ideal = target_unitary(gate, PAIR, repetitions=repetitions)
         return max(0.0, 1.0 - gate_fidelity(u, ideal))
 
@@ -176,6 +199,24 @@ class TestSequences:
         assert series.infidelities[-1] == pytest.approx(direct, abs=1e-11)
         assert series.abscissa[-1] == pytest.approx(3 * T_M + 0.625)
 
+    def test_pulsed_tail_at_default_step_agrees_with_direct(self):
+        # At 0.02 ns the window grids no longer align with the uninterrupted
+        # one, but both sit on every pulse edge.
+        dd = DynamicalDecoupling(segments=4, width=1.25)
+        series = run_sequence(PARAMS, PAIR, dd, Idle(T_M), 3)
+        direct = self.brute_force_infidelity(dd, Idle(T_M), 3, DEFAULT_STEP, aligned=True)
+        assert series.infidelities[-1] == pytest.approx(direct, abs=1e-11)
+
+    def test_periodic_decoupled_run_propagates_steady_window_once(self, monkeypatch):
+        # The first window is the steady window [tail, T + tail] after the
+        # head [0, tail], not a second propagation over [0, T + tail].
+        steps = count_calls(monkeypatch, SymmetryBlocks, "propagate", lambda _, g: g.n_steps)
+        run_sequence(PARAMS, STAR, DD, Idle(T_M), 3)
+        assert sum(steps) == 1004 + 32
+        steps.clear()
+        run_sequence(PARAMS, STAR, DD, Idle(T_M), 1)
+        assert steps == [1035]
+
     def test_idle_sequences_count_every_gate(self):
         series = run_sequence(PARAMS, PAIR, CrosstalkOnly(), Idle(T_M), 4, step=0.05)
         assert series.counts.tolist() == [1, 2, 3, 4]
@@ -213,9 +254,70 @@ class TestScoreRun:
             )
 
 
+SWEEP_GATES = [
+    pytest.param(PAIR, Idle(T_M), id="pair-idle"),
+    pytest.param(PAIR, XGate(T_M, target=1), id="pair-x"),
+    pytest.param(PAIR, ParallelXX(T_M), id="pair-parallel-xx"),
+    pytest.param(STAR, Idle(T_M), id="star-idle"),
+    pytest.param(STAR, XGate(T_M, target=2), id="star-x-center"),
+]
+
+
+def sweep_run(name, topology, gate):
+    if name == "cd":
+        return SchemeRun(CrosstalkOnly())
+    if name in ("dd", "dd-baseline"):
+        return SchemeRun(dataclasses.replace(DD, pulses=name == "dd"))
+    scan = cached_scan("fm2-idle" if isinstance(gate, Idle) else "fm2-x", PARAMS, 8, T_M)
+    single_site = isinstance(gate, XGate) and gate.target == topology.center
+    scheme = FrequencyModulation(cycles=8, gamma=scan.gamma_opt, single_site=single_site)
+    return SchemeRun(scheme, corner_scan=scan if name == "fm-corner" else None)
+
+
 class TestSweepJ:
     def runs(self):
         return [SchemeRun(CrosstalkOnly())]
+
+    @pytest.mark.parametrize("scheme", ["cd", "fm", "fm-corner", "dd", "dd-baseline"])
+    @pytest.mark.parametrize("topology, gate", SWEEP_GATES)
+    def test_stack_matches_separate_runs(self, topology, gate, scheme):
+        run = sweep_run(scheme, topology, gate)
+        j_grid = (1.0, 4.0, 9.5)
+        couplings = tuple(cyclic_mhz_to_angular(j) for j in j_grid)
+        separate = [dataclasses.replace(PARAMS, j=j) for j in couplings]
+
+        h = assemble_hamiltonian(PARAMS, topology, run.scheme, gate)
+        grid = TimeGrid.with_max_step(0.0, h.t_end, DEFAULT_STEP, h.breakpoints)
+        # The stack takes more chunks than a single coupling.
+        assert grid.n_steps > CHUNK // len(couplings)
+        stacked = dataclasses.replace(h, couplings=couplings).blocks().propagate(grid)
+        for u, p in zip(stacked, separate):
+            single = assemble_hamiltonian(p, topology, run.scheme, gate).blocks().propagate(grid)
+            assert np.abs(u - single[0]).max() <= 1e-14
+
+        series = sweep_j(PARAMS, topology, [run], gate, j_grid)[0]
+        expect = [score_run(p, topology, run, gate, 1).infidelities[0] for p in separate]
+        assert series.scheme == run.label
+        assert series.abscissa.tolist() == list(j_grid)
+        # 1 - F resolves infidelities no finer than the double spacing near 1.
+        np.testing.assert_allclose(
+            series.infidelities, expect, rtol=1e-12, atol=2 * np.finfo(float).eps
+        )
+
+    def test_one_analysis_and_propagation_per_run(self, monkeypatch):
+        # A run scores the whole grid as one coupling stack; a corner-averaged
+        # run takes one stack per corner amplitude.
+        analyses = count_calls(monkeypatch, AssembledHamiltonian, "blocks")
+        propagations = count_calls(monkeypatch, SymmetryBlocks, "propagate")
+        chunks = count_calls(monkeypatch, model, "advance", lambda _, g: g.shape[:2])
+        for scheme, calls in (("cd", 1), ("dd", 1), ("fm-corner", 2)):
+            analyses.clear()
+            propagations.clear()
+            sweep_j(PARAMS, PAIR, [sweep_run(scheme, PAIR, Idle(T_M))], Idle(T_M), range(1, 6))
+            assert (len(analyses), len(propagations)) == (calls, calls)
+        # No stack outgrows a single-coupling chunk.
+        assert {c for _, c in chunks} == {5}
+        assert max(n * c for n, c in chunks) <= CHUNK
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

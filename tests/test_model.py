@@ -113,6 +113,23 @@ class TestAssembly:
         for t in rng.uniform(0.0, h.t_end, size=8):
             assert hermiticity_defect(h(float(t))) < 1e-12
 
+    def test_coupling_is_a_coefficient(self):
+        # Term matrices are at unit coupling; J scales the exchange
+        # coefficients, one row per coupling of the stack.
+        h = assemble_hamiltonian(PARAMS, PAIR, DynamicalDecoupling(4, 1.25), XGate(20.0))
+        assert h.couplings == (PARAMS.j,)
+        stacked = dataclasses.replace(h, couplings=(PARAMS.j, 2.0 * PARAMS.j, 0.0))
+        t = np.linspace(0.0, h.t_end, 7)
+        c = stacked.coefficients(t)
+        assert c.shape == (7, 3, len(h.terms))
+        exchange = np.array([not name for name, _, _ in h.terms])
+        np.testing.assert_array_equal(c[:, 1, exchange], 2.0 * c[:, 0, exchange])
+        np.testing.assert_array_equal(c[:, 2, exchange], 0.0)
+        for k in (1, 2):
+            np.testing.assert_array_equal(c[:, k, ~exchange], c[:, 0, ~exchange])
+        with pytest.raises(ValueError, match="one coupling"):
+            stacked(t)
+
     def test_vectorized_call_matches_scalar(self):
         h = assemble_hamiltonian(PARAMS, PAIR, DynamicalDecoupling(4, 1.25), XGate(20.0))
         t = np.linspace(0.0, h.t_end, 37)
