@@ -8,10 +8,11 @@ identical configs produce byte-identical files.
 
 Exit codes: 0 success, 1 invalid config or usage (argument errors too), 2
 failed verification check, 3 amplitude scan found no minimum in range (the
-scan is still written), 4 internal error.  Configs are validated up front by
-building what the run builds, so an error raised later is an internal error:
-``main`` lets it propagate, and the console entry point ``entry`` prints its
-traceback and exits 4.
+scan is still written), 4 internal error.  Configs are validated up front,
+the model's constraints by ``model.check_assembly`` without assembling, so an
+error raised later is an internal error: ``main`` lets it propagate, and the
+console entry point ``entry`` prints its traceback and exits 4.  ``main``
+reuses one parser per process and builds nothing else per call.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from xtalksim.model import (
     XGate,
     angular_to_cyclic_mhz,
     assemble_hamiltonian,
+    check_assembly,
     cyclic_mhz_to_angular,
     static_frame_reference,
 )
@@ -159,14 +161,7 @@ def _gate_time(cfg: dict, params: SystemParams) -> float:
 # Keys that every scheme reads (``target`` only for gate x), then the keys
 # that only one scheme reads; a config may set only its own scheme's.
 COMMON_KEYS = {
-    "topology",
-    "delta_mhz",
-    "j_mhz",
-    "scheme",
-    "gate",
-    "target",
-    "gate_time",
-    "repetitions",
+    "topology", "delta_mhz", "j_mhz", "scheme", "gate", "target", "gate_time", "repetitions",
     "step_ns",
 }
 SCHEME_KEYS = {
@@ -300,18 +295,16 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
     repetitions = _positive_int(cfg, "repetitions", 1)
     if j_grid is not None and repetitions > 1:
         raise ConfigError("choose a J grid or repeated gates, not both")
-    # Build once what the run builds, so that model validation fails here.
+    # Check what the run builds, so that model validation fails here.
     try:
-        assemble_hamiltonian(params, topology, run.scheme, gate, repetitions=repetitions)
+        check_assembly(topology, run.scheme, gate, repetitions=repetitions)
         _sequence_counts(gate, repetitions)
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
     step = step_override if step_override is not None else _positive(cfg, "step_ns", DEFAULT_STEP)
-    if j_grid is not None:
-        header.append(f"j_mhz = [{', '.join(_fmt(j) for j in j_grid)}]")
-    else:
-        header.append(f"j_mhz = {_fmt(j_scalar)}")
+    j_text = _fmt(j_scalar) if j_grid is None else f"[{', '.join(_fmt(j) for j in j_grid)}]"
+    header.append(f"j_mhz = {j_text}")
     header.append(f"repetitions = {repetitions}")
     header.append(f"step_ns = {_fmt(step)}")
     return params, topology, run, gate, j_grid, repetitions, step, header
@@ -363,13 +356,7 @@ def cmd_simulate(args) -> int:
 
 
 OPTIMIZE_KEYS = {
-    "functional",
-    "cycles",
-    "delta_mhz",
-    "j_mhz",
-    "gate_time",
-    "grid_step_mhz",
-    "grid_max_mhz",
+    "functional", "cycles", "delta_mhz", "j_mhz", "gate_time", "grid_step_mhz", "grid_max_mhz",
 }
 
 
@@ -449,9 +436,8 @@ def _verify_checks(step: float) -> List[Tuple[str, bool, str]]:
     h = assemble_hamiltonian(params, topology, CrosstalkOnly(), Idle(t_m))
     u = h.blocks().propagate(TimeGrid.with_max_step(0.0, t_m, step, h.breakpoints))
     residual = float(np.abs(u - static_frame_reference(params, topology, t_m)).max())
-    checks.append(
-        ("idle-oracle", residual <= 1e-8, f"max |U - U_exact| {residual:.3e} (bound 1e-8)")
-    )
+    detail = f"max |U - U_exact| {residual:.3e} (bound 1e-8)"
+    checks.append(("idle-oracle", residual <= 1e-8, detail))
 
     # Triangle quadrature against the idle closed forms and their ratio.
     eps_cd = float(epsilon_fm2_idle(params, 4, np.zeros(1), t_m)[0])
@@ -462,14 +448,8 @@ def _verify_checks(step: float) -> List[Tuple[str, bool, str]]:
     ratio = eps_dd / eps_cd
     rel_ratio = abs(ratio - forms.ratio) / forms.ratio
     ok = rel_cd <= 1e-6 and rel_dd <= 1e-6 and rel_ratio <= 1e-6
-    checks.append(
-        (
-            "closed-forms",
-            ok,
-            f"rel residuals idle {rel_cd:.3e}, decoupled {rel_dd:.3e}, "
-            f"ratio {rel_ratio:.3e} (bound 1e-6)",
-        )
-    )
+    detail = f"rel residuals idle {rel_cd:.3e}, decoupled {rel_dd:.3e}, ratio {rel_ratio:.3e}"
+    checks.append(("closed-forms", ok, detail + " (bound 1e-6)"))
 
     # Reported infidelities must be converged in the integrator step, the
     # ~1e-11 FM idle dip at the selected amplitude included.
@@ -489,13 +469,8 @@ def _verify_checks(step: float) -> List[Tuple[str, bool, str]]:
         rel = abs(coarse - fine) / max(abs(fine), 1e-300)
         worst_rel = max(worst_rel, rel)
         detail_parts.append(f"{name} {rel:.3e}")
-    checks.append(
-        (
-            "step-halving",
-            worst_rel < 0.01,
-            f"rel change {', '.join(detail_parts)} (bound 1e-2)",
-        )
-    )
+    detail = f"rel change {', '.join(detail_parts)} (bound 1e-2)"
+    checks.append(("step-halving", worst_rel < 0.01, detail))
 
     # Star blocks against the dense 32-dimensional propagator at a coarse
     # step, and the block-propagated star idle against the static oracle.
@@ -508,22 +483,17 @@ def _verify_checks(step: float) -> List[Tuple[str, bool, str]]:
     h = assemble_hamiltonian(params, STAR, CrosstalkOnly(), Idle(t_m))
     u = h.blocks().propagate(TimeGrid.with_max_step(0.0, t_m, step, h.breakpoints))
     residual = float(np.abs(u - static_frame_reference(params, STAR, t_m)).max())
-    checks.append(
-        (
-            "star-reduction",
-            worst <= 1e-10 and residual <= 1e-8,
-            f"blocks {center_x.blocks().layout}; max |U_blocks - U_dense| {worst:.3e} "
-            f"(bound 1e-10); idle max |U - U_exact| {residual:.3e} (bound 1e-8)",
-        )
+    detail = (
+        f"blocks {center_x.blocks().layout}; max |U_blocks - U_dense| {worst:.3e} "
+        f"(bound 1e-10); idle max |U - U_exact| {residual:.3e} (bound 1e-8)"
     )
+    checks.append(("star-reduction", worst <= 1e-10 and residual <= 1e-8, detail))
 
     # Global-phase invariance of the fidelity metric.
     rng = np.random.default_rng(7)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     q, _ = np.linalg.qr(a)
-    drift = abs(
-        gate_fidelity(np.exp(1j * 0.7318) * q, np.eye(4)) - gate_fidelity(q, np.eye(4))
-    )
+    drift = abs(gate_fidelity(np.exp(1j * 0.7318) * q, np.eye(4)) - gate_fidelity(q, np.eye(4)))
     checks.append(("phase-invariance", drift <= 1e-12, f"drift {drift:.3e} (bound 1e-12)"))
 
     # Zero coupling must give zero infidelity exactly.
@@ -570,14 +540,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     p_sim = sub.add_parser("simulate", help="run a preset or configured experiment")
-    p_sim.set_defaults(fn=cmd_simulate)
     p_sim.add_argument("--preset", metavar="NAME", help="named experiment (see list-presets)")
     p_opt = sub.add_parser("optimize-gamma", help="scan the modulation amplitude")
-    p_opt.set_defaults(fn=cmd_optimize_gamma)
     p_ver = sub.add_parser("verify", help="run oracle and convergence checks")
-    p_ver.set_defaults(fn=cmd_verify)
-    p_list = sub.add_parser("list-presets", help="enumerate shipped experiment presets")
-    p_list.set_defaults(fn=cmd_list_presets)
+    sub.add_parser("list-presets", help="enumerate shipped experiment presets")
 
     # Each subcommand accepts only the flags it reads.
     for p in (p_sim, p_opt):
@@ -593,16 +559,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The one parser of this process; ``main`` reuses it for every call.
+PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # Flag spelling tolerated alongside the subcommand.
     argv = ["list-presets" if a == "--list-presets" else a for a in argv]
     try:
-        args = build_parser().parse_args(argv)
+        args = PARSER.parse_args(argv)
         if getattr(args, "step", None) is not None and not 0 < args.step < math.inf:
             raise ConfigError(f"--step must be positive and finite, got {args.step}")
-        return args.fn(args)
+        # Looked up per call, so a replaced ``cmd_*`` attribute takes effect.
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION

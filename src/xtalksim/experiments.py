@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,8 +97,9 @@ class FidelitySeries:
         object.__setattr__(self, "infidelities", np.maximum(values, 0.0))
 
 
-def gate_fidelity(u_gate: np.ndarray, u_ideal: np.ndarray) -> float:
-    """Trace-overlap fidelity |Tr(U† V)| / |Tr(V† V)|.
+def gate_fidelity(u_gate: np.ndarray, u_ideal: np.ndarray):
+    """Trace-overlap fidelity |Tr(U† V)| / |Tr(V† V)|, a float for two
+    matrices and an array for two ``(..., d, d)`` stacks of one shape.
 
     Insensitive to a global phase on either argument.  The denominator is
     the dimension whenever the ideal gate is unitary.
@@ -106,8 +108,11 @@ def gate_fidelity(u_gate: np.ndarray, u_ideal: np.ndarray) -> float:
     u_ideal = np.asarray(u_ideal)
     if u_gate.shape != u_ideal.shape:
         raise ValueError(f"dimension mismatch: {u_gate.shape} vs {u_ideal.shape}")
-    denom = abs(np.trace(u_ideal.conj().T @ u_ideal))
-    return float(abs(np.trace(u_gate.conj().T @ u_ideal)) / denom)
+    # Tr(A† V) sums the column sums of conj(A) * V, the diagonal of A† V.  np.hypot
+    # rounds |Tr| as the scalar abs does; numpy's complex np.abs may differ by an ulp.
+    traces = [(a.conj() * u_ideal).sum(axis=-2).sum(axis=-1) for a in (u_gate, u_ideal)]
+    overlap, norm = (np.hypot(t.real, t.imag) for t in traces)
+    return float(overlap / norm) if np.ndim(overlap) == 0 else overlap / norm
 
 
 def scheme_label(scheme: ControlScheme) -> str:
@@ -143,9 +148,7 @@ def _sequence_counts(gate: GateSpec, repetitions: int) -> np.ndarray:
     if isinstance(gate, Idle):
         return np.arange(1, repetitions + 1)
     if repetitions % 2 == 0:
-        raise ValueError(
-            f"driven-gate sequences need an odd length, got {repetitions}"
-        )
+        raise ValueError(f"driven-gate sequences need an odd length, got {repetitions}")
     return np.arange(1, repetitions + 1, 2)
 
 
@@ -178,16 +181,17 @@ def run_sequence(
 
 def _infidelities(h: AssembledHamiltonian, gate: GateSpec, step: float) -> np.ndarray:
     """Infidelity after each scored gate count of ``h``, one row per coupling
-    of its stack: shape ``(C, counts)``."""
-    wanted = set(_sequence_counts(gate, h.repetitions).tolist())
-    columns = []
-    u = None
-    for k, u_window in enumerate(_windowed_propagators(h, step), start=1):
-        u = u_window if u is None else u_window @ u
-        if k in wanted:
-            ideal = target_unitary(gate, h.topology, repetitions=k)
-            columns.append([1.0 - gate_fidelity(v, ideal) for v in u])
-    return np.array(columns).T
+    of its stack: shape ``(C, counts)``, scored in one fidelity call."""
+    counts = _sequence_counts(gate, h.repetitions)
+    wanted = set(counts.tolist())
+    # U_k = W_k U_{k-1} from the per-gate windows W_k, kept at the scored k.
+    products = accumulate(_windowed_propagators(h, step), lambda u, w: w @ u)
+    u = np.stack([u_k for k, u_k in enumerate(products, start=1) if k in wanted])
+    # The target of k gates depends on k mod 4 only.
+    residues = (counts % 4).tolist()
+    cycle = {r: target_unitary(gate, h.topology, repetitions=r or 4) for r in set(residues)}
+    ideal = np.broadcast_to(np.stack([cycle[r] for r in residues])[:, None], u.shape)
+    return (1.0 - gate_fidelity(u, ideal)).T
 
 
 def _windowed_propagators(h: AssembledHamiltonian, step: float):
@@ -482,15 +486,12 @@ def _fm_preset(
     return rows
 
 
-def _scan_table(functional: str, params: SystemParams, gate_time: float) -> List[Row]:
+def _scan_table(functional: str, step: float, gate_time: float = T_M) -> List[Row]:
+    """The preset system's scans at each of ``FM_CYCLES`` (``step`` is unused)."""
     rows: List[Row] = []
     for n in FM_CYCLES:
-        rows += _scan_rows(f"FM-N{n}", cached_scan(functional, params, n, gate_time))
+        rows += _scan_rows(f"FM-N{n}", cached_scan(functional, PRESET_PARAMS, n, gate_time))
     return rows
-
-
-def _scan_preset(functional: str, step: float) -> List[Row]:
-    return _scan_table(functional, PRESET_PARAMS, T_M)
 
 
 def _preset_fig16(step: float) -> List[Row]:
@@ -499,7 +500,7 @@ def _preset_fig16(step: float) -> List[Row]:
     t_gate = 3.0 * PRESET_PARAMS.t_delta
     gate = _X1(t_gate)
     runs = _fm_runs(PRESET_PARAMS, t_gate, "fm1")
-    rows = _scan_table("fm1", PRESET_PARAMS, t_gate)
+    rows = _scan_table("fm1", step, t_gate)
     rows += _series_rows("vs_J", sweep_j(PRESET_PARAMS, PAIR, runs, gate, step=step))
     rows += _sequence_rows(PRESET_PARAMS, PAIR, runs, gate, 15, step)
     return rows
@@ -527,8 +528,8 @@ PRESETS: Dict[str, Preset] = {
         Preset("fig9", "five-qubit center X gate under single-site modulation", partial(_fm_preset, STAR, _X2, "fm2-x", 21, single_site=True)),
         Preset("fig10", "five-qubit idle under the decoupling train", partial(_dd_preset, STAR, Idle, 20)),
         Preset("fig11", "five-qubit center X gate inside the decoupling train", partial(_dd_preset, STAR, _X2, 21)),
-        Preset("fig12", "idle second-order residual vs modulation amplitude", partial(_scan_preset, "fm2-idle")),
-        Preset("fig13", "X-gate second-order residual vs modulation amplitude", partial(_scan_preset, "fm2-x")),
+        Preset("fig12", "idle second-order residual vs modulation amplitude", partial(_scan_table, "fm2-idle")),
+        Preset("fig13", "X-gate second-order residual vs modulation amplitude", partial(_scan_table, "fm2-x")),
         Preset("fig14", "single-site modulated X gate on the shared qubit (pair layout)", partial(_fm_preset, PAIR, _X2, "fm2-x", 21, single_site=True)),
         Preset("fig15", "parallel X gates on both qubits under modulation", partial(_fm_preset, PAIR, ParallelXX, "fm2-x", 21)),
         Preset("fig16", "unmatched 30 ns gate time: first-order scans, J sweep, 15-gate run", _preset_fig16),

@@ -48,7 +48,10 @@ computational basis.  The blocks are the connected components of the terms'
 union sparsity pattern in that basis, which also splits off conserved
 excitation numbers, and copies with identical matrices are propagated once.
 A driven neighbor leaves one full block.  The rebuilt propagator matches the
-dense one to roundoff.
+dense one to roundoff.  The Dicke basis and the neighbor swaps that test
+for it are cached per layout (``Topology.dicke_basis``, ``neighbor_swaps``),
+so a block analysis does no basis work of its own; it slices, compares and
+commutes the components of each size in one call each.
 
 Blocks propagate in term space (``TermBlock``).  Each chunk of steps
 samples the assembly's real coefficient functions once, at both Gauss nodes
@@ -75,6 +78,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -118,6 +122,7 @@ __all__ = [
     "TermBlock",
     "SymmetryBlocks",
     "assemble_hamiltonian",
+    "check_assembly",
     "coupling_phase",
     "target_unitary",
     "static_frame_reference",
@@ -154,6 +159,27 @@ class Topology:
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
+
+    @cached_property
+    def neighbor_swaps(self) -> np.ndarray:
+        """Flat entry indices of each swap of two adjacent neighbors, ``(m -
+        1, dim**2)`` for m neighbors: M conjugated by the swap is
+        ``M.ravel()[swap]``.  These swaps generate every neighbor permutation."""
+        neighbors = _neighbors(self)
+        labels = np.arange(self.dim).reshape((2,) * self.n_qubits)
+        perms = [labels.swapaxes(p - 1, q - 1).ravel() for p, q in zip(neighbors, neighbors[1:])]
+        perms = np.array(perms, dtype=int).reshape(-1, self.dim)
+        return _read_only((perms[:, :, None] * self.dim + perms[:, None, :]).reshape(-1, self.dim**2))
+
+    @cached_property
+    def dicke_basis(self) -> np.ndarray:
+        """``_dicke_basis`` of this layout."""
+        return _read_only(_dicke_basis(self))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 #: Two coupled qubits.
@@ -341,35 +367,54 @@ class AssembledHamiltonian:
         """Block-diagonal form of this Hamiltonian, derived from its term
         matrices as the module docstring describes."""
         mats = np.reshape([mat for _, _, mat in self.terms], (-1, self.dim, self.dim))
+        # The Dicke basis applies when every term commutes with each neighbor swap.
         basis = None
-        if _neighbors_interchangeable(self.topology, mats):
-            basis = _dicke_basis(self.topology)
+        swaps = () if self.topology is None else self.topology.neighbor_swaps
+        if len(swaps):
+            ravelled = mats.reshape(len(mats), -1)
+            defect = np.abs(np.take(ravelled, swaps, axis=1) - ravelled[:, None]).max(initial=0.0)
+            if defect <= 1e-12 * np.abs(mats).max(initial=0.0):
+                basis = self.topology.dicke_basis
         adapted = mats if basis is None else basis.T @ mats @ basis
         scales = np.abs(mats).max(axis=(1, 2), initial=0.0)
         # Entries below this are roundoff of the basis change.
         tol = 1e-12 * scales[:, None, None]
-        present = np.abs(adapted) > tol
-        distinct: list[tuple[np.ndarray, list[np.ndarray]]] = []
-        for idx in _components(present.any(axis=0)):
-            stack = adapted[:, idx[:, None], idx]
-            for rep, copies in distinct:
-                if rep.shape == stack.shape and (np.abs(rep - stack) <= tol).all():
-                    copies.append(idx)
-                    break
-            else:
-                distinct.append((stack, [idx]))
+        components = _components((np.abs(adapted) > tol).any(axis=0))
+        pairs = [(k, l) for k in range(len(mats)) for l in range(k + 1, len(mats))]
+        first, second = np.array(pairs, dtype=int).reshape(-1, 2).T
+        flat = adapted.reshape(len(mats), -1)
         blocks = []
-        for stack, copies in distinct:
-            terms = tuple(
-                k for k, (block, term_tol) in enumerate(zip(stack, tol))
-                if (np.abs(block) > term_tol).any()
-            )
-            blocks.append((TermBlock.from_terms(terms, stack[list(terms)]), tuple(copies)))
+        # The components of one size d are sliced, compared with each other
+        # and given their commutators in one call each.
+        for d in {idx.size for idx in components}:
+            members = [idx for idx in components if idx.size == d]
+            rows = np.array(members)
+            entries = (rows[:, :, None] * self.dim + rows[:, None, :]).reshape(len(rows), -1)
+            stack = np.take(flat, entries, axis=1).reshape(len(mats), len(rows), d, d)
+            close = (np.abs(stack[:, :, None] - stack[:, None]) <= tol[..., None, None]).all(axis=(0, 3, 4))
+            # Each component joins the first distinct block whose matrices it shares.
+            copies: dict[int, list[int]] = {}
+            for a in range(len(rows)):
+                copies.setdefault(next((b for b in copies if close[a, b]), a), []).append(a)
+            distinct = stack[:, list(copies)]
+            # -i [M_k, M_l] = -i (C - C^dag) with C = M_k M_l: exactly Hermitian.
+            c = distinct[first] @ distinct[second]
+            commutators = -1j * (c - c.conj().swapaxes(-1, -2))
+            acting = (np.abs(distinct) > tol[:, None]).any(axis=(2, 3)).T.tolist()
+            for j, (rep, on) in enumerate(zip(copies, acting)):
+                terms = [k for k in range(len(mats)) if on[k]]
+                among = [p for p, (k, l) in enumerate(pairs) if on[k] and on[l]]
+                local = [(terms.index(pairs[p][0]), terms.index(pairs[p][1])) for p in among]
+                matrices = np.concatenate([distinct[terms, j], commutators[among, j]])
+                positions = tuple(np.array(local, dtype=int).reshape(-1, 2).T)
+                block = TermBlock(tuple(terms), d, matrices.reshape(-1, d * d), positions)
+                blocks.append((members[rep][0], block, tuple(members[b] for b in copies[rep])))
         defects = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(1, 2), initial=0.0)
         return SymmetryBlocks(
             hamiltonian=self,
             basis=basis,
-            blocks=tuple(blocks),
+            # Distinct blocks in the order of their first component.
+            blocks=tuple((block, copies) for _, block, copies in sorted(blocks, key=lambda b: b[0])),
             hermitian_terms=bool((defects <= HERMITICITY_TOL * scales).all()),
         )
 
@@ -428,17 +473,6 @@ class TermBlock:
     dim: int
     matrices: np.ndarray
     pairs: tuple[np.ndarray, np.ndarray]
-
-    @classmethod
-    def from_terms(cls, terms: tuple[int, ...], mats: np.ndarray) -> "TermBlock":
-        """Block of the assembly terms ``terms`` with block matrices ``mats``."""
-        d = mats.shape[-1]
-        first, second = np.triu_indices(len(terms), 1)
-        # -i [M_k, M_l] = -i (C - C^dag) with C = M_k M_l: exactly Hermitian.
-        c = mats[first] @ mats[second]
-        commutators = -1j * (c - c.conj().swapaxes(-1, -2))
-        stack = np.concatenate([mats.astype(complex), commutators]).reshape(-1, d * d)
-        return cls(terms=terms, dim=d, matrices=stack, pairs=(first, second))
 
     def generators(self, c1: np.ndarray, c2: np.ndarray, widths: np.ndarray) -> np.ndarray:
         """h H_eff of each Magnus step (module docstring), shape ``(n, C, d, d)``.
@@ -523,21 +557,6 @@ def _neighbors(topology: Topology) -> list[int]:
     return [q for q in range(1, topology.n_qubits + 1) if q != topology.center]
 
 
-def _neighbors_interchangeable(topology: Optional[Topology], mats: np.ndarray) -> bool:
-    """True when every matrix commutes with each swap of two adjacent
-    neighbors; these swaps generate every permutation of the neighbors."""
-    neighbors = [] if topology is None else _neighbors(topology)
-    if len(neighbors) < 2:
-        return False
-    labels = np.arange(topology.dim).reshape((2,) * topology.n_qubits)
-    tol = 1e-12 * np.abs(mats).max(initial=0.0)
-    for p, q in zip(neighbors, neighbors[1:]):
-        perm = labels.swapaxes(p - 1, q - 1).reshape(-1)
-        if np.abs(mats[:, perm[:, None], perm] - mats).max(initial=0.0) > tol:
-            return False
-    return True
-
-
 def _dicke_basis(topology: Topology) -> np.ndarray:
     """Neighbors' collective-spin basis times the center's states.
 
@@ -583,7 +602,10 @@ def _components(pattern: np.ndarray) -> list[np.ndarray]:
     for _ in range(max(len(pattern) - 1, 1).bit_length()):
         reach = (reach @ reach > 0).astype(float)
     first = reach.argmax(axis=1)  # the least index of each index's component
-    return [np.flatnonzero(first == f) for f in np.unique(first)]
+    members: dict[int, list[int]] = {}
+    for i, f in enumerate(first.tolist()):
+        members.setdefault(f, []).append(i)
+    return [np.array(m) for m in members.values()]
 
 
 def _flip_flop(topology: Topology) -> np.ndarray:
@@ -648,6 +670,37 @@ def _periodic_envelope(env, gate_time: float, repetitions: int):
     return (lambda t: env.sample(np.mod(t, gate_time))), kinks
 
 
+def check_assembly(
+    topology: Topology, scheme: ControlScheme, gate: GateSpec, *, repetitions: int = 1
+) -> tuple[int, ...]:
+    """Raise what ``assemble_hamiltonian`` raises for these arguments (any
+    ``fm_frame`` aside) without building a term; return the X-driven qubits."""
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    targets = _x_target_labels(gate, topology)
+    if isinstance(scheme, FrequencyModulation):
+        # Single-X gates must declare on which side of the modulation they
+        # act; parallel gates drive both sides, the modulated qubit's drive
+        # taking the modified form automatically.
+        if isinstance(gate, XGate) and (gate.target == topology.center) != scheme.single_site:
+            kind = "single-site" if scheme.single_site else "neighbor-site"
+            raise ValueError(
+                f"{kind} modulation cannot drive qubit {gate.target} "
+                f"(modulated qubit is {topology.center})"
+            )
+    elif isinstance(scheme, DynamicalDecoupling):
+        tau = gate.duration / scheme.segments
+        width = scheme.width if scheme.pulses else 0.0
+        if width >= tau:
+            raise ValueError(f"pulse width {width} ns must be below the segment length {tau} ns")
+    elif not isinstance(scheme, CrosstalkOnly):
+        raise TypeError(
+            f"unsupported control scheme {scheme!r}; combined schemes (e.g. decoupling "
+            "with modulation) are not constructible"
+        )
+    return targets
+
+
 def assemble_hamiltonian(
     params: SystemParams,
     topology: Topology,
@@ -676,11 +729,11 @@ def assemble_hamiltonian(
     ValueError
         For gate/scheme/layout combinations outside the supported set, or
         waveform geometry violations (e.g. pulse width >= segment length).
+    TypeError
+        For an unsupported gate or control scheme.
     """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    targets = check_assembly(topology, scheme, gate, repetitions=repetitions)
     t_gate = gate.duration
-    targets = _x_target_labels(gate, topology)
     n, center = topology.n_qubits, topology.center
 
     phase = coupling_phase(params)
@@ -691,20 +744,8 @@ def assemble_hamiltonian(
     kinks: list[float] = []
     tail = 0.0
 
-    if isinstance(scheme, CrosstalkOnly):
-        pass
-
-    elif isinstance(scheme, FrequencyModulation):
+    if isinstance(scheme, FrequencyModulation):
         modulation = scheme.modulation(t_gate)
-        # Single-X gates must declare on which side of the modulation they
-        # act; parallel gates drive both sides, the modulated qubit's drive
-        # taking the modified form automatically.
-        if isinstance(gate, XGate) and (gate.target == center) != scheme.single_site:
-            kind = "single-site" if scheme.single_site else "neighbor-site"
-            raise ValueError(
-                f"{kind} modulation cannot drive qubit {gate.target} "
-                f"(modulated qubit is {center})"
-            )
         kinks += modulation.kinks()
         if fm_frame == "modulated":
             phase = coupling_phase(params, modulation)
@@ -721,10 +762,6 @@ def assemble_hamiltonian(
     elif isinstance(scheme, DynamicalDecoupling):
         tau = t_gate / scheme.segments
         width = scheme.width if scheme.pulses else 0.0
-        if width >= tau:
-            raise ValueError(
-                f"pulse width {width} ns must be below the segment length {tau} ns"
-            )
         segments = repetitions * scheme.segments
         if scheme.pulses:
             train = NascentDeltaTrain(segments=segments, interval=tau, width=width)
@@ -733,12 +770,6 @@ def assemble_hamiltonian(
             tail = width / 2.0
         bursts = SegmentedDrive.sqrt_x_bursts(segments=segments, interval=tau, width=width)
         x_drive, x_kinks = bursts.sample, bursts.kinks()
-
-    else:
-        raise TypeError(
-            f"unsupported control scheme {scheme!r}; combined schemes (e.g. decoupling "
-            "with modulation) are not constructible"
-        )
 
     terms = _exchange_terms(topology, phase)
     terms += [(name, coeff, embed(SIGMA_Z, center, n)) for name, coeff in z_terms]

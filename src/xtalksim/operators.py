@@ -325,18 +325,10 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
 
 def _entrywise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for ``(k, d, d, ...)`` stacks, as d elementwise products."""
-    return sum(a[:, :, j, None] * b[:, None, j] for j in range(a.shape[1]))
-
-
-def _sample_hamiltonian(h_of_t, times: np.ndarray) -> np.ndarray:
-    """Evaluate ``h_of_t`` on a 1-D time array; it must return ``(n, d, d)``."""
-    h = np.asarray(h_of_t(times), dtype=complex)
-    if h.ndim != 3 or h.shape[0] != times.size or h.shape[1] != h.shape[2]:
-        raise ValueError(
-            f"h_of_t must map {times.size} times to a ({times.size}, d, d) stack, "
-            f"got shape {h.shape}"
-        )
-    return h
+    out = a[:, :, 0, None] * b[:, None, 0]
+    for j in range(1, a.shape[1]):
+        out += a[:, :, j, None] * b[:, None, j]
+    return out
 
 
 def check_hermitian(h: np.ndarray, times: np.ndarray) -> None:
@@ -397,7 +389,12 @@ def propagate(h_of_t, grid: TimeGrid) -> np.ndarray:
     """
     u = None
     for h_step, times in gauss_nodes(grid, CHUNK):
-        h = _sample_hamiltonian(h_of_t, times)
+        h = np.asarray(h_of_t(times), dtype=complex)
+        if h.ndim != 3 or h.shape[0] != times.size or h.shape[1] != h.shape[2]:
+            raise ValueError(
+                f"h_of_t must map {times.size} times to a ({times.size}, d, d) stack, "
+                f"got shape {h.shape}"
+            )
         if u is None:
             u = np.eye(h.shape[-1], dtype=complex)
         elif h.shape[-1] != u.shape[-1]:

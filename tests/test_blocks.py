@@ -19,7 +19,7 @@ from xtalksim.model import (
     XGate,
     assemble_hamiltonian,
 )
-from xtalksim import operators
+from xtalksim import model, operators
 from xtalksim.operators import CHUNK, SIGMA_Z, TimeGrid, embed, propagate, unitarity_defect
 
 PARAMS = SystemParams.from_mhz(50.0, 5.0)
@@ -242,3 +242,30 @@ class TestHermiticity:
             ValueError, match=r"non-Hermitian Hamiltonian sample at t=0\.521132487 ns"
         ):
             blocks.propagate(TimeGrid(0.0, 1.0, 10))
+
+
+class TestLayoutInvariants:
+    def test_dicke_basis_built_once_per_layout(self, monkeypatch):
+        built = []
+        original = model._dicke_basis
+
+        def counting(topology):
+            built.append(topology)
+            return original(topology)
+
+        monkeypatch.setattr(model, "_dicke_basis", counting)
+        star = dataclasses.replace(STAR)  # a fresh layout: nothing computed yet
+        for scheme, gate in [
+            (CrosstalkOnly(), Idle(T_M)),
+            (DD, Idle(T_M)),
+            (DD, XGate(T_M, target=2)),
+            (fm(single_site=True), XGate(T_M, target=2)),
+        ] * 2:
+            blocks = assemble_hamiltonian(PARAMS, star, scheme, gate).blocks()
+            assert blocks.basis is star.dicke_basis
+        assert len(built) == 1
+
+    def test_invariants_are_read_only(self):
+        for invariant in (STAR.dicke_basis, STAR.neighbor_swaps):
+            with pytest.raises(ValueError):
+                invariant[0, 0] = 0

@@ -1,7 +1,10 @@
+import argparse
 import json
+import sys
 
 import pytest
 
+from xtalksim import cli, model
 from xtalksim.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_INTERNAL,
@@ -281,3 +284,53 @@ class TestVerify:
         assert main(["verify", "--step", "0.5"]) == EXIT_CHECK_FAILURE
         out = capsys.readouterr().out
         assert "FAIL step-halving:" in out
+
+
+class TestPerCallWork:
+    """A call pays for its run, not for set-up that one process can share."""
+
+    def test_calls_construct_no_parser(self, monkeypatch, capsys):
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["list-presets"]) == EXIT_OK
+        assert main(["simulate", "--bogus"]) == EXIT_VALIDATION
+        assert built == []
+
+    def test_dispatch_reads_module_attribute(self, monkeypatch):
+        # Replacing a command function on the module (as span tracers do)
+        # takes effect in the next call.
+        seen = []
+        monkeypatch.setattr(cli, "cmd_list_presets", lambda args: seen.append(args.command) or 7)
+        assert main(["list-presets"]) == 7
+        assert seen == ["list-presets"]
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"scheme": "cd"},
+            {"scheme": "dd", "segments": 4},
+            {"scheme": "fm", "cycles": 4, "gamma_mhz": 200.0},
+        ],
+        ids=["cd", "dd", "fm"],
+    )
+    def test_star_idle_assembles_once(self, tmp_path, monkeypatch, payload):
+        # The config is validated without assembling; the run assembles once.
+        calls = []
+        original = model.assemble_hamiltonian
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("xtalksim") and getattr(module, "assemble_hamiltonian", None) is original:
+                monkeypatch.setattr(module, "assemble_hamiltonian", counting)
+        cfg = write_config(tmp_path, {"topology": "star", "gate": "idle", "step_ns": 0.5, **payload})
+        assert main(["simulate", "--config", cfg]) == EXIT_OK
+        assert len(calls) == 1

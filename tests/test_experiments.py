@@ -1,10 +1,11 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from helpers import improvement_orders
 
-from xtalksim import model
+from xtalksim import experiments, model
 from xtalksim.experiments import (
     DEFAULT_STEP,
     FidelitySeries,
@@ -35,6 +36,7 @@ from xtalksim.model import (
     angular_to_cyclic_mhz,
     assemble_hamiltonian,
     cyclic_mhz_to_angular,
+    static_frame_reference,
     target_unitary,
 )
 from xtalksim.operators import CHUNK, SIGMA_X, TimeGrid, embed, propagate
@@ -73,6 +75,14 @@ class TestGateFidelity:
     def test_orthogonal_gate_scores_zero(self):
         x1 = embed(SIGMA_X, 1, 2)
         assert gate_fidelity(x1, np.eye(4)) == pytest.approx(0.0, abs=1e-14)
+
+    def test_stacks_match_matrix_calls(self):
+        rng = np.random.default_rng(3)
+        u, _ = np.linalg.qr(rng.normal(size=(3, 2, 4, 4)) + 1j * rng.normal(size=(3, 2, 4, 4)))
+        ideal = np.broadcast_to(target_unitary(ParallelXX(T_M), PAIR), u.shape)
+        stacked = gate_fidelity(u, ideal)
+        assert stacked.shape == (3, 2)
+        assert stacked.tolist() == [[gate_fidelity(a, b) for a, b in zip(*pair)] for pair in zip(u, ideal)]
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -119,6 +129,21 @@ class TestSingleGate:
         propagated = run_single_gate(PARAMS, STAR, CrosstalkOnly(), Idle(T_M), step=0.002)
         exact = cd_idle_reference_infidelity(PARAMS, STAR, T_M)
         assert propagated == pytest.approx(exact, abs=1e-8)
+
+    @pytest.mark.parametrize("topology", [PAIR, STAR], ids=["pair", "star"])
+    def test_references_take_plain_namespaces(self, topology):
+        # The benchmark's output checks pass duck-typed parameters and
+        # layouts; the static references must not require the model types.
+        params = SimpleNamespace(delta=PARAMS.delta, j=PARAMS.j)
+        layout = SimpleNamespace(
+            n_qubits=topology.n_qubits, center=topology.center, edges=topology.edges, dim=topology.dim
+        )
+        assert np.array_equal(
+            static_frame_reference(params, layout, 13.0), static_frame_reference(PARAMS, topology, 13.0)
+        )
+        assert cd_idle_reference_infidelity(params, layout, 13.0) == cd_idle_reference_infidelity(
+            PARAMS, topology, 13.0
+        )
 
     def test_scheme_labels(self):
         assert scheme_label(CrosstalkOnly()) == "CD"
@@ -216,6 +241,17 @@ class TestSequences:
         steps.clear()
         run_sequence(PARAMS, STAR, DD, Idle(T_M), 1)
         assert steps == [1035]
+
+    @pytest.mark.parametrize(
+        "gate, repetitions, targets",
+        [(Idle(T_M), 20, 4), (XGate(T_M, target=1), 21, 2), (ParallelXX(T_M), 1, 1)],
+        ids=["idle-20", "x-21", "xx-1"],
+    )
+    def test_targets_follow_phase_cycle(self, monkeypatch, gate, repetitions, targets):
+        # The ideal k-gate operation depends on k mod 4 only.
+        built = count_calls(monkeypatch, experiments, "target_unitary")
+        run_sequence(PARAMS, PAIR, CrosstalkOnly(), gate, repetitions, step=0.5)
+        assert len(built) == targets
 
     def test_idle_sequences_count_every_gate(self):
         series = run_sequence(PARAMS, PAIR, CrosstalkOnly(), Idle(T_M), 4, step=0.05)

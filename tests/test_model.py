@@ -16,6 +16,7 @@ from xtalksim.model import (
     XGate,
     angular_to_cyclic_mhz,
     assemble_hamiltonian,
+    check_assembly,
     cyclic_mhz_to_angular,
     static_frame_reference,
     target_unitary,
@@ -171,6 +172,32 @@ class TestAssembly:
         # Parallel drives touch both sides and are valid either way.
         assemble_hamiltonian(PARAMS, PAIR, fm_neighbor, ParallelXX(20.0))
         assemble_hamiltonian(PARAMS, PAIR, fm_center, ParallelXX(20.0))
+
+    @pytest.mark.parametrize(
+        "topology, scheme, gate",
+        [
+            (PAIR, FrequencyModulation(cycles=4, gamma=1.26), XGate(20.0, target=2)),
+            (PAIR, FrequencyModulation(cycles=4, gamma=1.26, single_site=True), XGate(20.0)),
+            (STAR, CrosstalkOnly(), ParallelXX(20.0)),
+            (PAIR, CrosstalkOnly(), XGate(20.0, target=3)),
+            (STAR, DynamicalDecoupling(segments=4, width=5.0), Idle(20.0)),
+        ],
+        ids=["neighbor-site-fm", "single-site-fm", "star-parallel-xx", "no-qubit-3", "wide-pulses"],
+    )
+    def test_check_raises_what_assembly_raises(self, topology, scheme, gate):
+        with pytest.raises(ValueError) as checked:
+            check_assembly(topology, scheme, gate)
+        with pytest.raises(ValueError) as assembled:
+            assemble_hamiltonian(PARAMS, topology, scheme, gate)
+        assert str(checked.value) == str(assembled.value)
+
+    def test_check_returns_driven_qubits(self):
+        dd = DynamicalDecoupling(segments=4, width=1.25)
+        assert check_assembly(STAR, dd, Idle(20.0), repetitions=3) == ()
+        assert check_assembly(STAR, dd, XGate(20.0, target=2)) == (2,)
+        assert check_assembly(PAIR, CrosstalkOnly(), ParallelXX(20.0)) == (1, 2)
+        with pytest.raises(ValueError, match="repetitions"):
+            check_assembly(PAIR, CrosstalkOnly(), Idle(20.0), repetitions=0)
 
     def test_periodicity_flags(self):
         h = assemble_hamiltonian(PARAMS, PAIR, CrosstalkOnly(), Idle(20.0), repetitions=3)
