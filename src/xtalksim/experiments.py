@@ -43,7 +43,6 @@ from xtalksim.model import (
     static_frame_reference,
     target_unitary,
 )
-from xtalksim.operators import TimeGrid
 from xtalksim.optimize import GammaScan, corner_averaged_fidelity, scan_gamma
 
 # Longest integrator step (ns) used by every shipped experiment.  Grids put
@@ -202,19 +201,15 @@ def _windowed_propagators(h: AssembledHamiltonian, step: float):
     """
     t_gate, tail = h.gate_time, h.tail
     blocks = h.blocks()
-
-    def window(t_start: float, t_end: float) -> np.ndarray:
-        return blocks.propagate(TimeGrid.with_max_step(t_start, t_end, step, h.breakpoints))
-
     if h.periodic and h.repetitions > 1:
-        u_period = window(tail, t_gate + tail)
-        yield u_period if tail == 0.0 else u_period @ window(0.0, tail)
+        u_period = blocks.propagate(tail, t_gate + tail, step)
+        yield u_period if tail == 0.0 else u_period @ blocks.propagate(0.0, tail, step)
         for _ in range(2, h.repetitions + 1):
             yield u_period
         return
-    yield window(0.0, t_gate + tail)
+    yield blocks.propagate(0.0, t_gate + tail, step)
     for k in range(2, h.repetitions + 1):
-        yield window((k - 1) * t_gate + tail, k * t_gate + tail)
+        yield blocks.propagate((k - 1) * t_gate + tail, k * t_gate + tail, step)
 
 
 def cd_idle_reference_infidelity(params: SystemParams, topology: Topology, t: float) -> float:

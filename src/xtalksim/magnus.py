@@ -199,19 +199,8 @@ class SecondOrderForms:
         return self.decoupled / self.crosstalk_only
 
 
-def dd_second_order_closed_forms(params: SystemParams, gate_kind: str = "idle") -> SecondOrderForms:
-    """Matched-time second-order errors with and without the Z-pulse train.
-
-    ``gate_kind`` is ``"idle"``, ``"x"`` or ``"parallel_xx"``; driven gates
-    add one drive-coupling term 2|J/4| per driven qubit, identical in both
-    columns.
-    """
+def dd_second_order_closed_forms(params: SystemParams) -> SecondOrderForms:
+    """Matched-time second-order idle errors with and without the Z-pulse train."""
     base_cd = 2.0 * abs(params.j**2 / (2.0 * params.delta))
     base_dd = 2.0 * abs((math.pi - 4.0) / (2.0 * math.pi) * params.j**2 / params.delta)
-    drive_terms = {"idle": 0, "x": 1, "parallel_xx": 2}
-    try:
-        n_drives = drive_terms[gate_kind]
-    except KeyError:
-        raise ValueError(f"unknown gate kind {gate_kind!r}; expected one of {sorted(drive_terms)}")
-    extra = n_drives * 2.0 * abs(params.j / 4.0)
-    return SecondOrderForms(crosstalk_only=base_cd + extra, decoupled=base_dd + extra)
+    return SecondOrderForms(crosstalk_only=base_cd, decoupled=base_dd)

@@ -53,22 +53,23 @@ for it are cached per layout (``Topology.dicke_basis``, ``neighbor_swaps``),
 so a block analysis does no basis work of its own; it slices, compares and
 commutes the components of each size in one call each.
 
-Blocks propagate in term space (``TermBlock``).  Each chunk of steps
+The distinct blocks of one dimension d are held as one ``BlockStack``: the
+matrices M_k of every term on its B blocks, zero on a block the term does
+not act on, and their commutators.  ``SymmetryBlocks.propagate`` builds its
+own grid, with a step boundary on every breakpoint.  Each chunk of steps
 samples the assembly's real coefficient functions once, at both Gauss nodes
-of every step, and every distinct block builds its Magnus generators from
-them, its term matrices M_k and their precomputed commutators, without
+of every step, and each stack builds its Magnus generators from them without
 forming dense samples.  Since [H_2, H_1] = sum_{k<l} (c2_k c1_l - c2_l c1_k)
 [M_k, M_l], the generator of ``operators`` is
 
     h H_eff = sum_k h (c1_k + c2_k) / 2 M_k
               + sum_{k<l} (sqrt(3) h^2 / 12) (c2_k c1_l - c2_l c1_k) (-i [M_k, M_l]),
 
-one real contraction per block, and the steps match ``operators.propagate``
-on the dense assembly to roundoff.  The distinct blocks of one dimension
-propagate as one stack: per chunk of at most ``CHUNK / C`` steps for C
-couplings, ``operators.advance`` exponentiates their ``(n, C, B, d, d)``
-generators (time index first) in one call and multiplies them out in one
-product tree, with 1x1 and 2x2 steps multiplied elementwise.
+one real contraction per stack, and the steps match ``operators.propagate``
+on the dense assembly to roundoff.  Per chunk of at most ``CHUNK / C`` steps
+for C couplings, ``operators.advance`` exponentiates a stack's
+``(n, C, B, d, d)`` generators (time index first) in one call and multiplies
+them out in one product tree, 1x1 and 2x2 steps elementwise.
 
 Qubits are labeled 1..n; qubit 2 is the shared (modulated/pulsed) qubit in
 both shipped layouts, ``PAIR`` and ``STAR``.
@@ -119,7 +120,7 @@ __all__ = [
     "XGate",
     "ParallelXX",
     "AssembledHamiltonian",
-    "TermBlock",
+    "BlockStack",
     "SymmetryBlocks",
     "assemble_hamiltonian",
     "check_assembly",
@@ -215,11 +216,9 @@ class SystemParams:
         """Half period of the coupling phase, pi / |Delta|."""
         return math.pi / abs(self.delta)
 
-    def matched_time(self, m: int = 1) -> float:
-        """m-th matched gate time, 2 m pi / |Delta|."""
-        if m < 1:
-            raise ValueError(f"matched-time index must be >= 1, got {m}")
-        return 2.0 * m * math.pi / abs(self.delta)
+    def matched_time(self) -> float:
+        """First matched gate time, 2 pi / |Delta|."""
+        return 2.0 * math.pi / abs(self.delta)
 
     def is_matched(self, t: float) -> bool:
         ratio = t / self.matched_time()
@@ -341,8 +340,7 @@ class AssembledHamiltonian:
     k, which repeated runs exploit.  ``topology`` names the layout the
     matrices act on; :meth:`blocks` uses it to look for interchangeable
     neighbors.  ``breakpoints`` are the sorted kinks of the control
-    waveforms; grids for this assembly are built with
-    ``TimeGrid.with_max_step(..., breakpoints)``.
+    waveforms; block propagation puts a step boundary on each of them.
     """
 
     terms: tuple[tuple[str, Callable[[np.ndarray], np.ndarray], np.ndarray], ...]
@@ -380,15 +378,13 @@ class AssembledHamiltonian:
         # Entries below this are roundoff of the basis change.
         tol = 1e-12 * scales[:, None, None]
         components = _components((np.abs(adapted) > tol).any(axis=0))
-        pairs = [(k, l) for k in range(len(mats)) for l in range(k + 1, len(mats))]
-        first, second = np.array(pairs, dtype=int).reshape(-1, 2).T
+        first, second = np.triu_indices(len(mats), 1)
         flat = adapted.reshape(len(mats), -1)
-        blocks = []
+        stacks = []
         # The components of one size d are sliced, compared with each other
         # and given their commutators in one call each.
-        for d in {idx.size for idx in components}:
-            members = [idx for idx in components if idx.size == d]
-            rows = np.array(members)
+        for d in dict.fromkeys(idx.size for idx in components):
+            rows = np.array([idx for idx in components if idx.size == d])
             entries = (rows[:, :, None] * self.dim + rows[:, None, :]).reshape(len(rows), -1)
             stack = np.take(flat, entries, axis=1).reshape(len(mats), len(rows), d, d)
             close = (np.abs(stack[:, :, None] - stack[:, None]) <= tol[..., None, None]).all(axis=(0, 3, 4))
@@ -397,24 +393,19 @@ class AssembledHamiltonian:
             for a in range(len(rows)):
                 copies.setdefault(next((b for b in copies if close[a, b]), a), []).append(a)
             distinct = stack[:, list(copies)]
+            # A term whose entries on a block are all roundoff does not act there.
+            acting = (np.abs(distinct) > tol[:, None]).any(axis=(2, 3), keepdims=True)
+            distinct = np.where(acting, distinct, 0.0)
             # -i [M_k, M_l] = -i (C - C^dag) with C = M_k M_l: exactly Hermitian.
             c = distinct[first] @ distinct[second]
             commutators = -1j * (c - c.conj().swapaxes(-1, -2))
-            acting = (np.abs(distinct) > tol[:, None]).any(axis=(2, 3)).T.tolist()
-            for j, (rep, on) in enumerate(zip(copies, acting)):
-                terms = [k for k in range(len(mats)) if on[k]]
-                among = [p for p, (k, l) in enumerate(pairs) if on[k] and on[l]]
-                local = [(terms.index(pairs[p][0]), terms.index(pairs[p][1])) for p in among]
-                matrices = np.concatenate([distinct[terms, j], commutators[among, j]])
-                positions = tuple(np.array(local, dtype=int).reshape(-1, 2).T)
-                block = TermBlock(tuple(terms), d, matrices.reshape(-1, d * d), positions)
-                blocks.append((members[rep][0], block, tuple(members[b] for b in copies[rep])))
+            matrices = np.concatenate([distinct, commutators]).reshape(-1, len(copies) * d * d)
+            stacks.append(BlockStack(d, matrices, tuple(rows[m] for m in copies.values())))
         defects = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(1, 2), initial=0.0)
         return SymmetryBlocks(
             hamiltonian=self,
             basis=basis,
-            # Distinct blocks in the order of their first component.
-            blocks=tuple((block, copies) for _, block, copies in sorted(blocks, key=lambda b: b[0])),
+            stacks=tuple(stacks),
             hermitian_terms=bool((defects <= HERMITICITY_TOL * scales).all()),
         )
 
@@ -460,36 +451,37 @@ class AssembledHamiltonian:
 
 
 @dataclass(frozen=True)
-class TermBlock:
-    """One distinct block in term space: H_b(t) = sum_k c_k(t) M_k.
+class BlockStack:
+    """The B distinct blocks of one dimension d in term space: H_b(t) =
+    sum_k c_k(t) M_kb.
 
-    ``terms`` indexes the assembly's terms that act on the block.
-    ``matrices`` stacks their block matrices M_k and then the Hermitian
-    commutators -i [M_k, M_l] for the index pairs ``pairs`` (k < l), flattened
-    to ``(K + K (K - 1) / 2, d * d)``.
+    ``matrices`` stacks, for every term k of the assembly, its matrices M_kb
+    on the B blocks, zero where the term does not act on a block, and then
+    the Hermitian commutators -i [M_k, M_l] for every pair k < l, flattened
+    to ``(K + K (K - 1) / 2, B * d * d)``.  ``copies[b]`` holds the index
+    sets, in the basis's columns, of every copy that shares block b's
+    matrices, shape ``(copies, d)``.
     """
 
-    terms: tuple[int, ...]
     dim: int
     matrices: np.ndarray
-    pairs: tuple[np.ndarray, np.ndarray]
+    copies: tuple[np.ndarray, ...]
 
     def generators(self, c1: np.ndarray, c2: np.ndarray, widths: np.ndarray) -> np.ndarray:
-        """h H_eff of each Magnus step (module docstring), shape ``(n, C, d, d)``.
+        """h H_eff of each Magnus step (module docstring), shape ``(n, C, B, d, d)``.
 
         ``c1`` and ``c2`` are the assembly's ``(n, C, K)`` coefficients at
         the early and late Gauss nodes of steps of width ``widths``.
         """
-        a, b = c1[..., self.terms], c2[..., self.terms]
-        first, second = self.pairs
+        first, second = np.triu_indices(c1.shape[-1], 1)
         h = widths[:, None, None]
-        cross = b[..., first] * a[..., second] - b[..., second] * a[..., first]
+        cross = c2[..., first] * c1[..., second] - c2[..., second] * c1[..., first]
         weights = np.concatenate(
-            [0.5 * h * (a + b), (math.sqrt(3.0) / 12.0) * h**2 * cross], axis=-1
+            [0.5 * h * (c1 + c2), (math.sqrt(3.0) / 12.0) * h**2 * cross], axis=-1
         )
         # One real contraction over the interleaved real and imaginary parts.
         out = weights.reshape(-1, weights.shape[-1]) @ self.matrices.view(float)
-        return out.view(complex).reshape(c1.shape[:2] + (self.dim, self.dim))
+        return out.view(complex).reshape(c1.shape[:2] + (len(self.copies),) + (self.dim,) * 2)
 
 
 @dataclass(frozen=True)
@@ -497,30 +489,33 @@ class SymmetryBlocks:
     """An assembly split into independent blocks: ``U = W (+)_b U_b W^T``.
 
     ``basis`` is the real orthogonal ``W`` (None for the computational
-    basis).  Each entry of ``blocks`` pairs a distinct block with the index
-    sets, in ``W``'s columns, of every copy that shares its matrices.
-    ``hermitian_terms`` is False when some term matrix of ``hamiltonian`` is
-    not Hermitian to ``HERMITICITY_TOL``; propagation then checks every
-    sample.
+    basis), and ``stacks`` holds the distinct blocks, one stack per block
+    dimension.  ``hermitian_terms`` is False when some term matrix of
+    ``hamiltonian`` is not Hermitian to ``HERMITICITY_TOL``; propagation then
+    checks every sample.
     """
 
     hamiltonian: AssembledHamiltonian
     basis: Optional[np.ndarray]
-    blocks: tuple[tuple[TermBlock, tuple[np.ndarray, ...]], ...]
+    stacks: tuple[BlockStack, ...]
     hermitian_terms: bool
 
     @property
     def layout(self) -> str:
-        """Distinct blocks as ``{dimension}x{copies}``, e.g. ``10x1 6x3 2x2``."""
-        return " ".join(f"{b.dim}x{len(copies)}" for b, copies in self.blocks)
+        """Distinct blocks as ``{dimension}x{copies}`` in the order of their
+        first index, e.g. ``10x1 6x3 2x2``."""
+        blocks = sorted((rows[0, 0], s.dim, len(rows)) for s in self.stacks for rows in s.copies)
+        return " ".join(f"{d}x{m}" for _, d, m in blocks)
 
-    def propagate(self, grid: TimeGrid) -> np.ndarray:
-        """Full-space propagators over ``grid``, ``(C, dim, dim)`` for the C
-        couplings of the assembly, each distinct block propagated once.
+    def propagate(self, t_start: float, t_end: float, step: float) -> np.ndarray:
+        """Full-space propagators over ``[t_start, t_end]``, ``(C, dim, dim)``
+        for the C couplings of the assembly, each distinct block propagated
+        once.
 
-        Steps are built in term space, and the distinct blocks of one
-        dimension advance as one stack (module docstring); blocks without
-        terms stay the identity.
+        Steps are at most ``step`` long, with a boundary on every breakpoint
+        of the assembly (``TimeGrid.with_max_step``).  They are built in term
+        space, and each stack advances as one (module docstring); a stack
+        whose matrices are all zero stays the identity.
 
         Raises
         ------
@@ -528,28 +523,23 @@ class SymmetryBlocks:
             For a complex coefficient or a non-Hermitian sample, naming the
             time.
         """
-        stacks: dict[int, list[int]] = {}
-        for i, (block, _) in enumerate(self.blocks):
-            if block.terms:
-                stacks.setdefault(block.dim, []).append(i)
-        n_couplings = len(self.hamiltonian.couplings)
-        # (d, d) identities until a block's first chunk gives it (C, d, d).
-        units = {i: np.eye(b.dim, dtype=complex) for i, (b, _) in enumerate(self.blocks)}
+        h = self.hamiltonian
+        grid = TimeGrid.with_max_step(t_start, t_end, step, h.breakpoints)
+        n_couplings = len(h.couplings)
+        # (B, d, d) identities until a stack's first chunk gives it (C, B, d, d).
+        units = [np.tile(np.eye(s.dim, dtype=complex), (len(s.copies), 1, 1)) for s in self.stacks]
+        moving = [i for i, s in enumerate(self.stacks) if s.matrices.any()]
         for widths, times in gauss_nodes(grid, max(CHUNK // n_couplings, 1)):
-            coefficients = self.hamiltonian.coefficients(times)
+            coefficients = h.coefficients(times)
             if not self.hermitian_terms:
-                check_hermitian(self.hamiltonian.combine(coefficients), times)
+                check_hermitian(h.combine(coefficients), times)
             c1, c2 = coefficients[: widths.size], coefficients[widths.size :]
-            for members in stacks.values():
-                generators = np.stack(
-                    [self.blocks[i][0].generators(c1, c2, widths) for i in members], axis=2
-                )
-                stack = np.stack([units[i] for i in members], axis=-3)
-                units.update(zip(members, advance(stack, generators).swapaxes(0, 1)))
-        u = np.zeros((n_couplings,) + (self.hamiltonian.dim,) * 2, dtype=complex)
-        for (_, copies), unit in zip(self.blocks, units.values()):
-            rows = np.array(copies)
-            u[:, rows[:, :, None], rows[:, None, :]] = unit[..., None, :, :]
+            for i in moving:
+                units[i] = advance(units[i], self.stacks[i].generators(c1, c2, widths))
+        u = np.zeros((n_couplings,) + (h.dim,) * 2, dtype=complex)
+        for stack, unit in zip(self.stacks, units):
+            for b, rows in enumerate(stack.copies):
+                u[:, rows[:, :, None], rows[:, None, :]] = unit[..., b, None, :, :]
         return u if self.basis is None else self.basis @ u @ self.basis.T
 
 

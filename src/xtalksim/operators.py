@@ -10,7 +10,8 @@ Magnus step, with the Hermitian
     H_eff = (H_1 + H_2) / 2 - i (sqrt(3) h / 12) [H_2, H_1].
 
 It keeps its order where the Hamiltonian is smooth within each step, so
-grids put step boundaries on the waveform kinks (``TimeGrid.with_max_step``).
+grids put step boundaries on the waveform kinks (``TimeGrid.with_max_step``;
+block propagation builds such grids itself).
 
 Exponentials of one and two levels use closed forms.  Larger exponents
 X = -i h H_eff are scaled by the least 2^-s that brings their 1-norm below
@@ -163,12 +164,6 @@ class TimeGrid:
         times = [self.t_start] + [t for t, _ in self.breakpoints] + [self.t_end]
         indices = [0] + [k for _, k in self.breakpoints] + [self.n_steps]
         return np.array(times, dtype=float), np.array(indices)
-
-    @property
-    def step(self) -> float:
-        """Longest step of the grid."""
-        times, indices = self._anchors()
-        return float((np.diff(times) / np.diff(indices)).max())
 
     def boundaries(self) -> np.ndarray:
         """Step boundaries including both ends, shape ``(n_steps + 1,)``."""

@@ -35,11 +35,15 @@ def fm(single_site=False):
     return FrequencyModulation(cycles=8, gamma=2.0, single_site=single_site)
 
 
+def aligned(h, t_start, t_end, step=STEP):
+    """The grid block propagation builds: a step boundary on every breakpoint."""
+    return TimeGrid.with_max_step(t_start, t_end, step, h.breakpoints)
+
+
 def reduced_and_dense(topology, scheme, gate, step=STEP):
     h = assemble_hamiltonian(PARAMS, topology, scheme, gate)
-    grid = TimeGrid.with_max_step(0.0, h.t_end, step)
     # The assembly carries one coupling; take its propagator.
-    return h.blocks().propagate(grid)[0], propagate(h, grid)
+    return h.blocks().propagate(0.0, h.t_end, step)[0], propagate(h, aligned(h, 0.0, h.t_end, step))
 
 
 SCHEMES = {"CD": CrosstalkOnly(), "FM": fm(), "DD": DD, "baseline": BASELINE}
@@ -84,8 +88,9 @@ class TestReducedMatchesDense:
     def test_offset_window(self):
         # Sequences propagate later windows of the same assembly.
         h = assemble_hamiltonian(PARAMS, STAR, DD, XGate(T_M, target=2), repetitions=3)
-        grid = TimeGrid.with_max_step(T_M + h.tail, 2 * T_M + h.tail, STEP)
-        assert np.abs(h.blocks().propagate(grid) - propagate(h, grid)).max() <= 1e-10
+        window = (T_M + h.tail, 2 * T_M + h.tail)
+        dense = propagate(h, aligned(h, *window))
+        assert np.abs(h.blocks().propagate(*window, STEP) - dense).max() <= 1e-10
 
     def test_polar_factor_infidelity_at_selected_idle_amplitude(self):
         # The reduced and dense propagators differ by roundoff only: their
@@ -120,25 +125,41 @@ class TestTermSpace:
         h = assemble_hamiltonian(
             PARAMS, topology, scheme, gate, repetitions=repetitions, fm_frame=frame
         )
-        grid = TimeGrid.with_max_step(0.0, h.t_end, STEP, h.breakpoints)
+        grid = aligned(h, 0.0, h.t_end)
         # Three gates take over CHUNK steps, so the first chunk ends mid-gate.
         assert (grid.n_steps > CHUNK) == (repetitions > 1)
-        assert np.abs(h.blocks().propagate(grid) - propagate(h, grid)).max() <= 1e-13
+        assert np.abs(h.blocks().propagate(0.0, h.t_end, STEP) - propagate(h, grid)).max() <= 1e-13
+
+    def test_window_grid_sits_on_every_kink(self):
+        # An off-lattice window of a decoupled sequence: the block propagator
+        # builds the breakpoint grid itself, and a uniform grid of the same
+        # step lands visibly elsewhere.
+        h = assemble_hamiltonian(PARAMS, STAR, DD, XGate(T_M, target=2), repetitions=3)
+        window = (T_M + h.tail, 2 * T_M + h.tail)
+        u = h.blocks().propagate(*window, STEP)
+        assert np.abs(u - propagate(h, aligned(h, *window))).max() <= 1e-13
+        assert np.abs(u - propagate(h, TimeGrid.with_max_step(*window, STEP))).max() > 1e-6
 
     def test_operation_frame_fm_uses_every_commutator(self):
         h = assemble_hamiltonian(
             PARAMS, STAR, fm(single_site=True), XGate(T_M, target=2), fm_frame="operation"
         )
-        largest, _ = h.blocks().blocks[0]
-        assert largest.terms == (0, 1, 2, 3, 4)
+        largest = max(h.blocks().stacks, key=lambda s: s.matrices.size)
         assert largest.matrices.shape == (5 + 10, largest.dim**2)
+        # Every term and every commutator acts on the block.
+        assert np.abs(largest.matrices).max(axis=1).min() > 0.0
 
     @pytest.mark.parametrize("topology", [PAIR, STAR], ids=["pair", "star"])
     def test_idle_keeps_termless_blocks(self, topology):
         # The unoccupied and fully excited states couple to nothing.
         blocks = assemble_hamiltonian(PARAMS, topology, CrosstalkOnly(), Idle(T_M)).blocks()
-        empty = [b for b, _ in blocks.blocks if not b.terms]
-        assert [b.dim for b in empty] == [1]
+        empty = [
+            s.dim
+            for s in blocks.stacks
+            for block in s.matrices.reshape(len(s.matrices), len(s.copies), -1).swapaxes(0, 1)
+            if not block.any()
+        ]
+        assert empty == [1]
 
 
 class TestStacks:
@@ -164,9 +185,25 @@ class TestStacks:
         h = assemble_hamiltonian(PARAMS, STAR, scheme, Idle(T_M))
         blocks = h.blocks()
         assert blocks.layout == layout
-        grid = TimeGrid.with_max_step(0.0, h.t_end, STEP, h.breakpoints)
-        assert grid.n_steps <= CHUNK
-        blocks.propagate(grid)
+        assert aligned(h, 0.0, h.t_end).n_steps <= CHUNK
+        blocks.propagate(0.0, h.t_end, STEP)
+        assert len(counted) == calls
+
+    @pytest.mark.parametrize("scheme, calls", [(CrosstalkOnly(), 1), (DD, 2)], ids=["cd", "dd"])
+    def test_one_generator_contraction_per_stack(self, monkeypatch, scheme, calls):
+        # A one-chunk star idle builds the generators of each stack that
+        # carries terms in one contraction: the termless 1x1 blocks of the
+        # crosstalk-only idle stay the identity.
+        counted = []
+        original = model.BlockStack.generators
+
+        def counting(stack, *args):
+            counted.append(stack.dim)
+            return original(stack, *args)
+
+        monkeypatch.setattr(model.BlockStack, "generators", counting)
+        h = assemble_hamiltonian(PARAMS, STAR, scheme, Idle(T_M))
+        h.blocks().propagate(0.0, h.t_end, STEP)
         assert len(counted) == calls
 
 
@@ -188,10 +225,9 @@ class TestComplexCoefficients:
             propagate(complex_drive, grid)
 
     def test_block_sampling_rejects(self, complex_drive):
-        grid = TimeGrid.with_max_step(0.0, complex_drive.t_end, STEP)
         # The first sample is the early Gauss node of the first 0.02 ns step.
         with pytest.raises(ValueError, match=r"on channel X1-drive at t=0\.00422649"):
-            complex_drive.blocks().propagate(grid)
+            complex_drive.blocks().propagate(0.0, complex_drive.t_end, STEP)
 
 
 class TestLayout:
@@ -213,14 +249,14 @@ class TestLayout:
 
     def test_star_idle_conserves_excitations(self):
         blocks = assemble_hamiltonian(PARAMS, STAR, DD, Idle(T_M)).blocks()
-        sizes = [(h.dim, len(copies)) for h, copies in blocks.blocks]
+        sizes = [(s.dim, len(copies)) for s in blocks.stacks for copies in s.copies]
         assert max(d for d, _ in sizes) == 2
         assert sum(d * n for d, n in sizes) == 32
 
     def test_pair_idle_splits_by_excitations(self):
         blocks = assemble_hamiltonian(PARAMS, PAIR, CrosstalkOnly(), Idle(T_M)).blocks()
         assert blocks.basis is None
-        assert sorted(h.dim * len(c) for h, c in blocks.blocks) == [2, 2]
+        assert sorted(s.dim * len(c) for s in blocks.stacks for c in s.copies) == [2, 2]
 
 
 class TestHermiticity:
@@ -241,7 +277,7 @@ class TestHermiticity:
         with pytest.raises(
             ValueError, match=r"non-Hermitian Hamiltonian sample at t=0\.521132487 ns"
         ):
-            blocks.propagate(TimeGrid(0.0, 1.0, 10))
+            blocks.propagate(0.0, 1.0, 0.1)
 
 
 class TestLayoutInvariants:

@@ -174,7 +174,7 @@ class TestStepConvergence:
         ref = run_single_gate(PARAMS, PAIR, dd, gate, step=0.02 / 16)
         aligned = run_single_gate(PARAMS, PAIR, dd, gate, step=0.02)
         h = assemble_hamiltonian(PARAMS, PAIR, dd, gate)
-        u = h.blocks().propagate(TimeGrid.with_max_step(0.0, h.t_end, 0.02))[0]
+        u = propagate(h, TimeGrid.with_max_step(0.0, h.t_end, 0.02))
         unaligned = 1.0 - gate_fidelity(u, target_unitary(gate, PAIR))
         assert 100.0 * abs(aligned - ref) <= abs(unaligned - ref)
 
@@ -235,7 +235,14 @@ class TestSequences:
     def test_periodic_decoupled_run_propagates_steady_window_once(self, monkeypatch):
         # The first window is the steady window [tail, T + tail] after the
         # head [0, tail], not a second propagation over [0, T + tail].
-        steps = count_calls(monkeypatch, SymmetryBlocks, "propagate", lambda _, g: g.n_steps)
+        steps = count_calls(
+            monkeypatch,
+            SymmetryBlocks,
+            "propagate",
+            lambda blocks, *window: TimeGrid.with_max_step(
+                *window, blocks.hamiltonian.breakpoints
+            ).n_steps,
+        )
         run_sequence(PARAMS, STAR, DD, Idle(T_M), 3)
         assert sum(steps) == 1004 + 32
         steps.clear()
@@ -326,9 +333,10 @@ class TestSweepJ:
         grid = TimeGrid.with_max_step(0.0, h.t_end, DEFAULT_STEP, h.breakpoints)
         # The stack takes more chunks than a single coupling.
         assert grid.n_steps > CHUNK // len(couplings)
-        stacked = dataclasses.replace(h, couplings=couplings).blocks().propagate(grid)
+        window = (0.0, h.t_end, DEFAULT_STEP)
+        stacked = dataclasses.replace(h, couplings=couplings).blocks().propagate(*window)
         for u, p in zip(stacked, separate):
-            single = assemble_hamiltonian(p, topology, run.scheme, gate).blocks().propagate(grid)
+            single = assemble_hamiltonian(p, topology, run.scheme, gate).blocks().propagate(*window)
             assert np.abs(u - single[0]).max() <= 1e-14
 
         series = sweep_j(PARAMS, topology, [run], gate, j_grid)[0]

@@ -107,13 +107,6 @@ class TestSecondOrderClosedForms:
         measured = epsilon_dd2_numeric(PARAMS, 4, T_M) / at(epsilon_fm2_idle, 4, 0.0, T_M)
         assert measured == pytest.approx(abs((math.pi - 4.0) / math.pi), rel=1e-6)
 
-    def test_driven_forms_share_the_drive_term(self):
-        forms_x = dd_second_order_closed_forms(PARAMS, "x")
-        forms_idle = dd_second_order_closed_forms(PARAMS, "idle")
-        drive = forms_x.crosstalk_only - forms_idle.crosstalk_only
-        assert drive > 0.0
-        assert forms_x.decoupled - forms_idle.decoupled == pytest.approx(drive, rel=1e-12)
-
 
 class TestQuadratureConvergence:
     """The 512-node rule against the 1,024- and 2,048-node reference rules."""

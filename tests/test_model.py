@@ -45,7 +45,6 @@ class TestUnitsAndParams:
 
     def test_characteristic_times(self):
         assert PARAMS.matched_time() == pytest.approx(20.0)
-        assert PARAMS.matched_time(3) == pytest.approx(60.0)
         assert PARAMS.t_delta == pytest.approx(10.0)
         assert PARAMS.is_matched(20.0)
         assert not PARAMS.is_matched(30.0)
