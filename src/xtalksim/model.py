@@ -51,25 +51,31 @@ A driven neighbor leaves one full block.  The rebuilt propagator matches the
 dense one to roundoff.  The Dicke basis and the neighbor swaps that test
 for it are cached per layout (``Topology.dicke_basis``, ``neighbor_swaps``),
 so a block analysis does no basis work of its own; it slices, compares and
-commutes the components of each size in one call each.
+commutes the components of each size in one call each.  The analysis
+depends on nothing but the term matrices, so it is made once per layout and
+term set (``Topology.block_analyses``, keyed by the matrices' exact bytes,
+with read-only arrays) and every later assembly with the same matrices,
+at any coupling, amplitude or gate time, reuses it.
 
 The distinct blocks of one dimension d are held as one ``BlockStack``: the
 matrices M_k of every term on its B blocks, zero on a block the term does
 not act on, and their commutators.  ``SymmetryBlocks.propagate`` builds its
 own grid, with a step boundary on every breakpoint.  Each chunk of steps
 samples the assembly's real coefficient functions once, at both Gauss nodes
-of every step, and each stack builds its Magnus generators from them without
-forming dense samples.  Since [H_2, H_1] = sum_{k<l} (c2_k c1_l - c2_l c1_k)
-[M_k, M_l], the generator of ``operators`` is
+of every step, and turns them into Magnus weights once; each stack builds
+its generators from those weights without forming dense samples.  Since
+[H_2, H_1] = sum_{k<l} (c2_k c1_l - c2_l c1_k) [M_k, M_l], the generator of
+``operators`` is
 
     h H_eff = sum_k h (c1_k + c2_k) / 2 M_k
               + sum_{k<l} (sqrt(3) h^2 / 12) (c2_k c1_l - c2_l c1_k) (-i [M_k, M_l]),
 
-one real contraction per stack, and the steps match ``operators.propagate``
-on the dense assembly to roundoff.  Per chunk of at most ``CHUNK / C`` steps
-for C couplings, ``operators.advance`` exponentiates a stack's
-``(n, C, B, d, d)`` generators (time index first) in one call and multiplies
-them out in one product tree, 1x1 and 2x2 steps elementwise.
+one real contraction of the chunk's weights per stack, and the steps match
+``operators.propagate`` on the dense assembly to roundoff.  Per chunk of at
+most ``CHUNK / C`` steps for C couplings, ``operators.advance``
+exponentiates a stack's ``(n, C, B, d, d)`` generators (time index first)
+in one call and multiplies them out in one product tree, 2x2 steps
+elementwise; 1x1 steps compose by summing their phases.
 
 Qubits are labeled 1..n; qubit 2 is the shared (modulated/pulsed) qubit in
 both shipped layouts, ``PAIR`` and ``STAR``.
@@ -88,8 +94,6 @@ from xtalksim.operators import (
     CHUNK,
     HERMITICITY_TOL,
     IDENTITY,
-    SIGMA_MINUS,
-    SIGMA_PLUS,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -176,6 +180,11 @@ class Topology:
     def dicke_basis(self) -> np.ndarray:
         """``_dicke_basis`` of this layout."""
         return _read_only(_dicke_basis(self))
+
+    @cached_property
+    def block_analyses(self) -> dict:
+        """``_block_analysis`` of each term set on this layout, by the matrices' bytes."""
+        return {}
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -363,51 +372,14 @@ class AssembledHamiltonian:
 
     def blocks(self) -> "SymmetryBlocks":
         """Block-diagonal form of this Hamiltonian, derived from its term
-        matrices as the module docstring describes."""
+        matrices as the module docstring describes; an assembly on a layout
+        reuses the layout's analysis of the same term matrices."""
         mats = np.reshape([mat for _, _, mat in self.terms], (-1, self.dim, self.dim))
-        # The Dicke basis applies when every term commutes with each neighbor swap.
-        basis = None
-        swaps = () if self.topology is None else self.topology.neighbor_swaps
-        if len(swaps):
-            ravelled = mats.reshape(len(mats), -1)
-            defect = np.abs(np.take(ravelled, swaps, axis=1) - ravelled[:, None]).max(initial=0.0)
-            if defect <= 1e-12 * np.abs(mats).max(initial=0.0):
-                basis = self.topology.dicke_basis
-        adapted = mats if basis is None else basis.T @ mats @ basis
-        scales = np.abs(mats).max(axis=(1, 2), initial=0.0)
-        # Entries below this are roundoff of the basis change.
-        tol = 1e-12 * scales[:, None, None]
-        components = _components((np.abs(adapted) > tol).any(axis=0))
-        first, second = np.triu_indices(len(mats), 1)
-        flat = adapted.reshape(len(mats), -1)
-        stacks = []
-        # The components of one size d are sliced, compared with each other
-        # and given their commutators in one call each.
-        for d in dict.fromkeys(idx.size for idx in components):
-            rows = np.array([idx for idx in components if idx.size == d])
-            entries = (rows[:, :, None] * self.dim + rows[:, None, :]).reshape(len(rows), -1)
-            stack = np.take(flat, entries, axis=1).reshape(len(mats), len(rows), d, d)
-            close = (np.abs(stack[:, :, None] - stack[:, None]) <= tol[..., None, None]).all(axis=(0, 3, 4))
-            # Each component joins the first distinct block whose matrices it shares.
-            copies: dict[int, list[int]] = {}
-            for a in range(len(rows)):
-                copies.setdefault(next((b for b in copies if close[a, b]), a), []).append(a)
-            distinct = stack[:, list(copies)]
-            # A term whose entries on a block are all roundoff does not act there.
-            acting = (np.abs(distinct) > tol[:, None]).any(axis=(2, 3), keepdims=True)
-            distinct = np.where(acting, distinct, 0.0)
-            # -i [M_k, M_l] = -i (C - C^dag) with C = M_k M_l: exactly Hermitian.
-            c = distinct[first] @ distinct[second]
-            commutators = -1j * (c - c.conj().swapaxes(-1, -2))
-            matrices = np.concatenate([distinct, commutators]).reshape(-1, len(copies) * d * d)
-            stacks.append(BlockStack(d, matrices, tuple(rows[m] for m in copies.values())))
-        defects = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(1, 2), initial=0.0)
-        return SymmetryBlocks(
-            hamiltonian=self,
-            basis=basis,
-            stacks=tuple(stacks),
-            hermitian_terms=bool((defects <= HERMITICITY_TOL * scales).all()),
-        )
+        analyses = {} if self.topology is None else self.topology.block_analyses
+        key = (mats.shape, mats.dtype.str, mats.tobytes())
+        if key not in analyses:
+            analyses[key] = _block_analysis(mats, self.topology)
+        return SymmetryBlocks(self, *analyses[key])
 
     def coefficients(self, t: np.ndarray) -> np.ndarray:
         """Real coefficients of every term at the 1-D times ``t``, shape ``(n, C, K)``.
@@ -467,21 +439,12 @@ class BlockStack:
     matrices: np.ndarray
     copies: tuple[np.ndarray, ...]
 
-    def generators(self, c1: np.ndarray, c2: np.ndarray, widths: np.ndarray) -> np.ndarray:
-        """h H_eff of each Magnus step (module docstring), shape ``(n, C, B, d, d)``.
-
-        ``c1`` and ``c2`` are the assembly's ``(n, C, K)`` coefficients at
-        the early and late Gauss nodes of steps of width ``widths``.
-        """
-        first, second = np.triu_indices(c1.shape[-1], 1)
-        h = widths[:, None, None]
-        cross = c2[..., first] * c1[..., second] - c2[..., second] * c1[..., first]
-        weights = np.concatenate(
-            [0.5 * h * (c1 + c2), (math.sqrt(3.0) / 12.0) * h**2 * cross], axis=-1
-        )
+    def generators(self, weights: np.ndarray) -> np.ndarray:
+        """h H_eff of each Magnus step (module docstring), shape ``(n, C, B, d, d)``,
+        from the chunk's ``(n, C, K + K (K - 1) / 2)`` ``_magnus_weights``."""
         # One real contraction over the interleaved real and imaginary parts.
         out = weights.reshape(-1, weights.shape[-1]) @ self.matrices.view(float)
-        return out.view(complex).reshape(c1.shape[:2] + (len(self.copies),) + (self.dim,) * 2)
+        return out.view(complex).reshape(weights.shape[:2] + (len(self.copies),) + (self.dim,) * 2)
 
 
 @dataclass(frozen=True)
@@ -514,8 +477,9 @@ class SymmetryBlocks:
 
         Steps are at most ``step`` long, with a boundary on every breakpoint
         of the assembly (``TimeGrid.with_max_step``).  They are built in term
-        space, and each stack advances as one (module docstring); a stack
-        whose matrices are all zero stays the identity.
+        space from one set of Magnus weights per chunk, and each stack
+        advances as one (module docstring); a stack whose matrices are all
+        zero stays the identity.
 
         Raises
         ------
@@ -533,14 +497,71 @@ class SymmetryBlocks:
             coefficients = h.coefficients(times)
             if not self.hermitian_terms:
                 check_hermitian(h.combine(coefficients), times)
-            c1, c2 = coefficients[: widths.size], coefficients[widths.size :]
+            weights = _magnus_weights(coefficients, widths)
             for i in moving:
-                units[i] = advance(units[i], self.stacks[i].generators(c1, c2, widths))
+                units[i] = advance(units[i], self.stacks[i].generators(weights))
         u = np.zeros((n_couplings,) + (h.dim,) * 2, dtype=complex)
         for stack, unit in zip(self.stacks, units):
             for b, rows in enumerate(stack.copies):
                 u[:, rows[:, :, None], rows[:, None, :]] = unit[..., b, None, :, :]
         return u if self.basis is None else self.basis @ u @ self.basis.T
+
+
+def _magnus_weights(coefficients: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Weights of the term matrices, then of the commutators of every pair k <
+    l, in h H_eff (module docstring): ``(n, C, K + K (K - 1) / 2)`` from the
+    ``(2 n, C, K)`` coefficients at the early, then the late Gauss nodes of
+    steps of width ``widths``."""
+    c1, c2 = coefficients[: widths.size], coefficients[widths.size :]
+    first, second = np.triu_indices(c1.shape[-1], 1)
+    h = widths[:, None, None]
+    cross = c2[..., first] * c1[..., second] - c2[..., second] * c1[..., first]
+    return np.concatenate([0.5 * h * (c1 + c2), (math.sqrt(3.0) / 12.0) * h**2 * cross], axis=-1)
+
+
+def _block_analysis(mats: np.ndarray, topology: Optional[Topology]) -> tuple:
+    """``SymmetryBlocks`` fields after the assembly (basis, stacks, hermitian
+    terms) of the ``(K, dim, dim)`` term matrices ``mats``, as read-only arrays."""
+    dim = mats.shape[-1]
+    # The Dicke basis applies when every term commutes with each neighbor swap.
+    basis = None
+    swaps = () if topology is None else topology.neighbor_swaps
+    if len(swaps):
+        ravelled = mats.reshape(len(mats), -1)
+        defect = np.abs(np.take(ravelled, swaps, axis=1) - ravelled[:, None]).max(initial=0.0)
+        if defect <= 1e-12 * np.abs(mats).max(initial=0.0):
+            basis = topology.dicke_basis
+    adapted = mats if basis is None else basis.T @ mats @ basis
+    scales = np.abs(mats).max(axis=(1, 2), initial=0.0)
+    # Entries below this are roundoff of the basis change.
+    tol = 1e-12 * scales[:, None, None]
+    components = _components((np.abs(adapted) > tol).any(axis=0))
+    first, second = np.triu_indices(len(mats), 1)
+    flat = adapted.reshape(len(mats), -1)
+    stacks = []
+    # The components of one size d are sliced, compared with each other
+    # and given their commutators in one call each.
+    for d in dict.fromkeys(idx.size for idx in components):
+        rows = np.array([idx for idx in components if idx.size == d])
+        entries = (rows[:, :, None] * dim + rows[:, None, :]).reshape(len(rows), -1)
+        stack = np.take(flat, entries, axis=1).reshape(len(mats), len(rows), d, d)
+        close = (np.abs(stack[:, :, None] - stack[:, None]) <= tol[..., None, None]).all(axis=(0, 3, 4))
+        # Each component joins the first distinct block whose matrices it shares.
+        copies: dict[int, list[int]] = {}
+        for a in range(len(rows)):
+            copies.setdefault(next((b for b in copies if close[a, b]), a), []).append(a)
+        distinct = stack[:, list(copies)]
+        # A term whose entries on a block are all roundoff does not act there.
+        acting = (np.abs(distinct) > tol[:, None]).any(axis=(2, 3), keepdims=True)
+        distinct = np.where(acting, distinct, 0.0)
+        # -i [M_k, M_l] = -i (C - C^dag) with C = M_k M_l: exactly Hermitian.
+        c = distinct[first] @ distinct[second]
+        commutators = -1j * (c - c.conj().swapaxes(-1, -2))
+        matrices = np.concatenate([distinct, commutators]).reshape(-1, len(copies) * d * d)
+        copy_rows = tuple(_read_only(rows[m]) for m in copies.values())
+        stacks.append(BlockStack(d, _read_only(matrices), copy_rows))
+    defects = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(1, 2), initial=0.0)
+    return basis, tuple(stacks), bool((defects <= HERMITICITY_TOL * scales).all())
 
 
 def _neighbors(topology: Topology) -> list[int]:
@@ -599,14 +620,14 @@ def _components(pattern: np.ndarray) -> list[np.ndarray]:
 
 
 def _flip_flop(topology: Topology) -> np.ndarray:
-    """Sum over edges (q, c) of sigma_q^+ sigma_c^-, a real matrix."""
+    """Sum over edges (q, c) of sigma_q^+ sigma_c^-, a real matrix: qubit q is
+    bit n - q of a basis index, and each edge moves c's excitation to an empty q."""
     n = topology.n_qubits
-    a_sum = np.zeros((topology.dim, topology.dim), dtype=complex)
-    for q, c in topology.edges:
-        factors = [IDENTITY] * n
-        factors[q - 1] = SIGMA_PLUS
-        factors[c - 1] = SIGMA_MINUS
-        a_sum += kron(*factors)
+    bits = 1 << (n - np.array(topology.edges, dtype=int).reshape(-1, 2))  # the bits of q and c
+    states = np.arange(2**n)[:, None]
+    source, edge = np.nonzero(((states & bits[:, 0]) == 0) & ((states & bits[:, 1]) != 0))
+    a_sum = np.zeros((2**n, 2**n), dtype=complex)
+    np.add.at(a_sum, (source ^ bits[edge, 0] ^ bits[edge, 1], source), 1.0)
     return a_sum
 
 

@@ -13,11 +13,13 @@ It keeps its order where the Hamiltonian is smooth within each step, so
 grids put step boundaries on the waveform kinks (``TimeGrid.with_max_step``;
 block propagation builds such grids itself).
 
-Exponentials of one and two levels use closed forms.  Larger exponents
-X = -i h H_eff are scaled by the least 2^-s that brings their 1-norm below
-``THETA_8``, where the degree-8 Taylor polynomial (Paterson-Stockmeyer form,
-four products) is exact to double rounding, and the polynomial is squared s
-times; at the default step s = 0.  Steps are taken ``CHUNK`` at a time:
+Exponentials of one and two levels use closed forms.  One-level steps
+commute, so a chunk of them composes by summing phases: one exponential of
+the summed generators, and no product.  Larger exponents X = -i h H_eff are
+scaled by the least 2^-s that brings their 1-norm below ``THETA_8``, where
+the degree-8 Taylor polynomial (Paterson-Stockmeyer form, four products) is
+exact to double rounding, and the polynomial is squared s times; at the
+default step s = 0.  Steps are taken ``CHUNK`` at a time:
 :func:`advance` exponentiates a chunk in one call, multiplies it out and
 takes one Newton-Schulz step U <- U (3 - U^dag U) / 2, which removes the
 norm that rounding loses and leaves a unitary U unchanged; a squared
@@ -135,12 +137,12 @@ class TimeGrid:
         """Grid with a step boundary at every breakpoint inside the window.
 
         Each piece between consecutive breakpoints (and the window ends)
-        gets the fewest equal steps no longer than ``max_step``.  Breakpoints
-        outside the window, or within 1e-9 of the window length of an end or
-        of each other, are dropped.
+        gets the fewest equal steps no longer than ``max_step``, which must
+        be positive and finite.  Breakpoints outside the window, or within
+        1e-9 of the window length of an end or of each other, are dropped.
         """
-        if max_step <= 0.0:
-            raise ValueError(f"step must be positive, got {max_step}")
+        if not 0.0 < max_step < math.inf:
+            raise ValueError(f"step must be positive and finite, got {max_step}")
         merge = 1e-9 * (t_end - t_start)
         knots = [t_start]
         for t in sorted(float(t) for t in breakpoints):
@@ -364,8 +366,15 @@ def advance(u: np.ndarray, generators: np.ndarray) -> np.ndarray:
     time index first, and ``u`` the matching ``(..., d, d)`` propagators.
     The steps are exponentiated in one call, multiplied out and
     re-unitarized by one Newton-Schulz step (see the module docstring).
+    1x1 steps commute: their product is the exponential of their sum, taken
+    in extended precision to stay as accurate as the product.
     """
-    return _newton_schulz(ordered_product(expm_hamiltonian(generators, 1.0)) @ u)
+    if generators.shape[-1] == 1:
+        phases = generators.real.sum(axis=0, dtype=np.longdouble)
+        steps = expm_hamiltonian(phases.astype(float), 1.0)
+    else:
+        steps = ordered_product(expm_hamiltonian(generators, 1.0))
+    return _newton_schulz(steps @ u)
 
 
 def propagate(h_of_t, grid: TimeGrid) -> np.ndarray:

@@ -28,6 +28,19 @@ def coupling(params, topology, t):
     return assemble_hamiltonian(params, topology, CrosstalkOnly(), Idle(1.0))(t)
 
 
+def count_calls(monkeypatch, owner, name, record=lambda *args: None):
+    """Count calls of ``owner.name``, passing each call's arguments to ``record``."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(record(*args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 def refined(grid: TimeGrid, factor: int) -> TimeGrid:
     """Same window and breakpoints with every step split into ``factor``."""
     return TimeGrid(

@@ -1,12 +1,12 @@
-"""Independent per-amplitude forms of the FM error functionals.
+"""Independent forms of library quantities, slow and meant for comparison only.
 
 The library sums first order as a Bessel series and evaluates the
 second-order functionals on a 512-node triangle rule built once per scan.
 These references take neither shortcut: first order is adaptive
 quadrature of the phase integral, and second order is a composite
 Gauss-Legendre triangle rule (2,048 nodes per axis unless given) rebuilt
-and resampled for every amplitude.  They are slow and meant for comparison
-only.
+and resampled for every amplitude.  The exchange matrix of a layout is
+built from Kronecker products, where the library sets bits.
 """
 
 import math
@@ -16,6 +16,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from xtalksim.model import coupling_phase
+from xtalksim.operators import IDENTITY, SIGMA_MINUS, SIGMA_PLUS, kron
 from xtalksim.pulses import SineEnvelopeDrive
 
 NODES_PER_AXIS = 2048
@@ -72,3 +73,14 @@ def fm2_x(params, fm, t_end, nodes_per_axis=NODES_PER_AXIS):
         g, omega, t_end, nodes_per_axis
     )
     return (abs(params.j) / t_end) * abs(cross) + fm2_idle(params, fm, t_end, nodes_per_axis)
+
+
+def flip_flop(topology):
+    """Sum over edges (q, c) of sigma_q^+ sigma_c^-, one Kronecker product per edge."""
+    out = np.zeros((2**topology.n_qubits,) * 2, dtype=complex)
+    for q, c in topology.edges:
+        factors = [IDENTITY] * topology.n_qubits
+        factors[q - 1] = SIGMA_PLUS
+        factors[c - 1] = SIGMA_MINUS
+        out += kron(*factors)
+    return out

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from helpers import count_calls
 
 from xtalksim.experiments import cached_scan
 from xtalksim.model import (
@@ -20,7 +21,18 @@ from xtalksim.model import (
     assemble_hamiltonian,
 )
 from xtalksim import model, operators
-from xtalksim.operators import CHUNK, SIGMA_Z, TimeGrid, embed, propagate, unitarity_defect
+from xtalksim.operators import (
+    CHUNK,
+    SIGMA_Z,
+    TimeGrid,
+    advance,
+    embed,
+    expm_hamiltonian,
+    gauss_nodes,
+    ordered_product,
+    propagate,
+    unitarity_defect,
+)
 
 PARAMS = SystemParams.from_mhz(50.0, 5.0)
 T_M = PARAMS.matched_time()
@@ -174,14 +186,7 @@ class TestStacks:
     def test_one_exponential_per_dimension(self, monkeypatch, scheme, layout, calls):
         # Distinct blocks of one dimension advance as one stack: a one-chunk
         # star idle exponentiates once per dimension that carries terms.
-        counted = []
-
-        def counting(h, dt):
-            counted.append(h.shape)
-            return original(h, dt)
-
-        original = operators.expm_hamiltonian
-        monkeypatch.setattr(operators, "expm_hamiltonian", counting)
+        counted = count_calls(monkeypatch, operators, "expm_hamiltonian")
         h = assemble_hamiltonian(PARAMS, STAR, scheme, Idle(T_M))
         blocks = h.blocks()
         assert blocks.layout == layout
@@ -194,17 +199,47 @@ class TestStacks:
         # A one-chunk star idle builds the generators of each stack that
         # carries terms in one contraction: the termless 1x1 blocks of the
         # crosstalk-only idle stay the identity.
-        counted = []
-        original = model.BlockStack.generators
-
-        def counting(stack, *args):
-            counted.append(stack.dim)
-            return original(stack, *args)
-
-        monkeypatch.setattr(model.BlockStack, "generators", counting)
+        counted = count_calls(monkeypatch, model.BlockStack, "generators")
         h = assemble_hamiltonian(PARAMS, STAR, scheme, Idle(T_M))
         h.blocks().propagate(0.0, h.t_end, STEP)
         assert len(counted) == calls
+
+    def test_magnus_weights_once_per_chunk(self, monkeypatch):
+        # The center-X gate's 10-, 6- and 2-dimensional stacks all contract
+        # the one set of weights their chunk builds.
+        weights = count_calls(monkeypatch, model, "_magnus_weights")
+        generators = count_calls(monkeypatch, model.BlockStack, "generators", lambda s, w: s.dim)
+        h = assemble_hamiltonian(PARAMS, STAR, DD, XGate(T_M, target=2))
+        blocks = h.blocks()
+        assert aligned(h, 0.0, h.t_end).n_steps <= CHUNK
+        blocks.propagate(0.0, h.t_end, STEP)
+        assert len(weights) == 1
+        assert sorted(generators) == [2, 6, 10]
+
+    @staticmethod
+    def one_by_one_generators():
+        """Generators of the first chunk of a star DD idle's 1x1 stack."""
+        h = assemble_hamiltonian(PARAMS, STAR, DD, Idle(T_M))
+        (stack,) = [s for s in h.blocks().stacks if s.dim == 1]
+        widths, times = next(gauss_nodes(aligned(h, 0.0, h.t_end), CHUNK))
+        return stack.generators(model._magnus_weights(h.coefficients(times), widths))
+
+    def test_one_by_one_steps_sum_phases(self, monkeypatch):
+        g = self.one_by_one_generators()
+        assert g.shape[0] > 1000 and np.abs(g.sum(axis=0)).min() > 1.0
+        u = np.exp(1j * np.arange(g[0].size)).reshape(g.shape[1:])
+        stepwise = ordered_product(expm_hamiltonian(g, 1.0)) @ u
+        exponentials = count_calls(monkeypatch, operators, "expm_hamiltonian")
+        products = count_calls(monkeypatch, operators, "ordered_product")
+        assert np.abs(advance(u, g) - stepwise).max() <= 1e-15
+        assert (len(exponentials), len(products)) == (1, 0)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_one_by_one_steps_reject_non_finite(self, bad):
+        g = self.one_by_one_generators()
+        g[7, 0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            advance(np.ones(g.shape[1:], dtype=complex), g)
 
 
 class TestComplexCoefficients:
@@ -282,14 +317,7 @@ class TestHermiticity:
 
 class TestLayoutInvariants:
     def test_dicke_basis_built_once_per_layout(self, monkeypatch):
-        built = []
-        original = model._dicke_basis
-
-        def counting(topology):
-            built.append(topology)
-            return original(topology)
-
-        monkeypatch.setattr(model, "_dicke_basis", counting)
+        built = count_calls(monkeypatch, model, "_dicke_basis")
         star = dataclasses.replace(STAR)  # a fresh layout: nothing computed yet
         for scheme, gate in [
             (CrosstalkOnly(), Idle(T_M)),
@@ -305,3 +333,51 @@ class TestLayoutInvariants:
         for invariant in (STAR.dicke_basis, STAR.neighbor_swaps):
             with pytest.raises(ValueError):
                 invariant[0, 0] = 0
+
+
+class TestAnalysisMemo:
+    """A layout analyses each term set once; later assemblies reuse it."""
+
+    def test_same_term_set_reuses_analysis(self, monkeypatch):
+        star = dataclasses.replace(STAR)  # a fresh layout: nothing analysed yet
+        first = assemble_hamiltonian(PARAMS, star, DD, Idle(T_M)).blocks()
+        searches = count_calls(monkeypatch, model, "_components")
+        # Another coupling and gate time: the same term matrices.
+        other = SystemParams.from_mhz(50.0, 2.0)
+        h = assemble_hamiltonian(other, star, DD, Idle(30.0))
+        second = h.blocks()
+        assert searches == []
+        assert second.hamiltonian is h
+        assert second.stacks is first.stacks and second.basis is first.basis
+        arrays = [second.basis] + [a for s in second.stacks for a in (s.matrices, *s.copies)]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0
+
+    def test_fm_corner_amplitudes_share_one_analysis(self):
+        star = dataclasses.replace(STAR)
+        corners = [FrequencyModulation(cycles=8, gamma=g) for g in (1.9, 2.1)]
+        assemblies = [assemble_hamiltonian(PARAMS, star, fm, Idle(T_M)) for fm in corners]
+        blocks = [h.blocks() for h in assemblies]
+        assert len(star.block_analyses) == 1
+        assert blocks[0].stacks is blocks[1].stacks
+        for h, shared in zip(assemblies, blocks):
+            # The same assembly on a fresh layout analyses from an empty memo.
+            fresh = dataclasses.replace(h, topology=dataclasses.replace(STAR)).blocks()
+            assert fresh.stacks is not shared.stacks
+            assert np.array_equal(
+                shared.propagate(0.0, h.t_end, STEP), fresh.propagate(0.0, h.t_end, STEP)
+            )
+
+    def test_other_target_or_scheme_gets_its_own_analysis(self, monkeypatch):
+        star = dataclasses.replace(STAR)
+        searches = count_calls(monkeypatch, model, "_components")
+        runs = [
+            (DD, XGate(T_M, target=2), "10x1 6x3 2x2"),
+            (DD, XGate(T_M, target=1), "32x1"),
+            (CrosstalkOnly(), XGate(T_M, target=1), "32x1"),
+            (DD, Idle(T_M), "1x6 2x2 2x2 1x6 2x6"),
+        ]
+        for scheme, gate, layout in runs:
+            assert assemble_hamiltonian(PARAMS, star, scheme, gate).blocks().layout == layout
+        assert len(searches) == len(star.block_analyses) == len(runs)

@@ -3,6 +3,7 @@ import json
 import sys
 
 import pytest
+from helpers import count_calls
 
 from xtalksim import cli, model
 from xtalksim.cli import (
@@ -290,14 +291,7 @@ class TestPerCallWork:
     """A call pays for its run, not for set-up that one process can share."""
 
     def test_calls_construct_no_parser(self, monkeypatch, capsys):
-        built = []
-        original = argparse.ArgumentParser.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(kwargs.get("prog"))
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        built = count_calls(monkeypatch, argparse.ArgumentParser, "__init__")
         assert main(["list-presets"]) == EXIT_OK
         assert main(["simulate", "--bogus"]) == EXIT_VALIDATION
         assert built == []

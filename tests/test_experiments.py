@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from helpers import improvement_orders
+from helpers import count_calls, improvement_orders
 
 from xtalksim import experiments, model
 from xtalksim.experiments import (
@@ -45,19 +45,6 @@ from xtalksim.pulses import SineEnvelopeDrive
 PARAMS = SystemParams.from_mhz(50.0, 5.0)
 T_M = PARAMS.matched_time()
 DD = DynamicalDecoupling(segments=4, width=T_M / 16.0)
-
-
-def count_calls(monkeypatch, owner, name, record=lambda *args: None):
-    """Count calls of ``owner.name``, passing each call's arguments to ``record``."""
-    calls = []
-    original = getattr(owner, name)
-
-    def counting(*args, **kwargs):
-        calls.append(record(*args))
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
 
 
 class TestGateFidelity:

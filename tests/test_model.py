@@ -1,9 +1,12 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
+import oracles
 import pytest
 from helpers import coupling, hermiticity_defect
 
+from xtalksim import model
 from xtalksim.model import (
     PAIR,
     STAR,
@@ -90,6 +93,22 @@ class TestExchangeInteraction:
             dn_b = embed(SIGMA_MINUS, b, 5)
             expect += PARAMS.j * (up_a @ dn_b + dn_b.conj().T @ up_a.conj().T)
         assert np.abs(h0 - expect).max() < 1e-14
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            PAIR,
+            STAR,
+            # Duck-typed, as the static references accept: a chain with a
+            # repeated edge and a center that is not qubit 2.
+            SimpleNamespace(n_qubits=3, center=1, edges=((2, 1), (3, 2), (2, 1)), dim=8),
+        ],
+        ids=["pair", "star", "namespace"],
+    )
+    def test_flip_flop_matches_kronecker_products(self, layout):
+        built = model._flip_flop(layout)
+        assert built.dtype == complex
+        assert np.array_equal(built, oracles.flip_flop(layout))
 
 
 SCHEMES = [

@@ -91,6 +91,11 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid.with_max_step(0.0, 1.0, -0.1)
 
+    @pytest.mark.parametrize("step", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite_step(self, step):
+        with pytest.raises(ValueError, match="step must be positive"):
+            TimeGrid.with_max_step(0.0, 20.0, step)
+
 
 class TestAlgebra:
     def test_kron_matches_numpy(self):
