@@ -1,0 +1,147 @@
+#!/usr/bin/env python3
+"""Compare the command-line outputs of two checkouts of xtalksim.
+
+Usage::
+
+    python3 scripts/compare_outputs.py PARENT_CHECKOUT [--change CHECKOUT]
+
+Each checkout runs in a subprocess of its own, importing the package from
+``<checkout>/src``, and writes into a temporary directory:
+
+* the CSV of every ``simulate --preset`` run (``presets/<name>.csv``);
+* the CSV of ``optimize-gamma`` for fm1, fm2-idle and fm2-x at N = 4, 6, 8
+  and gate times "matched" and 30 ns (``gamma/<functional>-N<cycles>-<time>.csv``);
+* the stdout of ``verify`` (``verify.txt``);
+
+and the exit code of every run.  For each output this prints the rows
+(lines not starting with ``#``; every line of ``verify.txt``) that are
+identical on both sides out of the total, the largest absolute difference
+between the numbers of rows that differ only in their numbers, and both
+exit codes.  It exits 0 when every output is byte-identical and every exit
+code matches, 1 otherwise.  ``--change`` defaults to the checkout holding
+this script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+FUNCTIONALS = ("fm1", "fm2-idle", "fm2-x")
+CYCLES = (4, 6, 8)
+GATE_TIMES = ("matched", 30.0)
+NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
+
+
+def write_outputs(checkout: Path, out: Path) -> None:
+    """Run every compared command of ``checkout`` in this process, into ``out``."""
+    from xtalksim import cli
+    from xtalksim.experiments import PRESETS
+
+    origin = Path(cli.__file__).resolve()
+    if checkout.resolve() / "src" not in origin.parents:
+        raise SystemExit(f"xtalksim imported from {origin}, not from {checkout}/src")
+    exits = {}
+    (out / "presets").mkdir(parents=True)
+    for name in PRESETS:
+        path = out / "presets" / f"{name}.csv"
+        argv = ["simulate", "--preset", name, "--out", str(path)]
+        exits[str(path.relative_to(out))] = cli.entry(argv)
+    (out / "gamma").mkdir()
+    for functional in FUNCTIONALS:
+        for cycles in CYCLES:
+            for gate_time in GATE_TIMES:
+                label = gate_time if isinstance(gate_time, str) else f"{gate_time:g}ns"
+                path = out / "gamma" / f"{functional}-N{cycles}-{label}.csv"
+                config = path.with_suffix(".json")
+                config.write_text(
+                    json.dumps({"functional": functional, "cycles": cycles, "gate_time": gate_time})
+                )
+                argv = ["optimize-gamma", "--config", str(config), "--out", str(path)]
+                with contextlib.redirect_stderr(io.StringIO()):
+                    exits[str(path.relative_to(out))] = cli.entry(argv)
+                config.unlink()
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        exits["verify.txt"] = cli.entry(["verify"])
+    (out / "verify.txt").write_text(stdout.getvalue())
+    (out / "exits.json").write_text(json.dumps(exits, indent=1))
+
+
+def run_side(checkout: Path, out: Path) -> dict:
+    """Write the outputs of ``checkout`` into ``out`` from a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    subprocess.run(
+        [sys.executable, __file__, "--worker", str(out), str(checkout)], env=env, check=True
+    )
+    return json.loads((out / "exits.json").read_text())
+
+
+def rows(path: Path) -> list[str]:
+    if not path.is_file():
+        return []
+    lines = path.read_text().splitlines()
+    return lines if path.suffix == ".txt" else [line for line in lines if not line.startswith("#")]
+
+
+def compare(parent: Path, change: Path) -> tuple[int, int, float]:
+    """Identical rows, total rows and the largest absolute number delta."""
+    a, b = rows(parent), rows(change)
+    same, delta = 0, 0.0
+    for x, y in zip(a, b):
+        if x == y:
+            same += 1
+            continue
+        xs, ys = NUMBER.findall(x), NUMBER.findall(y)
+        if NUMBER.sub("#", x) != NUMBER.sub("#", y) or len(xs) != len(ys):
+            delta = math.inf
+            continue
+        for u, v in zip(xs, ys):
+            delta = max(delta, abs(float(u) - float(v)))
+    if len(a) != len(b):
+        delta = math.inf
+    return same, max(len(a), len(b)), delta
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="checkout to compare against")
+    parser.add_argument(
+        "--change", type=Path, default=Path(__file__).resolve().parents[1], help="checkout under test"
+    )
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        checkouts = {"parent": args.parent, "change": args.change}
+        sides = {side: Path(tmp) / side for side in checkouts}
+        exits = {side: run_side(checkout, sides[side]) for side, checkout in checkouts.items()}
+        names = sorted(set(exits["parent"]) | set(exits["change"]))
+        width = max(len(n) for n in names)
+        identical = 0
+        for name in names:
+            paths = [side / name for side in sides.values()]
+            same, total, delta = compare(*paths)
+            codes = [side.get(name) for side in exits.values()]
+            equal = all(p.is_file() for p in paths) and paths[0].read_bytes() == paths[1].read_bytes()
+            identical += equal and codes[0] == codes[1]
+            print(
+                f"{name:<{width}}  {same}/{total} rows identical, max |delta| {delta:.3g}, "
+                f"exit {codes[0]} -> {codes[1]}{'' if equal else '  DIFFERS'}"
+            )
+    print(f"{identical}/{len(names)} outputs byte-identical with the same exit code")
+    return 0 if identical == len(names) else 1
+
+
+if __name__ == "__main__":
+    if len(sys.argv) == 4 and sys.argv[1] == "--worker":
+        write_outputs(Path(sys.argv[3]), Path(sys.argv[2]))
+    else:
+        sys.exit(main())

@@ -57,7 +57,7 @@ from xtalksim.model import (
     cyclic_mhz_to_angular,
     static_frame_reference,
 )
-from xtalksim.operators import TimeGrid, propagate, unitarity_defect
+from xtalksim.operators import propagate, step_boundaries, unitarity_defect
 from xtalksim.optimize import (
     DEFAULT_GRID_MAX_MHZ,
     DEFAULT_GRID_STEP_MHZ,
@@ -479,8 +479,8 @@ def _verify_checks(step: float) -> List[Tuple[str, bool, str]]:
     worst = 0.0
     for h in (center_x, fm_idle):
         u = h.blocks().propagate(0.0, h.t_end, STAR_REDUCTION_STEP)
-        grid = TimeGrid.with_max_step(0.0, h.t_end, STAR_REDUCTION_STEP, h.breakpoints)
-        worst = max(worst, float(np.abs(u - propagate(h, grid)).max()))
+        edges = step_boundaries(0.0, h.t_end, STAR_REDUCTION_STEP, h.breakpoints)
+        worst = max(worst, float(np.abs(u - propagate(h, edges)).max()))
     h = assemble_hamiltonian(params, STAR, CrosstalkOnly(), Idle(t_m))
     u = h.blocks().propagate(0.0, t_m, step)
     residual = float(np.abs(u - static_frame_reference(params, STAR, t_m)).max())

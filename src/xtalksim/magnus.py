@@ -116,7 +116,7 @@ def _fm2(params: SystemParams, cycles: int, gammas: np.ndarray, t_end: float, dr
     rule = TriangleRule(t_end)
     bare = params.delta * rule.points
     shape = 2.0 * FmZModulation(gamma=1.0, cycles=cycles, duration=t_end).phase(rule.points)
-    omega = SineEnvelopeDrive.x_gate(t_end).sample(rule.points)
+    omega = SineEnvelopeDrive(t_end).sample(rule.points)
     values = np.empty(gammas.size)
     for i, gamma in enumerate(gammas):
         g = np.exp(1j * (bare + gamma * shape))

@@ -60,10 +60,11 @@ at any coupling, amplitude or gate time, reuses it.
 The distinct blocks of one dimension d are held as one ``BlockStack``: the
 matrices M_k of every term on its B blocks, zero on a block the term does
 not act on, and their commutators.  ``SymmetryBlocks.propagate`` builds its
-own grid, with a step boundary on every breakpoint.  Each chunk of steps
-samples the assembly's real coefficient functions once, at both Gauss nodes
-of every step, and turns them into Magnus weights once; each stack builds
-its generators from those weights without forming dense samples.  Since
+own step boundaries (``step_boundaries``), one on every breakpoint.  Each
+chunk of steps samples the assembly's real coefficient functions once, at
+both Gauss nodes of every step, and turns them into Magnus weights once;
+each stack builds its generators from those weights without forming dense
+samples.  Since
 [H_2, H_1] = sum_{k<l} (c2_k c1_l - c2_l c1_k) [M_k, M_l], the generator of
 ``operators`` is
 
@@ -97,13 +98,13 @@ from xtalksim.operators import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    TimeGrid,
     advance,
     check_hermitian,
     embed,
     expm_hamiltonian,
     gauss_nodes,
     kron,
+    step_boundaries,
 )
 from xtalksim.pulses import (
     FmZModulation,
@@ -211,10 +212,10 @@ class SystemParams:
     j: float
 
     def __post_init__(self):
-        if self.delta == 0.0:
-            raise ValueError("detuning must be nonzero")
-        if self.j < 0.0:
-            raise ValueError(f"coupling must be >= 0, got {self.j}")
+        if not (math.isfinite(self.delta) and self.delta != 0.0):
+            raise ValueError(f"detuning must be finite and nonzero, got {self.delta}")
+        if not 0.0 <= self.j < math.inf:
+            raise ValueError(f"coupling must be finite and >= 0, got {self.j}")
 
     @classmethod
     def from_mhz(cls, delta_mhz: float, j_mhz: float) -> "SystemParams":
@@ -261,8 +262,8 @@ class FrequencyModulation:
     def __post_init__(self):
         if int(self.cycles) != self.cycles or self.cycles < 1:
             raise ValueError(f"cycle count must be a positive integer, got {self.cycles}")
-        if self.gamma < 0.0:
-            raise ValueError(f"modulation amplitude must be >= 0, got {self.gamma}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"modulation amplitude must be finite and >= 0, got {self.gamma}")
 
     def modulation(self, gate_time: float) -> FmZModulation:
         return FmZModulation(gamma=self.gamma, cycles=self.cycles, duration=gate_time)
@@ -296,39 +297,36 @@ ControlScheme = Union[CrosstalkOnly, FrequencyModulation, DynamicalDecoupling]
 
 
 @dataclass(frozen=True)
-class Idle:
-    """Do-nothing gate of the given duration (ns)."""
+class _Gate:
+    """A gate of ``duration`` ns, positive and finite."""
 
     duration: float
 
     def __post_init__(self):
-        if self.duration <= 0.0:
-            raise ValueError(f"gate time must be positive, got {self.duration}")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError(f"gate time must be positive and finite, got {self.duration}")
 
 
 @dataclass(frozen=True)
-class XGate:
+class Idle(_Gate):
+    """Do-nothing gate of the given duration (ns)."""
+
+
+@dataclass(frozen=True)
+class XGate(_Gate):
     """Pi rotation about x on one qubit."""
 
-    duration: float
     target: int = 1
 
     def __post_init__(self):
-        if self.duration <= 0.0:
-            raise ValueError(f"gate time must be positive, got {self.duration}")
+        super().__post_init__()
         if self.target < 1:
             raise ValueError(f"target qubit label must be >= 1, got {self.target}")
 
 
 @dataclass(frozen=True)
-class ParallelXX:
+class ParallelXX(_Gate):
     """Simultaneous X gates on qubits 1 and 2 (pair layout only)."""
-
-    duration: float
-
-    def __post_init__(self):
-        if self.duration <= 0.0:
-            raise ValueError(f"gate time must be positive, got {self.duration}")
 
 
 GateSpec = Union[Idle, XGate, ParallelXX]
@@ -476,7 +474,7 @@ class SymmetryBlocks:
         once.
 
         Steps are at most ``step`` long, with a boundary on every breakpoint
-        of the assembly (``TimeGrid.with_max_step``).  They are built in term
+        of the assembly (``step_boundaries``).  They are built in term
         space from one set of Magnus weights per chunk, and each stack
         advances as one (module docstring); a stack whose matrices are all
         zero stays the identity.
@@ -488,12 +486,12 @@ class SymmetryBlocks:
             time.
         """
         h = self.hamiltonian
-        grid = TimeGrid.with_max_step(t_start, t_end, step, h.breakpoints)
+        edges = step_boundaries(t_start, t_end, step, h.breakpoints)
         n_couplings = len(h.couplings)
         # (B, d, d) identities until a stack's first chunk gives it (C, B, d, d).
         units = [np.tile(np.eye(s.dim, dtype=complex), (len(s.copies), 1, 1)) for s in self.stacks]
         moving = [i for i, s in enumerate(self.stacks) if s.matrices.any()]
-        for widths, times in gauss_nodes(grid, max(CHUNK // n_couplings, 1)):
+        for widths, times in gauss_nodes(edges, max(CHUNK // n_couplings, 1)):
             coefficients = h.coefficients(times)
             if not self.hermitian_terms:
                 check_hermitian(h.combine(coefficients), times)
@@ -748,7 +746,7 @@ def assemble_hamiltonian(
     n, center = topology.n_qubits, topology.center
 
     phase = coupling_phase(params)
-    x_drive, x_kinks = _periodic_envelope(SineEnvelopeDrive.x_gate(t_gate), t_gate, repetitions)
+    x_drive, x_kinks = _periodic_envelope(SineEnvelopeDrive(t_gate), t_gate, repetitions)
     # Operation-frame modulation turns the center's X drive into a quadrature pair.
     center_xy = None
     z_terms: list[tuple[str, Callable]] = []
@@ -779,7 +777,7 @@ def assemble_hamiltonian(
             z_terms.append((f"Z{center}-pulses", lambda tt: (np.pi / 2.0) * train.sample(tt)))
             kinks += train.kinks()
             tail = width / 2.0
-        bursts = SegmentedDrive.sqrt_x_bursts(segments=segments, interval=tau, width=width)
+        bursts = SegmentedDrive(segments, tau, width)
         x_drive, x_kinks = bursts.sample, bursts.kinks()
 
     terms = _exchange_terms(topology, phase)

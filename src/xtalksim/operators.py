@@ -10,8 +10,8 @@ Magnus step, with the Hermitian
     H_eff = (H_1 + H_2) / 2 - i (sqrt(3) h / 12) [H_2, H_1].
 
 It keeps its order where the Hamiltonian is smooth within each step, so
-grids put step boundaries on the waveform kinks (``TimeGrid.with_max_step``;
-block propagation builds such grids itself).
+grids put step boundaries on the waveform kinks: ``step_boundaries`` returns
+that array of boundaries, and block propagation builds it itself.
 
 Exponentials of one and two levels use closed forms.  One-level steps
 commute, so a chunk of them composes by summing phases: one exponential of
@@ -35,7 +35,6 @@ oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,9 +43,7 @@ __all__ = [
     "SIGMA_Y",
     "SIGMA_Z",
     "IDENTITY",
-    "SIGMA_PLUS",
-    "SIGMA_MINUS",
-    "TimeGrid",
+    "step_boundaries",
     "kron",
     "embed",
     "unitarity_defect",
@@ -62,12 +59,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
-
-# Excitation raising/lowering for basis |0>, |1> with sigma_z = diag(1, -1)
-# and qubit energy term -(omega/2) sigma_z: |1> is the excited state, so the
-# raising operator is |1><0|.
-SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 #: Relative tolerance for Hermiticity of sampled Hamiltonians.
 HERMITICITY_TOL = 1e-12
@@ -94,83 +85,35 @@ _TAYLOR_8 = np.array(
 CHUNK = 2048
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Step grid over ``[t_start, t_end]``, uniform between breakpoints.
+def step_boundaries(t_start: float, t_end: float, max_step: float, breakpoints=()) -> np.ndarray:
+    """Step boundaries over ``[t_start, t_end]``, both ends included, with one
+    on every breakpoint inside the window.
 
-    Parameters
-    ----------
-    t_start, t_end:
-        Window boundaries in ns, ``t_end > t_start``.
-    n_steps:
-        Total number of steps, at least 1.
-    breakpoints:
-        Interior ``(time, index)`` pairs: step boundary number ``index``
-        sits at ``time``.  Steps are equal between consecutive breakpoints
-        and the window ends; both entries increase strictly.  Empty for a
-        uniform grid.
+    Each piece between consecutive breakpoints (and the window ends) gets
+    the fewest equal steps no longer than ``max_step``.  Breakpoints outside
+    the window, or within 1e-9 of the window length of an end or of each
+    other, are dropped.
+
+    Raises
+    ------
+    ValueError
+        If the window is empty or not finite, or ``max_step`` is not
+        positive and finite.
     """
-
-    t_start: float
-    t_end: float
-    n_steps: int
-    breakpoints: tuple[tuple[float, int], ...] = ()
-
-    def __post_init__(self):
-        if not self.t_end > self.t_start:
-            raise ValueError(
-                f"time grid needs t_end > t_start, got [{self.t_start}, {self.t_end}]"
-            )
-        if self.n_steps < 1:
-            raise ValueError(f"time grid needs n_steps >= 1, got {self.n_steps}")
-        times, indices = self._anchors()
-        if np.any(np.diff(times) <= 0.0) or np.any(np.diff(indices) <= 0):
-            raise ValueError(
-                f"breakpoints must increase strictly inside the window and the step "
-                f"range, got {self.breakpoints}"
-            )
-
-    @classmethod
-    def with_max_step(
-        cls, t_start: float, t_end: float, max_step: float, breakpoints=()
-    ) -> "TimeGrid":
-        """Grid with a step boundary at every breakpoint inside the window.
-
-        Each piece between consecutive breakpoints (and the window ends)
-        gets the fewest equal steps no longer than ``max_step``, which must
-        be positive and finite.  Breakpoints outside the window, or within
-        1e-9 of the window length of an end or of each other, are dropped.
-        """
-        if not 0.0 < max_step < math.inf:
-            raise ValueError(f"step must be positive and finite, got {max_step}")
-        merge = 1e-9 * (t_end - t_start)
-        knots = [t_start]
-        for t in sorted(float(t) for t in breakpoints):
-            if knots[-1] + merge < t < t_end - merge:
-                knots.append(t)
-        knots.append(t_end)
-        # Tolerate float noise when a piece is an exact multiple of the step.
-        counts = [
-            max(int(math.ceil((b - a) / max_step - 1e-9)), 1) for a, b in zip(knots, knots[1:])
-        ]
-        indices = np.cumsum(counts)
-        return cls(
-            t_start,
-            t_end,
-            int(indices[-1]),
-            tuple(zip(knots[1:-1], (int(k) for k in indices[:-1]))),
-        )
-
-    def _anchors(self) -> tuple[np.ndarray, np.ndarray]:
-        """Times and step indices of the window ends and every breakpoint."""
-        times = [self.t_start] + [t for t, _ in self.breakpoints] + [self.t_end]
-        indices = [0] + [k for _, k in self.breakpoints] + [self.n_steps]
-        return np.array(times, dtype=float), np.array(indices)
-
-    def boundaries(self) -> np.ndarray:
-        """Step boundaries including both ends, shape ``(n_steps + 1,)``."""
-        times, indices = self._anchors()
-        return np.interp(np.arange(self.n_steps + 1), indices, times)
+    if not -math.inf < t_start < t_end < math.inf:
+        raise ValueError(f"window must be finite with t_end > t_start, got [{t_start}, {t_end}]")
+    if not 0.0 < max_step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {max_step}")
+    merge = 1e-9 * (t_end - t_start)
+    knots = [t_start]
+    for t in sorted(float(t) for t in breakpoints):
+        if knots[-1] + merge < t < t_end - merge:
+            knots.append(t)
+    knots.append(t_end)
+    # Tolerate float noise when a piece is an exact multiple of the step.
+    counts = [max(int(math.ceil((b - a) / max_step - 1e-9)), 1) for a, b in zip(knots, knots[1:])]
+    indices = np.cumsum([0] + counts)
+    return np.interp(np.arange(indices[-1] + 1), indices, np.array(knots, dtype=float))
 
 
 def kron(*factors: np.ndarray) -> np.ndarray:
@@ -342,16 +285,16 @@ def check_hermitian(h: np.ndarray, times: np.ndarray) -> None:
         )
 
 
-def gauss_nodes(grid: TimeGrid, chunk: int):
-    """Yield ``(widths, times)`` for each chunk of at most ``chunk`` steps.
+def gauss_nodes(edges: np.ndarray, chunk: int):
+    """Yield ``(widths, times)`` for each chunk of at most ``chunk`` of the
+    steps between the boundaries ``edges``.
 
     ``times`` holds the early Gauss node t_n + h (1/2 - sqrt(3)/6) of every
     step of the chunk, then the late node t_n + h (1/2 + sqrt(3)/6).
     """
-    edges = grid.boundaries()
     starts, widths = edges[:-1], np.diff(edges)
     offset = math.sqrt(3.0) / 6.0
-    for start in range(0, grid.n_steps, chunk):
+    for start in range(0, widths.size, chunk):
         h_step = widths[start : start + chunk]
         t_step = starts[start : start + chunk]
         yield h_step, np.concatenate(
@@ -377,8 +320,9 @@ def advance(u: np.ndarray, generators: np.ndarray) -> np.ndarray:
     return _newton_schulz(steps @ u)
 
 
-def propagate(h_of_t, grid: TimeGrid) -> np.ndarray:
-    """Time-ordered propagator of ``h_of_t`` over ``grid``, from dense samples.
+def propagate(h_of_t, edges) -> np.ndarray:
+    """Time-ordered propagator of ``h_of_t`` over the steps between the
+    boundaries ``edges`` (ns), from dense samples.
 
     Takes the Magnus steps of the module docstring.  ``h_of_t`` is the
     vectorized Hamiltonian (rad/ns): it maps a 1-D array of n times (ns),
@@ -387,12 +331,20 @@ def propagate(h_of_t, grid: TimeGrid) -> np.ndarray:
     Raises
     ------
     ValueError
-        If ``h_of_t`` returns any other shape (the shape is named), if a
-        sampled Hamiltonian is non-Hermitian (the offending time is named),
-        or if its dimension changes between chunks.
+        If ``edges`` is not a finite, strictly increasing 1-D array of at
+        least two boundaries, if ``h_of_t`` returns any other shape (the
+        shape is named), if a sampled Hamiltonian is non-Hermitian (the
+        offending time is named), or if its dimension changes between chunks.
     """
+    edges = np.asarray(edges, dtype=float)
+    ordered = edges.ndim == 1 and edges.size >= 2 and (np.diff(edges) > 0.0).all()
+    if not (ordered and np.isfinite(edges).all()):
+        raise ValueError(
+            f"step boundaries must be a finite, strictly increasing 1-D array of at least "
+            f"two times, got {edges!r}"
+        )
     u = None
-    for h_step, times in gauss_nodes(grid, CHUNK):
+    for h_step, times in gauss_nodes(edges, CHUNK):
         h = np.asarray(h_of_t(times), dtype=complex)
         if h.ndim != 3 or h.shape[0] != times.size or h.shape[1] != h.shape[2]:
             raise ValueError(

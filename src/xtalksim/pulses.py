@@ -26,22 +26,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SineEnvelopeDrive:
-    """Half-sine drive envelope ``amplitude * sin(pi t / duration)`` on [0, T].
+    """Half-sine X-gate envelope ``amplitude * sin(pi t / T)`` on [0, T].
 
-    The X-gate calibration sets ``amplitude = pi^2 / (4 T)`` so the envelope
-    integrates to a pulse area of pi/2.
+    The X-gate calibration ``amplitude = pi^2 / (4 T)`` makes the envelope
+    integrate to a pulse area of pi/2.
     """
 
-    amplitude: float
     duration: float
 
     def __post_init__(self):
         if self.duration <= 0.0:
             raise ValueError(f"drive duration must be positive, got {self.duration}")
 
-    @classmethod
-    def x_gate(cls, duration: float) -> "SineEnvelopeDrive":
-        return cls(amplitude=math.pi**2 / (4.0 * duration), duration=duration)
+    @property
+    def amplitude(self) -> float:
+        return math.pi**2 / (4.0 * self.duration)
 
     def sample(self, t):
         tt = np.asarray(t, dtype=float)
@@ -142,13 +141,12 @@ class SegmentedDrive:
         amplitude * cos(pi (t - (s - 1/2) interval) / (interval - width))
 
     is applied on ``[(s-1) interval + w/2, s interval - w/2]``, clear of the
-    pulse windows at the segment boundaries.  The sqrt(X) calibration sets
-    ``amplitude = pi^2 / (8 (interval - width))`` so each burst has area
+    pulse windows at the segment boundaries.  The sqrt(X) calibration
+    ``amplitude = pi^2 / (8 (interval - width))`` gives each burst an area of
     pi/4; two bursts per gate give an X gate.  ``width = 0`` is allowed and
     is the pulse-free reference drive.
     """
 
-    amplitude: float
     segments: int
     interval: float
     width: float
@@ -162,14 +160,9 @@ class SegmentedDrive:
                 f"interval={self.interval}"
             )
 
-    @classmethod
-    def sqrt_x_bursts(cls, segments: int, interval: float, width: float) -> "SegmentedDrive":
-        return cls(
-            amplitude=math.pi**2 / (8.0 * (interval - width)),
-            segments=segments,
-            interval=interval,
-            width=width,
-        )
+    @property
+    def amplitude(self) -> float:
+        return math.pi**2 / (8.0 * (self.interval - self.width))
 
     def sample(self, t):
         tt = np.asarray(t, dtype=float)

@@ -5,7 +5,6 @@ import math
 import numpy as np
 
 from xtalksim.model import CrosstalkOnly, Idle, assemble_hamiltonian
-from xtalksim.operators import TimeGrid
 
 
 def improvement_orders(reference_infidelity: float, infidelity: float) -> float:
@@ -41,11 +40,7 @@ def count_calls(monkeypatch, owner, name, record=lambda *args: None):
     return calls
 
 
-def refined(grid: TimeGrid, factor: int) -> TimeGrid:
-    """Same window and breakpoints with every step split into ``factor``."""
-    return TimeGrid(
-        grid.t_start,
-        grid.t_end,
-        factor * grid.n_steps,
-        tuple((t, factor * k) for t, k in grid.breakpoints),
-    )
+def refined(edges: np.ndarray, factor: int) -> np.ndarray:
+    """The step boundaries ``edges`` with every step split into ``factor`` equal ones."""
+    n = len(edges) - 1
+    return np.interp(np.arange(factor * n + 1) / factor, np.arange(n + 1), edges)

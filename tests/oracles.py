@@ -16,8 +16,14 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from xtalksim.model import coupling_phase
-from xtalksim.operators import IDENTITY, SIGMA_MINUS, SIGMA_PLUS, kron
+from xtalksim.operators import IDENTITY, kron
 from xtalksim.pulses import SineEnvelopeDrive
+
+# Excitation raising/lowering for basis |0>, |1> with sigma_z = diag(1, -1)
+# and qubit energy term -(omega/2) sigma_z: |1> is the excited state, so the
+# raising operator is |1><0|.
+SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 NODES_PER_AXIS = 2048
 PANEL_ORDER = 16
@@ -67,7 +73,7 @@ def fm2_idle(params, fm, t_end, nodes_per_axis=NODES_PER_AXIS):
 def fm2_x(params, fm, t_end, nodes_per_axis=NODES_PER_AXIS):
     """Idle term plus the X-drive cross term of a driven gate."""
     phi = coupling_phase(params, fm.modulation(t_end))
-    omega = SineEnvelopeDrive.x_gate(t_end).sample
+    omega = SineEnvelopeDrive(t_end).sample
     g = lambda t: np.exp(1j * phi(t))
     cross = ordered_double_integral(omega, g, t_end, nodes_per_axis) - ordered_double_integral(
         g, omega, t_end, nodes_per_axis

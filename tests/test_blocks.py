@@ -24,13 +24,13 @@ from xtalksim import model, operators
 from xtalksim.operators import (
     CHUNK,
     SIGMA_Z,
-    TimeGrid,
     advance,
     embed,
     expm_hamiltonian,
     gauss_nodes,
     ordered_product,
     propagate,
+    step_boundaries,
     unitarity_defect,
 )
 
@@ -48,8 +48,8 @@ def fm(single_site=False):
 
 
 def aligned(h, t_start, t_end, step=STEP):
-    """The grid block propagation builds: a step boundary on every breakpoint."""
-    return TimeGrid.with_max_step(t_start, t_end, step, h.breakpoints)
+    """The boundaries block propagation builds: one on every breakpoint."""
+    return step_boundaries(t_start, t_end, step, h.breakpoints)
 
 
 def reduced_and_dense(topology, scheme, gate, step=STEP):
@@ -137,10 +137,10 @@ class TestTermSpace:
         h = assemble_hamiltonian(
             PARAMS, topology, scheme, gate, repetitions=repetitions, fm_frame=frame
         )
-        grid = aligned(h, 0.0, h.t_end)
+        edges = aligned(h, 0.0, h.t_end)
         # Three gates take over CHUNK steps, so the first chunk ends mid-gate.
-        assert (grid.n_steps > CHUNK) == (repetitions > 1)
-        assert np.abs(h.blocks().propagate(0.0, h.t_end, STEP) - propagate(h, grid)).max() <= 1e-13
+        assert (len(edges) - 1 > CHUNK) == (repetitions > 1)
+        assert np.abs(h.blocks().propagate(0.0, h.t_end, STEP) - propagate(h, edges)).max() <= 1e-13
 
     def test_window_grid_sits_on_every_kink(self):
         # An off-lattice window of a decoupled sequence: the block propagator
@@ -150,7 +150,7 @@ class TestTermSpace:
         window = (T_M + h.tail, 2 * T_M + h.tail)
         u = h.blocks().propagate(*window, STEP)
         assert np.abs(u - propagate(h, aligned(h, *window))).max() <= 1e-13
-        assert np.abs(u - propagate(h, TimeGrid.with_max_step(*window, STEP))).max() > 1e-6
+        assert np.abs(u - propagate(h, step_boundaries(*window, STEP))).max() > 1e-6
 
     def test_operation_frame_fm_uses_every_commutator(self):
         h = assemble_hamiltonian(
@@ -190,7 +190,7 @@ class TestStacks:
         h = assemble_hamiltonian(PARAMS, STAR, scheme, Idle(T_M))
         blocks = h.blocks()
         assert blocks.layout == layout
-        assert aligned(h, 0.0, h.t_end).n_steps <= CHUNK
+        assert len(aligned(h, 0.0, h.t_end)) - 1 <= CHUNK
         blocks.propagate(0.0, h.t_end, STEP)
         assert len(counted) == calls
 
@@ -211,7 +211,7 @@ class TestStacks:
         generators = count_calls(monkeypatch, model.BlockStack, "generators", lambda s, w: s.dim)
         h = assemble_hamiltonian(PARAMS, STAR, DD, XGate(T_M, target=2))
         blocks = h.blocks()
-        assert aligned(h, 0.0, h.t_end).n_steps <= CHUNK
+        assert len(aligned(h, 0.0, h.t_end)) - 1 <= CHUNK
         blocks.propagate(0.0, h.t_end, STEP)
         assert len(weights) == 1
         assert sorted(generators) == [2, 6, 10]
@@ -255,9 +255,9 @@ class TestComplexCoefficients:
     def test_dense_sampling_rejects(self, complex_drive):
         with pytest.raises(ValueError, match=r"on channel X1-drive at t=0\.3 ns"):
             complex_drive(np.array([0.3, 0.4]))
-        grid = TimeGrid.with_max_step(0.0, complex_drive.t_end, STEP)
+        edges = step_boundaries(0.0, complex_drive.t_end, STEP)
         with pytest.raises(ValueError, match=r"on channel X1-drive at t=0\.00422649"):
-            propagate(complex_drive, grid)
+            propagate(complex_drive, edges)
 
     def test_block_sampling_rejects(self, complex_drive):
         # The first sample is the early Gauss node of the first 0.02 ns step.

@@ -39,7 +39,7 @@ from xtalksim.model import (
     static_frame_reference,
     target_unitary,
 )
-from xtalksim.operators import CHUNK, SIGMA_X, TimeGrid, embed, propagate
+from xtalksim.operators import CHUNK, SIGMA_X, embed, propagate, step_boundaries
 from xtalksim.pulses import SineEnvelopeDrive
 
 PARAMS = SystemParams.from_mhz(50.0, 5.0)
@@ -161,7 +161,7 @@ class TestStepConvergence:
         ref = run_single_gate(PARAMS, PAIR, dd, gate, step=0.02 / 16)
         aligned = run_single_gate(PARAMS, PAIR, dd, gate, step=0.02)
         h = assemble_hamiltonian(PARAMS, PAIR, dd, gate)
-        u = propagate(h, TimeGrid.with_max_step(0.0, h.t_end, 0.02))
+        u = propagate(h, step_boundaries(0.0, h.t_end, 0.02))
         unaligned = 1.0 - gate_fidelity(u, target_unitary(gate, PAIR))
         assert 100.0 * abs(aligned - ref) <= abs(unaligned - ref)
 
@@ -170,7 +170,7 @@ class TestSequences:
     def brute_force_infidelity(self, scheme, gate, repetitions, step, aligned=False):
         h = assemble_hamiltonian(PARAMS, PAIR, scheme, gate, repetitions=repetitions)
         breakpoints = h.breakpoints if aligned else ()
-        u = propagate(h, TimeGrid.with_max_step(0.0, h.t_end, step, breakpoints))
+        u = propagate(h, step_boundaries(0.0, h.t_end, step, breakpoints))
         ideal = target_unitary(gate, PAIR, repetitions=repetitions)
         return max(0.0, 1.0 - gate_fidelity(u, ideal))
 
@@ -184,7 +184,7 @@ class TestSequences:
         ):
             series = run_sequence(PARAMS, topology, scheme, gate, 1, step=0.02)
             h = assemble_hamiltonian(PARAMS, topology, scheme, gate)
-            u = propagate(h, TimeGrid.with_max_step(0.0, h.t_end, 0.02, h.breakpoints))
+            u = propagate(h, step_boundaries(0.0, h.t_end, 0.02, h.breakpoints))
             dense = 1.0 - gate_fidelity(u, target_unitary(gate, topology))
             assert series.counts.tolist() == [1]
             assert series.infidelities[0] == pytest.approx(dense, abs=1e-12)
@@ -226,9 +226,7 @@ class TestSequences:
             monkeypatch,
             SymmetryBlocks,
             "propagate",
-            lambda blocks, *window: TimeGrid.with_max_step(
-                *window, blocks.hamiltonian.breakpoints
-            ).n_steps,
+            lambda blocks, *window: len(step_boundaries(*window, blocks.hamiltonian.breakpoints)) - 1,
         )
         run_sequence(PARAMS, STAR, DD, Idle(T_M), 3)
         assert sum(steps) == 1004 + 32
@@ -317,9 +315,9 @@ class TestSweepJ:
         separate = [dataclasses.replace(PARAMS, j=j) for j in couplings]
 
         h = assemble_hamiltonian(PARAMS, topology, run.scheme, gate)
-        grid = TimeGrid.with_max_step(0.0, h.t_end, DEFAULT_STEP, h.breakpoints)
+        edges = step_boundaries(0.0, h.t_end, DEFAULT_STEP, h.breakpoints)
         # The stack takes more chunks than a single coupling.
-        assert grid.n_steps > CHUNK // len(couplings)
+        assert len(edges) - 1 > CHUNK // len(couplings)
         window = (0.0, h.t_end, DEFAULT_STEP)
         stacked = dataclasses.replace(h, couplings=couplings).blocks().propagate(*window)
         for u, p in zip(stacked, separate):
@@ -392,7 +390,7 @@ class TestPresets:
                 wave.setdefault(scheme, []).append((t, v))
         t, x2 = np.array(wave["X2-drive"]).T
         _, y2 = np.array(wave["Y2-drive"]).T
-        envelope = angular_to_cyclic_mhz(SineEnvelopeDrive.x_gate(T_M).sample(t))
+        envelope = angular_to_cyclic_mhz(SineEnvelopeDrive(T_M).sample(t))
         assert np.allclose(x2**2 + y2**2, envelope**2, rtol=1e-12, atol=1e-9)
         assert np.abs(y2).max() > 0.1 * envelope.max()
 

@@ -27,18 +27,18 @@ from xtalksim.model import (
 from xtalksim.operators import (
     SIGMA_X,
     SIGMA_Z,
-    TimeGrid,
     embed,
     expm_hamiltonian,
     kron,
     propagate,
+    step_boundaries,
 )
 
 PARAMS = SystemParams.from_mhz(50.0, 5.0)
 
 
 def window_propagator(h, step=0.002):
-    return propagate(h, TimeGrid.with_max_step(0.0, h.t_end, step))
+    return propagate(h, step_boundaries(0.0, h.t_end, step))
 
 
 class TestUnitsAndParams:
@@ -59,6 +59,24 @@ class TestUnitsAndParams:
             SystemParams(delta=1.0, j=-0.1)
         # Zero coupling and negative detuning are both physical.
         SystemParams(delta=-1.0, j=0.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_rejects_non_finite_params(self, bad):
+        with pytest.raises(ValueError, match="detuning must be finite"):
+            SystemParams(delta=bad, j=0.1)
+        with pytest.raises(ValueError, match="coupling must be finite"):
+            SystemParams(delta=1.0, j=bad)
+        with pytest.raises(ValueError, match="modulation amplitude must be finite"):
+            FrequencyModulation(cycles=4, gamma=bad)
+
+    @pytest.mark.parametrize(
+        "duration", [np.inf, np.nan, 0.0, -1.0], ids=["inf", "nan", "zero", "negative"]
+    )
+    @pytest.mark.parametrize("gate", [Idle, XGate, ParallelXX])
+    def test_gates_reject_bad_duration(self, gate, duration):
+        # An infinite idle used to reach the step builder and overflow there.
+        with pytest.raises(ValueError, match="gate time must be positive and finite"):
+            gate(duration)
 
 
 class TestExchangeInteraction:
@@ -82,15 +100,13 @@ class TestExchangeInteraction:
         assert hermiticity_defect(h0) < 1e-14
 
     def test_star_couples_center_to_each_spoke(self):
-        from xtalksim.operators import SIGMA_MINUS, SIGMA_PLUS
-
         h0 = coupling(PARAMS, STAR, 0.0)
         assert h0.shape == (32, 32)
         assert hermiticity_defect(h0) < 1e-14
         expect = np.zeros((32, 32), dtype=complex)
         for a, b in STAR.edges:
-            up_a = embed(SIGMA_PLUS, a, 5)
-            dn_b = embed(SIGMA_MINUS, b, 5)
+            up_a = embed(oracles.SIGMA_PLUS, a, 5)
+            dn_b = embed(oracles.SIGMA_MINUS, b, 5)
             expect += PARAMS.j * (up_a @ dn_b + dn_b.conj().T @ up_a.conj().T)
         assert np.abs(h0 - expect).max() < 1e-14
 
@@ -270,8 +286,7 @@ class TestBreakpoints:
             ((k - 1) * t_gate + tail, k * t_gate + tail) for k in range(2, repetitions + 1)
         ]
         for t_start, t_end in windows:
-            grid = TimeGrid.with_max_step(t_start, t_end, 0.02, h.breakpoints)
-            edges = grid.boundaries()
+            edges = step_boundaries(t_start, t_end, 0.02, h.breakpoints)
             assert np.diff(edges).max() <= 0.02 * (1.0 + 1e-9)
             for kink in kinks:
                 if t_start < kink < t_end:
@@ -312,7 +327,7 @@ class TestFrameEquivalence:
         for s in range(1, 5):
             u_free = propagate(
                 lambda t: coupling(weak, PAIR, t),
-                TimeGrid.with_max_step((s - 1) * tau, s * tau, 0.0005),
+                step_boundaries((s - 1) * tau, s * tau, 0.0005),
             )
             expect = z2 @ u_free @ expect
         assert np.abs(u_dd - expect).max() < 5e-5

@@ -18,12 +18,12 @@ from xtalksim.operators import (
     SIGMA_Y,
     SIGMA_Z,
     THETA_8,
-    TimeGrid,
     embed,
     expm_hamiltonian,
     kron,
     ordered_product,
     propagate,
+    step_boundaries,
     unitarity_defect,
 )
 
@@ -42,59 +42,55 @@ def with_norm(h, dt, norm):
     return h * (norm / (dt * np.abs(h).sum(axis=-2).max()))
 
 
-class TestTimeGrid:
+class TestStepBoundaries:
     def test_exact_multiple_keeps_step(self):
-        g = TimeGrid.with_max_step(0.0, 20.0, 0.002)
-        assert g.n_steps == 10000
-        assert np.diff(g.boundaries()).max() == pytest.approx(0.002, rel=1e-12)
+        edges = step_boundaries(0.0, 20.0, 0.002)
+        assert len(edges) - 1 == 10000
+        assert np.diff(edges).max() == pytest.approx(0.002, rel=1e-12)
 
     def test_non_multiple_rounds_down(self):
-        g = TimeGrid.with_max_step(0.0, 1.0, 0.3)
-        assert g.n_steps == 4
-        assert np.diff(g.boundaries()).max() <= 0.3
+        edges = step_boundaries(0.0, 1.0, 0.3)
+        assert len(edges) - 1 == 4
+        assert np.diff(edges).max() <= 0.3
 
     def test_offset_window(self):
-        g = TimeGrid.with_max_step(0.625, 20.625, 0.01)
-        assert g.boundaries()[0] == pytest.approx(0.625)
-        assert g.boundaries()[-1] == pytest.approx(20.625)
-        assert np.diff(g.boundaries()) == pytest.approx(np.full(g.n_steps, 0.01), rel=1e-9)
+        edges = step_boundaries(0.625, 20.625, 0.01)
+        assert edges[0] == pytest.approx(0.625)
+        assert edges[-1] == pytest.approx(20.625)
+        assert np.diff(edges) == pytest.approx(np.full(len(edges) - 1, 0.01), rel=1e-9)
 
     def test_halved_doubles_steps(self):
-        g = TimeGrid(0.0, 2.0, 7)
-        assert refined(g, 2).n_steps == 14
-        assert refined(g, 2).t_end == g.t_end
-        assert refined(g, 2).boundaries()[::2] == pytest.approx(g.boundaries(), abs=1e-15)
+        edges = np.linspace(0.0, 2.0, 8)
+        assert len(refined(edges, 2)) - 1 == 14
+        assert refined(edges, 2)[-1] == edges[-1]
+        assert refined(edges, 2)[::2] == pytest.approx(edges, abs=1e-15)
 
     def test_breakpoints_are_step_boundaries(self):
-        g = TimeGrid.with_max_step(0.0, 2.0, 0.3, [0.25, 1.0, 1.0 + 1e-12, 5.0, -1.0, 2.0])
-        # Out-of-window, end and near-duplicate breakpoints are dropped.
-        assert [t for t, _ in g.breakpoints] == [0.25, 1.0]
-        assert g.n_steps == 1 + 3 + 4
-        edges = g.boundaries()
+        edges = step_boundaries(0.0, 2.0, 0.3, [0.25, 1.0, 1.0 + 1e-12, 5.0, -1.0, 2.0])
+        # Out-of-window, end and near-duplicate breakpoints are dropped: one
+        # piece of one step, one of three and one of four.
+        assert len(edges) - 1 == 1 + 3 + 4
         assert edges[[0, 1, 4, 8]] == pytest.approx([0.0, 0.25, 1.0, 2.0], abs=1e-15)
         assert np.diff(edges).max() == pytest.approx(0.25)
-        halved = refined(g, 2)
-        assert halved.n_steps == 16
-        assert halved.boundaries()[::2] == pytest.approx(edges, abs=1e-15)
-
-    def test_rejects_unordered_breakpoints(self):
-        with pytest.raises(ValueError, match="breakpoints"):
-            TimeGrid(0.0, 1.0, 10, ((0.6, 3), (0.4, 6)))
-        with pytest.raises(ValueError, match="breakpoints"):
-            TimeGrid(0.0, 1.0, 10, ((0.5, 10),))
+        halved = refined(edges, 2)
+        assert len(halved) - 1 == 16
+        assert halved[::2] == pytest.approx(edges, abs=1e-15)
 
     def test_rejects_empty_window(self):
         with pytest.raises(ValueError):
-            TimeGrid(1.0, 1.0, 5)
+            step_boundaries(1.0, 1.0, 0.1)
         with pytest.raises(ValueError):
-            TimeGrid(0.0, 1.0, 0)
-        with pytest.raises(ValueError):
-            TimeGrid.with_max_step(0.0, 1.0, -0.1)
+            step_boundaries(0.0, 1.0, -0.1)
+
+    @pytest.mark.parametrize("window", [(0.0, np.inf), (np.nan, 1.0)], ids=["inf-end", "nan-start"])
+    def test_rejects_non_finite_window(self, window):
+        with pytest.raises(ValueError, match="window must be finite"):
+            step_boundaries(*window, 0.02)
 
     @pytest.mark.parametrize("step", [np.inf, np.nan], ids=["inf", "nan"])
     def test_rejects_non_finite_step(self, step):
         with pytest.raises(ValueError, match="step must be positive"):
-            TimeGrid.with_max_step(0.0, 20.0, step)
+            step_boundaries(0.0, 20.0, step)
 
 
 class TestAlgebra:
@@ -268,7 +264,7 @@ class TestPropagate:
     def test_constant_hamiltonian(self):
         rng = np.random.default_rng(5)
         h = random_hermitian(rng, 4)
-        u = propagate(lambda t: np.broadcast_to(h, (t.size, 4, 4)), TimeGrid(0.0, 2.0, 50))
+        u = propagate(lambda t: np.broadcast_to(h, (t.size, 4, 4)), np.linspace(0.0, 2.0, 51))
         assert np.allclose(u, scipy.linalg.expm(-2j * h), atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -282,12 +278,19 @@ class TestPropagate:
     )
     def test_wrong_shape_callable_rejected(self, h_of_t):
         with pytest.raises(ValueError, match=r"got shape \("):
-            propagate(h_of_t, TimeGrid(0.0, 1.0, 10))
+            propagate(h_of_t, np.linspace(0.0, 1.0, 11))
+
+    @pytest.mark.parametrize(
+        "edges", [[0.0], [0.0, 0.0, 1.0], np.zeros((2, 3))], ids=["one-time", "repeated", "2-d"]
+    )
+    def test_rejects_bad_boundaries(self, edges):
+        with pytest.raises(ValueError, match="step boundaries must be"):
+            propagate(lambda t: np.zeros((t.size, 2, 2)), edges)
 
     def test_commuting_drive_is_exact_phase(self):
         # H(t) = f(t) sigma_z integrates to the exact area phase at any step.
         u = propagate(
-            lambda t: np.multiply.outer(np.cos(t), SIGMA_Z), TimeGrid(0.0, np.pi, 2000)
+            lambda t: np.multiply.outer(np.cos(t), SIGMA_Z), np.linspace(0.0, np.pi, 2001)
         )
         area = np.sin(np.pi)
         assert np.allclose(u, scipy.linalg.expm(-1j * area * SIGMA_Z), atol=1e-6)
@@ -300,7 +303,7 @@ class TestPropagate:
             return out if np.ndim(t) else out[0]
 
         with pytest.raises(ValueError, match="[Hh]ermit"):
-            propagate(h_of_t, TimeGrid(0.0, 1.0, 10))
+            propagate(h_of_t, np.linspace(0.0, 1.0, 11))
 
     @pytest.mark.parametrize("case", ["smooth", "pair-dd-x-aligned"])
     def test_step_halving_fourth_order(self, case):
@@ -313,14 +316,14 @@ class TestPropagate:
                     np.cos(2.0 * np.asarray(t)), SIGMA_Z
                 )
 
-            grid, ref = TimeGrid(0.0, 2.0, 160), TimeGrid(0.0, 2.0, 40960)
+            edges, ref = np.linspace(0.0, 2.0, 161), np.linspace(0.0, 2.0, 40961)
         else:
             h_of_t = assemble_hamiltonian(PARAMS, PAIR, DD, XGate(T_M, target=1))
-            grid = TimeGrid.with_max_step(0.0, h_of_t.t_end, 0.08, h_of_t.breakpoints)
-            ref = refined(grid, 32)
+            edges = step_boundaries(0.0, h_of_t.t_end, 0.08, h_of_t.breakpoints)
+            ref = refined(edges, 32)
         u_ref = propagate(h_of_t, ref)
         err = []
-        for g in (grid, refined(grid, 2), refined(grid, 4)):
+        for g in (edges, refined(edges, 2), refined(edges, 4)):
             err.append(np.abs(propagate(h_of_t, g) - u_ref).max())
         assert err[0] / err[1] == pytest.approx(16.0, rel=0.1)
         assert err[1] / err[2] == pytest.approx(16.0, rel=0.1)
@@ -331,7 +334,7 @@ class TestPropagate:
         h = assemble_hamiltonian(
             PARAMS, PAIR, FrequencyModulation(cycles=8, gamma=2.0), Idle(T_M)
         )
-        grid = TimeGrid.with_max_step(0.0, T_M, T_M / 80000, h.breakpoints)
-        assert grid.n_steps == 80000
-        for u in (propagate(h, grid), h.blocks().propagate(0.0, T_M, T_M / 80000)):
+        edges = step_boundaries(0.0, T_M, T_M / 80000, h.breakpoints)
+        assert len(edges) - 1 == 80000
+        for u in (propagate(h, edges), h.blocks().propagate(0.0, T_M, T_M / 80000)):
             assert 1.0 - np.linalg.svd(u, compute_uv=False).min() <= 1e-13

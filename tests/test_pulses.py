@@ -3,7 +3,7 @@ import pytest
 import scipy.integrate
 
 from xtalksim.model import PAIR, FrequencyModulation, SystemParams, XGate, assemble_hamiltonian
-from xtalksim.operators import SIGMA_Z, TimeGrid, propagate
+from xtalksim.operators import SIGMA_Z, propagate
 from xtalksim.pulses import (
     FmZModulation,
     NascentDeltaTrain,
@@ -26,18 +26,18 @@ def total_area(waveform, lo, hi):
 
 class TestSineEnvelope:
     def test_x_gate_area_is_half_pi(self):
-        env = SineEnvelopeDrive.x_gate(20.0)
+        env = SineEnvelopeDrive(20.0)
         assert total_area(env, -1.0, 21.0) == pytest.approx(np.pi / 2.0, rel=1e-12)
         assert quad_area(env.sample, 0.0, 20.0) == pytest.approx(np.pi / 2.0, rel=1e-10)
 
     def test_zero_outside_window(self):
-        env = SineEnvelopeDrive.x_gate(20.0)
+        env = SineEnvelopeDrive(20.0)
         assert env.sample(-0.1) == 0.0
         assert env.sample(20.1) == 0.0
         assert env.sample(10.0) == pytest.approx(np.pi**2 / 80.0)
 
     def test_vectorized(self):
-        env = SineEnvelopeDrive.x_gate(10.0)
+        env = SineEnvelopeDrive(10.0)
         t = np.linspace(-1, 11, 50)
         assert np.allclose(env.sample(t), [env.sample(float(x)) for x in t])
 
@@ -88,7 +88,7 @@ class TestNascentDeltaTrain:
         train = NascentDeltaTrain(segments=1, interval=5.0, width=1.25)
         u = propagate(
             lambda t: np.multiply.outer((np.pi / 2.0) * train.sample(t), SIGMA_Z),
-            TimeGrid(0.0, 5.625, 4500),
+            np.linspace(0.0, 5.625, 4501),
         )
         expect = np.diag([np.exp(-1j * np.pi / 2), np.exp(1j * np.pi / 2)])
         assert np.abs(u - expect).max() < 1e-5
@@ -102,13 +102,13 @@ class TestNascentDeltaTrain:
 
 class TestSegmentedDrive:
     def test_burst_area_is_quarter_pi(self):
-        drive = SegmentedDrive.sqrt_x_bursts(segments=4, interval=5.0, width=1.25)
+        drive = SegmentedDrive(segments=4, interval=5.0, width=1.25)
         assert total_area(drive, 0.0, 5.0) == pytest.approx(np.pi / 4.0, rel=1e-12)
         measured = quad_area(drive.sample, 0.625, 5.0 - 0.625)
         assert measured == pytest.approx(np.pi / 4.0, rel=1e-10)
 
     def test_active_on_odd_segments_only(self):
-        drive = SegmentedDrive.sqrt_x_bursts(segments=4, interval=5.0, width=1.25)
+        drive = SegmentedDrive(segments=4, interval=5.0, width=1.25)
         assert drive.sample(2.5) != 0.0
         assert drive.sample(7.5) == 0.0
         assert drive.sample(12.5) != 0.0
@@ -118,11 +118,11 @@ class TestSegmentedDrive:
         assert drive.sample(5.3) == 0.0
 
     def test_total_area_two_bursts(self):
-        drive = SegmentedDrive.sqrt_x_bursts(segments=4, interval=5.0, width=1.25)
+        drive = SegmentedDrive(segments=4, interval=5.0, width=1.25)
         assert total_area(drive, 0.0, 20.0) == pytest.approx(np.pi / 2.0, rel=1e-12)
 
     def test_zero_width_reference(self):
-        drive = SegmentedDrive.sqrt_x_bursts(segments=4, interval=5.0, width=0.0)
+        drive = SegmentedDrive(segments=4, interval=5.0, width=0.0)
         assert total_area(drive, 0.0, 20.0) == pytest.approx(np.pi / 2.0, rel=1e-12)
         assert quad_area(drive.sample, 0.0, 5.0) == pytest.approx(np.pi / 4.0, rel=1e-10)
 
@@ -143,13 +143,13 @@ class TestModulatedQuadrature:
     def test_magnitude_equals_envelope(self):
         c = self.channels(1.26)
         t = np.linspace(0.0, 20.0, 101)
-        envelope = SineEnvelopeDrive.x_gate(20.0).sample(t)
+        envelope = SineEnvelopeDrive(20.0).sample(t)
         assert np.allclose(np.hypot(c["X2-drive"](t), c["Y2-drive"](t)), envelope, atol=1e-12)
 
     def test_reduces_to_plain_drive_at_zero_amplitude(self):
         c = self.channels(0.0)
         t = np.linspace(0.0, 20.0, 101)
-        assert np.allclose(c["X2-drive"](t), SineEnvelopeDrive.x_gate(20.0).sample(t))
+        assert np.allclose(c["X2-drive"](t), SineEnvelopeDrive(20.0).sample(t))
         assert np.allclose(c["Y2-drive"](t), 0.0)
         assert quad_area(c["X2-drive"], 0.0, 20.0) == pytest.approx(np.pi / 2.0, rel=1e-10)
 
@@ -158,14 +158,14 @@ class TestKinks:
     """``kinks()`` lists exactly the points where a waveform's slope jumps."""
 
     KINKED = {
-        "envelope": SineEnvelopeDrive.x_gate(20.0),
+        "envelope": SineEnvelopeDrive(20.0),
         "train": NascentDeltaTrain(segments=4, interval=5.0, width=1.25),
-        "bursts": SegmentedDrive.sqrt_x_bursts(segments=4, interval=5.0, width=1.25),
-        "bursts-zero-width": SegmentedDrive.sqrt_x_bursts(segments=4, interval=5.0, width=0.0),
+        "bursts": SegmentedDrive(segments=4, interval=5.0, width=1.25),
+        "bursts-zero-width": SegmentedDrive(segments=4, interval=5.0, width=0.0),
     }
 
     def test_declared_values(self):
-        assert SineEnvelopeDrive.x_gate(20.0).kinks() == (0.0, 20.0)
+        assert SineEnvelopeDrive(20.0).kinks() == (0.0, 20.0)
         assert FmZModulation(gamma=2.0, cycles=4, duration=20.0).kinks() == (0.0, 20.0)
         assert self.KINKED["train"].kinks() == pytest.approx(
             [4.375, 5.625, 9.375, 10.625, 14.375, 15.625, 19.375, 20.625]
