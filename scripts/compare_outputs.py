@@ -16,9 +16,10 @@ Each checkout runs in a subprocess of its own, importing the package from
 and the exit code of every run.  For each output this prints the rows
 (lines not starting with ``#``; every line of ``verify.txt``) that are
 identical on both sides out of the total, the largest absolute difference
-between the numbers of rows that differ only in their numbers, and both
-exit codes.  It exits 0 when every output is byte-identical and every exit
-code matches, 1 otherwise.  ``--change`` defaults to the checkout holding
+|a - b| and the largest relative difference |a - b| / max(|a|, |b|) between
+the numbers of rows that differ only in their numbers, and both exit codes.
+It exits 0 when every output is byte-identical and every exit code
+matches, 1 otherwise.  ``--change`` defaults to the checkout holding
 this script.
 """
 
@@ -93,23 +94,25 @@ def rows(path: Path) -> list[str]:
     return lines if path.suffix == ".txt" else [line for line in lines if not line.startswith("#")]
 
 
-def compare(parent: Path, change: Path) -> tuple[int, int, float]:
-    """Identical rows, total rows and the largest absolute number delta."""
+def compare(parent: Path, change: Path) -> tuple[int, int, float, float]:
+    """Identical rows, total rows and the largest absolute and relative number deltas."""
     a, b = rows(parent), rows(change)
-    same, delta = 0, 0.0
+    same, delta, relative = 0, 0.0, 0.0
     for x, y in zip(a, b):
         if x == y:
             same += 1
             continue
         xs, ys = NUMBER.findall(x), NUMBER.findall(y)
         if NUMBER.sub("#", x) != NUMBER.sub("#", y) or len(xs) != len(ys):
-            delta = math.inf
+            delta = relative = math.inf
             continue
-        for u, v in zip(xs, ys):
-            delta = max(delta, abs(float(u) - float(v)))
+        for u, v in zip(map(float, xs), map(float, ys)):
+            delta = max(delta, abs(u - v))
+            if u != v:
+                relative = max(relative, abs(u - v) / max(abs(u), abs(v)))
     if len(a) != len(b):
-        delta = math.inf
-    return same, max(len(a), len(b)), delta
+        delta = relative = math.inf
+    return same, max(len(a), len(b)), delta, relative
 
 
 def main() -> int:
@@ -128,12 +131,13 @@ def main() -> int:
         identical = 0
         for name in names:
             paths = [side / name for side in sides.values()]
-            same, total, delta = compare(*paths)
+            same, total, delta, relative = compare(*paths)
             codes = [side.get(name) for side in exits.values()]
             equal = all(p.is_file() for p in paths) and paths[0].read_bytes() == paths[1].read_bytes()
             identical += equal and codes[0] == codes[1]
             print(
-                f"{name:<{width}}  {same}/{total} rows identical, max |delta| {delta:.3g}, "
+                f"{name:<{width}}  {same}/{total} rows identical, max |delta| {delta:.3g} "
+                f"(relative {relative:.3g}), "
                 f"exit {codes[0]} -> {codes[1]}{'' if equal else '  DIFFERS'}"
             )
     print(f"{identical}/{len(names)} outputs byte-identical with the same exit code")

@@ -75,8 +75,8 @@ one real contraction of the chunk's weights per stack, and the steps match
 ``operators.propagate`` on the dense assembly to roundoff.  Per chunk of at
 most ``CHUNK / C`` steps for C couplings, ``operators.advance``
 exponentiates a stack's ``(n, C, B, d, d)`` generators (time index first)
-in one call and multiplies them out in one product tree, 2x2 steps
-elementwise; 1x1 steps compose by summing their phases.
+in one call and multiplies them out in one product tree, entry-major up
+to 4x4 (``operators`` docstring); 1x1 steps compose by summing their phases.
 
 Qubits are labeled 1..n; qubit 2 is the shared (modulated/pulsed) qubit in
 both shipped layouts, ``PAIR`` and ``STAR``.

@@ -19,12 +19,16 @@ the summed generators, and no product.  Larger exponents X = -i h H_eff are
 scaled by the least 2^-s that brings their 1-norm below ``THETA_8``, where
 the degree-8 Taylor polynomial (Paterson-Stockmeyer form, four products) is
 exact to double rounding, and the polynomial is squared s times; at the
-default step s = 0.  Steps are taken ``CHUNK`` at a time:
-:func:`advance` exponentiates a chunk in one call, multiplies it out and
-takes one Newton-Schulz step U <- U (3 - U^dag U) / 2, which removes the
-norm that rounding loses and leaves a unitary U unchanged; a squared
-exponential takes one too.  So propagators are unitary to machine precision
-at any step size.
+default step s = 0.  Up to ``ENTRY_MAJOR_DIM`` = 4 levels, the polynomial,
+its squarings and Newton-Schulz step and the ordered product hold stacks
+entry-major, ``(k, d, d, ...)``, the stack axes after the entries (k is 1 in
+an exponential and the time index in a product): a product is then d
+elementwise multiply-adds over the stack, free of matmul's per-matrix cost.
+Steps are taken ``CHUNK`` at a time: :func:`advance` exponentiates a chunk
+in one call, multiplies it out and takes one Newton-Schulz step
+U <- U (3 - U^dag U) / 2, which removes the norm that rounding loses and
+leaves a unitary U unchanged; a squared exponential takes one too.  So
+propagators are unitary to machine precision at any step size.
 
 ``propagate`` samples the dense ``(n, d, d)`` Hamiltonian.  Production runs
 build the same steps in term space, in stacks of blocks and couplings
@@ -68,6 +72,9 @@ HERMITICITY_TOL = 1e-12
 #: ||X||^9 / 9!, is at most 2^-53 (Al-Mohy & Higham, SIAM J. Matrix Anal.
 #: Appl. 31, 970 (2009)).
 THETA_8 = (2.0**-53 * math.factorial(9)) ** (1.0 / 9.0)
+
+#: Largest matrix dimension held entry-major (module docstring).
+ENTRY_MAJOR_DIM = 4
 
 #: Complex entries per sub-batch of the Taylor exponential (256 4x4 or 40
 #: 10x10 matrices), which keeps its power stacks in cache.
@@ -161,17 +168,18 @@ def expm_hamiltonian(h: np.ndarray, dt: float) -> np.ndarray:
 
     Accepts a ``(d, d)`` matrix or a ``(..., d, d)`` stack; the method is in
     the module docstring.  Like ``eigh``, it reads the lower triangle and the
-    real diagonal.
+    real diagonal.  Up to ``ENTRY_MAJOR_DIM`` levels, the result is a strided
+    view of entry-major memory.
 
     Raises
     ------
     ValueError
-        If ``h`` is not a (stack of) square matrices, or an entry it reads,
-        or ``dt``, is not finite.
+        If ``h`` is not a non-empty (stack of) square matrices (the shape is
+        named), or an entry it reads, or ``dt``, is not finite.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
-        raise ValueError(f"expected square matrices, got shape {h.shape}")
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2] or h.size == 0:
+        raise ValueError(f"expected non-empty square matrices, got shape {h.shape}")
     if h.shape[-1] == 1:
         phase = dt * h.real
         _check_finite(phase, dt)
@@ -192,11 +200,13 @@ def expm_hamiltonian(h: np.ndarray, dt: float) -> np.ndarray:
         return np.exp(-1j * dt * mean)[..., None, None] * u
     d = h.shape[-1]
     flat = h.reshape(-1, d, d)
-    u = np.empty_like(flat)
+    entry_major = d <= ENTRY_MAJOR_DIM
+    u = np.empty((1, d, d, len(flat)) if entry_major else flat.shape, dtype=complex)
     size = max(EXPM_BATCH_ENTRIES // (d * d), 1)
     for start in range(0, flat.shape[0], size):
-        u[start : start + size] = _expm_taylor(flat[start : start + size], dt)
-    return u.reshape(h.shape)
+        batch = _stack_index(entry_major, slice(start, start + size))
+        u[batch] = _expm_taylor(flat[start : start + size], dt, entry_major)
+    return (np.moveaxis(u[0], (0, 1), (-2, -1)) if entry_major else u).reshape(h.shape)
 
 
 def _check_finite(values: np.ndarray, dt: float) -> None:
@@ -204,68 +214,83 @@ def _check_finite(values: np.ndarray, dt: float) -> None:
         raise ValueError(f"cannot exponentiate a non-finite Hamiltonian entry or step (dt={dt})")
 
 
-def _expm_taylor(h: np.ndarray, dt: float) -> np.ndarray:
-    """``exp(-i h dt)`` of an ``(n, d, d)`` stack by scaled Taylor polynomials."""
-    n, d, _ = h.shape
-    a = np.where(np.tri(d, dtype=bool), h, h.conj().swapaxes(-1, -2))
+def _stack_index(entry_major: bool, index) -> tuple:
+    """``index`` on the stack axis of an exponential: last if ``entry_major``, else first."""
+    return (..., index) if entry_major else (index,)
+
+
+def _expm_taylor(h: np.ndarray, dt: float, entry_major: bool) -> np.ndarray:
+    """``exp(-i h dt)`` of an ``(n, d, d)`` stack by scaled Taylor polynomials,
+    computed and returned entry-major, ``(1, d, d, n)``, if ``entry_major``."""
+    d = h.shape[-1]
+    lower, eye = np.tri(d, dtype=bool), np.eye(d)
+    if entry_major:
+        h = np.ascontiguousarray(h.transpose(1, 2, 0))[None]
+        lower, eye = lower[..., None], eye[..., None]
+    a = np.where(lower, h, h.conj().swapaxes(1, 2))
     diagonal = np.arange(d)
     a[:, diagonal, diagonal] = a[:, diagonal, diagonal].real
     # The 1-norm of a Hermitian matrix is its largest row sum.
-    norms = abs(dt) * np.abs(a).sum(axis=-1).max(axis=-1)
+    norms = abs(dt) * np.abs(a).sum(axis=2, keepdims=True).max(axis=1, keepdims=True)
     _check_finite(norms, dt)
     # norm / THETA_8 = m 2^e with 1/2 <= m < 1, so e is the least s with norm 2^-s < THETA_8.
     squarings = np.maximum(np.frexp(norms / THETA_8)[1], 0)
-    powers = np.empty((5, n, d, d), dtype=complex)
-    powers[0] = np.eye(d)
-    np.multiply(a, (-1j * dt) * np.ldexp(1.0, -squarings)[:, None, None], out=powers[1])
-    np.matmul(powers[1], powers[1], out=powers[2])
-    np.matmul(powers[2], powers[1], out=powers[3])
-    np.matmul(powers[2], powers[2], out=powers[4])
+    multiply = _entrywise_matmul if entry_major else np.matmul
+    powers = np.empty((5,) + a.shape, dtype=complex)
+    powers[0] = eye
+    np.multiply(a, (-1j * dt) * np.ldexp(1.0, -squarings), out=powers[1])
+    multiply(powers[1], powers[1], out=powers[2])
+    multiply(powers[2], powers[1], out=powers[3])
+    multiply(powers[2], powers[2], out=powers[4])
     # T_8(X) = P_0 + X^4 P_1, each P a real combination of I, X, X^2, X^3, X^4.
-    p0, p1 = (_TAYLOR_8 @ powers.reshape(5, -1).view(float)).view(complex).reshape(2, n, d, d)
-    u = p0 + powers[4] @ p1
+    p0, p1 = (_TAYLOR_8 @ powers.reshape(5, -1).view(float)).view(complex).reshape((2,) + a.shape)
+    u = p0 + multiply(powers[4], p1)
     for k in range(int(squarings.max(initial=0))):
-        squared = squarings > k
-        u[squared] = u[squared] @ u[squared]
-    squared = squarings > 0
-    if squared.any():
-        u[squared] = _newton_schulz(u[squared])
+        squared = _stack_index(entry_major, (squarings > k).ravel())
+        u[squared] = multiply(u[squared], u[squared])
+    squared = _stack_index(entry_major, (squarings > 0).ravel())
+    if squarings.any():
+        u[squared] = _newton_schulz(u[squared], entry_major)
     return u
 
 
-def _newton_schulz(u: np.ndarray) -> np.ndarray:
-    """One step U <- U (3 - U^dag U) / 2 towards the nearest unitary, for a
-    matrix or a stack; it leaves an exactly unitary U unchanged."""
-    return u @ (1.5 * np.eye(u.shape[-1]) - 0.5 * (u.conj().swapaxes(-1, -2) @ u))
+def _newton_schulz(u: np.ndarray, entry_major: bool = False) -> np.ndarray:
+    """One step U <- U (3 - U^dag U) / 2 towards the nearest unitary, for a matrix,
+    a stack or an entry-major ``(1, d, d, n)`` stack; it leaves a unitary U unchanged."""
+    multiply, rows, cols = (_entrywise_matmul, 1, 2) if entry_major else (np.matmul, -2, -1)
+    eye = np.eye(u.shape[cols])[:, :, None] if entry_major else np.eye(u.shape[cols])
+    return multiply(u, 1.5 * eye - 0.5 * multiply(u.conj().swapaxes(rows, cols), u))
 
 
 def ordered_product(mats: np.ndarray) -> np.ndarray:
     """Time-ordered product ``mats[-1] @ ... @ mats[1] @ mats[0]``.
 
-    ``mats`` is ``(n, ..., d, d)``, index n increasing in time, and the
-    result ``(..., d, d)``: one product per stack entry.  It is taken pairwise
-    (a balanced tree), which keeps the Python-level loop at O(log n) batched
-    products; 1x1 and 2x2 ones are elementwise, free of matmul's per-matrix cost.
+    ``mats`` is a non-empty ``(n, ..., d, d)`` stack (else ValueError), index
+    n increasing in time, and the result ``(..., d, d)``: one product per stack
+    entry.  It is taken pairwise (a balanced tree), which keeps the Python-level
+    loop at O(log n) batched products; up to ``ENTRY_MAJOR_DIM`` levels, on the
+    entry-major ``(n, d, d, ...)`` stack, whose strided view is the result.
     """
     m = np.asarray(mats)
-    if m.ndim < 3 or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {m.shape}")
-    entrywise = m.shape[-1] <= 2
-    if entrywise:
+    if m.ndim < 3 or m.shape[-1] != m.shape[-2] or m.size == 0:
+        raise ValueError(f"expected a non-empty stack of square matrices, got shape {m.shape}")
+    entry_major = m.shape[-1] <= ENTRY_MAJOR_DIM
+    if entry_major:
         m = np.moveaxis(m, (-2, -1), (1, 2))
-    multiply = _entrywise_matmul if entrywise else np.matmul
+    multiply = _entrywise_matmul if entry_major else np.matmul
     while m.shape[0] > 1:
         k = m.shape[0] // 2
         combined = multiply(m[1 : 2 * k : 2], m[0 : 2 * k : 2])
         if m.shape[0] % 2:
             combined = np.concatenate([combined, m[-1:]])
         m = combined
-    return np.moveaxis(m[0], (0, 1), (-2, -1)) if entrywise else m[0]
+    return np.moveaxis(m[0], (0, 1), (-2, -1)) if entry_major else m[0]
 
 
-def _entrywise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for ``(k, d, d, ...)`` stacks, as d elementwise products."""
-    out = a[:, :, 0, None] * b[:, None, 0]
+def _entrywise_matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """``a @ b`` (into ``out`` if given) for entry-major ``(k, d, d, ...)``
+    stacks, as d elementwise multiply-adds over the whole stack."""
+    out = np.multiply(a[:, :, 0, None], b[:, None, 0], out=out)
     for j in range(1, a.shape[1]):
         out += a[:, :, j, None] * b[:, None, j]
     return out

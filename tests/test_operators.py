@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 from helpers import hermiticity_defect, refined
 
+from xtalksim import model
 from xtalksim.model import (
     PAIR,
     DynamicalDecoupling,
@@ -13,6 +16,7 @@ from xtalksim.model import (
     assemble_hamiltonian,
 )
 from xtalksim.operators import (
+    CHUNK,
     EXPM_BATCH_ENTRIES,
     SIGMA_X,
     SIGMA_Y,
@@ -20,6 +24,7 @@ from xtalksim.operators import (
     THETA_8,
     embed,
     expm_hamiltonian,
+    gauss_nodes,
     kron,
     ordered_product,
     propagate,
@@ -205,12 +210,12 @@ class TestExpm:
             np.testing.assert_array_equal(u, expm_hamiltonian(h, 1.0))
         assert np.abs(batch[-1] - scipy.linalg.expm(-1j * hs[-1])).max() <= 1e-13
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 10])
     def test_zero_generator_is_identity(self, d):
         u = expm_hamiltonian(np.zeros((3, d, d)), 0.5)
         np.testing.assert_array_equal(u, np.broadcast_to(np.eye(d), (3, d, d)))
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 10])
     def test_reads_lower_triangle_and_real_diagonal(self, d):
         rng = np.random.default_rng(7)
         h = with_norm(random_hermitian(rng, d), 1.0, 0.8)
@@ -219,7 +224,7 @@ class TestExpm:
         np.testing.assert_array_equal(expm_hamiltonian(garbled, 1.0), expm_hamiltonian(h, 1.0))
         assert np.abs(expm_hamiltonian(garbled, 1.0) - scipy.linalg.expm(-1j * h)).max() <= 1e-13
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 10])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite(self, d, bad):
         h = np.stack([random_hermitian(np.random.default_rng(8), d)] * 3)
@@ -235,14 +240,22 @@ class TestExpm:
         with pytest.raises(ValueError, match="square"):
             expm_hamiltonian(np.zeros(shape), 0.1)
 
+    @pytest.mark.parametrize(
+        "shape", [(0, 0), (0, 1, 1), (0, 2, 2), (0, 4, 4), (3, 0, 10, 10)], ids=str
+    )
+    def test_rejects_empty(self, shape):
+        with pytest.raises(ValueError, match=rf"non-empty.*got shape {re.escape(str(shape))}"):
+            expm_hamiltonian(np.zeros(shape), 0.1)
+
 
 class TestOrderedProduct:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33])
     def test_matches_sequential(self, n):
-        # Plain (n, d, d) stacks, and (n, B, d, d) ones whose B products are
-        # independent; d <= 2 takes the entrywise path, d = 3 matmul.
+        # Plain (n, d, d) stacks, and (n, ..., d, d) ones whose products are
+        # independent; d <= 4 takes the entry-major path, d = 6 matmul.
         rng = np.random.default_rng(n)
-        for shape in [(3,), (1, 1), (3, 1), (1, 2), (3, 2), (1, 3), (3, 3)]:
+        for shape in [(3,), (1, 1), (3, 1), (1, 2), (3, 2), (1, 3), (3, 3), (4,), (2, 3, 4),
+                      (6,), (3, 6)]:
             *stack, d = shape
             mats = rng.normal(size=(n, *stack, d, d)) + 1j * rng.normal(size=(n, *stack, d, d))
             product = ordered_product(mats)
@@ -258,6 +271,29 @@ class TestOrderedProduct:
             ordered_product(np.eye(3))
         with pytest.raises(ValueError, match="square"):
             ordered_product(np.zeros((4, 2, 3)))
+
+    @pytest.mark.parametrize(
+        "shape", [(0, 4, 4), (0, 2, 2), (0, 6, 6), (2, 0, 4, 4)], ids=str
+    )
+    def test_rejects_empty(self, shape):
+        with pytest.raises(ValueError, match=rf"non-empty.*got shape {re.escape(str(shape))}"):
+            ordered_product(np.zeros(shape))
+
+    def test_entry_major_chain_matches_matmul(self):
+        # The 1,036 4x4 Magnus steps of a pair DD X gate, one chunk: the
+        # entry-major exponentials and product against per-step scipy
+        # exponentials multiplied one by one with matmul.
+        h = assemble_hamiltonian(PARAMS, PAIR, DD, XGate(T_M, target=1))
+        (stack,) = h.blocks().stacks
+        widths, times = next(gauss_nodes(step_boundaries(0.0, h.t_end, 0.02, h.breakpoints), CHUNK))
+        g = stack.generators(model._magnus_weights(h.coefficients(times), widths))[:, 0, 0]
+        assert g.shape == (1036, 4, 4)
+        u = ordered_product(expm_hamiltonian(g, 1.0))
+        expect = np.eye(4)
+        for step in g:
+            expect = scipy.linalg.expm(-1j * step) @ expect
+        assert np.abs(u - expect).max() <= 1e-14
+        assert unitarity_defect(u) <= 1e-13
 
 
 class TestPropagate:
