@@ -86,7 +86,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, reduce
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -94,7 +94,6 @@ import numpy as np
 from xtalksim.operators import (
     CHUNK,
     HERMITICITY_TOL,
-    IDENTITY,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -103,7 +102,6 @@ from xtalksim.operators import (
     embed,
     expm_hamiltonian,
     gauss_nodes,
-    kron,
     step_boundaries,
 )
 from xtalksim.pulses import (
@@ -181,6 +179,20 @@ class Topology:
     def dicke_basis(self) -> np.ndarray:
         """``_dicke_basis`` of this layout."""
         return _read_only(_dicke_basis(self))
+
+    @cached_property
+    def exchange(self) -> np.ndarray:
+        """Unit exchange matrices A + A^T and i (A - A^T) of the flip-flop sum A (``_flip_flop``)."""
+        a_sum = _flip_flop(self)
+        return _read_only(np.array([a_sum + a_sum.T, 1j * (a_sum - a_sum.T)]))
+
+    @cached_property
+    def paulis(self) -> dict[str, np.ndarray]:
+        """The single-qubit term matrices by label: ``paulis[f"X{q}"]`` is sigma^x on
+        qubit q, and ``"Y{c}"``, ``"Z{c}"`` are sigma^y, sigma^z on the center c."""
+        n, c = self.n_qubits, self.center
+        ops = [(f"X{q}", SIGMA_X, q) for q in range(1, n + 1)] + [(f"Y{c}", SIGMA_Y, c), (f"Z{c}", SIGMA_Z, c)]
+        return {label: _read_only(embed(op, q, n)) for label, op, q in ops}
 
     @cached_property
     def block_analyses(self) -> dict:
@@ -511,10 +523,16 @@ def _magnus_weights(coefficients: np.ndarray, widths: np.ndarray) -> np.ndarray:
     ``(2 n, C, K)`` coefficients at the early, then the late Gauss nodes of
     steps of width ``widths``."""
     c1, c2 = coefficients[: widths.size], coefficients[widths.size :]
-    first, second = np.triu_indices(c1.shape[-1], 1)
+    first, second = _pairs(c1.shape[-1])
     h = widths[:, None, None]
     cross = c2[..., first] * c1[..., second] - c2[..., second] * c1[..., first]
     return np.concatenate([0.5 * h * (c1 + c2), (math.sqrt(3.0) / 12.0) * h**2 * cross], axis=-1)
+
+
+@cache
+def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(k, 1)``: every pair of k terms."""
+    return tuple(_read_only(i) for i in np.triu_indices(k, 1))
 
 
 def _block_analysis(mats: np.ndarray, topology: Optional[Topology]) -> tuple:
@@ -534,7 +552,7 @@ def _block_analysis(mats: np.ndarray, topology: Optional[Topology]) -> tuple:
     # Entries below this are roundoff of the basis change.
     tol = 1e-12 * scales[:, None, None]
     components = _components((np.abs(adapted) > tol).any(axis=0))
-    first, second = np.triu_indices(len(mats), 1)
+    first, second = _pairs(len(mats))
     flat = adapted.reshape(len(mats), -1)
     stacks = []
     # The components of one size d are sliced, compared with each other
@@ -647,8 +665,7 @@ def _exchange_terms(topology: Topology, phase: Callable):
     J(e^{i phi} sigma_q^+ sigma_c^- + h.c.) splits into
     J cos(phi) (A + A^T) + J sin(phi) i(A - A^T) with A real.
     """
-    a_sum = _flip_flop(topology)
-    sym, asym = a_sum + a_sum.T, 1j * (a_sum - a_sum.T)
+    sym, asym = topology.exchange
     return [("", lambda t: np.cos(phase(t)), sym), ("", lambda t: np.sin(phase(t)), asym)]
 
 
@@ -743,7 +760,7 @@ def assemble_hamiltonian(
     """
     targets = check_assembly(topology, scheme, gate, repetitions=repetitions)
     t_gate = gate.duration
-    n, center = topology.n_qubits, topology.center
+    center = topology.center
 
     phase = coupling_phase(params)
     x_drive, x_kinks = _periodic_envelope(SineEnvelopeDrive(t_gate), t_gate, repetitions)
@@ -781,13 +798,13 @@ def assemble_hamiltonian(
         x_drive, x_kinks = bursts.sample, bursts.kinks()
 
     terms = _exchange_terms(topology, phase)
-    terms += [(name, coeff, embed(SIGMA_Z, center, n)) for name, coeff in z_terms]
+    terms += [(name, coeff, topology.paulis[f"Z{center}"]) for name, coeff in z_terms]
     for q in targets:
         if q == center and center_xy is not None:
-            terms.append((f"X{q}-drive", center_xy[0], embed(SIGMA_X, q, n)))
-            terms.append((f"Y{q}-drive", center_xy[1], embed(SIGMA_Y, q, n)))
+            terms.append((f"X{q}-drive", center_xy[0], topology.paulis[f"X{q}"]))
+            terms.append((f"Y{q}-drive", center_xy[1], topology.paulis[f"Y{q}"]))
         else:
-            terms.append((f"X{q}-drive", x_drive, embed(SIGMA_X, q, n)))
+            terms.append((f"X{q}-drive", x_drive, topology.paulis[f"X{q}"]))
     if targets:
         kinks += x_kinks
 
@@ -810,10 +827,9 @@ def target_unitary(gate: GateSpec, topology: Topology, repetitions: int = 1) -> 
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     targets = _x_target_labels(gate, topology)
-    x = SIGMA_X if repetitions % 2 else IDENTITY
-    factors = [x if q in targets else IDENTITY for q in range(1, topology.n_qubits + 1)]
-    phase = (1.0, -1j, -1.0, 1j)[repetitions * len(targets) % 4]
-    return phase * kron(*factors)
+    flips = [topology.paulis[f"X{q}"] for q in targets] if repetitions % 2 else []
+    u = reduce(np.matmul, flips) if flips else np.eye(topology.dim, dtype=complex)
+    return (1.0, -1j, -1.0, 1j)[repetitions * len(targets) % 4] * u
 
 
 def static_frame_reference(params: SystemParams, topology: Topology, t: float) -> np.ndarray:

@@ -17,13 +17,17 @@ Exponentials of one and two levels use closed forms.  One-level steps
 commute, so a chunk of them composes by summing phases: one exponential of
 the summed generators, and no product.  Larger exponents X = -i h H_eff are
 scaled by the least 2^-s that brings their 1-norm below ``THETA_8``, where
-the degree-8 Taylor polynomial (Paterson-Stockmeyer form, four products) is
-exact to double rounding, and the polynomial is squared s times; at the
-default step s = 0.  Up to ``ENTRY_MAJOR_DIM`` = 4 levels, the polynomial,
-its squarings and Newton-Schulz step and the ordered product hold stacks
-entry-major, ``(k, d, d, ...)``, the stack axes after the entries (k is 1 in
-an exponential and the time index in a product): a product is then d
-elementwise multiply-adds over the stack, free of matmul's per-matrix cost.
+the degree-8 Taylor polynomial is exact to double rounding, and the
+polynomial is squared s times; at the default step s = 0.  The polynomial
+takes three products, X_2 = X X, X_4 = X_2 (a_1 X + a_2 X_2) and
+T_8(X) = I + X + b_2 X_2 + (a_3 X_2 + X_4)(a_4 I + a_5 X + a_6 X_2 + a_7 X_4)
+(Bader, Blanes & Casas, Mathematics 7, 1174 (2019)), ``EXPM_BATCH_ENTRIES``
+entries at a time, straight into the output.  Up to ``ENTRY_MAJOR_DIM`` = 4
+levels, the polynomial, its squarings and Newton-Schulz step and the ordered
+product hold stacks entry-major, ``(k, d, d, ...)``, the stack axes after
+the entries (k is 1 in an exponential and the time index in a product): a
+product is then d elementwise multiply-adds over the stack, free of
+matmul's per-matrix cost.
 Steps are taken ``CHUNK`` at a time: :func:`advance` exponentiates a chunk
 in one call, multiplies it out and takes one Newton-Schulz step
 U <- U (3 - U^dag U) / 2, which removes the norm that rounding loses and
@@ -77,14 +81,16 @@ THETA_8 = (2.0**-53 * math.factorial(9)) ** (1.0 / 9.0)
 ENTRY_MAJOR_DIM = 4
 
 #: Complex entries per sub-batch of the Taylor exponential (256 4x4 or 40
-#: 10x10 matrices), which keeps its power stacks in cache.
+#: 10x10 matrices).  Every temporary is one sub-batch in size, which keeps
+#: the powers in cache and the memory beyond the output fixed.
 EXPM_BATCH_ENTRIES = 4096
 
-# Weights of I, X, X^2, X^3, X^4 in P_0 and P_1 of the Paterson-Stockmeyer
-# form T_8(X) = P_0 + X^4 P_1 (SIAM J. Comput. 2, 60 (1973)).
-_TAYLOR_8 = np.array(
-    [[1.0 / math.factorial(k) for k in range(4)] + [0.0],
-     [1.0 / math.factorial(k) for k in range(4, 9)]]
+# a_1, a_2 of T_8 (module docstring), then the weights of I, X, X_2, X_4 in its three sums.
+_R = math.sqrt(177.0)
+_BBC_8_A1, _BBC_8_A2 = (1.0 + _R) / 132.0, (1.0 + _R) / 528.0
+_BBC_8 = np.array(
+    [[1.0, 1.0, (857.0 - 58.0 * _R) / 630.0, 0.0], [0.0, 0.0, 2.0 / 3.0, 1.0],
+     [(29.0 * _R - 271.0) / 210.0, 11.0 * (_R - 1.0) / 840.0, 11.0 * (_R - 9.0) / 3360.0, (89.0 - _R) / 2240.0]]
 )
 
 #: Magnus steps per chunk: sampled together, then multiplied out and
@@ -199,14 +205,7 @@ def expm_hamiltonian(h: np.ndarray, dt: float) -> np.ndarray:
         u[..., 1, 0] = -1j * sin_over_r * off
         return np.exp(-1j * dt * mean)[..., None, None] * u
     d = h.shape[-1]
-    flat = h.reshape(-1, d, d)
-    entry_major = d <= ENTRY_MAJOR_DIM
-    u = np.empty((1, d, d, len(flat)) if entry_major else flat.shape, dtype=complex)
-    size = max(EXPM_BATCH_ENTRIES // (d * d), 1)
-    for start in range(0, flat.shape[0], size):
-        batch = _stack_index(entry_major, slice(start, start + size))
-        u[batch] = _expm_taylor(flat[start : start + size], dt, entry_major)
-    return (np.moveaxis(u[0], (0, 1), (-2, -1)) if entry_major else u).reshape(h.shape)
+    return _expm_taylor(h.reshape(-1, d, d), dt, d <= ENTRY_MAJOR_DIM).reshape(h.shape)
 
 
 def _check_finite(values: np.ndarray, dt: float) -> None:
@@ -214,44 +213,49 @@ def _check_finite(values: np.ndarray, dt: float) -> None:
         raise ValueError(f"cannot exponentiate a non-finite Hamiltonian entry or step (dt={dt})")
 
 
-def _stack_index(entry_major: bool, index) -> tuple:
-    """``index`` on the stack axis of an exponential: last if ``entry_major``, else first."""
-    return (..., index) if entry_major else (index,)
-
-
 def _expm_taylor(h: np.ndarray, dt: float, entry_major: bool) -> np.ndarray:
     """``exp(-i h dt)`` of an ``(n, d, d)`` stack by scaled Taylor polynomials,
-    computed and returned entry-major, ``(1, d, d, n)``, if ``entry_major``."""
-    d = h.shape[-1]
-    lower, eye = np.tri(d, dtype=bool), np.eye(d)
+    ``EXPM_BATCH_ENTRIES`` entries at a time, computed entry-major if
+    ``entry_major`` (the result is then a strided view)."""
+    n, d = h.shape[0], h.shape[-1]
+    rows, cols = np.divmod(np.arange(d * d), d)
+    # Flat entry (i, j) of the Hermitian completion is read from the lower
+    # triangle at (max, min), conjugated above the diagonal; the diagonal is real.
+    source, upper = np.maximum(rows, cols) * d + np.minimum(rows, cols), np.flatnonzero(rows < cols)
     if entry_major:
-        h = np.ascontiguousarray(h.transpose(1, 2, 0))[None]
-        lower, eye = lower[..., None], eye[..., None]
-    a = np.where(lower, h, h.conj().swapaxes(1, 2))
-    diagonal = np.arange(d)
-    a[:, diagonal, diagonal] = a[:, diagonal, diagonal].real
-    # The 1-norm of a Hermitian matrix is its largest row sum.
-    norms = abs(dt) * np.abs(a).sum(axis=2, keepdims=True).max(axis=1, keepdims=True)
-    _check_finite(norms, dt)
-    # norm / THETA_8 = m 2^e with 1/2 <= m < 1, so e is the least s with norm 2^-s < THETA_8.
-    squarings = np.maximum(np.frexp(norms / THETA_8)[1], 0)
-    multiply = _entrywise_matmul if entry_major else np.matmul
-    powers = np.empty((5,) + a.shape, dtype=complex)
-    powers[0] = eye
-    np.multiply(a, (-1j * dt) * np.ldexp(1.0, -squarings), out=powers[1])
-    multiply(powers[1], powers[1], out=powers[2])
-    multiply(powers[2], powers[1], out=powers[3])
-    multiply(powers[2], powers[2], out=powers[4])
-    # T_8(X) = P_0 + X^4 P_1, each P a real combination of I, X, X^2, X^3, X^4.
-    p0, p1 = (_TAYLOR_8 @ powers.reshape(5, -1).view(float)).view(complex).reshape((2,) + a.shape)
-    u = p0 + multiply(powers[4], p1)
-    for k in range(int(squarings.max(initial=0))):
-        squared = _stack_index(entry_major, (squarings > k).ravel())
-        u[squared] = multiply(u[squared], u[squared])
-    squared = _stack_index(entry_major, (squarings > 0).ravel())
-    if squarings.any():
-        u[squared] = _newton_schulz(u[squared], entry_major)
-    return u
+        u, eye, multiply = np.empty((1, d, d, n), dtype=complex), np.eye(d)[:, :, None], _entrywise_matmul
+    else:
+        u, eye, multiply = np.empty((n, d, d), dtype=complex), np.eye(d), np.matmul
+    stack = (...,) if entry_major else ()  # leads an index on the stack axis
+    size = max(EXPM_BATCH_ENTRIES // (d * d), 1)
+    for start in range(0, n, size):
+        out = u[stack + (slice(start, start + size),)]
+        # The sub-batch, entries first: (d * d, m).
+        a = h[start : start + size].reshape(-1, d * d).T[source]
+        a[upper] = a[upper].conj()
+        a[:: d + 1].imag = 0.0
+        # The 1-norm of a Hermitian matrix is its largest row sum.
+        norms = abs(dt) * np.abs(a).reshape(d, d, -1).sum(axis=1).max(axis=0)
+        _check_finite(norms, dt)
+        # norm / THETA_8 = m 2^e with 1/2 <= m < 1, so e is the least s with norm 2^-s < THETA_8.
+        squarings = np.maximum(np.frexp(norms / THETA_8)[1], 0)
+        powers = np.empty((4,) + out.shape, dtype=complex)
+        powers[0] = eye
+        x, x2, x4 = powers[1:]
+        scale = (-1j * dt) * np.ldexp(1.0, -squarings)
+        np.multiply(a, scale, out=x.reshape(d * d, -1) if entry_major else x.reshape(-1, d * d).T)
+        multiply(x, x, out=x2)
+        multiply(x2, _BBC_8_A1 * x + _BBC_8_A2 * x2, out=x4)
+        # T_8 = S + L R, with S, L and R the rows of _BBC_8 applied to I, X, X_2, X_4.
+        s, left, right = (_BBC_8 @ powers.reshape(4, -1).view(float)).view(complex).reshape(powers[1:].shape)
+        multiply(left, right, out=out)
+        out += s
+        for k in range(int(squarings.max())):
+            squared = stack + (squarings > k,)
+            out[squared] = multiply(out[squared], out[squared])
+        if squarings.any():
+            out[stack + (squarings > 0,)] = _newton_schulz(out[stack + (squarings > 0,)], entry_major)
+    return np.moveaxis(u[0], (0, 1), (-2, -1)) if entry_major else u
 
 
 def _newton_schulz(u: np.ndarray, entry_major: bool = False) -> np.ndarray:

@@ -3,6 +3,7 @@
 import dataclasses
 
 import numpy as np
+import oracles
 import pytest
 from helpers import count_calls
 
@@ -19,10 +20,13 @@ from xtalksim.model import (
     SystemParams,
     XGate,
     assemble_hamiltonian,
+    target_unitary,
 )
 from xtalksim import model, operators
 from xtalksim.operators import (
     CHUNK,
+    SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     advance,
     embed,
@@ -330,9 +334,34 @@ class TestLayoutInvariants:
         assert len(built) == 1
 
     def test_invariants_are_read_only(self):
-        for invariant in (STAR.dicke_basis, STAR.neighbor_swaps):
+        for invariant in (STAR.dicke_basis, STAR.neighbor_swaps, STAR.exchange, *STAR.paulis.values()):
             with pytest.raises(ValueError):
                 invariant[0, 0] = 0
+
+    def test_term_matrices_built_once_per_layout(self, monkeypatch):
+        flip_flops = count_calls(monkeypatch, model, "_flip_flop")
+        embeds = count_calls(monkeypatch, model, "embed")
+        star = dataclasses.replace(STAR)  # a fresh layout: nothing built yet
+        for scheme, gate, frame in [
+            (DD, Idle(T_M), "modulated"),
+            (DD, XGate(T_M, target=1), "modulated"),
+            (fm(single_site=True), XGate(T_M, target=2), "operation"),
+        ] * 2:
+            assemble_hamiltonian(PARAMS, star, scheme, gate, fm_frame=frame)
+            target_unitary(gate, star)
+        # One flip-flop sum; sigma^x on each of the 5 qubits, sigma^y and sigma^z on the center.
+        assert (len(flip_flops), len(embeds)) == (1, 7)
+
+    @pytest.mark.parametrize("topology", [PAIR, STAR], ids=["pair", "star"])
+    def test_term_matrices_equal_kronecker_products(self, topology):
+        # Byte for byte, so analyses keyed by the matrices' bytes keep hitting.
+        n, c = topology.n_qubits, topology.center
+        ops = [(f"X{q}", SIGMA_X, q) for q in range(1, n + 1)] + [(f"Y{c}", SIGMA_Y, c), (f"Z{c}", SIGMA_Z, c)]
+        assert list(topology.paulis) == [label for label, _, _ in ops]
+        for label, pauli, q in ops:
+            assert topology.paulis[label].tobytes() == embed(pauli, q, n).tobytes()
+        a = oracles.flip_flop(topology)
+        assert topology.exchange.tobytes() == np.array([a + a.T, 1j * (a - a.T)]).tobytes()
 
 
 class TestAnalysisMemo:

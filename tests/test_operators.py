@@ -1,13 +1,16 @@
+import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 from helpers import hermiticity_defect, refined
 
-from xtalksim import model
+from xtalksim import model, operators
 from xtalksim.model import (
     PAIR,
+    STAR,
     DynamicalDecoupling,
     FrequencyModulation,
     Idle,
@@ -196,11 +199,21 @@ class TestExpm:
         assert np.abs(u - scipy.linalg.expm(-1j * dt * h)).max() <= 1e-12
         assert unitarity_defect(u) <= 1e-13
 
+    def test_three_product_scheme_is_taylor_8(self):
+        # Expand the scheme in a scalar x: the coefficients of T_8 are 1/k!.
+        x = np.polynomial.Polynomial([0.0, 1.0])
+        x2 = x * x
+        x4 = x2 * (operators._BBC_8_A1 * x + operators._BBC_8_A2 * x2)
+        s, left, right = (sum(w * p for w, p in zip(row, [1.0, x, x2, x4])) for row in operators._BBC_8)
+        coef = (s + left * right).coef
+        assert coef.size == 9
+        np.testing.assert_allclose(coef, [1.0 / math.factorial(k) for k in range(9)], rtol=0.0, atol=1e-16)
+
     @pytest.mark.parametrize("n", [1, 255, 256, 257, 1036])
-    @pytest.mark.parametrize("d", [4, 10])
+    @pytest.mark.parametrize("d", [3, 4, 6, 10])
     def test_batch_equals_per_matrix(self, d, n):
-        # 4x4 sub-batches hold 256 matrices and 10x10 ones 40.  Norms up to
-        # 4 give each matrix its own number of squarings (0 to 6).
+        # Sub-batches hold 455 3x3, 256 4x4, 113 6x6 or 40 10x10 matrices.
+        # Norms up to 4 give each matrix its own number of squarings (0 to 6).
         assert EXPM_BATCH_ENTRIES // 16 == 256
         rng = np.random.default_rng(n)
         hs = np.stack([with_norm(random_hermitian(rng, d), 1.0, 1.0) for _ in range(n)])
@@ -209,6 +222,22 @@ class TestExpm:
         for h, u in zip(hs, batch):
             np.testing.assert_array_equal(u, expm_hamiltonian(h, 1.0))
         assert np.abs(batch[-1] - scipy.linalg.expm(-1j * hs[-1])).max() <= 1e-13
+
+    @pytest.mark.parametrize("shape", [(2000, 10, 10), (5000, 4, 4)], ids=str)
+    def test_memory_stays_per_sub_batch(self, shape):
+        # Beyond its output, an exponential holds only sub-batch temporaries:
+        # at most 24 sub-batches of complex entries, whatever the stack height.
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        h = (a + a.conj().swapaxes(-1, -2)) * rng.uniform(0.0, 0.1, size=(shape[0], 1, 1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            u = expm_hamiltonian(h, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= u.nbytes + 24 * EXPM_BATCH_ENTRIES * 16
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 10])
     def test_zero_generator_is_identity(self, d):
@@ -280,20 +309,26 @@ class TestOrderedProduct:
             ordered_product(np.zeros(shape))
 
     def test_entry_major_chain_matches_matmul(self):
-        # The 1,036 4x4 Magnus steps of a pair DD X gate, one chunk: the
-        # entry-major exponentials and product against per-step scipy
+        # One chunk of Magnus steps per block, the entry-major 4x4 one of a
+        # pair DD X gate and the 10x10 and 6x6 ones of a star FM center-X
+        # gate: the batched exponentials and product against per-step scipy
         # exponentials multiplied one by one with matmul.
-        h = assemble_hamiltonian(PARAMS, PAIR, DD, XGate(T_M, target=1))
-        (stack,) = h.blocks().stacks
-        widths, times = next(gauss_nodes(step_boundaries(0.0, h.t_end, 0.02, h.breakpoints), CHUNK))
-        g = stack.generators(model._magnus_weights(h.coefficients(times), widths))[:, 0, 0]
-        assert g.shape == (1036, 4, 4)
-        u = ordered_product(expm_hamiltonian(g, 1.0))
-        expect = np.eye(4)
-        for step in g:
-            expect = scipy.linalg.expm(-1j * step) @ expect
-        assert np.abs(u - expect).max() <= 1e-14
-        assert unitarity_defect(u) <= 1e-13
+        star_fm = FrequencyModulation(cycles=4, gamma=1.26, single_site=True)
+        for layout, scheme, target, d, steps in [
+            (PAIR, DD, 1, 4, 1036), (STAR, star_fm, 2, 10, 1000), (STAR, star_fm, 2, 6, 1000)
+        ]:
+            h = assemble_hamiltonian(PARAMS, layout, scheme, XGate(T_M, target=target))
+            (stack,) = (s for s in h.blocks().stacks if s.dim == d)
+            edges = step_boundaries(0.0, h.t_end, 0.02, h.breakpoints)
+            widths, times = next(gauss_nodes(edges, CHUNK))
+            g = stack.generators(model._magnus_weights(h.coefficients(times), widths))[:, 0, 0]
+            assert g.shape == (steps, d, d)
+            u = ordered_product(expm_hamiltonian(g, 1.0))
+            expect = np.eye(d)
+            for step in g:
+                expect = scipy.linalg.expm(-1j * step) @ expect
+            assert np.abs(u - expect).max() <= 1e-14, d
+            assert unitarity_defect(u) <= 1e-13, d
 
 
 class TestPropagate:
