@@ -7,9 +7,11 @@ Usage::
 
 Each run is a fresh interpreter that imports the package from
 ``<checkout>/src`` and builds all 19 presets, clearing the scan cache before
-each.  Every call of ``operators.expm_hamiltonian`` and
+each.  Every call of an exponential kernel (``operators.expm_hamiltonian``,
+and ``operators._term_exponentials`` where the checkout has it) and of
 ``operators.ordered_product`` is timed with ``time.perf_counter`` (no
-profiler) and summed by block dimension d.  The two sides alternate for
+profiler) and summed by block dimension d, so exponentials count under
+``expm`` whichever function computes them.  The two sides alternate for
 ``ROUNDS`` rounds, the parent first in even rounds.  For each kernel and
 dimension this prints the matrices one run processes and the median seconds
 of each side.  The counts must be the same in every run of both sides: the
@@ -32,16 +34,19 @@ import numpy as np
 
 #: Runs per side.
 ROUNDS = 4
-KERNELS = ("expm_hamiltonian", "ordered_product")
+#: Kernel names and the functions of ``operators`` timed under them.
+KERNELS = {"expm": ("expm_hamiltonian", "_term_exponentials"), "product": ("ordered_product",)}
 
 
-def timed(kernel, totals: dict):
-    """``kernel`` adding its matrices and seconds to ``totals[d]`` on each call."""
+def timed(kernel, totals: dict, counted):
+    """``kernel`` adding the matrices of ``counted(argument, result)`` and its
+    seconds to ``totals[d]`` on each call."""
 
-    def wrapper(mats, *args):
+    def wrapper(*args):
         start = time.perf_counter()
-        out = kernel(mats, *args)
+        out = kernel(*args)
         elapsed = time.perf_counter() - start
+        mats = counted(args[0], out)
         d = np.shape(mats)[-1]
         entry = totals.setdefault(d, [0, 0.0])
         entry[0] += np.size(mats) // (d * d)
@@ -58,15 +63,21 @@ def run_presets(checkout: Path) -> dict:
     origin = Path(operators.__file__).resolve()
     if checkout.resolve() / "src" not in origin.parents:
         raise SystemExit(f"xtalksim imported from {origin}, not from {checkout}/src")
-    totals = {name: {} for name in KERNELS}
-    for name in KERNELS:
-        original = getattr(operators, name)
-        wrapper = timed(original, totals[name])
-        # Replace every binding, so calls through other modules' imports count too.
-        for module in [m for key, m in sys.modules.items() if key.startswith("xtalksim")]:
-            for attr, value in vars(module).items():
-                if value is original:
-                    setattr(module, attr, wrapper)
+    totals = {kernel: {} for kernel in KERNELS}
+    for kernel, names in KERNELS.items():
+        # An exponential is counted by its result: every d x d step it
+        # computes, whatever its argument.  A product by its factors.
+        counted = (lambda arg, out: out) if kernel == "expm" else (lambda arg, out: arg)
+        for name in names:
+            original = getattr(operators, name, None)
+            if original is None:
+                continue
+            wrapper = timed(original, totals[kernel], counted)
+            # Replace every binding, so calls through other modules' imports count too.
+            for module in [m for key, m in sys.modules.items() if key.startswith("xtalksim")]:
+                for attr, value in vars(module).items():
+                    if value is original:
+                        setattr(module, attr, wrapper)
     for preset in experiments.PRESETS:
         experiments._SCAN_CACHE.clear()
         experiments.run_preset(preset)
@@ -97,7 +108,7 @@ def main() -> int:
             runs[side].append(run_side(checkouts[side]))
             print(f"round {r + 1}/{ROUNDS}: {side} done", file=sys.stderr)
     same = True
-    print(f"{'kernel':<17} {'d':>3} {'matrices':>10} {'parent s':>9} {'change s':>9} {'ratio':>6}")
+    print(f"{'kernel':<8} {'d':>3} {'matrices':>10} {'parent s':>9} {'change s':>9} {'ratio':>6}")
     for kernel in KERNELS:
         for d in sorted({d for side in runs.values() for run in side for d in run[kernel]}):
             counts = {run[kernel].get(d, [0])[0] for side in runs.values() for run in side}
@@ -105,7 +116,7 @@ def main() -> int:
             same = same and len(counts) == 1
             ratio = medians[1] / medians[0] if medians[0] else float("nan")
             count = counts.pop() if len(counts) == 1 else "DIFFERS"
-            print(f"{kernel:<17} {d:>3} {count:>10} {medians[0]:>9.4f} {medians[1]:>9.4f} {ratio:>6.3f}")
+            print(f"{kernel:<8} {d:>3} {count:>10} {medians[0]:>9.4f} {medians[1]:>9.4f} {ratio:>6.3f}")
     return 0 if same else 1
 
 

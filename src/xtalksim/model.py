@@ -59,24 +59,27 @@ at any coupling, amplitude or gate time, reuses it.
 
 The distinct blocks of one dimension d are held as one ``BlockStack``: the
 matrices M_k of every term on its B blocks, zero on a block the term does
-not act on, and their commutators.  ``SymmetryBlocks.propagate`` builds its
-own step boundaries (``step_boundaries``), one on every breakpoint.  Each
-chunk of steps samples the assembly's real coefficient functions once, at
-both Gauss nodes of every step, and turns them into Magnus weights once;
-each stack builds its generators from those weights without forming dense
+not act on, and their commutators, exactly Hermitian (the term blocks are
+completed from their lower triangle) and then multiplied by -i, which is
+exact, with their 1-norms.  ``SymmetryBlocks.propagate`` builds its own
+step boundaries (``step_boundaries``), one on every breakpoint.  Each chunk
+of steps samples the assembly's real coefficient functions once, at both
+Gauss nodes of every step, and turns them into Magnus weights once; each
+stack's exponents are built from those weights without forming dense
 samples.  Since
-[H_2, H_1] = sum_{k<l} (c2_k c1_l - c2_l c1_k) [M_k, M_l], the generator of
+[H_2, H_1] = sum_{k<l} (c2_k c1_l - c2_l c1_k) [M_k, M_l], the exponent of
 ``operators`` is
 
-    h H_eff = sum_k h (c1_k + c2_k) / 2 M_k
-              + sum_{k<l} (sqrt(3) h^2 / 12) (c2_k c1_l - c2_l c1_k) (-i [M_k, M_l]),
+    -i h H_eff = sum_k h (c1_k + c2_k) / 2 (-i M_k)
+                 + sum_{k<l} (sqrt(3) h^2 / 12) (c2_k c1_l - c2_l c1_k) (-i) (-i [M_k, M_l]),
 
-one real contraction of the chunk's weights per stack, and the steps match
-``operators.propagate`` on the dense assembly to roundoff.  Per chunk of at
-most ``CHUNK / C`` steps for C couplings, ``operators.advance``
-exponentiates a stack's ``(n, C, B, d, d)`` generators (time index first)
-in one call and multiplies them out in one product tree, entry-major up
-to 4x4 (``operators`` docstring); 1x1 steps compose by summing their phases.
+a real contraction of the chunk's weights with the stack's matrices, and the
+steps match ``operators.propagate`` on the dense assembly to roundoff.  Per
+chunk of at most ``CHUNK / C`` steps for C couplings, ``operators.advance``
+exponentiates a stack's ``(n, C, B, d, d)`` steps (time index first) from
+the weights in one call and multiplies them out in one product tree,
+entry-major up to 4x4 (``operators`` docstring); 1x1 steps compose by
+summing their phases.
 
 Qubits are labeled 1..n; qubit 2 is the shared (modulated/pulsed) qubit in
 both shipped layouts, ``PAIR`` and ``STAR``.
@@ -434,27 +437,22 @@ class AssembledHamiltonian:
 
 @dataclass(frozen=True)
 class BlockStack:
-    """The B distinct blocks of one dimension d in term space: H_b(t) =
-    sum_k c_k(t) M_kb.
+    """The B distinct blocks of one dimension d in term space, as exponent
+    matrices: -i h H_b(t) = sum_k -i h c_k(t) M_kb.
 
-    ``matrices`` stacks, for every term k of the assembly, its matrices M_kb
-    on the B blocks, zero where the term does not act on a block, and then
-    the Hermitian commutators -i [M_k, M_l] for every pair k < l, flattened
-    to ``(K + K (K - 1) / 2, B * d * d)``.  ``copies[b]`` holds the index
-    sets, in the basis's columns, of every copy that shares block b's
-    matrices, shape ``(copies, d)``.
+    ``matrices`` stacks, for every term k of the assembly, -i M_kb on the B
+    blocks, zero where the term does not act on a block, and then -i times
+    the Hermitian commutators -i [M_k, M_l] for every pair k < l, flattened to
+    ``(K + K (K - 1) / 2, B * d * d)``; ``norms`` holds the 1-norms of each of
+    those matrices on each block, shape ``(K + K (K - 1) / 2, B)``.
+    ``copies[b]`` holds the index sets, in the basis's columns, of every copy
+    that shares block b's matrices, shape ``(copies, d)``.
     """
 
     dim: int
     matrices: np.ndarray
+    norms: np.ndarray
     copies: tuple[np.ndarray, ...]
-
-    def generators(self, weights: np.ndarray) -> np.ndarray:
-        """h H_eff of each Magnus step (module docstring), shape ``(n, C, B, d, d)``,
-        from the chunk's ``(n, C, K + K (K - 1) / 2)`` ``_magnus_weights``."""
-        # One real contraction over the interleaved real and imaginary parts.
-        out = weights.reshape(-1, weights.shape[-1]) @ self.matrices.view(float)
-        return out.view(complex).reshape(weights.shape[:2] + (len(self.copies),) + (self.dim,) * 2)
 
 
 @dataclass(frozen=True)
@@ -509,7 +507,8 @@ class SymmetryBlocks:
                 check_hermitian(h.combine(coefficients), times)
             weights = _magnus_weights(coefficients, widths)
             for i in moving:
-                units[i] = advance(units[i], self.stacks[i].generators(weights))
+                stack = self.stacks[i]
+                units[i] = advance(units[i], weights, stack.matrices, stack.norms)
         u = np.zeros((n_couplings,) + (h.dim,) * 2, dtype=complex)
         for stack, unit in zip(self.stacks, units):
             for b, rows in enumerate(stack.copies):
@@ -573,9 +572,15 @@ def _block_analysis(mats: np.ndarray, topology: Optional[Topology]) -> tuple:
         # -i [M_k, M_l] = -i (C - C^dag) with C = M_k M_l: exactly Hermitian.
         c = distinct[first] @ distinct[second]
         commutators = -1j * (c - c.conj().swapaxes(-1, -2))
-        matrices = np.concatenate([distinct, commutators]).reshape(-1, len(copies) * d * d)
+        # Each term's blocks are completed from their lower triangle and real
+        # diagonal, so they are exactly Hermitian too; -i times a matrix is exact.
+        lower = np.tril(distinct, -1)
+        diagonal = np.diagonal(distinct, axis1=-2, axis2=-1).real[..., None] * np.eye(d)
+        hermitian = np.concatenate([lower + lower.conj().swapaxes(-1, -2) + diagonal, commutators])
+        norms = np.abs(hermitian).sum(axis=-2).max(axis=-1)
+        matrices = (-1j * hermitian).reshape(-1, len(copies) * d * d)
         copy_rows = tuple(_read_only(rows[m]) for m in copies.values())
-        stacks.append(BlockStack(d, _read_only(matrices), copy_rows))
+        stacks.append(BlockStack(d, _read_only(matrices), _read_only(norms), copy_rows))
     defects = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(1, 2), initial=0.0)
     return basis, tuple(stacks), bool((defects <= HERMITICITY_TOL * scales).all())
 
@@ -841,13 +846,22 @@ def static_frame_reference(params: SystemParams, topology: Topology, t: float) -
     exponential, rotated back to the operation frame, is an independent
     reference for the time-ordered integrator.
     """
-    n = topology.n_qubits
-    h0 = np.zeros((topology.dim, topology.dim), dtype=complex)
-    for q in range(1, n + 1):
-        omega = 0.0 if q == topology.center else params.delta
-        h0 += -(omega / 2.0) * embed(SIGMA_Z, q, n)
+    h0 = _bare_hamiltonian(params, topology)
     a_sum = _flip_flop(topology)
     h_xy = params.j * (a_sum + a_sum.conj().T)
     u_lab = expm_hamiltonian(h0 + h_xy, t)
     # Undo the bare rotation: U_frame = exp(+i H0 t) U_lab, with H0 diagonal.
     return np.exp(1j * t * np.diagonal(h0))[:, None] * u_lab
+
+
+def _bare_hamiltonian(params, topology) -> np.ndarray:
+    """The diagonal lab-frame h0 = -sum_q (omega_q / 2) sigma_q^z of
+    ``static_frame_reference``, from the basis bits: qubit q is bit n - q of a
+    basis index (as in ``_flip_flop``), and sigma_q^z is 1 where it is clear."""
+    n = topology.n_qubits
+    states = np.arange(topology.dim)
+    diagonal = np.zeros(topology.dim)
+    for q in range(1, n + 1):
+        omega = 0.0 if q == topology.center else params.delta
+        diagonal += -(omega / 2.0) * (1.0 - 2.0 * ((states >> (n - q)) & 1))
+    return np.diag(diagonal.astype(complex))

@@ -16,18 +16,24 @@ that array of boundaries, and block propagation builds it itself.
 Exponentials of one and two levels use closed forms.  One-level steps
 commute, so a chunk of them composes by summing phases: one exponential of
 the summed generators, and no product.  Larger exponents X = -i h H_eff are
-scaled by the least 2^-s that brings their 1-norm below ``THETA_8``, where
-the degree-8 Taylor polynomial is exact to double rounding, and the
-polynomial is squared s times; at the default step s = 0.  The polynomial
-takes three products, X_2 = X X, X_4 = X_2 (a_1 X + a_2 X_2) and
+scaled by the least 2^-s that brings an upper bound on their 1-norm below
+``THETA_8``, where the degree-8 Taylor polynomial is exact to double
+rounding, and the polynomial is squared s times; at the default step s is
+almost always 0.  The polynomial takes three products, X_2 = X X,
+X_4 = X_2 (a_1 X + a_2 X_2) and
 T_8(X) = I + X + b_2 X_2 + (a_3 X_2 + X_4)(a_4 I + a_5 X + a_6 X_2 + a_7 X_4)
 (Bader, Blanes & Casas, Mathematics 7, 1174 (2019)), ``EXPM_BATCH_ENTRIES``
-entries at a time, straight into the output.  Up to ``ENTRY_MAJOR_DIM`` = 4
-levels, the polynomial, its squarings and Newton-Schulz step and the ordered
-product hold stacks entry-major, ``(k, d, d, ...)``, the stack axes after
-the entries (k is 1 in an exponential and the time index in a product): a
-product is then d elementwise multiply-adds over the stack, free of
-matmul's per-matrix cost.
+entries at a time in one workspace per call, straight into the output.  Up
+to ``ENTRY_MAJOR_DIM`` = 4 levels, the polynomial, its squarings and
+Newton-Schulz step and the ordered product hold stacks entry-major,
+``(k, d, d, ...)``, the stack axes after the entries (k is 1 in an
+exponential and the time index in a product): a product is then d
+elementwise multiply-adds over the stack, free of matmul's per-matrix cost.
+A preparer writes each sub-batch's exponents into the workspace:
+``expm_hamiltonian`` completes its input from the lower triangle, scales it
+by -i dt and takes exact 1-norms; :func:`advance` contracts the Magnus
+weights w_k of each step with a block stack's exponent matrices M_k
+(``model`` docstring) and bounds the 1-norm by sum_k |w_k| ||M_k||_1.
 Steps are taken ``CHUNK`` at a time: :func:`advance` exponentiates a chunk
 in one call, multiplies it out and takes one Newton-Schulz step
 U <- U (3 - U^dag U) / 2, which removes the norm that rounding loses and
@@ -205,7 +211,7 @@ def expm_hamiltonian(h: np.ndarray, dt: float) -> np.ndarray:
         u[..., 1, 0] = -1j * sin_over_r * off
         return np.exp(-1j * dt * mean)[..., None, None] * u
     d = h.shape[-1]
-    return _expm_taylor(h.reshape(-1, d, d), dt, d <= ENTRY_MAJOR_DIM).reshape(h.shape)
+    return _expm_taylor(h.size // (d * d), d, _hermitian_exponents(h.reshape(-1, d, d), dt)).reshape(h.shape)
 
 
 def _check_finite(values: np.ndarray, dt: float) -> None:
@@ -213,41 +219,90 @@ def _check_finite(values: np.ndarray, dt: float) -> None:
         raise ValueError(f"cannot exponentiate a non-finite Hamiltonian entry or step (dt={dt})")
 
 
-def _expm_taylor(h: np.ndarray, dt: float, entry_major: bool) -> np.ndarray:
-    """``exp(-i h dt)`` of an ``(n, d, d)`` stack by scaled Taylor polynomials,
-    ``EXPM_BATCH_ENTRIES`` entries at a time, computed entry-major if
-    ``entry_major`` (the result is then a strided view)."""
-    n, d = h.shape[0], h.shape[-1]
+def _hermitian_exponents(h: np.ndarray, dt: float):
+    """``_expm_taylor``'s ``prepare`` for X = -i dt H of the ``(n, d, d)`` stack
+    ``h``, completed from its lower triangle and real diagonal; the bounds are
+    the exact 1-norms."""
+    d = h.shape[-1]
     rows, cols = np.divmod(np.arange(d * d), d)
     # Flat entry (i, j) of the Hermitian completion is read from the lower
     # triangle at (max, min), conjugated above the diagonal; the diagonal is real.
     source, upper = np.maximum(rows, cols) * d + np.minimum(rows, cols), np.flatnonzero(rows < cols)
-    if entry_major:
-        u, eye, multiply = np.empty((1, d, d, n), dtype=complex), np.eye(d)[:, :, None], _entrywise_matmul
-    else:
-        u, eye, multiply = np.empty((n, d, d), dtype=complex), np.eye(d), np.matmul
-    stack = (...,) if entry_major else ()  # leads an index on the stack axis
-    size = max(EXPM_BATCH_ENTRIES // (d * d), 1)
-    for start in range(0, n, size):
-        out = u[stack + (slice(start, start + size),)]
+
+    def prepare(start: int, stop: int, x: np.ndarray) -> np.ndarray:
         # The sub-batch, entries first: (d * d, m).
-        a = h[start : start + size].reshape(-1, d * d).T[source]
+        a = h[start:stop].reshape(-1, d * d).T[source]
         a[upper] = a[upper].conj()
         a[:: d + 1].imag = 0.0
         # The 1-norm of a Hermitian matrix is its largest row sum.
         norms = abs(dt) * np.abs(a).reshape(d, d, -1).sum(axis=1).max(axis=0)
         _check_finite(norms, dt)
-        # norm / THETA_8 = m 2^e with 1/2 <= m < 1, so e is the least s with norm 2^-s < THETA_8.
-        squarings = np.maximum(np.frexp(norms / THETA_8)[1], 0)
-        powers = np.empty((4,) + out.shape, dtype=complex)
-        powers[0] = eye
+        np.multiply(a, -1j * dt, out=x.reshape(d * d, -1) if x.ndim == 4 else x.reshape(-1, d * d).T)
+        return norms
+
+    return prepare
+
+
+def _term_exponentials(weights: np.ndarray, matrices: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """exp(X_n) of the steps of ``advance``, ``(n, C, B, d, d)``, by
+    ``_expm_taylor``: each sub-batch contracts its finite weights straight into
+    the workspace, with the 1-norm bounds sum_k |weights[n, c, k]| norms[k, b]."""
+    rows = weights.reshape(-1, weights.shape[-1])
+    n_blocks = norms.shape[1]
+    d = math.isqrt(matrices.shape[1] // n_blocks)
+    terms = matrices.view(float)
+    bounds = (np.abs(rows) @ norms).ravel()
+
+    def prepare(start: int, stop: int, x: np.ndarray) -> np.ndarray:
+        w = rows[start // n_blocks : stop // n_blocks]
+        # One real contraction over the interleaved real and imaginary parts.
+        if x.ndim == 3:
+            np.matmul(w, terms, out=x.view(float).reshape(len(w), -1))
+        else:
+            x = x.reshape(d * d, len(w), n_blocks)
+            np.copyto(x, (w @ terms).view(complex).reshape(len(w), n_blocks, d * d).transpose(2, 0, 1))
+        return bounds[start:stop]
+
+    steps = _expm_taylor(len(rows) * n_blocks, d, prepare, n_blocks)
+    return steps.reshape(weights.shape[:-1] + (n_blocks, d, d))
+
+
+def _expm_taylor(n: int, d: int, prepare, group: int = 1) -> np.ndarray:
+    """exp(X) of n d x d exponents by scaled Taylor polynomials (module docstring).
+
+    Sub-batches of about ``EXPM_BATCH_ENTRIES`` entries, whole groups of
+    ``group`` consecutive matrices each, share one workspace.
+    ``prepare(start, stop, x)`` writes exponents ``start`` to ``stop`` into its
+    slot ``x``, shape ``(m, d, d)``, or ``(1, d, d, m)`` entry-major up to
+    ``ENTRY_MAJOR_DIM`` levels (the result is then a strided view), and
+    returns upper bounds on their 1-norms.
+    """
+    entry_major = d <= ENTRY_MAJOR_DIM
+    if entry_major:
+        u, eye, multiply = np.empty((1, d, d, n), dtype=complex), np.eye(d)[:, :, None], _entrywise_matmul
+    else:
+        u, eye, multiply = np.empty((n, d, d), dtype=complex), np.eye(d), np.matmul
+    stack = (...,) if entry_major else ()  # leads an index on the stack axis
+    size = min(max(EXPM_BATCH_ENTRIES // (d * d * group), 1) * group, n)
+    workspace = np.empty(4 * d * d * size, dtype=complex)
+    filled = 0
+    for start in range(0, n, size):
+        m = min(size, n - start)
+        powers = workspace[: 4 * d * d * m].reshape((4,) + ((1, d, d, m) if entry_major else (m, d, d)))
+        if m != filled:
+            powers[0], filled = eye, m
         x, x2, x4 = powers[1:]
-        scale = (-1j * dt) * np.ldexp(1.0, -squarings)
-        np.multiply(a, scale, out=x.reshape(d * d, -1) if entry_major else x.reshape(-1, d * d).T)
+        bounds = prepare(start, start + m, x)
+        # bound / THETA_8 = m 2^e with 1/2 <= m < 1, so e is the least s with bound 2^-s < THETA_8.
+        squarings = np.maximum(np.frexp(bounds / THETA_8)[1], 0)
+        if squarings.any():
+            scale = np.ldexp(1.0, -squarings)
+            x *= scale if entry_major else scale[:, None, None]
         multiply(x, x, out=x2)
         multiply(x2, _BBC_8_A1 * x + _BBC_8_A2 * x2, out=x4)
         # T_8 = S + L R, with S, L and R the rows of _BBC_8 applied to I, X, X_2, X_4.
         s, left, right = (_BBC_8 @ powers.reshape(4, -1).view(float)).view(complex).reshape(powers[1:].shape)
+        out = u[stack + (slice(start, start + m),)]
         multiply(left, right, out=out)
         out += s
         for k in range(int(squarings.max())):
@@ -331,21 +386,39 @@ def gauss_nodes(edges: np.ndarray, chunk: int):
         )
 
 
-def advance(u: np.ndarray, generators: np.ndarray) -> np.ndarray:
-    """``u`` carried through the steps ``exp(-i G_n)`` of one chunk.
+def advance(u: np.ndarray, weights: np.ndarray, matrices: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """``u`` carried through the steps ``exp(X_n)`` of one chunk, given in term space.
 
-    ``generators`` is the ``(n, ..., d, d)`` array of Hermitian G_n = h H_eff,
-    time index first, and ``u`` the matching ``(..., d, d)`` propagators.
-    The steps are exponentiated in one call, multiplied out and
-    re-unitarized by one Newton-Schulz step (see the module docstring).
-    1x1 steps commute: their product is the exponential of their sum, taken
-    in extended precision to stay as accurate as the product.
+    X_n = -i h H_eff = sum_k weights[n, c, k] matrices[k, b] on coupling c and
+    block b: ``weights`` is the real ``(n, C, K)`` array of Magnus weights, time
+    index first, ``matrices`` the ``(K, B * d * d)`` flattened exponent matrices
+    of B blocks, ``norms`` their ``(K, B)`` 1-norms, and ``u`` the matching
+    ``(C, B, d, d)`` (or ``(B, d, d)``) propagators.  The steps are
+    exponentiated in one call, multiplied out and re-unitarized by one
+    Newton-Schulz step (see the module docstring).  1x1 steps commute: their
+    product is the exponential of their sum, taken in extended precision to
+    stay as accurate as the product.
+
+    Raises
+    ------
+    ValueError
+        If a weight is not finite.
     """
-    if generators.shape[-1] == 1:
-        phases = generators.real.sum(axis=0, dtype=np.longdouble)
-        steps = expm_hamiltonian(phases.astype(float), 1.0)
+    if not np.isfinite(weights).all():
+        raise ValueError("cannot exponentiate a step with a non-finite Magnus weight")
+    d = u.shape[-1]
+    if d > 2:
+        steps = ordered_product(_term_exponentials(weights, matrices, norms))
     else:
-        steps = ordered_product(expm_hamiltonian(generators, 1.0))
+        # The closed forms take the Hermitian G_n = i X_n; i (-i M) = M exactly.
+        hermitian = (1j * matrices).view(float)
+        g = (weights.reshape(-1, weights.shape[-1]) @ hermitian).view(complex)
+        g = g.reshape(weights.shape[:-1] + norms.shape[1:] + (d, d))
+        if d == 1:
+            phases = g.real.sum(axis=0, dtype=np.longdouble)
+            steps = expm_hamiltonian(phases.astype(float), 1.0)
+        else:
+            steps = ordered_product(expm_hamiltonian(g, 1.0))
     return _newton_schulz(steps @ u)
 
 
@@ -394,5 +467,5 @@ def propagate(h_of_t, edges) -> np.ndarray:
         c = h2 @ h1
         commutator = c - c.conj().swapaxes(-1, -2)
         h_eff = 0.5 * (h1 + h2) - (1j * math.sqrt(3.0) / 12.0) * width * commutator
-        u = advance(u, width * h_eff)
+        u = _newton_schulz(ordered_product(expm_hamiltonian(width * h_eff, 1.0)) @ u)
     return u

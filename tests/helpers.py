@@ -40,6 +40,13 @@ def count_calls(monkeypatch, owner, name, record=lambda *args: None):
     return calls
 
 
+def exponents(stack, weights):
+    """The exponents X_n = -i h H_eff of a ``BlockStack``'s steps, ``(n, C, B, d,
+    d)``, from a chunk's ``(n, C, K)`` Magnus weights, contracted by ``einsum``."""
+    k, b, d = len(stack.matrices), len(stack.copies), stack.dim
+    return np.einsum("nck,kbij->ncbij", weights, stack.matrices.reshape(k, b, d, d))
+
+
 def refined(edges: np.ndarray, factor: int) -> np.ndarray:
     """The step boundaries ``edges`` with every step split into ``factor`` equal ones."""
     n = len(edges) - 1

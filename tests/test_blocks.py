@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import oracles
 import pytest
-from helpers import count_calls
+from helpers import count_calls, exponents
 
 from xtalksim.experiments import cached_scan
 from xtalksim.model import (
@@ -200,10 +200,10 @@ class TestStacks:
 
     @pytest.mark.parametrize("scheme, calls", [(CrosstalkOnly(), 1), (DD, 2)], ids=["cd", "dd"])
     def test_one_generator_contraction_per_stack(self, monkeypatch, scheme, calls):
-        # A one-chunk star idle builds the generators of each stack that
-        # carries terms in one contraction: the termless 1x1 blocks of the
+        # A one-chunk star idle builds the exponents of each stack that
+        # carries terms in one call: the termless 1x1 blocks of the
         # crosstalk-only idle stay the identity.
-        counted = count_calls(monkeypatch, model.BlockStack, "generators")
+        counted = count_calls(monkeypatch, model, "advance")
         h = assemble_hamiltonian(PARAMS, STAR, scheme, Idle(T_M))
         h.blocks().propagate(0.0, h.t_end, STEP)
         assert len(counted) == calls
@@ -212,38 +212,54 @@ class TestStacks:
         # The center-X gate's 10-, 6- and 2-dimensional stacks all contract
         # the one set of weights their chunk builds.
         weights = count_calls(monkeypatch, model, "_magnus_weights")
-        generators = count_calls(monkeypatch, model.BlockStack, "generators", lambda s, w: s.dim)
+        stacks = count_calls(monkeypatch, model, "advance", lambda u, *_: u.shape[-1])
         h = assemble_hamiltonian(PARAMS, STAR, DD, XGate(T_M, target=2))
         blocks = h.blocks()
         assert len(aligned(h, 0.0, h.t_end)) - 1 <= CHUNK
         blocks.propagate(0.0, h.t_end, STEP)
         assert len(weights) == 1
-        assert sorted(generators) == [2, 6, 10]
+        assert sorted(stacks) == [2, 6, 10]
+
+    @pytest.mark.parametrize(
+        "scheme", [CrosstalkOnly(), fm(single_site=True), DD, BASELINE], ids=SCHEMES
+    )
+    def test_center_x_exponents_stay_in_term_space(self, monkeypatch, scheme):
+        # The 10x10 and 6x6 steps of a star center-X gate are exponentiated
+        # from their Magnus weights; only the closed-form 2x2 steps take
+        # Hermitian generators.
+        dense = count_calls(monkeypatch, operators, "expm_hamiltonian", lambda h, dt: np.shape(h)[-1])
+        stacks = count_calls(monkeypatch, model, "advance", lambda u, *_: u.shape[-1])
+        h = assemble_hamiltonian(PARAMS, STAR, scheme, XGate(T_M, target=2))
+        h.blocks().propagate(0.0, h.t_end, STEP)
+        assert sorted(stacks) == [2, 6, 10]
+        assert dense == [2]
 
     @staticmethod
-    def one_by_one_generators():
-        """Generators of the first chunk of a star DD idle's 1x1 stack."""
+    def one_by_one_chunk():
+        """The first chunk's Magnus weights of a star DD idle, and its 1x1 stack."""
         h = assemble_hamiltonian(PARAMS, STAR, DD, Idle(T_M))
         (stack,) = [s for s in h.blocks().stacks if s.dim == 1]
         widths, times = next(gauss_nodes(aligned(h, 0.0, h.t_end), CHUNK))
-        return stack.generators(model._magnus_weights(h.coefficients(times), widths))
+        return model._magnus_weights(h.coefficients(times), widths), stack
 
     def test_one_by_one_steps_sum_phases(self, monkeypatch):
-        g = self.one_by_one_generators()
+        weights, stack = self.one_by_one_chunk()
+        g = 1j * exponents(stack, weights)
         assert g.shape[0] > 1000 and np.abs(g.sum(axis=0)).min() > 1.0
         u = np.exp(1j * np.arange(g[0].size)).reshape(g.shape[1:])
         stepwise = ordered_product(expm_hamiltonian(g, 1.0)) @ u
         exponentials = count_calls(monkeypatch, operators, "expm_hamiltonian")
         products = count_calls(monkeypatch, operators, "ordered_product")
-        assert np.abs(advance(u, g) - stepwise).max() <= 1e-15
+        assert np.abs(advance(u, weights, stack.matrices, stack.norms) - stepwise).max() <= 1e-15
         assert (len(exponentials), len(products)) == (1, 0)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
     def test_one_by_one_steps_reject_non_finite(self, bad):
-        g = self.one_by_one_generators()
-        g[7, 0, 1] = bad
+        weights, stack = self.one_by_one_chunk()
+        weights[7, 0, 1] = bad
+        u = np.ones((1, len(stack.copies), 1, 1), dtype=complex)
         with pytest.raises(ValueError, match="non-finite"):
-            advance(np.ones(g.shape[1:], dtype=complex), g)
+            advance(u, weights, stack.matrices, stack.norms)
 
 
 class TestComplexCoefficients:

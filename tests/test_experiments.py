@@ -338,7 +338,7 @@ class TestSweepJ:
         # run takes one stack per corner amplitude.
         analyses = count_calls(monkeypatch, AssembledHamiltonian, "blocks")
         propagations = count_calls(monkeypatch, SymmetryBlocks, "propagate")
-        chunks = count_calls(monkeypatch, model, "advance", lambda _, g: g.shape[:2])
+        chunks = count_calls(monkeypatch, model, "advance", lambda u, weights, *_: weights.shape[:2])
         for scheme, calls in (("cd", 1), ("dd", 1), ("fm-corner", 2)):
             analyses.clear()
             propagations.clear()

@@ -4,9 +4,9 @@ from types import SimpleNamespace
 import numpy as np
 import oracles
 import pytest
-from helpers import coupling, hermiticity_defect
+from helpers import count_calls, coupling, hermiticity_defect
 
-from xtalksim import model
+from xtalksim import model, operators
 from xtalksim.model import (
     PAIR,
     STAR,
@@ -341,6 +341,21 @@ class TestReferences:
     def test_static_frame_oracle_star(self):
         u = window_propagator(assemble_hamiltonian(PARAMS, STAR, CrosstalkOnly(), Idle(20.0)))
         assert np.abs(u - static_frame_reference(PARAMS, STAR, 20.0)).max() < 1e-8
+
+    @pytest.mark.parametrize("topology", [PAIR, STAR], ids=["pair", "star"])
+    def test_static_frame_bare_hamiltonian_is_the_embed_sum(self, monkeypatch, topology):
+        # Byte for byte the sum of Kronecker-embedded sigma^z terms, built
+        # from the basis bits: a reference call embeds nothing.
+        n = topology.n_qubits
+        expect = np.zeros((topology.dim, topology.dim), dtype=complex)
+        for q in range(1, n + 1):
+            omega = 0.0 if q == topology.center else PARAMS.delta
+            expect += -(omega / 2.0) * embed(SIGMA_Z, q, n)
+        assert model._bare_hamiltonian(PARAMS, topology).tobytes() == expect.tobytes()
+        embeds = count_calls(monkeypatch, model, "embed")
+        kronecker_products = count_calls(monkeypatch, operators, "kron")
+        static_frame_reference(PARAMS, dataclasses.replace(topology), 13.0)
+        assert (embeds, kronecker_products) == ([], [])
 
     def test_target_unitaries(self):
         assert np.allclose(target_unitary(Idle(20.0), PAIR), np.eye(4))

@@ -1,11 +1,13 @@
+import dataclasses
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg
-from helpers import hermiticity_defect, refined
+from helpers import exponents, hermiticity_defect, refined
 
 from xtalksim import model, operators
 from xtalksim.model import (
@@ -25,6 +27,7 @@ from xtalksim.operators import (
     SIGMA_Y,
     SIGMA_Z,
     THETA_8,
+    advance,
     embed,
     expm_hamiltonian,
     gauss_nodes,
@@ -277,6 +280,97 @@ class TestExpm:
             expm_hamiltonian(np.zeros(shape), 0.1)
 
 
+class TestTermExponentials:
+    """Term-space exponentials against ``expm_hamiltonian`` of the dense generators."""
+
+    @staticmethod
+    def real_chunk(layout, scheme, target, d, step):
+        """The first chunk's Magnus weights of an X gate, with five couplings, and its d x d stack."""
+        h = assemble_hamiltonian(PARAMS, layout, scheme, XGate(T_M, target=target))
+        h = dataclasses.replace(h, couplings=tuple(PARAMS.j * np.linspace(0.2, 1.0, 5)))
+        (stack,) = (s for s in h.blocks().stacks if s.dim == d)
+        edges = step_boundaries(0.0, h.t_end, step, h.breakpoints)
+        widths, times = next(gauss_nodes(edges, CHUNK // 5))
+        return model._magnus_weights(h.coefficients(times), widths), stack
+
+    @staticmethod
+    def synthetic_chunk(d, scale):
+        """Random weights of 50 steps on two couplings for a stack of four
+        Hermitian terms on three blocks: 300 matrices, which every size but 3x3
+        splits into sub-batches of whole rows, the last one shorter."""
+        rng = np.random.default_rng(d)
+        terms = np.stack([[random_hermitian(rng, d) for _ in range(3)] for _ in range(4)])
+        terms[1, 2] = 0.0  # a term that does not act on a block
+        stack = SimpleNamespace(
+            dim=d,
+            matrices=(-1j * terms).reshape(4, -1),
+            norms=np.abs(terms).sum(axis=-2).max(axis=-1),
+            copies=(None,) * 3,
+        )
+        return scale * rng.normal(size=(50, 2, 4)), stack
+
+    STAR_FM = FrequencyModulation(cycles=8, gamma=2.0, single_site=True)
+    #: Real stacks as (layout, scheme, X target, d), and synthetic ones as d.
+    SOURCES = [
+        pytest.param((PAIR, DD, 1, 4), id="pair-dd-4"),
+        pytest.param((STAR, STAR_FM, 2, 6), id="star-fm-6"),
+        pytest.param((STAR, STAR_FM, 2, 10), id="star-fm-10"),
+        pytest.param((STAR, DD, 2, 10), id="star-dd-10"),
+    ]
+
+    def chunks(self, source):
+        """(weights, stack) at the default and at a coarse step for a real
+        stack, and at small and larger weights for a synthetic one."""
+        if isinstance(source, int):
+            return [self.synthetic_chunk(source, scale) for scale in (0.003, 0.03)]
+        return [self.real_chunk(*source, step) for step in (0.02, 0.5)]
+
+    @pytest.fixture
+    def bounds(self, monkeypatch):
+        """(bounds, exact 1-norms) of every sub-batch the Taylor body prepares."""
+        seen = []
+        original = operators._expm_taylor
+
+        def recording_taylor(n, d, prepare, group=1):
+            def recording(start, stop, x):
+                bounds = prepare(start, stop, x)
+                entries = x[0] if x.ndim == 4 else np.moveaxis(x, 0, -1)
+                seen.append((bounds.copy(), np.abs(entries).sum(axis=0).max(axis=0)))
+                return bounds
+
+            return original(n, d, recording, group)
+
+        monkeypatch.setattr(operators, "_expm_taylor", recording_taylor)
+        return seen
+
+    @pytest.mark.parametrize(
+        "source", SOURCES + [pytest.param(d, id=f"synthetic-{d}") for d in (3, 4, 6, 10)]
+    )
+    def test_matches_dense_generators(self, source, bounds):
+        largest = []
+        for weights, stack in self.chunks(source):
+            bounds.clear()
+            u = operators._term_exponentials(weights, stack.matrices, stack.norms)
+            x = exponents(stack, weights)
+            assert u.shape == x.shape
+            assert np.abs(u - expm_hamiltonian(1j * x, 1.0)).max() <= 1e-15
+            # The bound of every step is at least its exact 1-norm.
+            for bound, exact in bounds:
+                assert (bound >= exact).all()
+            largest.append(max(bound.max() for bound, _ in bounds))
+        # The coarse step, or the larger weights, takes squarings.
+        assert largest[1] > THETA_8
+
+    @pytest.mark.parametrize("source", SOURCES + [pytest.param(3, id="synthetic-3")])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_weights(self, source, bad):
+        weights, stack = self.chunks(source)[0]
+        weights[3, 1, 0] = bad
+        u = np.broadcast_to(np.eye(stack.dim), (len(stack.copies), stack.dim, stack.dim))
+        with pytest.raises(ValueError, match="non-finite"):
+            advance(u, weights, stack.matrices, stack.norms)
+
+
 class TestOrderedProduct:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33])
     def test_matches_sequential(self, n):
@@ -311,8 +405,8 @@ class TestOrderedProduct:
     def test_entry_major_chain_matches_matmul(self):
         # One chunk of Magnus steps per block, the entry-major 4x4 one of a
         # pair DD X gate and the 10x10 and 6x6 ones of a star FM center-X
-        # gate: the batched exponentials and product against per-step scipy
-        # exponentials multiplied one by one with matmul.
+        # gate: the batched term-space exponentials and product against
+        # per-step scipy exponentials multiplied one by one with matmul.
         star_fm = FrequencyModulation(cycles=4, gamma=1.26, single_site=True)
         for layout, scheme, target, d, steps in [
             (PAIR, DD, 1, 4, 1036), (STAR, star_fm, 2, 10, 1000), (STAR, star_fm, 2, 6, 1000)
@@ -321,12 +415,13 @@ class TestOrderedProduct:
             (stack,) = (s for s in h.blocks().stacks if s.dim == d)
             edges = step_boundaries(0.0, h.t_end, 0.02, h.breakpoints)
             widths, times = next(gauss_nodes(edges, CHUNK))
-            g = stack.generators(model._magnus_weights(h.coefficients(times), widths))[:, 0, 0]
-            assert g.shape == (steps, d, d)
-            u = ordered_product(expm_hamiltonian(g, 1.0))
+            weights = model._magnus_weights(h.coefficients(times), widths)
+            x = exponents(stack, weights)[:, 0, 0]
+            assert x.shape == (steps, d, d)
+            u = ordered_product(operators._term_exponentials(weights, stack.matrices, stack.norms))[0, 0]
             expect = np.eye(d)
-            for step in g:
-                expect = scipy.linalg.expm(-1j * step) @ expect
+            for step in x:
+                expect = scipy.linalg.expm(step) @ expect
             assert np.abs(u - expect).max() <= 1e-14, d
             assert unitarity_defect(u) <= 1e-13, d
 
