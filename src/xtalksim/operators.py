@@ -13,10 +13,12 @@ It keeps its order where the Hamiltonian is smooth within each step, so
 grids put step boundaries on the waveform kinks: ``step_boundaries`` returns
 that array of boundaries, and block propagation builds it itself.
 
-Exponentials of one and two levels use closed forms.  One-level steps
-commute, so a chunk of them composes by summing phases: one exponential of
-the summed generators, and no product.  Larger exponents X = -i h H_eff are
-scaled by the least 2^-s that brings an upper bound on their 1-norm below
+Propagation steps of one and two levels, X = -i (g_0 I + g . sigma), are a
+phase, summed over a chunk in extended precision, times
+[[a, -b*], [b, a*]] with a = cos r - i g_3 sinc r, b = (g_2 - i g_1) sinc r
+and r = |g|, multiplied as (a, b) pairs along an innermost time axis
+(:func:`_pauli_product`).  Other exponents are scaled by the least 2^-s
+that brings an upper bound on their 1-norm below
 ``THETA_8``, where the degree-8 Taylor polynomial is exact to double
 rounding, and the polynomial is squared s times; at the default step s is
 almost always 0.  The polynomial takes three products, X_2 = X X,
@@ -192,31 +194,13 @@ def expm_hamiltonian(h: np.ndarray, dt: float) -> np.ndarray:
     h = np.asarray(h, dtype=complex)
     if h.ndim < 2 or h.shape[-1] != h.shape[-2] or h.size == 0:
         raise ValueError(f"expected non-empty square matrices, got shape {h.shape}")
-    if h.shape[-1] == 1:
-        phase = dt * h.real
-        _check_finite(phase, dt)
-        return np.exp(-1j * phase)
-    if h.shape[-1] == 2:
-        mean = 0.5 * (h[..., 0, 0] + h[..., 1, 1]).real
-        z = 0.5 * (h[..., 0, 0] - h[..., 1, 1]).real
-        off = h[..., 1, 0]
-        r = np.sqrt(z**2 + np.abs(off) ** 2)
-        _check_finite(dt * (r + mean), dt)
-        cos = np.cos(r * dt)
-        sin_over_r = dt * np.sinc(r * dt / np.pi)
-        u = np.empty(h.shape, dtype=complex)
-        u[..., 0, 0] = cos - 1j * sin_over_r * z
-        u[..., 1, 1] = cos + 1j * sin_over_r * z
-        u[..., 0, 1] = -1j * sin_over_r * off.conj()
-        u[..., 1, 0] = -1j * sin_over_r * off
-        return np.exp(-1j * dt * mean)[..., None, None] * u
     d = h.shape[-1]
     return _expm_taylor(h.size // (d * d), d, _hermitian_exponents(h.reshape(-1, d, d), dt)).reshape(h.shape)
 
 
-def _check_finite(values: np.ndarray, dt: float) -> None:
-    if not np.isfinite(values).all():
-        raise ValueError(f"cannot exponentiate a non-finite Hamiltonian entry or step (dt={dt})")
+def _check_finite(what: str, *values) -> None:
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError(f"cannot exponentiate a non-finite {what}")
 
 
 def _hermitian_exponents(h: np.ndarray, dt: float):
@@ -236,7 +220,7 @@ def _hermitian_exponents(h: np.ndarray, dt: float):
         a[:: d + 1].imag = 0.0
         # The 1-norm of a Hermitian matrix is its largest row sum.
         norms = abs(dt) * np.abs(a).reshape(d, d, -1).sum(axis=1).max(axis=0)
-        _check_finite(norms, dt)
+        _check_finite(f"Hamiltonian entry or step (dt={dt})", norms)
         np.multiply(a, -1j * dt, out=x.reshape(d * d, -1) if x.ndim == 4 else x.reshape(-1, d * d).T)
         return norms
 
@@ -245,13 +229,15 @@ def _hermitian_exponents(h: np.ndarray, dt: float):
 
 def _term_exponentials(weights: np.ndarray, matrices: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """exp(X_n) of the steps of ``advance``, ``(n, C, B, d, d)``, by
-    ``_expm_taylor``: each sub-batch contracts its finite weights straight into
+    ``_expm_taylor``: each sub-batch contracts its weights straight into
     the workspace, with the 1-norm bounds sum_k |weights[n, c, k]| norms[k, b]."""
     rows = weights.reshape(-1, weights.shape[-1])
     n_blocks = norms.shape[1]
     d = math.isqrt(matrices.shape[1] // n_blocks)
     terms = matrices.view(float)
-    bounds = (np.abs(rows) @ norms).ravel()
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite weight makes its bounds non-finite
+        bounds = (np.abs(rows) @ norms).ravel()
+    _check_finite("Magnus weight", bounds)
 
     def prepare(start: int, stop: int, x: np.ndarray) -> np.ndarray:
         w = rows[start // n_blocks : stop // n_blocks]
@@ -386,40 +372,52 @@ def gauss_nodes(edges: np.ndarray, chunk: int):
         )
 
 
+def _pauli_product(weights: np.ndarray, coefficients: np.ndarray, d: int) -> np.ndarray:
+    """Ordered product ``(C, B, d, d)`` of the 1x1 or 2x2 steps of ``advance``
+    (module docstring), from the real coefficients of each M_kb on I, or on
+    I, X, Y and Z: ``coefficients[k]`` holds d * d per block."""
+    n, n_couplings, k = weights.shape
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite weight makes every g non-finite
+        g = np.ascontiguousarray((weights.reshape(-1, k) @ coefficients).reshape(n, n_couplings, -1, d * d).T)
+        phases = g[0].sum(axis=-1, dtype=np.longdouble).astype(float).T
+        r = np.sqrt(g[1] ** 2 + g[2] ** 2 + g[3] ** 2) if d == 2 else 0.0
+    _check_finite("Magnus weight", phases, r)
+    phase = np.exp(-1j * phases)[..., None, None]
+    if d == 1:
+        return phase
+    sinc = np.sinc(r / np.pi)
+    a, b = np.cos(r) - 1j * (g[3] * sinc), (g[2] - 1j * g[1]) * sinc
+    while a.shape[-1] > 1:
+        # Each later step times the earlier one; an odd step out waits at the end, as in ``ordered_product``.
+        m = a.shape[-1] // 2 * 2
+        a_l, b_l, a_r, b_r = a[..., 1:m:2], b[..., 1:m:2], a[..., :m:2], b[..., :m:2]
+        pairs = a_l * a_r - b_l.conj() * b_r, b_l * a_r + a_l.conj() * b_r
+        if m < a.shape[-1]:
+            pairs = [np.concatenate([p, x[..., m:]], axis=-1) for p, x in zip(pairs, (a, b))]
+        a, b = pairs
+    a, b = a[..., 0].T, b[..., 0].T
+    return phase * np.stack([a, -b.conj(), b, a.conj()], axis=-1).reshape(a.shape + (2, 2))
+
+
 def advance(u: np.ndarray, weights: np.ndarray, matrices: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """``u`` carried through the steps ``exp(X_n)`` of one chunk, given in term space.
 
     X_n = -i h H_eff = sum_k weights[n, c, k] matrices[k, b] on coupling c and
     block b: ``weights`` is the real ``(n, C, K)`` array of Magnus weights, time
     index first, ``matrices`` the ``(K, B * d * d)`` flattened exponent matrices
-    of B blocks, ``norms`` their ``(K, B)`` 1-norms, and ``u`` the matching
-    ``(C, B, d, d)`` (or ``(B, d, d)``) propagators.  The steps are
-    exponentiated in one call, multiplied out and re-unitarized by one
-    Newton-Schulz step (see the module docstring).  1x1 steps commute: their
-    product is the exponential of their sum, taken in extended precision to
-    stay as accurate as the product.
+    of B blocks (up to 2x2, Pauli coefficients: ``_pauli_product``), ``norms``
+    their ``(K, B)`` 1-norms, and ``u`` the matching ``(C, B, d, d)`` (or
+    ``(B, d, d)``) propagators.  The steps are exponentiated and multiplied out
+    in one call, and re-unitarized by one Newton-Schulz step (module docstring).
 
     Raises
     ------
     ValueError
         If a weight is not finite.
     """
-    if not np.isfinite(weights).all():
-        raise ValueError("cannot exponentiate a step with a non-finite Magnus weight")
-    d = u.shape[-1]
-    if d > 2:
-        steps = ordered_product(_term_exponentials(weights, matrices, norms))
-    else:
-        # The closed forms take the Hermitian G_n = i X_n; i (-i M) = M exactly.
-        hermitian = (1j * matrices).view(float)
-        g = (weights.reshape(-1, weights.shape[-1]) @ hermitian).view(complex)
-        g = g.reshape(weights.shape[:-1] + norms.shape[1:] + (d, d))
-        if d == 1:
-            phases = g.real.sum(axis=0, dtype=np.longdouble)
-            steps = expm_hamiltonian(phases.astype(float), 1.0)
-        else:
-            steps = ordered_product(expm_hamiltonian(g, 1.0))
-    return _newton_schulz(steps @ u)
+    if u.shape[-1] <= 2:
+        return _newton_schulz(_pauli_product(weights, matrices, u.shape[-1]) @ u)
+    return _newton_schulz(ordered_product(_term_exponentials(weights, matrices, norms)) @ u)
 
 
 def propagate(h_of_t, edges) -> np.ndarray:

@@ -5,6 +5,10 @@ import math
 import numpy as np
 
 from xtalksim.model import CrosstalkOnly, Idle, assemble_hamiltonian
+from xtalksim.operators import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
+
+#: I, X, Y and Z: a 1x1 or 2x2 ``BlockStack`` holds its terms' real coefficients on these.
+PAULIS = np.array([IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z])
 
 
 def improvement_orders(reference_infidelity: float, infidelity: float) -> float:
@@ -42,9 +46,13 @@ def count_calls(monkeypatch, owner, name, record=lambda *args: None):
 
 def exponents(stack, weights):
     """The exponents X_n = -i h H_eff of a ``BlockStack``'s steps, ``(n, C, B, d,
-    d)``, from a chunk's ``(n, C, K)`` Magnus weights, contracted by ``einsum``."""
+    d)``, from a chunk's ``(n, C, K)`` Magnus weights, contracted by ``einsum``.
+    Up to 2x2 the matrices -i M_k are rebuilt from their Pauli coefficients."""
     k, b, d = len(stack.matrices), len(stack.copies), stack.dim
-    return np.einsum("nck,kbij->ncbij", weights, stack.matrices.reshape(k, b, d, d))
+    matrices = stack.matrices.reshape(k, b, -1)
+    if d <= 2:
+        matrices = -1j * np.einsum("kbp,pij->kbij", matrices, PAULIS[: d * d, :d, :d])
+    return np.einsum("nck,kbij->ncbij", weights, matrices.reshape(k, b, d, d))
 
 
 def refined(edges: np.ndarray, factor: int) -> np.ndarray:

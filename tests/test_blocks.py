@@ -180,23 +180,37 @@ class TestTermSpace:
 
 class TestStacks:
     @pytest.mark.parametrize(
-        "scheme, layout, calls",
+        "scheme, layout, dims",
         [
-            (CrosstalkOnly(), "1x12 2x2 2x2 2x6", 1),
-            (DD, "1x6 2x2 2x2 1x6 2x6", 2),
+            (CrosstalkOnly(), "1x12 2x2 2x2 2x6", [2]),
+            (DD, "1x6 2x2 2x2 1x6 2x6", [1, 2]),
         ],
         ids=["cd", "dd"],
     )
-    def test_one_exponential_per_dimension(self, monkeypatch, scheme, layout, calls):
+    def test_one_exponential_per_dimension(self, monkeypatch, scheme, layout, dims):
         # Distinct blocks of one dimension advance as one stack: a one-chunk
-        # star idle exponentiates once per dimension that carries terms.
-        counted = count_calls(monkeypatch, operators, "expm_hamiltonian")
+        # star idle calls the closed-form kernel once per dimension that
+        # carries terms, and never the dense exponential.
+        counted = count_calls(monkeypatch, operators, "_pauli_product", lambda w, m, d: d)
+        dense = count_calls(monkeypatch, operators, "expm_hamiltonian", lambda h, dt: np.shape(h)[-1])
         h = assemble_hamiltonian(PARAMS, STAR, scheme, Idle(T_M))
         blocks = h.blocks()
         assert blocks.layout == layout
         assert len(aligned(h, 0.0, h.t_end)) - 1 <= CHUNK
         blocks.propagate(0.0, h.t_end, STEP)
-        assert len(counted) == calls
+        assert sorted(counted) == dims
+        assert dense == []
+
+    @pytest.mark.parametrize("scheme", [CrosstalkOnly(), DD], ids=["cd", "dd"])
+    def test_idle_takes_no_dense_exponential_or_product(self, monkeypatch, scheme):
+        # Star idle blocks are at most 2x2: their steps are multiplied as
+        # phases and SU(2) pairs, with no matrix exponential or matrix product.
+        exponentials = count_calls(monkeypatch, operators, "expm_hamiltonian")
+        products = count_calls(monkeypatch, operators, "ordered_product")
+        h = assemble_hamiltonian(PARAMS, STAR, scheme, Idle(T_M))
+        assert len(aligned(h, 0.0, h.t_end)) - 1 <= CHUNK
+        h.blocks().propagate(0.0, h.t_end, STEP)
+        assert (len(exponentials), len(products)) == (0, 0)
 
     @pytest.mark.parametrize("scheme, calls", [(CrosstalkOnly(), 1), (DD, 2)], ids=["cd", "dd"])
     def test_one_generator_contraction_per_stack(self, monkeypatch, scheme, calls):
@@ -225,39 +239,59 @@ class TestStacks:
     )
     def test_center_x_exponents_stay_in_term_space(self, monkeypatch, scheme):
         # The 10x10 and 6x6 steps of a star center-X gate are exponentiated
-        # from their Magnus weights; only the closed-form 2x2 steps take
-        # Hermitian generators.
+        # from their Magnus weights, and the 2x2 steps by the closed-form
+        # kernel: no step takes a Hermitian generator.
         dense = count_calls(monkeypatch, operators, "expm_hamiltonian", lambda h, dt: np.shape(h)[-1])
+        pauli = count_calls(monkeypatch, operators, "_pauli_product", lambda w, m, d: d)
         stacks = count_calls(monkeypatch, model, "advance", lambda u, *_: u.shape[-1])
         h = assemble_hamiltonian(PARAMS, STAR, scheme, XGate(T_M, target=2))
         h.blocks().propagate(0.0, h.t_end, STEP)
         assert sorted(stacks) == [2, 6, 10]
-        assert dense == [2]
+        assert (dense, pauli) == ([], [2])
+
+    @staticmethod
+    def stack_chunk(gate, d):
+        """The first chunk's Magnus weights of a star DD ``gate``, and its d x d stack."""
+        h = assemble_hamiltonian(PARAMS, STAR, DD, gate)
+        (stack,) = [s for s in h.blocks().stacks if s.dim == d]
+        widths, times = next(gauss_nodes(aligned(h, 0.0, h.t_end), CHUNK))
+        return model._magnus_weights(h.coefficients(times), widths), stack
 
     @staticmethod
     def one_by_one_chunk():
         """The first chunk's Magnus weights of a star DD idle, and its 1x1 stack."""
-        h = assemble_hamiltonian(PARAMS, STAR, DD, Idle(T_M))
-        (stack,) = [s for s in h.blocks().stacks if s.dim == 1]
-        widths, times = next(gauss_nodes(aligned(h, 0.0, h.t_end), CHUNK))
-        return model._magnus_weights(h.coefficients(times), widths), stack
+        return TestStacks.stack_chunk(Idle(T_M), 1)
 
     def test_one_by_one_steps_sum_phases(self, monkeypatch):
         weights, stack = self.one_by_one_chunk()
         g = 1j * exponents(stack, weights)
         assert g.shape[0] > 1000 and np.abs(g.sum(axis=0)).min() > 1.0
         u = np.exp(1j * np.arange(g[0].size)).reshape(g.shape[1:])
-        stepwise = ordered_product(expm_hamiltonian(g, 1.0)) @ u
+        stepwise = ordered_product(np.exp(-1j * g)) @ u
+        kernels = count_calls(monkeypatch, operators, "_pauli_product", lambda w, m, d: d)
         exponentials = count_calls(monkeypatch, operators, "expm_hamiltonian")
         products = count_calls(monkeypatch, operators, "ordered_product")
         assert np.abs(advance(u, weights, stack.matrices, stack.norms) - stepwise).max() <= 1e-15
-        assert (len(exponentials), len(products)) == (1, 0)
+        assert (kernels, len(exponentials), len(products)) == ([1], 0, 0)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
     def test_one_by_one_steps_reject_non_finite(self, bad):
         weights, stack = self.one_by_one_chunk()
         weights[7, 0, 1] = bad
         u = np.ones((1, len(stack.copies), 1, 1), dtype=complex)
+        with pytest.raises(ValueError, match="non-finite"):
+            advance(u, weights, stack.matrices, stack.norms)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize(
+        "gate, d", [(Idle(T_M), 2), (XGate(T_M, target=2), 10)], ids=["two-level", "taylor"]
+    )
+    def test_steps_reject_non_finite(self, gate, d, bad):
+        # Every weight of the chunk is finite but one, on a term that acts
+        # on the stack.
+        weights, stack = self.stack_chunk(gate, d)
+        weights[7, 0, 1] = bad
+        u = np.ones((1, len(stack.copies), d, d), dtype=complex)
         with pytest.raises(ValueError, match="non-finite"):
             advance(u, weights, stack.matrices, stack.norms)
 

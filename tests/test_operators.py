@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-from helpers import exponents, hermiticity_defect, refined
+from helpers import PAULIS, exponents, hermiticity_defect, refined
 
 from xtalksim import model, operators
 from xtalksim.model import (
@@ -369,6 +369,64 @@ class TestTermExponentials:
         u = np.broadcast_to(np.eye(stack.dim), (len(stack.copies), stack.dim, stack.dim))
         with pytest.raises(ValueError, match="non-finite"):
             advance(u, weights, stack.matrices, stack.norms)
+
+
+class TestPauliProduct:
+    """The closed-form kernel of 2x2 stacks against exponentials multiplied one by one."""
+
+    @staticmethod
+    def two_level_chunk(n, n_couplings, n_blocks, scale=0.05):
+        """Random weights of n steps on ``n_couplings`` couplings, and a stack
+        of four random Hermitian terms on ``n_blocks`` two-level blocks."""
+        rng = np.random.default_rng(1000 * n + 10 * n_couplings + n_blocks)
+        terms = np.stack([[random_hermitian(rng, 2) for _ in range(n_blocks)] for _ in range(4)])
+        stack = SimpleNamespace(
+            dim=2,
+            matrices=(np.einsum("pji,kbij->kbp", PAULIS, terms).real / 2.0).reshape(4, -1),
+            norms=np.abs(terms).sum(axis=-2).max(axis=-1),
+            copies=(None,) * n_blocks,
+        )
+        return scale * rng.normal(size=(n, n_couplings, 4)), stack
+
+    @staticmethod
+    def extended_product(weights, coefficients):
+        """The ordered product of the steps exp(-i (g_0 + g . sigma)), ``(C, B, 2, 2)``,
+        one at a time in extended precision, from g = weights @ coefficients."""
+        n, n_couplings, k = weights.shape
+        g = weights.astype(np.longdouble).reshape(-1, k) @ coefficients.astype(np.longdouble)
+        g = g.reshape(n, n_couplings, -1, 4)
+        r = np.sqrt((g[..., 1:] ** 2).sum(axis=-1))[..., None, None]
+        rotation = np.einsum("ncbp,pij->ncbij", g[..., 1:], PAULIS[1:])
+        su2 = np.cos(r) * PAULIS[0] - 1j * np.sin(r) / r * rotation
+        steps = np.exp(-1j * g[..., 0])[..., None, None] * su2
+        u = PAULIS[0]
+        for step in steps:
+            u = step @ u
+        return u
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 1035])
+    @pytest.mark.parametrize("n_couplings, n_blocks", [(1, 1), (1, 3), (5, 1), (5, 3)], ids=str)
+    def test_matches_extended_precision_product(self, n, n_couplings, n_blocks):
+        weights, stack = self.two_level_chunk(n, n_couplings, n_blocks)
+        u = operators._pauli_product(weights, stack.matrices, 2)
+        assert u.shape == (n_couplings, n_blocks, 2, 2)
+        expect = self.extended_product(weights, stack.matrices)
+        assert np.abs(u - expect).max() <= 1e-14
+        # The oracle agrees with the dense exponentials of the same steps.
+        stepwise = ordered_product(expm_hamiltonian(1j * exponents(stack, weights), 1.0))
+        assert np.abs(stepwise - expect).max() <= 1e-13
+        assert np.abs(advance(np.eye(2), weights, stack.matrices, stack.norms) - expect).max() <= 1e-14
+
+    def test_phase_sum_keeps_determinant(self):
+        # Over 1 rad of phase per step, over 1,500 steps: det U = exp(-2 i sum_n g_0).
+        weights, stack = self.two_level_chunk(1500, 1, 3)
+        stack.matrices.reshape(4, 3, 4)[0, :, 0] = 1.5
+        weights[..., 0] += 1.0
+        g0 = (weights.reshape(-1, 4) @ stack.matrices).reshape(1500, 3, 4)[..., 0]
+        phases = np.array([math.fsum(g0[:, b]) for b in range(3)])
+        assert (g0.mean(axis=0) > 1.0).all()
+        u = operators._pauli_product(weights, stack.matrices, 2)[0]
+        assert np.abs(np.linalg.det(u) - np.exp(-2j * phases)).max() <= 1e-14
 
 
 class TestOrderedProduct:
