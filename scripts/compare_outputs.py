@@ -11,6 +11,10 @@ Each checkout runs in a subprocess of its own, importing the package from
 * the CSV of every ``simulate --preset`` run (``presets/<name>.csv``);
 * the CSV of ``optimize-gamma`` for fm1, fm2-idle and fm2-x at N = 4, 6, 8
   and gate times "matched" and 30 ns (``gamma/<functional>-N<cycles>-<time>.csv``);
+* the CSV of ``simulate --config`` for four gate sequences off the matched
+  time, where every gate window differs (``sequences/<name>.csv``): pair CD
+  idle at 20.5 ns for 12 gates, pair DD X at 21.3 ns for 5, pair FM
+  parallel XX at 30 ns for 7, and star DD center X at 25 ns for 5;
 * the stdout of ``verify`` (``verify.txt``);
 
 and the exit code of every run.  For each output this prints the rows
@@ -40,6 +44,17 @@ from pathlib import Path
 FUNCTIONALS = ("fm1", "fm2-idle", "fm2-x")
 CYCLES = (4, 6, 8)
 GATE_TIMES = ("matched", 30.0)
+SEQUENCES = {
+    "pair-cd-idle-20.5ns-x12": {"scheme": "cd", "gate": "idle", "gate_time": 20.5, "repetitions": 12},
+    "pair-dd-x-21.3ns-x5": {"scheme": "dd", "gate": "x", "gate_time": 21.3, "repetitions": 5},
+    "pair-fm-parallel-xx-30ns-x7": {
+        "scheme": "fm", "gate": "parallel-xx", "gate_time": 30.0, "repetitions": 7,
+    },
+    "star-dd-center-x-25ns-x5": {
+        "topology": "star", "scheme": "dd", "gate": "x", "target": 2, "gate_time": 25.0,
+        "repetitions": 5,
+    },
+}
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
 
@@ -71,6 +86,14 @@ def write_outputs(checkout: Path, out: Path) -> None:
                 with contextlib.redirect_stderr(io.StringIO()):
                     exits[str(path.relative_to(out))] = cli.entry(argv)
                 config.unlink()
+    (out / "sequences").mkdir()
+    for name, cfg in SEQUENCES.items():
+        path = out / "sequences" / f"{name}.csv"
+        config = path.with_suffix(".json")
+        config.write_text(json.dumps(cfg))
+        argv = ["simulate", "--config", str(config), "--out", str(path)]
+        exits[str(path.relative_to(out))] = cli.entry(argv)
+        config.unlink()
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         exits["verify.txt"] = cli.entry(["verify"])

@@ -297,7 +297,7 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
         raise ConfigError("choose a J grid or repeated gates, not both")
     # Check what the run builds, so that model validation fails here.
     try:
-        check_assembly(topology, run.scheme, gate, repetitions=repetitions)
+        check_assembly(topology, run.scheme, gate)
         _sequence_counts(gate, repetitions)
     except ValueError as e:
         raise ConfigError(str(e)) from None

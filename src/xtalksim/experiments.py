@@ -3,10 +3,11 @@
 Everything here reduces to assembling a time-dependent Hamiltonian,
 propagating it exactly, block by block (``AssembledHamiltonian.blocks``),
 and comparing the result against the ideal gate with a trace-overlap
-fidelity.  Repeated gates at a matched duration reuse the
-single-period propagator, so a 20-gate series costs at most two
-propagations.  The preset registry at the bottom packages the shipped
-experiments as flat (series, scheme, abscissa, value) rows for the CLI.
+fidelity.  A run of gates propagates windows of one gate's assembly, its
+coupling phase advanced per gate, so a 20-gate series at a matched duration
+costs at most two propagations.  The preset registry at the bottom packages
+the shipped experiments as flat (series, scheme, abscissa, value) rows for
+the CLI.
 
 Units follow the rest of the package: times in ns, frequencies and
 amplitudes in rad/ns internally, with cyclic MHz at the boundaries (J grids,
@@ -15,6 +16,7 @@ waveform samples, scan abscissae).
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 from dataclasses import dataclass
 from functools import partial
@@ -164,27 +166,27 @@ def run_sequence(
 
     Scored after each whole gate, at k T plus any trailing half pulse
     (decoupling runs extend half a pulse width so the last pulse completes).
-    At a matched duration the assembled Hamiltonian is periodic, so the run
-    needs only the steady-window propagator and, with a tail, the head before
-    it; otherwise each gate window is propagated separately and composed.
+    The gate windows come from the one-gate assembly (``_windowed_propagators``).
     """
     counts = _sequence_counts(gate, repetitions)
-    h = assemble_hamiltonian(params, topology, scheme, gate, repetitions=repetitions)
+    h = assemble_hamiltonian(params, topology, scheme, gate)
     return FidelitySeries(
         scheme=scheme_label(scheme),
         abscissa=counts * h.gate_time + h.tail,
-        infidelities=_infidelities(h, gate, step)[0],
+        infidelities=_infidelities(h, params, gate, repetitions, step)[0],
         counts=counts,
     )
 
 
-def _infidelities(h: AssembledHamiltonian, gate: GateSpec, step: float) -> np.ndarray:
-    """Infidelity after each scored gate count of ``h``, one row per coupling
-    of its stack: shape ``(C, counts)``, scored in one fidelity call."""
-    counts = _sequence_counts(gate, h.repetitions)
+def _infidelities(
+    h: AssembledHamiltonian, params: SystemParams, gate: GateSpec, repetitions: int, step: float
+) -> np.ndarray:
+    """Infidelity after each scored count of ``repetitions`` gates ``h``, one row
+    per coupling of its stack: shape ``(C, counts)``, scored in one fidelity call."""
+    counts = _sequence_counts(gate, repetitions)
     wanted = set(counts.tolist())
     # U_k = W_k U_{k-1} from the per-gate windows W_k, kept at the scored k.
-    products = accumulate(_windowed_propagators(h, step), lambda u, w: w @ u)
+    products = accumulate(_windowed_propagators(h, params, repetitions, step), lambda u, w: w @ u)
     u = np.stack([u_k for k, u_k in enumerate(products, start=1) if k in wanted])
     # The target of k gates depends on k mod 4 only.
     residues = (counts % 4).tolist()
@@ -193,23 +195,28 @@ def _infidelities(h: AssembledHamiltonian, gate: GateSpec, step: float) -> np.nd
     return (1.0 - gate_fidelity(u, ideal)).T
 
 
-def _windowed_propagators(h: AssembledHamiltonian, step: float):
-    """Per-gate propagators U(kT+tail <- (k-1)T+tail), first window from 0.
+def _windowed_propagators(h: AssembledHamiltonian, params: SystemParams, repetitions: int, step: float):
+    """Per-gate propagators U(kT+tail <- (k-1)T+tail), k = 1..``repetitions``.
 
-    Periodic runs reuse the steady window for k >= 2; with a tail, the first
-    window is the steady one after the head [0, tail].
+    The controls repeat every gate and only the coupling phase moves on, by
+    Delta T per gate: gate k is the steady window [tail, T + tail] with each
+    coupling J taken to J e^{i (k-1) Delta T}, on the gate's block analysis.
+    The advances repeat after the first matched p T (p = k if none), so each
+    of the first p windows is propagated once.  The first is [0, T + tail],
+    or the steady window after the head [0, tail] if the run reuses it.
     """
     t_gate, tail = h.gate_time, h.tail
     blocks = h.blocks()
-    if h.periodic and h.repetitions > 1:
-        u_period = blocks.propagate(tail, t_gate + tail, step)
-        yield u_period if tail == 0.0 else u_period @ blocks.propagate(0.0, tail, step)
-        for _ in range(2, h.repetitions + 1):
-            yield u_period
-        return
-    yield blocks.propagate(0.0, t_gate + tail, step)
-    for k in range(2, h.repetitions + 1):
-        yield blocks.propagate((k - 1) * t_gate + tail, k * t_gate + tail, step)
+    period = next((p for p in range(1, repetitions) if params.is_matched(p * t_gate)), repetitions)
+    reused = period < repetitions
+    windows = []
+    for p in range(period):
+        turn = cmath.exp(1j * p * params.delta * t_gate)
+        advanced = dataclasses.replace(h, couplings=tuple(j * turn for j in h.couplings))
+        start = tail if p or reused else 0.0
+        windows.append(dataclasses.replace(blocks, hamiltonian=advanced).propagate(start, t_gate + tail, step))
+    yield windows[0] @ blocks.propagate(0.0, tail, step) if reused and tail else windows[0]
+    yield from (windows[k % period] for k in range(1, repetitions))
 
 
 def cd_idle_reference_infidelity(params: SystemParams, topology: Topology, t: float) -> float:
@@ -264,8 +271,8 @@ def _run_infidelities(
     corner-averaged if the run has a scan."""
 
     def infidelities(scheme: ControlScheme) -> np.ndarray:
-        h = assemble_hamiltonian(params, topology, scheme, gate, repetitions=repetitions)
-        return _infidelities(dataclasses.replace(h, couplings=couplings), gate, step)
+        h = assemble_hamiltonian(params, topology, scheme, gate)
+        return _infidelities(dataclasses.replace(h, couplings=couplings), params, gate, repetitions, step)
 
     if run.corner_scan is None:
         return infidelities(run.scheme)

@@ -27,14 +27,17 @@ assembly carries a 1-D stack of couplings (rad/ns) that scales their
 coefficients, ``(params.j,)`` from ``assemble_hamiltonian`` or a whole J grid
 in a sweep.  Term matrices, blocks and commutators are then the same for
 every J, so one block analysis and one propagation score the whole stack; at
-J = 0 the exchange blocks keep their matrices and get zero coefficients.
+J = 0 the exchange blocks keep their matrices and get zero coefficients.  A
+complex coupling J e^{i theta} advances the coupling phase by theta; that is
+how a sequence reaches its later gates (``experiments``), whose controls
+repeat every gate while the coupling phase moves on by Delta T per gate.
 
 Every control term carries a channel name (``X1-drive``, ``Z2-modulation``,
 ...), so plotted waveforms are sampled from the simulated Hamiltonian itself.
 
-Each assembly also lists its breakpoints: the kinks its waveforms declare
-(pulse edges, burst edges, and the drive and modulation window edges of
-every repeated gate).  The coefficients are smooth between them, so step
+An assembly describes one gate.  It also lists its breakpoints: the kinks
+its waveforms declare (pulse edges, burst edges, and the drive and
+modulation window edges).  The coefficients are smooth between them, so step
 grids that put a boundary on each breakpoint keep the propagator's
 fourth-order Magnus steps at full order.
 
@@ -351,35 +354,37 @@ GateSpec = Union[Idle, XGate, ParallelXX]
 
 @dataclass
 class AssembledHamiltonian:
-    """Hamiltonian of a gate (or run of identical gates) as term sums.
+    """Hamiltonian of one gate as term sums.
 
     ``terms`` holds ``(channel, coefficient, matrix)`` triples: a vectorized
-    real coefficient function of global time times a constant Hermitian
-    matrix.  Control terms name their channel (``"X1-drive"``,
-    ``"Z2-pulses"``, ...); the exchange terms have the empty name, and each
-    entry of ``couplings`` (rad/ns) scales their coefficients.  ``tail``
-    extends the evaluation window past the last gate boundary (the trailing
-    half pulse of a decoupling train); ``periodic`` marks that the
-    propagator over ``[tail + k T, tail + (k+1) T]`` is the same for every
-    k, which repeated runs exploit.  ``topology`` names the layout the
-    matrices act on; :meth:`blocks` uses it to look for interchangeable
-    neighbors.  ``breakpoints`` are the sorted kinks of the control
-    waveforms; block propagation puts a step boundary on each of them.
+    real coefficient function of time times a constant Hermitian matrix.
+    Control terms name their channel (``"X1-drive"``, ``"Z2-pulses"``, ...);
+    the two exchange terms (``_exchange_terms``) have the empty name, and a
+    ``ValueError`` rejects any other count of them.  Each entry of
+    ``couplings`` (rad/ns, possibly complex; module docstring) scales them.
+    ``tail`` extends the evaluation window past the gate (the trailing half
+    pulse of a decoupling train).  ``topology`` names the layout the matrices
+    act on; :meth:`blocks` uses it to look for interchangeable neighbors.
+    ``breakpoints`` are the sorted kinks of the control waveforms; block
+    propagation puts a step boundary on each of them.
     """
 
     terms: tuple[tuple[str, Callable[[np.ndarray], np.ndarray], np.ndarray], ...]
     dim: int
     gate_time: float
-    repetitions: int = 1
     tail: float = 0.0
-    periodic: bool = False
     topology: Optional[Topology] = None
     breakpoints: tuple[float, ...] = ()
-    couplings: tuple[float, ...] = (1.0,)
+    couplings: tuple[complex, ...] = (1.0,)
+
+    def __post_init__(self):
+        unnamed = sum(not name for name, _, _ in self.terms)
+        if unnamed != 2:
+            raise ValueError(f"an assembly needs exactly two unnamed exchange terms, got {unnamed}")
 
     @property
     def t_end(self) -> float:
-        return self.repetitions * self.gate_time + self.tail
+        return self.gate_time + self.tail
 
     def controls(self) -> dict[str, Callable[[np.ndarray], np.ndarray]]:
         """Control waveforms (rad/ns) keyed by channel name."""
@@ -397,7 +402,8 @@ class AssembledHamiltonian:
         return SymmetryBlocks(self, *analyses[key])
 
     def coefficients(self, t: np.ndarray) -> np.ndarray:
-        """Real coefficients of every term at the 1-D times ``t``, shape ``(n, C, K)``.
+        """Real coefficients of every term at the 1-D times ``t``, shape ``(n, C, K)``:
+        the exchange pair (c, s) of coupling J is Re and Im of J (c + i s).
 
         Raises
         ------
@@ -418,8 +424,11 @@ class AssembledHamiltonian:
                     )
                 c = c.real
             out[:, k] = c
-        exchange = np.array([not name for name, _, _ in self.terms])
-        return out[:, None] * np.where(exchange, np.array(self.couplings)[:, None], 1.0)
+        first, second = (k for k, (name, _, _) in enumerate(self.terms) if not name)
+        pair = np.asarray(self.couplings, dtype=complex) * (out[:, first] + 1j * out[:, second])[:, None]
+        out = np.repeat(out[:, None], len(self.couplings), axis=1)
+        out[..., first], out[..., second] = pair.real, pair.imag
+        return out
 
     def combine(self, coefficients: np.ndarray) -> np.ndarray:
         """Dense samples ``sum_k c_k M_k`` from ``(..., K)`` term coefficients."""
@@ -696,24 +705,9 @@ def _x_target_labels(gate: GateSpec, topology: Topology) -> tuple[int, ...]:
     raise TypeError(f"unsupported gate: {gate!r}")
 
 
-def _periodic_envelope(env, gate_time: float, repetitions: int):
-    """Wrap a single-window envelope so it repeats each gate.
-
-    Returns the sample function and the kinks of every repetition.
-    """
-    kinks = [k * gate_time + t for k in range(repetitions) for t in env.kinks()]
-    if repetitions == 1:
-        return env.sample, kinks
-    return (lambda t: env.sample(np.mod(t, gate_time))), kinks
-
-
-def check_assembly(
-    topology: Topology, scheme: ControlScheme, gate: GateSpec, *, repetitions: int = 1
-) -> tuple[int, ...]:
+def check_assembly(topology: Topology, scheme: ControlScheme, gate: GateSpec) -> tuple[int, ...]:
     """Raise what ``assemble_hamiltonian`` raises for these arguments (any
     ``fm_frame`` aside) without building a term; return the X-driven qubits."""
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     targets = _x_target_labels(gate, topology)
     if isinstance(scheme, FrequencyModulation):
         # Single-X gates must declare on which side of the modulation they
@@ -744,10 +738,9 @@ def assemble_hamiltonian(
     scheme: ControlScheme,
     gate: GateSpec,
     *,
-    repetitions: int = 1,
     fm_frame: str = "modulated",
 ) -> AssembledHamiltonian:
-    """Full time-dependent Hamiltonian of ``repetitions`` consecutive gates.
+    """Full time-dependent Hamiltonian of one gate over [0, T + tail].
 
     Control terms are named ``X{q}-drive`` and ``Y{q}-drive`` for drives on
     qubit q, and ``Z{c}-modulation`` or ``Z{c}-pulses`` for the center c.
@@ -769,12 +762,13 @@ def assemble_hamiltonian(
     TypeError
         For an unsupported gate or control scheme.
     """
-    targets = check_assembly(topology, scheme, gate, repetitions=repetitions)
+    targets = check_assembly(topology, scheme, gate)
     t_gate = gate.duration
     center = topology.center
 
     phase = coupling_phase(params)
-    x_drive, x_kinks = _periodic_envelope(SineEnvelopeDrive(t_gate), t_gate, repetitions)
+    envelope = SineEnvelopeDrive(t_gate)
+    x_drive, x_kinks = envelope.sample, envelope.kinks()
     # Operation-frame modulation turns the center's X drive into a quadrature pair.
     center_xy = None
     z_terms: list[tuple[str, Callable]] = []
@@ -799,13 +793,12 @@ def assemble_hamiltonian(
     elif isinstance(scheme, DynamicalDecoupling):
         tau = t_gate / scheme.segments
         width = scheme.width if scheme.pulses else 0.0
-        segments = repetitions * scheme.segments
         if scheme.pulses:
-            train = NascentDeltaTrain(segments=segments, interval=tau, width=width)
+            train = NascentDeltaTrain(segments=scheme.segments, interval=tau, width=width)
             z_terms.append((f"Z{center}-pulses", lambda tt: (np.pi / 2.0) * train.sample(tt)))
             kinks += train.kinks()
             tail = width / 2.0
-        bursts = SegmentedDrive(segments, tau, width)
+        bursts = SegmentedDrive(scheme.segments, tau, width)
         x_drive, x_kinks = bursts.sample, bursts.kinks()
 
     terms = _exchange_terms(topology, phase)
@@ -823,9 +816,7 @@ def assemble_hamiltonian(
         terms=tuple(terms),
         dim=topology.dim,
         gate_time=t_gate,
-        repetitions=repetitions,
         tail=tail,
-        periodic=params.is_matched(t_gate),
         topology=topology,
         breakpoints=tuple(sorted(set(kinks))),
         couplings=(params.j,),

@@ -6,9 +6,12 @@ These references take neither shortcut: first order is adaptive
 quadrature of the phase integral, and second order is a composite
 Gauss-Legendre triangle rule (2,048 nodes per axis unless given) rebuilt
 and resampled for every amplitude.  The exchange matrix of a layout is
-built from Kronecker products, where the library sets bits.
+built from Kronecker products, where the library sets bits.  A run of k
+gates is one uninterrupted assembly at absolute time, where the library
+advances one gate's coupling phase.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -90,3 +93,24 @@ def flip_flop(topology):
         factors[c - 1] = SIGMA_MINUS
         out += kron(*factors)
     return out
+
+
+def gate_run(h, repetitions):
+    """The uninterrupted run of ``repetitions`` gates ``h`` (a one-gate assembly
+    in the modulated frame), over [0, k T + tail].
+
+    The exchange terms stay functions of absolute time, each control is the
+    sum of its k copies shifted by whole gates, and the breakpoints are the
+    union of the shifted ones.
+    """
+    shifts = h.gate_time * np.arange(repetitions)
+
+    def repeated(coeff):
+        return lambda t: sum(coeff(t - s) for s in shifts)
+
+    return dataclasses.replace(
+        h,
+        terms=tuple((name, repeated(c) if name else c, m) for name, c, m in h.terms),
+        gate_time=repetitions * h.gate_time,
+        breakpoints=tuple(sorted({b + s for b in h.breakpoints for s in shifts})),
+    )

@@ -22,7 +22,7 @@ from xtalksim.model import (
     assemble_hamiltonian,
     target_unitary,
 )
-from xtalksim import model, operators
+from xtalksim import experiments, model, operators
 from xtalksim.operators import (
     CHUNK,
     SIGMA_X,
@@ -102,11 +102,15 @@ class TestReducedMatchesDense:
         assert np.abs(u - dense).max() <= 1e-10
 
     def test_offset_window(self):
-        # Sequences propagate later windows of the same assembly.
-        h = assemble_hamiltonian(PARAMS, STAR, DD, XGate(T_M, target=2), repetitions=3)
-        window = (T_M + h.tail, 2 * T_M + h.tail)
-        dense = propagate(h, aligned(h, *window))
-        assert np.abs(h.blocks().propagate(*window, STEP) - dense).max() <= 1e-10
+        # A sequence's second window is the steady window with the coupling
+        # phase advanced by one gate: it matches that window of the
+        # uninterrupted run, at the matched time and off it.
+        for t_gate in (T_M, 25.0):
+            h = assemble_hamiltonian(PARAMS, STAR, DD, XGate(t_gate, target=2))
+            second = list(experiments._windowed_propagators(h, PARAMS, 3, STEP))[1]
+            run = oracles.gate_run(h, 3)
+            dense = propagate(run, aligned(run, t_gate + h.tail, 2 * t_gate + h.tail))
+            assert np.abs(second[0] - dense).max() <= 1e-10, t_gate
 
     def test_polar_factor_infidelity_at_selected_idle_amplitude(self):
         # The reduced and dense propagators differ by roundoff only: their
@@ -135,23 +139,22 @@ class TestTermSpace:
         pytest.param(STAR, DD, Idle(T_M), "modulated", id="star-dd-idle"),
     ]
 
-    @pytest.mark.parametrize("repetitions", [1, 3], ids=["one-chunk", "two-chunks"])
+    @pytest.mark.parametrize("split", [1, 3], ids=["one-chunk", "two-chunks"])
     @pytest.mark.parametrize("topology, scheme, gate, frame", CASES)
-    def test_matches_dense_oracle(self, topology, scheme, gate, frame, repetitions):
-        h = assemble_hamiltonian(
-            PARAMS, topology, scheme, gate, repetitions=repetitions, fm_frame=frame
-        )
-        edges = aligned(h, 0.0, h.t_end)
-        # Three gates take over CHUNK steps, so the first chunk ends mid-gate.
-        assert (len(edges) - 1 > CHUNK) == (repetitions > 1)
-        assert np.abs(h.blocks().propagate(0.0, h.t_end, STEP) - propagate(h, edges)).max() <= 1e-13
+    def test_matches_dense_oracle(self, topology, scheme, gate, frame, split):
+        h = assemble_hamiltonian(PARAMS, topology, scheme, gate, fm_frame=frame)
+        step = STEP / split
+        edges = aligned(h, 0.0, h.t_end, step)
+        # A third of the step takes over CHUNK steps, so the first chunk ends mid-gate.
+        assert (len(edges) - 1 > CHUNK) == (split > 1)
+        assert np.abs(h.blocks().propagate(0.0, h.t_end, step) - propagate(h, edges)).max() <= 1e-13
 
     def test_window_grid_sits_on_every_kink(self):
-        # An off-lattice window of a decoupled sequence: the block propagator
-        # builds the breakpoint grid itself, and a uniform grid of the same
-        # step lands visibly elsewhere.
-        h = assemble_hamiltonian(PARAMS, STAR, DD, XGate(T_M, target=2), repetitions=3)
-        window = (T_M + h.tail, 2 * T_M + h.tail)
+        # The off-lattice steady window of a decoupled sequence: the block
+        # propagator builds the breakpoint grid itself, and a uniform grid of
+        # the same step lands visibly elsewhere.
+        h = assemble_hamiltonian(PARAMS, STAR, DD, XGate(T_M, target=2))
+        window = (h.tail, T_M + h.tail)
         u = h.blocks().propagate(*window, STEP)
         assert np.abs(u - propagate(h, aligned(h, *window))).max() <= 1e-13
         assert np.abs(u - propagate(h, step_boundaries(*window, STEP))).max() > 1e-6

@@ -2,6 +2,7 @@ import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
+import oracles
 import pytest
 from helpers import count_calls, improvement_orders
 
@@ -168,7 +169,8 @@ class TestStepConvergence:
 
 class TestSequences:
     def brute_force_infidelity(self, scheme, gate, repetitions, step, aligned=False):
-        h = assemble_hamiltonian(PARAMS, PAIR, scheme, gate, repetitions=repetitions)
+        # One uninterrupted dense propagation of the whole run, at absolute time.
+        h = oracles.gate_run(assemble_hamiltonian(PARAMS, PAIR, scheme, gate), repetitions)
         breakpoints = h.breakpoints if aligned else ()
         u = propagate(h, step_boundaries(0.0, h.t_end, step, breakpoints))
         ideal = target_unitary(gate, PAIR, repetitions=repetitions)
@@ -200,6 +202,24 @@ class TestSequences:
         direct = self.brute_force_infidelity(CrosstalkOnly(), Idle(30.0), 3, 0.01)
         assert series.infidelities[-1] == pytest.approx(direct, abs=1e-11)
         assert series.abscissa[-1] == pytest.approx(90.0)
+
+    @pytest.mark.parametrize(
+        "scheme, gate, step",
+        [
+            (FrequencyModulation(cycles=4, gamma=2.0), ParallelXX(30.0), 0.01),
+            (DD, XGate(21.3, target=1), DEFAULT_STEP),
+        ],
+        ids=["fm-parallel-xx-30", "dd-x-21.3"],
+    )
+    def test_unmatched_driven_runs_agree_with_direct(self, scheme, gate, step):
+        # Drives on both sides of the coupling, and a pulsed tail, off the
+        # matched time: every window differs, and each is the steady window
+        # with the coupling phase advanced.
+        series = run_sequence(PARAMS, PAIR, scheme, gate, 5, step=step)
+        direct = [
+            self.brute_force_infidelity(scheme, gate, k, step, aligned=True) for k in series.counts
+        ]
+        np.testing.assert_allclose(series.infidelities, direct, rtol=0.0, atol=1e-11)
 
     def test_pulsed_tail_agrees_with_direct(self):
         # Decoupled runs extend half a pulse width past the last gate.  A
@@ -233,6 +253,18 @@ class TestSequences:
         steps.clear()
         run_sequence(PARAMS, STAR, DD, Idle(T_M), 1)
         assert steps == [1035]
+
+    @pytest.mark.parametrize(
+        "gate, repetitions",
+        [(XGate(30.0, target=1), 15), (ParallelXX(30.0), 21)],
+        ids=["fm-x-15", "fm-parallel-xx-21"],
+    )
+    def test_unmatched_run_propagates_two_windows(self, monkeypatch, gate, repetitions):
+        # At 30 ns, 2 Delta T is a whole turn: the coupling phase advances by
+        # pi and then repeats, so two steady windows serve every gate.
+        calls = count_calls(monkeypatch, SymmetryBlocks, "propagate")
+        run_sequence(PARAMS, PAIR, FrequencyModulation(cycles=4, gamma=2.0), gate, repetitions)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize(
         "gate, repetitions, targets",

@@ -6,7 +6,8 @@ import oracles
 import pytest
 from helpers import count_calls, coupling, hermiticity_defect
 
-from xtalksim import model, operators
+from xtalksim import experiments, model, operators
+from xtalksim.experiments import run_sequence
 from xtalksim.model import (
     PAIR,
     STAR,
@@ -15,6 +16,7 @@ from xtalksim.model import (
     FrequencyModulation,
     Idle,
     ParallelXX,
+    SymmetryBlocks,
     SystemParams,
     XGate,
     angular_to_cyclic_mhz,
@@ -227,70 +229,112 @@ class TestAssembly:
 
     def test_check_returns_driven_qubits(self):
         dd = DynamicalDecoupling(segments=4, width=1.25)
-        assert check_assembly(STAR, dd, Idle(20.0), repetitions=3) == ()
+        assert check_assembly(STAR, dd, Idle(20.0)) == ()
         assert check_assembly(STAR, dd, XGate(20.0, target=2)) == (2,)
         assert check_assembly(PAIR, CrosstalkOnly(), ParallelXX(20.0)) == (1, 2)
-        with pytest.raises(ValueError, match="repetitions"):
-            check_assembly(PAIR, CrosstalkOnly(), Idle(20.0), repetitions=0)
+        with pytest.raises(ValueError, match="sequence length"):
+            run_sequence(PARAMS, PAIR, CrosstalkOnly(), Idle(20.0), 0)
 
-    def test_periodicity_flags(self):
-        h = assemble_hamiltonian(PARAMS, PAIR, CrosstalkOnly(), Idle(20.0), repetitions=3)
-        assert h.periodic and h.tail == 0.0
-        assert h.t_end == pytest.approx(60.0)
-        h30 = assemble_hamiltonian(PARAMS, PAIR, CrosstalkOnly(), Idle(30.0), repetitions=2)
-        assert not h30.periodic
+    def test_periodicity_flags(self, monkeypatch):
+        # A run of gates propagates one steady window per distinct coupling
+        # phase advance: one at the matched 20 ns, three at 30 ns for three
+        # gates (the advance repeats only after 60 ns).
+        h = assemble_hamiltonian(PARAMS, PAIR, CrosstalkOnly(), Idle(20.0))
+        assert h.tail == 0.0
+        assert h.t_end == pytest.approx(20.0)
+        calls = count_calls(monkeypatch, SymmetryBlocks, "propagate")
+        run_sequence(PARAMS, PAIR, CrosstalkOnly(), Idle(20.0), 3, step=0.05)
+        assert len(calls) == 1
+        calls.clear()
+        run_sequence(PARAMS, PAIR, CrosstalkOnly(), Idle(30.0), 2, step=0.05)
+        assert len(calls) == 2
         dd = assemble_hamiltonian(PARAMS, PAIR, DynamicalDecoupling(4, 1.25), Idle(20.0))
         assert dd.tail == pytest.approx(0.625)
         assert dd.t_end == pytest.approx(20.625)
 
+    @pytest.mark.parametrize("unnamed", [1, 3])
+    def test_exchange_pair_is_two_unnamed_terms(self, unnamed):
+        # The coupling scales the two unnamed terms as one complex pair.
+        h = assemble_hamiltonian(PARAMS, PAIR, CrosstalkOnly(), XGate(20.0))
+        exchange, (drive,) = h.terms[:2], h.terms[2:]
+        terms = exchange[:unnamed] if unnamed < 2 else exchange + (("",) + drive[1:],)
+        with pytest.raises(ValueError, match=f"got {unnamed}"):
+            dataclasses.replace(h, terms=terms)
 
-def expected_kinks(scheme, gate, repetitions):
-    """Slope jumps of the assembled drives, from the waveform geometry."""
+    def test_complex_coupling_advances_exchange_phase(self):
+        # J e^{i theta} at time t is J at the coupling phase phi(t) + theta.
+        fm = FrequencyModulation(cycles=4, gamma=1.26)
+        h = assemble_hamiltonian(PARAMS, PAIR, fm, XGate(20.0))
+        theta = 0.7
+        t = np.linspace(0.0, h.t_end, 9)
+        turned = dataclasses.replace(h, couplings=(PARAMS.j * np.exp(1j * theta),)).coefficients(t)
+        phi = PARAMS.delta * t + 2.0 * fm.modulation(20.0).phase(t) + theta
+        expect = PARAMS.j * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+        np.testing.assert_allclose(turned[:, 0, :2], expect, rtol=0.0, atol=1e-15)
+        np.testing.assert_array_equal(turned[:, 0, 2:], h.coefficients(t)[:, 0, 2:])
+
+
+def expected_kinks(scheme, gate):
+    """Slope jumps of the assembled drives of one gate, from the waveform geometry."""
     t_gate = gate.duration
     if isinstance(scheme, DynamicalDecoupling):
         tau = t_gate / scheme.segments
         w = scheme.width if scheme.pulses else 0.0
-        segments = range(1, repetitions * scheme.segments + 1)
+        segments = range(1, scheme.segments + 1)
         pulses = [s * tau + side * w / 2 for s in segments for side in (-1, 1)]
         bursts = [e for s in segments if s % 2 for e in ((s - 1) * tau + w / 2, s * tau - w / 2)]
         return (pulses if scheme.pulses else []) + ([] if isinstance(gate, Idle) else bursts)
-    return [] if isinstance(gate, Idle) else [k * t_gate for k in range(repetitions + 1)]
+    return [] if isinstance(gate, Idle) else [0.0, t_gate]
+
+
+def gate_windows(h):
+    """The windows a run of gates ``h`` may propagate: the first gate [0, T +
+    tail], the steady window [tail, T + tail] and the head [0, tail]."""
+    t_gate, tail = h.gate_time, h.tail
+    return {(0.0, t_gate + tail), (tail, t_gate + tail)} | ({(0.0, tail)} if tail else set())
+
+
+BREAKPOINT_CASES = pytest.mark.parametrize(
+    "topology, scheme, gate, repetitions",
+    [
+        (PAIR, CrosstalkOnly(), Idle(20.0), 1),
+        (PAIR, DynamicalDecoupling(segments=4, width=1.25), Idle(20.0), 1),
+        (PAIR, DynamicalDecoupling(segments=4, width=1.25), XGate(20.0), 1),
+        (PAIR, DynamicalDecoupling(segments=4, width=1.25, pulses=False), XGate(20.0), 1),
+        (PAIR, DynamicalDecoupling(segments=4, width=1.25), ParallelXX(20.0), 3),
+        (PAIR, DynamicalDecoupling(segments=4, width=1.25), Idle(30.0), 2),
+        (STAR, DynamicalDecoupling(segments=4, width=1.25), XGate(20.0, target=2), 2),
+        (PAIR, FrequencyModulation(cycles=4, gamma=2.0), XGate(20.0), 3),
+        (PAIR, FrequencyModulation(cycles=4, gamma=2.0), Idle(30.0), 2),
+    ],
+    ids=[
+        "cd-idle", "dd-idle", "dd-x", "baseline-x", "dd-parallel-x3", "dd-idle-unmatched-x2",
+        "star-dd-center-x2", "fm-x3", "fm-idle-unmatched-x2",
+    ],
+)
 
 
 class TestBreakpoints:
-    DD = DynamicalDecoupling(segments=4, width=1.25)
-
-    @pytest.mark.parametrize(
-        "topology, scheme, gate, repetitions",
-        [
-            (PAIR, CrosstalkOnly(), Idle(20.0), 1),
-            (PAIR, DD, Idle(20.0), 1),
-            (PAIR, DD, XGate(20.0), 1),
-            (PAIR, dataclasses.replace(DD, pulses=False), XGate(20.0), 1),
-            (PAIR, DD, ParallelXX(20.0), 3),
-            (PAIR, DD, Idle(30.0), 2),
-            (STAR, DD, XGate(20.0, target=2), 2),
-            (PAIR, FrequencyModulation(cycles=4, gamma=2.0), XGate(20.0), 3),
-            (PAIR, FrequencyModulation(cycles=4, gamma=2.0), Idle(30.0), 2),
-        ],
-        ids=[
-            "cd-idle", "dd-idle", "dd-x", "baseline-x", "dd-parallel-x3", "dd-idle-unmatched-x2",
-            "star-dd-center-x2", "fm-x3", "fm-idle-unmatched-x2",
-        ],
-    )
+    @BREAKPOINT_CASES
     def test_kinks_on_step_boundaries(self, topology, scheme, gate, repetitions):
-        h = assemble_hamiltonian(PARAMS, topology, scheme, gate, repetitions=repetitions)
-        kinks = expected_kinks(scheme, gate, repetitions)
-        t_gate, tail = gate.duration, h.tail
-        windows = [(0.0, t_gate + tail)] + [
-            ((k - 1) * t_gate + tail, k * t_gate + tail) for k in range(2, repetitions + 1)
-        ]
-        for t_start, t_end in windows:
+        # Every window of a run of any length is one of the gate's windows.
+        h = assemble_hamiltonian(PARAMS, topology, scheme, gate)
+        kinks = expected_kinks(scheme, gate)
+        for t_start, t_end in gate_windows(h):
             edges = step_boundaries(t_start, t_end, 0.02, h.breakpoints)
             assert np.diff(edges).max() <= 0.02 * (1.0 + 1e-9)
             for kink in kinks:
                 if t_start < kink < t_end:
                     assert np.abs(edges - kink).min() <= 1e-12, (t_start, t_end, kink)
+
+    @BREAKPOINT_CASES
+    def test_sequences_propagate_only_gate_windows(self, monkeypatch, topology, scheme, gate, repetitions):
+        # No window of a run reaches past the first gate's [0, T + tail].
+        h = assemble_hamiltonian(PARAMS, topology, scheme, gate)
+        calls = count_calls(monkeypatch, SymmetryBlocks, "propagate", lambda _, *window: window[:2])
+        windows = list(experiments._windowed_propagators(h, PARAMS, repetitions, 0.05))
+        assert len(windows) == repetitions
+        assert set(calls) <= gate_windows(h)
 
 
 class TestFrameEquivalence:
