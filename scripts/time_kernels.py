@@ -1,34 +1,49 @@
 #!/usr/bin/env python3
-"""Time the propagation kernels of two checkouts of xtalksim, by block dimension.
+"""Count and time the propagation kernels of two checkouts of xtalksim.
 
 Usage::
 
     python3 scripts/time_kernels.py PARENT_CHECKOUT [--change CHECKOUT]
 
-Each run is a fresh interpreter that imports the package from
-``<checkout>/src`` and builds all 19 presets, clearing the scan cache before
-each.  Every call of an exponential kernel (``operators.expm_hamiltonian``,
-and ``operators._term_exponentials`` where the checkout has it) and of
-``operators.ordered_product`` is timed with ``time.perf_counter`` (no
-profiler) and summed by block dimension d, so exponentials count under
-``expm`` whichever function computes them.  Where the checkout has
-``operators._pauli_product``, which exponentiates and multiplies the 1x1
-and 2x2 steps in one call, its matrices count under ``expm`` and
-``product`` as those kernels would count them (one exponential per block
-and coupling of a 1x1 chunk's summed phases, and every 2x2 step), and its
-seconds on a row of their own, ``pauli``.  A ``total`` row per dimension
-adds the seconds of every kernel.  The two sides alternate for ``ROUNDS``
-rounds, the parent first in even rounds.  For each kernel and dimension
-this prints the matrices one run processes and the median seconds of each
-side.  The ``expm`` and ``product`` counts must be the same in every run of
-both sides: the script exits 1 if they are not, 0 otherwise.  ``--change``
-defaults to the checkout holding this script.
+First, each checkout builds all 19 presets once, in a fresh interpreter
+that imports the package from ``<checkout>/src``, clearing the scan cache
+before each preset.  Every exponential and every matrix product its kernels
+compute is counted by block dimension d:
+
+* ``expm``: each matrix ``operators.expm_hamiltonian`` returns, and each
+  step ``operators._term_exponentials`` returns or yields;
+* ``product``: the multiplications of ``operators.ordered_product``, n - 1
+  per stack entry of an ``(n, ..., d, d)`` stack;
+* both, for ``operators._pauli_product``, which exponentiates and
+  multiplies the 1x1 and 2x2 steps in one call: one exponential per block
+  and coupling of a 1x1 chunk's summed phases, and every 2x2 step.
+
+A real-form stack (2d x 2d float64, ``operators`` docstring) counts under its
+complex dimension d.  Where ``_term_exponentials`` yields its steps by
+sub-batch, each sub-batch after a chunk's first also counts, under
+``product``, the products that join it to the running product of
+``advance``.  So both checkouts count the same work alike, and the script
+exits 1 if the counts differ, 0 otherwise.
+
+Then both checkouts are loaded into one interpreter, and ``operators.advance``
+of each is timed on one fixed chunk per dimension, each side on the block
+stack its own checkout builds: the first 2,048-step chunk at the default
+0.02 ns step of a star FM center-X gate (10x10 and 6x6), a pair DD X gate
+(4x4) and a star DD idle (2x2), at the matched gate time.  The sides
+alternate, the parent first in even rounds; each sample is ``CALLS``
+consecutive calls, and there are ``ROUNDS`` samples per side.  Timing both
+sides in one process on one chunk removes the drift between interpreters
+that a pass over the presets suffers.  For each dimension this prints each
+side's median milliseconds per call, the ratio change/parent of the medians,
+the rounds the change won, and the largest difference between the two
+sides' propagators.  ``--change`` defaults to the checkout holding this
+script.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
+import importlib
 import json
 import os
 import statistics
@@ -39,74 +54,72 @@ from pathlib import Path
 
 import numpy as np
 
-#: Runs per side.
-ROUNDS = 4
-#: Kernel names and the functions of ``operators`` timed under them.
-KERNELS = {"expm": ("expm_hamiltonian", "_term_exponentials"), "product": ("ordered_product",)}
+#: Timed samples per side and dimension, and ``advance`` calls per sample.
+ROUNDS, CALLS = 31, 5
 
 
-def add(totals: dict, d: int, matrices: int, seconds: float) -> None:
-    """Add ``matrices`` and ``seconds`` to ``totals[d]``."""
-    entry = totals.setdefault(d, [0, 0.0])
-    entry[0] += matrices
-    entry[1] += seconds
+def add(totals: dict, kernel: str, d: int, count: int) -> None:
+    """Add ``count`` to ``totals[kernel][d]``."""
+    totals[kernel][d] = totals[kernel].get(d, 0) + int(count)
 
 
-def timed(kernel, totals: dict, counted):
-    """``kernel`` adding the matrices of ``counted(argument, result)`` and its
-    seconds to ``totals[d]`` on each call."""
+def complex_dim(a) -> int:
+    """The dimension d of a complex ``(..., d, d)`` stack or of a real-form ``(..., 2d, 2d)`` one."""
+    return a.shape[-1] if np.iscomplexobj(a) else a.shape[-1] // 2
 
-    def wrapper(*args):
-        start = time.perf_counter()
-        out = kernel(*args)
-        elapsed = time.perf_counter() - start
-        mats = counted(args[0], out)
-        d = np.shape(mats)[-1]
-        add(totals, d, np.size(mats) // (d * d), elapsed)
-        return out
 
+def counting(name: str, kernel, totals: dict):
+    """``kernel``, the function ``name`` of ``operators``, adding the work of each call to ``totals``."""
+    if name == "expm_hamiltonian":
+        def wrapper(h, dt):
+            out = kernel(h, dt)
+            add(totals, "expm", out.shape[-1], out.size // out.shape[-1] ** 2)
+            return out
+    elif name == "ordered_product":
+        def wrapper(mats):
+            out = kernel(mats)
+            d, entries = complex_dim(mats), out.size // out.shape[-1] ** 2
+            add(totals, "product", d, (len(mats) - 1) * entries)
+            return out
+    elif name == "_pauli_product":
+        def wrapper(weights, coefficients, d):
+            out = kernel(weights, coefficients, d)
+            blocks = out.size // (d * d)
+            add(totals, "expm", d, blocks * weights.shape[0] if d == 2 else blocks)
+            if d == 2:
+                add(totals, "product", d, blocks * (weights.shape[0] - 1))
+            return out
+    else:  # _term_exponentials: an array of steps, or a generator of real-form sub-batches
+        def wrapper(*args):
+            out = kernel(*args)
+            if isinstance(out, np.ndarray):
+                add(totals, "expm", out.shape[-1], out.size // out.shape[-1] ** 2)
+                return out
+            return yielding(out)
+
+        def yielding(batches):
+            for i, steps in enumerate(batches):
+                d = complex_dim(steps)
+                entries = steps.size // len(steps) // (2 * d) ** 2
+                add(totals, "expm", d, len(steps) * entries)
+                add(totals, "product", d, entries if i else 0)
+                yield steps
     return wrapper
 
 
-def timed_pauli(kernel, totals: dict):
-    """``_pauli_product`` adding its matrices to ``totals["expm"]`` and
-    ``totals["product"]`` and its seconds to ``totals["pauli"]``."""
-
-    def wrapper(weights, coefficients, d):
-        start = time.perf_counter()
-        out = kernel(weights, coefficients, d)
-        elapsed = time.perf_counter() - start
-        blocks = out.size // (d * d)
-        steps = blocks * weights.shape[0] if d == 2 else blocks
-        add(totals["expm"], d, steps, 0.0)
-        if d == 2:
-            add(totals["product"], d, steps, 0.0)
-        add(totals["pauli"], d, steps, elapsed)
-        return out
-
-    return wrapper
-
-
-def run_presets(checkout: Path) -> dict:
-    """Kernel totals ``{kernel: {d: [matrices, seconds]}}`` of one pass over the presets."""
+def count_presets(checkout: Path) -> dict:
+    """Kernel counts ``{kernel: {d: count}}`` of one pass over the presets."""
     from xtalksim import experiments, operators
 
     origin = Path(operators.__file__).resolve()
     if checkout.resolve() / "src" not in origin.parents:
         raise SystemExit(f"xtalksim imported from {origin}, not from {checkout}/src")
-    totals = {kernel: {} for kernel in (*KERNELS, "pauli")}
-    wrappers = {"_pauli_product": functools.partial(timed_pauli, totals=totals)}
-    for kernel, names in KERNELS.items():
-        # An exponential is counted by its result: every d x d step it
-        # computes, whatever its argument.  A product by its factors.
-        counted = (lambda arg, out: out) if kernel == "expm" else (lambda arg, out: arg)
-        for name in names:
-            wrappers[name] = functools.partial(timed, totals=totals[kernel], counted=counted)
-    for name, wrap in wrappers.items():
+    totals = {"expm": {}, "product": {}}
+    for name in ("expm_hamiltonian", "_term_exponentials", "ordered_product", "_pauli_product"):
         original = getattr(operators, name, None)
         if original is None:
             continue
-        wrapper = wrap(original)
+        wrapper = counting(name, original, totals)
         # Replace every binding, so calls through other modules' imports count too.
         for module in [m for key, m in sys.modules.items() if key.startswith("xtalksim")]:
             for attr, value in vars(module).items():
@@ -118,14 +131,72 @@ def run_presets(checkout: Path) -> dict:
     return totals
 
 
-def run_side(checkout: Path) -> dict:
-    """``run_presets`` of ``checkout`` in a fresh interpreter, keyed by kernel and d."""
+def count_side(checkout: Path) -> dict:
+    """``count_presets`` of ``checkout`` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     done = subprocess.run(
         [sys.executable, __file__, "--worker", str(checkout)],
         env=env, check=True, capture_output=True, text=True,
     )
     return {k: {int(d): v for d, v in t.items()} for k, t in json.loads(done.stdout).items()}
+
+
+def load(checkout: Path):
+    """``(model, operators)`` of a fresh import of the package from ``checkout``."""
+    for key in [k for k in sys.modules if k == "xtalksim" or k.startswith("xtalksim.")]:
+        del sys.modules[key]
+    src = str((checkout / "src").resolve())
+    sys.path.insert(0, src)
+    try:
+        model = importlib.import_module("xtalksim.model")
+        operators = importlib.import_module("xtalksim.operators")
+    finally:
+        sys.path.remove(src)
+    if Path(src) not in Path(operators.__file__).resolve().parents:
+        raise SystemExit(f"xtalksim imported from {operators.__file__}, not from {src}")
+    return model, operators
+
+
+def chunk(model, operators, d: int):
+    """A call of ``operators.advance`` on the fixed chunk of dimension ``d`` (module docstring)."""
+    params = model.SystemParams.from_mhz(50.0, 5.0)
+    t_m = params.matched_time()
+    dd = model.DynamicalDecoupling(segments=4, width=t_m / 16.0)
+    layout, scheme, gate = {
+        10: (model.STAR, model.FrequencyModulation(cycles=8, gamma=2.0, single_site=True), model.XGate(t_m, target=2)),
+        4: (model.PAIR, dd, model.XGate(t_m, target=1)),
+        2: (model.STAR, dd, model.Idle(t_m)),
+    }[10 if d == 6 else d]
+    h = model.assemble_hamiltonian(params, layout, scheme, gate)
+    (stack,) = [s for s in h.blocks().stacks if s.dim == d]
+    edges = operators.step_boundaries(0.0, h.t_end, 0.02, h.breakpoints)
+    widths, times = next(operators.gauss_nodes(edges, operators.CHUNK))
+    weights = model._magnus_weights(h.coefficients(times), widths)
+    u = np.tile(np.eye(d, dtype=complex), (len(stack.copies), 1, 1))
+    return lambda: operators.advance(u, weights, stack.matrices, stack.norms), len(widths)
+
+
+def time_chunks(checkouts: dict) -> None:
+    """Print the alternating in-process timings of ``advance`` (module docstring)."""
+    sides = {side: load(path) for side, path in checkouts.items()}
+    print(f"{'d':>3} {'steps':>6} {'parent ms':>10} {'change ms':>10} {'ratio':>6} {'won':>6} {'max |diff|':>11}")
+    for d in (10, 6, 4, 2):
+        calls = {side: chunk(*modules, d) for side, modules in sides.items()}
+        (steps,) = {n for _, n in calls.values()}
+        results = {side: call() for side, (call, _) in calls.items()}
+        samples = {side: [] for side in calls}
+        for r in range(ROUNDS):
+            for side in list(calls)[:: 1 if r % 2 == 0 else -1]:
+                call = calls[side][0]
+                start = time.perf_counter()
+                for _ in range(CALLS):
+                    call()
+                samples[side].append((time.perf_counter() - start) / CALLS * 1e3)
+        parent, change = (statistics.median(samples[side]) for side in ("parent", "change"))
+        won = sum(c < p for p, c in zip(samples["parent"], samples["change"]))
+        diff = float(np.abs(results["change"] - results["parent"]).max())
+        print(f"{d:>3} {steps:>6} {parent:>10.3f} {change:>10.3f} {change / parent:>6.3f} "
+              f"{won:>3}/{ROUNDS:<2} {diff:>11.2e}")
 
 
 def main() -> int:
@@ -136,36 +207,22 @@ def main() -> int:
     )
     args = parser.parse_args()
     checkouts = {"parent": args.parent, "change": args.change}
-    runs = {side: [] for side in checkouts}
-    for r in range(ROUNDS):
-        for side in list(checkouts)[:: 1 if r % 2 == 0 else -1]:
-            runs[side].append(run_side(checkouts[side]))
-            print(f"round {r + 1}/{ROUNDS}: {side} done", file=sys.stderr)
-    for run in runs["parent"] + runs["change"]:
-        timed_rows = [run[kernel] for kernel in (*KERNELS, "pauli")]
-        run["total"] = {
-            d: [run["expm"].get(d, [0])[0], sum(row.get(d, [0, 0.0])[1] for row in timed_rows)]
-            for d in set().union(*timed_rows)
-        }
+    counts = {side: count_side(path) for side, path in checkouts.items()}
     same = True
-    print(f"{'kernel':<8} {'d':>3} {'matrices':>10} {'parent s':>9} {'change s':>9} {'ratio':>6}")
-    for kernel in (*KERNELS, "pauli", "total"):
-        for d in sorted({d for side in runs.values() for run in side for d in run[kernel]}):
-            # Only the kernels of KERNELS must count alike: a checkout may lack ``pauli``.
-            counts = {
-                run[kernel].get(d, [0])[0]
-                for side in runs.values() for run in side if kernel in KERNELS or d in run[kernel]
-            }
-            medians = [statistics.median(run[kernel].get(d, [0, 0.0])[1] for run in side) for side in runs.values()]
-            same = same and (len(counts) == 1 or kernel not in KERNELS)
-            ratio = medians[1] / medians[0] if medians[0] else float("nan")
-            count = counts.pop() if len(counts) == 1 else "DIFFERS"
-            print(f"{kernel:<8} {d:>3} {count:>10} {medians[0]:>9.4f} {medians[1]:>9.4f} {ratio:>6.3f}")
+    print(f"{'kernel':<8} {'d':>3} {'parent':>10} {'change':>10}")
+    for kernel in ("expm", "product"):
+        for d in sorted(set(counts["parent"][kernel]) | set(counts["change"][kernel])):
+            parent, change = (counts[side][kernel].get(d, 0) for side in checkouts)
+            same = same and parent == change
+            flag = "" if parent == change else "  DIFFERS"
+            print(f"{kernel:<8} {d:>3} {parent:>10} {change:>10}{flag}")
+    print()
+    time_chunks(checkouts)
     return 0 if same else 1
 
 
 if __name__ == "__main__":
     if len(sys.argv) == 3 and sys.argv[1] == "--worker":
-        print(json.dumps(run_presets(Path(sys.argv[2]))))
+        print(json.dumps(count_presets(Path(sys.argv[2]))))
     else:
         sys.exit(main())

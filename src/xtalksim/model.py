@@ -63,14 +63,14 @@ at any coupling, amplitude or gate time, reuses it.
 The distinct blocks of one dimension d are held as one ``BlockStack``: the
 matrices M_k of every term on its B blocks, zero on a block the term does
 not act on, and their commutators, exactly Hermitian (the term blocks are
-completed from their lower triangle) and then multiplied by -i, which is
-exact, with their 1-norms (up to 2x2, each matrix's real coefficients on
-I, X, Y and Z in its place).  ``SymmetryBlocks.propagate`` builds its own
-step boundaries (``step_boundaries``), one on every breakpoint.  Each chunk
-of steps samples the assembly's real coefficient functions once, at both
-Gauss nodes of every step, and turns them into Magnus weights once; each
-stack's exponents are built from those weights without forming dense
-samples.  Since
+completed from their lower triangle), with their 1-norms, as real arrays
+(``operators.encode_terms``: up to 2x2 each matrix's coefficients on I, X,
+Y and Z, above the real form of -i M_k).  ``SymmetryBlocks.propagate``
+builds its own step boundaries (``step_boundaries``), one on every
+breakpoint.  Each chunk of steps samples the assembly's real coefficient
+functions once, at both Gauss nodes of every step, and turns them into
+Magnus weights once; each stack's exponents are built from those weights
+without forming dense samples.  Since
 [H_2, H_1] = sum_{k<l} (c2_k c1_l - c2_l c1_k) [M_k, M_l], the exponent of
 ``operators`` is
 
@@ -81,9 +81,9 @@ a real contraction of the chunk's weights with the stack's matrices, and the
 steps match ``operators.propagate`` on the dense assembly to roundoff.  Per
 chunk of at most ``CHUNK / C`` steps for C couplings, ``operators.advance``
 exponentiates a stack's ``(n, C, B, d, d)`` steps (time index first) from
-the weights in one call and multiplies them out in one product tree,
-entry-major up to 4x4 (``operators`` docstring); 1x1 and 2x2 steps sum
-their phases and multiply the rest as SU(2) pairs.
+the weights and multiplies them out in one call, in real form (``operators``
+docstring); 1x1 and 2x2 steps sum their phases and multiply the rest as
+SU(2) pairs.
 
 Qubits are labeled 1..n; qubit 2 is the shared (modulated/pulsed) qubit in
 both shipped layouts, ``PAIR`` and ``STAR``.
@@ -101,13 +101,13 @@ import numpy as np
 from xtalksim.operators import (
     CHUNK,
     HERMITICITY_TOL,
-    IDENTITY,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     advance,
     check_hermitian,
     embed,
+    encode_terms,
     expm_hamiltonian,
     gauss_nodes,
     step_boundaries,
@@ -451,12 +451,12 @@ class BlockStack:
     """The B distinct blocks of one dimension d in term space, as exponent
     matrices: -i h H_b(t) = sum_k -i h c_k(t) M_kb.
 
-    ``matrices`` stacks, for every term k of the assembly, -i M_kb on the B
-    blocks, zero where the term does not act on a block, and then -i times
-    the Hermitian commutators -i [M_k, M_l] for every pair k < l, flattened to
-    ``(K + K (K - 1) / 2, B * d * d)``, or up to 2x2 the d * d real coefficients
-    of their Hermitian factors on I (, X, Y, Z); ``norms`` holds the 1-norms of
-    each of those matrices on each block, shape ``(K + K (K - 1) / 2, B)``.
+    ``matrices`` stacks, for every term k of the assembly, M_kb on the B
+    blocks, zero where the term does not act on a block, and then the
+    Hermitian commutators -i [M_k, M_l] for every pair k < l, as
+    ``operators.encode_terms`` encodes them: float64, ``(K + K (K - 1) / 2,
+    B * e)``.  ``norms`` holds the 1-norms of each of those matrices on each
+    block, shape ``(K + K (K - 1) / 2, B)``.
     ``copies[b]`` holds the index sets, in the basis's columns, of every copy
     that shares block b's matrices, shape ``(copies, d)``.
     """
@@ -590,12 +590,8 @@ def _block_analysis(mats: np.ndarray, topology: Optional[Topology]) -> tuple:
         diagonal = np.diagonal(distinct, axis1=-2, axis2=-1).real[..., None] * np.eye(d)
         hermitian = np.concatenate([lower + lower.conj().swapaxes(-1, -2) + diagonal, commutators])
         norms = np.abs(hermitian).sum(axis=-2).max(axis=-1)
-        # Up to 2x2, each M's real coefficients Tr(sigma_p M) / d on I (, X, Y, Z).
-        paulis = np.array([IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z])[: d * d, :d, :d]
-        matrices = np.einsum("pji,kbij->kbp", paulis, hermitian).real / d if d <= 2 else -1j * hermitian
         copy_rows = tuple(_read_only(rows[m]) for m in copies.values())
-        matrices = _read_only(matrices.reshape(len(hermitian), -1))
-        stacks.append(BlockStack(d, matrices, _read_only(norms), copy_rows))
+        stacks.append(BlockStack(d, _read_only(encode_terms(hermitian)), _read_only(norms), copy_rows))
     defects = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(1, 2), initial=0.0)
     return basis, tuple(stacks), bool((defects <= HERMITICITY_TOL * scales).all())
 

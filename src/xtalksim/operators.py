@@ -17,30 +17,29 @@ Propagation steps of one and two levels, X = -i (g_0 I + g . sigma), are a
 phase, summed over a chunk in extended precision, times
 [[a, -b*], [b, a*]] with a = cos r - i g_3 sinc r, b = (g_2 - i g_1) sinc r
 and r = |g|, multiplied as (a, b) pairs along an innermost time axis
-(:func:`_pauli_product`).  Other exponents are scaled by the least 2^-s
-that brings an upper bound on their 1-norm below
-``THETA_8``, where the degree-8 Taylor polynomial is exact to double
-rounding, and the polynomial is squared s times; at the default step s is
-almost always 0.  The polynomial takes three products, X_2 = X X,
-X_4 = X_2 (a_1 X + a_2 X_2) and
+(:func:`_pauli_product`).  Larger exponents, and all of ``expm_hamiltonian``,
+are held in the real form E(A) = [[Re A, -Im A], [Im A, Re A]], float64
+2d x 2d, and multiplied with plain matmul: E is an exact algebra map with
+E(A^dag) = E(A)^T, so all that follows runs unchanged on it, and A is read
+back from E(A)'s first block column.  Exponents are scaled by the least
+2^-s that brings an upper bound on their 1-norm below ``THETA_8``, where
+the degree-8 Taylor polynomial is exact to double rounding, and the
+polynomial is squared s times; at the default step s is almost always 0.
+It takes three products, X_2 = X X, X_4 = X_2 (a_1 X + a_2 X_2) and
 T_8(X) = I + X + b_2 X_2 + (a_3 X_2 + X_4)(a_4 I + a_5 X + a_6 X_2 + a_7 X_4)
 (Bader, Blanes & Casas, Mathematics 7, 1174 (2019)), ``EXPM_BATCH_ENTRIES``
-entries at a time in one workspace per call, straight into the output.  Up
-to ``ENTRY_MAJOR_DIM`` = 4 levels, the polynomial, its squarings and
-Newton-Schulz step and the ordered product hold stacks entry-major,
-``(k, d, d, ...)``, the stack axes after the entries (k is 1 in an
-exponential and the time index in a product): a product is then d
-elementwise multiply-adds over the stack, free of matmul's per-matrix cost.
-A preparer writes each sub-batch's exponents into the workspace:
-``expm_hamiltonian`` completes its input from the lower triangle, scales it
-by -i dt and takes exact 1-norms; :func:`advance` contracts the Magnus
-weights w_k of each step with a block stack's exponent matrices M_k
-(``model`` docstring) and bounds the 1-norm by sum_k |w_k| ||M_k||_1.
-Steps are taken ``CHUNK`` at a time: :func:`advance` exponentiates a chunk
-in one call, multiplies it out and takes one Newton-Schulz step
-U <- U (3 - U^dag U) / 2, which removes the norm that rounding loses and
-leaves a unitary U unchanged; a squared exponential takes one too.  So
-propagators are unitary to machine precision at any step size.
+complex entries at a time in one workspace, each finished sub-batch passed
+straight on.  ``expm_hamiltonian`` completes its input from the lower
+triangle, scales it by -i dt, takes exact 1-norms and writes each sub-batch
+into its complex result.  :func:`advance` takes a chunk of up to ``CHUNK``
+steps in one call: it contracts the Magnus weights w_k of each step with a
+block stack's E(-i M_k) (``encode_terms``, ``model`` docstring), bounds the
+1-norm by sum_k |w_k| ||M_k||_1, multiplies each sub-batch of whole steps
+into a running product (it stores no array of steps), reads the complex
+product back and takes one Newton-Schulz step U <- U (3 - U^dag U) / 2,
+which removes the norm that rounding loses and leaves a unitary U
+unchanged; a squared exponential takes one too.  So propagators are
+unitary to machine precision at any step size.
 
 ``propagate`` samples the dense ``(n, d, d)`` Hamiltonian.  Production runs
 build the same steps in term space, in stacks of blocks and couplings
@@ -64,6 +63,7 @@ __all__ = [
     "embed",
     "unitarity_defect",
     "expm_hamiltonian",
+    "encode_terms",
     "ordered_product",
     "check_hermitian",
     "gauss_nodes",
@@ -85,12 +85,9 @@ HERMITICITY_TOL = 1e-12
 #: Appl. 31, 970 (2009)).
 THETA_8 = (2.0**-53 * math.factorial(9)) ** (1.0 / 9.0)
 
-#: Largest matrix dimension held entry-major (module docstring).
-ENTRY_MAJOR_DIM = 4
-
 #: Complex entries per sub-batch of the Taylor exponential (256 4x4 or 40
-#: 10x10 matrices).  Every temporary is one sub-batch in size, which keeps
-#: the powers in cache and the memory beyond the output fixed.
+#: 10x10 matrices, twice the bytes in real form).  Every temporary is one
+#: sub-batch in size, which keeps the powers in cache and the memory fixed.
 EXPM_BATCH_ENTRIES = 4096
 
 # a_1, a_2 of T_8 (module docstring), then the weights of I, X, X_2, X_4 in its three sums.
@@ -182,8 +179,7 @@ def expm_hamiltonian(h: np.ndarray, dt: float) -> np.ndarray:
 
     Accepts a ``(d, d)`` matrix or a ``(..., d, d)`` stack; the method is in
     the module docstring.  Like ``eigh``, it reads the lower triangle and the
-    real diagonal.  Up to ``ENTRY_MAJOR_DIM`` levels, the result is a strided
-    view of entry-major memory.
+    real diagonal.
 
     Raises
     ------
@@ -195,7 +191,33 @@ def expm_hamiltonian(h: np.ndarray, dt: float) -> np.ndarray:
     if h.ndim < 2 or h.shape[-1] != h.shape[-2] or h.size == 0:
         raise ValueError(f"expected non-empty square matrices, got shape {h.shape}")
     d = h.shape[-1]
-    return _expm_taylor(h.size // (d * d), d, _hermitian_exponents(h.reshape(-1, d, d), dt)).reshape(h.shape)
+    u = np.empty((h.size // (d * d), d, d), dtype=complex)
+    for start, exponentials in _expm_taylor(len(u), d, _hermitian_exponents(h.reshape(u.shape), dt)):
+        u[start : start + len(exponentials)] = _complex_form(exponentials)
+    return u.reshape(h.shape)
+
+
+def encode_terms(hermitian: np.ndarray) -> np.ndarray:
+    """The float64 ``(K, B * e)`` term matrices of ``advance`` for the
+    ``(K, B, d, d)`` Hermitian matrices M_kb of K terms on B blocks: up to
+    2x2, the e = d * d real coefficients Tr(sigma_p M) / d on I (, X, Y, Z);
+    above, the e = 4 d * d entries of the real form E(-i M)."""
+    k, b, d = hermitian.shape[:3]
+    if d <= 2:
+        paulis = np.array([IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z])[: d * d, :d, :d]
+        return np.einsum("pji,kbij->kbp", paulis, hermitian).real.reshape(k, -1) / d
+    return _real_form(-1j * hermitian).reshape(k, -1)
+
+
+def _real_form(a: np.ndarray) -> np.ndarray:
+    """E(A) = [[Re A, -Im A], [Im A, Re A]] of a complex ``(..., d, d)`` stack."""
+    return np.block([[a.real, -a.imag], [a.imag, a.real]])
+
+
+def _complex_form(e: np.ndarray) -> np.ndarray:
+    """A of a ``(..., 2d, 2d)`` stack of real forms E(A)."""
+    d = e.shape[-1] // 2
+    return e[..., :d, :d] + 1j * e[..., d:, :d]
 
 
 def _check_finite(what: str, *values) -> None:
@@ -207,138 +229,109 @@ def _hermitian_exponents(h: np.ndarray, dt: float):
     """``_expm_taylor``'s ``prepare`` for X = -i dt H of the ``(n, d, d)`` stack
     ``h``, completed from its lower triangle and real diagonal; the bounds are
     the exact 1-norms."""
-    d = h.shape[-1]
-    rows, cols = np.divmod(np.arange(d * d), d)
-    # Flat entry (i, j) of the Hermitian completion is read from the lower
-    # triangle at (max, min), conjugated above the diagonal; the diagonal is real.
-    source, upper = np.maximum(rows, cols) * d + np.minimum(rows, cols), np.flatnonzero(rows < cols)
+    eye = np.eye(h.shape[-1])
 
     def prepare(start: int, stop: int, x: np.ndarray) -> np.ndarray:
-        # The sub-batch, entries first: (d * d, m).
-        a = h[start:stop].reshape(-1, d * d).T[source]
-        a[upper] = a[upper].conj()
-        a[:: d + 1].imag = 0.0
-        # The 1-norm of a Hermitian matrix is its largest row sum.
-        norms = abs(dt) * np.abs(a).reshape(d, d, -1).sum(axis=1).max(axis=0)
+        a = h[start:stop]
+        lower = np.tril(a, -1)
+        a = lower + lower.conj().swapaxes(-1, -2) + np.diagonal(a, axis1=-2, axis2=-1).real[..., None] * eye
+        norms = abs(dt) * np.abs(a).sum(axis=-2).max(axis=-1)
         _check_finite(f"Hamiltonian entry or step (dt={dt})", norms)
-        np.multiply(a, -1j * dt, out=x.reshape(d * d, -1) if x.ndim == 4 else x.reshape(-1, d * d).T)
+        x[:] = _real_form(-1j * dt * a)
         return norms
 
     return prepare
 
 
-def _term_exponentials(weights: np.ndarray, matrices: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """exp(X_n) of the steps of ``advance``, ``(n, C, B, d, d)``, by
-    ``_expm_taylor``: each sub-batch contracts its weights straight into
-    the workspace, with the 1-norm bounds sum_k |weights[n, c, k]| norms[k, b]."""
+def _term_exponentials(weights: np.ndarray, matrices: np.ndarray, norms: np.ndarray):
+    """Yield exp(X_n) of the steps of ``advance`` in order, in real form, as
+    ``(m, C, B, 2d, 2d)`` sub-batches of ``_expm_taylor``: each contracts its
+    weights into the workspace, with bounds sum_k |weights[n, c, k]| norms[k, b]."""
+    n_couplings = weights.shape[1]
     rows = weights.reshape(-1, weights.shape[-1])
     n_blocks = norms.shape[1]
-    d = math.isqrt(matrices.shape[1] // n_blocks)
-    terms = matrices.view(float)
+    d = math.isqrt(matrices.shape[1] // n_blocks) // 2
     with np.errstate(invalid="ignore", over="ignore"):  # a non-finite weight makes its bounds non-finite
         bounds = (np.abs(rows) @ norms).ravel()
     _check_finite("Magnus weight", bounds)
 
     def prepare(start: int, stop: int, x: np.ndarray) -> np.ndarray:
         w = rows[start // n_blocks : stop // n_blocks]
-        # One real contraction over the interleaved real and imaginary parts.
-        if x.ndim == 3:
-            np.matmul(w, terms, out=x.view(float).reshape(len(w), -1))
-        else:
-            x = x.reshape(d * d, len(w), n_blocks)
-            np.copyto(x, (w @ terms).view(complex).reshape(len(w), n_blocks, d * d).transpose(2, 0, 1))
+        np.matmul(w, matrices, out=x.reshape(len(w), -1))
         return bounds[start:stop]
 
-    steps = _expm_taylor(len(rows) * n_blocks, d, prepare, n_blocks)
-    return steps.reshape(weights.shape[:-1] + (n_blocks, d, d))
+    for _, exponentials in _expm_taylor(len(bounds), d, prepare, n_couplings * n_blocks):
+        yield exponentials.reshape((-1, n_couplings, n_blocks, 2 * d, 2 * d))
 
 
-def _expm_taylor(n: int, d: int, prepare, group: int = 1) -> np.ndarray:
-    """exp(X) of n d x d exponents by scaled Taylor polynomials (module docstring).
+def _expm_taylor(n: int, d: int, prepare, group: int = 1):
+    """Yield ``(start, exponentials)``: exp(X) of n d x d exponents in real
+    form by scaled Taylor polynomials (module docstring), a sub-batch at a
+    time, as a view of the workspace that the next sub-batch overwrites.
 
-    Sub-batches of about ``EXPM_BATCH_ENTRIES`` entries, whole groups of
-    ``group`` consecutive matrices each, share one workspace.
-    ``prepare(start, stop, x)`` writes exponents ``start`` to ``stop`` into its
-    slot ``x``, shape ``(m, d, d)``, or ``(1, d, d, m)`` entry-major up to
-    ``ENTRY_MAJOR_DIM`` levels (the result is then a strided view), and
-    returns upper bounds on their 1-norms.
+    Sub-batches of about ``EXPM_BATCH_ENTRIES`` complex entries, whole groups
+    of ``group`` consecutive matrices each, share one workspace.
+    ``prepare(start, stop, x)`` writes E(X) of exponents ``start`` to
+    ``stop`` into its slot ``x``, shape ``(m, 2d, 2d)``, and returns upper
+    bounds on the 1-norms of the X.
     """
-    entry_major = d <= ENTRY_MAJOR_DIM
-    if entry_major:
-        u, eye, multiply = np.empty((1, d, d, n), dtype=complex), np.eye(d)[:, :, None], _entrywise_matmul
-    else:
-        u, eye, multiply = np.empty((n, d, d), dtype=complex), np.eye(d), np.matmul
-    stack = (...,) if entry_major else ()  # leads an index on the stack axis
     size = min(max(EXPM_BATCH_ENTRIES // (d * d * group), 1) * group, n)
-    workspace = np.empty(4 * d * d * size, dtype=complex)
+    workspace = np.empty(7 * size * 4 * d * d)
     filled = 0
     for start in range(0, n, size):
         m = min(size, n - start)
-        powers = workspace[: 4 * d * d * m].reshape((4,) + ((1, d, d, m) if entry_major else (m, d, d)))
+        # I, X, X_2 and X_4, then the three sums of T_8.
+        powers, sums = np.split(workspace[: 7 * m * 4 * d * d].reshape(7, m, 2 * d, 2 * d), [4])
         if m != filled:
-            powers[0], filled = eye, m
+            powers[0], filled = np.eye(2 * d), m
         x, x2, x4 = powers[1:]
         bounds = prepare(start, start + m, x)
         # bound / THETA_8 = m 2^e with 1/2 <= m < 1, so e is the least s with bound 2^-s < THETA_8.
         squarings = np.maximum(np.frexp(bounds / THETA_8)[1], 0)
         if squarings.any():
-            scale = np.ldexp(1.0, -squarings)
-            x *= scale if entry_major else scale[:, None, None]
-        multiply(x, x, out=x2)
-        multiply(x2, _BBC_8_A1 * x + _BBC_8_A2 * x2, out=x4)
+            x *= np.ldexp(1.0, -squarings)[:, None, None]
+        np.matmul(x, x, out=x2)
+        # The slots of the sums first hold a_1 X + a_2 X_2.
+        s, left, right = sums
+        np.multiply(x, _BBC_8_A1, out=s)
+        s += np.multiply(x2, _BBC_8_A2, out=left)
+        np.matmul(x2, s, out=x4)
         # T_8 = S + L R, with S, L and R the rows of _BBC_8 applied to I, X, X_2, X_4.
-        s, left, right = (_BBC_8 @ powers.reshape(4, -1).view(float)).view(complex).reshape(powers[1:].shape)
-        out = u[stack + (slice(start, start + m),)]
-        multiply(left, right, out=out)
+        np.matmul(_BBC_8, powers.reshape(4, -1), out=sums.reshape(3, -1))
+        out = np.matmul(left, right, out=x)
         out += s
         for k in range(int(squarings.max())):
-            squared = stack + (squarings > k,)
-            out[squared] = multiply(out[squared], out[squared])
+            squared = out[squarings > k]
+            out[squarings > k] = squared @ squared
         if squarings.any():
-            out[stack + (squarings > 0,)] = _newton_schulz(out[stack + (squarings > 0,)], entry_major)
-    return np.moveaxis(u[0], (0, 1), (-2, -1)) if entry_major else u
+            out[squarings > 0] = _newton_schulz(out[squarings > 0])
+        yield start, out
 
 
-def _newton_schulz(u: np.ndarray, entry_major: bool = False) -> np.ndarray:
-    """One step U <- U (3 - U^dag U) / 2 towards the nearest unitary, for a matrix,
-    a stack or an entry-major ``(1, d, d, n)`` stack; it leaves a unitary U unchanged."""
-    multiply, rows, cols = (_entrywise_matmul, 1, 2) if entry_major else (np.matmul, -2, -1)
-    eye = np.eye(u.shape[cols])[:, :, None] if entry_major else np.eye(u.shape[cols])
-    return multiply(u, 1.5 * eye - 0.5 * multiply(u.conj().swapaxes(rows, cols), u))
+def _newton_schulz(u: np.ndarray) -> np.ndarray:
+    """One step U <- U (3 - U^dag U) / 2 towards the nearest unitary, for a
+    matrix or a stack, complex or in real form; it leaves a unitary U unchanged."""
+    return u @ (1.5 * np.eye(u.shape[-1]) - 0.5 * (u.conj().swapaxes(-1, -2) @ u))
 
 
 def ordered_product(mats: np.ndarray) -> np.ndarray:
     """Time-ordered product ``mats[-1] @ ... @ mats[1] @ mats[0]``.
 
-    ``mats`` is a non-empty ``(n, ..., d, d)`` stack (else ValueError), index
-    n increasing in time, and the result ``(..., d, d)``: one product per stack
-    entry.  It is taken pairwise (a balanced tree), which keeps the Python-level
-    loop at O(log n) batched products; up to ``ENTRY_MAJOR_DIM`` levels, on the
-    entry-major ``(n, d, d, ...)`` stack, whose strided view is the result.
+    ``mats`` is a non-empty ``(n, ..., d, d)`` stack (else ValueError) of any
+    dtype, index n increasing in time, and the result ``(..., d, d)``: one
+    product per stack entry.  It is taken pairwise (a balanced tree), which
+    keeps the Python-level loop at O(log n) batched products.
     """
     m = np.asarray(mats)
     if m.ndim < 3 or m.shape[-1] != m.shape[-2] or m.size == 0:
         raise ValueError(f"expected a non-empty stack of square matrices, got shape {m.shape}")
-    entry_major = m.shape[-1] <= ENTRY_MAJOR_DIM
-    if entry_major:
-        m = np.moveaxis(m, (-2, -1), (1, 2))
-    multiply = _entrywise_matmul if entry_major else np.matmul
     while m.shape[0] > 1:
         k = m.shape[0] // 2
-        combined = multiply(m[1 : 2 * k : 2], m[0 : 2 * k : 2])
+        combined = np.matmul(m[1 : 2 * k : 2], m[0 : 2 * k : 2])
         if m.shape[0] % 2:
             combined = np.concatenate([combined, m[-1:]])
         m = combined
-    return np.moveaxis(m[0], (0, 1), (-2, -1)) if entry_major else m[0]
-
-
-def _entrywise_matmul(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
-    """``a @ b`` (into ``out`` if given) for entry-major ``(k, d, d, ...)``
-    stacks, as d elementwise multiply-adds over the whole stack."""
-    out = np.multiply(a[:, :, 0, None], b[:, None, 0], out=out)
-    for j in range(1, a.shape[1]):
-        out += a[:, :, j, None] * b[:, None, j]
-    return out
+    return m[0]
 
 
 def check_hermitian(h: np.ndarray, times: np.ndarray) -> None:
@@ -404,20 +397,23 @@ def advance(u: np.ndarray, weights: np.ndarray, matrices: np.ndarray, norms: np.
 
     X_n = -i h H_eff = sum_k weights[n, c, k] matrices[k, b] on coupling c and
     block b: ``weights`` is the real ``(n, C, K)`` array of Magnus weights, time
-    index first, ``matrices`` the ``(K, B * d * d)`` flattened exponent matrices
-    of B blocks (up to 2x2, Pauli coefficients: ``_pauli_product``), ``norms``
-    their ``(K, B)`` 1-norms, and ``u`` the matching ``(C, B, d, d)`` (or
-    ``(B, d, d)``) propagators.  The steps are exponentiated and multiplied out
-    in one call, and re-unitarized by one Newton-Schulz step (module docstring).
+    index first, ``matrices`` the ``encode_terms`` of B blocks, ``norms`` their
+    ``(K, B)`` 1-norms, and ``u`` the matching ``(C, B, d, d)`` (or ``(B, d,
+    d)``) propagators.  The steps are exponentiated and multiplied out in one
+    call, and re-unitarized by one Newton-Schulz step (module docstring).
 
     Raises
     ------
     ValueError
         If a weight is not finite.
     """
-    if u.shape[-1] <= 2:
-        return _newton_schulz(_pauli_product(weights, matrices, u.shape[-1]) @ u)
-    return _newton_schulz(ordered_product(_term_exponentials(weights, matrices, norms)) @ u)
+    d = u.shape[-1]
+    if d <= 2:
+        return _newton_schulz(_pauli_product(weights, matrices, d) @ u)
+    product = np.eye(2 * d)
+    for steps in _term_exponentials(weights, matrices, norms):
+        product = ordered_product(steps) @ product
+    return _newton_schulz(_complex_form(product) @ u)
 
 
 def propagate(h_of_t, edges) -> np.ndarray:

@@ -47,12 +47,16 @@ def count_calls(monkeypatch, owner, name, record=lambda *args: None):
 def exponents(stack, weights):
     """The exponents X_n = -i h H_eff of a ``BlockStack``'s steps, ``(n, C, B, d,
     d)``, from a chunk's ``(n, C, K)`` Magnus weights, contracted by ``einsum``.
-    Up to 2x2 the matrices -i M_k are rebuilt from their Pauli coefficients."""
+    The matrices -i M_k are rebuilt from their Pauli coefficients up to 2x2,
+    and read back from their real form [[Re, -Im], [Im, Re]] above."""
     k, b, d = len(stack.matrices), len(stack.copies), stack.dim
     matrices = stack.matrices.reshape(k, b, -1)
     if d <= 2:
         matrices = -1j * np.einsum("kbp,pij->kbij", matrices, PAULIS[: d * d, :d, :d])
-    return np.einsum("nck,kbij->ncbij", weights, matrices.reshape(k, b, d, d))
+    else:
+        real_form = matrices.reshape(k, b, 2 * d, 2 * d)
+        matrices = real_form[..., :d, :d] + 1j * real_form[..., d:, :d]
+    return np.einsum("nck,kbij->ncbij", weights, matrices)
 
 
 def refined(edges: np.ndarray, factor: int) -> np.ndarray:

@@ -164,7 +164,8 @@ class TestTermSpace:
             PARAMS, STAR, fm(single_site=True), XGate(T_M, target=2), fm_frame="operation"
         )
         largest = max(h.blocks().stacks, key=lambda s: s.matrices.size)
-        assert largest.matrices.shape == (5 + 10, largest.dim**2)
+        # Each matrix in its real form, 2d x 2d.
+        assert largest.matrices.shape == (5 + 10, (2 * largest.dim) ** 2)
         # Every term and every commutator acts on the block.
         assert np.abs(largest.matrices).max(axis=1).min() > 0.0
 
@@ -182,6 +183,20 @@ class TestTermSpace:
 
 
 class TestStacks:
+    @pytest.mark.parametrize(
+        "topology, gate, dims",
+        [(STAR, XGate(T_M, target=2), [2, 6, 10]), (STAR, Idle(T_M), [1, 2]), (PAIR, XGate(T_M, target=1), [4])],
+        ids=["star-center-x", "star-idle", "pair-x"],
+    )
+    def test_matrices_are_real_for_every_dimension(self, topology, gate, dims):
+        # Pauli coefficients up to 2x2, real forms of -i M above: float64 throughout.
+        stacks = assemble_hamiltonian(PARAMS, topology, DD, gate).blocks().stacks
+        assert sorted(s.dim for s in stacks) == dims
+        for s in stacks:
+            entries = s.dim**2 if s.dim <= 2 else (2 * s.dim) ** 2
+            assert s.matrices.dtype == np.float64
+            assert s.matrices.shape == (len(s.norms), len(s.copies) * entries)
+
     @pytest.mark.parametrize(
         "scheme, layout, dims",
         [

@@ -10,6 +10,7 @@ import scipy.linalg
 from helpers import PAULIS, exponents, hermiticity_defect, refined
 
 from xtalksim import model, operators
+from xtalksim.experiments import DEFAULT_STEP
 from xtalksim.model import (
     PAIR,
     STAR,
@@ -303,7 +304,7 @@ class TestTermExponentials:
         terms[1, 2] = 0.0  # a term that does not act on a block
         stack = SimpleNamespace(
             dim=d,
-            matrices=(-1j * terms).reshape(4, -1),
+            matrices=operators.encode_terms(terms),
             norms=np.abs(terms).sum(axis=-2).max(axis=-1),
             copies=(None,) * 3,
         )
@@ -327,21 +328,32 @@ class TestTermExponentials:
 
     @pytest.fixture
     def bounds(self, monkeypatch):
-        """(bounds, exact 1-norms) of every sub-batch the Taylor body prepares."""
+        """(bounds, exact 1-norms) of every sub-batch the Taylor body prepares:
+        the complex exponents are read back from their real forms."""
         seen = []
         original = operators._expm_taylor
 
         def recording_taylor(n, d, prepare, group=1):
             def recording(start, stop, x):
                 bounds = prepare(start, stop, x)
-                entries = x[0] if x.ndim == 4 else np.moveaxis(x, 0, -1)
-                seen.append((bounds.copy(), np.abs(entries).sum(axis=0).max(axis=0)))
+                exponents = x[:, :d, :d] + 1j * x[:, d:, :d]
+                seen.append((bounds.copy(), np.abs(exponents).sum(axis=-2).max(axis=-1)))
                 return bounds
 
             return original(n, d, recording, group)
 
         monkeypatch.setattr(operators, "_expm_taylor", recording_taylor)
         return seen
+
+    @staticmethod
+    def term_exponentials(weights, stack):
+        """Every sub-batch of ``_term_exponentials``, read back as one complex
+        ``(n, C, B, d, d)`` stack."""
+        d = stack.dim
+        return np.concatenate([
+            steps[..., :d, :d] + 1j * steps[..., d:, :d]
+            for steps in operators._term_exponentials(weights, stack.matrices, stack.norms)
+        ])
 
     @pytest.mark.parametrize(
         "source", SOURCES + [pytest.param(d, id=f"synthetic-{d}") for d in (3, 4, 6, 10)]
@@ -350,7 +362,7 @@ class TestTermExponentials:
         largest = []
         for weights, stack in self.chunks(source):
             bounds.clear()
-            u = operators._term_exponentials(weights, stack.matrices, stack.norms)
+            u = self.term_exponentials(weights, stack)
             x = exponents(stack, weights)
             assert u.shape == x.shape
             assert np.abs(u - expm_hamiltonian(1j * x, 1.0)).max() <= 1e-15
@@ -360,6 +372,33 @@ class TestTermExponentials:
             largest.append(max(bound.max() for bound, _ in bounds))
         # The coarse step, or the larger weights, takes squarings.
         assert largest[1] > THETA_8
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            pytest.param((STAR, STAR_FM, 2, 10), id="star-fm-10"),
+            pytest.param((STAR, STAR_FM, 2, 6), id="star-fm-6"),
+            pytest.param((STAR, DD, 2, 10), id="star-dd-10"),
+            pytest.param((STAR, DD, 2, 6), id="star-dd-6"),
+            pytest.param((PAIR, DD, 1, 4), id="pair-dd-4"),
+        ],
+    )
+    def test_advance_memory_stays_per_sub_batch(self, source):
+        # A chunk at the default step with five couplings: ``advance``
+        # multiplies each sub-batch out as it arrives, so beyond sub-batch
+        # temporaries it needs at most twice the bytes of the chunk's complex
+        # steps.  Keeping every step's real form would need more.
+        weights, stack = self.real_chunk(*source, DEFAULT_STEP)
+        (n, n_couplings), b, d = weights.shape[:2], len(stack.copies), stack.dim
+        u = np.broadcast_to(np.eye(d), (b, d, d))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            advance(u, weights, stack.matrices, stack.norms)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 2 * n * n_couplings * b * d * d * 16 + 24 * EXPM_BATCH_ENTRIES * 16
 
     @pytest.mark.parametrize("source", SOURCES + [pytest.param(3, id="synthetic-3")])
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -433,14 +472,17 @@ class TestOrderedProduct:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 33])
     def test_matches_sequential(self, n):
         # Plain (n, d, d) stacks, and (n, ..., d, d) ones whose products are
-        # independent; d <= 4 takes the entry-major path, d = 6 matmul.
+        # independent; complex, and one real stack like the real forms of ``advance``.
         rng = np.random.default_rng(n)
-        for shape in [(3,), (1, 1), (3, 1), (1, 2), (3, 2), (1, 3), (3, 3), (4,), (2, 3, 4),
-                      (6,), (3, 6)]:
+        shapes = [(3,), (1, 1), (3, 1), (1, 2), (3, 2), (1, 3), (3, 3), (4,), (2, 3, 4), (6,), (3, 6)]
+        for shape, real in [(shape, False) for shape in shapes] + [((2, 20), True)]:
             *stack, d = shape
-            mats = rng.normal(size=(n, *stack, d, d)) + 1j * rng.normal(size=(n, *stack, d, d))
+            mats = rng.normal(size=(n, *stack, d, d))
+            if not real:
+                mats = mats + 1j * rng.normal(size=(n, *stack, d, d))
             product = ordered_product(mats)
             assert product.shape == (*stack, d, d)
+            assert product.dtype == mats.dtype
             for b in np.ndindex(*stack):
                 expect = np.eye(d, dtype=complex)
                 for m in mats[(slice(None), *b)]:
@@ -460,10 +502,10 @@ class TestOrderedProduct:
         with pytest.raises(ValueError, match=rf"non-empty.*got shape {re.escape(str(shape))}"):
             ordered_product(np.zeros(shape))
 
-    def test_entry_major_chain_matches_matmul(self):
-        # One chunk of Magnus steps per block, the entry-major 4x4 one of a
-        # pair DD X gate and the 10x10 and 6x6 ones of a star FM center-X
-        # gate: the batched term-space exponentials and product against
+    def test_real_form_chain_matches_matmul(self):
+        # One chunk of Magnus steps per block, the 4x4 one of a pair DD X
+        # gate and the 10x10 and 6x6 ones of a star FM center-X gate: the
+        # batched real-form exponentials and product of ``advance`` against
         # per-step scipy exponentials multiplied one by one with matmul.
         star_fm = FrequencyModulation(cycles=4, gamma=1.26, single_site=True)
         for layout, scheme, target, d, steps in [
@@ -476,7 +518,7 @@ class TestOrderedProduct:
             weights = model._magnus_weights(h.coefficients(times), widths)
             x = exponents(stack, weights)[:, 0, 0]
             assert x.shape == (steps, d, d)
-            u = ordered_product(operators._term_exponentials(weights, stack.matrices, stack.norms))[0, 0]
+            u = advance(np.eye(d), weights, stack.matrices, stack.norms)[0, 0]
             expect = np.eye(d)
             for step in x:
                 expect = scipy.linalg.expm(step) @ expect
