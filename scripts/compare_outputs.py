@@ -22,9 +22,11 @@ and the exit code of every run.  For each output this prints the rows
 identical on both sides out of the total, the largest absolute difference
 |a - b| and the largest relative difference |a - b| / max(|a|, |b|) between
 the numbers of rows that differ only in their numbers, and both exit codes.
-It exits 0 when every output is byte-identical and every exit code
-matches, 1 otherwise.  ``--change`` defaults to the checkout holding
-this script.
+Then it prints the line count (as ``wc -l`` counts) of each module under
+``src/xtalksim`` in both checkouts, and their totals.  It exits 0 when every
+output is byte-identical and every exit code matches, 1 otherwise; the line
+counts do not affect the exit status.  ``--change`` defaults to the checkout
+holding this script.
 """
 
 from __future__ import annotations
@@ -138,6 +140,21 @@ def compare(parent: Path, change: Path) -> tuple[int, int, float, float]:
     return same, max(len(a), len(b)), delta, relative
 
 
+def line_counts(checkout: Path) -> dict[str, int]:
+    """Newline count of each module under ``<checkout>/src/xtalksim``, by file name."""
+    return {p.name: p.read_bytes().count(b"\n") for p in sorted((checkout / "src" / "xtalksim").glob("*.py"))}
+
+
+def print_line_counts(checkouts: dict[str, Path]) -> None:
+    counts = {side: line_counts(checkout) for side, checkout in checkouts.items()}
+    modules = sorted(set().union(*counts.values()))
+    width = max(len(m) for m in modules + ["src/ lines"])
+    print(f"{'src/ lines':<{width}}  " + "  ".join(f"{side:>7}" for side in counts))
+    for module in modules + ["total"]:
+        cells = [sum(c.values()) if module == "total" else c.get(module, 0) for c in counts.values()]
+        print(f"{module:<{width}}  " + "  ".join(f"{n:>7}" for n in cells))
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path, help="checkout to compare against")
@@ -164,6 +181,7 @@ def main() -> int:
                 f"exit {codes[0]} -> {codes[1]}{'' if equal else '  DIFFERS'}"
             )
     print(f"{identical}/{len(names)} outputs byte-identical with the same exit code")
+    print_line_counts(checkouts)
     return 0 if identical == len(names) else 1
 
 

@@ -162,20 +162,21 @@ def run_sequence(
     *,
     step: float = DEFAULT_STEP,
 ) -> FidelitySeries:
-    """Infidelity of k consecutive gates versus the k-fold target.
-
-    Scored after each whole gate, at k T plus any trailing half pulse
-    (decoupling runs extend half a pulse width so the last pulse completes).
-    The gate windows come from the one-gate assembly (``_windowed_propagators``).
+    """Infidelity of k consecutive gates versus the k-fold target, scored as
+    ``_sequence_series`` says.  The gate windows come from the one-gate
+    assembly (``_windowed_propagators``).
     """
     counts = _sequence_counts(gate, repetitions)
     h = assemble_hamiltonian(params, topology, scheme, gate)
-    return FidelitySeries(
-        scheme=scheme_label(scheme),
-        abscissa=counts * h.gate_time + h.tail,
-        infidelities=_infidelities(h, params, gate, repetitions, step)[0],
-        counts=counts,
-    )
+    infidelities = _infidelities(h, params, gate, repetitions, step)[0]
+    return _sequence_series(scheme_label(scheme), h, counts, infidelities)
+
+
+def _sequence_series(label: str, h: AssembledHamiltonian, counts: np.ndarray, infidelities) -> FidelitySeries:
+    """The series of gates ``h`` scored after each of ``counts`` whole gates,
+    at k T plus any trailing half pulse (decoupling runs extend half a pulse
+    width so the last pulse completes)."""
+    return FidelitySeries(label, counts * h.gate_time + h.tail, infidelities, counts)
 
 
 def _infidelities(
@@ -260,7 +261,8 @@ def score_run(
         return run_sequence(params, topology, run.scheme, gate, repetitions, step=step)
     counts = _sequence_counts(gate, repetitions)
     infidelities = _run_infidelities(params, topology, run, gate, repetitions, step, (params.j,))
-    return FidelitySeries(run.label, counts * gate.duration, infidelities[0], counts)
+    h = assemble_hamiltonian(params, topology, run.scheme, gate)
+    return _sequence_series(run.label, h, counts, infidelities[0])
 
 
 def _run_infidelities(
@@ -356,7 +358,7 @@ def _waveform_rows(h: AssembledHamiltonian) -> List[Row]:
     """Sample the named control channels of ``h`` over [0, t_end], in cyclic MHz."""
     t = np.linspace(0.0, h.t_end, WAVEFORM_POINTS)
     rows: List[Row] = []
-    for name, channel in h.controls().items():
+    for name, channel, _ in h.controls:
         values = angular_to_cyclic_mhz(np.asarray(channel(t), dtype=float))
         rows.extend(("waveform", name, float(a), float(v)) for a, v in zip(t, values))
     return rows

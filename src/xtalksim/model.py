@@ -17,23 +17,21 @@ summed over coupled pairs.  Control schemes modify this picture:
   qubit, with X drives squeezed into the odd inter-pulse segments; with
   ``pulses=False`` it is the pulse-free reference of the same drive layout.
 
-Time-dependent Hamiltonians are represented as sums of real coefficient
-functions times constant Hermitian matrices, which keeps samples exactly
-Hermitian and lets the propagator evaluate whole time batches at once.
+An assembly (``AssembledHamiltonian``) is the coupling phase phi(t) plus
+named controls: real coefficient functions times constant Hermitian
+matrices, each with a channel name (``X1-drive``, ``Z2-modulation``, ...),
+so plotted waveforms are sampled from the simulated Hamiltonian itself.  The
+exchange enters as the unit-coupling matrices A + A^T and i (A - A^T) of the
+flip-flop sum A, with coefficients Re and Im of J e^{i phi}, so samples are
+exactly Hermitian and whole time batches are evaluated at once.
 
-The coupling strength J is a coefficient, not part of a matrix: the exchange
-terms carry the unit-coupling matrices A + A^T and i (A - A^T), and each
-assembly carries a 1-D stack of couplings (rad/ns) that scales their
-coefficients, ``(params.j,)`` from ``assemble_hamiltonian`` or a whole J grid
-in a sweep.  Term matrices, blocks and commutators are then the same for
-every J, so one block analysis and one propagation score the whole stack; at
-J = 0 the exchange blocks keep their matrices and get zero coefficients.  A
-complex coupling J e^{i theta} advances the coupling phase by theta; that is
-how a sequence reaches its later gates (``experiments``), whose controls
-repeat every gate while the coupling phase moves on by Delta T per gate.
-
-Every control term carries a channel name (``X1-drive``, ``Z2-modulation``,
-...), so plotted waveforms are sampled from the simulated Hamiltonian itself.
+The coupling strength J is a coefficient, not part of a matrix: an assembly
+carries a 1-D stack of couplings (rad/ns), ``(params.j,)`` or a J grid in a
+sweep, and its term matrices, blocks and commutators serve every J, so one
+block analysis and one propagation score the whole stack (at J = 0 the
+exchange blocks get zero coefficients).  A complex J e^{i theta} advances the
+phase by theta: a sequence's controls repeat every gate while its coupling
+phase moves on by Delta T per gate (``experiments``).
 
 An assembly describes one gate.  It also lists its breakpoints: the kinks
 its waveforms declare (pulse edges, burst edges, and the drive and
@@ -280,8 +278,8 @@ class FrequencyModulation:
     single_site: bool = False
 
     def __post_init__(self):
-        if int(self.cycles) != self.cycles or self.cycles < 1:
-            raise ValueError(f"cycle count must be a positive integer, got {self.cycles}")
+        if not isinstance(self.cycles, (int, np.integer)) or self.cycles < 1:
+            raise ValueError(f"cycle count must be a positive integer, got {self.cycles!r}")
         if not 0.0 <= self.gamma < math.inf:
             raise ValueError(f"modulation amplitude must be finite and >= 0, got {self.gamma}")
 
@@ -305,12 +303,10 @@ class DynamicalDecoupling:
     pulses: bool = True
 
     def __post_init__(self):
-        if self.segments < 4 or self.segments % 2:
-            raise ValueError(
-                f"pulse count must be even and >= 4, got {self.segments}"
-            )
-        if self.width <= 0.0:
-            raise ValueError(f"pulse width must be positive, got {self.width}")
+        if not isinstance(self.segments, (int, np.integer)) or self.segments < 4 or self.segments % 2:
+            raise ValueError(f"pulse count must be an even integer >= 4, got {self.segments!r}")
+        if not 0.0 < self.width < math.inf:
+            raise ValueError(f"pulse width must be positive and finite, got {self.width}")
 
 
 ControlScheme = Union[CrosstalkOnly, FrequencyModulation, DynamicalDecoupling]
@@ -340,8 +336,8 @@ class XGate(_Gate):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.target < 1:
-            raise ValueError(f"target qubit label must be >= 1, got {self.target}")
+        if not isinstance(self.target, (int, np.integer)) or self.target < 1:
+            raise ValueError(f"target qubit label must be an integer >= 1, got {self.target!r}")
 
 
 @dataclass(frozen=True)
@@ -354,48 +350,46 @@ GateSpec = Union[Idle, XGate, ParallelXX]
 
 @dataclass
 class AssembledHamiltonian:
-    """Hamiltonian of one gate as term sums.
+    """Hamiltonian of one gate: the coupling phase plus named controls.
 
-    ``terms`` holds ``(channel, coefficient, matrix)`` triples: a vectorized
-    real coefficient function of time times a constant Hermitian matrix.
-    Control terms name their channel (``"X1-drive"``, ``"Z2-pulses"``, ...);
-    the two exchange terms (``_exchange_terms``) have the empty name, and a
-    ``ValueError`` rejects any other count of them.  Each entry of
-    ``couplings`` (rad/ns, possibly complex; module docstring) scales them.
-    ``tail`` extends the evaluation window past the gate (the trailing half
-    pulse of a decoupling train).  ``topology`` names the layout the matrices
-    act on; :meth:`blocks` uses it to look for interchangeable neighbors.
-    ``breakpoints`` are the sorted kinks of the control waveforms; block
-    propagation puts a step boundary on each of them.
+    ``phase`` is the vectorized coupling phase phi(t) (``coupling_phase``) of
+    the exchange J (e^{i phi} sigma_q^+ sigma_c^- + h.c.) on ``topology``,
+    for each J of ``couplings`` (rad/ns, possibly complex; module docstring).
+    ``controls`` holds ``(channel, coefficient, matrix)`` triples: a named
+    (``"X1-drive"``, ``"Z2-pulses"``, ...) vectorized real coefficient
+    function of time times a constant Hermitian matrix.  The term matrices
+    are ``topology.exchange``, then the controls' matrices.  ``tail`` extends
+    the evaluation window past the gate (the trailing half pulse of a
+    decoupling train).  ``breakpoints`` are the sorted kinks of the control
+    waveforms; block propagation puts a step boundary on each of them.
     """
 
-    terms: tuple[tuple[str, Callable[[np.ndarray], np.ndarray], np.ndarray], ...]
-    dim: int
+    topology: Topology
+    phase: Callable[[np.ndarray], np.ndarray]
+    controls: tuple[tuple[str, Callable[[np.ndarray], np.ndarray], np.ndarray], ...]
     gate_time: float
     tail: float = 0.0
-    topology: Optional[Topology] = None
     breakpoints: tuple[float, ...] = ()
     couplings: tuple[complex, ...] = (1.0,)
 
-    def __post_init__(self):
-        unnamed = sum(not name for name, _, _ in self.terms)
-        if unnamed != 2:
-            raise ValueError(f"an assembly needs exactly two unnamed exchange terms, got {unnamed}")
+    @property
+    def dim(self) -> int:
+        return self.topology.dim
 
     @property
     def t_end(self) -> float:
         return self.gate_time + self.tail
 
-    def controls(self) -> dict[str, Callable[[np.ndarray], np.ndarray]]:
-        """Control waveforms (rad/ns) keyed by channel name."""
-        return {name: coeff for name, coeff, _ in self.terms if name}
+    def _matrices(self) -> list[np.ndarray]:
+        """The term matrices: the exchange pair, then each control's."""
+        return [*self.topology.exchange, *(mat for _, _, mat in self.controls)]
 
     def blocks(self) -> "SymmetryBlocks":
         """Block-diagonal form of this Hamiltonian, derived from its term
-        matrices as the module docstring describes; an assembly on a layout
-        reuses the layout's analysis of the same term matrices."""
-        mats = np.reshape([mat for _, _, mat in self.terms], (-1, self.dim, self.dim))
-        analyses = {} if self.topology is None else self.topology.block_analyses
+        matrices as the module docstring describes; the layout's analysis of
+        the same term matrices is reused."""
+        mats = np.reshape(self._matrices(), (-1, self.dim, self.dim))
+        analyses = self.topology.block_analyses
         key = (mats.shape, mats.dtype.str, mats.tobytes())
         if key not in analyses:
             analyses[key] = _block_analysis(mats, self.topology)
@@ -403,37 +397,28 @@ class AssembledHamiltonian:
 
     def coefficients(self, t: np.ndarray) -> np.ndarray:
         """Real coefficients of every term at the 1-D times ``t``, shape ``(n, C, K)``:
-        the exchange pair (c, s) of coupling J is Re and Im of J (c + i s).
+        the exchange pair of coupling J is Re and Im of J (cos phi + i sin phi),
+        with phi sampled once.
 
         Raises
         ------
         ValueError
-            If a coefficient has a nonzero imaginary part (the channel and
-            the first such time are named): a complex coefficient times a
-            Hermitian matrix is not Hermitian.
+            If phi (channel ``exchange``) or a control has a nonzero imaginary
+            part, naming the channel and the first such time: a complex
+            coefficient times a Hermitian matrix is not Hermitian.
         """
-        out = np.empty((t.size, len(self.terms)))
-        for k, (name, coeff, _) in enumerate(self.terms):
-            c = np.broadcast_to(coeff(t), t.shape)
-            if np.iscomplexobj(c):
-                bad = np.flatnonzero(c.imag)
-                if bad.size:
-                    raise ValueError(
-                        f"complex coefficient {c[bad[0]]} on channel {name or 'exchange'} "
-                        f"at t={t[bad[0]]:.9g} ns"
-                    )
-                c = c.real
-            out[:, k] = c
-        first, second = (k for k, (name, _, _) in enumerate(self.terms) if not name)
-        pair = np.asarray(self.couplings, dtype=complex) * (out[:, first] + 1j * out[:, second])[:, None]
-        out = np.repeat(out[:, None], len(self.couplings), axis=1)
-        out[..., first], out[..., second] = pair.real, pair.imag
+        out = np.empty((t.size, len(self.couplings), 2 + len(self.controls)))
+        phi = _real_samples("exchange", self.phase, t)
+        pair = np.asarray(self.couplings, dtype=complex) * (np.cos(phi) + 1j * np.sin(phi))[:, None]
+        out[..., 0], out[..., 1] = pair.real, pair.imag
+        for k, (name, coeff, _) in enumerate(self.controls, start=2):
+            out[..., k] = _real_samples(name, coeff, t)[:, None]
         return out
 
     def combine(self, coefficients: np.ndarray) -> np.ndarray:
         """Dense samples ``sum_k c_k M_k`` from ``(..., K)`` term coefficients."""
         out = np.zeros(coefficients.shape[:-1] + (self.dim, self.dim), dtype=complex)
-        for c, (_, _, mat) in zip(np.moveaxis(coefficients, -1, 0), self.terms):
+        for c, mat in zip(np.moveaxis(coefficients, -1, 0), self._matrices()):
             out += c[..., None, None] * mat
         return out
 
@@ -444,6 +429,18 @@ class AssembledHamiltonian:
         scalar = tt.ndim == 0
         out = self.combine(self.coefficients(np.atleast_1d(tt))[:, 0])
         return out[0] if scalar else out
+
+
+def _real_samples(name: str, coeff: Callable, t: np.ndarray) -> np.ndarray:
+    """``coeff`` at the times ``t`` as a real array of their shape; ``ValueError``
+    names ``name`` and the first time of a nonzero imaginary part."""
+    c = np.broadcast_to(coeff(t), t.shape)
+    if np.iscomplexobj(c):
+        bad = np.flatnonzero(c.imag)
+        if bad.size:
+            raise ValueError(f"complex coefficient {c[bad[0]]} on channel {name} at t={t[bad[0]]:.9g} ns")
+        c = c.real
+    return c
 
 
 @dataclass(frozen=True)
@@ -546,13 +543,13 @@ def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_read_only(i) for i in np.triu_indices(k, 1))
 
 
-def _block_analysis(mats: np.ndarray, topology: Optional[Topology]) -> tuple:
+def _block_analysis(mats: np.ndarray, topology: Topology) -> tuple:
     """``SymmetryBlocks`` fields after the assembly (basis, stacks, hermitian
     terms) of the ``(K, dim, dim)`` term matrices ``mats``, as read-only arrays."""
     dim = mats.shape[-1]
     # The Dicke basis applies when every term commutes with each neighbor swap.
     basis = None
-    swaps = () if topology is None else topology.neighbor_swaps
+    swaps = topology.neighbor_swaps
     if len(swaps):
         ravelled = mats.reshape(len(mats), -1)
         defect = np.abs(np.take(ravelled, swaps, axis=1) - ravelled[:, None]).max(initial=0.0)
@@ -674,17 +671,6 @@ def coupling_phase(params: SystemParams, modulation: Optional[FmZModulation] = N
     return lambda t: params.delta * t + 2.0 * modulation.phase(t)
 
 
-def _exchange_terms(topology: Topology, phase: Callable):
-    """Unit-strength XY coupling: two unnamed Hermitian terms, cos/sin coefficients.
-
-    ``phase`` maps a time array to the coupling phase phi(t); the coupling
-    J(e^{i phi} sigma_q^+ sigma_c^- + h.c.) splits into
-    J cos(phi) (A + A^T) + J sin(phi) i(A - A^T) with A real.
-    """
-    sym, asym = topology.exchange
-    return [("", lambda t: np.cos(phase(t)), sym), ("", lambda t: np.sin(phase(t)), asym)]
-
-
 def _x_target_labels(gate: GateSpec, topology: Topology) -> tuple[int, ...]:
     if isinstance(gate, Idle):
         return ()
@@ -767,7 +753,8 @@ def assemble_hamiltonian(
     x_drive, x_kinks = envelope.sample, envelope.kinks()
     # Operation-frame modulation turns the center's X drive into a quadrature pair.
     center_xy = None
-    z_terms: list[tuple[str, Callable]] = []
+    z_center = topology.paulis[f"Z{center}"]
+    controls: list[tuple[str, Callable, np.ndarray]] = []
     kinks: list[float] = []
     tail = 0.0
 
@@ -777,7 +764,7 @@ def assemble_hamiltonian(
         if fm_frame == "modulated":
             phase = coupling_phase(params, modulation)
         elif fm_frame == "operation":
-            z_terms.append((f"Z{center}-modulation", modulation.sample))
+            controls.append((f"Z{center}-modulation", modulation.sample, z_center))
             two_alpha = lambda tt: 2.0 * modulation.phase(tt)
             center_xy = (
                 lambda tt: x_drive(tt) * np.cos(two_alpha(tt)),
@@ -791,29 +778,27 @@ def assemble_hamiltonian(
         width = scheme.width if scheme.pulses else 0.0
         if scheme.pulses:
             train = NascentDeltaTrain(segments=scheme.segments, interval=tau, width=width)
-            z_terms.append((f"Z{center}-pulses", lambda tt: (np.pi / 2.0) * train.sample(tt)))
+            controls.append((f"Z{center}-pulses", lambda tt: (np.pi / 2.0) * train.sample(tt), z_center))
             kinks += train.kinks()
             tail = width / 2.0
         bursts = SegmentedDrive(scheme.segments, tau, width)
         x_drive, x_kinks = bursts.sample, bursts.kinks()
 
-    terms = _exchange_terms(topology, phase)
-    terms += [(name, coeff, topology.paulis[f"Z{center}"]) for name, coeff in z_terms]
     for q in targets:
         if q == center and center_xy is not None:
-            terms.append((f"X{q}-drive", center_xy[0], topology.paulis[f"X{q}"]))
-            terms.append((f"Y{q}-drive", center_xy[1], topology.paulis[f"Y{q}"]))
+            controls.append((f"X{q}-drive", center_xy[0], topology.paulis[f"X{q}"]))
+            controls.append((f"Y{q}-drive", center_xy[1], topology.paulis[f"Y{q}"]))
         else:
-            terms.append((f"X{q}-drive", x_drive, topology.paulis[f"X{q}"]))
+            controls.append((f"X{q}-drive", x_drive, topology.paulis[f"X{q}"]))
     if targets:
         kinks += x_kinks
 
     return AssembledHamiltonian(
-        terms=tuple(terms),
-        dim=topology.dim,
+        topology=topology,
+        phase=phase,
+        controls=tuple(controls),
         gate_time=t_gate,
         tail=tail,
-        topology=topology,
         breakpoints=tuple(sorted(set(kinks))),
         couplings=(params.j,),
     )

@@ -36,11 +36,11 @@ def default_gamma_grid(
     max_mhz: float = DEFAULT_GRID_MAX_MHZ,
 ) -> np.ndarray:
     """Uniform amplitude grid in rad/ns covering [0, max_mhz] cyclic MHz."""
-    if step_mhz <= 0.0:
-        raise ValueError(f"grid step must be positive, got {step_mhz}")
-    if max_mhz < 2.0 * step_mhz:
+    if not 0.0 < step_mhz < math.inf:
+        raise ValueError(f"grid step must be positive and finite, got {step_mhz}")
+    if not 2.0 * step_mhz <= max_mhz < math.inf:
         raise ValueError(
-            f"grid must span at least two steps (3 points), got step {step_mhz}, max {max_mhz}"
+            f"grid must be finite and span at least two steps (3 points), got step {step_mhz}, max {max_mhz}"
         )
     n = int(math.floor(max_mhz / step_mhz + 1e-9))
     return cyclic_mhz_to_angular(step_mhz) * np.arange(n + 1, dtype=float)
@@ -131,6 +131,9 @@ def scan_gamma(
     g = default_gamma_grid() if grid is None else np.asarray(grid, dtype=float)
     if g.size < 3:
         raise ValueError(f"grid needs at least 3 points, got {g.size}")
+    bad = np.flatnonzero(~np.isfinite(g))
+    if bad.size:
+        raise ValueError(f"grid must be finite, got {g[bad[0]]} at index {bad[0]}")
     steps = np.diff(g)
     if np.any(steps <= 0) or np.ptp(steps) > 1e-9 * steps[0]:
         raise ValueError("grid must be uniform and increasing")

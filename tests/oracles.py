@@ -99,9 +99,9 @@ def gate_run(h, repetitions):
     """The uninterrupted run of ``repetitions`` gates ``h`` (a one-gate assembly
     in the modulated frame), over [0, k T + tail].
 
-    The exchange terms stay functions of absolute time, each control is the
-    sum of its k copies shifted by whole gates, and the breakpoints are the
-    union of the shifted ones.
+    The coupling phase stays a function of absolute time, each control is
+    the sum of its k copies shifted by whole gates, and the breakpoints are
+    the union of the shifted ones.
     """
     shifts = h.gate_time * np.arange(repetitions)
 
@@ -110,7 +110,7 @@ def gate_run(h, repetitions):
 
     return dataclasses.replace(
         h,
-        terms=tuple((name, repeated(c) if name else c, m) for name, c, m in h.terms),
+        controls=tuple((name, repeated(c), m) for name, c, m in h.controls),
         gate_time=repetitions * h.gate_time,
         breakpoints=tuple(sorted({b + s for b in h.breakpoints for s in shifts})),
     )

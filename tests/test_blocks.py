@@ -318,11 +318,9 @@ class TestComplexCoefficients:
     @pytest.fixture
     def complex_drive(self):
         h = assemble_hamiltonian(PARAMS, PAIR, CrosstalkOnly(), XGate(T_M, target=1))
-        terms = tuple(
-            (name, (lambda t: (1.0 + 0.5j) * np.ones_like(t)) if name == "X1-drive" else c, m)
-            for name, c, m in h.terms
-        )
-        return dataclasses.replace(h, terms=terms)
+        ((name, _, m),) = h.controls
+        assert name == "X1-drive"
+        return dataclasses.replace(h, controls=((name, lambda t: (1.0 + 0.5j) * np.ones_like(t), m),))
 
     def test_dense_sampling_rejects(self, complex_drive):
         with pytest.raises(ValueError, match=r"on channel X1-drive at t=0\.3 ns"):
@@ -367,19 +365,19 @@ class TestLayout:
 
 
 class TestHermiticity:
-    @pytest.mark.parametrize("topology", [STAR, None], ids=["star", "no-layout"])
+    @pytest.mark.parametrize("topology", [STAR], ids=["star"])
     def test_non_hermitian_term_names_time(self, topology):
         h = AssembledHamiltonian(
-            terms=(
-                ("", lambda t: np.ones_like(t), embed(SIGMA_Z, 2, 5)),
-                ("", lambda t: (t > 0.5).astype(float), 1e-6j * np.eye(32)),
-            ),
-            dim=32,
-            gate_time=1.0,
             topology=topology,
+            phase=lambda t: PARAMS.delta * t,
+            controls=(
+                ("Z2", lambda t: np.ones_like(t), embed(SIGMA_Z, 2, 5)),
+                ("leak", lambda t: (t > 0.5).astype(float), 1e-6j * np.eye(32)),
+            ),
+            gate_time=1.0,
         )
         blocks = h.blocks()
-        assert (blocks.basis is None) == (topology is None)
+        assert blocks.basis is not None
         # The first sample past 0.5 ns is the early Gauss node of the step [0.5, 0.6].
         with pytest.raises(
             ValueError, match=r"non-Hermitian Hamiltonian sample at t=0\.521132487 ns"
@@ -415,7 +413,7 @@ class TestLayoutInvariants:
             (DD, XGate(T_M, target=1), "modulated"),
             (fm(single_site=True), XGate(T_M, target=2), "operation"),
         ] * 2:
-            assemble_hamiltonian(PARAMS, star, scheme, gate, fm_frame=frame)
+            assemble_hamiltonian(PARAMS, star, scheme, gate, fm_frame=frame).blocks()
             target_unitary(gate, star)
         # One flip-flop sum; sigma^x on each of the 5 qubits, sigma^y and sigma^z on the center.
         assert (len(flip_flops), len(embeds)) == (1, 7)

@@ -306,6 +306,7 @@ class TestScoreRun:
             )
             assert scored.scheme == "FM-N8"
             assert scored.counts.tolist() == lower.counts.tolist()
+            assert scored.abscissa.tobytes() == lower.abscissa.tobytes()
             np.testing.assert_allclose(
                 scored.infidelities,
                 0.5 * (lower.infidelities + upper.infidelities),

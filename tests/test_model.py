@@ -80,6 +80,30 @@ class TestUnitsAndParams:
         with pytest.raises(ValueError, match="gate time must be positive and finite"):
             gate(duration)
 
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: DynamicalDecoupling(segments=6.0), r"pulse count .* got 6\.0"),
+            (lambda: DynamicalDecoupling(segments=np.float64(4)), r"pulse count .* got (np\.float64\()?4\.0"),
+            (lambda: DynamicalDecoupling(width=np.nan), "pulse width .* got nan"),
+            (lambda: DynamicalDecoupling(width=np.inf), "pulse width .* got inf"),
+            (lambda: DynamicalDecoupling(width=0.0), r"pulse width .* got 0\.0"),
+            (lambda: XGate(20.0, target=1.5), r"target qubit .* got 1\.5"),
+            (lambda: FrequencyModulation(cycles=4.0, gamma=1.0), r"cycle count .* got 4\.0"),
+        ],
+        ids=["dd-float-segments", "dd-numpy-float-segments", "dd-nan-width", "dd-inf-width",
+             "dd-zero-width", "x-float-target", "fm-float-cycles"],
+    )
+    def test_schemes_and_gates_reject_non_integers_and_bad_widths(self, build, match):
+        # Caught when built, not inside assembly or as a label such as DD-Z6.0.
+        with pytest.raises(ValueError, match=match):
+            build()
+
+    def test_numpy_integers_are_counts(self):
+        assert DynamicalDecoupling(segments=np.int64(6)).segments == 6
+        assert XGate(20.0, target=np.int32(2)).target == 2
+        assert FrequencyModulation(cycles=np.int64(4), gamma=1.0).cycles == 4
+
 
 class TestExchangeInteraction:
     def test_detuning_period_flips_sign(self):
@@ -158,12 +182,11 @@ class TestAssembly:
         stacked = dataclasses.replace(h, couplings=(PARAMS.j, 2.0 * PARAMS.j, 0.0))
         t = np.linspace(0.0, h.t_end, 7)
         c = stacked.coefficients(t)
-        assert c.shape == (7, 3, len(h.terms))
-        exchange = np.array([not name for name, _, _ in h.terms])
-        np.testing.assert_array_equal(c[:, 1, exchange], 2.0 * c[:, 0, exchange])
-        np.testing.assert_array_equal(c[:, 2, exchange], 0.0)
+        assert c.shape == (7, 3, 2 + len(h.controls))
+        np.testing.assert_array_equal(c[:, 1, :2], 2.0 * c[:, 0, :2])
+        np.testing.assert_array_equal(c[:, 2, :2], 0.0)
         for k in (1, 2):
-            np.testing.assert_array_equal(c[:, k, ~exchange], c[:, 0, ~exchange])
+            np.testing.assert_array_equal(c[:, k, 2:], c[:, 0, 2:])
         with pytest.raises(ValueError, match="one coupling"):
             stacked(t)
 
@@ -252,14 +275,25 @@ class TestAssembly:
         assert dd.tail == pytest.approx(0.625)
         assert dd.t_end == pytest.approx(20.625)
 
-    @pytest.mark.parametrize("unnamed", [1, 3])
-    def test_exchange_pair_is_two_unnamed_terms(self, unnamed):
-        # The coupling scales the two unnamed terms as one complex pair.
-        h = assemble_hamiltonian(PARAMS, PAIR, CrosstalkOnly(), XGate(20.0))
-        exchange, (drive,) = h.terms[:2], h.terms[2:]
-        terms = exchange[:unnamed] if unnamed < 2 else exchange + (("",) + drive[1:],)
-        with pytest.raises(ValueError, match=f"got {unnamed}"):
-            dataclasses.replace(h, terms=terms)
+    def test_phase_sampled_once_per_call(self):
+        # Both exchange coefficients come from one sample of phi.
+        h = assemble_hamiltonian(PARAMS, PAIR, FrequencyModulation(cycles=4, gamma=1.26), XGate(20.0))
+        calls = []
+
+        def phase(t):
+            calls.append(t)
+            return h.phase(t)
+
+        t = np.linspace(0.0, h.t_end, 9)
+        sampled = dataclasses.replace(h, phase=phase).coefficients(t)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(sampled, h.coefficients(t))
+
+    def test_complex_phase_names_exchange(self):
+        h = assemble_hamiltonian(PARAMS, PAIR, CrosstalkOnly(), Idle(20.0))
+        turned = dataclasses.replace(h, phase=lambda t: PARAMS.delta * t + 0.1j * (t > 0.35))
+        with pytest.raises(ValueError, match=r"on channel exchange at t=0\.4 ns"):
+            turned.coefficients(np.array([0.3, 0.4]))
 
     def test_complex_coupling_advances_exchange_phase(self):
         # J e^{i theta} at time t is J at the coupling phase phi(t) + theta.

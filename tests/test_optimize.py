@@ -60,6 +60,20 @@ class TestDefaultGrid:
         assert angular_to_cyclic_mhz(grid[-1]) <= DEFAULT_GRID_MAX_MHZ + 1e-9
         assert grid.size == 378
 
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"max_mhz": np.inf}, "got step 1.59, max inf"),
+            ({"max_mhz": np.nan}, "got step 1.59, max nan"),
+            ({"step_mhz": np.nan}, "grid step .* got nan"),
+            ({"step_mhz": np.inf}, "grid step .* got inf"),
+        ],
+        ids=["inf-max", "nan-max", "nan-step", "inf-step"],
+    )
+    def test_rejects_non_finite_bounds(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            default_gamma_grid(**kwargs)
+
     def test_custom_bounds(self):
         grid = default_gamma_grid(step_mhz=10.0, max_mhz=100.0)
         assert grid.size == 11
@@ -129,6 +143,14 @@ class TestScanGamma:
             scan_gamma("fm1", PARAMS, 4, 30.0, grid=np.array([0.0, 1.0, 1.5]))
         with pytest.raises(ValueError, match="unknown functional"):
             scan_gamma("nope", PARAMS, 4, T_M)
+
+    @pytest.mark.parametrize("functional", ["fm1", "fm2-idle", "fm2-x"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_grid(self, functional, bad):
+        grid = cyclic_mhz_to_angular(1.0) * np.array([0.0, 1.0, 2.0, 3.0])
+        grid[1] = bad
+        with pytest.raises(ValueError, match="grid must be finite"):
+            scan_gamma(functional, PARAMS, 4, 30.0, grid=grid)
 
     def test_rejects_bad_cycle_count(self):
         for functional in ("fm1", "fm2-idle", "fm2-x"):

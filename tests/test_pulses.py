@@ -138,7 +138,7 @@ class TestModulatedQuadrature:
             XGate(20.0, target=2),
             fm_frame="operation",
         )
-        return h.controls()
+        return {name: coeff for name, coeff, _ in h.controls}
 
     def test_magnitude_equals_envelope(self):
         c = self.channels(1.26)
