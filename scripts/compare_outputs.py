@@ -17,15 +17,16 @@ Each checkout runs in a subprocess of its own, importing the package from
   parallel XX at 30 ns for 7, and star DD center X at 25 ns for 5;
 * the stdout of ``verify`` (``verify.txt``);
 
-and the exit code of every run.  For each output this prints the rows
-(lines not starting with ``#``; every line of ``verify.txt``) that are
-identical on both sides out of the total, the largest absolute difference
-|a - b| and the largest relative difference |a - b| / max(|a|, |b|) between
-the numbers of rows that differ only in their numbers, and both exit codes.
-Then it prints the line count (as ``wc -l`` counts) of each module under
+and the exit code of every run, and how many times it called
+``model.assemble_hamiltonian``.  For each output this prints the rows (lines
+not starting with ``#``; every line of ``verify.txt``) that are identical on
+both sides out of the total, the largest absolute difference |a - b| and
+the largest relative difference |a - b| / max(|a|, |b|) between the numbers
+of rows that differ only in their numbers, both exit codes and both
+assembly counts, then the total assembly count of each side.  Then it prints the line count (as ``wc -l`` counts) of each module under
 ``src/xtalksim`` in both checkouts, and their totals.  It exits 0 when every
 output is byte-identical and every exit code matches, 1 otherwise; the line
-counts do not affect the exit status.  ``--change`` defaults to the checkout
+and assembly counts do not affect the exit status.  ``--change`` defaults to the checkout
 holding this script.
 """
 
@@ -60,6 +61,24 @@ SEQUENCES = {
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
 
+def count_assemblies() -> list:
+    """Wrap ``model.assemble_hamiltonian`` in every loaded ``xtalksim`` module
+    that holds it; the returned list grows by one entry per call."""
+    from xtalksim import model
+
+    calls = []
+    original = model.assemble_hamiltonian
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("xtalksim") and getattr(module, "assemble_hamiltonian", None) is original:
+            setattr(module, "assemble_hamiltonian", counting)
+    return calls
+
+
 def write_outputs(checkout: Path, out: Path) -> None:
     """Run every compared command of ``checkout`` in this process, into ``out``."""
     from xtalksim import cli
@@ -68,12 +87,18 @@ def write_outputs(checkout: Path, out: Path) -> None:
     origin = Path(cli.__file__).resolve()
     if checkout.resolve() / "src" not in origin.parents:
         raise SystemExit(f"xtalksim imported from {origin}, not from {checkout}/src")
-    exits = {}
+    exits, assemblies = {}, {}
+    calls = count_assemblies()
+
+    def run(path: Path, argv: list[str]) -> None:
+        before = len(calls)
+        exits[str(path.relative_to(out))] = cli.entry(argv)
+        assemblies[str(path.relative_to(out))] = len(calls) - before
+
     (out / "presets").mkdir(parents=True)
     for name in PRESETS:
         path = out / "presets" / f"{name}.csv"
-        argv = ["simulate", "--preset", name, "--out", str(path)]
-        exits[str(path.relative_to(out))] = cli.entry(argv)
+        run(path, ["simulate", "--preset", name, "--out", str(path)])
     (out / "gamma").mkdir()
     for functional in FUNCTIONALS:
         for cycles in CYCLES:
@@ -84,27 +109,26 @@ def write_outputs(checkout: Path, out: Path) -> None:
                 config.write_text(
                     json.dumps({"functional": functional, "cycles": cycles, "gate_time": gate_time})
                 )
-                argv = ["optimize-gamma", "--config", str(config), "--out", str(path)]
                 with contextlib.redirect_stderr(io.StringIO()):
-                    exits[str(path.relative_to(out))] = cli.entry(argv)
+                    run(path, ["optimize-gamma", "--config", str(config), "--out", str(path)])
                 config.unlink()
     (out / "sequences").mkdir()
     for name, cfg in SEQUENCES.items():
         path = out / "sequences" / f"{name}.csv"
         config = path.with_suffix(".json")
         config.write_text(json.dumps(cfg))
-        argv = ["simulate", "--config", str(config), "--out", str(path)]
-        exits[str(path.relative_to(out))] = cli.entry(argv)
+        run(path, ["simulate", "--config", str(config), "--out", str(path)])
         config.unlink()
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        exits["verify.txt"] = cli.entry(["verify"])
+        run(out / "verify.txt", ["verify"])
     (out / "verify.txt").write_text(stdout.getvalue())
-    (out / "exits.json").write_text(json.dumps(exits, indent=1))
+    (out / "exits.json").write_text(json.dumps({"exits": exits, "assemblies": assemblies}, indent=1))
 
 
 def run_side(checkout: Path, out: Path) -> dict:
-    """Write the outputs of ``checkout`` into ``out`` from a fresh interpreter."""
+    """Write the outputs of ``checkout`` into ``out`` from a fresh interpreter;
+    return its exit codes and assembly counts by output."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     subprocess.run(
         [sys.executable, __file__, "--worker", str(out), str(checkout)], env=env, check=True
@@ -165,7 +189,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         checkouts = {"parent": args.parent, "change": args.change}
         sides = {side: Path(tmp) / side for side in checkouts}
-        exits = {side: run_side(checkout, sides[side]) for side, checkout in checkouts.items()}
+        results = {side: run_side(checkout, sides[side]) for side, checkout in checkouts.items()}
+        exits = {side: result["exits"] for side, result in results.items()}
+        assemblies = {side: result["assemblies"] for side, result in results.items()}
         names = sorted(set(exits["parent"]) | set(exits["change"]))
         width = max(len(n) for n in names)
         identical = 0
@@ -173,14 +199,18 @@ def main() -> int:
             paths = [side / name for side in sides.values()]
             same, total, delta, relative = compare(*paths)
             codes = [side.get(name) for side in exits.values()]
+            built = [side.get(name) for side in assemblies.values()]
             equal = all(p.is_file() for p in paths) and paths[0].read_bytes() == paths[1].read_bytes()
             identical += equal and codes[0] == codes[1]
             print(
                 f"{name:<{width}}  {same}/{total} rows identical, max |delta| {delta:.3g} "
                 f"(relative {relative:.3g}), "
-                f"exit {codes[0]} -> {codes[1]}{'' if equal else '  DIFFERS'}"
+                f"exit {codes[0]} -> {codes[1]}, assemblies {built[0]} -> {built[1]}"
+                f"{'' if equal else '  DIFFERS'}"
             )
     print(f"{identical}/{len(names)} outputs byte-identical with the same exit code")
+    totals = [sum(side.values()) for side in assemblies.values()]
+    print(f"assemble_hamiltonian calls: {totals[0]} -> {totals[1]}")
     print_line_counts(checkouts)
     return 0 if identical == len(names) else 1
 

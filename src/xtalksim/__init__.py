@@ -26,6 +26,7 @@ from xtalksim.model import (
 from xtalksim.optimize import GammaScan, corner_averaged_fidelity, scan_gamma
 from xtalksim.experiments import (
     FidelitySeries,
+    SchemeRun,
     gate_fidelity,
     run_preset,
     run_sequence,

@@ -36,8 +36,8 @@ from xtalksim.experiments import (
     cached_scan,
     gate_fidelity,
     run_preset,
+    run_sequence,
     run_single_gate,
-    score_run,
     sweep_j,
 )
 from xtalksim.magnus import dd_second_order_closed_forms, epsilon_dd2_numeric, epsilon_fm2_idle
@@ -339,7 +339,7 @@ def cmd_simulate(args) -> int:
         series = sweep_j(params, topology, [run], gate, j_grid, step=step)[0]
     else:
         name = "vs_time" if repetitions > 1 else "single"
-        series = score_run(params, topology, run, gate, repetitions, step=step)
+        series = run_sequence(params, topology, run, gate, repetitions, step=step)
     # A single gate is reported at its duration, without the trailing half pulse.
     abscissa = [gate.duration] if name == "single" else series.abscissa
     rows = [
@@ -463,7 +463,7 @@ def _verify_checks(step: float) -> List[Tuple[str, bool, str]]:
         ("dd-idle", SchemeRun(decoupling)),
     ):
         coarse, fine = (
-            score_run(params, topology, run, Idle(t_m), 1, step=s).infidelities[0]
+            run_sequence(params, topology, run, Idle(t_m), 1, step=s).infidelities[0]
             for s in (step, step / 2.0)
         )
         rel = abs(coarse - fine) / max(abs(fine), 1e-300)

@@ -5,9 +5,12 @@ propagating it exactly, block by block (``AssembledHamiltonian.blocks``),
 and comparing the result against the ideal gate with a trace-overlap
 fidelity.  A run of gates propagates windows of one gate's assembly, its
 coupling phase advanced per gate, so a 20-gate series at a matched duration
-costs at most two propagations.  The preset registry at the bottom packages
-the shipped experiments as flat (series, scheme, abscissa, value) rows for
-the CLI.
+costs at most two propagations.  Every score takes one path, ``_score``: a
+``SchemeRun`` assembled once (once per corner amplitude if corner-averaged)
+and scored after k gates at a stack of couplings, the system's J in
+``run_sequence`` and a J grid in ``sweep_j``.  The preset registry at the
+bottom packages the shipped experiments as flat (series, scheme, abscissa,
+value) rows for the CLI.
 
 Units follow the rest of the package: times in ns, frequencies and
 amplitudes in rad/ns internally, with cyclic MHz at the boundaries (J grids,
@@ -45,7 +48,7 @@ from xtalksim.model import (
     static_frame_reference,
     target_unitary,
 )
-from xtalksim.optimize import GammaScan, corner_averaged_fidelity, scan_gamma
+from xtalksim.optimize import GammaScan, check_window, corner_averaged_fidelity, scan_gamma
 
 # Longest integrator step (ns) used by every shipped experiment.  Grids put
 # a step boundary on every waveform kink, so the fourth-order Magnus steps
@@ -126,6 +129,23 @@ def scheme_label(scheme: ControlScheme) -> str:
     raise TypeError(f"unsupported scheme {scheme!r}")
 
 
+@dataclass(frozen=True)
+class SchemeRun:
+    """A scheme plus how to score it.
+
+    When ``corner_scan`` is set the fidelity is averaged over the two grid
+    points flanking the scan optimum (idle-gate modulation reporting);
+    otherwise the scheme is simulated as given.
+    """
+
+    scheme: ControlScheme
+    corner_scan: Optional[GammaScan] = None
+
+    @property
+    def label(self) -> str:
+        return scheme_label(self.scheme)
+
+
 def run_single_gate(
     params: SystemParams,
     topology: Topology,
@@ -135,7 +155,7 @@ def run_single_gate(
     step: float = DEFAULT_STEP,
 ) -> float:
     """Infidelity of one gate under the given control scheme: a one-gate sequence."""
-    return float(run_sequence(params, topology, scheme, gate, 1, step=step).infidelities[0])
+    return float(run_sequence(params, topology, SchemeRun(scheme), gate, 1, step=step).infidelities[0])
 
 
 def _sequence_counts(gate: GateSpec, repetitions: int) -> np.ndarray:
@@ -156,38 +176,51 @@ def _sequence_counts(gate: GateSpec, repetitions: int) -> np.ndarray:
 def run_sequence(
     params: SystemParams,
     topology: Topology,
-    scheme: ControlScheme,
+    run: SchemeRun,
     gate: GateSpec,
     repetitions: int,
     *,
     step: float = DEFAULT_STEP,
 ) -> FidelitySeries:
-    """Infidelity of k consecutive gates versus the k-fold target, scored as
-    ``_sequence_series`` says.  The gate windows come from the one-gate
-    assembly (``_windowed_propagators``).
-    """
+    """Infidelity of k consecutive gates under ``run`` versus the k-fold target
+    at J = ``params.j``, scored by ``_score`` after each of ``_sequence_counts``."""
+    abscissa, infidelities = _score(params, topology, run, gate, repetitions, (params.j,), step)
+    return FidelitySeries(run.label, abscissa, infidelities[0], _sequence_counts(gate, repetitions))
+
+
+def _score(
+    params: SystemParams, topology: Topology, run: SchemeRun, gate: GateSpec,
+    repetitions: int, couplings: Tuple[complex, ...], step: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The abscissa k T + tail (a decoupling run's trailing half pulse) of each
+    scored count k of ``repetitions`` gates, and the ``(C, counts)``
+    infidelities of ``run`` there at each coupling (rad/ns) of ``couplings``,
+    corner-averaged if it has a scan.  The abscissa is read from an assembly
+    scored, so a corner run assembles once per corner amplitude."""
     counts = _sequence_counts(gate, repetitions)
-    h = assemble_hamiltonian(params, topology, scheme, gate)
-    infidelities = _infidelities(h, params, gate, repetitions, step)[0]
-    return _sequence_series(scheme_label(scheme), h, counts, infidelities)
+    h = None
 
+    def infidelities(scheme: ControlScheme) -> np.ndarray:
+        nonlocal h
+        h = dataclasses.replace(assemble_hamiltonian(params, topology, scheme, gate), couplings=couplings)
+        return _infidelities(h, params, gate, counts, step)
 
-def _sequence_series(label: str, h: AssembledHamiltonian, counts: np.ndarray, infidelities) -> FidelitySeries:
-    """The series of gates ``h`` scored after each of ``counts`` whole gates,
-    at k T plus any trailing half pulse (decoupling runs extend half a pulse
-    width so the last pulse completes)."""
-    return FidelitySeries(label, counts * h.gate_time + h.tail, infidelities, counts)
+    if run.corner_scan is None:
+        values = infidelities(run.scheme)
+    else:
+        fidelities = lambda gamma: 1.0 - infidelities(dataclasses.replace(run.scheme, gamma=gamma))
+        values = 1.0 - corner_averaged_fidelity(fidelities, run.corner_scan)
+    return counts * h.gate_time + h.tail, values
 
 
 def _infidelities(
-    h: AssembledHamiltonian, params: SystemParams, gate: GateSpec, repetitions: int, step: float
+    h: AssembledHamiltonian, params: SystemParams, gate: GateSpec, counts: np.ndarray, step: float
 ) -> np.ndarray:
-    """Infidelity after each scored count of ``repetitions`` gates ``h``, one row
-    per coupling of its stack: shape ``(C, counts)``, scored in one fidelity call."""
-    counts = _sequence_counts(gate, repetitions)
+    """Infidelity of gates ``h`` after each of the scored ``counts``, one row per
+    coupling of its stack: shape ``(C, counts)``, scored in one fidelity call."""
     wanted = set(counts.tolist())
     # U_k = W_k U_{k-1} from the per-gate windows W_k, kept at the scored k.
-    products = accumulate(_windowed_propagators(h, params, repetitions, step), lambda u, w: w @ u)
+    products = accumulate(_windowed_propagators(h, params, int(counts[-1]), step), lambda u, w: w @ u)
     u = np.stack([u_k for k, u_k in enumerate(products, start=1) if k in wanted])
     # The target of k gates depends on k mod 4 only.
     residues = (counts % 4).tolist()
@@ -226,65 +259,6 @@ def cd_idle_reference_infidelity(params: SystemParams, topology: Topology, t: fl
     return max(0.0, 1.0 - gate_fidelity(u, np.eye(topology.dim)))
 
 
-# ---------------------------------------------------------------------------
-# Scheme bundles for sweeps
-
-
-@dataclass(frozen=True)
-class SchemeRun:
-    """A scheme plus how to score it.
-
-    When ``corner_scan`` is set the fidelity is averaged over the two grid
-    points flanking the scan optimum (idle-gate modulation reporting);
-    otherwise the scheme is simulated as given.
-    """
-
-    scheme: ControlScheme
-    corner_scan: Optional[GammaScan] = None
-
-    @property
-    def label(self) -> str:
-        return scheme_label(self.scheme)
-
-
-def score_run(
-    params: SystemParams,
-    topology: Topology,
-    run: SchemeRun,
-    gate: GateSpec,
-    repetitions: int,
-    *,
-    step: float = DEFAULT_STEP,
-) -> FidelitySeries:
-    """Infidelity of k consecutive gates under ``run``, corner-averaged if it has a scan."""
-    if run.corner_scan is None:
-        return run_sequence(params, topology, run.scheme, gate, repetitions, step=step)
-    counts = _sequence_counts(gate, repetitions)
-    infidelities = _run_infidelities(params, topology, run, gate, repetitions, step, (params.j,))
-    h = assemble_hamiltonian(params, topology, run.scheme, gate)
-    return _sequence_series(run.label, h, counts, infidelities[0])
-
-
-def _run_infidelities(
-    params: SystemParams, topology: Topology, run: SchemeRun, gate: GateSpec,
-    repetitions: int, step: float, couplings: Tuple[float, ...],
-) -> np.ndarray:
-    """``_infidelities`` of ``run`` at each coupling (rad/ns) of ``couplings``,
-    corner-averaged if the run has a scan."""
-
-    def infidelities(scheme: ControlScheme) -> np.ndarray:
-        h = assemble_hamiltonian(params, topology, scheme, gate)
-        return _infidelities(dataclasses.replace(h, couplings=couplings), params, gate, repetitions, step)
-
-    if run.corner_scan is None:
-        return infidelities(run.scheme)
-
-    def fidelities(gamma: float) -> np.ndarray:
-        return 1.0 - infidelities(dataclasses.replace(run.scheme, gamma=gamma))
-
-    return 1.0 - corner_averaged_fidelity(fidelities, run.corner_scan)
-
-
 def sweep_j(
     params: SystemParams,
     topology: Topology,
@@ -296,10 +270,10 @@ def sweep_j(
 ) -> List[FidelitySeries]:
     """One single-gate infidelity series per run over a coupling-strength grid.
 
-    Each run scores the whole grid as one coupling stack (``model``
-    docstring), corner-averaged as by ``score_run`` if it has a scan.  The
-    series follow the order of ``runs`` and their abscissa is the grid in
-    cyclic MHz, in the order given.
+    Each run is scored as ``run_sequence`` scores one gate (``_score``), with
+    the whole grid as one coupling stack (``model`` docstring).  The series
+    follow the order of ``runs`` and their abscissa is the grid in cyclic
+    MHz, in the order given.
     """
     j_grid = DEFAULT_J_GRID_MHZ if j_values_mhz is None else tuple(j_values_mhz)
     if len(j_grid) == 0:
@@ -309,9 +283,9 @@ def sweep_j(
     couplings = tuple(cyclic_mhz_to_angular(j) for j in j_grid)
     return [
         FidelitySeries(
-            scheme=run.label,
-            abscissa=np.asarray(j_grid, dtype=float),
-            infidelities=_run_infidelities(params, topology, run, gate, 1, step, couplings)[:, 0],
+            run.label,
+            np.asarray(j_grid, dtype=float),
+            _score(params, topology, run, gate, 1, couplings, step)[1][:, 0],
         )
         for run in runs
     ]
@@ -326,6 +300,8 @@ _SCAN_CACHE: Dict[tuple, GammaScan] = {}
 def cached_scan(
     functional: str, params: SystemParams, cycles: int, gate_time: float
 ) -> GammaScan:
+    """``scan_gamma`` on its default grid, memoized; a hit checks its window as a miss does."""
+    check_window(cycles, gate_time)
     key = (
         functional,
         int(cycles),
@@ -413,7 +389,7 @@ def _sequence_rows(
     step: float,
 ) -> List[Row]:
     """One ``repetitions``-gate series per run, as ``vs_time`` rows."""
-    series = [score_run(params, topology, run, gate, repetitions, step=step) for run in runs]
+    series = [run_sequence(params, topology, run, gate, repetitions, step=step) for run in runs]
     return _series_rows("vs_time", series)
 
 

@@ -103,7 +103,6 @@ from xtalksim.operators import (
     SIGMA_Y,
     SIGMA_Z,
     advance,
-    check_hermitian,
     embed,
     encode_terms,
     expm_hamiltonian,
@@ -387,11 +386,18 @@ class AssembledHamiltonian:
     def blocks(self) -> "SymmetryBlocks":
         """Block-diagonal form of this Hamiltonian, derived from its term
         matrices as the module docstring describes; the layout's analysis of
-        the same term matrices is reused."""
+        the same term matrices is reused.  Before a term set is first
+        analysed, a control matrix not Hermitian to ``HERMITICITY_TOL``
+        (relative to its largest entry) raises ``ValueError`` naming the channel.
+        """
         mats = np.reshape(self._matrices(), (-1, self.dim, self.dim))
         analyses = self.topology.block_analyses
         key = (mats.shape, mats.dtype.str, mats.tobytes())
         if key not in analyses:
+            for name, _, mat in self.controls:
+                defect = np.abs(mat - mat.conj().T).max()
+                if defect > HERMITICITY_TOL * np.abs(mat).max():
+                    raise ValueError(f"non-Hermitian matrix on channel {name} (defect {defect:.3e})")
             analyses[key] = _block_analysis(mats, self.topology)
         return SymmetryBlocks(self, *analyses[key])
 
@@ -415,20 +421,15 @@ class AssembledHamiltonian:
             out[..., k] = _real_samples(name, coeff, t)[:, None]
         return out
 
-    def combine(self, coefficients: np.ndarray) -> np.ndarray:
-        """Dense samples ``sum_k c_k M_k`` from ``(..., K)`` term coefficients."""
-        out = np.zeros(coefficients.shape[:-1] + (self.dim, self.dim), dtype=complex)
-        for c, mat in zip(np.moveaxis(coefficients, -1, 0), self._matrices()):
-            out += c[..., None, None] * mat
-        return out
-
     def __call__(self, t):
+        """Dense samples ``sum_k c_k(t) M_k`` at a time or 1-D times ``t``, for one coupling."""
         if len(self.couplings) != 1:
             raise ValueError(f"dense samples need one coupling, got {len(self.couplings)}")
         tt = np.asarray(t, dtype=float)
-        scalar = tt.ndim == 0
-        out = self.combine(self.coefficients(np.atleast_1d(tt))[:, 0])
-        return out[0] if scalar else out
+        out = np.zeros((tt.size, self.dim, self.dim), dtype=complex)
+        for c, mat in zip(self.coefficients(np.atleast_1d(tt))[:, 0].T, self._matrices()):
+            out += c[:, None, None] * mat
+        return out[0] if tt.ndim == 0 else out
 
 
 def _real_samples(name: str, coeff: Callable, t: np.ndarray) -> np.ndarray:
@@ -470,15 +471,12 @@ class SymmetryBlocks:
 
     ``basis`` is the real orthogonal ``W`` (None for the computational
     basis), and ``stacks`` holds the distinct blocks, one stack per block
-    dimension.  ``hermitian_terms`` is False when some term matrix of
-    ``hamiltonian`` is not Hermitian to ``HERMITICITY_TOL``; propagation then
-    checks every sample.
+    dimension.
     """
 
     hamiltonian: AssembledHamiltonian
     basis: Optional[np.ndarray]
     stacks: tuple[BlockStack, ...]
-    hermitian_terms: bool
 
     @property
     def layout(self) -> str:
@@ -501,8 +499,7 @@ class SymmetryBlocks:
         Raises
         ------
         ValueError
-            For a complex coefficient or a non-Hermitian sample, naming the
-            time.
+            For a complex coefficient, naming the channel and the time.
         """
         h = self.hamiltonian
         edges = step_boundaries(t_start, t_end, step, h.breakpoints)
@@ -511,10 +508,7 @@ class SymmetryBlocks:
         units = [np.tile(np.eye(s.dim, dtype=complex), (len(s.copies), 1, 1)) for s in self.stacks]
         moving = [i for i, s in enumerate(self.stacks) if s.matrices.any()]
         for widths, times in gauss_nodes(edges, max(CHUNK // n_couplings, 1)):
-            coefficients = h.coefficients(times)
-            if not self.hermitian_terms:
-                check_hermitian(h.combine(coefficients), times)
-            weights = _magnus_weights(coefficients, widths)
+            weights = _magnus_weights(h.coefficients(times), widths)
             for i in moving:
                 stack = self.stacks[i]
                 units[i] = advance(units[i], weights, stack.matrices, stack.norms)
@@ -544,8 +538,8 @@ def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_analysis(mats: np.ndarray, topology: Topology) -> tuple:
-    """``SymmetryBlocks`` fields after the assembly (basis, stacks, hermitian
-    terms) of the ``(K, dim, dim)`` term matrices ``mats``, as read-only arrays."""
+    """``SymmetryBlocks`` fields after the assembly (basis, stacks) of the ``(K,
+    dim, dim)`` term matrices ``mats``, as read-only arrays."""
     dim = mats.shape[-1]
     # The Dicke basis applies when every term commutes with each neighbor swap.
     basis = None
@@ -589,8 +583,7 @@ def _block_analysis(mats: np.ndarray, topology: Topology) -> tuple:
         norms = np.abs(hermitian).sum(axis=-2).max(axis=-1)
         copy_rows = tuple(_read_only(rows[m]) for m in copies.values())
         stacks.append(BlockStack(d, _read_only(encode_terms(hermitian)), _read_only(norms), copy_rows))
-    defects = np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(1, 2), initial=0.0)
-    return basis, tuple(stacks), bool((defects <= HERMITICITY_TOL * scales).all())
+    return basis, tuple(stacks)
 
 
 def _neighbors(topology: Topology) -> list[int]:

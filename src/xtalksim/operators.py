@@ -76,7 +76,7 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
 
-#: Relative tolerance for Hermiticity of sampled Hamiltonians.
+#: Relative tolerance for Hermiticity of sampled Hamiltonians and of term matrices.
 HERMITICITY_TOL = 1e-12
 
 #: Largest 1-norm of an exponent X at which the degree-8 Taylor polynomial

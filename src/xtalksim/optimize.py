@@ -19,7 +19,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from xtalksim.magnus import epsilon_fm1, epsilon_fm2_idle, epsilon_fm2_x
-from xtalksim.model import SystemParams, angular_to_cyclic_mhz, cyclic_mhz_to_angular
+from xtalksim.model import (
+    FrequencyModulation,
+    Idle,
+    SystemParams,
+    angular_to_cyclic_mhz,
+    cyclic_mhz_to_angular,
+)
 
 # Default scan grid: 1.59 MHz resolution from zero up to 600 MHz (cyclic).
 DEFAULT_GRID_STEP_MHZ = 1.59
@@ -44,6 +50,13 @@ def default_gamma_grid(
         )
     n = int(math.floor(max_mhz / step_mhz + 1e-9))
     return cyclic_mhz_to_angular(step_mhz) * np.arange(n + 1, dtype=float)
+
+
+def check_window(cycles: int, gate_time: float) -> None:
+    """Raise ``ValueError`` naming the value unless ``FrequencyModulation`` takes
+    ``cycles`` and a gate takes ``gate_time`` ns: a scan selects for both."""
+    FrequencyModulation(cycles=cycles, gamma=0.0)
+    Idle(gate_time)
 
 
 @dataclass(frozen=True)
@@ -137,8 +150,7 @@ def scan_gamma(
     steps = np.diff(g)
     if np.any(steps <= 0) or np.ptp(steps) > 1e-9 * steps[0]:
         raise ValueError("grid must be uniform and increasing")
-    if int(cycles) != cycles or cycles < 1:
-        raise ValueError(f"cycle count must be a positive integer, got {cycles}")
+    check_window(cycles, gate_time)
     # Looked up per call, so that wrappers installed on the module names apply.
     named = {"fm1": epsilon_fm1, "fm2-idle": epsilon_fm2_idle, "fm2-x": epsilon_fm2_x}
     if functional not in named:

@@ -35,8 +35,8 @@ class SineEnvelopeDrive:
     duration: float
 
     def __post_init__(self):
-        if self.duration <= 0.0:
-            raise ValueError(f"drive duration must be positive, got {self.duration}")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError(f"drive duration must be positive and finite, got {self.duration}")
 
     @property
     def amplitude(self) -> float:
@@ -69,12 +69,12 @@ class FmZModulation:
     duration: float
 
     def __post_init__(self):
-        if self.gamma < 0.0:
-            raise ValueError(f"modulation amplitude must be >= 0, got {self.gamma}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"modulation amplitude must be finite and >= 0, got {self.gamma}")
         if int(self.cycles) != self.cycles or self.cycles < 1:
             raise ValueError(f"cycle count must be a positive integer, got {self.cycles}")
-        if self.duration <= 0.0:
-            raise ValueError(f"modulation duration must be positive, got {self.duration}")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError(f"modulation duration must be positive and finite, got {self.duration}")
 
     def sample(self, t):
         tt = np.asarray(t, dtype=float)

@@ -1,9 +1,11 @@
 """Small test-side helpers for quantities the package does not export."""
 
 import math
+import sys
 
 import numpy as np
 
+from xtalksim import model
 from xtalksim.model import CrosstalkOnly, Idle, assemble_hamiltonian
 from xtalksim.operators import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
 
@@ -41,6 +43,22 @@ def count_calls(monkeypatch, owner, name, record=lambda *args: None):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def count_assemblies(monkeypatch):
+    """Count ``assemble_hamiltonian`` calls through every ``xtalksim`` module that
+    holds it, recording each call's scheme."""
+    calls = []
+    original = model.assemble_hamiltonian
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("xtalksim") and getattr(module, "assemble_hamiltonian", None) is original:
+            monkeypatch.setattr(module, "assemble_hamiltonian", counting)
     return calls
 
 

@@ -23,7 +23,6 @@ from xtalksim.experiments import (
     run_preset,
     run_single_gate,
     run_sequence,
-    score_run,
 )
 from xtalksim.magnus import (
     epsilon_dd1,
@@ -97,14 +96,14 @@ def scheme_run(kind, cycles=0, corner=False, single_site=False):
 @lru_cache(maxsize=None)
 def single(topo_key, run_key, gate_key, step=STEP):
     run = scheme_run(*run_key) if isinstance(run_key, tuple) else scheme_run(run_key)
-    series = score_run(PARAMS, topo_by_key(topo_key), run, gate_by_key(gate_key), 1, step=step)
+    series = run_sequence(PARAMS, topo_by_key(topo_key), run, gate_by_key(gate_key), 1, step=step)
     return float(series.infidelities[0])
 
 
 @lru_cache(maxsize=None)
 def sequence_last(topo_key, run_key, gate_key, repetitions, step=STEP):
     run = scheme_run(*run_key) if isinstance(run_key, tuple) else scheme_run(run_key)
-    series = score_run(
+    series = run_sequence(
         PARAMS, topo_by_key(topo_key), run, gate_by_key(gate_key), repetitions, step=step
     )
     return float(series.infidelities[-1])

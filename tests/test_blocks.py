@@ -366,7 +366,7 @@ class TestLayout:
 
 class TestHermiticity:
     @pytest.mark.parametrize("topology", [STAR], ids=["star"])
-    def test_non_hermitian_term_names_time(self, topology):
+    def test_non_hermitian_term_names_channel(self, topology):
         h = AssembledHamiltonian(
             topology=topology,
             phase=lambda t: PARAMS.delta * t,
@@ -376,13 +376,14 @@ class TestHermiticity:
             ),
             gate_time=1.0,
         )
-        blocks = h.blocks()
-        assert blocks.basis is not None
-        # The first sample past 0.5 ns is the early Gauss node of the step [0.5, 0.6].
+        analysed = len(topology.block_analyses)
+        # The Hermitian Z2 passes; the leak (M - M^dag = 2e-6 i) is rejected
+        # before its term set is analysed, whatever its coefficient.
         with pytest.raises(
-            ValueError, match=r"non-Hermitian Hamiltonian sample at t=0\.521132487 ns"
+            ValueError, match=r"^non-Hermitian matrix on channel leak \(defect 2\.000e-06\)$"
         ):
-            blocks.propagate(0.0, 1.0, 0.1)
+            h.blocks()
+        assert len(topology.block_analyses) == analysed
 
 
 class TestLayoutInvariants:

@@ -1,11 +1,10 @@
 import argparse
 import json
-import sys
 
 import pytest
-from helpers import count_calls
+from helpers import count_assemblies, count_calls
 
-from xtalksim import cli, model
+from xtalksim import cli
 from xtalksim.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_INTERNAL,
@@ -168,7 +167,7 @@ class TestSimulate:
         def broken(*args, **kwargs):
             raise ValueError("internal failure")
 
-        monkeypatch.setattr("xtalksim.cli.score_run", broken)
+        monkeypatch.setattr("xtalksim.cli.run_sequence", broken)
         cfg = write_config(tmp_path, {"scheme": "cd", "gate": "idle"})
         with pytest.raises(ValueError, match="internal failure"):
             main(["simulate", "--config", cfg, "--step", "0.05"])
@@ -177,7 +176,7 @@ class TestSimulate:
         def broken(*args, **kwargs):
             raise ValueError("internal failure")
 
-        monkeypatch.setattr("xtalksim.cli.score_run", broken)
+        monkeypatch.setattr("xtalksim.cli.run_sequence", broken)
         cfg = write_config(tmp_path, {"scheme": "cd", "gate": "idle"})
         assert entry(["simulate", "--config", cfg, "--step", "0.05"]) == EXIT_INTERNAL
         err = capsys.readouterr().err
@@ -315,16 +314,27 @@ class TestPerCallWork:
     )
     def test_star_idle_assembles_once(self, tmp_path, monkeypatch, payload):
         # The config is validated without assembling; the run assembles once.
-        calls = []
-        original = model.assemble_hamiltonian
-
-        def counting(*args, **kwargs):
-            calls.append(args[2])
-            return original(*args, **kwargs)
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("xtalksim") and getattr(module, "assemble_hamiltonian", None) is original:
-                monkeypatch.setattr(module, "assemble_hamiltonian", counting)
+        calls = count_assemblies(monkeypatch)
         cfg = write_config(tmp_path, {"topology": "star", "gate": "idle", "step_ns": 0.5, **payload})
         assert main(["simulate", "--config", cfg]) == EXIT_OK
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "payload, scored",
+        [
+            ({"scheme": "cd"}, "run_sequence"),
+            ({"scheme": "cd", "repetitions": 3}, "run_sequence"),
+            ({"scheme": "fm", "corner_average": True, "repetitions": 3}, "run_sequence"),
+            ({"scheme": "cd", "j_mhz": [2.0, 5.0]}, "sweep_j"),
+        ],
+        ids=["single", "sequence", "corner-sequence", "j-grid"],
+    )
+    def test_simulate_scores_through_module_attributes(self, tmp_path, monkeypatch, payload, scored):
+        # Span tracers replace these module attributes, so each form must
+        # call them there, once.
+        calls = {name: count_calls(monkeypatch, cli, name) for name in ("run_sequence", "sweep_j")}
+        cfg = write_config(tmp_path, {"gate": "idle", "step_ns": 0.05, **payload})
+        assert main(["simulate", "--config", cfg]) == EXIT_OK
+        assert {name: len(c) for name, c in calls.items()} == {
+            name: int(name == scored) for name in calls
+        }

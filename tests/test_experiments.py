@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import oracles
 import pytest
-from helpers import count_calls, improvement_orders
+from helpers import count_assemblies, count_calls, improvement_orders
 
 from xtalksim import experiments, model
 from xtalksim.experiments import (
@@ -18,7 +18,6 @@ from xtalksim.experiments import (
     run_sequence,
     run_single_gate,
     scheme_label,
-    score_run,
     sweep_j,
     SchemeRun,
 )
@@ -184,7 +183,7 @@ class TestSequences:
             (PAIR, DynamicalDecoupling(segments=4, width=1.25), XGate(T_M, target=1)),
             (STAR, FrequencyModulation(cycles=8, gamma=2.0, single_site=True), XGate(T_M, 2)),
         ):
-            series = run_sequence(PARAMS, topology, scheme, gate, 1, step=0.02)
+            series = run_sequence(PARAMS, topology, SchemeRun(scheme), gate, 1, step=0.02)
             h = assemble_hamiltonian(PARAMS, topology, scheme, gate)
             u = propagate(h, step_boundaries(0.0, h.t_end, 0.02, h.breakpoints))
             dense = 1.0 - gate_fidelity(u, target_unitary(gate, topology))
@@ -193,12 +192,12 @@ class TestSequences:
 
     def test_matched_window_reuse_agrees_with_direct(self):
         # The periodic fast path must match one uninterrupted propagation.
-        series = run_sequence(PARAMS, PAIR, CrosstalkOnly(), Idle(T_M), 3, step=0.01)
+        series = run_sequence(PARAMS, PAIR, SchemeRun(CrosstalkOnly()), Idle(T_M), 3, step=0.01)
         direct = self.brute_force_infidelity(CrosstalkOnly(), Idle(T_M), 3, 0.01)
         assert series.infidelities[-1] == pytest.approx(direct, abs=1e-11)
 
     def test_unmatched_general_path_agrees_with_direct(self):
-        series = run_sequence(PARAMS, PAIR, CrosstalkOnly(), Idle(30.0), 3, step=0.01)
+        series = run_sequence(PARAMS, PAIR, SchemeRun(CrosstalkOnly()), Idle(30.0), 3, step=0.01)
         direct = self.brute_force_infidelity(CrosstalkOnly(), Idle(30.0), 3, 0.01)
         assert series.infidelities[-1] == pytest.approx(direct, abs=1e-11)
         assert series.abscissa[-1] == pytest.approx(90.0)
@@ -215,7 +214,7 @@ class TestSequences:
         # Drives on both sides of the coupling, and a pulsed tail, off the
         # matched time: every window differs, and each is the steady window
         # with the coupling phase advanced.
-        series = run_sequence(PARAMS, PAIR, scheme, gate, 5, step=step)
+        series = run_sequence(PARAMS, PAIR, SchemeRun(scheme), gate, 5, step=step)
         direct = [
             self.brute_force_infidelity(scheme, gate, k, step, aligned=True) for k in series.counts
         ]
@@ -226,7 +225,7 @@ class TestSequences:
         # step dividing both the gate time and the tail aligns the window
         # grids with the uninterrupted one, so the products match exactly.
         dd = DynamicalDecoupling(segments=4, width=1.25)
-        series = run_sequence(PARAMS, PAIR, dd, Idle(T_M), 3, step=0.0125)
+        series = run_sequence(PARAMS, PAIR, SchemeRun(dd), Idle(T_M), 3, step=0.0125)
         direct = self.brute_force_infidelity(dd, Idle(T_M), 3, 0.0125)
         assert series.infidelities[-1] == pytest.approx(direct, abs=1e-11)
         assert series.abscissa[-1] == pytest.approx(3 * T_M + 0.625)
@@ -235,7 +234,7 @@ class TestSequences:
         # At 0.02 ns the window grids no longer align with the uninterrupted
         # one, but both sit on every pulse edge.
         dd = DynamicalDecoupling(segments=4, width=1.25)
-        series = run_sequence(PARAMS, PAIR, dd, Idle(T_M), 3)
+        series = run_sequence(PARAMS, PAIR, SchemeRun(dd), Idle(T_M), 3)
         direct = self.brute_force_infidelity(dd, Idle(T_M), 3, DEFAULT_STEP, aligned=True)
         assert series.infidelities[-1] == pytest.approx(direct, abs=1e-11)
 
@@ -248,10 +247,10 @@ class TestSequences:
             "propagate",
             lambda blocks, *window: len(step_boundaries(*window, blocks.hamiltonian.breakpoints)) - 1,
         )
-        run_sequence(PARAMS, STAR, DD, Idle(T_M), 3)
+        run_sequence(PARAMS, STAR, SchemeRun(DD), Idle(T_M), 3)
         assert sum(steps) == 1004 + 32
         steps.clear()
-        run_sequence(PARAMS, STAR, DD, Idle(T_M), 1)
+        run_sequence(PARAMS, STAR, SchemeRun(DD), Idle(T_M), 1)
         assert steps == [1035]
 
     @pytest.mark.parametrize(
@@ -263,7 +262,7 @@ class TestSequences:
         # At 30 ns, 2 Delta T is a whole turn: the coupling phase advances by
         # pi and then repeats, so two steady windows serve every gate.
         calls = count_calls(monkeypatch, SymmetryBlocks, "propagate")
-        run_sequence(PARAMS, PAIR, FrequencyModulation(cycles=4, gamma=2.0), gate, repetitions)
+        run_sequence(PARAMS, PAIR, SchemeRun(FrequencyModulation(cycles=4, gamma=2.0)), gate, repetitions)
         assert len(calls) == 2
 
     @pytest.mark.parametrize(
@@ -274,33 +273,33 @@ class TestSequences:
     def test_targets_follow_phase_cycle(self, monkeypatch, gate, repetitions, targets):
         # The ideal k-gate operation depends on k mod 4 only.
         built = count_calls(monkeypatch, experiments, "target_unitary")
-        run_sequence(PARAMS, PAIR, CrosstalkOnly(), gate, repetitions, step=0.5)
+        run_sequence(PARAMS, PAIR, SchemeRun(CrosstalkOnly()), gate, repetitions, step=0.5)
         assert len(built) == targets
 
     def test_idle_sequences_count_every_gate(self):
-        series = run_sequence(PARAMS, PAIR, CrosstalkOnly(), Idle(T_M), 4, step=0.05)
+        series = run_sequence(PARAMS, PAIR, SchemeRun(CrosstalkOnly()), Idle(T_M), 4, step=0.05)
         assert series.counts.tolist() == [1, 2, 3, 4]
         # Bare crosstalk compounds: longer runs cannot improve.
         assert np.all(np.diff(series.infidelities) > 0.0)
 
     def test_driven_sequences_use_odd_counts(self):
-        series = run_sequence(PARAMS, PAIR, CrosstalkOnly(), XGate(T_M), 5, step=0.05)
+        series = run_sequence(PARAMS, PAIR, SchemeRun(CrosstalkOnly()), XGate(T_M), 5, step=0.05)
         assert series.counts.tolist() == [1, 3, 5]
         with pytest.raises(ValueError, match="odd"):
-            run_sequence(PARAMS, PAIR, CrosstalkOnly(), XGate(T_M), 4, step=0.05)
+            run_sequence(PARAMS, PAIR, SchemeRun(CrosstalkOnly()), XGate(T_M), 4, step=0.05)
 
 
-class TestScoreRun:
+class TestCornerAveragedSequence:
     def test_corner_average_is_mean_of_flanking_sequences(self):
         scan = cached_scan("fm2-idle", PARAMS, 8, T_M)
         run = SchemeRun(FrequencyModulation(cycles=8, gamma=scan.gamma_opt), corner_scan=scan)
         assert run.label == "FM-N8"
         flank_gammas = (scan.gamma_opt - scan.grid_step, scan.gamma_opt + scan.grid_step)
         for repetitions in (1, 20):
-            scored = score_run(PARAMS, PAIR, run, Idle(T_M), repetitions)
+            scored = run_sequence(PARAMS, PAIR, run, Idle(T_M), repetitions)
             lower, upper = (
                 run_sequence(
-                    PARAMS, PAIR, FrequencyModulation(cycles=8, gamma=g), Idle(T_M), repetitions
+                    PARAMS, PAIR, SchemeRun(FrequencyModulation(cycles=8, gamma=g)), Idle(T_M), repetitions
                 )
                 for g in flank_gammas
             )
@@ -314,6 +313,16 @@ class TestScoreRun:
                 atol=1e-15,
             )
 
+
+
+class TestCachedScan:
+    def test_hit_rejects_what_scan_gamma_rejects(self):
+        # 4.0 == 4, so without its own check a float count would hit the N = 4 entry.
+        assert cached_scan("fm2-idle", PARAMS, 4, T_M).found
+        with pytest.raises(ValueError, match=r"cycle count must be a positive integer, got 4\.0$"):
+            cached_scan("fm2-idle", PARAMS, 4.0, T_M)
+        with pytest.raises(ValueError, match=r"gate time must be positive and finite, got nan$"):
+            cached_scan("fm2-idle", PARAMS, 4, float("nan"))
 
 SWEEP_GATES = [
     pytest.param(PAIR, Idle(T_M), id="pair-idle"),
@@ -358,7 +367,7 @@ class TestSweepJ:
             assert np.abs(u - single[0]).max() <= 1e-14
 
         series = sweep_j(PARAMS, topology, [run], gate, j_grid)[0]
-        expect = [score_run(p, topology, run, gate, 1).infidelities[0] for p in separate]
+        expect = [run_sequence(p, topology, run, gate, 1).infidelities[0] for p in separate]
         assert series.scheme == run.label
         assert series.abscissa.tolist() == list(j_grid)
         # 1 - F resolves infidelities no finer than the double spacing near 1.
@@ -393,6 +402,15 @@ class TestSweepJ:
 
 
 class TestPresets:
+    @pytest.mark.parametrize("name, assemblies", [("fig3c", 7), ("fig8", 15)])
+    def test_corner_runs_assemble_once_per_corner(self, monkeypatch, name, assemblies):
+        # fig3c: CD once, then three corner-averaged FM runs at two amplitudes
+        # each.  fig8 adds the N = 4 waveform and a J sweep of the same runs.
+        # The abscissa comes from an assembly already scored.
+        calls = count_assemblies(monkeypatch)
+        run_preset(name, step=0.5)
+        assert len(calls) == assemblies
+
     def test_unknown_preset_rejected(self):
         with pytest.raises(KeyError):
             run_preset("fig99")

@@ -7,7 +7,7 @@ import pytest
 from helpers import count_calls, coupling, hermiticity_defect
 
 from xtalksim import experiments, model, operators
-from xtalksim.experiments import run_sequence
+from xtalksim.experiments import SchemeRun, run_sequence
 from xtalksim.model import (
     PAIR,
     STAR,
@@ -256,7 +256,7 @@ class TestAssembly:
         assert check_assembly(STAR, dd, XGate(20.0, target=2)) == (2,)
         assert check_assembly(PAIR, CrosstalkOnly(), ParallelXX(20.0)) == (1, 2)
         with pytest.raises(ValueError, match="sequence length"):
-            run_sequence(PARAMS, PAIR, CrosstalkOnly(), Idle(20.0), 0)
+            run_sequence(PARAMS, PAIR, SchemeRun(CrosstalkOnly()), Idle(20.0), 0)
 
     def test_periodicity_flags(self, monkeypatch):
         # A run of gates propagates one steady window per distinct coupling
@@ -266,10 +266,10 @@ class TestAssembly:
         assert h.tail == 0.0
         assert h.t_end == pytest.approx(20.0)
         calls = count_calls(monkeypatch, SymmetryBlocks, "propagate")
-        run_sequence(PARAMS, PAIR, CrosstalkOnly(), Idle(20.0), 3, step=0.05)
+        run_sequence(PARAMS, PAIR, SchemeRun(CrosstalkOnly()), Idle(20.0), 3, step=0.05)
         assert len(calls) == 1
         calls.clear()
-        run_sequence(PARAMS, PAIR, CrosstalkOnly(), Idle(30.0), 2, step=0.05)
+        run_sequence(PARAMS, PAIR, SchemeRun(CrosstalkOnly()), Idle(30.0), 2, step=0.05)
         assert len(calls) == 2
         dd = assemble_hamiltonian(PARAMS, PAIR, DynamicalDecoupling(4, 1.25), Idle(20.0))
         assert dd.tail == pytest.approx(0.625)

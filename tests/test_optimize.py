@@ -158,6 +158,28 @@ class TestScanGamma:
                 with pytest.raises(ValueError, match="cycle count"):
                     scan_gamma(functional, PARAMS, cycles, 30.0)
 
+    @pytest.mark.parametrize("functional", ["fm1", "fm2-idle", "fm2-x"])
+    @pytest.mark.parametrize(
+        "cycles, gate_time, match",
+        [
+            (4.0, 20.0, r"cycle count must be a positive integer, got 4\.0$"),
+            (4, -20.0, r"gate time must be positive and finite, got -20\.0$"),
+            (4, 0.0, r"gate time must be positive and finite, got 0\.0$"),
+            (4, np.nan, r"gate time must be positive and finite, got nan$"),
+            (4, np.inf, r"gate time must be positive and finite, got inf$"),
+        ],
+        ids=["float-cycles", "negative-time", "zero-time", "nan-time", "inf-time"],
+    )
+    def test_window_taken_as_frequency_modulation_takes_it(self, functional, cycles, gate_time, match):
+        # A scan's cycle count and gate time are those of the modulation it
+        # selects for, so they obey the rules of FrequencyModulation and the gates.
+        with pytest.raises(ValueError, match=match):
+            scan_gamma(functional, PARAMS, cycles, gate_time)
+
+    def test_numpy_integer_cycles_are_counts(self):
+        scan = scan_gamma("fm1", PARAMS, np.int64(4), 30.0)
+        assert scan.values.tobytes() == scan_gamma("fm1", PARAMS, 4, 30.0).values.tobytes()
+
 
 class TestCornerAveraging:
     def quadratic_scan(self):

@@ -41,6 +41,11 @@ class TestSineEnvelope:
         t = np.linspace(-1, 11, 50)
         assert np.allclose(env.sample(t), [env.sample(float(x)) for x in t])
 
+    @pytest.mark.parametrize("bad", [0.0, -20.0, np.nan, np.inf], ids=["zero", "negative", "nan", "inf"])
+    def test_rejects_non_positive_or_non_finite_duration(self, bad):
+        with pytest.raises(ValueError, match=rf"drive duration must be positive and finite, got {bad}$"):
+            SineEnvelopeDrive(bad)
+
 
 class TestFmZModulation:
     def test_phase_is_running_integral(self):
@@ -66,6 +71,13 @@ class TestFmZModulation:
             FmZModulation(gamma=-1.0, cycles=4, duration=20.0)
         with pytest.raises(ValueError):
             FmZModulation(gamma=1.0, cycles=0, duration=20.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match=rf"modulation amplitude must be finite and >= 0, got {bad}$"):
+            FmZModulation(gamma=bad, cycles=4, duration=20.0)
+        with pytest.raises(ValueError, match=rf"modulation duration must be positive and finite, got {bad}$"):
+            FmZModulation(gamma=1.0, cycles=4, duration=bad)
 
 
 class TestNascentDeltaTrain:
