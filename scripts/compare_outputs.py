@@ -16,6 +16,8 @@ Each checkout runs in a subprocess of its own, importing the package from
   idle at 20.5 ns for 12 gates, pair DD X at 21.3 ns for 5, pair FM
   parallel XX at 30 ns for 7, and star DD center X at 25 ns for 5;
 * the stdout of ``verify`` (``verify.txt``);
+* the ``error:`` line of every invalid ``simulate`` and ``optimize-gamma``
+  config in ``REJECTED``, reported as ``rejected/<command>/<name>``;
 
 and the exit code of every run, and how many times it called
 ``model.assemble_hamiltonian``.  For each output this prints the rows (lines
@@ -23,10 +25,12 @@ not starting with ``#``; every line of ``verify.txt``) that are identical on
 both sides out of the total, the largest absolute difference |a - b| and
 the largest relative difference |a - b| / max(|a|, |b|) between the numbers
 of rows that differ only in their numbers, both exit codes and both
-assembly counts, then the total assembly count of each side.  Then it prints the line count (as ``wc -l`` counts) of each module under
+assembly counts, then the total assembly count of each side; for a rejected
+config it prints both exit codes and both ``error:`` lines.  Then it prints the line count (as ``wc -l`` counts) of each module under
 ``src/xtalksim`` in both checkouts, and their totals.  It exits 0 when every
-output is byte-identical and every exit code matches, 1 otherwise; the line
-and assembly counts do not affect the exit status.  ``--change`` defaults to the checkout
+output is byte-identical and every exit code matches, rejected configs
+included, and 1 otherwise; the ``error:`` lines and the line and assembly
+counts do not affect the exit status.  ``--change`` defaults to the checkout
 holding this script.
 """
 
@@ -56,6 +60,49 @@ SEQUENCES = {
     "star-dd-center-x-25ns-x5": {
         "topology": "star", "scheme": "dd", "gate": "x", "target": 2, "gate_time": 25.0,
         "repetitions": 5,
+    },
+}
+# Invalid configs, each wrong in one key, by command.
+REJECTED = {
+    "simulate": {
+        "j-empty-grid": {"j_mhz": []},
+        "j-negative-entry": {"j_mhz": [1.0, -2.0]},
+        "j-nan-entry": {"j_mhz": [1.0, float("nan")]},
+        "j-negative": {"j_mhz": -1.0},
+        "j-nan": {"j_mhz": float("nan")},
+        "delta-negative": {"delta_mhz": -50.0},
+        "delta-zero": {"delta_mhz": 0},
+        "gate-time-negative": {"gate_time": -5.0},
+        "gate-time-zero": {"gate_time": 0},
+        "repetitions-zero": {"repetitions": 0},
+        "repetitions-fraction": {"repetitions": 2.7},
+        "repetitions-bool": {"repetitions": True},
+        "x-repetitions-even": {"gate": "x", "repetitions": 4},
+        "x-target-zero": {"gate": "x", "target": 0},
+        "x-target-fraction": {"gate": "x", "target": 1.5},
+        "fm-cycles-zero": {"scheme": "fm", "cycles": 0, "gamma_mhz": 100.0},
+        "fm-cycles-fraction": {"scheme": "fm", "cycles": 4.5, "gamma_mhz": 100.0},
+        "fm-optimize-cycles-zero": {"scheme": "fm", "cycles": 0},
+        "fm-gamma-negative": {"scheme": "fm", "gamma_mhz": -3.0},
+        "dd-segments-zero": {"scheme": "dd", "segments": 0},
+        "dd-segments-odd": {"scheme": "dd", "segments": 5},
+        "dd-segments-fraction": {"scheme": "dd", "segments": 4.2},
+        "dd-width-zero": {"scheme": "dd", "width_ns": 0},
+        "dd-width-too-wide": {"scheme": "dd", "width_ns": 5.0},
+        "step-zero": {"step_ns": 0},
+        "step-negative": {"step_ns": -0.01},
+    },
+    "optimize-gamma": {
+        "cycles-zero": {"cycles": 0},
+        "cycles-fraction": {"cycles": 4.5},
+        "delta-negative": {"delta_mhz": -50.0},
+        "j-zero": {"j_mhz": 0},
+        "j-negative": {"j_mhz": -5.0},
+        "gate-time-zero": {"gate_time": 0},
+        "gate-time-negative": {"gate_time": -20.0},
+        "grid-step-zero": {"grid_step_mhz": 0},
+        "grid-max-zero": {"grid_max_mhz": 0},
+        "grid-max-one-step": {"grid_max_mhz": 2.0},
     },
 }
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
@@ -123,12 +170,26 @@ def write_outputs(checkout: Path, out: Path) -> None:
     with contextlib.redirect_stdout(stdout):
         run(out / "verify.txt", ["verify"])
     (out / "verify.txt").write_text(stdout.getvalue())
-    (out / "exits.json").write_text(json.dumps({"exits": exits, "assemblies": assemblies}, indent=1))
+    rejected = {}
+    for command, configs in REJECTED.items():
+        for name, cfg in configs.items():
+            config = out / "rejected.json"
+            config.write_text(json.dumps(cfg))
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+                code = cli.entry([command, "--config", str(config)])
+            # The error line, or a traceback's last line.
+            rejected[f"rejected/{command}/{name}"] = [code, (stderr.getvalue().strip().splitlines() or [""])[-1]]
+            config.unlink()
+    (out / "exits.json").write_text(
+        json.dumps({"exits": exits, "assemblies": assemblies, "rejected": rejected}, indent=1)
+    )
 
 
 def run_side(checkout: Path, out: Path) -> dict:
     """Write the outputs of ``checkout`` into ``out`` from a fresh interpreter;
-    return its exit codes and assembly counts by output."""
+    return its exit codes and assembly counts by output, and the exit code and
+    stderr of each rejected config."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     subprocess.run(
         [sys.executable, __file__, "--worker", str(out), str(checkout)], env=env, check=True
@@ -192,10 +253,10 @@ def main() -> int:
         results = {side: run_side(checkout, sides[side]) for side, checkout in checkouts.items()}
         exits = {side: result["exits"] for side, result in results.items()}
         assemblies = {side: result["assemblies"] for side, result in results.items()}
-        names = sorted(set(exits["parent"]) | set(exits["change"]))
-        width = max(len(n) for n in names)
+        outputs = sorted(set(exits["parent"]) | set(exits["change"]))
+        width = max(len(n) for n in outputs)
         identical = 0
-        for name in names:
+        for name in outputs:
             paths = [side / name for side in sides.values()]
             same, total, delta, relative = compare(*paths)
             codes = [side.get(name) for side in exits.values()]
@@ -208,11 +269,21 @@ def main() -> int:
                 f"exit {codes[0]} -> {codes[1]}, assemblies {built[0]} -> {built[1]}"
                 f"{'' if equal else '  DIFFERS'}"
             )
-    print(f"{identical}/{len(names)} outputs byte-identical with the same exit code")
+    rejected = {side: result["rejected"] for side, result in results.items()}
+    probes = sorted(set(rejected["parent"]) | set(rejected["change"]))
+    width = max(len(n) for n in probes)
+    kept = 0
+    for name in probes:
+        (code_a, err_a), (code_b, err_b) = (side.get(name, [None, ""]) for side in rejected.values())
+        kept += code_a == code_b
+        print(f"{name:<{width}}  exit {code_a} -> {code_b}{'' if code_a == code_b else '  DIFFERS'}")
+        print(f"{'':<{width}}    parent: {err_a}\n{'':<{width}}    change: {err_b}")
+    print(f"{identical}/{len(outputs)} outputs byte-identical with the same exit code")
+    print(f"{kept}/{len(probes)} rejected configs with the same exit code")
     totals = [sum(side.values()) for side in assemblies.values()]
     print(f"assemble_hamiltonian calls: {totals[0]} -> {totals[1]}")
     print_line_counts(checkouts)
-    return 0 if identical == len(names) else 1
+    return 0 if identical == len(outputs) and kept == len(probes) else 1
 
 
 if __name__ == "__main__":

@@ -8,11 +8,12 @@ identical configs produce byte-identical files.
 
 Exit codes: 0 success, 1 invalid config or usage (argument errors too), 2
 failed verification check, 3 amplitude scan found no minimum in range (the
-scan is still written), 4 internal error.  Configs are validated up front,
-the model's constraints by ``model.check_assembly`` without assembling, so an
-error raised later is an internal error: ``main`` lets it propagate, and the
-console entry point ``entry`` prints its traceback and exits 4.  ``main``
-reuses one parser per process and builds nothing else per call.
+scan is still written), 4 internal error.  A config is checked up front: the
+CLI checks JSON types, and ``_checked`` reports values that the model objects
+built from it reject, ``model.check_assembly`` without assembling.  So an
+error raised later is internal: ``main`` lets it propagate, and the console
+entry point ``entry`` prints its traceback and exits 4.  ``main`` reuses one
+parser per process and builds nothing else per call.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from xtalksim.experiments import (
     _scan_rows,
     _sequence_counts,
     cached_scan,
+    check_j_grid,
     gate_fidelity,
     run_preset,
     run_sequence,
@@ -57,11 +59,12 @@ from xtalksim.model import (
     cyclic_mhz_to_angular,
     static_frame_reference,
 )
-from xtalksim.operators import propagate, step_boundaries, unitarity_defect
+from xtalksim.operators import positive, propagate, step_boundaries, unitarity_defect
 from xtalksim.optimize import (
     DEFAULT_GRID_MAX_MHZ,
     DEFAULT_GRID_STEP_MHZ,
     FUNCTIONALS,
+    check_window,
     default_gamma_grid,
     scan_gamma,
 )
@@ -126,21 +129,25 @@ def _get(cfg: dict, key: str, default, kinds, what: str):
     return value
 
 
-def _positive(cfg: dict, key: str, default: float) -> float:
-    value = _get(cfg, key, default, (int, float), "a number")
-    if not 0 < value < math.inf:
-        raise ConfigError(f"key {key!r} must be positive and finite, got {value}")
-    return float(value)
+def _number(cfg: dict, key: str, default):
+    """A number, as given; the model objects it builds check its range."""
+    return _get(cfg, key, default, (int, float), "a number")
 
 
-def _positive_int(cfg: dict, key: str, default: int) -> int:
-    """A positive integer; integer-valued floats such as 4.0 are accepted."""
+def _int(cfg: dict, key: str, default: int) -> int:
+    """An integer; integer-valued floats such as 4.0 are accepted."""
     value = _get(cfg, key, default, (int, float), "an integer")
     if isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
-    if value <= 0:
-        raise ConfigError(f"key {key!r} must be positive, got {value}")
     return int(value)
+
+
+def _checked(build, *args):
+    """``build(*args)``, with its ``ValueError`` (a value the model rejects) as ``ConfigError``."""
+    try:
+        return build(*args)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
 
 
 def _gate_time(cfg: dict, params: SystemParams) -> float:
@@ -148,8 +155,6 @@ def _gate_time(cfg: dict, params: SystemParams) -> float:
     if raw == "matched":
         return params.matched_time()
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-        if not 0 < raw < math.inf:
-            raise ConfigError(f"key 'gate_time' must be positive and finite, got {raw}")
         return float(raw)
     raise ConfigError(f"key 'gate_time' must be a number or \"matched\", got {raw!r}")
 
@@ -185,35 +190,24 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
     else:
         raise ConfigError(f"unknown topology {topo_name!r}; choose pair or star")
 
-    delta_mhz = _positive(cfg, "delta_mhz", 50.0)
-    j_raw = cfg.get("j_mhz", 5.0)
+    delta_mhz = float(_checked(positive, "key 'delta_mhz'", _number(cfg, "delta_mhz", 50.0)))
+    j_raw = _get(cfg, "j_mhz", 5.0, (int, float, list), "a number or list")
+    j_grid: Optional[List[float]] = None
     if isinstance(j_raw, list):
-        if not j_raw:
-            raise ConfigError("key 'j_mhz' is an empty grid")
-        if not all(isinstance(j, (int, float)) and not isinstance(j, bool) and 0 < j < math.inf for j in j_raw):
-            raise ConfigError(f"key 'j_mhz' grid must hold positive numbers, got {j_raw}")
-        j_grid: Optional[List[float]] = [float(j) for j in j_raw]
-        j_scalar = float(j_raw[0])
-    elif isinstance(j_raw, (int, float)) and not isinstance(j_raw, bool):
-        if not 0 <= j_raw < math.inf:
-            raise ConfigError(f"key 'j_mhz' must be finite and >= 0, got {j_raw}")
-        j_grid = None
-        j_scalar = float(j_raw)
-    else:
-        raise ConfigError(f"key 'j_mhz' must be a number or list, got {j_raw!r}")
+        if not all(isinstance(j, (int, float)) and not isinstance(j, bool) for j in j_raw):
+            raise ConfigError(f"key 'j_mhz' grid must hold numbers, got {j_raw}")
+        j_grid = [float(j) for j in _checked(check_j_grid, j_raw)]
+    j_scalar = float(j_raw) if j_grid is None else j_grid[0]
 
-    params = SystemParams.from_mhz(delta_mhz, j_scalar)
+    params = _checked(SystemParams.from_mhz, delta_mhz, j_scalar)
     gate_time = _gate_time(cfg, params)
 
     gate_name = _get(cfg, "gate", "idle", str, "a string")
-    if gate_name == "idle":
-        gate = Idle(gate_time)
-    elif gate_name == "x":
-        gate = XGate(gate_time, target=_positive_int(cfg, "target", 1))
-    elif gate_name == "parallel-xx":
-        gate = ParallelXX(gate_time)
-    else:
+    gate_types = {"idle": Idle, "x": XGate, "parallel-xx": ParallelXX}
+    if gate_name not in gate_types:
         raise ConfigError(f"unknown gate {gate_name!r}; choose idle, x or parallel-xx")
+    target = (_int(cfg, "target", 1),) if gate_name == "x" else ()
+    gate = _checked(gate_types[gate_name], gate_time, *target)
     if "target" in cfg and gate_name != "x":
         raise ConfigError(f"key 'target' applies only to gate x, not {gate_name}")
 
@@ -238,7 +232,7 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
     elif scheme_name == "fm":
         single_site = _get(cfg, "single_site", False, bool, "a boolean")
         corner = _get(cfg, "corner_average", False, bool, "a boolean")
-        cycles = _positive_int(cfg, "cycles", 4)
+        cycles = _int(cfg, "cycles", 4)
         gamma_raw = cfg.get("gamma_mhz", "optimize")
         scan = None
         if gamma_raw == "optimize":
@@ -250,6 +244,7 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
                 raise ConfigError(
                     f"unknown functional {functional!r}; choose from {', '.join(FUNCTIONALS)}"
                 )
+            _checked(check_window, cycles, gate_time)
             # The scan's own errors are internal: they propagate to exit 4.
             scan = cached_scan(functional, params, cycles, gate_time)
             if not scan.found:
@@ -261,8 +256,6 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
         elif isinstance(gamma_raw, (int, float)) and not isinstance(gamma_raw, bool):
             if "functional" in cfg:
                 raise ConfigError("key 'functional' requires gamma_mhz = \"optimize\"")
-            if not 0 <= gamma_raw < math.inf:
-                raise ConfigError(f"key 'gamma_mhz' must be finite and >= 0, got {gamma_raw}")
             gamma = cyclic_mhz_to_angular(float(gamma_raw))
         else:
             raise ConfigError(
@@ -271,7 +264,7 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
         if corner and scan is None:
             raise ConfigError("corner_average requires gamma_mhz = \"optimize\"")
         run = SchemeRun(
-            FrequencyModulation(cycles=cycles, gamma=gamma, single_site=single_site),
+            _checked(FrequencyModulation, cycles, gamma, single_site),
             corner_scan=scan if corner else None,
         )
         header.append(
@@ -279,30 +272,24 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
             f"single_site = {str(single_site).lower()}, corner_average = {str(corner).lower()})"
         )
     else:
-        segments = _positive_int(cfg, "segments", 4)
-        width = _positive(cfg, "width_ns", gate_time / (4.0 * segments))
-        try:
-            decoupling = DynamicalDecoupling(
-                segments=segments, width=width, pulses=scheme_name == "dd"
-            )
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-        run = SchemeRun(decoupling)
+        segments = _int(cfg, "segments", 4)
+        # No default width for a zero count: the pulse-count check reports it first.
+        width = float(_number(cfg, "width_ns", gate_time / (4.0 * segments) if segments else math.nan))
+        run = SchemeRun(_checked(DynamicalDecoupling, segments, width, scheme_name == "dd"))
         header.append(
             f"scheme = {scheme_name} (segments = {segments}, width_ns = {_fmt(width)})"
         )
 
-    repetitions = _positive_int(cfg, "repetitions", 1)
+    repetitions = _int(cfg, "repetitions", 1)
     if j_grid is not None and repetitions > 1:
         raise ConfigError("choose a J grid or repeated gates, not both")
     # Check what the run builds, so that model validation fails here.
-    try:
-        check_assembly(topology, run.scheme, gate)
-        _sequence_counts(gate, repetitions)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    _checked(check_assembly, topology, run.scheme, gate)
+    _checked(_sequence_counts, gate, repetitions)
 
-    step = step_override if step_override is not None else _positive(cfg, "step_ns", DEFAULT_STEP)
+    step = step_override
+    if step is None:
+        step = float(_checked(positive, "key 'step_ns'", _number(cfg, "step_ns", DEFAULT_STEP)))
     j_text = _fmt(j_scalar) if j_grid is None else f"[{', '.join(_fmt(j) for j in j_grid)}]"
     header.append(f"j_mhz = {j_text}")
     header.append(f"repetitions = {repetitions}")
@@ -369,17 +356,15 @@ def cmd_optimize_gamma(args) -> int:
         raise ConfigError(
             f"unknown functional {functional!r}; choose from {', '.join(FUNCTIONALS)}"
         )
-    cycles = _positive_int(cfg, "cycles", 4)
-    delta_mhz = _positive(cfg, "delta_mhz", 50.0)
-    j_mhz = _positive(cfg, "j_mhz", 5.0)
-    params = SystemParams.from_mhz(delta_mhz, j_mhz)
+    cycles = _int(cfg, "cycles", 4)
+    delta_mhz = float(_checked(positive, "key 'delta_mhz'", _number(cfg, "delta_mhz", 50.0)))
+    j_mhz = float(_checked(positive, "key 'j_mhz'", _number(cfg, "j_mhz", 5.0)))
+    params = _checked(SystemParams.from_mhz, delta_mhz, j_mhz)
     gate_time = _gate_time(cfg, params)
-    grid_step = _positive(cfg, "grid_step_mhz", DEFAULT_GRID_STEP_MHZ)
-    grid_max = _positive(cfg, "grid_max_mhz", DEFAULT_GRID_MAX_MHZ)
-    try:
-        grid = default_gamma_grid(grid_step, grid_max)
-    except ValueError as e:
-        raise ConfigError(str(e)) from None
+    _checked(check_window, cycles, gate_time)
+    grid_step = float(_number(cfg, "grid_step_mhz", DEFAULT_GRID_STEP_MHZ))
+    grid_max = float(_number(cfg, "grid_max_mhz", DEFAULT_GRID_MAX_MHZ))
+    grid = _checked(default_gamma_grid, grid_step, grid_max)
 
     scan = scan_gamma(functional, params, cycles, gate_time, grid=grid)
     label = f"FM-N{cycles}"
@@ -571,8 +556,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = ["list-presets" if a == "--list-presets" else a for a in argv]
     try:
         args = PARSER.parse_args(argv)
-        if getattr(args, "step", None) is not None and not 0 < args.step < math.inf:
-            raise ConfigError(f"--step must be positive and finite, got {args.step}")
+        if getattr(args, "step", None) is not None:
+            _checked(positive, "--step", args.step)
         # Looked up per call, so a replaced ``cmd_*`` attribute takes effect.
         return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ConfigError as e:

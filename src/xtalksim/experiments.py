@@ -48,6 +48,7 @@ from xtalksim.model import (
     static_frame_reference,
     target_unitary,
 )
+from xtalksim.operators import positive, positive_int
 from xtalksim.optimize import GammaScan, check_window, corner_averaged_fidelity, scan_gamma
 
 # Longest integrator step (ns) used by every shipped experiment.  Grids put
@@ -164,8 +165,7 @@ def _sequence_counts(gate: GateSpec, repetitions: int) -> np.ndarray:
     Idle sequences report every count; driven gates report odd counts only,
     so the accumulated operation is the same net gate throughout.
     """
-    if repetitions < 1:
-        raise ValueError(f"sequence length must be >= 1, got {repetitions}")
+    positive_int("sequence length", repetitions)
     if isinstance(gate, Idle):
         return np.arange(1, repetitions + 1)
     if repetitions % 2 == 0:
@@ -259,6 +259,14 @@ def cd_idle_reference_infidelity(params: SystemParams, topology: Topology, t: fl
     return max(0.0, 1.0 - gate_fidelity(u, np.eye(topology.dim)))
 
 
+def check_j_grid(j_values_mhz: Iterable[float]) -> Tuple[float, ...]:
+    """The J grid (cyclic MHz) as a tuple, if it has entries, all positive and finite."""
+    j_grid = tuple(positive(f"J grid entry {k}", j) for k, j in enumerate(j_values_mhz))
+    if not j_grid:
+        raise ValueError("empty J grid")
+    return j_grid
+
+
 def sweep_j(
     params: SystemParams,
     topology: Topology,
@@ -275,11 +283,7 @@ def sweep_j(
     follow the order of ``runs`` and their abscissa is the grid in cyclic
     MHz, in the order given.
     """
-    j_grid = DEFAULT_J_GRID_MHZ if j_values_mhz is None else tuple(j_values_mhz)
-    if len(j_grid) == 0:
-        raise ValueError("empty J grid")
-    if any(j <= 0 for j in j_grid):
-        raise ValueError(f"coupling strengths must be positive, got {j_grid}")
+    j_grid = check_j_grid(DEFAULT_J_GRID_MHZ if j_values_mhz is None else j_values_mhz)
     couplings = tuple(cyclic_mhz_to_angular(j) for j in j_grid)
     return [
         FidelitySeries(

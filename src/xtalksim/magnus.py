@@ -24,6 +24,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import jv
 
 from xtalksim.model import SystemParams
+from xtalksim.operators import positive_int
 from xtalksim.pulses import FmZModulation, SineEnvelopeDrive
 
 __all__ = [
@@ -163,9 +164,7 @@ def epsilon_dd1(params: SystemParams, segments: int, t_end: float) -> float:
     with tau = T/segments.  Vanishes at every matched time for even segment
     counts.
     """
-    if segments < 1:
-        raise ValueError(f"segment count must be >= 1, got {segments}")
-    tau = t_end / segments
+    tau = t_end / positive_int("segment count", segments)
     s = np.arange(1, segments + 1)
     signs = (-1.0) ** (s - 1)
     increments = np.exp(1j * params.delta * s * tau) - np.exp(1j * params.delta * (s - 1) * tau)
@@ -180,7 +179,7 @@ def epsilon_dd2_numeric(params: SystemParams, segments: int, t_end: float) -> fl
     per-segment sign flip.  The panel count is rounded up to a multiple of
     ``segments``, so the discontinuous sign never crosses a panel.
     """
-    tau = t_end / segments
+    tau = t_end / positive_int("segment count", segments)
     sign = lambda t: (-1.0) ** np.minimum(np.floor(t / tau), segments - 1)
     rule = TriangleRule(t_end, math.ceil(PANELS / segments) * segments)
     g = sign(rule.points) * np.exp(1j * params.delta * rule.points)

@@ -107,6 +107,9 @@ from xtalksim.operators import (
     encode_terms,
     expm_hamiltonian,
     gauss_nodes,
+    non_negative,
+    positive,
+    positive_int,
     step_boundaries,
 )
 from xtalksim.pulses import (
@@ -231,8 +234,7 @@ class SystemParams:
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta != 0.0):
             raise ValueError(f"detuning must be finite and nonzero, got {self.delta}")
-        if not 0.0 <= self.j < math.inf:
-            raise ValueError(f"coupling must be finite and >= 0, got {self.j}")
+        non_negative("coupling", self.j)
 
     @classmethod
     def from_mhz(cls, delta_mhz: float, j_mhz: float) -> "SystemParams":
@@ -277,10 +279,8 @@ class FrequencyModulation:
     single_site: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.cycles, (int, np.integer)) or self.cycles < 1:
-            raise ValueError(f"cycle count must be a positive integer, got {self.cycles!r}")
-        if not 0.0 <= self.gamma < math.inf:
-            raise ValueError(f"modulation amplitude must be finite and >= 0, got {self.gamma}")
+        positive_int("cycle count", self.cycles)
+        non_negative("modulation amplitude", self.gamma)
 
     def modulation(self, gate_time: float) -> FmZModulation:
         return FmZModulation(gamma=self.gamma, cycles=self.cycles, duration=gate_time)
@@ -302,10 +302,9 @@ class DynamicalDecoupling:
     pulses: bool = True
 
     def __post_init__(self):
-        if not isinstance(self.segments, (int, np.integer)) or self.segments < 4 or self.segments % 2:
+        if positive_int("pulse count", self.segments) < 4 or self.segments % 2:
             raise ValueError(f"pulse count must be an even integer >= 4, got {self.segments!r}")
-        if not 0.0 < self.width < math.inf:
-            raise ValueError(f"pulse width must be positive and finite, got {self.width}")
+        positive("pulse width", self.width)
 
 
 ControlScheme = Union[CrosstalkOnly, FrequencyModulation, DynamicalDecoupling]
@@ -318,8 +317,7 @@ class _Gate:
     duration: float
 
     def __post_init__(self):
-        if not 0.0 < self.duration < math.inf:
-            raise ValueError(f"gate time must be positive and finite, got {self.duration}")
+        positive("gate time", self.duration)
 
 
 @dataclass(frozen=True)
@@ -335,8 +333,7 @@ class XGate(_Gate):
 
     def __post_init__(self):
         super().__post_init__()
-        if not isinstance(self.target, (int, np.integer)) or self.target < 1:
-            raise ValueError(f"target qubit label must be an integer >= 1, got {self.target!r}")
+        positive_int("target qubit label", self.target)
 
 
 @dataclass(frozen=True)
@@ -800,8 +797,7 @@ def assemble_hamiltonian(
 def target_unitary(gate: GateSpec, topology: Topology, repetitions: int = 1) -> np.ndarray:
     """Ideal propagator of ``repetitions`` consecutive gates, exact: k X gates,
     each exp(-i pi/2 X) = -i X, apply (-i)^k X^k to their target."""
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    positive_int("repetitions", repetitions)
     targets = _x_target_labels(gate, topology)
     flips = [topology.paulis[f"X{q}"] for q in targets] if repetitions % 2 else []
     u = reduce(np.matmul, flips) if flips else np.eye(topology.dim, dtype=complex)

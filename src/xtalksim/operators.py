@@ -103,6 +103,26 @@ _BBC_8 = np.array(
 CHUNK = 2048
 
 
+# The package's range checks: each returns its value or raises a ValueError naming ``what``.
+def positive_int(what: str, value):
+    """A count: an ``int`` or numpy integer (not ``bool``) of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
+def positive(what: str, value):
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {value}")
+    return value
+
+
+def non_negative(what: str, value):
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{what} must be finite and >= 0, got {value}")
+    return value
+
+
 def step_boundaries(t_start: float, t_end: float, max_step: float, breakpoints=()) -> np.ndarray:
     """Step boundaries over ``[t_start, t_end]``, both ends included, with one
     on every breakpoint inside the window.
@@ -120,8 +140,7 @@ def step_boundaries(t_start: float, t_end: float, max_step: float, breakpoints=(
     """
     if not -math.inf < t_start < t_end < math.inf:
         raise ValueError(f"window must be finite with t_end > t_start, got [{t_start}, {t_end}]")
-    if not 0.0 < max_step < math.inf:
-        raise ValueError(f"step must be positive and finite, got {max_step}")
+    positive("step", max_step)
     merge = 1e-9 * (t_end - t_start)
     knots = [t_start]
     for t in sorted(float(t) for t in breakpoints):

@@ -26,6 +26,7 @@ from xtalksim.model import (
     angular_to_cyclic_mhz,
     cyclic_mhz_to_angular,
 )
+from xtalksim.operators import positive
 
 # Default scan grid: 1.59 MHz resolution from zero up to 600 MHz (cyclic).
 DEFAULT_GRID_STEP_MHZ = 1.59
@@ -42,9 +43,7 @@ def default_gamma_grid(
     max_mhz: float = DEFAULT_GRID_MAX_MHZ,
 ) -> np.ndarray:
     """Uniform amplitude grid in rad/ns covering [0, max_mhz] cyclic MHz."""
-    if not 0.0 < step_mhz < math.inf:
-        raise ValueError(f"grid step must be positive and finite, got {step_mhz}")
-    if not 2.0 * step_mhz <= max_mhz < math.inf:
+    if not 2.0 * positive("grid step", step_mhz) <= max_mhz < math.inf:
         raise ValueError(
             f"grid must be finite and span at least two steps (3 points), got step {step_mhz}, max {max_mhz}"
         )

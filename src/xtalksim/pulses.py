@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from xtalksim.operators import non_negative, positive, positive_int
+
 __all__ = [
     "SineEnvelopeDrive",
     "FmZModulation",
@@ -35,8 +37,7 @@ class SineEnvelopeDrive:
     duration: float
 
     def __post_init__(self):
-        if not 0.0 < self.duration < math.inf:
-            raise ValueError(f"drive duration must be positive and finite, got {self.duration}")
+        positive("drive duration", self.duration)
 
     @property
     def amplitude(self) -> float:
@@ -69,12 +70,9 @@ class FmZModulation:
     duration: float
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma < math.inf:
-            raise ValueError(f"modulation amplitude must be finite and >= 0, got {self.gamma}")
-        if int(self.cycles) != self.cycles or self.cycles < 1:
-            raise ValueError(f"cycle count must be a positive integer, got {self.cycles}")
-        if not 0.0 < self.duration < math.inf:
-            raise ValueError(f"modulation duration must be positive and finite, got {self.duration}")
+        non_negative("modulation amplitude", self.gamma)
+        positive_int("cycle count", self.cycles)
+        positive("modulation duration", self.duration)
 
     def sample(self, t):
         tt = np.asarray(t, dtype=float)
@@ -106,9 +104,8 @@ class NascentDeltaTrain:
     width: float
 
     def __post_init__(self):
-        if self.segments < 1:
-            raise ValueError(f"pulse train needs at least one pulse, got {self.segments}")
-        if not 0.0 < self.width < self.interval:
+        positive_int("pulse count", self.segments)
+        if not 0.0 < self.width < positive("pulse interval", self.interval):
             raise ValueError(
                 f"pulse width must satisfy 0 < w < interval, got w={self.width}, "
                 f"interval={self.interval}"
@@ -152,9 +149,8 @@ class SegmentedDrive:
     width: float
 
     def __post_init__(self):
-        if self.segments < 1:
-            raise ValueError(f"segmented drive needs at least one segment, got {self.segments}")
-        if not 0.0 <= self.width < self.interval:
+        positive_int("segment count", self.segments)
+        if not 0.0 <= self.width < positive("segment interval", self.interval):
             raise ValueError(
                 f"width must satisfy 0 <= w < interval, got w={self.width}, "
                 f"interval={self.interval}"

@@ -263,6 +263,58 @@ class TestOptimizeGamma:
             assert "'cycles'" in capsys.readouterr().err
 
 
+# One wrong key per config: the command, the config and the start of the error,
+# which names the key where the CLI checks it and the quantity where the model does.
+REJECTED = [
+    ("simulate", {"delta_mhz": -50.0}, "key 'delta_mhz' must be positive and finite, got -50.0"),
+    ("simulate", {"j_mhz": -1.0}, "coupling must be finite and >= 0, got -0.00628318"),
+    ("simulate", {"j_mhz": []}, "empty J grid"),
+    ("simulate", {"j_mhz": [1.0, float("nan")]}, "J grid entry 1 must be positive and finite, got nan"),
+    ("simulate", {"j_mhz": [1.0, True]}, "key 'j_mhz' grid must hold numbers"),
+    ("simulate", {"gate_time": 0}, "gate time must be positive and finite, got 0.0"),
+    ("simulate", {"gate_time": float("inf")}, "gate time must be positive and finite, got inf"),
+    ("simulate", {"repetitions": 0}, "sequence length must be a positive integer, got 0"),
+    ("simulate", {"gate": "x", "target": 0}, "target qubit label must be a positive integer, got 0"),
+    ("simulate", {"scheme": "fm", "cycles": 0}, "cycle count must be a positive integer, got 0"),
+    ("simulate", {"scheme": "fm", "cycles": 0, "gamma_mhz": 100.0}, "cycle count must be a positive integer"),
+    ("simulate", {"scheme": "fm", "gamma_mhz": -3.0}, "modulation amplitude must be finite and >= 0, got -0.0188"),
+    ("simulate", {"scheme": "dd", "segments": 0}, "pulse count must be a positive integer, got 0"),
+    ("simulate", {"scheme": "dd-baseline", "segments": -4}, "pulse count must be a positive integer, got -4"),
+    ("simulate", {"scheme": "dd", "width_ns": 0}, "pulse width must be positive and finite, got 0.0"),
+    ("simulate", {"step_ns": 0}, "key 'step_ns' must be positive and finite, got 0"),
+    ("optimize-gamma", {"delta_mhz": -50}, "key 'delta_mhz' must be positive and finite, got -50"),
+    ("optimize-gamma", {"j_mhz": 0}, "key 'j_mhz' must be positive and finite, got 0"),
+    ("optimize-gamma", {"cycles": 0}, "cycle count must be a positive integer, got 0"),
+    ("optimize-gamma", {"gate_time": -20.0}, "gate time must be positive and finite, got -20.0"),
+    ("optimize-gamma", {"grid_step_mhz": 0}, "grid step must be positive and finite, got 0.0"),
+    ("optimize-gamma", {"grid_max_mhz": 2.0}, "grid must be finite and span at least two steps"),
+]
+
+
+class TestRejectedConfigs:
+    """Every rejected config exits 1 with one ``error:`` line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "command, payload, message",
+        REJECTED,
+        ids=[f"{c}-{'-'.join(f'{k}={v}' for k, v in p.items())}" for c, p, _ in REJECTED],
+    )
+    def test_exits_invalid_with_one_error_line(self, tmp_path, capsys, command, payload, message):
+        cfg = write_config(tmp_path, payload)
+        assert entry([command, "--config", cfg]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize("step", ["0", "-0.02", "nan", "inf"])
+    def test_step_flag_must_be_positive_and_finite(self, capsys, command, step):
+        argv = [command, "--step", step] + (["--preset", "fig2"] if command == "simulate" else [])
+        assert entry(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: --step must be positive and finite, got {float(step)}\n"
+
+
 class TestVerify:
     def test_default_step_passes(self, capsys):
         assert main(["verify"]) == EXIT_OK

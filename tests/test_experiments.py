@@ -288,6 +288,11 @@ class TestSequences:
         with pytest.raises(ValueError, match="odd"):
             run_sequence(PARAMS, PAIR, SchemeRun(CrosstalkOnly()), XGate(T_M), 4, step=0.05)
 
+    @pytest.mark.parametrize("repetitions", [2.5, True, 3.0], ids=["fraction", "bool", "integral-float"])
+    def test_sequence_length_is_a_count(self, repetitions):
+        with pytest.raises(ValueError, match=rf"sequence length must be a positive integer, got {repetitions!r}$"):
+            run_sequence(PARAMS, PAIR, SchemeRun(CrosstalkOnly()), Idle(T_M), repetitions, step=0.05)
+
 
 class TestCornerAveragedSequence:
     def test_corner_average_is_mean_of_flanking_sequences(self):
@@ -395,6 +400,19 @@ class TestSweepJ:
             sweep_j(PARAMS, PAIR, self.runs(), Idle(T_M), [], step=0.05)
         with pytest.raises(ValueError):
             sweep_j(PARAMS, PAIR, self.runs(), Idle(T_M), [5.0, -1.0], step=0.05)
+
+    @pytest.mark.parametrize(
+        "j_grid, match",
+        [
+            ([5.0, np.nan], r"J grid entry 1 must be positive and finite, got nan$"),
+            ([np.inf], r"J grid entry 0 must be positive and finite, got inf$"),
+            ([1.0, 2.0, 0.0], r"J grid entry 2 must be positive and finite, got 0\.0$"),
+        ],
+        ids=["nan", "inf", "zero"],
+    )
+    def test_grid_entries_checked_before_propagation(self, j_grid, match):
+        with pytest.raises(ValueError, match=match):
+            sweep_j(PARAMS, PAIR, self.runs(), Idle(T_M), j_grid, step=0.05)
 
     def test_infidelity_grows_with_coupling(self):
         series = sweep_j(PARAMS, PAIR, self.runs(), Idle(T_M), [1.0, 5.0, 10.0], step=0.05)[0]

@@ -86,6 +86,12 @@ class TestFirstOrder:
         with pytest.raises(ValueError):
             epsilon_dd1(PARAMS, 0, T_M)
 
+    @pytest.mark.parametrize("functional", [epsilon_dd1, epsilon_dd2_numeric])
+    @pytest.mark.parametrize("segments", [4.5, 4.0, True], ids=["fraction", "integral-float", "bool"])
+    def test_dd_segment_count_is_a_count(self, functional, segments):
+        with pytest.raises(ValueError, match=rf"segment count must be a positive integer, got {segments!r}$"):
+            functional(PARAMS, segments, T_M)
+
 
 class TestSecondOrderClosedForms:
     def test_idle_kernel_matches_closed_form(self):

@@ -90,9 +90,11 @@ class TestUnitsAndParams:
             (lambda: DynamicalDecoupling(width=0.0), r"pulse width .* got 0\.0"),
             (lambda: XGate(20.0, target=1.5), r"target qubit .* got 1\.5"),
             (lambda: FrequencyModulation(cycles=4.0, gamma=1.0), r"cycle count .* got 4\.0"),
+            (lambda: FrequencyModulation(cycles=True, gamma=1.0), r"cycle count .* got True$"),
+            (lambda: XGate(20.0, target=True), r"target qubit label .* got True$"),
         ],
         ids=["dd-float-segments", "dd-numpy-float-segments", "dd-nan-width", "dd-inf-width",
-             "dd-zero-width", "x-float-target", "fm-float-cycles"],
+             "dd-zero-width", "x-float-target", "fm-float-cycles", "fm-bool-cycles", "x-bool-target"],
     )
     def test_schemes_and_gates_reject_non_integers_and_bad_widths(self, build, match):
         # Caught when built, not inside assembly or as a label such as DD-Z6.0.

@@ -139,6 +139,40 @@ class TestSegmentedDrive:
         assert quad_area(drive.sample, 0.0, 5.0) == pytest.approx(np.pi / 4.0, rel=1e-10)
 
 
+class TestCountsAndIntervals:
+    """Counts are integers (numpy's too, bool not) of at least 1 and pulse
+    intervals are positive and finite, checked when a waveform is built."""
+
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: FmZModulation(gamma=1.0, cycles=4.0, duration=20.0), r"cycle count .* got 4\.0$"),
+            (lambda: FmZModulation(gamma=1.0, cycles=True, duration=20.0), r"cycle count .* got True$"),
+            (lambda: FmZModulation(gamma=1.0, cycles=np.nan, duration=20.0), r"cycle count .* got nan$"),
+            (lambda: NascentDeltaTrain(segments=4.0, interval=5.0, width=1.25), r"pulse count .* got 4\.0$"),
+            (lambda: SegmentedDrive(segments=True, interval=5.0, width=1.25), r"segment count .* got True$"),
+            (
+                lambda: NascentDeltaTrain(segments=4, interval=np.inf, width=1.25),
+                r"pulse interval must be positive and finite, got inf$",
+            ),
+            (
+                lambda: SegmentedDrive(segments=4, interval=np.inf, width=1.25),
+                r"segment interval must be positive and finite, got inf$",
+            ),
+        ],
+        ids=["fm-float-cycles", "fm-bool-cycles", "fm-nan-cycles", "train-float-count",
+             "bursts-bool-count", "train-inf-interval", "bursts-inf-interval"],
+    )
+    def test_rejected_when_built(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+    def test_numpy_integer_counts(self):
+        train = NascentDeltaTrain(segments=np.int64(4), interval=5.0, width=1.25)
+        assert train.kinks() == TestKinks.KINKED["train"].kinks()
+        assert FmZModulation(gamma=1.0, cycles=np.int32(4), duration=20.0).kinks() == (0.0, 20.0)
+
+
 class TestModulatedQuadrature:
     """The single-site drive in the operation frame: envelope * (cos 2 alpha, sin 2 alpha)."""
 
