@@ -62,7 +62,8 @@ SEQUENCES = {
         "repetitions": 5,
     },
 }
-# Invalid configs, each wrong in one key, by command.
+# Invalid configs, each wrong in one key (a bad value or a key the run does
+# not read), by command.
 REJECTED = {
     "simulate": {
         "j-empty-grid": {"j_mhz": []},
@@ -91,6 +92,10 @@ REJECTED = {
         "dd-width-too-wide": {"scheme": "dd", "width_ns": 5.0},
         "step-zero": {"step_ns": 0},
         "step-negative": {"step_ns": -0.01},
+        "idle-target": {"gate": "idle", "target": 1},
+        "fm-explicit-functional": {"scheme": "fm", "gamma_mhz": 100.0, "functional": "fm2-idle"},
+        "cd-single-site": {"scheme": "cd", "single_site": True},
+        "unknown-key": {"unknown_key": 1},
     },
     "optimize-gamma": {
         "cycles-zero": {"cycles": 0},
@@ -103,6 +108,7 @@ REJECTED = {
         "grid-step-zero": {"grid_step_mhz": 0},
         "grid-max-zero": {"grid_max_mhz": 0},
         "grid-max-one-step": {"grid_max_mhz": 2.0},
+        "unknown-key": {"unknown_key": 1},
     },
 }
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")

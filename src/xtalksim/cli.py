@@ -10,10 +10,12 @@ Exit codes: 0 success, 1 invalid config or usage (argument errors too), 2
 failed verification check, 3 amplitude scan found no minimum in range (the
 scan is still written), 4 internal error.  A config is checked up front: the
 CLI checks JSON types, and ``_checked`` reports values that the model objects
-built from it reject, ``model.check_assembly`` without assembling.  So an
-error raised later is internal: ``main`` lets it propagate, and the console
-entry point ``entry`` prints its traceback and exits 4.  ``main`` reuses one
-parser per process and builds nothing else per call.
+built from it reject, ``model.check_assembly`` without assembling.  Each key
+is taken out of the config where it is read, and ``_done`` rejects whatever
+no reader took, before any scan or propagation.  So an error raised later is
+internal: ``main`` lets it propagate, and the console entry point ``entry``
+prints its traceback and exits 4.  ``main`` reuses one parser per process and
+builds nothing else per call.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ from xtalksim.operators import positive, propagate, step_boundaries, unitarity_d
 from xtalksim.optimize import (
     DEFAULT_GRID_MAX_MHZ,
     DEFAULT_GRID_STEP_MHZ,
-    FUNCTIONALS,
     check_window,
     default_gamma_grid,
     scan_gamma,
@@ -114,14 +115,9 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _reject_unknown(cfg: dict, allowed: set, context: str) -> None:
-    unknown = sorted(set(cfg) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown {context} key(s): {', '.join(unknown)}")
-
-
 def _get(cfg: dict, key: str, default, kinds, what: str):
-    value = cfg.get(key, default)
+    """Take ``key`` out of ``cfg`` (``default`` when absent) and check its JSON type."""
+    value = cfg.pop(key, default)
     if not isinstance(value, kinds) or isinstance(value, bool) and bool not in (
         kinds if isinstance(kinds, tuple) else (kinds,)
     ):
@@ -142,6 +138,12 @@ def _int(cfg: dict, key: str, default: int) -> int:
     return int(value)
 
 
+def _done(cfg: dict, context: str) -> None:
+    """Reject the keys that no reader took out of ``cfg``, naming them and the run."""
+    if cfg:
+        raise ConfigError(f"{context} does not read key(s) {', '.join(sorted(cfg))}")
+
+
 def _checked(build, *args):
     """``build(*args)``, with its ``ValueError`` (a value the model rejects) as ``ConfigError``."""
     try:
@@ -151,7 +153,7 @@ def _checked(build, *args):
 
 
 def _gate_time(cfg: dict, params: SystemParams) -> float:
-    raw = cfg.get("gate_time", "matched")
+    raw = cfg.pop("gate_time", "matched")
     if raw == "matched":
         return params.matched_time()
     if isinstance(raw, (int, float)) and not isinstance(raw, bool):
@@ -163,25 +165,9 @@ def _gate_time(cfg: dict, params: SystemParams) -> float:
 # simulate
 
 
-# Keys that every scheme reads (``target`` only for gate x), then the keys
-# that only one scheme reads; a config may set only its own scheme's.
-COMMON_KEYS = {
-    "topology", "delta_mhz", "j_mhz", "scheme", "gate", "target", "gate_time", "repetitions",
-    "step_ns",
-}
-SCHEME_KEYS = {
-    "cd": set(),
-    "fm": {"cycles", "gamma_mhz", "functional", "single_site", "corner_average"},
-    "dd": {"segments", "width_ns"},
-    "dd-baseline": {"segments", "width_ns"},
-}
-SIMULATE_KEYS = COMMON_KEYS.union(*SCHEME_KEYS.values())
-
-
 def _resolve_simulation(cfg: dict, step_override: Optional[float]):
-    """Turn a config dict into (params, topology, run, gate, j_grid, reps, step, header)."""
-    _reject_unknown(cfg, SIMULATE_KEYS, "simulate")
-
+    """Turn a config dict into (params, topology, run, gate, j_grid, reps, step, header),
+    taking every key it reads out of ``cfg``."""
     topo_name = _get(cfg, "topology", "pair", str, "a string")
     if topo_name == "pair":
         topology = PAIR
@@ -208,17 +194,18 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
         raise ConfigError(f"unknown gate {gate_name!r}; choose idle, x or parallel-xx")
     target = (_int(cfg, "target", 1),) if gate_name == "x" else ()
     gate = _checked(gate_types[gate_name], gate_time, *target)
-    if "target" in cfg and gate_name != "x":
-        raise ConfigError(f"key 'target' applies only to gate x, not {gate_name}")
 
     scheme_name = _get(cfg, "scheme", "cd", str, "a string")
-    if scheme_name not in SCHEME_KEYS:
+    if scheme_name not in ("cd", "fm", "dd", "dd-baseline"):
         raise ConfigError(
             f"unknown scheme {scheme_name!r}; choose cd, fm, dd or dd-baseline"
         )
-    unread = set(cfg) - COMMON_KEYS - SCHEME_KEYS[scheme_name]
-    if unread:
-        raise ConfigError(f"scheme {scheme_name} does not read key(s) {', '.join(sorted(unread))}")
+    context = f"scheme {scheme_name} on gate {gate_name}"
+    repetitions = _int(cfg, "repetitions", 1)
+    # Read also under --step, which wins, so that an invalid value is reported.
+    step = float(_checked(positive, "key 'step_ns'", _number(cfg, "step_ns", DEFAULT_STEP)))
+    if step_override is not None:
+        step = step_override
     header: List[str] = [
         f"topology = {topo_name}",
         f"delta_mhz = {_fmt(delta_mhz)}",
@@ -233,18 +220,15 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
         single_site = _get(cfg, "single_site", False, bool, "a boolean")
         corner = _get(cfg, "corner_average", False, bool, "a boolean")
         cycles = _int(cfg, "cycles", 4)
-        gamma_raw = cfg.get("gamma_mhz", "optimize")
+        gamma_raw = cfg.pop("gamma_mhz", "optimize")
         scan = None
         if gamma_raw == "optimize":
             default_fn = "fm1" if not params.is_matched(gate_time) else (
                 "fm2-idle" if gate_name == "idle" else "fm2-x"
             )
             functional = _get(cfg, "functional", default_fn, str, "a string")
-            if functional not in FUNCTIONALS:
-                raise ConfigError(
-                    f"unknown functional {functional!r}; choose from {', '.join(FUNCTIONALS)}"
-                )
-            _checked(check_window, cycles, gate_time)
+            _done(cfg, context)  # before the scan, which a stray key must not cost
+            _checked(check_window, functional, cycles, gate_time)
             # The scan's own errors are internal: they propagate to exit 4.
             scan = cached_scan(functional, params, cycles, gate_time)
             if not scan.found:
@@ -254,8 +238,6 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
             gamma = scan.gamma_opt
             header.append(f"functional = {functional}")
         elif isinstance(gamma_raw, (int, float)) and not isinstance(gamma_raw, bool):
-            if "functional" in cfg:
-                raise ConfigError("key 'functional' requires gamma_mhz = \"optimize\"")
             gamma = cyclic_mhz_to_angular(float(gamma_raw))
         else:
             raise ConfigError(
@@ -280,16 +262,13 @@ def _resolve_simulation(cfg: dict, step_override: Optional[float]):
             f"scheme = {scheme_name} (segments = {segments}, width_ns = {_fmt(width)})"
         )
 
-    repetitions = _int(cfg, "repetitions", 1)
+    _done(cfg, context)
     if j_grid is not None and repetitions > 1:
         raise ConfigError("choose a J grid or repeated gates, not both")
     # Check what the run builds, so that model validation fails here.
     _checked(check_assembly, topology, run.scheme, gate)
     _checked(_sequence_counts, gate, repetitions)
 
-    step = step_override
-    if step is None:
-        step = float(_checked(positive, "key 'step_ns'", _number(cfg, "step_ns", DEFAULT_STEP)))
     j_text = _fmt(j_scalar) if j_grid is None else f"[{', '.join(_fmt(j) for j in j_grid)}]"
     header.append(f"j_mhz = {j_text}")
     header.append(f"repetitions = {repetitions}")
@@ -342,28 +321,18 @@ def cmd_simulate(args) -> int:
 # optimize-gamma
 
 
-OPTIMIZE_KEYS = {
-    "functional", "cycles", "delta_mhz", "j_mhz", "gate_time", "grid_step_mhz", "grid_max_mhz",
-}
-
-
 def cmd_optimize_gamma(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
-    _reject_unknown(cfg, OPTIMIZE_KEYS, "optimize-gamma")
-
     functional = _get(cfg, "functional", "fm2-idle", str, "a string")
-    if functional not in FUNCTIONALS:
-        raise ConfigError(
-            f"unknown functional {functional!r}; choose from {', '.join(FUNCTIONALS)}"
-        )
     cycles = _int(cfg, "cycles", 4)
     delta_mhz = float(_checked(positive, "key 'delta_mhz'", _number(cfg, "delta_mhz", 50.0)))
     j_mhz = float(_checked(positive, "key 'j_mhz'", _number(cfg, "j_mhz", 5.0)))
     params = _checked(SystemParams.from_mhz, delta_mhz, j_mhz)
     gate_time = _gate_time(cfg, params)
-    _checked(check_window, cycles, gate_time)
     grid_step = float(_number(cfg, "grid_step_mhz", DEFAULT_GRID_STEP_MHZ))
     grid_max = float(_number(cfg, "grid_max_mhz", DEFAULT_GRID_MAX_MHZ))
+    _done(cfg, "optimize-gamma")
+    _checked(check_window, functional, cycles, gate_time)
     grid = _checked(default_gamma_grid, grid_step, grid_max)
 
     scan = scan_gamma(functional, params, cycles, gate_time, grid=grid)
@@ -410,17 +379,16 @@ def _verify_checks(step: float) -> List[Tuple[str, bool, str]]:
     checks: List[Tuple[str, bool, str]] = []
 
     # Propagator unitarity for a plain and a pulsed assembly.
-    worst = 0.0
+    propagators = []
     for scheme in (CrosstalkOnly(), decoupling):
         h = assemble_hamiltonian(params, topology, scheme, Idle(t_m))
-        u = h.blocks().propagate(0.0, h.t_end, step)
-        worst = max(worst, unitarity_defect(u))
+        propagators.append(h.blocks().propagate(0.0, h.t_end, step))
+    worst = max(unitarity_defect(u) for u in propagators)
     checks.append(("unitarity", worst <= 1e-10, f"max defect {worst:.3e} (bound 1e-10)"))
 
-    # Integrated bare-crosstalk idle against static diagonalization.
-    h = assemble_hamiltonian(params, topology, CrosstalkOnly(), Idle(t_m))
-    u = h.blocks().propagate(0.0, t_m, step)
-    residual = float(np.abs(u - static_frame_reference(params, topology, t_m)).max())
+    # The plain one, the bare-crosstalk idle over [0, T_M] (it has no tail),
+    # against static diagonalization.
+    residual = float(np.abs(propagators[0] - static_frame_reference(params, topology, t_m)).max())
     detail = f"max |U - U_exact| {residual:.3e} (bound 1e-8)"
     checks.append(("idle-oracle", residual <= 1e-8, detail))
 

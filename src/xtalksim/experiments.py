@@ -305,7 +305,7 @@ def cached_scan(
     functional: str, params: SystemParams, cycles: int, gate_time: float
 ) -> GammaScan:
     """``scan_gamma`` on its default grid, memoized; a hit checks its window as a miss does."""
-    check_window(cycles, gate_time)
+    check_window(functional, cycles, gate_time)
     key = (
         functional,
         int(cycles),

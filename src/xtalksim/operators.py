@@ -49,6 +49,7 @@ oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -59,7 +60,6 @@ __all__ = [
     "SIGMA_Z",
     "IDENTITY",
     "step_boundaries",
-    "kron",
     "embed",
     "unitarity_defect",
     "expm_hamiltonian",
@@ -153,26 +153,6 @@ def step_boundaries(t_start: float, t_end: float, max_step: float, breakpoints=(
     return np.interp(np.arange(indices[-1] + 1), indices, np.array(knots, dtype=float))
 
 
-def kron(*factors: np.ndarray) -> np.ndarray:
-    """Complex Kronecker product of one or more 2-D matrices, first factor leftmost.
-
-    Raises ValueError for no factors or a factor that is not 2-D.
-    """
-    if not factors:
-        raise ValueError("kron needs at least one factor")
-    mats = [np.asarray(f, dtype=complex) for f in factors]
-    for m in mats:
-        if m.ndim != 2:
-            raise ValueError(f"kron needs 2-D factors, got shape {m.shape}")
-    out = mats[0]
-    for m in mats[1:]:
-        # (A kron B)[i p + k, j q + l] = A[i, j] B[k, l] for B of shape (p, q).
-        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(
-            out.shape[0] * m.shape[0], out.shape[1] * m.shape[1]
-        )
-    return out
-
-
 def embed(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
     """Single-qubit operator acting on ``qubit`` of an ``n_qubits`` register.
 
@@ -182,7 +162,7 @@ def embed(op: np.ndarray, qubit: int, n_qubits: int) -> np.ndarray:
         raise ValueError(f"qubit label {qubit} outside register of {n_qubits}")
     factors = [IDENTITY] * n_qubits
     factors[qubit - 1] = op
-    return kron(*factors)
+    return functools.reduce(np.kron, factors)
 
 
 def unitarity_defect(u: np.ndarray) -> float:

@@ -51,9 +51,12 @@ def default_gamma_grid(
     return cyclic_mhz_to_angular(step_mhz) * np.arange(n + 1, dtype=float)
 
 
-def check_window(cycles: int, gate_time: float) -> None:
-    """Raise ``ValueError`` naming the value unless ``FrequencyModulation`` takes
-    ``cycles`` and a gate takes ``gate_time`` ns: a scan selects for both."""
+def check_window(functional: str, cycles: int, gate_time: float) -> None:
+    """Raise ``ValueError`` naming the value unless ``functional`` is one of
+    ``FUNCTIONALS``, ``FrequencyModulation`` takes ``cycles`` and a gate takes
+    ``gate_time`` ns: a scan selects for both."""
+    if functional not in FUNCTIONALS:
+        raise ValueError(f"unknown functional {functional!r}; choose from {', '.join(FUNCTIONALS)}")
     FrequencyModulation(cycles=cycles, gamma=0.0)
     Idle(gate_time)
 
@@ -149,11 +152,9 @@ def scan_gamma(
     steps = np.diff(g)
     if np.any(steps <= 0) or np.ptp(steps) > 1e-9 * steps[0]:
         raise ValueError("grid must be uniform and increasing")
-    check_window(cycles, gate_time)
+    check_window(functional, cycles, gate_time)
     # Looked up per call, so that wrappers installed on the module names apply.
     named = {"fm1": epsilon_fm1, "fm2-idle": epsilon_fm2_idle, "fm2-x": epsilon_fm2_x}
-    if functional not in named:
-        raise ValueError(f"unknown functional {functional!r}; choose from {FUNCTIONALS}")
     values = named[functional](params, cycles, g, gate_time)
     return GammaScan(grid=g, values=values, minimum_index=first_local_minimum(values))
 

@@ -12,6 +12,7 @@ advances one gate's coupling phase.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 
 from xtalksim.model import coupling_phase
-from xtalksim.operators import IDENTITY, kron
+from xtalksim.operators import IDENTITY
 from xtalksim.pulses import SineEnvelopeDrive
 
 # Excitation raising/lowering for basis |0>, |1> with sigma_z = diag(1, -1)
@@ -91,7 +92,7 @@ def flip_flop(topology):
         factors = [IDENTITY] * topology.n_qubits
         factors[q - 1] = SIGMA_PLUS
         factors[c - 1] = SIGMA_MINUS
-        out += kron(*factors)
+        out += functools.reduce(np.kron, factors)
     return out
 
 

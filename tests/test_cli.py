@@ -4,7 +4,7 @@ import json
 import pytest
 from helpers import count_assemblies, count_calls
 
-from xtalksim import cli
+from xtalksim import cli, experiments
 from xtalksim.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_INTERNAL,
@@ -313,6 +313,141 @@ class TestRejectedConfigs:
         argv = [command, "--step", step] + (["--preset", "fig2"] if command == "simulate" else [])
         assert entry(argv) == EXIT_VALIDATION
         assert capsys.readouterr().err == f"error: --step must be positive and finite, got {float(step)}\n"
+
+
+# Every key a config may set, with a value that is valid wherever the key is read.
+KEY_VALUES = {
+    "topology": "pair",
+    "delta_mhz": 50.0,
+    "j_mhz": 5.0,
+    "gate_time": "matched",
+    "repetitions": 1,
+    "step_ns": 0.5,
+    "target": 1,
+    "cycles": 4,
+    "gamma_mhz": 100.0,
+    "single_site": False,
+    "corner_average": False,
+    "segments": 4,
+    "width_ns": 1.0,
+    "grid_step_mhz": 1.59,
+    "grid_max_mhz": 600.0,
+    "unknown_key": 1,
+}
+SIMULATE_COMMON = {
+    "topology", "delta_mhz", "j_mhz", "scheme", "gate", "gate_time", "repetitions", "step_ns",
+}
+# Scheme form: (its config, the keys it reads besides SIMULATE_COMMON).
+SCHEME_FORMS = {
+    "cd": ({"scheme": "cd"}, set()),
+    "fm-optimize": (
+        {"scheme": "fm", "gamma_mhz": "optimize"},
+        {"cycles", "gamma_mhz", "functional", "single_site", "corner_average"},
+    ),
+    "fm-explicit": (
+        {"scheme": "fm", "gamma_mhz": 100.0},
+        {"cycles", "gamma_mhz", "single_site", "corner_average"},
+    ),
+    "dd": ({"scheme": "dd"}, {"segments", "width_ns"}),
+    "dd-baseline": ({"scheme": "dd-baseline"}, {"segments", "width_ns"}),
+}
+OPTIMIZE_READS = {
+    "functional", "cycles", "delta_mhz", "j_mhz", "gate_time", "grid_step_mhz", "grid_max_mhz",
+}
+
+
+class _Accepted(Exception):
+    """Raised in place of the run: the config got past every check."""
+
+
+def _accepts(tmp_path, command, payload) -> bool:
+    cfg = write_config(tmp_path, payload)
+    try:
+        assert main([command, "--config", cfg]) == EXIT_VALIDATION, payload
+    except _Accepted:
+        return True
+    return False
+
+
+class TestConfigKeys:
+    """The one statement of which keys each run accepts: a key is accepted
+    exactly where the run reads it, and any other key exits 1 naming it."""
+
+    @pytest.fixture(autouse=True)
+    def _stub_runs(self, monkeypatch):
+        def accepted(*args, **kwargs):
+            raise _Accepted
+
+        for name in ("run_sequence", "sweep_j", "scan_gamma"):
+            monkeypatch.setattr(cli, name, accepted)
+
+    @pytest.mark.parametrize("gate", ["idle", "x", "parallel-xx"])
+    @pytest.mark.parametrize("form", list(SCHEME_FORMS))
+    def test_simulate_accepts_exactly_the_keys_it_reads(self, tmp_path, capsys, form, gate):
+        base, scheme_reads = SCHEME_FORMS[form]
+        reads = SIMULATE_COMMON | scheme_reads | ({"target"} if gate == "x" else set())
+        values = {**KEY_VALUES, "functional": "fm2-idle" if gate == "idle" else "fm2-x"}
+        accepted = {
+            key for key in set(values) | SIMULATE_COMMON
+            if _accepts(tmp_path, "simulate", {key: values.get(key), **base, "gate": gate})
+        }
+        assert accepted == reads
+        assert _accepts(tmp_path, "simulate", {**{k: values.get(k) for k in reads}, **base, "gate": gate})
+
+    def test_optimize_gamma_accepts_exactly_the_keys_it_reads(self, tmp_path, capsys):
+        values = {**KEY_VALUES, "functional": "fm2-idle", "scheme": "fm", "gate": "idle"}
+        accepted = {key for key in values if _accepts(tmp_path, "optimize-gamma", {key: values[key]})}
+        assert accepted == OPTIMIZE_READS
+        assert _accepts(tmp_path, "optimize-gamma", {k: values[k] for k in OPTIMIZE_READS})
+
+
+class TestStrayKeys:
+    def test_optimizing_fm_config_is_rejected_before_its_scan(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(experiments, "_SCAN_CACHE", {})
+        scans = count_calls(monkeypatch, experiments, "scan_gamma")
+        for stray in ({"segments": 4}, {"target": 1}, {"unknown_key": 1}):
+            cfg = write_config(tmp_path, {"scheme": "fm", "gamma_mhz": "optimize", **stray})
+            assert main(["simulate", "--config", cfg]) == EXIT_VALIDATION, stray
+            assert list(stray)[0] in capsys.readouterr().err
+        assert scans == []
+
+    @pytest.mark.parametrize(
+        "command, payload, named",
+        [
+            ("simulate", {"scheme": "cd", "target": 1, "unknown_key": 1}, ["scheme cd", "gate idle"]),
+            (
+                "simulate",
+                {"scheme": "fm", "gamma_mhz": 100.0, "gate": "x", "functional": "fm2-x", "segments": 4},
+                ["scheme fm", "gate x"],
+            ),
+            (
+                "simulate",
+                {"scheme": "dd", "gate": "parallel-xx", "target": 2, "cycles": 4},
+                ["scheme dd", "gate parallel-xx"],
+            ),
+            ("optimize-gamma", {"scheme": "fm", "step_ns": 0.1}, ["optimize-gamma"]),
+        ],
+        ids=["cd-idle", "fm-explicit-x", "dd-parallel-xx", "optimize-gamma"],
+    )
+    def test_message_names_every_stray_key_and_the_run(self, tmp_path, capsys, command, payload, named):
+        strays = set(payload) - {"scheme", "gamma_mhz", "gate"} if command == "simulate" else set(payload)
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", cfg]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        for word in sorted(strays) + named:
+            assert word in err, (word, err)
+
+    @pytest.mark.parametrize("step_ns", ["fast", 0, -0.01, True], ids=["text", "zero", "negative", "bool"])
+    def test_step_flag_does_not_hide_an_invalid_step_key(self, tmp_path, capsys, step_ns):
+        cfg = write_config(tmp_path, {"step_ns": step_ns})
+        assert main(["simulate", "--config", cfg, "--step", "0.5"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: key 'step_ns' must be")
+
+    def test_valid_step_flag_wins_over_the_step_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"step_ns": 0.01})
+        assert main(["simulate", "--config", cfg, "--step", "0.5"]) == EXIT_OK
+        assert "# step_ns = 0.5\n" in capsys.readouterr().out
 
 
 class TestVerify:

@@ -32,7 +32,6 @@ from xtalksim.operators import (
     embed,
     expm_hamiltonian,
     gauss_nodes,
-    kron,
     ordered_product,
     propagate,
     step_boundaries,
@@ -106,36 +105,6 @@ class TestStepBoundaries:
 
 
 class TestAlgebra:
-    def test_kron_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        a, b, c = (rng.normal(size=(2, 2)) for _ in range(3))
-        assert np.allclose(kron(a, b, c), np.kron(np.kron(a, b), c))
-
-    @pytest.mark.parametrize(
-        "shapes",
-        [[(2, 2), (3, 3)], [(2, 3), (4, 1)], [(1, 1), (3, 2)], [(3, 2), (1, 1)], [(1, 1)],
-         [(2, 2), (1, 3), (2, 1), (2, 2)]],
-        ids=["square", "non-square", "1x1-first", "1x1-last", "single", "four-factors"],
-    )
-    def test_kron_equals_numpy_kron(self, shapes):
-        rng = np.random.default_rng(len(shapes))
-        factors = [rng.normal(size=s) + 1j * rng.normal(size=s) for s in shapes]
-        expect = factors[0]
-        for f in factors[1:]:
-            expect = np.kron(expect, f)
-        out = kron(*factors)
-        assert out.dtype == complex
-        np.testing.assert_array_equal(out, expect)
-
-    @pytest.mark.parametrize("bad", [np.ones(2), np.ones((2, 2, 2)), 1.0])
-    def test_kron_rejects_non_matrix_factor(self, bad):
-        with pytest.raises(ValueError, match="2-D"):
-            kron(SIGMA_X, bad)
-        with pytest.raises(ValueError, match="2-D"):
-            kron(bad)
-        with pytest.raises(ValueError):
-            kron()
-
     def test_embed_places_single_qubit(self):
         assert np.allclose(embed(SIGMA_Z, 1, 2), np.kron(SIGMA_Z, np.eye(2)))
         assert np.allclose(embed(SIGMA_Z, 2, 2), np.kron(np.eye(2), SIGMA_Z))
