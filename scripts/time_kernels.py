@@ -22,27 +22,34 @@ A real-form stack (2d x 2d float64, ``operators`` docstring) counts under its
 complex dimension d.  Where ``_term_exponentials`` yields its steps by
 sub-batch, each sub-batch after a chunk's first also counts, under
 ``product``, the products that join it to the running product of
-``advance``.  So both checkouts count the same work alike, and the script
-exits 1 if the counts differ, 0 otherwise.
+``advance``.  Each ``operators.advance`` call, one per chunk and stack, also
+counts three products per block and coupling: the one that joins its chunk
+to the propagator and the two of its Newton-Schulz step.  So both
+checkouts count the same work alike, and the script exits 1 if the counts
+differ, 0 otherwise.
 
 Then both checkouts are loaded into one interpreter, and ``operators.advance``
 of each is timed on one fixed chunk per dimension, each side on the block
 stack its own checkout builds: the first 2,048-step chunk at the default
 0.02 ns step of a star FM center-X gate (10x10 and 6x6), a pair DD X gate
-(4x4) and a star DD idle (2x2), at the matched gate time.  The sides
-alternate, the parent first in even rounds; each sample is ``CALLS``
-consecutive calls, and there are ``ROUNDS`` samples per side.  Timing both
-sides in one process on one chunk removes the drift between interpreters
-that a pass over the presets suffers.  For each dimension this prints each
-side's median milliseconds per call, the ratio change/parent of the medians,
-the rounds the change won, and the largest difference between the two
-sides' propagators.  ``--change`` defaults to the checkout holding this
-script.
+(4x4) and a star DD idle (2x2), at the matched gate time.  Last,
+``SymmetryBlocks.propagate`` of each side is timed over one whole gate
+window of a five-coupling stack, the pair DD idle at the matched time and
+the default step, chunking included.  The sides alternate, the parent
+first in even rounds; each sample is ``CALLS`` consecutive calls, and there
+are ``ROUNDS`` samples per side.  Timing both sides in one process on one
+input removes the drift between interpreters that a pass over the presets
+suffers.  For each case this prints its steps, each side's median
+milliseconds per call, the ratio change/parent of the medians, the rounds
+the change won, and the largest difference between the two sides'
+propagators.  ``--change`` defaults to the checkout holding this script.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import importlib
 import json
 import os
@@ -81,6 +88,11 @@ def counting(name: str, kernel, totals: dict):
             d, entries = complex_dim(mats), out.size // out.shape[-1] ** 2
             add(totals, "product", d, (len(mats) - 1) * entries)
             return out
+    elif name == "advance":
+        def wrapper(u, *args):
+            out = kernel(u, *args)
+            add(totals, "product", out.shape[-1], 3 * (out.size // out.shape[-1] ** 2))
+            return out
     elif name == "_pauli_product":
         def wrapper(weights, coefficients, d):
             out = kernel(weights, coefficients, d)
@@ -115,7 +127,7 @@ def count_presets(checkout: Path) -> dict:
     if checkout.resolve() / "src" not in origin.parents:
         raise SystemExit(f"xtalksim imported from {origin}, not from {checkout}/src")
     totals = {"expm": {}, "product": {}}
-    for name in ("expm_hamiltonian", "_term_exponentials", "ordered_product", "_pauli_product"):
+    for name in ("expm_hamiltonian", "_term_exponentials", "ordered_product", "_pauli_product", "advance"):
         original = getattr(operators, name, None)
         if original is None:
             continue
@@ -176,27 +188,47 @@ def chunk(model, operators, d: int):
     return lambda: operators.advance(u, weights, stack.matrices, stack.norms), len(widths)
 
 
-def time_chunks(checkouts: dict) -> None:
-    """Print the alternating in-process timings of ``advance`` (module docstring)."""
+def stack_window(model, operators):
+    """A call of ``SymmetryBlocks.propagate`` over the whole pair DD idle
+    window at the matched time and the default step, with five couplings."""
+    params = model.SystemParams.from_mhz(50.0, 5.0)
+    t_m = params.matched_time()
+    dd = model.DynamicalDecoupling(segments=4, width=t_m / 16.0)
+    h = model.assemble_hamiltonian(params, model.PAIR, dd, model.Idle(t_m))
+    h = dataclasses.replace(h, couplings=tuple(params.j * np.linspace(0.2, 1.0, 5)))
+    blocks = h.blocks()
+    steps = len(operators.step_boundaries(0.0, h.t_end, 0.02, h.breakpoints)) - 1
+    return lambda: blocks.propagate(0.0, h.t_end, 0.02), steps
+
+
+def time_calls(sides: dict, case: str, make) -> None:
+    """Time ``make(model, operators)``'s call of each side, alternating
+    (module docstring), and print one row of the table for ``case``."""
+    calls = {side: make(*modules) for side, modules in sides.items()}
+    (steps,) = {n for _, n in calls.values()}
+    results = {side: call() for side, (call, _) in calls.items()}
+    samples = {side: [] for side in calls}
+    for r in range(ROUNDS):
+        for side in list(calls)[:: 1 if r % 2 == 0 else -1]:
+            call = calls[side][0]
+            start = time.perf_counter()
+            for _ in range(CALLS):
+                call()
+            samples[side].append((time.perf_counter() - start) / CALLS * 1e3)
+    parent, change = (statistics.median(samples[side]) for side in ("parent", "change"))
+    won = sum(c < p for p, c in zip(samples["parent"], samples["change"]))
+    diff = float(np.abs(results["change"] - results["parent"]).max())
+    print(f"{case:<17} {steps:>6} {parent:>10.3f} {change:>10.3f} {change / parent:>6.3f} "
+          f"{won:>3}/{ROUNDS:<2} {diff:>11.2e}")
+
+
+def time_kernels(checkouts: dict) -> None:
+    """Print the alternating in-process timings (module docstring)."""
     sides = {side: load(path) for side, path in checkouts.items()}
-    print(f"{'d':>3} {'steps':>6} {'parent ms':>10} {'change ms':>10} {'ratio':>6} {'won':>6} {'max |diff|':>11}")
+    print(f"{'case':<17} {'steps':>6} {'parent ms':>10} {'change ms':>10} {'ratio':>6} {'won':>6} {'max |diff|':>11}")
     for d in (10, 6, 4, 2):
-        calls = {side: chunk(*modules, d) for side, modules in sides.items()}
-        (steps,) = {n for _, n in calls.values()}
-        results = {side: call() for side, (call, _) in calls.items()}
-        samples = {side: [] for side in calls}
-        for r in range(ROUNDS):
-            for side in list(calls)[:: 1 if r % 2 == 0 else -1]:
-                call = calls[side][0]
-                start = time.perf_counter()
-                for _ in range(CALLS):
-                    call()
-                samples[side].append((time.perf_counter() - start) / CALLS * 1e3)
-        parent, change = (statistics.median(samples[side]) for side in ("parent", "change"))
-        won = sum(c < p for p, c in zip(samples["parent"], samples["change"]))
-        diff = float(np.abs(results["change"] - results["parent"]).max())
-        print(f"{d:>3} {steps:>6} {parent:>10.3f} {change:>10.3f} {change / parent:>6.3f} "
-              f"{won:>3}/{ROUNDS:<2} {diff:>11.2e}")
+        time_calls(sides, f"advance d={d}", functools.partial(chunk, d=d))
+    time_calls(sides, "propagate C=5", stack_window)
 
 
 def main() -> int:
@@ -217,7 +249,7 @@ def main() -> int:
             flag = "" if parent == change else "  DIFFERS"
             print(f"{kernel:<8} {d:>3} {parent:>10} {change:>10}{flag}")
     print()
-    time_chunks(checkouts)
+    time_kernels(checkouts)
     return 0 if same else 1
 
 

@@ -77,11 +77,13 @@ without forming dense samples.  Since
 
 a real contraction of the chunk's weights with the stack's matrices, and the
 steps match ``operators.propagate`` on the dense assembly to roundoff.  Per
-chunk of at most ``CHUNK / C`` steps for C couplings, ``operators.advance``
-exponentiates a stack's ``(n, C, B, d, d)`` steps (time index first) from
-the weights and multiplies them out in one call, in real form (``operators``
-docstring); 1x1 and 2x2 steps sum their phases and multiply the rest as
-SU(2) pairs.
+chunk of ``operators.chunk_steps(C)`` steps for C couplings (at most
+``CHUNK`` steps and ``CHUNK_ENTRIES`` = 16 ``CHUNK`` steps x couplings, so a
+stack of up to 16 couplings chunks as one coupling does),
+``operators.advance`` exponentiates a stack's ``(n, C, B, d, d)`` steps
+(time index first) from the weights and multiplies them out in one call, in
+real form (``operators`` docstring); 1x1 and 2x2 steps sum their phases and
+multiply the rest as SU(2) pairs.
 
 Qubits are labeled 1..n; qubit 2 is the shared (modulated/pulsed) qubit in
 both shipped layouts, ``PAIR`` and ``STAR``.
@@ -97,12 +99,12 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from xtalksim.operators import (
-    CHUNK,
     HERMITICITY_TOL,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     advance,
+    chunk_steps,
     embed,
     encode_terms,
     expm_hamiltonian,
@@ -504,7 +506,7 @@ class SymmetryBlocks:
         # (B, d, d) identities until a stack's first chunk gives it (C, B, d, d).
         units = [np.tile(np.eye(s.dim, dtype=complex), (len(s.copies), 1, 1)) for s in self.stacks]
         moving = [i for i, s in enumerate(self.stacks) if s.matrices.any()]
-        for widths, times in gauss_nodes(edges, max(CHUNK // n_couplings, 1)):
+        for widths, times in gauss_nodes(edges, chunk_steps(n_couplings)):
             weights = _magnus_weights(h.coefficients(times), widths)
             for i in moving:
                 stack = self.stacks[i]

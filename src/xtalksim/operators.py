@@ -31,12 +31,13 @@ T_8(X) = I + X + b_2 X_2 + (a_3 X_2 + X_4)(a_4 I + a_5 X + a_6 X_2 + a_7 X_4)
 complex entries at a time in one workspace, each finished sub-batch passed
 straight on.  ``expm_hamiltonian`` completes its input from the lower
 triangle, scales it by -i dt, takes exact 1-norms and writes each sub-batch
-into its complex result.  :func:`advance` takes a chunk of up to ``CHUNK``
-steps in one call: it contracts the Magnus weights w_k of each step with a
-block stack's E(-i M_k) (``encode_terms``, ``model`` docstring), bounds the
-1-norm by sum_k |w_k| ||M_k||_1, multiplies each sub-batch of whole steps
-into a running product (it stores no array of steps), reads the complex
-product back and takes one Newton-Schulz step U <- U (3 - U^dag U) / 2,
+into its complex result.  :func:`advance` takes a chunk of steps
+(``chunk_steps``: at most ``CHUNK`` steps and ``CHUNK_ENTRIES`` steps x
+couplings) in one call: it contracts the Magnus weights w_k of each step
+with a block stack's E(-i M_k) (``encode_terms``, ``model`` docstring),
+bounds the 1-norm by sum_k |w_k| ||M_k||_1, multiplies each sub-batch of
+whole steps into a running product (it stores no array of steps), reads the
+complex product back and takes one Newton-Schulz step U <- U (3 - U^dag U) / 2,
 which removes the norm that rounding loses and leaves a unitary U
 unchanged; a squared exponential takes one too.  So propagators are
 unitary to machine precision at any step size.
@@ -67,6 +68,7 @@ __all__ = [
     "ordered_product",
     "check_hermitian",
     "gauss_nodes",
+    "chunk_steps",
     "advance",
     "propagate",
 ]
@@ -99,8 +101,18 @@ _BBC_8 = np.array(
 )
 
 #: Magnus steps per chunk: sampled together, then multiplied out and
-#: re-unitarized once.
+#: re-unitarized once.  A chunk of a coupling stack also holds at most
+#: ``CHUNK_ENTRIES`` steps x couplings (``chunk_steps``), so a stack of up to
+#: 16 couplings takes the chunks of one coupling, and the memory of a chunk
+#: is bounded for any J grid.
 CHUNK = 2048
+CHUNK_ENTRIES = 16 * CHUNK
+
+
+def chunk_steps(n_couplings: int) -> int:
+    """Steps per chunk for a stack of ``n_couplings``: at most ``CHUNK``, and
+    at most ``CHUNK_ENTRIES`` steps x couplings, but at least one step."""
+    return max(min(CHUNK, CHUNK_ENTRIES // n_couplings), 1)
 
 
 # The package's range checks: each returns its value or raises a ValueError naming ``what``.

@@ -39,7 +39,7 @@ from xtalksim.model import (
     static_frame_reference,
     target_unitary,
 )
-from xtalksim.operators import CHUNK, SIGMA_X, embed, propagate, step_boundaries
+from xtalksim.operators import CHUNK_ENTRIES, SIGMA_X, chunk_steps, embed, propagate, step_boundaries
 from xtalksim.pulses import SineEnvelopeDrive
 
 PARAMS = SystemParams.from_mhz(50.0, 5.0)
@@ -362,10 +362,10 @@ class TestSweepJ:
         separate = [dataclasses.replace(PARAMS, j=j) for j in couplings]
 
         h = assemble_hamiltonian(PARAMS, topology, run.scheme, gate)
-        edges = step_boundaries(0.0, h.t_end, DEFAULT_STEP, h.breakpoints)
-        # The stack takes more chunks than a single coupling.
-        assert len(edges) - 1 > CHUNK // len(couplings)
-        window = (0.0, h.t_end, DEFAULT_STEP)
+        # At a third of the default step the stack's window crosses a chunk boundary.
+        window = (0.0, h.t_end, DEFAULT_STEP / 3)
+        edges = step_boundaries(*window, h.breakpoints)
+        assert len(edges) - 1 > chunk_steps(len(couplings))
         stacked = dataclasses.replace(h, couplings=couplings).blocks().propagate(*window)
         for u, p in zip(stacked, separate):
             single = assemble_hamiltonian(p, topology, run.scheme, gate).blocks().propagate(*window)
@@ -384,16 +384,30 @@ class TestSweepJ:
         # A run scores the whole grid as one coupling stack; a corner-averaged
         # run takes one stack per corner amplitude.
         analyses = count_calls(monkeypatch, AssembledHamiltonian, "blocks")
-        propagations = count_calls(monkeypatch, SymmetryBlocks, "propagate")
+        # Each propagation records its window's step count.
+        propagations = count_calls(
+            monkeypatch, SymmetryBlocks, "propagate",
+            lambda blocks, *window: len(step_boundaries(*window, blocks.hamiltonian.breakpoints)) - 1,
+        )
         chunks = count_calls(monkeypatch, model, "advance", lambda u, weights, *_: weights.shape[:2])
         for scheme, calls in (("cd", 1), ("dd", 1), ("fm-corner", 2)):
             analyses.clear()
             propagations.clear()
+            chunks.clear()
             sweep_j(PARAMS, PAIR, [sweep_run(scheme, PAIR, Idle(T_M))], Idle(T_M), range(1, 6))
             assert (len(analyses), len(propagations)) == (calls, calls)
-        # No stack outgrows a single-coupling chunk.
-        assert {c for _, c in chunks} == {5}
-        assert max(n * c for n, c in chunks) <= CHUNK
+            # Each stack advances through the whole window in one chunk.
+            assert {n for n, _ in chunks} == set(propagations)
+            assert {c for _, c in chunks} == {5}
+        # A stack of more than 16 couplings splits the window at the entry bound.
+        chunks.clear()
+        propagations.clear()
+        sweep_j(PARAMS, PAIR, self.runs(), Idle(T_M), np.linspace(1.0, 10.0, 40))
+        (steps,) = propagations
+        first = chunk_steps(40)
+        assert first < steps < 2 * first
+        assert {n for n, _ in chunks} == {first, steps - first}
+        assert max(n * c for n, c in chunks) <= CHUNK_ENTRIES < (first + 1) * 40
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -29,6 +29,7 @@ from xtalksim.operators import (
     SIGMA_Z,
     THETA_8,
     advance,
+    chunk_steps,
     embed,
     expm_hamiltonian,
     gauss_nodes,
@@ -260,7 +261,7 @@ class TestTermExponentials:
         h = dataclasses.replace(h, couplings=tuple(PARAMS.j * np.linspace(0.2, 1.0, 5)))
         (stack,) = (s for s in h.blocks().stacks if s.dim == d)
         edges = step_boundaries(0.0, h.t_end, step, h.breakpoints)
-        widths, times = next(gauss_nodes(edges, CHUNK // 5))
+        widths, times = next(gauss_nodes(edges, chunk_steps(5)))
         return model._magnus_weights(h.coefficients(times), widths), stack
 
     @staticmethod
