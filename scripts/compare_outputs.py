@@ -19,18 +19,21 @@ Each checkout runs in a subprocess of its own, importing the package from
 * the ``error:`` line of every invalid ``simulate`` and ``optimize-gamma``
   config in ``REJECTED``, reported as ``rejected/<command>/<name>``;
 
-and the exit code of every run, and how many times it called
-``model.assemble_hamiltonian``.  For each output this prints the rows (lines
-not starting with ``#``; every line of ``verify.txt``) that are identical on
+and the exit code of every run, how many times it called
+``model.assemble_hamiltonian``, and how many amplitudes it passed to the
+scanned functionals (``magnus.epsilon_fm1``, ``epsilon_fm2_idle`` and
+``epsilon_fm2_x``).  For each output this prints the rows (lines not
+starting with ``#``; every line of ``verify.txt``) that are identical on
 both sides out of the total, the largest absolute difference |a - b| and
 the largest relative difference |a - b| / max(|a|, |b|) between the numbers
-of rows that differ only in their numbers, both exit codes and both
-assembly counts, then the total assembly count of each side; for a rejected
-config it prints both exit codes and both ``error:`` lines.  Then it prints the line count (as ``wc -l`` counts) of each module under
+of rows that differ only in their numbers, both exit codes, both assembly
+counts and both functional point counts, then the totals of those counts
+on each side; for a rejected config it prints both exit codes and both
+``error:`` lines.  Then it prints the line count (as ``wc -l`` counts) of each module under
 ``src/xtalksim`` in both checkouts, and their totals.  It exits 0 when every
 output is byte-identical and every exit code matches, rejected configs
-included, and 1 otherwise; the ``error:`` lines and the line and assembly
-counts do not affect the exit status.  ``--change`` defaults to the checkout
+included, and 1 otherwise; the ``error:`` lines and the line, assembly and
+point counts do not affect the exit status.  ``--change`` defaults to the checkout
 holding this script.
 """
 
@@ -114,22 +117,19 @@ REJECTED = {
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
 
-def count_assemblies() -> list:
-    """Wrap ``model.assemble_hamiltonian`` in every loaded ``xtalksim`` module
-    that holds it; the returned list grows by one entry per call."""
-    from xtalksim import model
-
-    calls = []
-    original = model.assemble_hamiltonian
+def tally(calls: list, original, weight) -> None:
+    """Wrap ``original`` in every loaded ``xtalksim`` module that holds it;
+    each call appends ``weight(*args)`` to ``calls``."""
 
     def counting(*args, **kwargs):
-        calls.append(None)
+        calls.append(weight(*args))
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("xtalksim") and getattr(module, "assemble_hamiltonian", None) is original:
-            setattr(module, "assemble_hamiltonian", counting)
-    return calls
+        if name.startswith("xtalksim"):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    setattr(module, key, counting)
 
 
 def write_outputs(checkout: Path, out: Path) -> None:
@@ -140,13 +140,19 @@ def write_outputs(checkout: Path, out: Path) -> None:
     origin = Path(cli.__file__).resolve()
     if checkout.resolve() / "src" not in origin.parents:
         raise SystemExit(f"xtalksim imported from {origin}, not from {checkout}/src")
-    exits, assemblies = {}, {}
-    calls = count_assemblies()
+    from xtalksim import magnus, model
+
+    exits, assemblies, points = {}, {}, {}
+    calls, gammas = [], []
+    tally(calls, model.assemble_hamiltonian, lambda *args: 1)
+    for functional in (magnus.epsilon_fm1, magnus.epsilon_fm2_idle, magnus.epsilon_fm2_x):
+        tally(gammas, functional, lambda params, cycles, grid, *rest: len(grid))
 
     def run(path: Path, argv: list[str]) -> None:
-        before = len(calls)
+        before = len(calls), len(gammas)
         exits[str(path.relative_to(out))] = cli.entry(argv)
-        assemblies[str(path.relative_to(out))] = len(calls) - before
+        assemblies[str(path.relative_to(out))] = len(calls) - before[0]
+        points[str(path.relative_to(out))] = sum(gammas[before[1] :])
 
     (out / "presets").mkdir(parents=True)
     for name in PRESETS:
@@ -188,14 +194,16 @@ def write_outputs(checkout: Path, out: Path) -> None:
             rejected[f"rejected/{command}/{name}"] = [code, (stderr.getvalue().strip().splitlines() or [""])[-1]]
             config.unlink()
     (out / "exits.json").write_text(
-        json.dumps({"exits": exits, "assemblies": assemblies, "rejected": rejected}, indent=1)
+        json.dumps(
+            {"exits": exits, "assemblies": assemblies, "points": points, "rejected": rejected}, indent=1
+        )
     )
 
 
 def run_side(checkout: Path, out: Path) -> dict:
     """Write the outputs of ``checkout`` into ``out`` from a fresh interpreter;
-    return its exit codes and assembly counts by output, and the exit code and
-    stderr of each rejected config."""
+    return its exit codes, assembly counts and functional point counts by
+    output, and the exit code and stderr of each rejected config."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     subprocess.run(
         [sys.executable, __file__, "--worker", str(out), str(checkout)], env=env, check=True
@@ -259,6 +267,7 @@ def main() -> int:
         results = {side: run_side(checkout, sides[side]) for side, checkout in checkouts.items()}
         exits = {side: result["exits"] for side, result in results.items()}
         assemblies = {side: result["assemblies"] for side, result in results.items()}
+        points = {side: result["points"] for side, result in results.items()}
         outputs = sorted(set(exits["parent"]) | set(exits["change"]))
         width = max(len(n) for n in outputs)
         identical = 0
@@ -267,12 +276,14 @@ def main() -> int:
             same, total, delta, relative = compare(*paths)
             codes = [side.get(name) for side in exits.values()]
             built = [side.get(name) for side in assemblies.values()]
+            evaluated = [side.get(name) for side in points.values()]
             equal = all(p.is_file() for p in paths) and paths[0].read_bytes() == paths[1].read_bytes()
             identical += equal and codes[0] == codes[1]
             print(
                 f"{name:<{width}}  {same}/{total} rows identical, max |delta| {delta:.3g} "
                 f"(relative {relative:.3g}), "
-                f"exit {codes[0]} -> {codes[1]}, assemblies {built[0]} -> {built[1]}"
+                f"exit {codes[0]} -> {codes[1]}, assemblies {built[0]} -> {built[1]}, "
+                f"functional points {evaluated[0]} -> {evaluated[1]}"
                 f"{'' if equal else '  DIFFERS'}"
             )
     rejected = {side: result["rejected"] for side, result in results.items()}
@@ -288,6 +299,8 @@ def main() -> int:
     print(f"{kept}/{len(probes)} rejected configs with the same exit code")
     totals = [sum(side.values()) for side in assemblies.values()]
     print(f"assemble_hamiltonian calls: {totals[0]} -> {totals[1]}")
+    totals = [sum(side.values()) for side in points.values()]
+    print(f"functional grid points: {totals[0]} -> {totals[1]}")
     print_line_counts(checkouts)
     return 0 if identical == len(outputs) and kept == len(probes) else 1
 
