@@ -296,8 +296,7 @@ def sweep_j(
 
 
 # ---------------------------------------------------------------------------
-# Amplitude-scan cache (the scans are pure functions of their key).  Its
-# callers read only the selection, so a scan stops at its first minimum.
+# Amplitude-scan cache (the scans are pure functions of their key)
 
 _SCAN_CACHE: Dict[tuple, GammaScan] = {}
 
@@ -305,8 +304,7 @@ _SCAN_CACHE: Dict[tuple, GammaScan] = {}
 def cached_scan(
     functional: str, params: SystemParams, cycles: int, gate_time: float
 ) -> GammaScan:
-    """``scan_gamma`` on its default grid until its first minimum, memoized;
-    a hit checks its window as a miss does."""
+    """``scan_gamma`` on its default grid, memoized; a hit checks its window as a miss does."""
     check_window(functional, cycles, gate_time)
     key = (
         functional,
@@ -316,7 +314,7 @@ def cached_scan(
         round(params.j, 12),
     )
     if key not in _SCAN_CACHE:
-        _SCAN_CACHE[key] = scan_gamma(functional, params, cycles, gate_time, until_minimum=True)
+        _SCAN_CACHE[key] = scan_gamma(functional, params, cycles, gate_time)
     return _SCAN_CACHE[key]
 
 
@@ -473,10 +471,10 @@ def _fm_preset(
 
 
 def _scan_table(functional: str, step: float, gate_time: float = T_M) -> List[Row]:
-    """The preset system's whole scans at each of ``FM_CYCLES`` (``step`` is unused)."""
+    """The preset system's scans at each of ``FM_CYCLES`` (``step`` is unused)."""
     rows: List[Row] = []
     for n in FM_CYCLES:
-        rows += _scan_rows(f"FM-N{n}", scan_gamma(functional, PRESET_PARAMS, n, gate_time))
+        rows += _scan_rows(f"FM-N{n}", cached_scan(functional, PRESET_PARAMS, n, gate_time))
     return rows
 
 

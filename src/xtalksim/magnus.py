@@ -11,7 +11,9 @@ return one value per amplitude.  First order is a Jacobi-Anger Bessel series
 (Abramowitz & Stegun 9.1.41) summed over all amplitudes at once.  Second
 order builds one :class:`TriangleRule` of ``PANELS`` panels and samples the
 amplitude-free parts of the integrands once per call, then takes one
-amplitude at a time, so memory does not grow with the grid.
+amplitude at a time, so memory does not grow with the grid.  Per amplitude
+it integrates e^{i phi} once to every node (:meth:`TriangleRule.running`)
+and weighs that, and its conjugate, in each term.
 """
 
 from __future__ import annotations
@@ -68,12 +70,22 @@ class TriangleRule:
         self._weights = (self._half[:, None] * self._w).ravel()
         self.points = np.concatenate([nodes.ravel(), sub_nodes.ravel()])
 
-    def integrate(self, outer: np.ndarray, inner: np.ndarray):
+    def running(self, inner: np.ndarray) -> np.ndarray:
+        """Integral of ``inner`` from 0 to each panel node.  The weights are
+        real, so the conjugate of ``inner`` gives the conjugate, bit for bit."""
         n, m = self._weights.size, self._w.size
         panel_totals = self._half * np.einsum("pi,i->p", inner[:n].reshape(-1, m), self._w)
         prefix = np.concatenate([[0.0], np.cumsum(panel_totals)[:-1]])
         partial = self._sub_half * np.einsum("ni,i->n", inner[n:].reshape(n, m), self._w)
-        return (self._weights * outer[:n] * (np.repeat(prefix, m) + partial)).sum()
+        return np.repeat(prefix, m) + partial
+
+    def weigh(self, outer: np.ndarray, running: np.ndarray):
+        """The double integral of ``outer`` against an inner factor whose
+        :meth:`running` integral is given."""
+        return (self._weights * outer[: self._weights.size] * running).sum()
+
+    def integrate(self, outer: np.ndarray, inner: np.ndarray):
+        return self.weigh(outer, self.running(inner))
 
 
 def ordered_double_integral(outer, inner, t_end: float):
@@ -118,12 +130,19 @@ def _fm2(params: SystemParams, cycles: int, gammas: np.ndarray, t_end: float, dr
     bare = params.delta * rule.points
     shape = 2.0 * FmZModulation(gamma=1.0, cycles=cycles, duration=t_end).phase(rule.points)
     omega = SineEnvelopeDrive(t_end).sample(rule.points)
+    omega_running = rule.running(omega)
     values = np.empty(gammas.size)
+    g = np.empty(rule.points.size, dtype=complex)
     for i, gamma in enumerate(gammas):
-        g = np.exp(1j * (bare + gamma * shape))
-        values[i] = (params.j**2 / t_end) * abs(rule.integrate(g, g.conj()).imag)
+        # e^{i phase} from cos and sin: np.exp(1j * phase) takes longer for
+        # the same values.
+        phase = bare + gamma * shape
+        np.cos(phase, out=g.real)
+        np.sin(phase, out=g.imag)
+        g_running = rule.running(g)
+        values[i] = (params.j**2 / t_end) * abs(rule.weigh(g, g_running.conj()).imag)
         if drives:
-            cross = rule.integrate(omega, g) - rule.integrate(g, omega)
+            cross = rule.weigh(omega, g_running) - rule.weigh(g, omega_running)
             values[i] += drives * (abs(params.j) / t_end) * abs(cross)
     return values
 

@@ -8,11 +8,6 @@ easier to realize in hardware, so a flat run of grid values resolves to its
 low-gamma end.  Idle-gate fidelities at the selected point are reported as
 the average over the two neighboring grid points, which sit on the "corners"
 of the narrow dip and bound the attainable value.
-
-A scan that only selects stops early: it evaluates the second-order
-functionals in blocks of ``SELECTION_BLOCK`` points and stops after the
-first block whose prefix holds a minimum.  Its pick is the whole grid's,
-since the selection of a prefix is either None or the whole curve's.
 """
 
 from __future__ import annotations
@@ -39,9 +34,6 @@ DEFAULT_GRID_MAX_MHZ = 600.0
 
 # Values this close (relative) count as equal when detecting plateaus.
 PLATEAU_RTOL = 1e-12
-
-# Grid points per functional call of a scan that stops at its first minimum.
-SELECTION_BLOCK = 32
 
 FUNCTIONALS = ("fm1", "fm2-idle", "fm2-x")
 
@@ -71,10 +63,8 @@ def check_window(functional: str, cycles: int, gate_time: float) -> None:
 
 @dataclass(frozen=True)
 class GammaScan:
-    """Record of one functional evaluated over a prefix of an amplitude grid.
+    """Record of one functional evaluated over an amplitude grid.
 
-    ``grid`` and ``values`` hold the points evaluated: the whole grid, or
-    the prefix up to the block where a scan that only selects stopped.
     ``minimum_index`` is None when no interior local minimum exists in the
     scanned range (the functional may still be falling at the upper edge).
     """
@@ -141,7 +131,6 @@ def scan_gamma(
     gate_time: float,
     *,
     grid: Optional[np.ndarray] = None,
-    until_minimum: bool = False,
 ) -> GammaScan:
     """Evaluate a named residual-coupling functional over an amplitude grid.
 
@@ -152,17 +141,9 @@ def scan_gamma(
         (second order, idle and driven).
     grid:
         Amplitudes in rad/ns; defaults to :func:`default_gamma_grid`.
-    until_minimum:
-        For a caller that reads only the selection.  A second-order
-        functional then evaluates the grid in blocks of ``SELECTION_BLOCK``
-        and stops after the first block whose prefix has a minimum; the
-        record holds that prefix.  Each of its values depends on its own
-        amplitude only, so the prefix equals the whole scan's byte for byte.
-        "fm1" always evaluates the whole grid in one call: its Bessel series
-        is cut at an order set by the largest amplitude of the call.
 
-    The selection, :func:`first_local_minimum` of the values, is
-    deterministic; on a stopped scan it is the whole grid's.
+    The functional evaluates the whole grid in one call; the selection is a
+    deterministic post-pass.
     """
     g = default_gamma_grid() if grid is None else np.asarray(grid, dtype=float)
     if g.size < 3:
@@ -175,15 +156,9 @@ def scan_gamma(
         raise ValueError("grid must be uniform and increasing")
     check_window(functional, cycles, gate_time)
     # Looked up per call, so that wrappers installed on the module names apply.
-    evaluate = {"fm1": epsilon_fm1, "fm2-idle": epsilon_fm2_idle, "fm2-x": epsilon_fm2_x}[functional]
-    block = SELECTION_BLOCK if until_minimum and functional != "fm1" else g.size
-    values = evaluate(params, cycles, g[:block], gate_time)
-    index = first_local_minimum(values)
-    while index is None and values.size < g.size:
-        more = evaluate(params, cycles, g[values.size : values.size + block], gate_time)
-        values = np.concatenate([values, more])
-        index = first_local_minimum(values)
-    return GammaScan(grid=g[: values.size], values=values, minimum_index=index)
+    named = {"fm1": epsilon_fm1, "fm2-idle": epsilon_fm2_idle, "fm2-x": epsilon_fm2_x}
+    values = named[functional](params, cycles, g, gate_time)
+    return GammaScan(grid=g, values=values, minimum_index=first_local_minimum(values))
 
 
 def corner_averaged_fidelity(simulate: Callable[[float], object], scan: GammaScan):

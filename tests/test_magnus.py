@@ -19,6 +19,7 @@ from xtalksim.magnus import (
 )
 from xtalksim.model import FrequencyModulation, SystemParams
 from xtalksim.optimize import default_gamma_grid
+from xtalksim.pulses import FmZModulation, SineEnvelopeDrive
 
 PARAMS = SystemParams.from_mhz(50.0, 5.0)
 T_M = PARAMS.matched_time()
@@ -59,6 +60,44 @@ class TestOrderedDoubleIntegral:
             val = oracles.ordered_double_integral(g, lambda t: g(t).conj(), T_M, 132 * 16)
             want = (PARAMS.j**2 / T_M) * abs(val.imag)
             assert epsilon_dd2_numeric(PARAMS, segments, T_M) == pytest.approx(want, rel=1e-9)
+
+
+class TestTriangleRule:
+    def test_running_of_conjugate_is_conjugate(self):
+        rule = magnus.TriangleRule(T_M)
+        g = np.exp(1j * (PARAMS.delta * rule.points + np.sin(0.7 * rule.points)))
+        assert rule.running(g.conj()).tobytes() == rule.running(g).conj().tobytes()
+
+
+def direct_fm2(cycles, gammas, t_end, drives):
+    """The second-order functionals term by term, each double integral on its own."""
+    rule = magnus.TriangleRule(t_end)
+    shape = 2.0 * FmZModulation(gamma=1.0, cycles=cycles, duration=t_end).phase(rule.points)
+    omega = SineEnvelopeDrive(t_end).sample(rule.points)
+    values = []
+    for gamma in gammas:
+        g = np.exp(1j * (PARAMS.delta * rule.points + gamma * shape))
+        value = (PARAMS.j**2 / t_end) * abs(rule.integrate(g, g.conj()).imag)
+        if drives:
+            cross = rule.integrate(omega, g) - rule.integrate(g, omega)
+            value += drives * (abs(PARAMS.j) / t_end) * abs(cross)
+        values.append(value)
+    return np.array(values)
+
+
+class TestSecondOrderTerms:
+    @pytest.mark.parametrize("cycles", [4, 6, 8])
+    @pytest.mark.parametrize(
+        "functional, drives",
+        [(epsilon_fm2_idle, 0), (epsilon_fm2_x, 1), (epsilon_fm2_parallel_xx, 2)],
+    )
+    @pytest.mark.parametrize("t_end", [T_M, 30.0])
+    def test_shared_running_integral_matches_direct_terms(self, functional, drives, cycles, t_end):
+        # Byte for byte: the scans, and so the selected amplitudes and every
+        # output that prints them, stay what the term-by-term form gives.
+        gammas = GRID[::11]
+        got = functional(PARAMS, cycles, gammas, t_end)
+        assert got.tobytes() == direct_fm2(cycles, gammas, t_end, drives).tobytes()
 
 
 class TestFirstOrder:

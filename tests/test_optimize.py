@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from xtalksim import optimize
 from xtalksim.model import SystemParams, angular_to_cyclic_mhz, cyclic_mhz_to_angular
 from xtalksim.optimize import (
     DEFAULT_GRID_MAX_MHZ,
@@ -60,7 +59,7 @@ class TestFirstLocalMinimum:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_prefix_pick_is_none_or_whole_curves_pick(self, seed):
-        # A scan stopped at its first minimum selects what the whole scan does.
+        # So a scan stopped at its first minimum would select what the whole scan does.
         # A mostly falling staircase has plateaus on its way down and its
         # first minimum some way in; the jitter stays inside PLATEAU_RTOL,
         # so equal steps stay ties.
@@ -139,48 +138,16 @@ class TestScanGamma:
         )
         assert abs(fine.gamma_opt - coarse.gamma_opt) <= coarse.grid_step + 1e-12
 
-    @pytest.mark.parametrize(
-        "functional, t_gate, until_minimum",
-        [
-            pytest.param("fm1", 30.0, False, id="fm1-30.0"),
-            pytest.param("fm2-idle", T_M, False, id="fm2-idle-20.0"),
-            pytest.param("fm2-x", T_M, False, id="fm2-x-20.0"),
-            pytest.param("fm2-x", T_M, True, id="fm2-x-20.0-until-minimum"),
-        ],
-    )
-    def test_named_scan_memory_does_not_grow_with_grid(self, functional, t_gate, until_minimum):
+    @pytest.mark.parametrize("functional, t_gate", [("fm1", 30.0), ("fm2-idle", T_M), ("fm2-x", T_M)])
+    def test_named_scan_memory_does_not_grow_with_grid(self, functional, t_gate):
         scan_gamma(functional, PARAMS, 8, t_gate)  # imports and one-time setup
         tracemalloc.start()
         try:
-            scan_gamma(functional, PARAMS, 8, t_gate, until_minimum=until_minimum)
+            scan_gamma(functional, PARAMS, 8, t_gate)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 1.5e6, f"{functional} scan peaked at {peak / 1e6:.2f} MB"
-
-    @pytest.mark.parametrize("cycles", [4, 6, 8])
-    @pytest.mark.parametrize("functional, t_gate", [("fm1", 30.0), ("fm2-idle", T_M), ("fm2-x", T_M)])
-    def test_selection_scan_is_a_prefix_of_the_whole_scan(self, monkeypatch, functional, t_gate, cycles):
-        whole = scan_gamma(functional, PARAMS, cycles, t_gate)
-        name = "epsilon_" + functional.replace("-", "_")
-        evaluate = getattr(optimize, name)
-        points = []
-
-        def counting(params, cycles, gammas, t_end):
-            points.append(len(gammas))
-            return evaluate(params, cycles, gammas, t_end)
-
-        monkeypatch.setattr(optimize, name, counting)
-        stopped = scan_gamma(functional, PARAMS, cycles, t_gate, until_minimum=True)
-        assert whole.found and stopped.minimum_index == whole.minimum_index
-        n = stopped.values.size
-        assert sum(points) == n
-        assert stopped.values.tobytes() == whole.values[:n].tobytes()
-        assert stopped.grid.tobytes() == whole.grid[:n].tobytes()
-        if functional == "fm1":
-            assert points == [whole.values.size]
-        else:
-            assert n < whole.values.size == 378
 
     def test_no_minimum_in_short_range(self):
         scan = scan_gamma(
@@ -189,10 +156,6 @@ class TestScanGamma:
         assert not scan.found
         assert scan.gamma_opt is None
         assert scan.gamma_opt_mhz is None
-        # A scan that stops at its first minimum finds none, so it goes to the end.
-        stopped = scan_gamma("fm2-idle", PARAMS, 4, T_M, grid=scan.grid, until_minimum=True)
-        assert not stopped.found
-        assert stopped.values.tobytes() == scan.values.tobytes()
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="at least 3"):
