@@ -370,6 +370,9 @@ def cmd_optimize_gamma(args) -> int:
 # Step (ns) of the dense star propagations in the star-reduction check.
 STAR_REDUCTION_STEP = 0.02
 
+# Steps (ns) of the integrator-order check, a halving apart.
+ORDER_STEPS = (0.2, 0.1)
+
 
 def _verify_checks(step: float) -> List[Tuple[str, bool, str]]:
     params = SystemParams.from_mhz(50.0, 5.0)
@@ -424,6 +427,19 @@ def _verify_checks(step: float) -> List[Tuple[str, bool, str]]:
         detail_parts.append(f"{name} {rel:.3e}")
     detail = f"rel change {', '.join(detail_parts)} (bound 1e-2)"
     checks.append(("step-halving", worst_rel < 0.01, detail))
+
+    # The Magnus step's order, at fixed steps whatever ``step`` says: the
+    # bare-crosstalk idle's error against static diagonalization falls 16x
+    # per halving at fourth order, and 4x with a wrong commutator weight.
+    ratios, detail_parts = [], []
+    for name, layout in (("pair", PAIR), ("star", STAR)):
+        h = assemble_hamiltonian(params, layout, CrosstalkOnly(), Idle(t_m))
+        exact = static_frame_reference(params, layout, t_m)
+        coarse, fine = (float(np.abs(h.blocks().propagate(0.0, t_m, s) - exact).max()) for s in ORDER_STEPS)
+        ratios.append(coarse / fine)
+        detail_parts.append(f"{name} {coarse:.3e} -> {fine:.3e} ({ratios[-1]:.1f}x)")
+    detail = f"error at steps {ORDER_STEPS[0]}/{ORDER_STEPS[1]} ns {', '.join(detail_parts)} (bound 12x)"
+    checks.append(("integrator-order", min(ratios) >= 12.0, detail))
 
     # Star blocks against the dense 32-dimensional propagator on the same
     # coarse grid, and the block-propagated star idle against the static oracle.

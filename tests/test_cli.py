@@ -4,7 +4,7 @@ import json
 import pytest
 from helpers import count_assemblies, count_calls
 
-from xtalksim import cli, experiments
+from xtalksim import cli, experiments, model
 from xtalksim.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_INTERNAL,
@@ -460,6 +460,7 @@ class TestVerify:
             "idle-oracle",
             "closed-forms",
             "step-halving",
+            "integrator-order",
             "star-reduction",
             "phase-invariance",
             "zero-coupling",
@@ -471,6 +472,20 @@ class TestVerify:
         assert main(["verify", "--step", "0.5"]) == EXIT_CHECK_FAILURE
         out = capsys.readouterr().out
         assert "FAIL step-halving:" in out
+
+    def test_wrong_commutator_weight_fails_integrator_order(self, monkeypatch, capsys):
+        # Commutator weights 1% off leave the Magnus step at second order:
+        # its error falls 4x per halving, not 16x.
+        weights = model._magnus_weights
+
+        def skewed(coefficients, widths):
+            w = weights(coefficients, widths)
+            w[..., coefficients.shape[-1] :] *= 1.01
+            return w
+
+        monkeypatch.setattr(model, "_magnus_weights", skewed)
+        assert main(["verify"]) == EXIT_CHECK_FAILURE
+        assert "FAIL integrator-order:" in capsys.readouterr().out
 
 
 class TestPerCallWork:
