@@ -10,8 +10,7 @@ that imports the package from ``<checkout>/src``, clearing the scan cache
 before each preset.  Every exponential and every matrix product its kernels
 compute is counted by block dimension d:
 
-* ``expm``: each matrix ``operators.expm_hamiltonian`` returns, and each
-  step ``operators._term_exponentials`` returns or yields;
+* ``expm``: each step ``operators._term_exponentials`` returns or yields;
 * ``product``: the multiplications of ``operators.ordered_product``, n - 1
   per stack entry of an ``(n, ..., d, d)`` stack;
 * both, for ``operators._pauli_product``, which exponentiates and
@@ -77,12 +76,7 @@ def complex_dim(a) -> int:
 
 def counting(name: str, kernel, totals: dict):
     """``kernel``, the function ``name`` of ``operators``, adding the work of each call to ``totals``."""
-    if name == "expm_hamiltonian":
-        def wrapper(h, dt):
-            out = kernel(h, dt)
-            add(totals, "expm", out.shape[-1], out.size // out.shape[-1] ** 2)
-            return out
-    elif name == "ordered_product":
+    if name == "ordered_product":
         def wrapper(mats):
             out = kernel(mats)
             d, entries = complex_dim(mats), out.size // out.shape[-1] ** 2
@@ -127,7 +121,7 @@ def count_presets(checkout: Path) -> dict:
     if checkout.resolve() / "src" not in origin.parents:
         raise SystemExit(f"xtalksim imported from {origin}, not from {checkout}/src")
     totals = {"expm": {}, "product": {}}
-    for name in ("expm_hamiltonian", "_term_exponentials", "ordered_product", "_pauli_product", "advance"):
+    for name in ("_term_exponentials", "ordered_product", "_pauli_product", "advance"):
         original = getattr(operators, name, None)
         if original is None:
             continue

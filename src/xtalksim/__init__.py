@@ -8,7 +8,7 @@ train, together with the averaged-Hamiltonian error functionals used to pick
 the modulation amplitude.
 """
 
-from xtalksim.operators import propagate, step_boundaries
+from xtalksim.operators import step_boundaries
 from xtalksim.model import (
     PAIR,
     STAR,

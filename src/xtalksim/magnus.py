@@ -37,11 +37,9 @@ __all__ = [
     "epsilon_fm1",
     "epsilon_fm2_idle",
     "epsilon_fm2_x",
-    "epsilon_fm2_parallel_xx",
     "epsilon_dd1",
     "epsilon_dd2_numeric",
     "dd_second_order_closed_forms",
-    "ordered_double_integral",
 ]
 
 
@@ -88,16 +86,6 @@ class TriangleRule:
         return self.weigh(outer, self.running(inner))
 
 
-def ordered_double_integral(outer, inner, t_end: float):
-    """Integral of ``outer(t1) * inner(t2)`` over ``0 <= t2 <= t1 <= t_end``.
-
-    ``outer`` and ``inner`` must accept a time array and return values of
-    matching shape (real or complex).
-    """
-    rule = TriangleRule(t_end)
-    return rule.integrate(np.asarray(outer(rule.points)), np.asarray(inner(rule.points)))
-
-
 def _bessel_order_limit(c: float) -> int:
     """Largest |n| kept; J_n(c) falls below double rounding past c + O(c^(1/3))."""
     return math.ceil(c + 10.0 * c ** (1.0 / 3.0) + 25.0)
@@ -124,8 +112,8 @@ def epsilon_fm1(params: SystemParams, cycles: int, gammas: np.ndarray, t_end: fl
     return 2.0 * abs(params.j) * np.abs(total)
 
 
-def _fm2(params: SystemParams, cycles: int, gammas: np.ndarray, t_end: float, drives: int):
-    """Idle term plus ``drives`` equal drive-coupling cross terms, per amplitude."""
+def _fm2(params: SystemParams, cycles: int, gammas: np.ndarray, t_end: float, driven: bool):
+    """Idle term, plus the drive-coupling cross term of a ``driven`` gate, per amplitude."""
     rule = TriangleRule(t_end)
     bare = params.delta * rule.points
     shape = 2.0 * FmZModulation(gamma=1.0, cycles=cycles, duration=t_end).phase(rule.points)
@@ -141,9 +129,9 @@ def _fm2(params: SystemParams, cycles: int, gammas: np.ndarray, t_end: float, dr
         np.sin(phase, out=g.imag)
         g_running = rule.running(g)
         values[i] = (params.j**2 / t_end) * abs(rule.weigh(g, g_running.conj()).imag)
-        if drives:
+        if driven:
             cross = rule.weigh(omega, g_running) - rule.weigh(g, omega_running)
-            values[i] += drives * (abs(params.j) / t_end) * abs(cross)
+            values[i] += (abs(params.j) / t_end) * abs(cross)
     return values
 
 
@@ -151,7 +139,7 @@ def epsilon_fm2_idle(
     params: SystemParams, cycles: int, gammas: np.ndarray, t_end: float
 ) -> np.ndarray:
     """Second-order idle error: (J^2/T) |double integral of sin(phi1 - phi2)|."""
-    return _fm2(params, cycles, gammas, t_end, drives=0)
+    return _fm2(params, cycles, gammas, t_end, driven=False)
 
 
 def epsilon_fm2_x(
@@ -162,18 +150,7 @@ def epsilon_fm2_x(
     Adds to the idle term the drive-coupling cross term
     2 |(iJ/2T) double integral of (Omega(t1) e^{i phi(t2)} - Omega(t2) e^{i phi(t1)})|.
     """
-    return _fm2(params, cycles, gammas, t_end, drives=1)
-
-
-def epsilon_fm2_parallel_xx(
-    params: SystemParams, cycles: int, gammas: np.ndarray, t_end: float
-) -> np.ndarray:
-    """Second-order error of simultaneous X gates on both qubits.
-
-    The two drive cross terms are equal by symmetry and the idle term is
-    shared: eps_xx = 2 eps_x - eps_idle.
-    """
-    return _fm2(params, cycles, gammas, t_end, drives=2)
+    return _fm2(params, cycles, gammas, t_end, driven=True)
 
 
 def epsilon_dd1(params: SystemParams, segments: int, t_end: float) -> float:

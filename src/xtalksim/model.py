@@ -48,8 +48,9 @@ of total spin 2, 1 and 0 with multiplicities 1, 3 and 2; otherwise it is the
 computational basis.  The blocks are the connected components of the terms'
 union sparsity pattern in that basis, which also splits off conserved
 excitation numbers, and copies with identical matrices are propagated once.
-A driven neighbor leaves one full block.  The rebuilt propagator matches the
-dense one to roundoff.  The Dicke basis and the neighbor swaps that test
+A driven neighbor leaves one full block.  The rebuilt propagator matches
+that of the one-block layout (``AssembledHamiltonian.one_block``) to
+roundoff.  The Dicke basis and the neighbor swaps that test
 for it are cached per layout (``Topology.dicke_basis``, ``neighbor_swaps``),
 so a block analysis does no basis work of its own; it slices, compares and
 commutes the components of each size in one call each.  The analysis
@@ -76,7 +77,8 @@ without forming dense samples.  Since
                  + sum_{k<l} (sqrt(3) h^2 / 12) (c2_k c1_l - c2_l c1_k) (-i) (-i [M_k, M_l]),
 
 a real contraction of the chunk's weights with the stack's matrices, and the
-steps match ``operators.propagate`` on the dense assembly to roundoff.  Per
+steps match Magnus steps of dense samples (``tests/oracles.py``) to
+roundoff.  Per
 chunk of ``operators.chunk_steps(C)`` steps for C couplings (at most
 ``CHUNK`` steps and ``CHUNK_ENTRIES`` = 16 ``CHUNK`` steps x couplings, so a
 stack of up to 16 couplings chunks as one coupling does),
@@ -107,7 +109,6 @@ from xtalksim.operators import (
     chunk_steps,
     embed,
     encode_terms,
-    expm_hamiltonian,
     gauss_nodes,
     non_negative,
     positive,
@@ -400,6 +401,14 @@ class AssembledHamiltonian:
             analyses[key] = _block_analysis(mats, self.topology)
         return SymmetryBlocks(self, *analyses[key])
 
+    def one_block(self) -> "SymmetryBlocks":
+        """This Hamiltonian as one block of the full dimension in the
+        computational basis, built and propagated as ``blocks()`` builds and
+        propagates each of its blocks: the layout that ``blocks()`` reduces."""
+        mats = np.reshape(self._matrices(), (-1, self.dim, self.dim))
+        tol = 1e-12 * np.abs(mats).max(axis=(1, 2), initial=0.0)[:, None, None]
+        return SymmetryBlocks(self, None, _block_stacks(mats, [np.arange(self.dim)], tol))
+
     def coefficients(self, t: np.ndarray) -> np.ndarray:
         """Real coefficients of every term at the 1-D times ``t``, shape ``(n, C, K)``:
         the exchange pair of coupling J is Re and Im of J (cos phi + i sin phi),
@@ -419,16 +428,6 @@ class AssembledHamiltonian:
         for k, (name, coeff, _) in enumerate(self.controls, start=2):
             out[..., k] = _real_samples(name, coeff, t)[:, None]
         return out
-
-    def __call__(self, t):
-        """Dense samples ``sum_k c_k(t) M_k`` at a time or 1-D times ``t``, for one coupling."""
-        if len(self.couplings) != 1:
-            raise ValueError(f"dense samples need one coupling, got {len(self.couplings)}")
-        tt = np.asarray(t, dtype=float)
-        out = np.zeros((tt.size, self.dim, self.dim), dtype=complex)
-        for c, mat in zip(self.coefficients(np.atleast_1d(tt))[:, 0].T, self._matrices()):
-            out += c[:, None, None] * mat
-        return out[0] if tt.ndim == 0 else out
 
 
 def _real_samples(name: str, coeff: Callable, t: np.ndarray) -> np.ndarray:
@@ -539,7 +538,6 @@ def _pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
 def _block_analysis(mats: np.ndarray, topology: Topology) -> tuple:
     """``SymmetryBlocks`` fields after the assembly (basis, stacks) of the ``(K,
     dim, dim)`` term matrices ``mats``, as read-only arrays."""
-    dim = mats.shape[-1]
     # The Dicke basis applies when every term commutes with each neighbor swap.
     basis = None
     swaps = topology.neighbor_swaps
@@ -552,16 +550,23 @@ def _block_analysis(mats: np.ndarray, topology: Topology) -> tuple:
     scales = np.abs(mats).max(axis=(1, 2), initial=0.0)
     # Entries below this are roundoff of the basis change.
     tol = 1e-12 * scales[:, None, None]
-    components = _components((np.abs(adapted) > tol).any(axis=0))
-    first, second = _pairs(len(mats))
-    flat = adapted.reshape(len(mats), -1)
+    return basis, _block_stacks(adapted, _components((np.abs(adapted) > tol).any(axis=0)), tol)
+
+
+def _block_stacks(adapted: np.ndarray, components: list[np.ndarray], tol: np.ndarray) -> tuple:
+    """The read-only ``BlockStack`` of each block dimension: the ``(K, dim,
+    dim)`` term matrices ``adapted`` on the index sets ``components``, where
+    entries of term k up to ``tol[k]`` are roundoff."""
+    dim = adapted.shape[-1]
+    first, second = _pairs(len(adapted))
+    flat = adapted.reshape(len(adapted), -1)
     stacks = []
     # The components of one size d are sliced, compared with each other
     # and given their commutators in one call each.
     for d in dict.fromkeys(idx.size for idx in components):
         rows = np.array([idx for idx in components if idx.size == d])
         entries = (rows[:, :, None] * dim + rows[:, None, :]).reshape(len(rows), -1)
-        stack = np.take(flat, entries, axis=1).reshape(len(mats), len(rows), d, d)
+        stack = np.take(flat, entries, axis=1).reshape(len(adapted), len(rows), d, d)
         close = (np.abs(stack[:, :, None] - stack[:, None]) <= tol[..., None, None]).all(axis=(0, 3, 4))
         # Each component joins the first distinct block whose matrices it shares.
         copies: dict[int, list[int]] = {}
@@ -582,7 +587,7 @@ def _block_analysis(mats: np.ndarray, topology: Topology) -> tuple:
         norms = np.abs(hermitian).sum(axis=-2).max(axis=-1)
         copy_rows = tuple(_read_only(rows[m]) for m in copies.values())
         stacks.append(BlockStack(d, _read_only(encode_terms(hermitian)), _read_only(norms), copy_rows))
-    return basis, tuple(stacks)
+    return tuple(stacks)
 
 
 def _neighbors(topology: Topology) -> list[int]:
@@ -818,7 +823,8 @@ def static_frame_reference(params: SystemParams, topology: Topology, t: float) -
     h0 = _bare_hamiltonian(params, topology)
     a_sum = _flip_flop(topology)
     h_xy = params.j * (a_sum + a_sum.conj().T)
-    u_lab = expm_hamiltonian(h0 + h_xy, t)
+    energies, states = np.linalg.eigh(h0 + h_xy)
+    u_lab = (states * np.exp(-1j * t * energies)) @ states.conj().T
     # Undo the bare rotation: U_frame = exp(+i H0 t) U_lab, with H0 diagonal.
     return np.exp(1j * t * np.diagonal(h0))[:, None] * u_lab
 

@@ -17,23 +17,21 @@ Propagation steps of one and two levels, X = -i (g_0 I + g . sigma), are a
 phase, summed over a chunk in extended precision, times
 [[a, -b*], [b, a*]] with a = cos r - i g_3 sinc r, b = (g_2 - i g_1) sinc r
 and r = |g|, multiplied as (a, b) pairs along an innermost time axis
-(:func:`_pauli_product`).  Larger exponents, and all of ``expm_hamiltonian``,
-are held in the real form E(A) = [[Re A, -Im A], [Im A, Re A]], float64
-2d x 2d, and multiplied with plain matmul: E is an exact algebra map with
-E(A^dag) = E(A)^T, so all that follows runs unchanged on it, and A is read
-back from E(A)'s first block column.  Exponents are scaled by the least
-2^-s that brings an upper bound on their 1-norm below ``THETA_8``, where
-the degree-8 Taylor polynomial is exact to double rounding, and the
-polynomial is squared s times; at the default step s is almost always 0.
-It takes three products, X_2 = X X, X_4 = X_2 (a_1 X + a_2 X_2) and
+(:func:`_pauli_product`).  Larger exponents are held in the real form
+E(A) = [[Re A, -Im A], [Im A, Re A]], float64 2d x 2d, and multiplied with
+plain matmul: E is an exact algebra map with E(A^dag) = E(A)^T, so all that
+follows runs unchanged on it, and A is read back from E(A)'s first block
+column.  Exponents are scaled by the least 2^-s that brings an upper bound
+on their 1-norm below ``THETA_8``, where the degree-8 Taylor polynomial is
+exact to double rounding, and the polynomial is squared s times; at the
+default step s is almost always 0.  It takes three products, X_2 = X X,
+X_4 = X_2 (a_1 X + a_2 X_2) and
 T_8(X) = I + X + b_2 X_2 + (a_3 X_2 + X_4)(a_4 I + a_5 X + a_6 X_2 + a_7 X_4)
 (Bader, Blanes & Casas, Mathematics 7, 1174 (2019)), ``EXPM_BATCH_ENTRIES``
 complex entries at a time in one workspace, each finished sub-batch passed
-straight on.  ``expm_hamiltonian`` completes its input from the lower
-triangle, scales it by -i dt, takes exact 1-norms and writes each sub-batch
-into its complex result.  :func:`advance` takes a chunk of steps
-(``chunk_steps``: at most ``CHUNK`` steps and ``CHUNK_ENTRIES`` steps x
-couplings) in one call: it contracts the Magnus weights w_k of each step
+straight on.  :func:`advance` takes a chunk of steps (``chunk_steps``: at
+most ``CHUNK`` steps and ``CHUNK_ENTRIES`` steps x couplings) in one call:
+it contracts the Magnus weights w_k of each step
 with a block stack's E(-i M_k) (``encode_terms``, ``model`` docstring),
 bounds the 1-norm by sum_k |w_k| ||M_k||_1, multiplies each sub-batch of
 whole steps into a running product (it stores no array of steps), reads the
@@ -42,10 +40,8 @@ which removes the norm that rounding loses and leaves a unitary U
 unchanged; a squared exponential takes one too.  So propagators are
 unitary to machine precision at any step size.
 
-``propagate`` samples the dense ``(n, d, d)`` Hamiltonian.  Production runs
-build the same steps in term space, in stacks of blocks and couplings
-(``model`` docstring); ``propagate`` on a single-coupling assembly is their
-oracle.
+Every propagation builds these steps in term space, in stacks of blocks and
+couplings (``model`` docstring); none samples a dense Hamiltonian.
 """
 
 from __future__ import annotations
@@ -63,14 +59,11 @@ __all__ = [
     "step_boundaries",
     "embed",
     "unitarity_defect",
-    "expm_hamiltonian",
     "encode_terms",
     "ordered_product",
-    "check_hermitian",
     "gauss_nodes",
     "chunk_steps",
     "advance",
-    "propagate",
 ]
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -78,7 +71,7 @@ SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 IDENTITY = np.eye(2, dtype=complex)
 
-#: Relative tolerance for Hermiticity of sampled Hamiltonians and of term matrices.
+#: Relative tolerance for Hermiticity of term matrices.
 HERMITICITY_TOL = 1e-12
 
 #: Largest 1-norm of an exponent X at which the degree-8 Taylor polynomial
@@ -185,29 +178,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.abs(g - np.eye(d)).max())
 
 
-def expm_hamiltonian(h: np.ndarray, dt: float) -> np.ndarray:
-    """``exp(-i h dt)`` of a Hermitian ``h``, exact to double rounding.
-
-    Accepts a ``(d, d)`` matrix or a ``(..., d, d)`` stack; the method is in
-    the module docstring.  Like ``eigh``, it reads the lower triangle and the
-    real diagonal.
-
-    Raises
-    ------
-    ValueError
-        If ``h`` is not a non-empty (stack of) square matrices (the shape is
-        named), or an entry it reads, or ``dt``, is not finite.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim < 2 or h.shape[-1] != h.shape[-2] or h.size == 0:
-        raise ValueError(f"expected non-empty square matrices, got shape {h.shape}")
-    d = h.shape[-1]
-    u = np.empty((h.size // (d * d), d, d), dtype=complex)
-    for start, exponentials in _expm_taylor(len(u), d, _hermitian_exponents(h.reshape(u.shape), dt)):
-        u[start : start + len(exponentials)] = _complex_form(exponentials)
-    return u.reshape(h.shape)
-
-
 def encode_terms(hermitian: np.ndarray) -> np.ndarray:
     """The float64 ``(K, B * e)`` term matrices of ``advance`` for the
     ``(K, B, d, d)`` Hermitian matrices M_kb of K terms on B blocks: up to
@@ -234,24 +204,6 @@ def _complex_form(e: np.ndarray) -> np.ndarray:
 def _check_finite(what: str, *values) -> None:
     if not all(np.isfinite(v).all() for v in values):
         raise ValueError(f"cannot exponentiate a non-finite {what}")
-
-
-def _hermitian_exponents(h: np.ndarray, dt: float):
-    """``_expm_taylor``'s ``prepare`` for X = -i dt H of the ``(n, d, d)`` stack
-    ``h``, completed from its lower triangle and real diagonal; the bounds are
-    the exact 1-norms."""
-    eye = np.eye(h.shape[-1])
-
-    def prepare(start: int, stop: int, x: np.ndarray) -> np.ndarray:
-        a = h[start:stop]
-        lower = np.tril(a, -1)
-        a = lower + lower.conj().swapaxes(-1, -2) + np.diagonal(a, axis1=-2, axis2=-1).real[..., None] * eye
-        norms = abs(dt) * np.abs(a).sum(axis=-2).max(axis=-1)
-        _check_finite(f"Hamiltonian entry or step (dt={dt})", norms)
-        x[:] = _real_form(-1j * dt * a)
-        return norms
-
-    return prepare
 
 
 def _term_exponentials(weights: np.ndarray, matrices: np.ndarray, norms: np.ndarray):
@@ -345,20 +297,6 @@ def ordered_product(mats: np.ndarray) -> np.ndarray:
     return m[0]
 
 
-def check_hermitian(h: np.ndarray, times: np.ndarray) -> None:
-    """Raise ValueError naming the worst sample of ``h`` (``(n, ..., d, d)``
-    at ``times``) whose Hermiticity defect exceeds ``HERMITICITY_TOL``
-    relative to the batch's largest entry (at least 1)."""
-    scale = max(float(np.abs(h).max()), 1.0)
-    defects = np.abs(h - h.conj().swapaxes(-1, -2)).reshape(h.shape[0], -1).max(axis=1)
-    worst = int(np.argmax(defects))
-    if defects[worst] > HERMITICITY_TOL * scale:
-        raise ValueError(
-            f"non-Hermitian Hamiltonian sample at t={times[worst]:.9g} ns "
-            f"(defect {defects[worst]:.3e})"
-        )
-
-
 def gauss_nodes(edges: np.ndarray, chunk: int):
     """Yield ``(widths, times)`` for each chunk of at most ``chunk`` of the
     steps between the boundaries ``edges``.
@@ -425,52 +363,3 @@ def advance(u: np.ndarray, weights: np.ndarray, matrices: np.ndarray, norms: np.
     for steps in _term_exponentials(weights, matrices, norms):
         product = ordered_product(steps) @ product
     return _newton_schulz(_complex_form(product) @ u)
-
-
-def propagate(h_of_t, edges) -> np.ndarray:
-    """Time-ordered propagator of ``h_of_t`` over the steps between the
-    boundaries ``edges`` (ns), from dense samples.
-
-    Takes the Magnus steps of the module docstring.  ``h_of_t`` is the
-    vectorized Hamiltonian (rad/ns): it maps a 1-D array of n times (ns),
-    both node sets of a chunk's steps, to the stacked ``(n, d, d)`` samples.
-
-    Raises
-    ------
-    ValueError
-        If ``edges`` is not a finite, strictly increasing 1-D array of at
-        least two boundaries, if ``h_of_t`` returns any other shape (the
-        shape is named), if a sampled Hamiltonian is non-Hermitian (the
-        offending time is named), or if its dimension changes between chunks.
-    """
-    edges = np.asarray(edges, dtype=float)
-    ordered = edges.ndim == 1 and edges.size >= 2 and (np.diff(edges) > 0.0).all()
-    if not (ordered and np.isfinite(edges).all()):
-        raise ValueError(
-            f"step boundaries must be a finite, strictly increasing 1-D array of at least "
-            f"two times, got {edges!r}"
-        )
-    u = None
-    for h_step, times in gauss_nodes(edges, CHUNK):
-        h = np.asarray(h_of_t(times), dtype=complex)
-        if h.ndim != 3 or h.shape[0] != times.size or h.shape[1] != h.shape[2]:
-            raise ValueError(
-                f"h_of_t must map {times.size} times to a ({times.size}, d, d) stack, "
-                f"got shape {h.shape}"
-            )
-        if u is None:
-            u = np.eye(h.shape[-1], dtype=complex)
-        elif h.shape[-1] != u.shape[-1]:
-            raise ValueError(
-                f"Hamiltonian dimension changed from {u.shape[-1]} to {h.shape[-1]} "
-                f"at t={times[0]}"
-            )
-        check_hermitian(h, times)
-        h1, h2 = h[: h_step.size], h[h_step.size :]
-        width = h_step[:, None, None]
-        # [H_2, H_1] = C - C^dag with C = H_2 H_1, so -i [H_2, H_1] is Hermitian.
-        c = h2 @ h1
-        commutator = c - c.conj().swapaxes(-1, -2)
-        h_eff = 0.5 * (h1 + h2) - (1j * math.sqrt(3.0) / 12.0) * width * commutator
-        u = _newton_schulz(ordered_product(expm_hamiltonian(width * h_eff, 1.0)) @ u)
-    return u

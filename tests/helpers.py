@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 
+import oracles
+
 from xtalksim import model
 from xtalksim.model import CrosstalkOnly, Idle, assemble_hamiltonian
 from xtalksim.operators import IDENTITY, SIGMA_X, SIGMA_Y, SIGMA_Z
@@ -30,7 +32,7 @@ def hermiticity_defect(m) -> float:
 
 def coupling(params, topology, t):
     """The bare XY coupling in the operation frame: a crosstalk-only idle assembly."""
-    return assemble_hamiltonian(params, topology, CrosstalkOnly(), Idle(1.0))(t)
+    return oracles.hamiltonian(assemble_hamiltonian(params, topology, CrosstalkOnly(), Idle(1.0)), t)
 
 
 def count_calls(monkeypatch, owner, name, record=lambda *args: None):

@@ -8,7 +8,10 @@ Gauss-Legendre triangle rule (2,048 nodes per axis unless given) rebuilt
 and resampled for every amplitude.  The exchange matrix of a layout is
 built from Kronecker products, where the library sets bits.  A run of k
 gates is one uninterrupted assembly at absolute time, where the library
-advances one gate's coupling phase.
+advances one gate's coupling phase.  Propagators come from dense samples of
+the Hamiltonian, with the commutator of the Magnus step formed on them and
+each step exponentiated by ``eigh``, where the library contracts term-space
+weights and sums Taylor polynomials.
 """
 
 import dataclasses
@@ -22,6 +25,9 @@ from scipy.integrate import quad
 from xtalksim.model import coupling_phase
 from xtalksim.operators import IDENTITY
 from xtalksim.pulses import SineEnvelopeDrive
+
+#: Magnus steps per batch of dense samples, a few MB for the star.
+STEPS_PER_BATCH = 256
 
 # Excitation raising/lowering for basis |0>, |1> with sigma_z = diag(1, -1)
 # and qubit energy term -(omega/2) sigma_z: |1> is the excited state, so the
@@ -115,3 +121,48 @@ def gate_run(h, repetitions):
         gate_time=repetitions * h.gate_time,
         breakpoints=tuple(sorted({b + s for b in h.breakpoints for s in shifts})),
     )
+
+
+def hamiltonian(h, t):
+    """Dense samples sum_k c_k(t) M_k of the one-coupling assembly ``h``, at a
+    time (``(d, d)``) or at the 1-D times ``t`` (``(n, d, d)``)."""
+    if len(h.couplings) != 1:
+        raise ValueError(f"dense samples need one coupling, got {len(h.couplings)}")
+    tt = np.asarray(t, dtype=float)
+    matrices = np.array([*h.topology.exchange, *(m for _, _, m in h.controls)])
+    out = np.einsum("nk,kij->nij", h.coefficients(np.atleast_1d(tt))[:, 0], matrices)
+    return out[0] if tt.ndim == 0 else out
+
+
+def expm_hermitian(h, dt):
+    """exp(-i dt h) of a Hermitian ``(..., d, d)`` stack, by eigendecomposition."""
+    energies, states = np.linalg.eigh(h)
+    return (states * np.exp(-1j * np.multiply(dt, energies))[..., None, :]) @ states.conj().swapaxes(-1, -2)
+
+
+def propagate(h, edges):
+    """Time-ordered propagator over the steps between the boundaries ``edges``,
+    from dense samples: of an assembly of one coupling (``hamiltonian``), or of
+    a callable mapping a 1-D array of times to ``(n, d, d)`` Hamiltonians.
+
+    A step of width w from t samples H_1, H_2 at t + w (1/2 -+ sqrt(3)/6) and
+    applies exp(-i w H_eff), H_eff = (H_1 + H_2)/2 - i (sqrt(3) w/12) [H_2, H_1],
+    the fourth-order Magnus step; each batch of steps ends on the polar factor
+    of the product, which removes the norm that rounding loses.
+    """
+    sample = functools.partial(hamiltonian, h) if hasattr(h, "coefficients") else h
+    edges = np.asarray(edges, dtype=float)
+    offset = math.sqrt(3.0) / 6.0
+    u = None
+    for start in range(0, edges.size - 1, STEPS_PER_BATCH):
+        t = edges[start : start + STEPS_PER_BATCH + 1]
+        w = np.diff(t)
+        h1, h2 = (np.asarray(sample(t[:-1] + (0.5 + s) * w), dtype=complex) for s in (-offset, offset))
+        h_eff = 0.5 * (h1 + h2) - 1j * (math.sqrt(3.0) / 12.0) * w[:, None, None] * (h2 @ h1 - h1 @ h2)
+        if u is None:
+            u = np.eye(h1.shape[-1], dtype=complex)
+        for step in expm_hermitian(h_eff, w[:, None]):
+            u = step @ u
+        left, _, right = np.linalg.svd(u)
+        u = left @ right
+    return u

@@ -43,7 +43,7 @@ from xtalksim.model import (
     assemble_hamiltonian,
     static_frame_reference,
 )
-from xtalksim.operators import propagate, step_boundaries, unitarity_defect
+from xtalksim.operators import unitarity_defect
 
 PARAMS = SystemParams.from_mhz(50.0, 5.0)
 T_M = PARAMS.matched_time()
@@ -349,7 +349,7 @@ class TestCriterion7ExactnessProperties:
             f"{val:.2e} rad/ns (allowed 1e-12 J)",
         )
         h = assemble_hamiltonian(PARAMS, PAIR, CrosstalkOnly(), Idle(T_M))
-        u = propagate(h, step_boundaries(0.0, T_M, STEP))
+        u = h.blocks().propagate(0.0, T_M, STEP)[0]
         residual = float(np.abs(u - static_frame_reference(PARAMS, PAIR, T_M)).max())
         check(
             results,
@@ -372,7 +372,7 @@ class TestCriterion8NumericalHygiene:
         ]
         for params, topo, scheme, gate in battery:
             h = assemble_hamiltonian(params, topo, scheme, gate)
-            u = propagate(h, step_boundaries(0.0, h.t_end, STEP))
+            u = h.blocks().propagate(0.0, h.t_end, STEP)[0]
             worst = max(worst, unitarity_defect(u))
         check(
             results,

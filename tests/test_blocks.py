@@ -1,4 +1,4 @@
-"""Block-reduced propagation against the dense propagator it replaces."""
+"""Block-reduced propagation against the dense oracle of ``tests/oracles.py``."""
 
 import dataclasses
 
@@ -30,10 +30,8 @@ from xtalksim.operators import (
     SIGMA_Z,
     advance,
     embed,
-    expm_hamiltonian,
     gauss_nodes,
     ordered_product,
-    propagate,
     step_boundaries,
     unitarity_defect,
 )
@@ -59,7 +57,7 @@ def aligned(h, t_start, t_end, step=STEP):
 def reduced_and_dense(topology, scheme, gate, step=STEP):
     h = assemble_hamiltonian(PARAMS, topology, scheme, gate)
     # The assembly carries one coupling; take its propagator.
-    return h.blocks().propagate(0.0, h.t_end, step)[0], propagate(h, aligned(h, 0.0, h.t_end, step))
+    return h.blocks().propagate(0.0, h.t_end, step)[0], oracles.propagate(h, aligned(h, 0.0, h.t_end, step))
 
 
 SCHEMES = {"CD": CrosstalkOnly(), "FM": fm(), "DD": DD, "baseline": BASELINE}
@@ -101,6 +99,23 @@ class TestReducedMatchesDense:
         u, dense = reduced_and_dense(PAIR, scheme, gate)
         assert np.abs(u - dense).max() <= 1e-10
 
+    @pytest.mark.parametrize(
+        "scheme, gate", [(DD, XGate(T_M, target=2)), (fm(), Idle(T_M))], ids=["DD-x-center", "FM-idle"]
+    )
+    def test_oracle_is_independent(self, monkeypatch, scheme, gate):
+        # The dense oracle forms its own commutators and exponentiates by
+        # eigh: with the Magnus weights and the Taylor body of the blocks
+        # made to raise, it still matches them.
+        h = assemble_hamiltonian(PARAMS, STAR, scheme, gate)
+        u = h.blocks().propagate(0.0, h.t_end, STEP)[0]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle reached a kernel of the blocks")
+
+        monkeypatch.setattr(operators, "_expm_taylor", forbidden)
+        monkeypatch.setattr(model, "_magnus_weights", forbidden)
+        assert np.abs(u - oracles.propagate(h, aligned(h, 0.0, h.t_end))).max() <= 1e-13
+
     def test_offset_window(self):
         # A sequence's second window is the steady window with the coupling
         # phase advanced by one gate: it matches that window of the
@@ -109,7 +124,7 @@ class TestReducedMatchesDense:
             h = assemble_hamiltonian(PARAMS, STAR, DD, XGate(t_gate, target=2))
             second = list(experiments._windowed_propagators(h, PARAMS, 3, STEP))[1]
             run = oracles.gate_run(h, 3)
-            dense = propagate(run, aligned(run, t_gate + h.tail, 2 * t_gate + h.tail))
+            dense = oracles.propagate(run, aligned(run, t_gate + h.tail, 2 * t_gate + h.tail))
             assert np.abs(second[0] - dense).max() <= 1e-10, t_gate
 
     def test_polar_factor_infidelity_at_selected_idle_amplitude(self):
@@ -147,7 +162,7 @@ class TestTermSpace:
         edges = aligned(h, 0.0, h.t_end, step)
         # A third of the step takes over CHUNK steps, so the first chunk ends mid-gate.
         assert (len(edges) - 1 > CHUNK) == (split > 1)
-        assert np.abs(h.blocks().propagate(0.0, h.t_end, step) - propagate(h, edges)).max() <= 1e-13
+        assert np.abs(h.blocks().propagate(0.0, h.t_end, step) - oracles.propagate(h, edges)).max() <= 1e-13
 
     def test_window_grid_sits_on_every_kink(self):
         # The off-lattice steady window of a decoupled sequence: the block
@@ -156,8 +171,8 @@ class TestTermSpace:
         h = assemble_hamiltonian(PARAMS, STAR, DD, XGate(T_M, target=2))
         window = (h.tail, T_M + h.tail)
         u = h.blocks().propagate(*window, STEP)
-        assert np.abs(u - propagate(h, aligned(h, *window))).max() <= 1e-13
-        assert np.abs(u - propagate(h, step_boundaries(*window, STEP))).max() > 1e-6
+        assert np.abs(u - oracles.propagate(h, aligned(h, *window))).max() <= 1e-13
+        assert np.abs(u - oracles.propagate(h, step_boundaries(*window, STEP))).max() > 1e-6
 
     def test_operation_frame_fm_uses_every_commutator(self):
         h = assemble_hamiltonian(
@@ -208,9 +223,9 @@ class TestStacks:
     def test_one_exponential_per_dimension(self, monkeypatch, scheme, layout, dims):
         # Distinct blocks of one dimension advance as one stack: a one-chunk
         # star idle calls the closed-form kernel once per dimension that
-        # carries terms, and never the dense exponential.
+        # carries terms, and never the Taylor exponential.
         counted = count_calls(monkeypatch, operators, "_pauli_product", lambda w, m, d: d)
-        dense = count_calls(monkeypatch, operators, "expm_hamiltonian", lambda h, dt: np.shape(h)[-1])
+        dense = count_calls(monkeypatch, operators, "_expm_taylor", lambda n, d, *_: d)
         h = assemble_hamiltonian(PARAMS, STAR, scheme, Idle(T_M))
         blocks = h.blocks()
         assert blocks.layout == layout
@@ -223,7 +238,7 @@ class TestStacks:
     def test_idle_takes_no_dense_exponential_or_product(self, monkeypatch, scheme):
         # Star idle blocks are at most 2x2: their steps are multiplied as
         # phases and SU(2) pairs, with no matrix exponential or matrix product.
-        exponentials = count_calls(monkeypatch, operators, "expm_hamiltonian")
+        exponentials = count_calls(monkeypatch, operators, "_expm_taylor")
         products = count_calls(monkeypatch, operators, "ordered_product")
         h = assemble_hamiltonian(PARAMS, STAR, scheme, Idle(T_M))
         assert len(aligned(h, 0.0, h.t_end)) - 1 <= CHUNK
@@ -258,14 +273,15 @@ class TestStacks:
     def test_center_x_exponents_stay_in_term_space(self, monkeypatch, scheme):
         # The 10x10 and 6x6 steps of a star center-X gate are exponentiated
         # from their Magnus weights, and the 2x2 steps by the closed-form
-        # kernel: no step takes a Hermitian generator.
-        dense = count_calls(monkeypatch, operators, "expm_hamiltonian", lambda h, dt: np.shape(h)[-1])
+        # kernel: every Taylor exponential contracts term-space weights.
+        taylor = count_calls(monkeypatch, operators, "_expm_taylor", lambda n, d, *_: d)
+        terms = count_calls(monkeypatch, operators, "_term_exponentials")
         pauli = count_calls(monkeypatch, operators, "_pauli_product", lambda w, m, d: d)
         stacks = count_calls(monkeypatch, model, "advance", lambda u, *_: u.shape[-1])
         h = assemble_hamiltonian(PARAMS, STAR, scheme, XGate(T_M, target=2))
         h.blocks().propagate(0.0, h.t_end, STEP)
         assert sorted(stacks) == [2, 6, 10]
-        assert (dense, pauli) == ([], [2])
+        assert (sorted(taylor), len(terms), pauli) == ([6, 10], 2, [2])
 
     @staticmethod
     def stack_chunk(gate, d):
@@ -287,7 +303,7 @@ class TestStacks:
         u = np.exp(1j * np.arange(g[0].size)).reshape(g.shape[1:])
         stepwise = ordered_product(np.exp(-1j * g)) @ u
         kernels = count_calls(monkeypatch, operators, "_pauli_product", lambda w, m, d: d)
-        exponentials = count_calls(monkeypatch, operators, "expm_hamiltonian")
+        exponentials = count_calls(monkeypatch, operators, "_expm_taylor")
         products = count_calls(monkeypatch, operators, "ordered_product")
         assert np.abs(advance(u, weights, stack.matrices, stack.norms) - stepwise).max() <= 1e-15
         assert (kernels, len(exponentials), len(products)) == ([1], 0, 0)
@@ -324,10 +340,10 @@ class TestComplexCoefficients:
 
     def test_dense_sampling_rejects(self, complex_drive):
         with pytest.raises(ValueError, match=r"on channel X1-drive at t=0\.3 ns"):
-            complex_drive(np.array([0.3, 0.4]))
+            oracles.hamiltonian(complex_drive, np.array([0.3, 0.4]))
         edges = step_boundaries(0.0, complex_drive.t_end, STEP)
         with pytest.raises(ValueError, match=r"on channel X1-drive at t=0\.00422649"):
-            propagate(complex_drive, edges)
+            oracles.propagate(complex_drive, edges)
 
     def test_block_sampling_rejects(self, complex_drive):
         # The first sample is the early Gauss node of the first 0.02 ns step.

@@ -39,7 +39,7 @@ from xtalksim.model import (
     static_frame_reference,
     target_unitary,
 )
-from xtalksim.operators import CHUNK_ENTRIES, SIGMA_X, chunk_steps, embed, propagate, step_boundaries
+from xtalksim.operators import CHUNK_ENTRIES, SIGMA_X, chunk_steps, embed, step_boundaries
 from xtalksim.pulses import SineEnvelopeDrive
 
 PARAMS = SystemParams.from_mhz(50.0, 5.0)
@@ -161,7 +161,7 @@ class TestStepConvergence:
         ref = run_single_gate(PARAMS, PAIR, dd, gate, step=0.02 / 16)
         aligned = run_single_gate(PARAMS, PAIR, dd, gate, step=0.02)
         h = assemble_hamiltonian(PARAMS, PAIR, dd, gate)
-        u = propagate(h, step_boundaries(0.0, h.t_end, 0.02))
+        u = oracles.propagate(h, step_boundaries(0.0, h.t_end, 0.02))
         unaligned = 1.0 - gate_fidelity(u, target_unitary(gate, PAIR))
         assert 100.0 * abs(aligned - ref) <= abs(unaligned - ref)
 
@@ -171,7 +171,7 @@ class TestSequences:
         # One uninterrupted dense propagation of the whole run, at absolute time.
         h = oracles.gate_run(assemble_hamiltonian(PARAMS, PAIR, scheme, gate), repetitions)
         breakpoints = h.breakpoints if aligned else ()
-        u = propagate(h, step_boundaries(0.0, h.t_end, step, breakpoints))
+        u = oracles.propagate(h, step_boundaries(0.0, h.t_end, step, breakpoints))
         ideal = target_unitary(gate, PAIR, repetitions=repetitions)
         return max(0.0, 1.0 - gate_fidelity(u, ideal))
 
@@ -185,7 +185,7 @@ class TestSequences:
         ):
             series = run_sequence(PARAMS, topology, SchemeRun(scheme), gate, 1, step=0.02)
             h = assemble_hamiltonian(PARAMS, topology, scheme, gate)
-            u = propagate(h, step_boundaries(0.0, h.t_end, 0.02, h.breakpoints))
+            u = oracles.propagate(h, step_boundaries(0.0, h.t_end, 0.02, h.breakpoints))
             dense = 1.0 - gate_fidelity(u, target_unitary(gate, topology))
             assert series.counts.tolist() == [1]
             assert series.infidelities[0] == pytest.approx(dense, abs=1e-12)

@@ -13,9 +13,7 @@ from xtalksim.magnus import (
     epsilon_dd2_numeric,
     epsilon_fm1,
     epsilon_fm2_idle,
-    epsilon_fm2_parallel_xx,
     epsilon_fm2_x,
-    ordered_double_integral,
 )
 from xtalksim.model import FrequencyModulation, SystemParams
 from xtalksim.optimize import default_gamma_grid
@@ -34,6 +32,12 @@ def at(functional, cycles, gamma, t_end):
 def grid_modulations(cycles):
     """One modulation per point of the default amplitude grid, for the oracles."""
     return [FrequencyModulation(cycles=cycles, gamma=g) for g in GRID.tolist()]
+
+
+def ordered_double_integral(outer, inner, t_end):
+    """The production rule's integral of outer(t1) inner(t2) over 0 <= t2 <= t1 <= t_end."""
+    rule = magnus.TriangleRule(t_end)
+    return rule.integrate(outer(rule.points), inner(rule.points))
 
 
 class TestOrderedDoubleIntegral:
@@ -89,7 +93,7 @@ class TestSecondOrderTerms:
     @pytest.mark.parametrize("cycles", [4, 6, 8])
     @pytest.mark.parametrize(
         "functional, drives",
-        [(epsilon_fm2_idle, 0), (epsilon_fm2_x, 1), (epsilon_fm2_parallel_xx, 2)],
+        [(epsilon_fm2_idle, 0), (epsilon_fm2_x, 1)],
     )
     @pytest.mark.parametrize("t_end", [T_M, 30.0])
     def test_shared_running_integral_matches_direct_terms(self, functional, drives, cycles, t_end):
@@ -231,7 +235,6 @@ class TestGridForms:
             (epsilon_fm1, 30.0),
             (epsilon_fm2_idle, T_M),
             (epsilon_fm2_x, T_M),
-            (epsilon_fm2_parallel_xx, T_M),
         ],
     )
     def test_sequence_matches_single_calls(self, functional, t_end):
@@ -242,11 +245,5 @@ class TestGridForms:
 
 
 class TestCompositeFunctionals:
-    def test_parallel_combines_x_and_idle(self):
-        eps_x = at(epsilon_fm2_x, 4, 1.26, T_M)
-        eps_idle = at(epsilon_fm2_idle, 4, 1.26, T_M)
-        eps_xx = at(epsilon_fm2_parallel_xx, 4, 1.26, T_M)
-        assert eps_xx == pytest.approx(2.0 * eps_x - eps_idle, rel=1e-12)
-
     def test_x_functional_dominates_idle(self):
         assert at(epsilon_fm2_x, 4, 1.26, T_M) >= at(epsilon_fm2_idle, 4, 1.26, T_M)

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import oracles
 import pytest
+import scipy.linalg
 from helpers import count_calls, coupling, hermiticity_defect
 
 from xtalksim import experiments, model
@@ -26,20 +27,13 @@ from xtalksim.model import (
     static_frame_reference,
     target_unitary,
 )
-from xtalksim.operators import (
-    SIGMA_X,
-    SIGMA_Z,
-    embed,
-    expm_hamiltonian,
-    propagate,
-    step_boundaries,
-)
+from xtalksim.operators import SIGMA_X, SIGMA_Z, embed, step_boundaries
 
 PARAMS = SystemParams.from_mhz(50.0, 5.0)
 
 
 def window_propagator(h, step=0.002):
-    return propagate(h, step_boundaries(0.0, h.t_end, step))
+    return oracles.propagate(h, step_boundaries(0.0, h.t_end, step))
 
 
 class TestUnitsAndParams:
@@ -173,7 +167,7 @@ class TestAssembly:
         h = assemble_hamiltonian(PARAMS, PAIR, scheme, gate)
         rng = np.random.default_rng(11)
         for t in rng.uniform(0.0, h.t_end, size=8):
-            assert hermiticity_defect(h(float(t))) < 1e-12
+            assert hermiticity_defect(oracles.hamiltonian(h, float(t))) < 1e-12
 
     def test_coupling_is_a_coefficient(self):
         # Term matrices are at unit coupling; J scales the exchange
@@ -189,14 +183,14 @@ class TestAssembly:
         for k in (1, 2):
             np.testing.assert_array_equal(c[:, k, 2:], c[:, 0, 2:])
         with pytest.raises(ValueError, match="one coupling"):
-            stacked(t)
+            oracles.hamiltonian(stacked, t)
 
     def test_vectorized_call_matches_scalar(self):
         h = assemble_hamiltonian(PARAMS, PAIR, DynamicalDecoupling(4, 1.25), XGate(20.0))
         t = np.linspace(0.0, h.t_end, 37)
-        stacked = h(t)
+        stacked = oracles.hamiltonian(h, t)
         for k, tk in enumerate(t):
-            assert np.allclose(stacked[k], h(float(tk)), atol=1e-14)
+            assert np.allclose(stacked[k], oracles.hamiltonian(h, float(tk)), atol=1e-14)
 
     def test_zero_amplitude_modulation_is_bare_crosstalk(self):
         fm0 = FrequencyModulation(cycles=4, gamma=0.0)
@@ -211,7 +205,7 @@ class TestAssembly:
         )
         cd = assemble_hamiltonian(PARAMS, PAIR, CrosstalkOnly(), Idle(20.0))
         t = np.linspace(0.0, 20.0, 101)
-        assert np.abs(base(t) - cd(t)).max() < 1e-14
+        assert np.abs(oracles.hamiltonian(base, t) - oracles.hamiltonian(cd, t)).max() < 1e-14
 
     def test_detuning_sign_is_irrelevant_to_fidelity(self):
         from xtalksim.experiments import run_single_gate
@@ -401,10 +395,10 @@ class TestFrameEquivalence:
         u_dd = window_propagator(
             assemble_hamiltonian(weak, PAIR, dd, Idle(t_m)), step=0.0005
         )
-        z2 = expm_hamiltonian((np.pi / 2.0) * embed(SIGMA_Z, 2, 2), 1.0)
+        z2 = scipy.linalg.expm(-1j * (np.pi / 2.0) * embed(SIGMA_Z, 2, 2))
         expect = np.eye(4, dtype=complex)
         for s in range(1, 5):
-            u_free = propagate(
+            u_free = oracles.propagate(
                 lambda t: coupling(weak, PAIR, t),
                 step_boundaries((s - 1) * tau, s * tau, 0.0005),
             )
@@ -439,13 +433,11 @@ class TestReferences:
     def test_target_unitaries(self):
         assert np.allclose(target_unitary(Idle(20.0), PAIR), np.eye(4))
         x1 = target_unitary(XGate(20.0, target=1), PAIR)
-        assert np.allclose(x1, expm_hamiltonian((np.pi / 2.0) * embed(SIGMA_X, 1, 2), 1.0))
+        assert np.allclose(x1, scipy.linalg.expm(-1j * (np.pi / 2.0) * embed(SIGMA_X, 1, 2)))
         xx = target_unitary(ParallelXX(20.0), PAIR)
         assert np.allclose(
             xx,
-            expm_hamiltonian(
-                (np.pi / 2.0) * (embed(SIGMA_X, 1, 2) + embed(SIGMA_X, 2, 2)), 1.0
-            ),
+            scipy.linalg.expm(-1j * (np.pi / 2.0) * (embed(SIGMA_X, 1, 2) + embed(SIGMA_X, 2, 2))),
         )
         # Repetitions compose the single-gate target.
         assert np.allclose(

@@ -1,9 +1,10 @@
 import numpy as np
+import oracles
 import pytest
 import scipy.integrate
 
 from xtalksim.model import PAIR, FrequencyModulation, SystemParams, XGate, assemble_hamiltonian
-from xtalksim.operators import SIGMA_Z, propagate
+from xtalksim.operators import SIGMA_Z
 from xtalksim.pulses import (
     FmZModulation,
     NascentDeltaTrain,
@@ -98,7 +99,7 @@ class TestNascentDeltaTrain:
         # A half-pi-weighted unit pulse on sigma_z integrates to exp(-i pi/2 Z),
         # exactly a Z gate up to global phase.
         train = NascentDeltaTrain(segments=1, interval=5.0, width=1.25)
-        u = propagate(
+        u = oracles.propagate(
             lambda t: np.multiply.outer((np.pi / 2.0) * train.sample(t), SIGMA_Z),
             np.linspace(0.0, 5.625, 4501),
         )
