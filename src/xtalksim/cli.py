@@ -383,21 +383,21 @@ def _verify_checks(step: float) -> List[Tuple[str, bool, str]]:
     # The bare-crosstalk idle over [0, T_M] (it has no tail) on each layout,
     # and its exact propagator from static diagonalization.
     bare = {
-        layout: (
+        name: (
             assemble_hamiltonian(params, layout, CrosstalkOnly(), Idle(t_m)),
             static_frame_reference(params, layout, t_m),
         )
-        for layout in (PAIR, STAR)
+        for name, layout in (("pair", PAIR), ("star", STAR))
     }
 
     # Propagator unitarity for a plain and a pulsed assembly.
     pulsed = assemble_hamiltonian(params, topology, decoupling, Idle(t_m))
-    propagators = [h.blocks().propagate(0.0, h.t_end, step) for h in (bare[PAIR][0], pulsed)]
+    propagators = [h.blocks().propagate(0.0, h.t_end, step) for h in (bare["pair"][0], pulsed)]
     worst = max(unitarity_defect(u) for u in propagators)
     checks.append(("unitarity", worst <= 1e-10, f"max defect {worst:.3e} (bound 1e-10)"))
 
     # The plain one against static diagonalization.
-    residual = float(np.abs(propagators[0] - bare[PAIR][1]).max())
+    residual = float(np.abs(propagators[0] - bare["pair"][1]).max())
     detail = f"max |U - U_exact| {residual:.3e} (bound 1e-8)"
     checks.append(("idle-oracle", residual <= 1e-8, detail))
 
@@ -438,7 +438,7 @@ def _verify_checks(step: float) -> List[Tuple[str, bool, str]]:
     # bare-crosstalk idle's error against static diagonalization falls 16x
     # per halving at fourth order, and 4x with a wrong commutator weight.
     ratios, detail_parts = [], []
-    for name, (h, exact) in zip(("pair", "star"), bare.values()):
+    for name, (h, exact) in bare.items():
         coarse, fine = (float(np.abs(h.blocks().propagate(0.0, t_m, s) - exact).max()) for s in ORDER_STEPS)
         ratios.append(coarse / fine)
         detail_parts.append(f"{name} {coarse:.3e} -> {fine:.3e} ({ratios[-1]:.1f}x)")
@@ -454,7 +454,7 @@ def _verify_checks(step: float) -> List[Tuple[str, bool, str]]:
     for h in (center_x, fm_idle):
         u, one = (b.propagate(0.0, h.t_end, STAR_REDUCTION_STEP) for b in (h.blocks(), h.one_block()))
         worst = max(worst, float(np.abs(u - one).max()))
-    h, exact = bare[STAR]
+    h, exact = bare["star"]
     residual = float(np.abs(h.blocks().propagate(0.0, t_m, step) - exact).max())
     detail = (
         f"blocks {center_x.blocks().layout}; max |U_blocks - U_one_block| {worst:.3e} "

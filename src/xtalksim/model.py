@@ -50,10 +50,10 @@ union sparsity pattern in that basis, which also splits off conserved
 excitation numbers, and copies with identical matrices are propagated once.
 A driven neighbor leaves one full block.  The rebuilt propagator matches
 that of the one-block layout (``AssembledHamiltonian.one_block``) to
-roundoff.  The Dicke basis and the neighbor swaps that test
-for it are cached per layout (``Topology.dicke_basis``, ``neighbor_swaps``),
-so a block analysis does no basis work of its own; it slices, compares and
-commutes the components of each size in one call each.  The analysis
+roundoff.  The Dicke basis and the neighbor swaps that test for it are
+cached per layout (``Topology.dicke_basis``, ``neighbor_swaps``), so a block
+analysis does no basis work of its own; it slices, compares and commutes the
+components of each size in one call each.  The analysis
 depends on nothing but the term matrices, so it is made once per layout and
 term set (``Topology.block_analyses``, keyed by the matrices' exact bytes,
 with read-only arrays) and every later assembly with the same matrices,
@@ -78,10 +78,9 @@ without forming dense samples.  Since
 
 a real contraction of the chunk's weights with the stack's matrices, and the
 steps match Magnus steps of dense samples (``tests/oracles.py``) to
-roundoff.  Per
-chunk of ``operators.chunk_steps(C)`` steps for C couplings (at most
-``CHUNK`` steps and ``CHUNK_ENTRIES`` = 16 ``CHUNK`` steps x couplings, so a
-stack of up to 16 couplings chunks as one coupling does),
+roundoff.  Per chunk of ``operators.chunk_steps(C)`` steps for C couplings
+(at most ``CHUNK`` steps and ``CHUNK_ENTRIES`` = 16 ``CHUNK`` steps x
+couplings, so a stack of up to 16 couplings chunks as one coupling does),
 ``operators.advance`` exponentiates a stack's ``(n, C, B, d, d)`` steps
 (time index first) from the weights and multiplies them out in one call, in
 real form (``operators`` docstring); 1x1 and 2x2 steps sum their phases and

@@ -4,7 +4,6 @@ import math
 import sys
 
 import numpy as np
-
 import oracles
 
 from xtalksim import model

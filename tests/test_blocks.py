@@ -225,14 +225,14 @@ class TestStacks:
         # star idle calls the closed-form kernel once per dimension that
         # carries terms, and never the Taylor exponential.
         counted = count_calls(monkeypatch, operators, "_pauli_product", lambda w, m, d: d)
-        dense = count_calls(monkeypatch, operators, "_expm_taylor", lambda n, d, *_: d)
+        taylor = count_calls(monkeypatch, operators, "_expm_taylor", lambda n, d, *_: d)
         h = assemble_hamiltonian(PARAMS, STAR, scheme, Idle(T_M))
         blocks = h.blocks()
         assert blocks.layout == layout
         assert len(aligned(h, 0.0, h.t_end)) - 1 <= CHUNK
         blocks.propagate(0.0, h.t_end, STEP)
         assert sorted(counted) == dims
-        assert dense == []
+        assert taylor == []
 
     @pytest.mark.parametrize("scheme", [CrosstalkOnly(), DD], ids=["cd", "dd"])
     def test_idle_takes_no_dense_exponential_or_product(self, monkeypatch, scheme):
