@@ -140,6 +140,18 @@ def expm_hermitian(h, dt):
     return (states * np.exp(-1j * np.multiply(dt, energies))[..., None, :]) @ states.conj().swapaxes(-1, -2)
 
 
+def checked_samples(sample, times):
+    """``sample(times)`` as a complex ``(n, d, d)`` stack of Hermitian matrices, else ValueError."""
+    h = np.asarray(sample(times), dtype=complex)
+    if h.ndim != 3 or h.shape[0] != times.size or h.shape[1] != h.shape[2]:
+        raise ValueError(f"samples of {times.size} times must be ({times.size}, d, d), got shape {h.shape}")
+    defects = np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(1, 2))
+    worst = int(np.argmax(defects))
+    if defects[worst] > 1e-12 * max(float(np.abs(h).max()), 1.0):
+        raise ValueError(f"non-Hermitian sample at t={times[worst]:.9g} ns (defect {defects[worst]:.3e})")
+    return h
+
+
 def propagate(h, edges):
     """Time-ordered propagator over the steps between the boundaries ``edges``,
     from dense samples: of an assembly of one coupling (``hamiltonian``), or of
@@ -149,15 +161,23 @@ def propagate(h, edges):
     applies exp(-i w H_eff), H_eff = (H_1 + H_2)/2 - i (sqrt(3) w/12) [H_2, H_1],
     the fourth-order Magnus step; each batch of steps ends on the polar factor
     of the product, which removes the norm that rounding loses.
+
+    ``eigh`` reads one triangle of each step, so a malformed input raises
+    ValueError instead of propagating: boundaries that are not a finite,
+    strictly increasing 1-D array of at least two times, samples of any
+    shape but ``(n, d, d)`` (the shape is named), or a sample that is not
+    Hermitian to 1e-12 of the batch's largest entry (the time is named).
     """
     sample = functools.partial(hamiltonian, h) if hasattr(h, "coefficients") else h
     edges = np.asarray(edges, dtype=float)
+    if not (edges.ndim == 1 and edges.size >= 2 and np.isfinite(edges).all() and (np.diff(edges) > 0).all()):
+        raise ValueError(f"step boundaries must be finite, strictly increasing and 1-D, got {edges!r}")
     offset = math.sqrt(3.0) / 6.0
     u = None
     for start in range(0, edges.size - 1, STEPS_PER_BATCH):
         t = edges[start : start + STEPS_PER_BATCH + 1]
         w = np.diff(t)
-        h1, h2 = (np.asarray(sample(t[:-1] + (0.5 + s) * w), dtype=complex) for s in (-offset, offset))
+        h1, h2 = (checked_samples(sample, t[:-1] + (0.5 + s) * w) for s in (-offset, offset))
         h_eff = 0.5 * (h1 + h2) - 1j * (math.sqrt(3.0) / 12.0) * w[:, None, None] * (h2 @ h1 - h1 @ h2)
         if u is None:
             u = np.eye(h1.shape[-1], dtype=complex)

@@ -139,6 +139,44 @@ class TestReducedMatchesDense:
         assert abs(infidelities[0] - infidelities[1]) <= 1e-14
 
 
+class TestOneBlock:
+    """``one_block``: the full-dimension layout that ``blocks()`` reduces."""
+
+    @pytest.mark.parametrize(
+        "topology, scheme, gate",
+        [
+            pytest.param(STAR, DD, XGate(T_M, target=2), id="star-DD-x-center"),
+            pytest.param(STAR, fm(single_site=True), XGate(T_M, target=2), id="star-FM-x-center"),
+            pytest.param(STAR, fm(), Idle(T_M), id="star-FM-idle"),
+            pytest.param(STAR, CrosstalkOnly(), Idle(T_M), id="star-CD-idle"),
+            pytest.param(PAIR, DD, XGate(T_M, target=1), id="pair-DD-x"),
+            pytest.param(PAIR, fm(), ParallelXX(T_M), id="pair-FM-parallel-xx"),
+            pytest.param(PAIR, CrosstalkOnly(), Idle(T_M), id="pair-CD-idle"),
+        ],
+    )
+    def test_matches_blocks(self, topology, scheme, gate):
+        h = assemble_hamiltonian(PARAMS, topology, scheme, gate)
+        u, one = (b.propagate(0.0, h.t_end, STEP) for b in (h.blocks(), h.one_block()))
+        assert np.abs(u - one).max() <= 1e-13
+
+    @pytest.mark.parametrize("topology", [PAIR, STAR], ids=["pair", "star"])
+    def test_holds_the_dense_terms_and_commutators(self, topology):
+        # One block in the computational basis, whose exponent matrices are
+        # -i M_k of every term and -i [M_k, M_l] of every pair k < l.
+        h = assemble_hamiltonian(PARAMS, topology, DD, XGate(T_M, target=1))
+        one = h.one_block()
+        d = h.dim
+        assert (one.basis, one.layout) == (None, f"{d}x1")
+        (stack,) = one.stacks
+        np.testing.assert_array_equal(stack.copies[0], [np.arange(d)])
+        mats = np.reshape(h._matrices(), (-1, d, d))
+        first, second = np.triu_indices(len(mats), 1)
+        c = mats[first] @ mats[second]
+        expect = np.concatenate([-1j * mats, -(c - c.conj().swapaxes(-1, -2))])
+        decoded = stack.matrices.reshape(len(expect), 2 * d, 2 * d)
+        assert np.abs(decoded[:, :d, :d] + 1j * decoded[:, d:, :d] - expect).max() <= 1e-15
+
+
 class TestTermSpace:
     """Term-space Magnus steps against the sample-based dense oracle."""
 
@@ -211,6 +249,26 @@ class TestStacks:
             entries = s.dim**2 if s.dim <= 2 else (2 * s.dim) ** 2
             assert s.matrices.dtype == np.float64
             assert s.matrices.shape == (len(s.norms), len(s.copies) * entries)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 10])
+    def test_reads_lower_triangle_and_real_diagonal(self, d):
+        # Each term's block is completed from its lower triangle and real
+        # diagonal: noise above the diagonal and on the imaginary diagonal
+        # changes no term's exponent matrix and no term's norm.  (The
+        # commutators are formed from the matrices as given, which
+        # ``blocks()`` checks to be Hermitian.)
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+        h = a + a.conj().swapaxes(-1, -2)
+        noise = rng.normal(size=(2, d, d)) + 1j * rng.normal(size=(2, d, d))
+        diagonal = np.diagonal(noise.real, axis1=1, axis2=2)[..., None] * np.eye(d)
+        garbled = h + np.triu(noise, 1) + 1j * diagonal
+        tol = np.full((2, 1, 1), 1e-12)
+        (stack,) = model._block_stacks(h, [np.arange(d)], tol)
+        (read,) = model._block_stacks(garbled, [np.arange(d)], tol)
+        np.testing.assert_array_equal(read.matrices[:2], stack.matrices[:2])
+        np.testing.assert_array_equal(read.norms[:2], stack.norms[:2])
+        np.testing.assert_array_equal(stack.matrices[:2], operators.encode_terms(h[:, None]))
 
     @pytest.mark.parametrize(
         "scheme, layout, dims",

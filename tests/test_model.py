@@ -415,6 +415,21 @@ class TestReferences:
         u = window_propagator(assemble_hamiltonian(PARAMS, STAR, CrosstalkOnly(), Idle(20.0)))
         assert np.abs(u - static_frame_reference(PARAMS, STAR, 20.0)).max() < 1e-8
 
+    @pytest.mark.parametrize("t", [7.3, 20.0, 60.0])
+    @pytest.mark.parametrize("topology", [PAIR, STAR], ids=["pair", "star"])
+    def test_static_frame_eigh_matches_scipy(self, topology, t):
+        # The eigh exponential of the static lab-frame Hamiltonian, built
+        # from Kronecker products, rotated back by the bare energies.
+        n = topology.n_qubits
+        h0 = sum(
+            -(0.0 if q == topology.center else PARAMS.delta) / 2.0 * embed(SIGMA_Z, q, n)
+            for q in range(1, n + 1)
+        )
+        a = oracles.flip_flop(topology)
+        u_lab = scipy.linalg.expm(-1j * t * (h0 + PARAMS.j * (a + a.conj().T)))
+        expect = np.exp(1j * t * np.diagonal(h0))[:, None] * u_lab
+        assert np.abs(static_frame_reference(PARAMS, topology, t) - expect).max() <= 1e-12
+
     @pytest.mark.parametrize("topology", [PAIR, STAR], ids=["pair", "star"])
     def test_static_frame_bare_hamiltonian_is_the_embed_sum(self, monkeypatch, topology):
         # Byte for byte the sum of Kronecker-embedded sigma^z terms, built

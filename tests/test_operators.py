@@ -521,6 +521,26 @@ class TestPropagate:
         u = oracles.propagate(lambda t: np.broadcast_to(h, (t.size, 4, 4)), np.linspace(0.0, 2.0, 51))
         assert np.allclose(u, scipy.linalg.expm(-2j * h), atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "h_of_t",
+        [
+            lambda t: SIGMA_Z,
+            lambda t: np.broadcast_to(SIGMA_Z, (t.size + 1, 2, 2)),
+            lambda t: np.zeros((t.size, 2, 3)),
+        ],
+        ids=["unbatched", "wrong-count", "not-square"],
+    )
+    def test_wrong_shape_callable_rejected(self, h_of_t):
+        with pytest.raises(ValueError, match=r"got shape \("):
+            oracles.propagate(h_of_t, np.linspace(0.0, 1.0, 11))
+
+    @pytest.mark.parametrize(
+        "edges", [[0.0], [0.0, 0.0, 1.0], np.zeros((2, 3))], ids=["one-time", "repeated", "2-d"]
+    )
+    def test_rejects_bad_boundaries(self, edges):
+        with pytest.raises(ValueError, match="step boundaries must be"):
+            oracles.propagate(lambda t: np.zeros((t.size, 2, 2)), edges)
+
     def test_commuting_drive_is_exact_phase(self):
         # H(t) = f(t) sigma_z integrates to the exact area phase at any step.
         u = oracles.propagate(
@@ -528,6 +548,16 @@ class TestPropagate:
         )
         area = np.sin(np.pi)
         assert np.allclose(u, scipy.linalg.expm(-1j * area * SIGMA_Z), atol=1e-6)
+
+    def test_non_hermitian_sample_names_time(self):
+        # eigh would read one triangle and propagate a different Hamiltonian.
+        def h_of_t(t):
+            out = np.tile(SIGMA_Z.astype(complex), (t.size, 1, 1))
+            out[t > 0.5] += 1e-6j * np.eye(2)
+            return out
+
+        with pytest.raises(ValueError, match=r"[Hh]ermit.*t=0\.5"):
+            oracles.propagate(h_of_t, np.linspace(0.0, 1.0, 11))
 
     @pytest.mark.parametrize("case", ["smooth", "pair-dd-x-aligned"])
     def test_step_halving_fourth_order(self, case):
