@@ -22,9 +22,11 @@ Each checkout runs in a subprocess of its own, importing the package from
 and the exit code of every run, how many times it called
 ``model.assemble_hamiltonian``, and how many amplitudes it passed to the
 scanned functionals (``magnus.epsilon_fm1``, ``epsilon_fm2_idle`` and
-``epsilon_fm2_x``).  For each output this prints the rows (lines not
-starting with ``#``; every line of ``verify.txt``) that are identical on
-both sides out of the total, the largest absolute difference |a - b| and
+``epsilon_fm2_x``).  Each preset starts from an empty scan cache, as in
+``scripts/time_kernels.py``, so its point count is a cold count that does
+not depend on the order of the presets.  For each output this prints the
+rows (lines not starting with ``#``; every line of ``verify.txt``) that are
+identical on both sides out of the total, the largest absolute difference |a - b| and
 the largest relative difference |a - b| / max(|a|, |b|) between the numbers
 of rows that differ only in their numbers, both exit codes, both assembly
 counts and both functional point counts, then the totals of those counts
@@ -134,7 +136,7 @@ def tally(calls: list, original, weight) -> None:
 
 def write_outputs(checkout: Path, out: Path) -> None:
     """Run every compared command of ``checkout`` in this process, into ``out``."""
-    from xtalksim import cli
+    from xtalksim import cli, experiments
     from xtalksim.experiments import PRESETS
 
     origin = Path(cli.__file__).resolve()
@@ -156,6 +158,7 @@ def write_outputs(checkout: Path, out: Path) -> None:
 
     (out / "presets").mkdir(parents=True)
     for name in PRESETS:
+        experiments._SCAN_CACHE.clear()
         path = out / "presets" / f"{name}.csv"
         run(path, ["simulate", "--preset", name, "--out", str(path)])
     (out / "gamma").mkdir()

@@ -8,9 +8,14 @@ coupling phase advanced per gate, so a 20-gate series at a matched duration
 costs at most two propagations.  Every score takes one path, ``_score``: a
 ``SchemeRun`` assembled once (once per corner amplitude if corner-averaged)
 and scored after k gates at a stack of couplings, the system's J in
-``run_sequence`` and a J grid in ``sweep_j``.  The preset registry at the
-bottom packages the shipped experiments as flat (series, scheme, abscissa,
-value) rows for the CLI.
+``run_sequence`` and a J grid in ``sweep_j``.  The presets at the bottom
+are data, a ``Figure`` each but fig2, and ``Figure.rows`` builds them all
+into flat (series, scheme, abscissa, value) rows for the CLI.  Their parts:
+fig2 ``vs_gate_time``; fig3b and fig4b ``vs_J``; fig3c and fig4c ``vs_time``
+over 20 idle and 21 X gates; fig4a the N = 4 ``waveform``; fig12 and fig13
+``scan``; fig16 ``scan``, ``vs_J`` and ``vs_time`` over 15 gates; all others
+``waveform``, ``vs_J`` and ``vs_time`` over 20 idle (fig5, fig8, fig10) or
+21 X gates.
 
 Units follow the rest of the package: times in ns, frequencies and
 amplitudes in rad/ns internally, with cyclic MHz at the boundaries (J grids,
@@ -68,7 +73,7 @@ T_M = PRESET_PARAMS.matched_time()
 _X1 = partial(XGate, target=1)
 _X2 = partial(XGate, target=2)
 
-# Modulation cycle counts that every FM preset compares.
+# Modulation cycle counts that the FM presets compare; fig4a shows N = 4 alone.
 FM_CYCLES = (4, 6, 8)
 
 # Samples per control channel in a preset's waveform rows.
@@ -362,41 +367,6 @@ def _scan_rows(label: str, scan: GammaScan) -> List[Row]:
     return rows
 
 
-def _fm_runs(
-    params: SystemParams,
-    gate_time: float,
-    functional: str,
-    *,
-    corner: bool = False,
-    single_site: bool = False,
-) -> List[SchemeRun]:
-    runs = [SchemeRun(CrosstalkOnly())]
-    for n in FM_CYCLES:
-        scan = cached_scan(functional, params, n, gate_time)
-        if not scan.found:
-            raise ValueError(f"no amplitude minimum in range for N={n}")
-        runs.append(
-            SchemeRun(
-                FrequencyModulation(cycles=n, gamma=scan.gamma_opt, single_site=single_site),
-                corner_scan=scan if corner else None,
-            )
-        )
-    return runs
-
-
-def _sequence_rows(
-    params: SystemParams,
-    topology: Topology,
-    runs: Sequence[SchemeRun],
-    gate: GateSpec,
-    repetitions: int,
-    step: float,
-) -> List[Row]:
-    """One ``repetitions``-gate series per run, as ``vs_time`` rows."""
-    series = [run_sequence(params, topology, run, gate, repetitions, step=step) for run in runs]
-    return _series_rows("vs_time", series)
-
-
 def _preset_fig2(step: float) -> List[Row]:
     rows: List[Row] = []
     for t in np.arange(2.0, 60.0 + 0.25, 0.5):
@@ -405,89 +375,66 @@ def _preset_fig2(step: float) -> List[Row]:
     return rows
 
 
-def _preset_fig3b(step: float) -> List[Row]:
-    runs = _fm_runs(PRESET_PARAMS, T_M, "fm2-idle", corner=True)
-    series = sweep_j(PRESET_PARAMS, PAIR, runs, Idle(T_M), step=step)
-    return _series_rows("vs_J", series)
+@dataclass(frozen=True)
+class Figure:
+    """A preset as data: one gate on one layout of ``PRESET_PARAMS``, the runs
+    it compares and the parts it emits.
 
+    With no ``functional`` the runs are the 4-pulse decoupling train and its
+    pulse-free baseline.  Otherwise they are the bare crosstalk, then
+    modulation at each of ``cycles`` at the amplitude that the functional's
+    scan selects: corner-averaged if ``corner``, and driving the modulated
+    qubit if ``single_site``.  The parts: ``waveform`` samples the channels
+    of the second run in the operation frame, ``scan`` lists the scans,
+    ``vs_j`` sweeps one gate of every run over ``DEFAULT_J_GRID_MHZ``, and
+    ``vs_time`` scores that many consecutive gates of every run (0: none).
+    """
 
-def _preset_fig3c(step: float) -> List[Row]:
-    runs = _fm_runs(PRESET_PARAMS, T_M, "fm2-idle", corner=True)
-    return _sequence_rows(PRESET_PARAMS, PAIR, runs, Idle(T_M), 20, step)
+    gate: Callable[[float], GateSpec] = Idle
+    topology: Topology = PAIR
+    functional: Optional[str] = None
+    corner: bool = False
+    single_site: bool = False
+    cycles: Tuple[int, ...] = FM_CYCLES
+    gate_time: float = T_M
+    waveform: bool = False
+    scan: bool = False
+    vs_j: bool = False
+    vs_time: int = 0
 
+    def _runs(self, scans: Dict[int, GammaScan]) -> List[SchemeRun]:
+        if self.functional is None:
+            train = DynamicalDecoupling(segments=4, width=self.gate_time / 16.0)
+            return [SchemeRun(dataclasses.replace(train, pulses=False)), SchemeRun(train)]
+        runs = [SchemeRun(CrosstalkOnly())]
+        for n, scan in scans.items():
+            if not scan.found:
+                raise ValueError(f"no amplitude minimum in range for N={n}")
+            modulation = FrequencyModulation(cycles=n, gamma=scan.gamma_opt, single_site=self.single_site)
+            runs.append(SchemeRun(modulation, corner_scan=scan if self.corner else None))
+        return runs
 
-def _preset_fig4a(step: float) -> List[Row]:
-    scan = cached_scan("fm2-x", PRESET_PARAMS, 4, T_M)
-    scheme = FrequencyModulation(cycles=4, gamma=scan.gamma_opt)
-    h = assemble_hamiltonian(PRESET_PARAMS, PAIR, scheme, _X1(T_M), fm_frame="operation")
-    return _waveform_rows(h)
-
-
-def _preset_fig4b(step: float) -> List[Row]:
-    runs = _fm_runs(PRESET_PARAMS, T_M, "fm2-x")
-    series = sweep_j(PRESET_PARAMS, PAIR, runs, _X1(T_M), step=step)
-    return _series_rows("vs_J", series)
-
-
-def _preset_fig4c(step: float) -> List[Row]:
-    runs = _fm_runs(PRESET_PARAMS, T_M, "fm2-x")
-    return _sequence_rows(PRESET_PARAMS, PAIR, runs, _X1(T_M), 21, step)
-
-
-def _dd_preset(
-    topology: Topology,
-    gate_factory: Callable[[float], GateSpec],
-    repetitions: int,
-    step: float,
-) -> List[Row]:
-    decoupling = DynamicalDecoupling(segments=4, width=T_M / 16.0)
-    gate = gate_factory(T_M)
-    runs = [SchemeRun(dataclasses.replace(decoupling, pulses=False)), SchemeRun(decoupling)]
-    rows = _waveform_rows(assemble_hamiltonian(PRESET_PARAMS, topology, decoupling, gate))
-    rows += _series_rows("vs_J", sweep_j(PRESET_PARAMS, topology, runs, gate, step=step))
-    rows += _sequence_rows(PRESET_PARAMS, topology, runs, gate, repetitions, step)
-    return rows
-
-
-def _fm_preset(
-    topology: Topology,
-    gate_factory: Callable[[float], GateSpec],
-    functional: str,
-    repetitions: int,
-    step: float,
-    *,
-    corner: bool = False,
-    single_site: bool = False,
-) -> List[Row]:
-    gate = gate_factory(T_M)
-    runs = _fm_runs(PRESET_PARAMS, T_M, functional, corner=corner, single_site=single_site)
-    # The waveform rows show the N = 4 run; runs[0] is the unmitigated reference.
-    rows = _waveform_rows(
-        assemble_hamiltonian(PRESET_PARAMS, topology, runs[1].scheme, gate, fm_frame="operation")
-    )
-    rows += _series_rows("vs_J", sweep_j(PRESET_PARAMS, topology, runs, gate, step=step))
-    rows += _sequence_rows(PRESET_PARAMS, topology, runs, gate, repetitions, step)
-    return rows
-
-
-def _scan_table(functional: str, step: float, gate_time: float = T_M) -> List[Row]:
-    """The preset system's scans at each of ``FM_CYCLES`` (``step`` is unused)."""
-    rows: List[Row] = []
-    for n in FM_CYCLES:
-        rows += _scan_rows(f"FM-N{n}", cached_scan(functional, PRESET_PARAMS, n, gate_time))
-    return rows
-
-
-def _preset_fig16(step: float) -> List[Row]:
-    # Unmatched, so first-order averaging fails on its own: the amplitude
-    # minimizes the first-order residual instead.
-    t_gate = 3.0 * PRESET_PARAMS.t_delta
-    gate = _X1(t_gate)
-    runs = _fm_runs(PRESET_PARAMS, t_gate, "fm1")
-    rows = _scan_table("fm1", step, t_gate)
-    rows += _series_rows("vs_J", sweep_j(PRESET_PARAMS, PAIR, runs, gate, step=step))
-    rows += _sequence_rows(PRESET_PARAMS, PAIR, runs, gate, 15, step)
-    return rows
+    def rows(self, step: float) -> List[Row]:
+        scans: Dict[int, GammaScan] = {}
+        if self.functional is not None:
+            scans = {n: cached_scan(self.functional, PRESET_PARAMS, n, self.gate_time) for n in self.cycles}
+        runs = self._runs(scans)
+        gate = self.gate(self.gate_time)
+        rows: List[Row] = []
+        if self.scan:
+            for n, scan in scans.items():
+                rows += _scan_rows(f"FM-N{n}", scan)
+        if self.waveform:
+            h = assemble_hamiltonian(PRESET_PARAMS, self.topology, runs[1].scheme, gate, fm_frame="operation")
+            rows += _waveform_rows(h)
+        if self.vs_j:
+            rows += _series_rows("vs_J", sweep_j(PRESET_PARAMS, self.topology, runs, gate, step=step))
+        if self.vs_time:
+            series = [
+                run_sequence(PRESET_PARAMS, self.topology, run, gate, self.vs_time, step=step) for run in runs
+            ]
+            rows += _series_rows("vs_time", series)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -497,28 +444,30 @@ class Preset:
     build: Callable[[float], List[Row]]
 
 
+# fig16's gate time is unmatched, so first-order averaging fails on its own:
+# its amplitudes minimize the first-order residual instead.
 PRESETS: Dict[str, Preset] = {
     p.name: p
     for p in [
         Preset("fig2", "bare-crosstalk idle infidelity vs gate time, 2-60 ns", _preset_fig2),
-        Preset("fig3b", "idle infidelity vs J: bare crosstalk and modulation N=4/6/8", _preset_fig3b),
-        Preset("fig3c", "20 consecutive idle gates at J/2pi = 5 MHz", _preset_fig3c),
-        Preset("fig4a", "X-gate drive and modulation waveforms, N=4", _preset_fig4a),
-        Preset("fig4b", "X-gate infidelity vs J under modulation", _preset_fig4b),
-        Preset("fig4c", "21 consecutive X gates under modulation", _preset_fig4c),
-        Preset("fig5", "idle gate under a 4-pulse decoupling train: waveform, J sweep, 20-gate run", partial(_dd_preset, PAIR, Idle, 20)),
-        Preset("fig6", "X gate inside a 4-pulse decoupling train: waveform, J sweep, 21-gate run", partial(_dd_preset, PAIR, _X1, 21)),
-        Preset("fig8", "five-qubit idle under modulation: waveform, J sweep, 20-gate run", partial(_fm_preset, STAR, Idle, "fm2-idle", 20, corner=True)),
-        Preset("fig9", "five-qubit center X gate under single-site modulation", partial(_fm_preset, STAR, _X2, "fm2-x", 21, single_site=True)),
-        Preset("fig10", "five-qubit idle under the decoupling train", partial(_dd_preset, STAR, Idle, 20)),
-        Preset("fig11", "five-qubit center X gate inside the decoupling train", partial(_dd_preset, STAR, _X2, 21)),
-        Preset("fig12", "idle second-order residual vs modulation amplitude", partial(_scan_table, "fm2-idle")),
-        Preset("fig13", "X-gate second-order residual vs modulation amplitude", partial(_scan_table, "fm2-x")),
-        Preset("fig14", "single-site modulated X gate on the shared qubit (pair layout)", partial(_fm_preset, PAIR, _X2, "fm2-x", 21, single_site=True)),
-        Preset("fig15", "parallel X gates on both qubits under modulation", partial(_fm_preset, PAIR, ParallelXX, "fm2-x", 21)),
-        Preset("fig16", "unmatched 30 ns gate time: first-order scans, J sweep, 15-gate run", _preset_fig16),
-        Preset("fig17", "single-site decoupled X gate on the shared qubit (pair layout)", partial(_dd_preset, PAIR, _X2, 21)),
-        Preset("fig18", "parallel X gates inside the decoupling train", partial(_dd_preset, PAIR, ParallelXX, 21)),
+        Preset("fig3b", "idle infidelity vs J: bare crosstalk and modulation N=4/6/8", Figure(functional="fm2-idle", corner=True, vs_j=True).rows),
+        Preset("fig3c", "20 consecutive idle gates at J/2pi = 5 MHz", Figure(functional="fm2-idle", corner=True, vs_time=20).rows),
+        Preset("fig4a", "X-gate drive and modulation waveforms, N=4", Figure(_X1, functional="fm2-x", cycles=(4,), waveform=True).rows),
+        Preset("fig4b", "X-gate infidelity vs J under modulation", Figure(_X1, functional="fm2-x", vs_j=True).rows),
+        Preset("fig4c", "21 consecutive X gates under modulation", Figure(_X1, functional="fm2-x", vs_time=21).rows),
+        Preset("fig5", "idle gate under a 4-pulse decoupling train: waveform, J sweep, 20-gate run", Figure(waveform=True, vs_j=True, vs_time=20).rows),
+        Preset("fig6", "X gate inside a 4-pulse decoupling train: waveform, J sweep, 21-gate run", Figure(_X1, waveform=True, vs_j=True, vs_time=21).rows),
+        Preset("fig8", "five-qubit idle under modulation: waveform, J sweep, 20-gate run", Figure(Idle, STAR, "fm2-idle", corner=True, waveform=True, vs_j=True, vs_time=20).rows),
+        Preset("fig9", "five-qubit center X gate under single-site modulation", Figure(_X2, STAR, "fm2-x", single_site=True, waveform=True, vs_j=True, vs_time=21).rows),
+        Preset("fig10", "five-qubit idle under the decoupling train", Figure(Idle, STAR, waveform=True, vs_j=True, vs_time=20).rows),
+        Preset("fig11", "five-qubit center X gate inside the decoupling train", Figure(_X2, STAR, waveform=True, vs_j=True, vs_time=21).rows),
+        Preset("fig12", "idle second-order residual vs modulation amplitude", Figure(functional="fm2-idle", scan=True).rows),
+        Preset("fig13", "X-gate second-order residual vs modulation amplitude", Figure(functional="fm2-x", scan=True).rows),
+        Preset("fig14", "single-site modulated X gate on the shared qubit (pair layout)", Figure(_X2, functional="fm2-x", single_site=True, waveform=True, vs_j=True, vs_time=21).rows),
+        Preset("fig15", "parallel X gates on both qubits under modulation", Figure(ParallelXX, functional="fm2-x", waveform=True, vs_j=True, vs_time=21).rows),
+        Preset("fig16", "unmatched 30 ns gate time: first-order scans, J sweep, 15-gate run", Figure(_X1, functional="fm1", gate_time=3.0 * PRESET_PARAMS.t_delta, scan=True, vs_j=True, vs_time=15).rows),
+        Preset("fig17", "single-site decoupled X gate on the shared qubit (pair layout)", Figure(_X2, waveform=True, vs_j=True, vs_time=21).rows),
+        Preset("fig18", "parallel X gates inside the decoupling train", Figure(ParallelXX, waveform=True, vs_j=True, vs_time=21).rows),
     ]
 }
 

@@ -4,7 +4,7 @@ import json
 import pytest
 from helpers import count_assemblies, count_calls
 
-from xtalksim import cli, experiments, model
+from xtalksim import cli, experiments, model, pulses
 from xtalksim.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_INTERNAL,
@@ -486,6 +486,29 @@ class TestVerify:
         monkeypatch.setattr(model, "_magnus_weights", skewed)
         assert main(["verify"]) == EXIT_CHECK_FAILURE
         assert "FAIL integrator-order:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "waveform, attribute",
+        [
+            (pulses.NascentDeltaTrain, "sample"),
+            (pulses.SineEnvelopeDrive, "amplitude"),
+            (pulses.SegmentedDrive, "amplitude"),
+        ],
+        ids=["dd-pulse-area", "sine-envelope", "segmented-drive"],
+    )
+    def test_waveform_area_off_by_a_thousandth_fails_zero_coupling(
+        self, monkeypatch, capsys, waveform, attribute
+    ):
+        # At J = 0 every gate is its ideal gate under every scheme, so a
+        # pulse or drive area 0.1% off leaves an infidelity near 1e-6.
+        original = getattr(waveform, attribute)
+        if isinstance(original, property):
+            scaled = property(lambda self: 1.001 * original.fget(self))
+        else:
+            scaled = lambda self, t: 1.001 * original(self, t)
+        monkeypatch.setattr(waveform, attribute, scaled)
+        assert main(["verify"]) == EXIT_CHECK_FAILURE
+        assert "FAIL zero-coupling:" in capsys.readouterr().out
 
 
 class TestPerCallWork:

@@ -433,14 +433,53 @@ class TestSweepJ:
         assert np.all(np.diff(series.infidelities) > 0.0)
 
 
+def preset_scans(functional, cycles=(4, 6, 8), gate_time=T_M):
+    """The ``cached_scan`` keys (functional, N, gate time) of one preset's runs."""
+    return {(functional, n, round(gate_time, 9)) for n in cycles}
+
+
 class TestPresets:
-    @pytest.mark.parametrize("name, assemblies", [("fig3c", 7), ("fig8", 15)])
-    def test_corner_runs_assemble_once_per_corner(self, monkeypatch, name, assemblies):
-        # fig3c: CD once, then three corner-averaged FM runs at two amplitudes
-        # each.  fig8 adds the N = 4 waveform and a J sweep of the same runs.
-        # The abscissa comes from an assembly already scored.
+    @pytest.mark.parametrize(
+        "name, scans, assemblies",
+        [
+            pytest.param(*case, id=case[0])
+            for case in [
+                ("fig2", set(), 117),
+                ("fig3b", preset_scans("fm2-idle"), 7),
+                ("fig3c", preset_scans("fm2-idle"), 7),
+                ("fig4a", preset_scans("fm2-x", cycles=(4,)), 1),
+                ("fig4b", preset_scans("fm2-x"), 4),
+                ("fig4c", preset_scans("fm2-x"), 4),
+                ("fig5", set(), 5),
+                ("fig6", set(), 5),
+                ("fig8", preset_scans("fm2-idle"), 15),
+                ("fig9", preset_scans("fm2-x"), 9),
+                ("fig10", set(), 5),
+                ("fig11", set(), 5),
+                ("fig12", preset_scans("fm2-idle"), 0),
+                ("fig13", preset_scans("fm2-x"), 0),
+                ("fig14", preset_scans("fm2-x"), 9),
+                ("fig15", preset_scans("fm2-x"), 9),
+                ("fig16", preset_scans("fm1", gate_time=30.0), 8),
+                ("fig17", set(), 5),
+                ("fig18", set(), 5),
+            ]
+        ],
+    )
+    def test_scans_and_assemblies(self, monkeypatch, name, scans, assemblies):
+        # The scan keys are read from the calls, hit or miss, so whatever ran
+        # before does not matter.  A waveform is one assembly, a DD or plain
+        # run one per part, and a corner-averaged run two, one per flanking
+        # amplitude: fig3c assembles CD once and its three FM runs twice
+        # each, and fig8 adds the N = 4 waveform and a J sweep of the same
+        # runs.  The abscissa comes from an assembly already scored.
+        requested = count_calls(
+            monkeypatch, experiments, "cached_scan",
+            lambda functional, params, cycles, gate_time: (functional, cycles, round(gate_time, 9)),
+        )
         calls = count_assemblies(monkeypatch)
         run_preset(name, step=0.5)
+        assert set(requested) == scans
         assert len(calls) == assemblies
 
     def test_unknown_preset_rejected(self):
