@@ -15,7 +15,8 @@ Each checkout runs in a subprocess of its own, importing the package from
   time, where every gate window differs (``sequences/<name>.csv``): pair CD
   idle at 20.5 ns for 12 gates, pair DD X at 21.3 ns for 5, pair FM
   parallel XX at 30 ns for 7, and star DD center X at 25 ns for 5;
-* the stdout of ``verify`` (``verify.txt``);
+* the stdout of ``verify`` and of ``list-presets`` (``verify.txt`` and
+  ``list-presets.txt``);
 * the ``error:`` line of every invalid ``simulate`` and ``optimize-gamma``
   config in ``REJECTED``, reported as ``rejected/<command>/<name>``;
 
@@ -25,7 +26,7 @@ scanned functionals (``magnus.epsilon_fm1``, ``epsilon_fm2_idle`` and
 ``epsilon_fm2_x``).  Each preset starts from an empty scan cache, as in
 ``scripts/time_kernels.py``, so its point count is a cold count that does
 not depend on the order of the presets.  For each output this prints the
-rows (lines not starting with ``#``; every line of ``verify.txt``) that are
+rows (lines not starting with ``#``; every line of a ``.txt`` output) that are
 identical on both sides out of the total, the largest absolute difference |a - b| and
 the largest relative difference |a - b| / max(|a|, |b|) between the numbers
 of rows that differ only in their numbers, both exit codes, both assembly
@@ -181,10 +182,11 @@ def write_outputs(checkout: Path, out: Path) -> None:
         config.write_text(json.dumps(cfg))
         run(path, ["simulate", "--config", str(config), "--out", str(path)])
         config.unlink()
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        run(out / "verify.txt", ["verify"])
-    (out / "verify.txt").write_text(stdout.getvalue())
+    for command in ("verify", "list-presets"):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            run(out / f"{command}.txt", [command])
+        (out / f"{command}.txt").write_text(stdout.getvalue())
     rejected = {}
     for command, configs in REJECTED.items():
         for name, cfg in configs.items():

@@ -31,17 +31,20 @@ Then both checkouts are loaded into one interpreter, and ``operators.advance``
 of each is timed on one fixed chunk per dimension, each side on the block
 stack its own checkout builds: the first 2,048-step chunk at the default
 0.02 ns step of a star FM center-X gate (10x10 and 6x6), a pair DD X gate
-(4x4) and a star DD idle (2x2), at the matched gate time.  Last,
+(4x4) and a star DD idle (2x2), at the matched gate time.  Next,
 ``SymmetryBlocks.propagate`` of each side is timed over one whole gate
 window of a five-coupling stack, the pair DD idle at the matched time and
-the default step, chunking included.  The sides alternate, the parent
-first in even rounds; each sample is ``CALLS`` consecutive calls, and there
-are ``ROUNDS`` samples per side.  Timing both sides in one process on one
-input removes the drift between interpreters that a pass over the presets
-suffers.  For each case this prints its steps, each side's median
-milliseconds per call, the ratio change/parent of the medians, the rounds
-the change won, and the largest difference between the two sides'
-propagators.  ``--change`` defaults to the checkout holding this script.
+the default step, chunking included.  Last, each scanned functional of
+``magnus`` (fm1, fm2-idle and fm2-x) is timed over the default amplitude
+grid at N = 6 and the matched gate time.  The sides alternate, the parent
+first in even rounds; each sample is ``CALLS`` consecutive calls (one for a
+scan), and there are ``ROUNDS`` samples per side.  Timing both sides in one
+process on one input removes the drift between interpreters that a pass
+over the presets suffers.  For each case this prints its steps (grid points
+for a scan), each side's median milliseconds per call, the ratio
+change/parent of the medians, the rounds the change won, and the largest
+difference between the two sides' propagators or functional values.
+``--change`` defaults to the checkout holding this script.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ import statistics
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -148,23 +152,26 @@ def count_side(checkout: Path) -> dict:
 
 
 def load(checkout: Path):
-    """``(model, operators)`` of a fresh import of the package from ``checkout``."""
+    """The modules ``model``, ``operators``, ``magnus`` and ``optimize`` of a
+    fresh import of the package from ``checkout``, as attributes."""
     for key in [k for k in sys.modules if k == "xtalksim" or k.startswith("xtalksim.")]:
         del sys.modules[key]
     src = str((checkout / "src").resolve())
     sys.path.insert(0, src)
     try:
-        model = importlib.import_module("xtalksim.model")
-        operators = importlib.import_module("xtalksim.operators")
+        modules = {
+            name: importlib.import_module(f"xtalksim.{name}") for name in ("model", "operators", "magnus", "optimize")
+        }
     finally:
         sys.path.remove(src)
-    if Path(src) not in Path(operators.__file__).resolve().parents:
-        raise SystemExit(f"xtalksim imported from {operators.__file__}, not from {src}")
-    return model, operators
+    if Path(src) not in Path(modules["operators"].__file__).resolve().parents:
+        raise SystemExit(f"xtalksim imported from {modules['operators'].__file__}, not from {src}")
+    return types.SimpleNamespace(**modules)
 
 
-def chunk(model, operators, d: int):
+def chunk(pkg, d: int):
     """A call of ``operators.advance`` on the fixed chunk of dimension ``d`` (module docstring)."""
+    model, operators = pkg.model, pkg.operators
     params = model.SystemParams.from_mhz(50.0, 5.0)
     t_m = params.matched_time()
     dd = model.DynamicalDecoupling(segments=4, width=t_m / 16.0)
@@ -182,9 +189,10 @@ def chunk(model, operators, d: int):
     return lambda: operators.advance(u, weights, stack.matrices, stack.norms), len(widths)
 
 
-def stack_window(model, operators):
+def stack_window(pkg):
     """A call of ``SymmetryBlocks.propagate`` over the whole pair DD idle
     window at the matched time and the default step, with five couplings."""
+    model, operators = pkg.model, pkg.operators
     params = model.SystemParams.from_mhz(50.0, 5.0)
     t_m = params.matched_time()
     dd = model.DynamicalDecoupling(segments=4, width=t_m / 16.0)
@@ -195,10 +203,18 @@ def stack_window(model, operators):
     return lambda: blocks.propagate(0.0, h.t_end, 0.02), steps
 
 
-def time_calls(sides: dict, case: str, make) -> None:
-    """Time ``make(model, operators)``'s call of each side, alternating
-    (module docstring), and print one row of the table for ``case``."""
-    calls = {side: make(*modules) for side, modules in sides.items()}
+def scan(pkg, functional: str):
+    """A call of the ``magnus`` function ``functional`` over the default
+    amplitude grid, at N = 6 and the matched gate time."""
+    params = pkg.model.SystemParams.from_mhz(50.0, 5.0)
+    grid = pkg.optimize.default_gamma_grid()
+    return lambda: getattr(pkg.magnus, functional)(params, 6, grid, params.matched_time()), grid.size
+
+
+def time_calls(sides: dict, case: str, make, calls_per_sample: int = CALLS) -> None:
+    """Time ``make(pkg)``'s call of each side, alternating (module
+    docstring), and print one row of the table for ``case``."""
+    calls = {side: make(pkg) for side, pkg in sides.items()}
     (steps,) = {n for _, n in calls.values()}
     results = {side: call() for side, (call, _) in calls.items()}
     samples = {side: [] for side in calls}
@@ -206,9 +222,9 @@ def time_calls(sides: dict, case: str, make) -> None:
         for side in list(calls)[:: 1 if r % 2 == 0 else -1]:
             call = calls[side][0]
             start = time.perf_counter()
-            for _ in range(CALLS):
+            for _ in range(calls_per_sample):
                 call()
-            samples[side].append((time.perf_counter() - start) / CALLS * 1e3)
+            samples[side].append((time.perf_counter() - start) / calls_per_sample * 1e3)
     parent, change = (statistics.median(samples[side]) for side in ("parent", "change"))
     won = sum(c < p for p, c in zip(samples["parent"], samples["change"]))
     diff = float(np.abs(results["change"] - results["parent"]).max())
@@ -223,6 +239,9 @@ def time_kernels(checkouts: dict) -> None:
     for d in (10, 6, 4, 2):
         time_calls(sides, f"advance d={d}", functools.partial(chunk, d=d))
     time_calls(sides, "propagate C=5", stack_window)
+    for functional in ("epsilon_fm1", "epsilon_fm2_idle", "epsilon_fm2_x"):
+        case = "scan " + functional.removeprefix("epsilon_").replace("_", "-")
+        time_calls(sides, case, functools.partial(scan, functional=functional), calls_per_sample=1)
 
 
 def main() -> int:

@@ -45,7 +45,7 @@ from xtalksim.experiments import (
     run_single_gate,
     sweep_j,
 )
-from xtalksim.magnus import dd_second_order_closed_forms, epsilon_dd2_numeric, epsilon_fm2_idle
+from xtalksim.magnus import TriangleRule, dd_second_order_closed_forms, epsilon_dd2_numeric, epsilon_fm2_idle
 from xtalksim.model import (
     PAIR,
     STAR,
@@ -402,22 +402,21 @@ def _verify_checks(step: float) -> List[Tuple[str, bool, str]]:
     detail = f"max |U - U_exact| {residual:.3e} (bound 1e-8)"
     checks.append(("idle-oracle", residual <= 1e-8, detail))
 
-    # Triangle quadrature against the idle closed forms and their ratio.
-    eps_cd = float(epsilon_fm2_idle(params, 4, np.zeros(1), t_m)[0])
-    forms = dd_second_order_closed_forms(params)
-    eps_dd = epsilon_dd2_numeric(params, 4, t_m)
-    rel_cd = abs(eps_cd - forms.crosstalk_only) / forms.crosstalk_only
-    rel_dd = abs(eps_dd - forms.decoupled) / forms.decoupled
-    ratio = eps_dd / eps_cd
-    rel_ratio = abs(ratio - forms.ratio) / forms.ratio
-    ok = rel_cd <= 1e-6 and rel_dd <= 1e-6 and rel_ratio <= 1e-6
-    detail = f"rel residuals idle {rel_cd:.3e}, decoupled {rel_dd:.3e}, ratio {rel_ratio:.3e}"
-    checks.append(("closed-forms", ok, detail + " (bound 1e-6)"))
+    # The fm2-idle series against the triangle rule at its N = 8 pick, and
+    # the ruled decoupled idle against its closed form.
+    scan = cached_scan("fm2-idle", params, 8, t_m)
+    fm_dip = FrequencyModulation(cycles=8, gamma=scan.gamma_opt)
+    rule = TriangleRule(t_m)
+    g = np.exp(1j * (params.delta * rule.points + 2.0 * fm_dip.modulation(t_m).phase(rule.points)))
+    eps_rule = (params.j**2 / t_m) * abs(rule.integrate(g, g.conj()).imag)
+    rel_idle = abs(float(epsilon_fm2_idle(params, 8, np.array([fm_dip.gamma]), t_m)[0]) - eps_rule) / eps_rule
+    decoupled = dd_second_order_closed_forms(params).decoupled
+    rel_dd = abs(epsilon_dd2_numeric(params, 4, t_m) - decoupled) / decoupled
+    detail = f"rel residuals idle series vs rule at the N=8 pick {rel_idle:.3e}, decoupled {rel_dd:.3e}"
+    checks.append(("closed-forms", rel_idle <= 1e-10 and rel_dd <= 1e-10, detail + " (bound 1e-10)"))
 
     # Reported infidelities must be converged in the integrator step, the
     # ~1e-11 FM idle dip at the selected amplitude included.
-    scan = cached_scan("fm2-idle", params, 8, t_m)
-    fm_dip = FrequencyModulation(cycles=8, gamma=scan.gamma_opt)
     worst_rel = 0.0
     detail_parts = []
     for name, run in (

@@ -7,13 +7,14 @@ second order an integral over the ordered triangle 0 <= t2 <= t1 <= T.
 
 The FM functionals share one signature, ``(params, cycles, gammas, t_end)``:
 a cycle count, a 1-D array of amplitudes in rad/ns, and the gate time; they
-return one value per amplitude.  First order is a Jacobi-Anger Bessel series
-(Abramowitz & Stegun 9.1.41) summed over all amplitudes at once.  Second
-order builds one :class:`TriangleRule` of ``PANELS`` panels and samples the
+return one value per amplitude.  First order and the second-order idle term
+are Jacobi-Anger Bessel series (Abramowitz & Stegun 9.1.41) summed over all
+amplitudes at once.  The second-order drive-coupling cross term of a driven
+gate builds one :class:`TriangleRule` of ``PANELS`` panels and samples the
 amplitude-free parts of the integrands once per call, then takes one
 amplitude at a time, so memory does not grow with the grid.  Per amplitude
 it integrates e^{i phi} once to every node (:meth:`TriangleRule.running`)
-and weighs that, and its conjugate, in each term.
+and weighs that against the drive envelope.
 """
 
 from __future__ import annotations
@@ -86,9 +87,17 @@ class TriangleRule:
         return self.weigh(outer, self.running(inner))
 
 
-def _bessel_order_limit(c: float) -> int:
-    """Largest |n| kept; J_n(c) falls below double rounding past c + O(c^(1/3))."""
-    return math.ceil(c + 10.0 * c ** (1.0 / 3.0) + 25.0)
+def _bessel_order_limit(c):
+    """Largest |n| kept, elementwise; J_n(c) falls below double rounding past c + O(c^(1/3))."""
+    return np.ceil(c + 10.0 * c ** (1.0 / 3.0) + 25.0)
+
+
+def _jacobi_anger(c: np.ndarray):
+    """Each order n of e^{-i c cos(theta)} with its coefficients (-i)^n J_n(c), zero past each
+    amplitude's own order limit, so that a grid sums as its single calls do."""
+    own = _bessel_order_limit(c)
+    for n in range(-int(own.max()), int(own.max()) + 1):
+        yield n, np.where(abs(n) <= own, (1.0, -1j, -1.0, 1j)[n % 4] * jv(n, c), 0.0)
 
 
 def epsilon_fm1(params: SystemParams, cycles: int, gammas: np.ndarray, t_end: float) -> np.ndarray:
@@ -103,23 +112,38 @@ def epsilon_fm1(params: SystemParams, cycles: int, gammas: np.ndarray, t_end: fl
     c = gammas * t_end / (math.pi * cycles)
     k = round(params.delta * t_end / (2.0 * math.pi))
     f = params.delta * t_end / (2.0 * math.pi) - k
-    limit = _bessel_order_limit(float(c.max()))
     total = np.zeros(c.shape, dtype=complex)
-    for n in range(-limit, limit + 1):
+    for n, a in _jacobi_anger(c):
         m = k + n * cycles
-        weight = 1.0 if m == 0 and f == 0.0 else math.sin(math.pi * f) / (math.pi * (m + f))
-        total += ((1.0, -1j, -1.0, 1j)[n % 4] * weight) * jv(n, c)
+        total += (1.0 if m == 0 and f == 0.0 else math.sin(math.pi * f) / (math.pi * (m + f))) * a
     return 2.0 * abs(params.j) * np.abs(total)
 
 
 def _fm2(params: SystemParams, cycles: int, gammas: np.ndarray, t_end: float, driven: bool):
-    """Idle term, plus the drive-coupling cross term of a ``driven`` gate, per amplitude."""
+    """Idle term in closed form, plus the ruled drive-coupling cross term of a ``driven`` gate."""
+    c = gammas * t_end / (math.pi * cycles)
+    k = round(params.delta * t_end / (2.0 * math.pi))
+    f = params.delta * t_end / (2.0 * math.pi) - k
+    squares, series, resonant = np.zeros(c.shape), np.zeros(c.shape, dtype=complex), np.zeros(c.shape)
+    for n, a in _jacobi_anger(c):
+        if k + n * cycles == 0:
+            resonant = a
+        else:
+            squares += np.abs(a) ** 2 / (k + n * cycles + f)
+            series += a / (k + n * cycles + f)
+    x = 2.0 * math.pi * f
+    # 2 pi (x - sin x) / x^2 by its Taylor series, which cancels nothing near x = 0.
+    lag = 2.0 * math.pi * sum((-x * x) ** j * x / math.factorial(2 * j + 3) for j in range(15))
+    total = squares - (math.sin(x) / (2.0 * math.pi)) * np.abs(series) ** 2
+    total += lag * np.abs(resonant) ** 2 - 2.0 * np.sinc(2.0 * f) * (resonant.conj() * series).real
+    values = (params.j**2 * t_end / (2.0 * math.pi)) * np.abs(total)
+    if not driven:
+        return values
     rule = TriangleRule(t_end)
     bare = params.delta * rule.points
     shape = 2.0 * FmZModulation(gamma=1.0, cycles=cycles, duration=t_end).phase(rule.points)
     omega = SineEnvelopeDrive(t_end).sample(rule.points)
     omega_running = rule.running(omega)
-    values = np.empty(gammas.size)
     g = np.empty(rule.points.size, dtype=complex)
     for i, gamma in enumerate(gammas):
         # e^{i phase} from cos and sin: np.exp(1j * phase) takes longer for
@@ -127,18 +151,20 @@ def _fm2(params: SystemParams, cycles: int, gammas: np.ndarray, t_end: float, dr
         phase = bare + gamma * shape
         np.cos(phase, out=g.real)
         np.sin(phase, out=g.imag)
-        g_running = rule.running(g)
-        values[i] = (params.j**2 / t_end) * abs(rule.weigh(g, g_running.conj()).imag)
-        if driven:
-            cross = rule.weigh(omega, g_running) - rule.weigh(g, omega_running)
-            values[i] += (abs(params.j) / t_end) * abs(cross)
+        cross = rule.weigh(omega, rule.running(g)) - rule.weigh(g, omega_running)
+        values[i] += (abs(params.j) / t_end) * abs(cross)
     return values
 
 
 def epsilon_fm2_idle(
     params: SystemParams, cycles: int, gammas: np.ndarray, t_end: float
 ) -> np.ndarray:
-    """Second-order idle error: (J^2/T) |double integral of sin(phi1 - phi2)|."""
+    """Second-order idle error: (J^2/T) |double integral of sin(phi1 - phi2)|.
+
+    In :func:`epsilon_fm1`'s series, with x_n = k + n N + f and B = sum_n (-i)^n J_n(c) / x_n,
+    the integral is (T^2 / 2 pi) (sum_n J_n(c)^2 / x_n - sin(2 pi f) |B|^2 / 2 pi).  An order
+    with k + n N = 0, whose x_n = f may vanish, is left out of both sums and adds
+    J_n(c)^2 (f - sin(2 pi f) / 2 pi) / f^2 - 2 sinc(2 f) Re(i^n J_n(c) B)."""
     return _fm2(params, cycles, gammas, t_end, driven=False)
 
 

@@ -1,17 +1,18 @@
 """Independent forms of library quantities, slow and meant for comparison only.
 
-The library sums first order as a Bessel series and evaluates the
-second-order functionals on a 512-node triangle rule built once per scan.
-These references take neither shortcut: first order is adaptive
-quadrature of the phase integral, and second order is a composite
-Gauss-Legendre triangle rule (2,048 nodes per axis unless given) rebuilt
-and resampled for every amplitude.  The exchange matrix of a layout is
-built from Kronecker products, where the library sets bits.  A run of k
-gates is one uninterrupted assembly at absolute time, where the library
-advances one gate's coupling phase.  Propagators come from dense samples of
-the Hamiltonian, with the commutator of the Magnus step formed on them and
-each step exponentiated by ``eigh``, where the library contracts term-space
-weights and sums Taylor polynomials.
+The library sums first order and the second-order idle term as Bessel
+series, and evaluates the X functional's drive cross term on a 512-node
+triangle rule built once per scan.  These references take neither
+shortcut: first order is adaptive quadrature of the phase integral, and
+second order is a composite Gauss-Legendre triangle rule (2,048 nodes per
+axis unless given) rebuilt and resampled for every amplitude.  The
+exchange matrix of a layout is built from Kronecker products, where the
+library sets bits.  A run of k gates is one uninterrupted assembly at
+absolute time, where the library advances one gate's coupling phase.
+Propagators come from dense samples of the Hamiltonian, with the
+commutator of the Magnus step formed on them and each step exponentiated
+by ``eigh``, where the library contracts term-space weights and sums
+Taylor polynomials.
 """
 
 import dataclasses

@@ -73,35 +73,30 @@ class TestTriangleRule:
         assert rule.running(g.conj()).tobytes() == rule.running(g).conj().tobytes()
 
 
-def direct_fm2(cycles, gammas, t_end, drives):
-    """The second-order functionals term by term, each double integral on its own."""
+def direct_cross(cycles, gammas, t_end):
+    """The drive-coupling cross term of the X functional, each double integral on its own."""
     rule = magnus.TriangleRule(t_end)
     shape = 2.0 * FmZModulation(gamma=1.0, cycles=cycles, duration=t_end).phase(rule.points)
     omega = SineEnvelopeDrive(t_end).sample(rule.points)
     values = []
     for gamma in gammas:
         g = np.exp(1j * (PARAMS.delta * rule.points + gamma * shape))
-        value = (PARAMS.j**2 / t_end) * abs(rule.integrate(g, g.conj()).imag)
-        if drives:
-            cross = rule.integrate(omega, g) - rule.integrate(g, omega)
-            value += drives * (abs(PARAMS.j) / t_end) * abs(cross)
-        values.append(value)
+        cross = rule.integrate(omega, g) - rule.integrate(g, omega)
+        values.append((abs(PARAMS.j) / t_end) * abs(cross))
     return np.array(values)
 
 
 class TestSecondOrderTerms:
     @pytest.mark.parametrize("cycles", [4, 6, 8])
-    @pytest.mark.parametrize(
-        "functional, drives",
-        [(epsilon_fm2_idle, 0), (epsilon_fm2_x, 1)],
-    )
     @pytest.mark.parametrize("t_end", [T_M, 30.0])
-    def test_shared_running_integral_matches_direct_terms(self, functional, drives, cycles, t_end):
-        # Byte for byte: the scans, and so the selected amplitudes and every
-        # output that prints them, stay what the term-by-term form gives.
+    def test_shared_running_integral_matches_direct_terms(self, cycles, t_end):
+        # Byte for byte: the X functional is the idle series plus the cross
+        # term that the term-by-term form gives, so its scans, and every
+        # output that prints them, stay what that form gives.
         gammas = GRID[::11]
-        got = functional(PARAMS, cycles, gammas, t_end)
-        assert got.tobytes() == direct_fm2(cycles, gammas, t_end, drives).tobytes()
+        got = epsilon_fm2_x(PARAMS, cycles, gammas, t_end)
+        want = epsilon_fm2_idle(PARAMS, cycles, gammas, t_end) + direct_cross(cycles, gammas, t_end)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestFirstOrder:
@@ -158,7 +153,8 @@ class TestSecondOrderClosedForms:
 
 
 class TestQuadratureConvergence:
-    """The 512-node rule against the 1,024- and 2,048-node reference rules."""
+    """fm2-x's 512-node rule, and the fm2-idle series, against the 1,024- and
+    2,048-node reference rules."""
 
     def test_node_doubling_is_stable(self):
         fm = FrequencyModulation(cycles=8, gamma=2.777)
@@ -207,6 +203,39 @@ class TestAgainstOracles:
         want = [oracle(PARAMS, fm, T_M) for fm in grid_modulations(cycles)]
         values = functional(PARAMS, cycles, GRID, T_M)
         np.testing.assert_allclose(values, want, rtol=1e-12, atol=0.0)
+
+
+    @pytest.mark.parametrize(
+        "cycles, t_end",
+        [(4, 30.0), (6, 30.0), (8, 30.0), (4, 25.0), (4, 80.0)],
+        ids=["unmatched-N4", "unmatched-N6", "unmatched-N8", "quarter-turn", "resonant"],
+    )
+    def test_fm2_idle_series_branches(self, cycles, t_end):
+        # Delta T / 2 pi is 1.5 at 30 ns, so every x_n = k + n N + f is a
+        # half-integer; it is 1.25 at 25 ns, where the sin(Delta T) |B|^2 term
+        # is largest; and it is 4 at 80 ns, where N = 4 makes x_{-1} = 0.
+        # 8,192 nodes per axis: the oracle moves by at most 3e-13 from there
+        # to 16,384 on these grids.
+        grid = GRID[::11]
+        want = [oracles.fm2_idle(PARAMS, FrequencyModulation(cycles=cycles, gamma=g), t_end, 8192) for g in grid]
+        values = epsilon_fm2_idle(PARAMS, cycles, grid, t_end)
+        np.testing.assert_allclose(values, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "delta_mhz, cycles, t_end",
+        [(20.0, 1, 50.0), (50.0, 2, 40.00001)],
+        ids=["rounding", "offset-5e-7"],
+    )
+    def test_fm2_idle_near_resonance(self, delta_mhz, cycles, t_end):
+        # Delta T / 2 pi - k reads 2.2e-16 and 5e-7: the resonant order's
+        # x_n = f is tiny but not 0, and sums that kept it would cancel two
+        # terms in 1/f.  The oracle's own rounding at the dips reaches 2e-12
+        # here (16,384 against 32,768 nodes), hence the looser bound.
+        params = SystemParams.from_mhz(delta_mhz, 5.0)
+        grid = GRID[::11]
+        want = [oracles.fm2_idle(params, FrequencyModulation(cycles=cycles, gamma=g), t_end, 8192) for g in grid]
+        values = epsilon_fm2_idle(params, cycles, grid, t_end)
+        np.testing.assert_allclose(values, want, rtol=1e-11, atol=0.0)
 
 
 class TestFirstOrderSeries:
