@@ -27,6 +27,12 @@ to the propagator and the two of its Newton-Schulz step.  So both
 checkouts count the same work alike, and the script exits 1 if the counts
 differ, 0 otherwise.
 
+Next, ``import xtalksim.cli`` is timed in ``IMPORT_RUNS`` fresh interpreters
+per checkout, the sides alternating, the parent first in even runs; each
+child times its own import, so interpreter start-up is left out.  This
+prints each side's median milliseconds, the ratio change/parent, the runs
+the change won, and how many ``scipy`` modules each side's import loads.
+
 Then both checkouts are loaded into one interpreter, and ``operators.advance``
 of each is timed on one fixed chunk per dimension, each side on the block
 stack its own checkout builds: the first 2,048-step chunk at the default
@@ -66,6 +72,12 @@ import numpy as np
 
 #: Timed samples per side and dimension, and ``advance`` calls per sample.
 ROUNDS, CALLS = 31, 5
+#: Fresh interpreters per side that time ``import xtalksim.cli``.
+IMPORT_RUNS = 9
+IMPORT_PROBE = (
+    "import sys, time; start = time.perf_counter(); import xtalksim.cli; "
+    "print(time.perf_counter() - start, sum(k.split('.')[0] == 'scipy' for k in sys.modules), xtalksim.cli.__file__)"
+)
 
 
 def add(totals: dict, kernel: str, d: int, count: int) -> None:
@@ -149,6 +161,28 @@ def count_side(checkout: Path) -> dict:
         env=env, check=True, capture_output=True, text=True,
     )
     return {k: {int(d): v for d, v in t.items()} for k, t in json.loads(done.stdout).items()}
+
+
+def time_imports(checkouts: dict) -> None:
+    """Print the fresh-interpreter import timings (module docstring)."""
+    samples, scipy_modules = {side: [] for side in checkouts}, {}
+    for r in range(IMPORT_RUNS):
+        for side in list(checkouts)[:: 1 if r % 2 == 0 else -1]:
+            src = (checkouts[side] / "src").resolve()
+            done = subprocess.run(
+                [sys.executable, "-c", IMPORT_PROBE],
+                env=dict(os.environ, PYTHONPATH=str(src)), check=True, capture_output=True, text=True,
+            )
+            seconds, modules, origin = done.stdout.split()
+            if src not in Path(origin).resolve().parents:
+                raise SystemExit(f"xtalksim imported from {origin}, not from {src}")
+            samples[side].append(float(seconds) * 1e3)
+            scipy_modules[side] = int(modules)
+    parent, change = (statistics.median(samples[side]) for side in ("parent", "change"))
+    won = sum(c < p for p, c in zip(samples["parent"], samples["change"]))
+    print(f"{'import':<17} {'runs':>6} {'parent ms':>10} {'change ms':>10} {'ratio':>6} {'won':>6} {'scipy mods':>11}")
+    print(f"{'xtalksim.cli':<17} {IMPORT_RUNS:>6} {parent:>10.1f} {change:>10.1f} {change / parent:>6.3f} "
+          f"{won:>3}/{IMPORT_RUNS:<2} {scipy_modules['parent']:>5} -> {scipy_modules['change']}")
 
 
 def load(checkout: Path):
@@ -261,6 +295,8 @@ def main() -> int:
             same = same and parent == change
             flag = "" if parent == change else "  DIFFERS"
             print(f"{kernel:<8} {d:>3} {parent:>10} {change:>10}{flag}")
+    print()
+    time_imports(checkouts)
     print()
     time_kernels(checkouts)
     return 0 if same else 1

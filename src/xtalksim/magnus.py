@@ -9,12 +9,13 @@ The FM functionals share one signature, ``(params, cycles, gammas, t_end)``:
 a cycle count, a 1-D array of amplitudes in rad/ns, and the gate time; they
 return one value per amplitude.  First order and the second-order idle term
 are Jacobi-Anger Bessel series (Abramowitz & Stegun 9.1.41) summed over all
-amplitudes at once.  The second-order drive-coupling cross term of a driven
-gate builds one :class:`TriangleRule` of ``PANELS`` panels and samples the
-amplitude-free parts of the integrands once per call, then takes one
-amplitude at a time, so memory does not grow with the grid.  Per amplitude
-it integrates e^{i phi} once to every node (:meth:`TriangleRule.running`)
-and weighs that against the drive envelope.
+amplitudes at once, with every J_n(c) of a call from one table built by
+Miller's backward recurrence (:func:`_bessel_table`).  The second-order
+drive-coupling cross term of a driven gate builds one :class:`TriangleRule`
+of ``PANELS`` panels and samples the amplitude-free parts of the integrands
+once per call, then takes one amplitude at a time, so memory does not grow
+with the grid.  Per amplitude it integrates e^{i phi} once to every node
+(:meth:`TriangleRule.running`) and weighs that against the drive envelope.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import jv
 
 from xtalksim.model import SystemParams
 from xtalksim.operators import positive_int
@@ -92,12 +92,41 @@ def _bessel_order_limit(c):
     return np.ceil(c + 10.0 * c ** (1.0 / 3.0) + 25.0)
 
 
+def _bessel_table(c: np.ndarray, top: int) -> np.ndarray:
+    """J_n(c) for n = 0..top (rows) by Miller's backward recurrence J_{n-1} = (2n/c) J_n - J_{n+1}
+    (A&S 9.1.27), normalized by J_0 + 2 sum_k J_2k = 1 (A&S 9.1.46); Numerical Recipes 6.5.
+    Each amplitude starts at its own order, 20 past its order limit and set by c alone, so that a
+    deeper series still reads J_n(c); it rescales alone, so a grid's columns are its single calls
+    bit for bit.  Below c = 1e-100 it starts at order 0, keeping 2n/c finite (c = 0: J_0 = 1)."""
+    start = np.where(c > 1e-100, np.ceil(c + 10.0 * np.cbrt(c) + 45.0), 0.0)
+    first = int(start.max(initial=0.0))
+    # steps[n] = 2 (n + 1) / c.  Row n adds the recurrence onto the seed 1 of the columns starting there.
+    steps = np.arange(1.0, first + 2.0)[:, None] * (2.0 / np.where(start > 0, c, 1.0))
+    table, evens = np.zeros((max(first, top) + 3,) + c.shape), np.zeros(c.shape)
+    table[start.astype(int), np.arange(c.size)] = 1.0
+    for n in range(first, -1, -1):
+        table[n] += steps[n] * table[n + 1] - table[n + 2]
+        # By a power of two, which is exact; one step past 2^500 (2n/c < 1e102) stays finite.
+        if np.abs(table[n]).max() > 2.0**500:
+            big = np.abs(table[n]) > 2.0**500
+            evens[big] /= 2.0**500
+            table[n:, big] /= 2.0**500
+        if n % 2 == 0 and n > 0:
+            evens += table[n]
+    return table[: top + 1] / (table[0] + 2.0 * evens)
+
+
 def _jacobi_anger(c: np.ndarray):
     """Each order n of e^{-i c cos(theta)} with its coefficients (-i)^n J_n(c), zero past each
-    amplitude's own order limit, so that a grid sums as its single calls do."""
+    amplitude's own order limit, so that a grid sums as its single calls do.  One
+    :func:`_bessel_table` serves every order: J_{-n} = (-1)^n J_n, so order -n has order n's
+    coefficients."""
     own = _bessel_order_limit(c)
-    for n in range(-int(own.max()), int(own.max()) + 1):
-        yield n, np.where(abs(n) <= own, (1.0, -1j, -1.0, 1j)[n % 4] * jv(n, c), 0.0)
+    top = int(own.max())
+    orders = np.arange(top + 1)[:, None]
+    coefficients = np.where(orders <= own, np.array([1.0, -1j, -1.0, 1j])[orders % 4] * _bessel_table(c, top), 0.0)
+    for n in range(-top, top + 1):
+        yield n, coefficients[abs(n)]
 
 
 def epsilon_fm1(params: SystemParams, cycles: int, gammas: np.ndarray, t_end: float) -> np.ndarray:

@@ -515,8 +515,8 @@ class TestVerify:
         # dip, so at the N = 8 pick it is off the triangle rule by about 2
         # relative.  A scan cache of its own keeps the skewed scan from
         # later tests.
-        jv = magnus.jv
-        monkeypatch.setattr(magnus, "jv", lambda n, c: jv(n, 1.001 * c))
+        table = magnus._bessel_table
+        monkeypatch.setattr(magnus, "_bessel_table", lambda c, top: table(1.001 * c, top))
         monkeypatch.setattr(experiments, "_SCAN_CACHE", {})
         assert main(["verify"]) == EXIT_CHECK_FAILURE
         assert "FAIL closed-forms:" in capsys.readouterr().out

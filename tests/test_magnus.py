@@ -3,6 +3,7 @@ import math
 import numpy as np
 import oracles
 import pytest
+from scipy.special import jv
 
 from xtalksim import magnus
 from xtalksim.magnus import (
@@ -255,6 +256,69 @@ class TestFirstOrderSeries:
         monkeypatch.setattr(magnus, "_bessel_order_limit", lambda c: limit(c) + 20)
         more = epsilon_fm1(PARAMS, cycles, GRID, t_end)
         assert np.all(np.abs(more - kept) <= 1e-15 * np.abs(more))
+
+
+def grid_amplitudes(t_end):
+    """c = gamma T / (pi N) over the default grid, for N = 1..8."""
+    return np.concatenate([GRID * t_end / (math.pi * n) for n in range(1, 9)])
+
+
+class TestBesselTable:
+    """Miller's recurrence against scipy's J_n, at every order the series keep."""
+
+    def test_zero_and_tiny_amplitudes(self):
+        # c = 0 is the identity.  At c = 1e-12 the recurrence rescales on its
+        # way down; J_1 is 8.9e-16 relative off there, 4.0e-28 absolute, and
+        # every later order is below 1e-24.  At c = 1e-200 a recurrence from
+        # order 46 would overflow within four steps.
+        c = np.array([0.0, 1e-12, 1e-200])
+        table = magnus._bessel_table(c, 30)
+        assert np.array_equal(table[:, 0], np.eye(31)[0])
+        assert np.all(table[0] == 1.0)
+        assert np.abs(table - jv(np.arange(31)[:, None], c)).max() <= 1e-27
+
+    @pytest.mark.parametrize(
+        "c, bound",
+        [
+            (grid_amplitudes(T_M), 1e-15),
+            (grid_amplitudes(30.0), 2e-15),
+            (grid_amplitudes(100.0), 1e-14),
+            (np.array([150.0]), 1e-14),
+        ],
+        ids=["grid-T_M", "grid-30ns", "grid-100ns", "c150"],
+    )
+    def test_matches_scipy(self, c, bound):
+        # Largest differences: 3.3e-16 at c <= 20, 6.9e-16 (c <= 24, T_M),
+        # 9.6e-16 (c <= 36, 30 ns), 6.2e-15 (c <= 120, 100 ns) and 4.8e-15 at
+        # c = 150.  Past c = 100 scipy is the side that is off: at c = 120 and
+        # 150 it reads 5.0e-15 and 4.4e-15 from 40-digit values, the table
+        # 1.1e-16 and 5.8e-16.
+        own = magnus._bessel_order_limit(c)
+        orders = np.arange(int(own.max()) + 1)[:, None]
+        error = np.abs(magnus._bessel_table(c, int(own.max())) - jv(orders, c))
+        assert np.where(orders <= own, error, 0.0).max() <= bound
+
+    @pytest.mark.parametrize("c", [0.0, 1e-12, 0.7, 23.4, 150.0])
+    def test_negative_orders(self, c):
+        # (-i)^n J_n(c) at n = -L..L, the negative orders by J_{-n} = (-1)^n J_n.
+        coefficients = dict(magnus._jacobi_anger(np.array([c])))
+        top = max(coefficients)
+        assert sorted(coefficients) == list(range(-top, top + 1))
+        for n in range(1, top + 1):
+            assert np.array_equal(coefficients[-n], coefficients[n])
+            want = (-1j) ** -n * jv(-n, c)
+            assert abs(coefficients[-n][0] - want) <= 1e-14
+
+    def test_grid_is_its_single_calls(self):
+        # Each amplitude starts its recurrence at its own order and rescales
+        # alone, so no column depends on the others or on the table's depth.
+        c = np.concatenate([[0.0, 1e-12], grid_amplitudes(100.0)[::29], [150.0]])
+        top = int(magnus._bessel_order_limit(c).max())
+        table = magnus._bessel_table(c, top)
+        for i, one in enumerate(c):
+            assert np.array_equal(table[:, i], magnus._bessel_table(np.array([one]), top)[:, 0])
+            own = int(magnus._bessel_order_limit(one))
+            assert np.array_equal(table[: own + 1, i], magnus._bessel_table(np.array([one]), own)[:, 0])
 
 
 class TestGridForms:
